@@ -4,7 +4,6 @@ addition/subtraction under thermal loss."""
 from .chi_core import (
     ChannelParams,
     CoherentOp,
-    DegreeOverflowError,
     GaussianKernel,
     MomentEngine,
     PolyGaussianChi,
@@ -13,18 +12,15 @@ from .chi_core import (
     apply_coherent_op,
     apply_thermal_channel,
     evaluate_chi,
-    gaussian_monomial_integral,
     normalize,
     tmsv_chi,
 )
 from .entanglement import (
     CovarianceMatrix,
-    EigenConvergenceError,
     InvalidCovarianceError,
     MeasureRecord,
     covariance_from_chi,
     gaussian_log_negativity,
-    jacobi_eigvalsh,
     log_negativity,
     partial_transpose,
     separation_eta,
@@ -36,12 +32,8 @@ from .entanglement import (
 from .fock_recon import (
     FockDensityMatrix,
     FockMatrixBuilder,
-    QuadratureGrid,
     displacement_fock_poly,
-    fock_element,
     fock_matrix,
-    quadrature_fock_element,
-    quadrature_fock_elements,
 )
 from .scenarios import (
     OptimizeResult,

@@ -30,15 +30,10 @@ import numpy as np
 N_VARS = 4
 ZERO_INDEX = (0, 0, 0, 0)
 
-DEFAULT_MAX_DEGREE = 8
 PRUNE_REL_TOL = 1e-16
 HERMITICITY_TOL = 1e-12
 TRACE_IMAG_TOL = 1e-10
 ZERO_TRACE_TOL = 1e-30
-
-
-class DegreeOverflowError(Exception):
-    """Polynomial degree would exceed the configured maximum."""
 
 
 class ZeroStateError(Exception):
@@ -191,7 +186,7 @@ class PolyGaussianChi:
     new objects.
     """
 
-    def __init__(self, poly, kernel, max_degree=DEFAULT_MAX_DEGREE):
+    def __init__(self, poly, kernel):
         if kernel.n_modes != 2:
             raise ValueError("states are two-mode; kernel must be 4x4")
         clean = {}
@@ -199,13 +194,9 @@ class PolyGaussianChi:
             a = tuple(int(k) for k in a)
             if len(a) != N_VARS or min(a) < 0:
                 raise ValueError(f"bad multi-index {a!r}")
-            if sum(a) > max_degree:
-                raise DegreeOverflowError(
-                    f"monomial degree {sum(a)} exceeds maximum {max_degree}")
             clean[a] = complex(c)
         self.poly = clean
         self.kernel = kernel
-        self.max_degree = max_degree
 
     @property
     def trace(self):
@@ -296,15 +287,12 @@ def apply_coherent_op(state, mode, op):
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    if state.degree + 2 > state.max_degree:
-        raise DegreeOverflowError(
-            f"degree {state.degree} + 2 would exceed maximum {state.max_degree}")
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
     kq = state.kernel.quad
     t, r = op.t, op.r
     inner = _first_order(state.poly, kq, {p: t, q: -r}, {p: r / 2, q: t / 2})
     outer = _first_order(inner, kq, {p: r, q: -t}, {p: -t / 2, q: -r / 2})
-    return PolyGaussianChi(_prune(outer), state.kernel, state.max_degree)
+    return PolyGaussianChi(_prune(outer), state.kernel)
 
 
 def apply_thermal_channel(state, mode, channel):
@@ -328,7 +316,7 @@ def apply_thermal_channel(state, mode, channel):
     add = 0.5 * (2 * channel.n_th + 1) * (1 - channel.eta)
     k[p, q] += add
     k[q, p] += add
-    return PolyGaussianChi(poly, GaussianKernel(k), state.max_degree)
+    return PolyGaussianChi(poly, GaussianKernel(k))
 
 
 def evaluate_chi(state, xi1, xi2):
@@ -344,7 +332,9 @@ def normalize(state):
     """Scale a state to unit trace.
 
     Returns (normalized_state, trace); the trace of a pipeline output is the
-    success probability of the non-deterministic operations applied so far.
+    heralding rate of the non-deterministic operations applied so far.  It is
+    not bounded by 1, because t a + r a^dag is not trace-nonincreasing (see
+    entanglement.success_probability).
     """
     tr = state.trace
     if abs(tr.imag) > TRACE_IMAG_TOL * max(1.0, abs(tr.real)):
@@ -353,7 +343,7 @@ def normalize(state):
     if t < ZERO_TRACE_TOL:
         raise ZeroStateError("state has vanishing trace")
     poly = {a: c / t for a, c in state.poly.items()}
-    return PolyGaussianChi(poly, state.kernel, state.max_degree), t
+    return PolyGaussianChi(poly, state.kernel), t
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +445,3 @@ class MomentEngine:
                     acc += cjk * bk * flat[np.ravel_multi_index(gam.T, shape)]
                 flat[np.ravel_multi_index(sub.T, shape)] = acc
         return self._norm * table
-
-
-def gaussian_monomial_integral(kernel, alpha):
-    """Int prod_i (d^2 xi_i / pi) v^alpha exp(-0.5 v^T K v), exactly."""
-    return MomentEngine(kernel).moment(alpha)

@@ -16,17 +16,10 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-from .chi_core import (
-    ChannelParams,
-    DegreeOverflowError,
-    SingularKernelError,
-    ZeroStateError,
-)
-from .entanglement import (
-    EigenConvergenceError,
-    InvalidCovarianceError,
-    thermal_occupation,
-)
+import numpy as np
+
+from .chi_core import ChannelParams, SingularKernelError, ZeroStateError
+from .entanglement import InvalidCovarianceError, thermal_occupation
 from .scenarios import ScenarioConfig, Strategy, default_eta_grid, evaluate_point, sweep_eta
 
 CSV_HEADER = "strategy,s,n_th,eta,t_opt,E_N,E_N_gauss,fidelity,p_success,flags"
@@ -35,9 +28,8 @@ EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_IO = 4
 
-_COMPUTE_ERRORS = (ZeroStateError, SingularKernelError, DegreeOverflowError,
-                   EigenConvergenceError, InvalidCovarianceError,
-                   FloatingPointError)
+_COMPUTE_ERRORS = (ZeroStateError, SingularKernelError, np.linalg.LinAlgError,
+                   InvalidCovarianceError, FloatingPointError)
 
 
 class ConfigError(ValueError):

@@ -11,12 +11,18 @@ functions the whole integrand therefore lives in one augmented Gaussian
 kernel, and the exact moment engine evaluates it term by term.
 
 Truncation note: dropping Fock components above n_trunc can only lower the
-measured entanglement (the truncation is a local projection), so negativity
-computed from these matrices is a lower bound that grows toward the true
-value as n_trunc increases.
+measured entanglement (the truncation is a local projection), so in exact
+arithmetic the negativity computed from these matrices is a lower bound that
+grows toward the true value as n_trunc increases.  In float64 that holds only
+while the reconstruction is accurate, and nothing checks it yet (ROADMAP open
+item 3; the likely cause is cancellation between the alternating
+Laguerre-monomial expansion and moments that grow factorially).  For the
+two-mode squeezed vacuum at s = 1 the trace is already 1.00017 at
+n_trunc = 16; at n_trunc = 20 it is 1.397 and E_N is 2.988, above the exact
+2.885.
 
-An independent tensor-product Gauss-Legendre quadrature of the same integral
-is provided as a cross-check oracle; it never touches the moment recursion.
+The independent cross-checks of this reconstruction (a scalar per-element
+route and a brute-force Gauss-Legendre integration) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -26,13 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
-from .chi_core import (
-    GaussianKernel,
-    MomentEngine,
-    PolyGaussianChi,
-)
+from .chi_core import GaussianKernel, MomentEngine
 
 TRACE_ONE_TOL = 1e-6
 
@@ -204,133 +205,9 @@ def _check_normalized(state):
         raise ValueError(f"state trace {tr} is not 1; normalize first")
 
 
-def fock_element(state, i, j, k, l):
-    """Single density matrix element rho_{ij,kl} of a normalized state."""
-    _check_normalized(state)
-    merged = {}
-    d1 = _dagger_poly(i, k)
-    d2 = _dagger_poly(j, l)
-    for a, c in state.poly.items():
-        for (a1, b1), c1 in d1.items():
-            for (a2, b2), c2 in d2.items():
-                key = (a[0] + a1, a[1] + b1, a[2] + a2, a[3] + b2)
-                merged[key] = merged.get(key, 0j) + c * c1 * c2
-    engine = MomentEngine(_augmented_kernel(state.kernel))
-    return engine.integrate(merged)
-
-
 def fock_matrix(state, n_trunc):
     """Truncated two-mode density matrix of a normalized state."""
     _check_normalized(state)
     builder = FockMatrixBuilder(state.kernel, n_trunc, state.poly.keys())
     return builder.matrix(state.poly)
 
-
-# ---------------------------------------------------------------------------
-# independent quadrature oracle
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Tensor-product Gauss-Legendre grid for the reconstruction oracle.
-
-    half_width = None picks the box automatically: 6 standard deviations of
-    the widest direction of the augmented kernel at degree zero, stretched
-    with the polynomial degree of the integrand (a degree-d monomial against
-    exp(-r^2/(2 sigma^2)) peaks at sigma sqrt(d), so the half-width grows like
-    sigma sqrt(36 + 3.2 d) to keep the discarded tail negligible).
-    """
-
-    half_width: float | None = None
-    points: int = 64
-
-
-def _displacement_value(m, n, alpha):
-    """<m|D(alpha)|n> evaluated numerically (vectorized over alpha)."""
-    x = np.abs(alpha) ** 2
-    if m >= n:
-        pref = _sqrt_factorial_ratio(n, m)
-        return pref * alpha ** (m - n) * eval_genlaguerre(n, m - n, x) * np.exp(-x / 2)
-    pref = _sqrt_factorial_ratio(m, n)
-    return (pref * (-np.conj(alpha)) ** (n - m)
-            * eval_genlaguerre(m, n - m, x) * np.exp(-x / 2))
-
-
-def _auto_half_width(state, degree):
-    m = _augmented_kernel(state.kernel).real_form()
-    sigma_max = 1.0 / math.sqrt(float(np.min(np.linalg.eigvalsh(m))))
-    return sigma_max * math.sqrt(36.0 + 3.2 * degree)
-
-
-def quadrature_fock_elements(state, indices, grid=QuadratureGrid()):
-    """Brute-force quadrature of rho_{ij,kl} for a batch of index tuples.
-
-    Evaluates the defining integral on a tensor Gauss-Legendre grid, with the
-    displacement elements computed pointwise; shares nothing with the moment
-    recursion.  Returns {(i, j, k, l): value}.
-    """
-    _check_normalized(state)
-    indices = [tuple(int(x) for x in q) for q in indices]
-    if not indices:
-        return {}
-    dmax = state.degree + max(i + k for i, _, k, _ in indices) \
-        + max(j + l for _, j, _, l in indices)
-    half = grid.half_width if grid.half_width is not None \
-        else _auto_half_width(state, dmax)
-    n = grid.points
-    nodes, wts = np.polynomial.legendre.leggauss(n)
-    x = half * nodes
-    w = half * wts
-    xi = (x[:, None] + 1j * x[None, :]).reshape(-1)
-    w2 = np.outer(w, w).reshape(-1)
-
-    kq = state.kernel.quad
-    q1 = np.exp(-0.5 * (kq[0, 0] * xi ** 2 + 2 * kq[0, 1] * np.abs(xi) ** 2
-                        + kq[1, 1] * np.conj(xi) ** 2))
-    q2 = np.exp(-0.5 * (kq[2, 2] * xi ** 2 + 2 * kq[2, 3] * np.abs(xi) ** 2
-                        + kq[3, 3] * np.conj(xi) ** 2))
-    c1 = -(kq[0, 2] * xi + kq[0, 3] * np.conj(xi))
-    c2 = -(kq[1, 2] * xi + kq[1, 3] * np.conj(xi))
-
-    pairs1 = sorted({(i, k) for i, _, k, _ in indices})
-    pairs2 = sorted({(j, l) for _, j, _, l in indices})
-    mono1 = sorted({(a[0], a[1]) for a in state.poly})
-    mono2 = sorted({(a[2], a[3]) for a in state.poly})
-    p1_idx = {p: i for i, p in enumerate(pairs1)}
-    p2_idx = {p: i for i, p in enumerate(pairs2)}
-    m1_idx = {m: i for i, m in enumerate(mono1)}
-    m2_idx = {m: i for i, m in enumerate(mono2)}
-
-    def _side(pairs, monos, qfac):
-        base = np.empty((len(pairs), xi.size), dtype=complex)
-        for r, (mm, nn) in enumerate(pairs):
-            base[r] = w2 * _displacement_value(mm, nn, -xi) * qfac
-        mono_vals = np.empty((len(monos), xi.size), dtype=complex)
-        for r, (a, b) in enumerate(monos):
-            mono_vals[r] = xi ** a * np.conj(xi) ** b
-        return (base[:, None, :] * mono_vals[None, :, :]).reshape(-1, xi.size)
-
-    a_side = _side(pairs1, mono1, q1)
-    b_side = _side(pairs2, mono2, q2)
-
-    g = np.zeros((a_side.shape[0], b_side.shape[0]), dtype=complex)
-    chunk = 512
-    for lo in range(0, xi.size, chunk):
-        hi = min(lo + chunk, xi.size)
-        cross = np.exp(xi[lo:hi, None] * c1[None, :]
-                       + np.conj(xi[lo:hi, None]) * c2[None, :])
-        g += a_side[:, lo:hi] @ (cross @ b_side.T)
-
-    g = g.reshape(len(pairs1), len(mono1), len(pairs2), len(mono2))
-    out = {}
-    for i, j, k, l in indices:
-        val = 0j
-        for a, c in state.poly.items():
-            val += c * g[p1_idx[(i, k)], m1_idx[(a[0], a[1])],
-                         p2_idx[(j, l)], m2_idx[(a[2], a[3])]]
-        out[(i, j, k, l)] = val / math.pi ** 2
-    return out
-
-
-def quadrature_fock_element(state, i, j, k, l, grid=QuadratureGrid()):
-    """Single-element version of the quadrature oracle."""
-    return quadrature_fock_elements(state, [(i, j, k, l)], grid)[(i, j, k, l)]

@@ -200,8 +200,7 @@ class _PointEvaluator:
         except ZeroStateError:
             return None
         if self.cfg.objective == "negativity":
-            # lapack: this runs ~10^2 times per grid point inside optimize_t
-            return log_negativity(self.builder.matrix(state.poly), method="lapack")
+            return log_negativity(self.builder.matrix(state.poly))
         return teleportation_fidelity(state)
 
     def measures(self, state, p):

@@ -1,27 +1,36 @@
 """Independent reference routes used to pin expected values in the tests.
 
-Everything here recomputes its target through a different mathematical path
-than the package (Fock-space series, scipy special-function evaluation,
-brute-force real-space quadrature, closed-form Schmidt sums).  None of it
-touches the package's moment recursion or its polynomial algebra.
+Almost everything here recomputes its target through a different
+mathematical path than the package (Fock-space series, scipy
+special-function evaluation, brute-force real-space quadrature, closed-form
+Schmidt sums, a cyclic Jacobi eigensolver).  None of that touches the
+package's moment recursion or its polynomial algebra.  The one exception is
+fock_element: it shares the moment engine and the displacement polynomials
+with the package's FockMatrixBuilder, so it only checks the builder's
+assembly (moment table, weight matrix, Hermitian fill), not the integrals.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
+from cvdistill.chi_core import MomentEngine
+from cvdistill.fock_recon import _augmented_kernel, _check_normalized, _dagger_poly
+
 
 def displacement_element(m, n, alpha):
-    """<m|D(alpha)|n> evaluated directly with scipy's Laguerre functions."""
-    x = abs(alpha) ** 2
+    """<m|D(alpha)|n> evaluated directly with scipy's Laguerre functions
+    (vectorized over alpha)."""
+    x = np.abs(alpha) ** 2
     if m >= n:
         pref = math.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
         return (pref * alpha ** (m - n) * eval_genlaguerre(n, m - n, x)
-                * math.exp(-x / 2))
+                * np.exp(-x / 2))
     pref = math.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)))
     return (pref * (-np.conj(alpha)) ** (n - m) * eval_genlaguerre(m, n - m, x)
-            * math.exp(-x / 2))
+            * np.exp(-x / 2))
 
 
 def tmsv_chi_series(s, xi1, xi2, n_max=70):
@@ -128,3 +137,167 @@ def numeric_fidelity(chi_callable, half_width=8.0, points=160):
     vals = out.reshape(xi.shape)
     integrand = vals * np.exp(-np.abs(xi) ** 2)
     return complex(np.einsum("i,j,ij->", w, w, integrand)) / math.pi
+
+
+# --- Hermitian eigenvalues without LAPACK ----------------------------------
+
+class EigenConvergenceError(RuntimeError):
+    """Jacobi iteration failed to reach the off-diagonal tolerance."""
+
+
+def jacobi_eigvalsh(mat, tol=1e-12, max_sweeps=100):
+    """Eigenvalues of a Hermitian matrix by cyclic complex Jacobi rotations.
+
+    Each rotation phases the pivot entry real and then annihilates it with a
+    real plane rotation; sweeps repeat until the off-diagonal Frobenius norm
+    drops below tol times the matrix norm.  Self-contained on purpose: used to
+    cross-check the LAPACK eigensolver, so it must not call it.
+    """
+    a = np.array(mat, dtype=complex)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("matrix must be square")
+    scale = float(np.linalg.norm(a))
+    if scale == 0.0:
+        return np.zeros(n)
+    for _ in range(max_sweeps):
+        off = a - np.diag(np.diag(a))
+        if float(np.linalg.norm(off)) <= tol * scale:
+            return np.sort(np.diag(a).real)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                h = abs(apq)
+                if h <= tol * scale / (10.0 * n * n):
+                    continue
+                phi = np.conj(apq) / h
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * h)
+                if tau >= 0:
+                    t = 1.0 / (tau + math.hypot(1.0, tau))
+                else:
+                    t = -1.0 / (-tau + math.hypot(1.0, tau))
+                cth = 1.0 / math.hypot(1.0, t)
+                sth = t * cth
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = cth * col_p - phi * sth * col_q
+                a[:, q] = sth * col_p + phi * cth * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = cth * row_p - np.conj(phi) * sth * row_q
+                a[q, :] = sth * row_p + np.conj(phi) * cth * row_q
+    raise EigenConvergenceError(
+        f"off-diagonal norm still above {tol} after {max_sweeps} sweeps")
+
+
+# --- Fock matrix elements one at a time ------------------------------------
+
+def fock_element(state, i, j, k, l):
+    """Single density matrix element rho_{ij,kl} of a normalized state."""
+    _check_normalized(state)
+    merged = {}
+    d1 = _dagger_poly(i, k)
+    d2 = _dagger_poly(j, l)
+    for a, c in state.poly.items():
+        for (a1, b1), c1 in d1.items():
+            for (a2, b2), c2 in d2.items():
+                key = (a[0] + a1, a[1] + b1, a[2] + a2, a[3] + b2)
+                merged[key] = merged.get(key, 0j) + c * c1 * c2
+    engine = MomentEngine(_augmented_kernel(state.kernel))
+    return engine.integrate(merged)
+
+
+@dataclass(frozen=True)
+class QuadratureGrid:
+    """Tensor-product Gauss-Legendre grid for the reconstruction oracle.
+
+    half_width = None picks the box automatically: 6 standard deviations of
+    the widest direction of the augmented kernel at degree zero, stretched
+    with the polynomial degree of the integrand (a degree-d monomial against
+    exp(-r^2/(2 sigma^2)) peaks at sigma sqrt(d), so the half-width grows like
+    sigma sqrt(36 + 3.2 d) to keep the discarded tail negligible).
+    """
+
+    half_width: float | None = None
+    points: int = 64
+
+
+def _auto_half_width(state, degree):
+    m = _augmented_kernel(state.kernel).real_form()
+    sigma_max = 1.0 / math.sqrt(float(np.min(np.linalg.eigvalsh(m))))
+    return sigma_max * math.sqrt(36.0 + 3.2 * degree)
+
+
+def quadrature_fock_elements(state, indices, grid=QuadratureGrid()):
+    """Brute-force quadrature of rho_{ij,kl} for a batch of index tuples.
+
+    Evaluates the defining integral on a tensor Gauss-Legendre grid, with the
+    displacement elements computed pointwise; shares nothing with the moment
+    recursion.  Returns {(i, j, k, l): value}.
+    """
+    _check_normalized(state)
+    indices = [tuple(int(x) for x in q) for q in indices]
+    if not indices:
+        return {}
+    dmax = state.degree + max(i + k for i, _, k, _ in indices) \
+        + max(j + l for _, j, _, l in indices)
+    half = grid.half_width if grid.half_width is not None \
+        else _auto_half_width(state, dmax)
+    n = grid.points
+    nodes, wts = np.polynomial.legendre.leggauss(n)
+    x = half * nodes
+    w = half * wts
+    xi = (x[:, None] + 1j * x[None, :]).reshape(-1)
+    w2 = np.outer(w, w).reshape(-1)
+
+    kq = state.kernel.quad
+    q1 = np.exp(-0.5 * (kq[0, 0] * xi ** 2 + 2 * kq[0, 1] * np.abs(xi) ** 2
+                        + kq[1, 1] * np.conj(xi) ** 2))
+    q2 = np.exp(-0.5 * (kq[2, 2] * xi ** 2 + 2 * kq[2, 3] * np.abs(xi) ** 2
+                        + kq[3, 3] * np.conj(xi) ** 2))
+    c1 = -(kq[0, 2] * xi + kq[0, 3] * np.conj(xi))
+    c2 = -(kq[1, 2] * xi + kq[1, 3] * np.conj(xi))
+
+    pairs1 = sorted({(i, k) for i, _, k, _ in indices})
+    pairs2 = sorted({(j, l) for _, j, _, l in indices})
+    mono1 = sorted({(a[0], a[1]) for a in state.poly})
+    mono2 = sorted({(a[2], a[3]) for a in state.poly})
+    p1_idx = {p: i for i, p in enumerate(pairs1)}
+    p2_idx = {p: i for i, p in enumerate(pairs2)}
+    m1_idx = {m: i for i, m in enumerate(mono1)}
+    m2_idx = {m: i for i, m in enumerate(mono2)}
+
+    def _side(pairs, monos, qfac):
+        base = np.empty((len(pairs), xi.size), dtype=complex)
+        for r, (mm, nn) in enumerate(pairs):
+            base[r] = w2 * displacement_element(mm, nn, -xi) * qfac
+        mono_vals = np.empty((len(monos), xi.size), dtype=complex)
+        for r, (a, b) in enumerate(monos):
+            mono_vals[r] = xi ** a * np.conj(xi) ** b
+        return (base[:, None, :] * mono_vals[None, :, :]).reshape(-1, xi.size)
+
+    a_side = _side(pairs1, mono1, q1)
+    b_side = _side(pairs2, mono2, q2)
+
+    g = np.zeros((a_side.shape[0], b_side.shape[0]), dtype=complex)
+    chunk = 512
+    for lo in range(0, xi.size, chunk):
+        hi = min(lo + chunk, xi.size)
+        cross = np.exp(xi[lo:hi, None] * c1[None, :]
+                       + np.conj(xi[lo:hi, None]) * c2[None, :])
+        g += a_side[:, lo:hi] @ (cross @ b_side.T)
+
+    g = g.reshape(len(pairs1), len(mono1), len(pairs2), len(mono2))
+    out = {}
+    for i, j, k, l in indices:
+        val = 0j
+        for a, c in state.poly.items():
+            val += c * g[p1_idx[(i, k)], m1_idx[(a[0], a[1])],
+                         p2_idx[(j, l)], m2_idx[(a[2], a[3])]]
+        out[(i, j, k, l)] = val / math.pi ** 2
+    return out
+
+
+def quadrature_fock_element(state, i, j, k, l, grid=QuadratureGrid()):
+    """Single-element version of the quadrature oracle."""
+    return quadrature_fock_elements(state, [(i, j, k, l)], grid)[(i, j, k, l)]

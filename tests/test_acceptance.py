@@ -30,7 +30,7 @@ from cvdistill.entanglement import (
     teleportation_fidelity,
     thermal_occupation,
 )
-from cvdistill.fock_recon import fock_matrix, quadrature_fock_elements
+from cvdistill.fock_recon import fock_matrix
 from cvdistill.scenarios import (
     ScenarioConfig,
     Strategy,
@@ -40,6 +40,7 @@ from cvdistill.scenarios import (
     run_strategy,
     sweep_eta,
 )
+from oracles import quadrature_fock_elements
 
 FIG2B = dict(s=0.029, n_th=0.1)
 
@@ -118,7 +119,7 @@ def test_criterion_04_truncation_lower_bound():
             else:
                 t = 1.0
             state, _ = run_strategy(cfg, t=t if strategy.has_operation else None)
-            e = [log_negativity(fock_matrix(state, n), method="lapack")
+            e = [log_negativity(fock_matrix(state, n))
                  for n in truncs]
             worst_step = max(worst_step,
                              max(a - b for a, b in zip(e, e[1:])))
@@ -255,7 +256,7 @@ def test_criterion_10_property_suite():
                 apply_thermal_channel(
                     apply_thermal_channel(tmsv_chi(s), 1, channel),
                     2, channel))
-            e_f = log_negativity(fock_matrix(noop_state, 10), method="lapack")
+            e_f = log_negativity(fock_matrix(noop_state, 10))
             e_g = gaussian_log_negativity(covariance_from_chi(noop_state))
             worst_routes = max(worst_routes, abs(e_f - e_g))
 

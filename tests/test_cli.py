@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from cvdistill import scenarios
 from cvdistill.cli import (
     CSV_HEADER,
     ConfigError,
@@ -112,6 +114,17 @@ def test_point_rejects_negative_squeezing(capsys):
     code = main(["point", "--strategy", "noop", "--s", "-0.1",
                  "--eta", "0.5", "--n-th", "0.0"])
     assert code == 2
+
+
+def test_point_eigensolver_failure_is_numerical_exit(monkeypatch, capsys):
+    def no_convergence(rho):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(scenarios, "log_negativity", no_convergence)
+    code = main(["point", "--strategy", "coherent_before", "--s", "0.114",
+                 "--eta", "0.5", "--n-th", "0.1"])
+    assert code == 3
+    assert "LinAlgError" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

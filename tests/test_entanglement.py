@@ -15,14 +15,13 @@ from cvdistill.chi_core import (
     tmsv_chi,
 )
 from cvdistill.fock_recon import FockDensityMatrix, fock_matrix
+from cvdistill.scenarios import ScenarioConfig, Strategy, run_strategy
 from cvdistill.entanglement import (
     CovarianceMatrix,
-    EigenConvergenceError,
     InvalidCovarianceError,
     MeasureRecord,
     covariance_from_chi,
     gaussian_log_negativity,
-    jacobi_eigvalsh,
     log_negativity,
     partial_transpose,
     separation_eta,
@@ -33,6 +32,7 @@ from cvdistill.entanglement import (
 )
 
 import oracles
+from oracles import EigenConvergenceError, jacobi_eigvalsh
 
 
 def channelled_tmsv(s, eta, n_th):
@@ -124,18 +124,19 @@ def test_log_negativity_truncated_tmsv():
     np.testing.assert_allclose(log_negativity(rho), want, rtol=1e-9)
 
 
-def test_log_negativity_solvers_agree():
-    st, _ = normalize(channelled_tmsv(0.3, 0.7, 0.2))
-    rho = fock_matrix(st, 5)
-    a = log_negativity(rho, method="jacobi")
-    b = log_negativity(rho, method="lapack")
-    np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_log_negativity_rejects_unknown_method():
-    rho = FockDensityMatrix(0, np.eye(1, dtype=complex))
-    with pytest.raises(ValueError):
-        log_negativity(rho, method="qr")
+@pytest.mark.parametrize("n_trunc", [5, 8])
+@pytest.mark.parametrize("strategy", ["coherent_before", "coherent_after"])
+def test_log_negativity_solvers_agree(strategy, n_trunc):
+    # the production LAPACK solve against the Jacobi oracle, on the kind of
+    # matrices a sweep row measures
+    cfg = ScenarioConfig(Strategy(strategy), 0.3, ChannelParams(0.7, 0.2),
+                         n_trunc=n_trunc)
+    for t in (0.2, 0.6, 0.95):
+        st, _ = run_strategy(cfg, t)
+        rho = fock_matrix(st, n_trunc)
+        w = jacobi_eigvalsh(partial_transpose(rho).elems)
+        want = max(0.0, math.log2(float(np.sum(np.abs(w)))))
+        np.testing.assert_allclose(log_negativity(rho), want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +321,7 @@ def test_thermal_occupation_values():
 def test_fock_and_gaussian_routes_agree_on_gaussian_states():
     for s in (0.114, 0.403):
         st, _ = normalize(channelled_tmsv(s, 0.7, 0.1))
-        e_fock = log_negativity(fock_matrix(st, 10), method="lapack")
+        e_fock = log_negativity(fock_matrix(st, 10))
         e_gauss = gaussian_log_negativity(covariance_from_chi(st))
         assert abs(e_fock - e_gauss) < 5e-3
 

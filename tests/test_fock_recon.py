@@ -13,17 +13,15 @@ from cvdistill.chi_core import (
     normalize,
     tmsv_chi,
 )
-from cvdistill.fock_recon import (
-    FockMatrixBuilder,
+from cvdistill.fock_recon import FockMatrixBuilder, displacement_fock_poly, fock_matrix
+
+import oracles
+from oracles import (
     QuadratureGrid,
-    displacement_fock_poly,
     fock_element,
-    fock_matrix,
     quadrature_fock_element,
     quadrature_fock_elements,
 )
-
-import oracles
 
 
 def subtracted_tmsv(s):
