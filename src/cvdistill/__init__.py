@@ -18,7 +18,6 @@ from .chi_core import (
 from .entanglement import (
     CovarianceMatrix,
     InvalidCovarianceError,
-    MeasureRecord,
     covariance_from_chi,
     gaussian_log_negativity,
     log_negativity,
@@ -32,6 +31,7 @@ from .entanglement import (
 from .fock_recon import (
     FockDensityMatrix,
     FockMatrixBuilder,
+    PrecisionError,
     displacement_fock_poly,
     fock_matrix,
 )

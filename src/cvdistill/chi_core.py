@@ -250,49 +250,69 @@ def tmsv_chi(s):
     return PolyGaussianChi({ZERO_INDEX: 1.0}, GaussianKernel(k))
 
 
-def _first_order(poly, kq, dcoef, mcoef):
-    """Apply sum_j dcoef[j] d/dv_j + sum_j mcoef[j] v_j to P * exp(-0.5 v^T K v).
+def _first_order(poly, kq, j, c, m, h):
+    """Apply c d/dv_j + h v_m to P * exp(-0.5 v^T K v).
 
     Differentiating the Gaussian factor pulls down -(K v)_j, so the result
     stays in the same kernel class and only the polynomial changes.
     """
     out = {}
-    for j, c in dcoef.items():
-        if c == 0.0:
-            continue
-        _poly_add(out, _poly_diff(poly, j), c)
-        for k in range(N_VARS):
-            kv = kq[j, k]
-            if kv != 0.0:
-                _poly_add(out, _poly_shift(poly, k), -c * kv)
-    for j, c in mcoef.items():
-        if c != 0.0:
-            _poly_add(out, _poly_shift(poly, j), c)
+    _poly_add(out, _poly_diff(poly, j), c)
+    for k in range(N_VARS):
+        if kq[j, k] != 0.0:
+            _poly_add(out, _poly_shift(poly, k), -c * kq[j, k])
+    _poly_add(out, _poly_shift(poly, m), h)
     return out
 
 
-def apply_coherent_op(state, mode, op):
-    """Apply (t a + r a^dag) rho (t a^dag + r a) to one mode.
+def coherent_op_terms(terms, mode):
+    """Apply (t a + r a^dag) rho (t a^dag + r a) to one mode, for every (t, r).
 
-    Under the characteristic-function correspondence
+    terms[k] is the coefficient state of t^(n-k) r^k in a degree-n form in
+    (t, r); the result is the degree-(n+2) form, two terms longer.  Under the
+    characteristic-function correspondence
 
         a rho     -> (-d/dxi* - xi/2) chi      rho a     -> (-d/dxi* + xi/2) chi
         a^dag rho -> ( d/dxi  - xi*/2) chi     rho a^dag -> ( d/dxi  + xi*/2) chi
 
-    the sandwich splits into two commuting first-order operators: right
-    multiplication by (t a^dag + r a), then left multiplication by
-    (t a + r a^dag).  The kernel is untouched and the polynomial degree grows
-    by at most two.  The output is unnormalized; its trace carries the success
-    probability of the operation.
+    the sandwich is right multiplication by t a^dag + r a, then left
+    multiplication by t a + r a^dag: four fixed first-order operators mixed
+    bilinearly by (t, r).  The kernel is untouched, the polynomial degree
+    grows by at most two, and the weighted trace of the unnormalized output
+    carries the success probability of the operation.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
-    kq = state.kernel.quad
-    t, r = op.t, op.r
-    inner = _first_order(state.poly, kq, {p: t, q: -r}, {p: r / 2, q: t / 2})
-    outer = _first_order(inner, kq, {p: r, q: -t}, {p: -t / 2, q: -r / 2})
-    return PolyGaussianChi(_prune(outer), state.kernel)
+    kq = terms[0].kernel.quad
+    right = ((p, 1.0, q, 0.5), (q, -1.0, p, 0.5))  # t: rho a^dag, r: rho a
+    left = ((q, -1.0, p, -0.5), (p, 1.0, q, -0.5))  # t: a rho, r: a^dag rho
+    out = [{} for _ in range(len(terms) + 2)]
+    for k, term in enumerate(terms):
+        for i, op_right in enumerate(right):
+            inner = _first_order(term.poly, kq, *op_right)
+            for j, op_left in enumerate(left):
+                _poly_add(out[k + i + j], _first_order(inner, kq, *op_left), 1.0)
+    return [PolyGaussianChi(_prune(poly), terms[0].kernel) for poly in out]
+
+
+def term_weights(n_terms, t, r):
+    """Weights t^(n-k) r^k of the terms of a degree-n form, n = n_terms - 1."""
+    return [t ** (n_terms - 1 - k) * r ** k for k in range(n_terms)]
+
+
+def combine_terms(terms, t, r):
+    """The state sum_k t^(n-k) r^k terms[k] at one weight (t, r)."""
+    poly = {}
+    for w, term in zip(term_weights(len(terms), t, r), terms):
+        if w:
+            _poly_add(poly, term.poly, w)
+    return PolyGaussianChi(poly, terms[0].kernel)
+
+
+def apply_coherent_op(state, mode, op):
+    """coherent_op_terms at the single weight op."""
+    return combine_terms(coherent_op_terms([state], mode), op.t, op.r)
 
 
 def apply_thermal_channel(state, mode, channel):

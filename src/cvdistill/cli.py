@@ -20,6 +20,7 @@ import numpy as np
 
 from .chi_core import ChannelParams, SingularKernelError, ZeroStateError
 from .entanglement import InvalidCovarianceError, thermal_occupation
+from .fock_recon import PrecisionError
 from .scenarios import ScenarioConfig, Strategy, default_eta_grid, evaluate_point, sweep_eta
 
 CSV_HEADER = "strategy,s,n_th,eta,t_opt,E_N,E_N_gauss,fidelity,p_success,flags"
@@ -29,7 +30,7 @@ EXIT_COMPUTE = 3
 EXIT_IO = 4
 
 _COMPUTE_ERRORS = (ZeroStateError, SingularKernelError, np.linalg.LinAlgError,
-                   InvalidCovarianceError, FloatingPointError)
+                   InvalidCovarianceError, PrecisionError, FloatingPointError)
 
 
 class ConfigError(ValueError):

@@ -229,13 +229,3 @@ def thermal_occupation(wavelength, temperature):
         return 0.0
     x = _PLANCK * _SPEED_OF_LIGHT / (wavelength * _BOLTZMANN * temperature)
     return 1.0 / math.expm1(x)
-
-
-@dataclass(frozen=True)
-class MeasureRecord:
-    """The four figures of merit evaluated on one prepared state."""
-
-    e_n_fock: float
-    e_n_gauss: float
-    fidelity: float
-    p_success: float

@@ -14,12 +14,12 @@ Truncation note: dropping Fock components above n_trunc can only lower the
 measured entanglement (the truncation is a local projection), so in exact
 arithmetic the negativity computed from these matrices is a lower bound that
 grows toward the true value as n_trunc increases.  In float64 that holds only
-while the reconstruction is accurate, and nothing checks it yet (ROADMAP open
-item 3; the likely cause is cancellation between the alternating
-Laguerre-monomial expansion and moments that grow factorially).  For the
-two-mode squeezed vacuum at s = 1 the trace is already 1.00017 at
-n_trunc = 16; at n_trunc = 20 it is 1.397 and E_N is 2.988, above the exact
-2.885.
+while the reconstruction is accurate (the likely cause of failure is
+cancellation between the alternating Laguerre-monomial expansion and moments
+that grow factorially), so certify() refuses a matrix whose trace exceeds 1
+or whose smallest eigenvalue is negative beyond CERTIFY_TOL.  For the
+two-mode squeezed vacuum at s = 1 that happens at n_trunc = 16 (trace
+1.00017, smallest eigenvalue -4.5e-6); at n_trunc = 20 the trace is 1.397.
 
 The independent cross-checks of this reconstruction (a scalar per-element
 route and a brute-force Gauss-Legendre integration) live in tests/oracles.py.
@@ -29,31 +29,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .chi_core import GaussianKernel, MomentEngine
 
 TRACE_ONE_TOL = 1e-6
+CERTIFY_TOL = 1e-6
+
+
+class PrecisionError(Exception):
+    """A reconstructed Fock matrix is not a state to within CERTIFY_TOL."""
 
 
 def _laguerre_coeffs(n, alpha):
     """Ascending coefficients of the generalized Laguerre polynomial
-    L_n^(alpha), exact rationals via the three-term recurrence."""
-    prev = [Fraction(1)]
-    if n == 0:
-        return prev
-    cur = [Fraction(1 + alpha), Fraction(-1)]
-    for k in range(1, n):
-        nxt = [Fraction(0)] * (k + 2)
-        for i, c in enumerate(cur):
-            nxt[i] += (2 * k + 1 + alpha) * c
-            nxt[i + 1] -= c
-        for i, c in enumerate(prev):
-            nxt[i] -= (k + alpha) * c
-        prev, cur = cur, [c / (k + 1) for c in nxt]
-    return cur
+    L_n^(alpha), (-1)^k C(n + alpha, n - k) / k!, each rounded once from
+    the exact integer ratio."""
+    return [(-1) ** k * math.comb(n + alpha, n - k) / math.factorial(k)
+            for k in range(n + 1)]
 
 
 def _sqrt_factorial_ratio(n, m):
@@ -78,10 +72,10 @@ def displacement_fock_poly(m, n):
     if m >= n:
         lag = _laguerre_coeffs(n, m - n)
         pref = _sqrt_factorial_ratio(n, m)
-        return {(m - n + k, k): pref * float(lag[k]) for k in range(n + 1)}
+        return {(m - n + k, k): pref * lag[k] for k in range(n + 1)}
     lag = _laguerre_coeffs(m, n - m)
     pref = _sqrt_factorial_ratio(m, n) * (-1.0) ** (n - m)
-    return {(k, n - m + k): pref * float(lag[k]) for k in range(m + 1)}
+    return {(k, n - m + k): pref * lag[k] for k in range(m + 1)}
 
 
 def _dagger_poly(m, n):
@@ -205,9 +199,19 @@ def _check_normalized(state):
         raise ValueError(f"state trace {tr} is not 1; normalize first")
 
 
+def certify(rho):
+    """Return rho if it is a state to within CERTIFY_TOL: trace at most 1
+    (truncation only loses weight) and no eigenvalue below -CERTIFY_TOL."""
+    lam = float(np.linalg.eigvalsh(rho.elems)[0])
+    if rho.trace > 1.0 + CERTIFY_TOL or lam < -CERTIFY_TOL:
+        raise PrecisionError(f"n_trunc = {rho.n_trunc} gives no state: trace "
+                             f"{rho.trace}, smallest eigenvalue {lam}")
+    return rho
+
+
 def fock_matrix(state, n_trunc):
-    """Truncated two-mode density matrix of a normalized state."""
+    """Certified truncated two-mode density matrix of a normalized state."""
     _check_normalized(state)
     builder = FockMatrixBuilder(state.kernel, n_trunc, state.poly.keys())
-    return builder.matrix(state.poly)
+    return certify(builder.matrix(state.poly))
 

@@ -17,23 +17,25 @@ from enum import Enum
 import numpy as np
 
 from .chi_core import (
+    TRACE_IMAG_TOL,
+    ZERO_TRACE_TOL,
     ChannelParams,
     CoherentOp,
     ZeroStateError,
-    apply_coherent_op,
     apply_thermal_channel,
+    coherent_op_terms,
+    combine_terms,
     normalize,
+    term_weights,
     tmsv_chi,
 )
 from .entanglement import (
-    MeasureRecord,
     covariance_from_chi,
     gaussian_log_negativity,
     log_negativity,
-    success_probability,
     teleportation_fidelity,
 )
-from .fock_recon import FockMatrixBuilder
+from .fock_recon import FockDensityMatrix, FockMatrixBuilder, certify
 
 GRID_STEP = 0.01
 REFINE_TOL = 1e-4
@@ -108,25 +110,17 @@ class OptimizeResult:
     flag: str = ""
 
 
-def _raw_pipeline(cfg, t):
-    """Unnormalized pipeline output for one strategy at weight t."""
-    state = tmsv_chi(cfg.s)
-    if cfg.strategy.has_operation:
-        op = CoherentOp.from_t(t)
-        if cfg.strategy.operation_first:
-            state = apply_coherent_op(state, 1, op)
-            state = apply_coherent_op(state, 2, op)
-            state = apply_thermal_channel(state, 1, cfg.channel)
-            state = apply_thermal_channel(state, 2, cfg.channel)
-        else:
-            state = apply_thermal_channel(state, 1, cfg.channel)
-            state = apply_thermal_channel(state, 2, cfg.channel)
-            state = apply_coherent_op(state, 1, op)
-            state = apply_coherent_op(state, 2, op)
-    else:
-        state = apply_thermal_channel(state, 1, cfg.channel)
-        state = apply_thermal_channel(state, 2, cfg.channel)
-    return state
+def _raw_terms(cfg):
+    """Unnormalized pipeline output for every weight: terms[k] is the
+    coefficient state of t^(n-k) r^k (n = 4 with the operation, else 0)."""
+    terms = [tmsv_chi(cfg.s)]
+    if cfg.strategy.operation_first:
+        terms = coherent_op_terms(coherent_op_terms(terms, 1), 2)
+    terms = [apply_thermal_channel(apply_thermal_channel(term, 1, cfg.channel),
+                                   2, cfg.channel) for term in terms]
+    if cfg.strategy.has_operation and not cfg.strategy.operation_first:
+        terms = coherent_op_terms(coherent_op_terms(terms, 1), 2)
+    return terms
 
 
 def run_strategy(cfg, t=None):
@@ -137,11 +131,8 @@ def run_strategy(cfg, t=None):
     ZeroStateError when the preparation never succeeds (e.g. subtraction from
     vacuum).
     """
-    t = _resolve_t(cfg, t)
-    raw = _raw_pipeline(cfg, t)
-    p = success_probability(raw)
-    state, _ = normalize(raw)
-    return state, p
+    op = CoherentOp.from_t(_resolve_t(cfg, t))
+    return normalize(combine_terms(_raw_terms(cfg), op.t, op.r))
 
 
 def _resolve_t(cfg, t):
@@ -158,60 +149,52 @@ def _resolve_t(cfg, t):
     return t
 
 
-# Each ladder-operator application raises the total polynomial degree by at
-# most one (the Gaussian's cross terms spread it over both modes), and the
-# two-mode coherent operation makes four such applications, so every pipeline
-# polynomial lives on the total-degree-4 support.
-_OPERATED_SUPPORT = tuple(
-    (a, b, c, d)
-    for a in range(5) for b in range(5 - a)
-    for c in range(5 - a - b) for d in range(5 - a - b - c)
-)
-
-
 class _PointEvaluator:
     """Shared context for repeated evaluations at one channel setting.
 
-    All strategies and all weights t share one Gaussian kernel (operations
-    change only the polynomial part), so the Fock reconstruction builder is
-    created once and reused across the whole t optimization.
+    The pipeline runs once, as (t, r)-basis terms over one kernel; every
+    per-weight trace and Fock matrix is a weighted sum of per-term ones.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
-        kernel = _raw_pipeline(cfg, 1.0).kernel
-        support = _OPERATED_SUPPORT if cfg.strategy.has_operation \
-            else ((0, 0, 0, 0),)
-        self.builder = FockMatrixBuilder(kernel, cfg.n_trunc, support)
+        self.terms = _raw_terms(cfg)
+        support = set().union(*(term.poly for term in self.terms))
+        self.builder = FockMatrixBuilder(self.terms[0].kernel, cfg.n_trunc,
+                                         support)
+        traces = np.array([term.trace for term in self.terms])
+        if np.any(np.abs(traces.imag)
+                  > TRACE_IMAG_TOL * np.maximum(1.0, np.abs(traces.real))):
+            raise ValueError(f"trace has non-negligible imaginary part: {traces}")
+        self.traces = traces.real
+        self.matrices = np.array([self.builder.matrix(term.poly).elems
+                                  for term in self.terms])
+
+    def _weights(self, t):
+        op = CoherentOp.from_t(t)
+        return np.array(term_weights(len(self.terms), op.t, op.r))
 
     def probability(self, t):
-        return success_probability(_raw_pipeline(self.cfg, t))
+        return max(float(self._weights(t) @ self.traces), 0.0)
 
     def state(self, t):
-        raw = _raw_pipeline(self.cfg, t)
-        p = success_probability(raw)
-        state, _ = normalize(raw)
-        return state, p
+        op = CoherentOp.from_t(t)
+        return normalize(combine_terms(self.terms, op.t, op.r))
 
     def objective(self, t):
         """Objective value at weight t, or None when the state vanishes."""
-        try:
-            state, _ = self.state(t)
-        except ZeroStateError:
+        if self.cfg.objective == "fidelity":
+            try:
+                state, _ = self.state(t)
+            except ZeroStateError:
+                return None
+            return teleportation_fidelity(state)
+        w = self._weights(t)
+        tr = w @ self.traces
+        if tr < ZERO_TRACE_TOL:
             return None
-        if self.cfg.objective == "negativity":
-            return log_negativity(self.builder.matrix(state.poly))
-        return teleportation_fidelity(state)
-
-    def measures(self, state, p):
-        rho = self.builder.matrix(state.poly)
-        cov = covariance_from_chi(state)
-        return MeasureRecord(
-            e_n_fock=log_negativity(rho),
-            e_n_gauss=gaussian_log_negativity(cov),
-            fidelity=teleportation_fidelity(state),
-            p_success=p,
-        )
+        rho = np.tensordot(w / tr, self.matrices, axes=1)
+        return log_negativity(FockDensityMatrix(self.cfg.n_trunc, rho))
 
 
 def _golden_max(f, lo, hi, tol):
@@ -292,10 +275,11 @@ def evaluate_point(cfg):
         return SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th,
                            cfg.channel.eta, t, 0.0, 0.0, 0.0, 0.0,
                            _join_flags(flag, "zero_state"))
-    meas = ev.measures(state, p)
+    rho = certify(ev.builder.matrix(state.poly))
     return SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th, cfg.channel.eta,
-                       t, meas.e_n_fock, meas.e_n_gauss, meas.fidelity,
-                       meas.p_success, flag)
+                       t, log_negativity(rho),
+                       gaussian_log_negativity(covariance_from_chi(state)),
+                       teleportation_fidelity(state), p, flag)
 
 
 def _join_flags(*flags):

@@ -3,20 +3,35 @@
 Almost everything here recomputes its target through a different
 mathematical path than the package (Fock-space series, scipy
 special-function evaluation, brute-force real-space quadrature, closed-form
-Schmidt sums, a cyclic Jacobi eigensolver).  None of that touches the
-package's moment recursion or its polynomial algebra.  The one exception is
-fock_element: it shares the moment engine and the displacement polynomials
-with the package's FockMatrixBuilder, so it only checks the builder's
-assembly (moment table, weight matrix, Hermitian fill), not the integrals.
+Schmidt sums, a cyclic Jacobi eigensolver, exact rational Laguerre
+coefficients).  None of that touches the package's moment recursion or its
+polynomial algebra.  Two exceptions share low-level pieces with the package:
+fock_element shares the moment engine and the displacement polynomials with
+FockMatrixBuilder, so it only checks the builder's assembly (moment table,
+weight matrix, Hermitian fill), not the integrals; and sequential_pipeline
+shares the polynomial shift/derivative helpers, so it checks the (t, r)
+basis of the pipeline, not the ladder-operator correspondence.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from cvdistill.chi_core import MomentEngine
+from cvdistill.chi_core import (
+    N_VARS,
+    CoherentOp,
+    MomentEngine,
+    PolyGaussianChi,
+    _poly_add,
+    _poly_diff,
+    _poly_shift,
+    _prune,
+    apply_thermal_channel,
+    tmsv_chi,
+)
 from cvdistill.fock_recon import _augmented_kernel, _check_normalized, _dagger_poly
 
 
@@ -43,6 +58,76 @@ def tmsv_chi_series(s, xi1, xi2, n_max=70):
             total += lam ** (n + m) * displacement_element(n, m, xi1) \
                 * displacement_element(n, m, xi2)
     return total / math.cosh(s) ** 2
+
+
+def laguerre_coeffs_recurrence(n, alpha):
+    """Ascending coefficients of the generalized Laguerre polynomial
+    L_n^(alpha), exact rationals via the three-term recurrence."""
+    prev = [Fraction(1)]
+    if n == 0:
+        return prev
+    cur = [Fraction(1 + alpha), Fraction(-1)]
+    for k in range(1, n):
+        nxt = [Fraction(0)] * (k + 2)
+        for i, c in enumerate(cur):
+            nxt[i] += (2 * k + 1 + alpha) * c
+            nxt[i + 1] -= c
+        for i, c in enumerate(prev):
+            nxt[i] -= (k + alpha) * c
+        prev, cur = cur, [c / (k + 1) for c in nxt]
+    return cur
+
+
+# --- the pipeline at one weight, operation by operation --------------------
+
+def _first_order_direct(poly, kq, dcoef, mcoef):
+    """Apply sum_j dcoef[j] d/dv_j + sum_j mcoef[j] v_j to P * exp(-0.5 v^T K v)."""
+    out = {}
+    for j, c in dcoef.items():
+        if c == 0.0:
+            continue
+        _poly_add(out, _poly_diff(poly, j), c)
+        for k in range(N_VARS):
+            kv = kq[j, k]
+            if kv != 0.0:
+                _poly_add(out, _poly_shift(poly, k), -c * kv)
+    for j, c in mcoef.items():
+        if c != 0.0:
+            _poly_add(out, _poly_shift(poly, j), c)
+    return out
+
+
+def apply_coherent_op_direct(state, mode, op):
+    """(t a + r a^dag) rho (t a^dag + r a) on one mode with t and r mixed
+    into the first-order operators themselves, not into a (t, r) basis."""
+    p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
+    kq = state.kernel.quad
+    t, r = op.t, op.r
+    inner = _first_order_direct(state.poly, kq, {p: t, q: -r}, {p: r / 2, q: t / 2})
+    outer = _first_order_direct(inner, kq, {p: r, q: -t}, {p: -t / 2, q: -r / 2})
+    return PolyGaussianChi(_prune(outer), state.kernel)
+
+
+def sequential_pipeline(cfg, t):
+    """Unnormalized output of one strategy at weight t, one operation after
+    another."""
+    state = tmsv_chi(cfg.s)
+    if cfg.strategy.has_operation:
+        op = CoherentOp.from_t(t)
+        if cfg.strategy.operation_first:
+            state = apply_coherent_op_direct(state, 1, op)
+            state = apply_coherent_op_direct(state, 2, op)
+            state = apply_thermal_channel(state, 1, cfg.channel)
+            state = apply_thermal_channel(state, 2, cfg.channel)
+        else:
+            state = apply_thermal_channel(state, 1, cfg.channel)
+            state = apply_thermal_channel(state, 2, cfg.channel)
+            state = apply_coherent_op_direct(state, 1, op)
+            state = apply_coherent_op_direct(state, 2, op)
+    else:
+        state = apply_thermal_channel(state, 1, cfg.channel)
+        state = apply_thermal_channel(state, 2, cfg.channel)
+    return state
 
 
 # --- closed forms for the two-mode squeezed vacuum -------------------------

@@ -16,6 +16,7 @@ from cvdistill.chi_core import (
     ZeroStateError,
     apply_coherent_op,
     apply_thermal_channel,
+    coherent_op_terms,
     evaluate_chi,
     normalize,
     tmsv_chi,
@@ -172,6 +173,14 @@ def test_coherent_op_preserves_kernel_and_hermiticity():
     out2 = apply_coherent_op(out, 2, CoherentOp.from_t(0.9))
     assert out2.is_hermitian()
     assert out2.degree <= st.degree + 4
+
+
+def test_coherent_op_terms_grow_by_two():
+    terms = coherent_op_terms([tmsv_chi(0.3)], 1)
+    assert len(terms) == 3
+    assert len(coherent_op_terms(terms, 2)) == 5
+    with pytest.raises(ValueError):
+        coherent_op_terms(terms, 3)
 
 
 def test_subtraction_probability_closed_form():

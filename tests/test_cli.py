@@ -127,6 +127,16 @@ def test_point_eigensolver_failure_is_numerical_exit(monkeypatch, capsys):
     assert "LinAlgError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_trunc,code", [("14", 0), ("16", 3), ("20", 3)])
+def test_point_refuses_uncertified_fock_matrix(capsys, n_trunc, code):
+    # float64 reconstruction of the s = 1 squeezed vacuum breaks down at
+    # n_trunc 16 (trace 1.00017) and 20 (trace 1.397, E_N above the exact
+    # value); those cutoffs must not print a number
+    assert main(["point", "--strategy", "noop", "--s", "1.0", "--eta", "1.0",
+                 "--n-th", "0", "--n-trunc", n_trunc]) == code
+    assert ("PrecisionError" in capsys.readouterr().err) == (code == 3)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -253,3 +263,85 @@ def test_parse_run_config_defaults(tmp_path):
     assert cfg.n_trunc == 5
     assert cfg.objective == "negativity"
     assert cfg.t is None
+
+
+PINNED_SWEEP = """\
+strategies = noop, subtract_before, subtract_after, coherent_before, coherent_after
+s = 0.029
+n_th = 0.1
+eta_min = 0.2
+eta_max = 1.0
+eta_points = 3
+n_trunc = 5
+objective = {objective}
+output = {out}
+"""
+
+# (strategy, eta, t_opt, E_N, E_N_gauss, fidelity, p_success, flags) of
+# PINNED_SWEEP as computed by the one-weight-at-a-time pipeline, before the
+# (t, r) basis.  Rows without a weight to optimize are the same for both
+# objectives.
+_FIXED_ROWS = [
+    ("noop", 0.2, 1.0, 0.0, 0.0, 4.65391186837e-01, 1.0, ""),
+    ("noop", 0.6, 1.0, 0.0, 0.0, 4.88713176886e-01, 1.0, ""),
+    ("noop", 1.0, 1.0, 8.36763106582e-02, 8.36763123716e-02,
+     5.14495936534e-01, 1.0, ""),
+    ("subtract_before", 0.2, 1.0, 0.0, 0.0, 4.67696760036e-01,
+     8.42651142069e-04, ""),
+    ("subtract_before", 0.6, 1.0, 1.98793945820e-04, 0.0, 4.96383396369e-01,
+     8.42651142069e-04, ""),
+    ("subtract_before", 1.0, 1.0, 1.64927359290e-01, 1.67207929642e-01,
+     5.28751663910e-01, 8.42651142069e-04, ""),
+    ("subtract_after", 0.2, 1.0, 0.0, 0.0, 4.38771636419e-01,
+     6.46062559086e-03, ""),
+    ("subtract_after", 0.6, 1.0, 0.0, 0.0, 4.85720053262e-01,
+     1.94373372891e-03, ""),
+    ("subtract_after", 1.0, 1.0, 1.64927359290e-01, 1.67207929642e-01,
+     5.28751663910e-01, 8.42651142069e-04, ""),
+]
+
+PINNED_ROWS = {
+    "negativity": _FIXED_ROWS + [
+        ("coherent_before", 0.2, 0.0, 0.0, 0.0, 3.93249044999e-01,
+         1.00252512272e+00, "zero_objective"),
+        ("coherent_before", 0.6, 9.90643118126e-01, 3.43482754895e-01,
+         9.86802697634e-02, 5.38843631797e-01, 1.28248547785e-03, ""),
+        ("coherent_before", 1.0, 9.85804865150e-01, 1.00675802919e+00,
+         1.37102587652e-03, 6.09774454113e-01, 1.77694191538e-03, ""),
+        ("coherent_after", 0.2, 0.0, 0.0, 0.0, 2.35195856300e-01,
+         1.16679711991e+00, "zero_objective"),
+        ("coherent_after", 0.6, 0.0, 0.0, 0.0, 2.52531463660e-01,
+         1.08295321667e+00, "zero_objective"),
+        ("coherent_after", 1.0, 9.85804865150e-01, 1.00675802919e+00,
+         1.37102587652e-03, 6.09774454113e-01, 1.77694191538e-03, ""),
+    ],
+    "fidelity": _FIXED_ROWS + [
+        ("coherent_before", 0.2, 9.94604466124e-01, 0.0, 0.0,
+         4.79893320005e-01, 1.01243130271e-03, ""),
+        ("coherent_before", 0.6, 9.93561078801e-01, 3.19324625034e-01,
+         2.01691855113e-01, 5.45442331853e-01, 1.07169582845e-03, ""),
+        ("coherent_before", 1.0, 9.92059179851e-01, 9.15747158790e-01,
+         5.25414785352e-01, 6.42768612885e-01, 1.17192375152e-03, ""),
+        ("coherent_after", 0.2, 1.0, 0.0, 0.0, 4.38771636419e-01,
+         6.46062559086e-03, ""),
+        ("coherent_after", 0.6, 1.0, 0.0, 0.0, 4.85720053262e-01,
+         1.94373372891e-03, ""),
+        ("coherent_after", 1.0, 9.92059179851e-01, 9.15747158790e-01,
+         5.25414785352e-01, 6.42768612885e-01, 1.17192375152e-03, ""),
+    ],
+}
+
+
+@pytest.mark.parametrize("objective", sorted(PINNED_ROWS))
+def test_sweep_matches_pinned_values(tmp_path, objective):
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, PINNED_SWEEP.format(objective=objective,
+                                                     out=out))
+    assert main(["sweep", cfg]) == 0
+    rows = [r.split(",") for r in out.read_text(encoding="utf-8").splitlines()[1:]]
+    want = PINNED_ROWS[objective]
+    assert len(rows) == len(want)
+    for got, (strategy, eta, *values, flags) in zip(rows, want):
+        assert (got[0], got[9]) == (strategy, flags)
+        assert [float(x) for x in got[1:9]] == pytest.approx(
+            [0.029, 0.1, eta, *values], rel=0, abs=1e-10)

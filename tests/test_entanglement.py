@@ -19,7 +19,6 @@ from cvdistill.scenarios import ScenarioConfig, Strategy, run_strategy
 from cvdistill.entanglement import (
     CovarianceMatrix,
     InvalidCovarianceError,
-    MeasureRecord,
     covariance_from_chi,
     gaussian_log_negativity,
     log_negativity,
@@ -331,9 +330,3 @@ def test_fidelity_above_half_implies_entanglement():
         st = tmsv_chi(s)
         assert teleportation_fidelity(st) > 0.5
         assert gaussian_log_negativity(covariance_from_chi(st)) > 0.0
-
-
-def test_measure_record_fields():
-    rec = MeasureRecord(1.0, 0.9, 0.8, 0.1)
-    assert (rec.e_n_fock, rec.e_n_gauss, rec.fidelity, rec.p_success) == \
-        (1.0, 0.9, 0.8, 0.1)

@@ -13,7 +13,15 @@ from cvdistill.chi_core import (
     normalize,
     tmsv_chi,
 )
-from cvdistill.fock_recon import FockMatrixBuilder, displacement_fock_poly, fock_matrix
+from cvdistill.fock_recon import (
+    FockDensityMatrix,
+    FockMatrixBuilder,
+    PrecisionError,
+    _laguerre_coeffs,
+    certify,
+    displacement_fock_poly,
+    fock_matrix,
+)
 
 import oracles
 from oracles import (
@@ -75,6 +83,14 @@ def test_displacement_poly_rejects_negative_indices():
         displacement_fock_poly(-1, 0)
 
 
+def test_laguerre_coefficients_match_exact_recurrence():
+    # closed form rounded once == exact rational recurrence rounded once
+    for n in range(21):
+        for alpha in range(21):
+            want = [float(c) for c in oracles.laguerre_coeffs_recurrence(n, alpha)]
+            assert _laguerre_coeffs(n, alpha) == want
+
+
 # ---------------------------------------------------------------------------
 # analytic elements
 
@@ -134,6 +150,16 @@ def test_fock_matrix_trace_and_hermiticity():
     assert rho.trace <= 1.0 + 1e-9
     assert rho.hermiticity_defect() <= 1e-10
     assert np.min(np.diag(rho.elems).real) >= -1e-10
+
+
+def test_certify_passes_states_and_refuses_the_rest():
+    rho = fock_matrix(channelled_tmsv(0.403, 0.7, 0.1), 3)
+    assert certify(rho) is rho
+    over = FockDensityMatrix(1, np.diag([1.0 + 2e-6, 0.0, 0.0, 0.0]))
+    negative = FockDensityMatrix(1, np.diag([0.5, 0.5 + 2e-6, -2e-6, 0.0]))
+    for bad in (over, negative):
+        with pytest.raises(PrecisionError):
+            certify(bad)
 
 
 def test_truncated_tmsv_trace_partial_sum():

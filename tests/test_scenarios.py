@@ -5,20 +5,35 @@ import math
 import numpy as np
 import pytest
 
-from cvdistill.chi_core import ChannelParams, ZeroStateError, tmsv_chi
-from cvdistill.entanglement import teleportation_fidelity
+from cvdistill.chi_core import (
+    ChannelParams,
+    CoherentOp,
+    ZeroStateError,
+    combine_terms,
+    tmsv_chi,
+)
+from cvdistill.entanglement import (
+    covariance_from_chi,
+    gaussian_log_negativity,
+    log_negativity,
+    teleportation_fidelity,
+)
+from cvdistill.fock_recon import fock_matrix
 from cvdistill.scenarios import (
     OptimizeResult,
     ScenarioConfig,
     Strategy,
     SweepRecord,
     _PointEvaluator,
+    _raw_terms,
     default_eta_grid,
     evaluate_point,
     optimize_t,
     run_strategy,
     sweep_eta,
 )
+
+import oracles
 
 
 def cfg_for(strategy, s=0.114, eta=0.7, n_th=0.1, **kw):
@@ -85,6 +100,22 @@ def test_weight_override_feeds_pipeline():
     assert a.poly.keys() == b.poly.keys()
     for key, val in a.poly.items():
         assert val == pytest.approx(b.poly[key], rel=1e-13)
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+def test_term_basis_matches_sequential_pipeline(strategy):
+    cfg = cfg_for(strategy, s=0.403, eta=0.7, n_th=0.1)
+    terms = _raw_terms(cfg)
+    assert len(terms) == (5 if cfg.strategy.has_operation else 1)
+    for t in (0.0, 0.3, 0.7, 1.0):
+        op = CoherentOp.from_t(t)
+        got = combine_terms(terms, op.t, op.r)
+        want = oracles.sequential_pipeline(cfg, t)
+        np.testing.assert_array_equal(got.kernel.quad, want.kernel.quad)
+        scale = max(abs(c) for c in want.poly.values())
+        for key in got.poly.keys() | want.poly.keys():
+            assert abs(got.poly.get(key, 0) - want.poly.get(key, 0)) \
+                <= 1e-13 * scale, (t, key)
 
 
 def test_subtraction_from_vacuum_raises():
@@ -177,15 +208,13 @@ def test_coherent_beats_plain_subtraction_without_loss():
 def test_evaluate_point_noop_matches_direct_measures():
     cfg = cfg_for("noop", s=0.403, eta=0.8, n_th=0.1)
     rec = evaluate_point(cfg)
-    ev = _PointEvaluator(cfg)
-    state, p = ev.state(1.0)
-    meas = ev.measures(state, p)
+    state, p = run_strategy(cfg)
     assert rec.strategy is Strategy.NOOP
     assert (rec.s, rec.n_th, rec.eta, rec.t_opt) == (0.403, 0.1, 0.8, 1.0)
-    assert rec.e_n_fock == meas.e_n_fock
-    assert rec.e_n_gauss == meas.e_n_gauss
-    assert rec.fidelity == meas.fidelity
-    assert rec.p_success == meas.p_success
+    assert rec.e_n_fock == log_negativity(fock_matrix(state, cfg.n_trunc))
+    assert rec.e_n_gauss == gaussian_log_negativity(covariance_from_chi(state))
+    assert rec.fidelity == teleportation_fidelity(state)
+    assert rec.p_success == p
     assert rec.flags == ""
 
 
