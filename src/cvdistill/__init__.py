@@ -24,7 +24,6 @@ from .entanglement import (
     partial_transpose,
     separation_eta,
     separation_time,
-    success_probability,
     teleportation_fidelity,
     thermal_occupation,
 )

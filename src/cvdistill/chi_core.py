@@ -353,8 +353,11 @@ def normalize(state):
 
     Returns (normalized_state, trace); the trace of a pipeline output is the
     heralding rate of the non-deterministic operations applied so far.  It is
-    not bounded by 1, because t a + r a^dag is not trace-nonincreasing (see
-    entanglement.success_probability).
+    not bounded by 1, because t a + r a^dag is not a trace-nonincreasing map:
+    the trace is a rate relative to an unstated gain and exceeds 1 where the
+    a^dag part dominates (coherent_before at s = 0.286, eta = 0.8911,
+    n_th = 0.1107, t = 0.0741 gives 1.256).  A trace below ZERO_TRACE_TOL,
+    negative float noise included, raises ZeroStateError.
     """
     tr = state.trace
     if abs(tr.imag) > TRACE_IMAG_TOL * max(1.0, abs(tr.real)):
@@ -379,11 +382,10 @@ class MomentEngine:
     to the complex variables as C = T Sigma T^T.  Moments then follow the
     Wick/Stein recursion
 
-        E[v_j v^beta] = sum_k C_jk beta_k E[v^(beta - e_k)]
+        E[v_j v^beta] = sum_k C_jk beta_k E[v^(beta - e_k)],
 
-    memoized over multi-indices.  An engine instance is a single integration
-    context: the memo table is owned by the instance and nothing is shared
-    globally, so independent evaluations can run concurrently.
+    evaluated once, as a dense table (moment_table); moment() and integrate()
+    read their values from it.
     """
 
     def __init__(self, kernel):
@@ -398,43 +400,27 @@ class MomentEngine:
         sigma = np.linalg.inv(m)
         self._cov = t @ sigma @ t.T
         self._norm = 2.0 ** kernel.n_modes / math.sqrt(det)
-        self._memo = {(0,) * self.n_vars: 1.0 + 0j}
 
     def moment(self, alpha):
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.n_vars or min(alpha) < 0:
             raise ValueError(f"bad multi-index {alpha!r}")
-        return self._norm * self._ev(alpha)
+        return self.moment_table([a + 1 for a in alpha])[alpha]
 
     def integrate(self, poly):
-        """Integrate a polynomial (coefficient map) against the kernel."""
-        return sum(c * self.moment(a) for a, c in poly.items())
-
-    def _ev(self, alpha):
-        val = self._memo.get(alpha)
-        if val is not None:
-            return val
-        j = next(i for i, a in enumerate(alpha) if a)
-        beta = list(alpha)
-        beta[j] -= 1
-        acc = 0j
-        for k in range(self.n_vars):
-            bk = beta[k]
-            if bk:
-                cjk = self._cov[j, k]
-                if cjk != 0.0:
-                    beta[k] -= 1
-                    acc += cjk * bk * self._ev(tuple(beta))
-                    beta[k] += 1
-        self._memo[alpha] = acc
-        return acc
+        """Integrate a polynomial (coefficient map) against the kernel; the
+        empty polynomial integrates to 0."""
+        if not poly:
+            return 0
+        table = self.moment_table(np.max(list(poly), axis=0) + 1)
+        return sum(c * table[a] for a, c in poly.items())
 
     def moment_table(self, shape):
         """Dense array of moment(alpha) for every alpha with alpha_i < shape_i.
 
-        Same recursion as moment(), vectorized over shells of equal total
-        degree; used by the Fock-basis reconstruction where many thousands of
-        monomials share one kernel.
+        The recursion runs vectorized over shells of equal total degree, each
+        alpha reduced along its first nonzero exponent; odd shells vanish and
+        are skipped.
         """
         shape = tuple(int(s) for s in shape)
         if len(shape) != self.n_vars:

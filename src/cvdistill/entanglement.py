@@ -22,7 +22,6 @@ from .chi_core import GaussianKernel, MomentEngine
 from .fock_recon import FockDensityMatrix
 
 PT_DISCRIMINANT_TOL = 1e-12
-NEGATIVE_TRACE_TOL = 1e-12
 COV_IMAG_TOL = 1e-10
 
 
@@ -144,17 +143,15 @@ def gaussian_log_negativity(cov):
     return max(0.0, -math.log2(2.0 * math.sqrt(inner)))
 
 
-def teleportation_fidelity(state):
-    """Average fidelity of coherent-state teleportation with the state as the
-    shared resource.
+def fidelity_integral(state):
+    """(1/pi) Int d^2xi chi(xi*, xi) exp(-|xi|^2) of any state, normalized or
+    not.
 
-    F = (1/pi) Int d^2xi chi(xi*, xi) exp(-|xi|^2): the two-mode
-    characteristic function on the diagonal against a Gaussian weight, again a
-    polynomial-times-Gaussian moment problem (now in one complex variable).
+    The two-mode characteristic function on the diagonal against a Gaussian
+    weight is again a polynomial-times-Gaussian moment problem, now in one
+    complex variable.  The integral is linear in chi, so the value of a
+    weighted sum of states is the weighted sum of their values.
     """
-    tr = state.trace
-    if abs(tr - 1.0) > 1e-6:
-        raise ValueError(f"state trace {tr} is not 1; normalize first")
     reduced = {}
     for (a0, a1, a2, a3), coeff in state.poly.items():
         key = (a1 + a2, a0 + a3)
@@ -164,29 +161,21 @@ def teleportation_fidelity(state):
     kq = r.T @ state.kernel.quad @ r
     kq[0, 1] += 1.0
     kq[1, 0] += 1.0
-    engine = MomentEngine(GaussianKernel(kq))
-    val = engine.integrate({(a, b): c for (a, b), c in reduced.items()})
+    return complex(MomentEngine(GaussianKernel(kq)).integrate(reduced))
+
+
+def teleportation_fidelity(state):
+    """Average fidelity of coherent-state teleportation with the state as the
+    shared resource: the fidelity_integral of a normalized state, which must
+    come out real.
+    """
+    tr = state.trace
+    if abs(tr - 1.0) > 1e-6:
+        raise ValueError(f"state trace {tr} is not 1; normalize first")
+    val = fidelity_integral(state)
     if abs(val.imag) > 1e-9:
         raise ValueError(f"fidelity came out non-real: {val}")
     return float(val.real)
-
-
-def success_probability(raw_state):
-    """Heralding rate of a conditional preparation: the trace of the raw
-    (unnormalized) pipeline output.  Tiny negative float noise clamps to
-    zero; anything genuinely negative is an internal error.
-
-    The operation t a + r a^dag is not a trace-nonincreasing map, so this
-    trace is a rate relative to an unstated gain and can exceed 1 where the
-    a^dag part dominates: coherent_before at s = 0.286, eta = 0.8911,
-    n_th = 0.1107, t = 0.0741 gives 1.256."""
-    tr = complex(raw_state.trace)
-    if abs(tr.imag) > 1e-9 * max(1.0, abs(tr)):
-        raise ValueError(f"trace has a non-real part: {tr}")
-    value = tr.real
-    if value < -NEGATIVE_TRACE_TOL:
-        raise ValueError(f"negative success probability {value}")
-    return max(float(value), 0.0)
 
 
 def separation_eta(s, n_th):

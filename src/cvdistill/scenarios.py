@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .chi_core import (
 )
 from .entanglement import (
     covariance_from_chi,
+    fidelity_integral,
     gaussian_log_negativity,
     log_negativity,
     teleportation_fidelity,
@@ -153,7 +155,9 @@ class _PointEvaluator:
     """Shared context for repeated evaluations at one channel setting.
 
     The pipeline runs once, as (t, r)-basis terms over one kernel; every
-    per-weight trace and Fock matrix is a weighted sum of per-term ones.
+    per-weight trace, Fock matrix and fidelity integral is a weighted sum of
+    per-term ones.  The per-term matrices and fidelities are built on first
+    use, so only the configured objective pays for its own.
     """
 
     def __init__(self, cfg):
@@ -162,13 +166,17 @@ class _PointEvaluator:
         support = set().union(*(term.poly for term in self.terms))
         self.builder = FockMatrixBuilder(self.terms[0].kernel, cfg.n_trunc,
                                          support)
-        traces = np.array([term.trace for term in self.terms])
-        if np.any(np.abs(traces.imag)
-                  > TRACE_IMAG_TOL * np.maximum(1.0, np.abs(traces.real))):
-            raise ValueError(f"trace has non-negligible imaginary part: {traces}")
-        self.traces = traces.real
-        self.matrices = np.array([self.builder.matrix(term.poly).elems
-                                  for term in self.terms])
+        self.traces = _real_parts([term.trace for term in self.terms], "trace")
+
+    @cached_property
+    def matrices(self):
+        return np.array([self.builder.matrix(term.poly).elems
+                         for term in self.terms])
+
+    @cached_property
+    def fidelities(self):
+        return _real_parts([fidelity_integral(term) for term in self.terms],
+                           "fidelity")
 
     def _weights(self, t):
         op = CoherentOp.from_t(t)
@@ -183,18 +191,23 @@ class _PointEvaluator:
 
     def objective(self, t):
         """Objective value at weight t, or None when the state vanishes."""
-        if self.cfg.objective == "fidelity":
-            try:
-                state, _ = self.state(t)
-            except ZeroStateError:
-                return None
-            return teleportation_fidelity(state)
         w = self._weights(t)
         tr = w @ self.traces
         if tr < ZERO_TRACE_TOL:
             return None
+        if self.cfg.objective == "fidelity":
+            return w @ self.fidelities / tr
         rho = np.tensordot(w / tr, self.matrices, axes=1)
         return log_negativity(FockDensityMatrix(self.cfg.n_trunc, rho))
+
+
+def _real_parts(values, name):
+    """Real parts of per-term integrals whose imaginary parts must be noise."""
+    values = np.array(values)
+    if np.any(np.abs(values.imag)
+              > TRACE_IMAG_TOL * np.maximum(1.0, np.abs(values.real))):
+        raise ValueError(f"{name} has non-negligible imaginary part: {values}")
+    return values.real
 
 
 def _golden_max(f, lo, hi, tol):

@@ -5,12 +5,16 @@ mathematical path than the package (Fock-space series, scipy
 special-function evaluation, brute-force real-space quadrature, closed-form
 Schmidt sums, a cyclic Jacobi eigensolver, exact rational Laguerre
 coefficients).  None of that touches the package's moment recursion or its
-polynomial algebra.  Two exceptions share low-level pieces with the package:
-fock_element shares the moment engine and the displacement polynomials with
-FockMatrixBuilder, so it only checks the builder's assembly (moment table,
-weight matrix, Hermitian fill), not the integrals; and sequential_pipeline
-shares the polynomial shift/derivative helpers, so it checks the (t, r)
-basis of the pipeline, not the ladder-operator correspondence.
+polynomial algebra.  Three exceptions share low-level pieces with the
+package: RecursiveMoments evaluates moments one at a time by the memoized
+scalar Wick/Stein recursion, from the moment covariance and normalization of
+a MomentEngine, so it checks the vectorized moment table, not the
+covariance; fock_element shares the moment engine and the displacement
+polynomials with FockMatrixBuilder, so it only checks the builder's assembly
+(moment table, weight matrix, Hermitian fill), not the integrals; and
+sequential_pipeline shares the polynomial shift/derivative helpers, so it
+checks the (t, r) basis of the pipeline, not the ladder-operator
+correspondence.
 """
 
 import math
@@ -222,6 +226,46 @@ def numeric_fidelity(chi_callable, half_width=8.0, points=160):
     vals = out.reshape(xi.shape)
     integrand = vals * np.exp(-np.abs(xi) ** 2)
     return complex(np.einsum("i,j,ij->", w, w, integrand)) / math.pi
+
+
+# --- moments one at a time --------------------------------------------------
+
+class RecursiveMoments:
+    """moment(alpha) of MomentEngine(kernel), memoized over multi-indices:
+
+        E[v_j v^beta] = sum_k C_jk beta_k E[v^(beta - e_k)],
+
+    with j the first nonzero exponent of alpha = beta + e_j.
+    """
+
+    def __init__(self, kernel):
+        engine = MomentEngine(kernel)
+        self.n_vars = engine.n_vars
+        self._cov = engine._cov
+        self._norm = engine._norm
+        self._memo = {(0,) * self.n_vars: 1.0 + 0j}
+
+    def moment(self, alpha):
+        return self._norm * self._ev(tuple(int(a) for a in alpha))
+
+    def _ev(self, alpha):
+        val = self._memo.get(alpha)
+        if val is not None:
+            return val
+        j = next(i for i, a in enumerate(alpha) if a)
+        beta = list(alpha)
+        beta[j] -= 1
+        acc = 0j
+        for k in range(self.n_vars):
+            bk = beta[k]
+            if bk:
+                cjk = self._cov[j, k]
+                if cjk != 0.0:
+                    beta[k] -= 1
+                    acc += cjk * bk * self._ev(tuple(beta))
+                    beta[k] += 1
+        self._memo[alpha] = acc
+        return acc
 
 
 # --- Hermitian eigenvalues without LAPACK ----------------------------------

@@ -137,9 +137,9 @@ def test_criterion_05_quadrature_oracle_equivalence():
     indices = [idx for idx in itertools.product(range(9), repeat=4)
                if sum(idx) <= 8]
     grid_vals = quadrature_fock_elements(state, indices)
+    rho = fock_matrix(state, 8).elems
     worst = max(abs(grid_vals[idx]
-                    - complex(fock_matrix(state, 8).elems[idx[0] * 9 + idx[1],
-                                                          idx[2] * 9 + idx[3]]))
+                    - complex(rho[idx[0] * 9 + idx[1], idx[2] * 9 + idx[3]]))
                 for idx in indices)
     ok = worst < 1e-6
     report(5, ok, f"analytic vs 4-D quadrature on {len(indices)} elements "

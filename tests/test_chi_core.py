@@ -317,12 +317,26 @@ def test_moment_engine_against_numeric_quadrature():
 
 def test_moment_table_matches_scalar_route():
     st = apply_thermal_channel(tmsv_chi(0.6), 1, ChannelParams(0.7, 0.25))
-    engine = MomentEngine(st.kernel)
-    table = engine.moment_table((4, 4, 4, 4))
-    fresh = MomentEngine(st.kernel)
+    table = MomentEngine(st.kernel).moment_table((4, 4, 4, 4))
+    ref = oracles.RecursiveMoments(st.kernel)
     for a in ((0, 0, 0, 0), (1, 1, 0, 0), (2, 0, 1, 1), (3, 3, 2, 2),
               (1, 0, 0, 0), (2, 1, 0, 1)):
-        np.testing.assert_allclose(table[a], fresh.moment(a), atol=1e-12,
+        np.testing.assert_allclose(table[a], ref.moment(a), atol=1e-12,
+                                   rtol=1e-12)
+    # the one-mode fidelity kernel of a coherent_before state, on every
+    # monomial its diagonal substitution (xi*, xi, xi, xi*) can produce
+    op, ch = CoherentOp.from_t(0.7), ChannelParams(0.5, 0.1)
+    st = apply_coherent_op(apply_coherent_op(tmsv_chi(0.114), 1, op), 2, op)
+    st = apply_thermal_channel(apply_thermal_channel(st, 1, ch), 2, ch)
+    r = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    kernel = GaussianKernel(r.T @ st.kernel.quad @ r + [[0.0, 1.0], [1.0, 0.0]])
+    shape = (max(a[1] + a[2] for a in st.poly) + 1,
+             max(a[0] + a[3] for a in st.poly) + 1)
+    assert shape == (5, 5)
+    table = MomentEngine(kernel).moment_table(shape)
+    ref = oracles.RecursiveMoments(kernel)
+    for a in np.ndindex(shape):
+        np.testing.assert_allclose(table[a], ref.moment(a), atol=1e-12,
                                    rtol=1e-12)
 
 
@@ -339,3 +353,5 @@ def test_integrate_polynomial():
     # Int (1 + |xi1|^2) -> 1 + 1 = 2
     val = engine.integrate({ZERO_INDEX: 1.0, (1, 1, 0, 0): 1.0})
     assert val == pytest.approx(2.0, abs=1e-13)
+    # zero-state terms carry the empty polynomial
+    assert engine.integrate({}) == 0

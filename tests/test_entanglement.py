@@ -9,6 +9,7 @@ from cvdistill.chi_core import (
     ChannelParams,
     CoherentOp,
     PolyGaussianChi,
+    ZeroStateError,
     apply_coherent_op,
     apply_thermal_channel,
     normalize,
@@ -25,7 +26,6 @@ from cvdistill.entanglement import (
     partial_transpose,
     separation_eta,
     separation_time,
-    success_probability,
     teleportation_fidelity,
     thermal_occupation,
 )
@@ -247,7 +247,7 @@ def test_success_probability_of_double_subtraction():
     s = 0.403
     op = CoherentOp(1.0, 0.0)
     raw = apply_coherent_op(apply_coherent_op(tmsv_chi(s), 1, op), 2, op)
-    np.testing.assert_allclose(success_probability(raw),
+    np.testing.assert_allclose(normalize(raw)[1],
                                oracles.subtract_both_probability(s),
                                rtol=1e-12)
 
@@ -256,15 +256,13 @@ def test_success_probability_can_exceed_one():
     # photon addition heralds on Tr[a^dag rho a] = 1 + <n>, which exceeds 1
     op = CoherentOp(0.0, 1.0)
     raw = apply_coherent_op(apply_coherent_op(tmsv_chi(0.4), 1, op), 2, op)
-    assert success_probability(raw) > 1.0
+    assert normalize(raw)[1] > 1.0
 
 
 def test_success_probability_input_validation():
     kernel = tmsv_chi(0.0).kernel
-    with pytest.raises(ValueError):
-        success_probability(PolyGaussianChi({(0, 0, 0, 0): -1.0}, kernel))
-    with pytest.raises(ValueError):
-        success_probability(PolyGaussianChi({(0, 0, 0, 0): 1j}, kernel))
+    with pytest.raises(ZeroStateError):
+        normalize(PolyGaussianChi({(0, 0, 0, 0): -1.0}, kernel))
 
 
 # ---------------------------------------------------------------------------

@@ -174,15 +174,20 @@ def test_optimize_t_zero_objective_falls_back_to_probability():
 
 
 def test_optimize_t_fidelity_objective():
-    cfg = cfg_for("coherent_before", s=0.114, eta=0.6, n_th=0.01,
-                  objective="fidelity")
-    ev = _PointEvaluator(cfg)
-    opt = optimize_t(cfg, evaluator=ev)
-    state, _ = ev.state(opt.t_opt)
-    assert teleportation_fidelity(state) == pytest.approx(opt.value,
-                                                          abs=1e-12)
-    for probe in (0.0, 0.5, 1.0):
-        assert opt.value >= ev.objective(probe) - 1e-12
+    for strategy in ("coherent_before", "coherent_after"):
+        cfg = cfg_for(strategy, s=0.114, eta=0.6, n_th=0.01,
+                      objective="fidelity")
+        ev = _PointEvaluator(cfg)
+        opt = optimize_t(cfg, evaluator=ev)
+        state, _ = ev.state(opt.t_opt)
+        assert teleportation_fidelity(state) == pytest.approx(opt.value,
+                                                              abs=1e-12)
+        for probe in (0.0, 0.5, 1.0):
+            assert opt.value >= ev.objective(probe) - 1e-12
+        # the per-term objective against the combined, normalized state
+        for t in (0.0, 0.3, 0.7, 1.0):
+            assert ev.objective(t) == pytest.approx(
+                teleportation_fidelity(ev.state(t)[0]), abs=1e-12)
 
 
 def test_optimal_weight_drifts_down_with_transmissivity():
