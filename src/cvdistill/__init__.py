@@ -28,10 +28,9 @@ from .entanglement import (
     thermal_occupation,
 )
 from .fock_recon import (
-    FockDensityMatrix,
-    FockMatrixBuilder,
     PrecisionError,
     displacement_fock_poly,
+    fock_matrices,
     fock_matrix,
 )
 from .scenarios import (

@@ -33,6 +33,7 @@ ZERO_INDEX = (0, 0, 0, 0)
 PRUNE_REL_TOL = 1e-16
 HERMITICITY_TOL = 1e-12
 TRACE_IMAG_TOL = 1e-10
+TRACE_ONE_TOL = 1e-6
 ZERO_TRACE_TOL = 1e-30
 
 
@@ -136,8 +137,8 @@ class ChannelParams:
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):
             raise ValueError("eta must lie in (0, 1]")
-        if self.n_th < 0.0:
-            raise ValueError("n_th must be nonnegative")
+        if not 0.0 <= self.n_th < math.inf:
+            raise ValueError("n_th must be nonnegative and finite")
 
 
 class GaussianKernel:
@@ -367,6 +368,13 @@ def normalize(state):
         raise ZeroStateError("state has vanishing trace")
     poly = {a: c / t for a, c in state.poly.items()}
     return PolyGaussianChi(poly, state.kernel), t
+
+
+def check_normalized(state):
+    """Raise ValueError unless the state's trace is 1 within TRACE_ONE_TOL."""
+    tr = state.trace
+    if abs(tr - 1.0) > TRACE_ONE_TOL:
+        raise ValueError(f"state trace {tr} is not 1; normalize first")
 
 
 # ---------------------------------------------------------------------------

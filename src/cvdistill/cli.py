@@ -115,10 +115,10 @@ def parse_run_config(path):
         objective=raw.get("objective", "negativity"),
         t=number("t", float),
     )
-    if cfg.s <= 0:
-        raise ConfigError(f"{path}: squeezing s must be positive")
-    if cfg.n_th < 0:
-        raise ConfigError(f"{path}: n_th must be nonnegative")
+    if not 0 < cfg.s < np.inf:
+        raise ConfigError(f"{path}: squeezing s must be positive and finite")
+    if not 0 <= cfg.n_th < np.inf:
+        raise ConfigError(f"{path}: n_th must be nonnegative and finite")
     if not 0.0 < cfg.eta_min <= cfg.eta_max <= 1.0:
         raise ConfigError(f"{path}: need 0 < eta_min <= eta_max <= 1")
     if cfg.eta_points < 1:

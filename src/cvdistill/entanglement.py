@@ -18,8 +18,7 @@ from scipy.constants import c as _SPEED_OF_LIGHT
 from scipy.constants import h as _PLANCK
 from scipy.constants import k as _BOLTZMANN
 
-from .chi_core import GaussianKernel, MomentEngine
-from .fock_recon import FockDensityMatrix
+from .chi_core import GaussianKernel, MomentEngine, check_normalized
 
 PT_DISCRIMINANT_TOL = 1e-12
 COV_IMAG_TOL = 1e-10
@@ -31,21 +30,20 @@ class InvalidCovarianceError(ValueError):
 
 def partial_transpose(rho):
     """Partial transpose on the first mode: (rho^T1)_{ij,kl} = rho_{kj,il}."""
-    d = rho.n_trunc + 1
-    t = rho.elems.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
-    return FockDensityMatrix(rho.n_trunc, np.ascontiguousarray(t))
+    d = math.isqrt(len(rho))
+    return rho.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
 
 
 def log_negativity(rho):
-    """Logarithmic negativity E = log2 ||rho^T1||_1 of a Fock-basis state,
-    clamped at zero (a negative truncated trace-norm log is noise, not
-    physics).
+    """Logarithmic negativity E = log2 ||rho^T1||_1 of a (d^2, d^2)
+    Fock-basis state, clamped at zero (a negative truncated trace-norm log is
+    noise, not physics).
 
     The partial transpose is diagonalized by LAPACK (numpy.linalg.eigvalsh),
     which raises numpy.linalg.LinAlgError if it does not converge.  The tests
     check it against a self-contained cyclic Jacobi solver.
     """
-    w = np.linalg.eigvalsh(partial_transpose(rho).elems)
+    w = np.linalg.eigvalsh(partial_transpose(rho))
     return max(0.0, math.log2(float(np.sum(np.abs(w)))))
 
 
@@ -95,9 +93,7 @@ def covariance_from_chi(state):
     (a1^dag, -a1, a2^dag, -a2) read off as S_ij = d_i d_j P(0) - K_ij and the
     first moments as m_i = d_i P(0); no numerical differentiation is involved.
     """
-    tr = state.trace
-    if abs(tr - 1.0) > 1e-6:
-        raise ValueError(f"state trace {tr} is not 1; normalize first")
+    check_normalized(state)
     poly = state.poly
     kq = state.kernel.quad
     s = np.empty((4, 4), dtype=complex)
@@ -169,9 +165,7 @@ def teleportation_fidelity(state):
     shared resource: the fidelity_integral of a normalized state, which must
     come out real.
     """
-    tr = state.trace
-    if abs(tr - 1.0) > 1e-6:
-        raise ValueError(f"state trace {tr} is not 1; normalize first")
+    check_normalized(state)
     val = fidelity_integral(state)
     if abs(val.imag) > 1e-9:
         raise ValueError(f"fidelity came out non-real: {val}")

@@ -8,7 +8,8 @@ A density matrix element on the truncated Fock space is the overlap integral
 and every displacement matrix element is a finite polynomial times the
 Gaussian exp(-|xi|^2/2).  For polynomial-times-Gaussian characteristic
 functions the whole integrand therefore lives in one augmented Gaussian
-kernel, and the exact moment engine evaluates it term by term.
+kernel, and the exact moment engine evaluates it term by term.  A density
+matrix is a plain (d^2, d^2) complex array, d = n_trunc + 1.
 
 Truncation note: dropping Fock components above n_trunc can only lower the
 measured entanglement (the truncation is a local projection), so in exact
@@ -28,13 +29,11 @@ route and a brute-force Gauss-Legendre integration) live in tests/oracles.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chi_core import GaussianKernel, MomentEngine
+from .chi_core import GaussianKernel, MomentEngine, check_normalized
 
-TRACE_ONE_TOL = 1e-6
 CERTIFY_TOL = 1e-6
 
 
@@ -84,28 +83,6 @@ def _dagger_poly(m, n):
             for (a, b), c in displacement_fock_poly(m, n).items()}
 
 
-@dataclass
-class FockDensityMatrix:
-    """Two-mode density matrix on Fock levels 0..n_trunc per mode.
-
-    Row-major composite index: row = i * (n_trunc + 1) + j for |i, j>.
-    """
-
-    n_trunc: int
-    elems: np.ndarray
-
-    @property
-    def dim(self):
-        return self.n_trunc + 1
-
-    @property
-    def trace(self):
-        return float(np.trace(self.elems).real)
-
-    def hermiticity_defect(self):
-        return float(np.max(np.abs(self.elems - self.elems.conj().T)))
-
-
 def _augmented_kernel(kernel):
     """State kernel plus the exp(-|xi_i|^2/2) factors of the displacement
     matrix elements."""
@@ -116,102 +93,81 @@ def _augmented_kernel(kernel):
     return GaussianKernel(k)
 
 
-class FockMatrixBuilder:
-    """Reusable reconstruction context for one kernel and truncation.
+def fock_matrices(kernel, n_trunc, polys):
+    """Truncated two-mode density matrices of polynomials over one kernel.
 
-    The coherent operation and the optimizer change only the polynomial part
-    of the state, never the kernel, so the expensive objects (moment table and
-    the per-element weight matrix over a fixed monomial support) are built
-    once and reused by every matrix() call.
+    Returns a complex array of shape (len(polys), d^2, d^2), d = n_trunc + 1,
+    with the row-major composite index i * d + j for |i, j>.  The moment
+    table and the per-element weight matrix are built once over the union of
+    the polynomials' monomials; each matrix is its own coefficient vector
+    times the weights (upper triangle integrated, the rest by Hermitian
+    symmetry of a state).  The polynomials need not be normalized, so a
+    weighted sum of their matrices is the matrix of the weighted sum.
     """
+    if n_trunc < 0:
+        raise ValueError("n_trunc must be nonnegative")
+    support = sorted(set().union(*polys))
+    if not support:
+        raise ValueError("empty polynomial support")
+    d = n_trunc + 1
+    engine = MomentEngine(_augmented_kernel(kernel))
 
-    def __init__(self, kernel, n_trunc, alpha_support):
-        if n_trunc < 0:
-            raise ValueError("n_trunc must be nonnegative")
-        self.n_trunc = n_trunc
-        d = n_trunc + 1
-        support = sorted({tuple(int(x) for x in a) for a in alpha_support})
-        if not support:
-            raise ValueError("empty polynomial support")
-        self._alpha_index = {a: i for i, a in enumerate(support)}
-        engine = MomentEngine(_augmented_kernel(kernel))
+    dag = {}
+    for mm in range(d):
+        for nn in range(d):
+            terms = _dagger_poly(mm, nn)
+            offs = np.array([t for t in terms], dtype=np.intp).reshape(-1, 2)
+            cofs = np.array([terms[t] for t in terms])
+            dag[(mm, nn)] = (offs, cofs)
 
-        dag = {}
-        for mm in range(d):
-            for nn in range(d):
-                terms = _dagger_poly(mm, nn)
-                offs = np.array([t for t in terms], dtype=np.intp).reshape(-1, 2)
-                cofs = np.array([terms[t] for t in terms])
-                dag[(mm, nn)] = (offs, cofs)
+    amax = np.max(np.array(support), axis=0)
+    shape = tuple(int(x) for x in amax + n_trunc + 1)
+    table = engine.moment_table(shape).reshape(-1)
+    strides = np.array([int(np.prod(shape[i + 1:])) for i in range(4)], dtype=np.intp)
 
-        amax = np.max(np.array(support), axis=0)
-        shape = tuple(int(x) for x in amax + n_trunc + 1)
-        table = engine.moment_table(shape).reshape(-1)
-        strides = np.array([int(np.prod(shape[i + 1:])) for i in range(4)], dtype=np.intp)
+    alpha_lin = np.array(support, dtype=np.intp) @ strides
+    rows, cols = np.triu_indices(d * d)
+    weights = np.empty((len(support), len(rows)), dtype=complex)
+    for n, (row, col) in enumerate(zip(rows.tolist(), cols.tolist())):
+        i, j = divmod(row, d)
+        k, l = divmod(col, d)
+        o1, c1 = dag[(i, k)]
+        o2, c2 = dag[(j, l)]
+        lin1 = o1[:, 0] * strides[0] + o1[:, 1] * strides[1]
+        lin2 = o2[:, 0] * strides[2] + o2[:, 1] * strides[3]
+        lin = (alpha_lin[:, None, None] + lin1[None, :, None]
+               + lin2[None, None, :])
+        vals = table[lin.reshape(-1)].reshape(lin.shape)
+        weights[:, n] = np.einsum("abc,b,c->a", vals, c1, c2)
 
-        alpha_arr = np.array(support, dtype=np.intp)
-        alpha_lin = alpha_arr @ strides
-        rows = []
-        cols = []
-        weights = np.empty((len(support), d * d * (d * d + 1) // 2), dtype=complex)
-        for row in range(d * d):
-            i, j = divmod(row, d)
-            for col in range(row, d * d):
-                k, l = divmod(col, d)
-                o1, c1 = dag[(i, k)]
-                o2, c2 = dag[(j, l)]
-                lin1 = o1[:, 0] * strides[0] + o1[:, 1] * strides[1]
-                lin2 = o2[:, 0] * strides[2] + o2[:, 1] * strides[3]
-                lin = (alpha_lin[:, None, None] + lin1[None, :, None]
-                       + lin2[None, None, :])
-                vals = table[lin.reshape(-1)].reshape(lin.shape)
-                rows.append(row)
-                cols.append(col)
-                weights[:, len(rows) - 1] = np.einsum("abc,b,c->a", vals, c1, c2)
-        self._rows = np.array(rows)
-        self._cols = np.array(cols)
-        self._weights = weights
-
-    def matrix(self, poly):
-        """Assemble the truncated density matrix for a polynomial over the
-        builder's support (upper triangle integrated, rest by Hermitian
-        symmetry of the state)."""
-        coeff = np.zeros(len(self._alpha_index), dtype=complex)
+    index = {a: n for n, a in enumerate(support)}
+    diag = rows == cols
+    out = np.zeros((len(polys), d * d, d * d), dtype=complex)
+    for rho, poly in zip(out, polys):
+        coeff = np.zeros(len(support), dtype=complex)
         for a, c in poly.items():
-            idx = self._alpha_index.get(tuple(a))
-            if idx is None:
-                raise ValueError(f"monomial {a!r} outside the builder support")
-            coeff[idx] = c
-        upper = coeff @ self._weights
-        d = self.n_trunc + 1
-        elems = np.zeros((d * d, d * d), dtype=complex)
-        elems[self._rows, self._cols] = upper
-        lower = np.conj(upper)
-        elems[self._cols, self._rows] = lower
-        diag = self._rows == self._cols
-        elems[self._rows[diag], self._cols[diag]] = upper[diag].real
-        return FockDensityMatrix(self.n_trunc, elems)
-
-
-def _check_normalized(state):
-    tr = state.trace
-    if abs(tr - 1.0) > TRACE_ONE_TOL:
-        raise ValueError(f"state trace {tr} is not 1; normalize first")
+            coeff[index[a]] = c
+        upper = coeff @ weights
+        rho[rows, cols] = upper
+        rho[cols, rows] = np.conj(upper)
+        rho[rows[diag], cols[diag]] = upper[diag].real
+    return out
 
 
 def certify(rho):
-    """Return rho if it is a state to within CERTIFY_TOL: trace at most 1
-    (truncation only loses weight) and no eigenvalue below -CERTIFY_TOL."""
-    lam = float(np.linalg.eigvalsh(rho.elems)[0])
-    if rho.trace > 1.0 + CERTIFY_TOL or lam < -CERTIFY_TOL:
-        raise PrecisionError(f"n_trunc = {rho.n_trunc} gives no state: trace "
-                             f"{rho.trace}, smallest eigenvalue {lam}")
+    """Return the (d^2, d^2) matrix rho if it is a state to within
+    CERTIFY_TOL: trace at most 1 (truncation only loses weight) and no
+    eigenvalue below -CERTIFY_TOL."""
+    lam = float(np.linalg.eigvalsh(rho)[0])
+    trace = float(np.trace(rho).real)
+    if trace > 1.0 + CERTIFY_TOL or lam < -CERTIFY_TOL:
+        raise PrecisionError(f"n_trunc = {math.isqrt(len(rho)) - 1} gives no "
+                             f"state: trace {trace}, smallest eigenvalue {lam}")
     return rho
 
 
 def fock_matrix(state, n_trunc):
-    """Certified truncated two-mode density matrix of a normalized state."""
-    _check_normalized(state)
-    builder = FockMatrixBuilder(state.kernel, n_trunc, state.poly.keys())
-    return certify(builder.matrix(state.poly))
-
+    """Certified truncated density matrix of a normalized two-mode state,
+    as a (d^2, d^2) array with d = n_trunc + 1."""
+    check_normalized(state)
+    return certify(fock_matrices(state.kernel, n_trunc, [state.poly])[0])

@@ -37,7 +37,7 @@ from .entanglement import (
     log_negativity,
     teleportation_fidelity,
 )
-from .fock_recon import FockDensityMatrix, FockMatrixBuilder, certify
+from .fock_recon import certify, fock_matrices
 
 GRID_STEP = 0.01
 REFINE_TOL = 1e-4
@@ -79,8 +79,8 @@ class ScenarioConfig:
     t_override: float | None = None
 
     def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("squeezing must be nonnegative")
+        if not 0 <= self.s < math.inf:
+            raise ValueError("squeezing must be nonnegative and finite")
         if self.n_trunc < 0:
             raise ValueError("n_trunc must be nonnegative")
         if self.objective not in ("negativity", "fidelity"):
@@ -157,21 +157,19 @@ class _PointEvaluator:
     The pipeline runs once, as (t, r)-basis terms over one kernel; every
     per-weight trace, Fock matrix and fidelity integral is a weighted sum of
     per-term ones.  The per-term matrices and fidelities are built on first
-    use, so only the configured objective pays for its own.
+    use, so only the configured objective pays for its own, and a row's
+    Fock matrix is the one its objective scores.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.terms = _raw_terms(cfg)
-        support = set().union(*(term.poly for term in self.terms))
-        self.builder = FockMatrixBuilder(self.terms[0].kernel, cfg.n_trunc,
-                                         support)
         self.traces = _real_parts([term.trace for term in self.terms], "trace")
 
     @cached_property
     def matrices(self):
-        return np.array([self.builder.matrix(term.poly).elems
-                         for term in self.terms])
+        return fock_matrices(self.terms[0].kernel, self.cfg.n_trunc,
+                             [term.poly for term in self.terms])
 
     @cached_property
     def fidelities(self):
@@ -189,6 +187,11 @@ class _PointEvaluator:
         op = CoherentOp.from_t(t)
         return normalize(combine_terms(self.terms, op.t, op.r))
 
+    def rho(self, t):
+        """Fock matrix of the normalized state at weight t."""
+        w = self._weights(t)
+        return np.tensordot(w / (w @ self.traces), self.matrices, axes=1)
+
     def objective(self, t):
         """Objective value at weight t, or None when the state vanishes."""
         w = self._weights(t)
@@ -197,8 +200,7 @@ class _PointEvaluator:
             return None
         if self.cfg.objective == "fidelity":
             return w @ self.fidelities / tr
-        rho = np.tensordot(w / tr, self.matrices, axes=1)
-        return log_negativity(FockDensityMatrix(self.cfg.n_trunc, rho))
+        return log_negativity(self.rho(t))
 
 
 def _real_parts(values, name):
@@ -288,9 +290,8 @@ def evaluate_point(cfg):
         return SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th,
                            cfg.channel.eta, t, 0.0, 0.0, 0.0, 0.0,
                            _join_flags(flag, "zero_state"))
-    rho = certify(ev.builder.matrix(state.poly))
     return SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th, cfg.channel.eta,
-                       t, log_negativity(rho),
+                       t, log_negativity(certify(ev.rho(t))),
                        gaussian_log_negativity(covariance_from_chi(state)),
                        teleportation_fidelity(state), p, flag)
 

@@ -10,7 +10,7 @@ package: RecursiveMoments evaluates moments one at a time by the memoized
 scalar Wick/Stein recursion, from the moment covariance and normalization of
 a MomentEngine, so it checks the vectorized moment table, not the
 covariance; fock_element shares the moment engine and the displacement
-polynomials with FockMatrixBuilder, so it only checks the builder's assembly
+polynomials with fock_matrices, so it only checks that function's assembly
 (moment table, weight matrix, Hermitian fill), not the integrals; and
 sequential_pipeline shares the polynomial shift/derivative helpers, so it
 checks the (t, r) basis of the pipeline, not the ladder-operator
@@ -34,9 +34,10 @@ from cvdistill.chi_core import (
     _poly_shift,
     _prune,
     apply_thermal_channel,
+    check_normalized,
     tmsv_chi,
 )
-from cvdistill.fock_recon import _augmented_kernel, _check_normalized, _dagger_poly
+from cvdistill.fock_recon import _augmented_kernel, _dagger_poly
 
 
 def displacement_element(m, n, alpha):
@@ -177,39 +178,39 @@ def separation_eta_closed(s, n_th):
 
 # --- brute-force quadrature ------------------------------------------------
 
-def numeric_gaussian_monomials(kernel_quad, alphas, half_width=7.0, points=48):
-    """Int (d^2xi1/pi)(d^2xi2/pi) v^alpha exp(-v^T K v / 2) for each alpha, on
-    a dense tensor Gauss-Legendre grid over the four real dimensions.
-    Deliberately naive: materializes the full 4-D grid and evaluates the
-    quadratic form pointwise; the Gaussian factor is shared across alphas.
+def numeric_gaussian_monomials(kernel_quads, alphas, half_width=7.0, points=48):
+    """Int (d^2xi1/pi)(d^2xi2/pi) v^alpha exp(-v^T K v / 2) for each kernel K
+    and each alpha, on a dense tensor Gauss-Legendre grid over the four real
+    dimensions.  Returns one {alpha: value} dict per kernel.
+
+    Deliberately naive: each kernel's weighted Gaussian factor is evaluated
+    pointwise on the full 4-D grid.  The grid is built once for all kernels,
+    and each monomial is evaluated once on it, as the outer product of its
+    two one-mode factors, then summed against every kernel's factor.
     """
     nodes, wts = np.polynomial.legendre.leggauss(points)
     x = half_width * nodes
     w = half_width * wts
-    g = np.meshgrid(x, x, x, x, indexing="ij")
-    wg = np.einsum("i,j,k,l->ijkl", w, w, w, w)
-    xi1 = g[0] + 1j * g[1]
-    xi2 = g[2] + 1j * g[3]
+    xi = x[:, None] + 1j * x[None, :]  # one mode's plane, (re, im) axes
+    w2 = np.outer(w, w)
+    xi1 = xi[:, :, None, None]
+    xi2 = xi[None, None, :, :]
     v = [xi1, np.conj(xi1), xi2, np.conj(xi2)]
-    k = np.asarray(kernel_quad)
-    quad = np.zeros_like(xi1)
-    for i in range(4):
-        for j in range(4):
-            quad = quad + k[i, j] * v[i] * v[j]
-    base = wg * np.exp(-0.5 * quad)
-    out = {}
+    wg = w2[:, :, None, None] * w2[None, None, :, :]
+    bases = np.empty((len(kernel_quads), points ** 4), dtype=complex)
+    for base, kernel_quad in zip(bases, kernel_quads):
+        k = np.asarray(kernel_quad)
+        quad = sum(k[i, j] * v[i] * v[j] for i in range(4) for j in range(4))
+        base[:] = (wg * np.exp(-0.5 * quad)).reshape(-1)
+    out = [{} for _ in kernel_quads]
     for alpha in alphas:
-        integrand = base
-        for i, a in enumerate(alpha):
-            if a:
-                integrand = integrand * v[i] ** a
-        out[tuple(alpha)] = complex(np.sum(integrand)) / math.pi ** 2
+        a = tuple(alpha)
+        f1 = xi ** a[0] * np.conj(xi) ** a[1]
+        f2 = xi ** a[2] * np.conj(xi) ** a[3]
+        vals = bases @ np.multiply.outer(f1, f2).reshape(-1)
+        for table, val in zip(out, vals):
+            table[a] = complex(val) / math.pi ** 2
     return out
-
-
-def numeric_gaussian_monomial(kernel_quad, alpha, half_width=7.0, points=48):
-    return numeric_gaussian_monomials(kernel_quad, [alpha], half_width,
-                                      points)[tuple(alpha)]
 
 
 def numeric_fidelity(chi_callable, half_width=8.0, points=160):
@@ -323,7 +324,7 @@ def jacobi_eigvalsh(mat, tol=1e-12, max_sweeps=100):
 
 def fock_element(state, i, j, k, l):
     """Single density matrix element rho_{ij,kl} of a normalized state."""
-    _check_normalized(state)
+    check_normalized(state)
     merged = {}
     d1 = _dagger_poly(i, k)
     d2 = _dagger_poly(j, l)
@@ -364,7 +365,7 @@ def quadrature_fock_elements(state, indices, grid=QuadratureGrid()):
     displacement elements computed pointwise; shares nothing with the moment
     recursion.  Returns {(i, j, k, l): value}.
     """
-    _check_normalized(state)
+    check_normalized(state)
     indices = [tuple(int(x) for x in q) for q in indices]
     if not indices:
         return {}

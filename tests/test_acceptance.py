@@ -98,8 +98,8 @@ def test_criterion_03_subtraction_order_equivalence():
     for s, eta in itertools.product((0.029, 0.403), (0.2, 0.5, 0.8)):
         before, _ = run_strategy(scenario("subtract_before", s, eta, 0.0))
         after, _ = run_strategy(scenario("subtract_after", s, eta, 0.0))
-        diff = np.max(np.abs(fock_matrix(before, 5).elems
-                             - fock_matrix(after, 5).elems))
+        diff = np.max(np.abs(fock_matrix(before, 5)
+                             - fock_matrix(after, 5)))
         worst = max(worst, float(diff))
     ok = worst < 1e-10
     report(3, ok, "subtract before/after at n_th=0 agree elementwise to "
@@ -137,7 +137,7 @@ def test_criterion_05_quadrature_oracle_equivalence():
     indices = [idx for idx in itertools.product(range(9), repeat=4)
                if sum(idx) <= 8]
     grid_vals = quadrature_fock_elements(state, indices)
-    rho = fock_matrix(state, 8).elems
+    rho = fock_matrix(state, 8)
     worst = max(abs(grid_vals[idx]
                     - complex(rho[idx[0] * 9 + idx[1], idx[2] * 9 + idx[3]]))
                 for idx in indices)
@@ -249,7 +249,7 @@ def test_criterion_10_property_suite():
             rho = fock_matrix(state, 2)
             back = partial_transpose(partial_transpose(rho))
             pt_exact = pt_exact and bool(
-                np.array_equal(back.elems, rho.elems))
+                np.array_equal(back, rho))
 
         if draw % 10 == 9:
             noop_state, _ = normalize(

@@ -287,8 +287,9 @@ def test_odd_moments_vanish():
 
 def test_moment_engine_against_numeric_quadrature():
     # random integrable kernels with the conjugation symmetry, all moments of
-    # total degree <= 6 against a dense 4-D grid
+    # total degree <= 6 against one dense 4-D grid
     rng = np.random.default_rng(7)
+    kernels = []
     for _ in range(3):
         base = pair_kernel(1.0).quad.copy()
         z = rng.normal(scale=0.1, size=2) + 1j * rng.normal(scale=0.1, size=2)
@@ -298,14 +299,16 @@ def test_moment_engine_against_numeric_quadrature():
         base[1, 3] = base[3, 1] = np.conj(z[0])
         base[0, 3] = base[3, 0] = z[1]
         base[1, 2] = base[2, 1] = np.conj(z[1])
-        kernel = GaussianKernel(base)
+        kernels.append(GaussianKernel(base))
+    alphas = [(a, b, c, d)
+              for a in range(4) for b in range(4)
+              for c in range(4) for d in range(4)
+              if 0 < a + b + c + d <= 6]
+    picks = alphas[::5] + [(1, 1, 1, 1), (2, 2, 1, 1), (3, 3, 0, 0)]
+    all_refs = oracles.numeric_gaussian_monomials(
+        [kernel.quad for kernel in kernels], picks)
+    for kernel, refs in zip(kernels, all_refs):
         engine = MomentEngine(kernel)
-        alphas = [(a, b, c, d)
-                  for a in range(4) for b in range(4)
-                  for c in range(4) for d in range(4)
-                  if 0 < a + b + c + d <= 6]
-        picks = alphas[::5] + [(1, 1, 1, 1), (2, 2, 1, 1), (3, 3, 0, 0)]
-        refs = oracles.numeric_gaussian_monomials(kernel.quad, picks)
         for alpha in picks:
             exact = engine.moment(alpha)
             ref = refs[alpha]

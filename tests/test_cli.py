@@ -116,6 +116,17 @@ def test_point_rejects_negative_squeezing(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("option,value", [("--s", "nan"), ("--s", "inf"),
+                                          ("--n-th", "nan"), ("--n-th", "inf")])
+def test_point_rejects_non_finite_inputs(capsys, option, value):
+    args = {"--s": "0.1", "--n-th": "0.1", option: value}
+    code = main(["point", "--strategy", "coherent_before", "--eta", "0.5",
+                 "--s", args["--s"], "--n-th", args["--n-th"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_point_eigensolver_failure_is_numerical_exit(monkeypatch, capsys):
     def no_convergence(rho):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -222,6 +233,10 @@ def test_sweep_missing_config_file(tmp_path, capsys):
     ("objective = purity\n", "unknown objective"),
     ("t = 1.5\n", "t must lie"),
     ("s = -1\n", "must be positive"),
+    ("s = nan\n", "s must be positive and finite"),
+    ("s = inf\n", "s must be positive and finite"),
+    ("n_th = nan\n", "n_th must be nonnegative and finite"),
+    ("n_th = inf\n", "n_th must be nonnegative and finite"),
 ])
 def test_sweep_config_errors(tmp_path, capsys, mutation, message):
     base = {"strategies": "noop", "s": "0.1", "n_th": "0.0",

@@ -15,7 +15,7 @@ from cvdistill.chi_core import (
     normalize,
     tmsv_chi,
 )
-from cvdistill.fock_recon import FockDensityMatrix, fock_matrix
+from cvdistill.fock_recon import fock_matrix
 from cvdistill.scenarios import ScenarioConfig, Strategy, run_strategy
 from cvdistill.entanglement import (
     CovarianceMatrix,
@@ -44,8 +44,7 @@ def random_density_matrix(rng, n_trunc):
     d = (n_trunc + 1) ** 2
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     mat = g @ g.conj().T
-    mat /= np.trace(mat).real
-    return FockDensityMatrix(n_trunc, mat)
+    return mat / np.trace(mat).real
 
 
 # ---------------------------------------------------------------------------
@@ -54,16 +53,16 @@ def random_density_matrix(rng, n_trunc):
 def test_partial_transpose_involution():
     rho = random_density_matrix(np.random.default_rng(3), 3)
     back = partial_transpose(partial_transpose(rho))
-    np.testing.assert_array_equal(back.elems, rho.elems)
+    np.testing.assert_array_equal(back, rho)
 
 
 def test_partial_transpose_index_map():
     d = 3
     mat = np.zeros((d * d, d * d), dtype=complex)
     mat[1 * d + 2, 0 * d + 1] = 0.7j  # rho_{12,01}
-    pt = partial_transpose(FockDensityMatrix(d - 1, mat))
-    assert pt.elems[0 * d + 2, 1 * d + 1] == 0.7j
-    assert np.count_nonzero(pt.elems) == 1
+    pt = partial_transpose(mat)
+    assert pt[0 * d + 2, 1 * d + 1] == 0.7j
+    assert np.count_nonzero(pt) == 1
 
 
 def test_partial_transpose_preserves_product_spectrum():
@@ -73,9 +72,8 @@ def test_partial_transpose_preserves_product_spectrum():
     a = a @ a.conj().T
     b = b @ b.conj().T
     mat = np.kron(a, b) / np.trace(np.kron(a, b)).real
-    rho = FockDensityMatrix(2, mat)
-    w0 = np.sort(np.linalg.eigvalsh(rho.elems))
-    w1 = np.sort(np.linalg.eigvalsh(partial_transpose(rho).elems))
+    w0 = np.sort(np.linalg.eigvalsh(mat))
+    w1 = np.sort(np.linalg.eigvalsh(partial_transpose(mat)))
     np.testing.assert_allclose(w0, w1, atol=1e-12)
 
 
@@ -111,8 +109,7 @@ def test_jacobi_convergence_error():
 # logarithmic negativity, Fock route
 
 def test_log_negativity_separable_is_zero():
-    diag = np.diag([0.5, 0.2, 0.2, 0.1]).astype(complex)
-    rho = FockDensityMatrix(1, diag)
+    rho = np.diag([0.5, 0.2, 0.2, 0.1]).astype(complex)
     assert log_negativity(rho) == 0.0
 
 
@@ -133,7 +130,7 @@ def test_log_negativity_solvers_agree(strategy, n_trunc):
     for t in (0.2, 0.6, 0.95):
         st, _ = run_strategy(cfg, t)
         rho = fock_matrix(st, n_trunc)
-        w = jacobi_eigvalsh(partial_transpose(rho).elems)
+        w = jacobi_eigvalsh(partial_transpose(rho))
         want = max(0.0, math.log2(float(np.sum(np.abs(w)))))
         np.testing.assert_allclose(log_negativity(rho), want, atol=1e-12)
 

@@ -190,6 +190,17 @@ def test_optimize_t_fidelity_objective():
                 teleportation_fidelity(ev.state(t)[0]), abs=1e-12)
 
 
+def test_row_negativity_is_the_objective_at_t_opt():
+    # a row's Fock matrix is the weighted sum of per-term matrices that the
+    # optimizer scores, so the printed E_N is the objective value bit for bit
+    for strategy in ("coherent_before", "coherent_after"):
+        for eta in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
+            cfg = cfg_for(strategy, s=0.114, eta=eta, n_th=0.1)
+            rec = evaluate_point(cfg)
+            assert rec.e_n_fock > 0.0
+            assert rec.e_n_fock == _PointEvaluator(cfg).objective(rec.t_opt)
+
+
 def test_optimal_weight_drifts_down_with_transmissivity():
     # more transmissive channels favor more addition in the superposition
     ts = []
