@@ -16,7 +16,6 @@ from .chi_core import (
     tmsv_chi,
 )
 from .entanglement import (
-    CovarianceMatrix,
     InvalidCovarianceError,
     covariance_from_chi,
     gaussian_log_negativity,
@@ -38,11 +37,10 @@ from .scenarios import (
     ScenarioConfig,
     Strategy,
     SweepRecord,
-    default_eta_grid,
     evaluate_point,
     optimize_t,
     run_strategy,
-    sweep_eta,
+    sweep,
 )
 
 __version__ = "0.1.0"

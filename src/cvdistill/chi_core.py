@@ -207,9 +207,6 @@ class PolyGaussianChi:
     def degree(self):
         return max((sum(a) for a in self.poly), default=0)
 
-    def evaluate(self, xi1, xi2):
-        return evaluate_chi(self, xi1, xi2)
-
     def hermiticity_defect(self):
         """Max deviation of chi from conj(chi(-v)), over coefficients and kernel."""
         defect = self.kernel.swap_conjugation_defect()

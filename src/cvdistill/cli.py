@@ -14,14 +14,13 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chi_core import ChannelParams, SingularKernelError, ZeroStateError
 from .entanglement import InvalidCovarianceError, thermal_occupation
 from .fock_recon import PrecisionError
-from .scenarios import ScenarioConfig, Strategy, default_eta_grid, evaluate_point, sweep_eta
+from .scenarios import ScenarioConfig, Strategy, evaluate_point, sweep
 
 CSV_HEADER = "strategy,s,n_th,eta,t_opt,E_N,E_N_gauss,fidelity,p_success,flags"
 
@@ -37,30 +36,19 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    strategies: list
-    s: float
-    n_th: float
-    output: str
-    eta_min: float = 0.01
-    eta_max: float = 1.0
-    eta_points: int = 101
-    n_trunc: int = 5
-    objective: str = "negativity"
-    t: float | None = None
-
-
 _CONFIG_KEYS = {"strategies", "s", "n_th", "eta_min", "eta_max", "eta_points",
                 "n_trunc", "objective", "output", "t"}
 _REQUIRED_KEYS = ("strategies", "s", "n_th", "output")
 
 
 def parse_run_config(path):
-    """Read a flat key = value sweep configuration.
+    """Read a flat key = value sweep configuration into (configs, output).
 
     Blank lines and # comments are ignored; unknown keys are rejected rather
-    than silently skipped so typos cannot turn into default values.
+    than silently skipped so typos cannot turn into default values.  configs
+    holds one ScenarioConfig per CSV row, strategy-major over
+    linspace(eta_min, eta_max, eta_points); the ranges of s, n_th, eta,
+    n_trunc, objective and t are checked there, as for a single point.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -101,37 +89,27 @@ def parse_run_config(path):
             strategies.append(Strategy(name))
         except ValueError as exc:
             raise ConfigError(f"{path}: unknown strategy {name!r}") from exc
-    if not strategies:
-        raise ConfigError(f"{path}: empty strategy list")
-    cfg = RunConfig(
-        strategies=strategies,
-        s=number("s", float),
-        n_th=number("n_th", float),
-        output=raw["output"],
-        eta_min=number("eta_min", float, 0.01),
-        eta_max=number("eta_max", float, 1.0),
-        eta_points=number("eta_points", int, 101),
-        n_trunc=number("n_trunc", int, 5),
-        objective=raw.get("objective", "negativity"),
-        t=number("t", float),
-    )
-    if not 0 < cfg.s < np.inf:
-        raise ConfigError(f"{path}: squeezing s must be positive and finite")
-    if not 0 <= cfg.n_th < np.inf:
-        raise ConfigError(f"{path}: n_th must be nonnegative and finite")
-    if not 0.0 < cfg.eta_min <= cfg.eta_max <= 1.0:
-        raise ConfigError(f"{path}: need 0 < eta_min <= eta_max <= 1")
-    if cfg.eta_points < 1:
+    eta_min = number("eta_min", float, 0.01)
+    eta_max = number("eta_max", float, 1.0)
+    eta_points = number("eta_points", int, 101)
+    if not eta_min <= eta_max:
+        raise ConfigError(f"{path}: need eta_min <= eta_max")
+    if eta_points < 1:
         raise ConfigError(f"{path}: eta_points must be at least 1")
-    if cfg.eta_points == 1 and cfg.eta_min != cfg.eta_max:
+    if eta_points == 1 and eta_min != eta_max:
         raise ConfigError(f"{path}: a single-point grid needs eta_min = eta_max")
-    if cfg.n_trunc < 0:
-        raise ConfigError(f"{path}: n_trunc must be nonnegative")
-    if cfg.objective not in ("negativity", "fidelity"):
-        raise ConfigError(f"{path}: unknown objective {cfg.objective!r}")
-    if cfg.t is not None and not 0.0 <= cfg.t <= 1.0:
-        raise ConfigError(f"{path}: t must lie in [0, 1]")
-    return cfg
+    with np.errstate(invalid="ignore"):  # an infinite bound is refused below
+        etas = [float(eta) for eta in np.linspace(eta_min, eta_max, eta_points)]
+    s, n_th, t = number("s", float), number("n_th", float), number("t", float)
+    n_trunc = number("n_trunc", int, 5)
+    objective = raw.get("objective", "negativity")
+    try:
+        configs = [ScenarioConfig(strategy, s, ChannelParams(eta, n_th),
+                                  n_trunc, objective, t)
+                   for strategy in strategies for eta in etas]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return configs, raw["output"]
 
 
 def _fmt(x):
@@ -172,25 +150,14 @@ def write_sweep_csv(path, records):
 
 
 def cmd_sweep(args):
-    cfg = parse_run_config(args.config)
-    grid = default_eta_grid(cfg.eta_points, cfg.eta_min, cfg.eta_max)
-    records = []
-    for strategy in cfg.strategies:
-        scen = ScenarioConfig(
-            strategy=strategy,
-            s=cfg.s,
-            channel=ChannelParams(eta=cfg.eta_max, n_th=cfg.n_th),
-            n_trunc=cfg.n_trunc,
-            objective=cfg.objective,
-            t_override=cfg.t,
-        )
-        records.extend(sweep_eta(scen, grid))
+    configs, output = parse_run_config(args.config)
+    records = sweep(configs)
     try:
-        write_sweep_csv(cfg.output, records)
+        write_sweep_csv(output, records)
     except OSError as exc:
-        print(f"error: cannot write {cfg.output}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {output}: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(records)} rows to {cfg.output}")
+    print(f"wrote {len(records)} rows to {output}")
     return 0
 
 

@@ -11,7 +11,6 @@ neither is ever expressed through the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as _SPEED_OF_LIGHT
@@ -47,39 +46,6 @@ def log_negativity(rho):
     return max(0.0, math.log2(float(np.sum(np.abs(w)))))
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """4x4 symmetrized covariance of (x1, p1, x2, p2).
-
-    Convention: vacuum covariance is identity/2.
-    """
-
-    mat: np.ndarray
-
-    @property
-    def block_a(self):
-        return self.mat[:2, :2]
-
-    @property
-    def block_b(self):
-        return self.mat[2:, 2:]
-
-    @property
-    def block_c(self):
-        return self.mat[:2, 2:]
-
-    def symplectic_eigenvalues(self):
-        """(nu_minus, nu_plus) of the two-mode covariance."""
-        delta = (float(np.linalg.det(self.block_a))
-                 + float(np.linalg.det(self.block_b))
-                 + 2.0 * float(np.linalg.det(self.block_c)))
-        det = float(np.linalg.det(self.mat))
-        disc = max(delta * delta - 4.0 * det, 0.0)
-        lo = (delta - math.sqrt(disc)) / 2.0
-        hi = (delta + math.sqrt(disc)) / 2.0
-        return math.sqrt(max(lo, 0.0)), math.sqrt(max(hi, 0.0))
-
-
 # Quadratures x = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)) from the
 # derivative variables w = (d/dxi_i acting as a^dag, -a):
 _L_MODE = np.array([[1.0, -1.0], [1j, 1j]]) / math.sqrt(2.0)
@@ -87,7 +53,8 @@ _L_MODE = np.array([[1.0, -1.0], [1j, 1j]]) / math.sqrt(2.0)
 
 def covariance_from_chi(state):
     """Quadrature covariance of a normalized state, from exact derivatives of
-    its characteristic function at the origin.
+    its characteristic function at the origin: a read-only (4, 4) array over
+    (x1, p1, x2, p2), with vacuum covariance identity/2.
 
     For chi = P(v) exp(-v^T K v / 2) with P(0) = 1 the symmetrized moments of
     (a1^dag, -a1, a2^dag, -a2) read off as S_ij = d_i d_j P(0) - K_ij and the
@@ -114,21 +81,22 @@ def covariance_from_chi(state):
         raise InvalidCovarianceError("covariance has a non-real part")
     out = 0.5 * (sigma.real + sigma.real.T)
     out.flags.writeable = False
-    return CovarianceMatrix(out)
+    return out
 
 
-def gaussian_log_negativity(cov):
-    """Logarithmic negativity of the Gaussian state with this covariance.
+def gaussian_log_negativity(sigma):
+    """Logarithmic negativity of the Gaussian state with (4, 4) covariance
+    sigma = [[A, C], [C^T, B]].
 
     Partial transposition flips the sign of det C, so with
     Dt = det A + det B - 2 det C the smallest symplectic eigenvalue of the
     transposed state is dt = sqrt((Dt - sqrt(Dt^2 - 4 det sigma))/2) and
     E = max(0, -log2(2 dt)).
     """
-    det_a = float(np.linalg.det(cov.block_a))
-    det_b = float(np.linalg.det(cov.block_b))
-    det_c = float(np.linalg.det(cov.block_c))
-    det_s = float(np.linalg.det(cov.mat))
+    det_a = float(np.linalg.det(sigma[:2, :2]))
+    det_b = float(np.linalg.det(sigma[2:, 2:]))
+    det_c = float(np.linalg.det(sigma[:2, 2:]))
+    det_s = float(np.linalg.det(sigma))
     delta = det_a + det_b - 2.0 * det_c
     disc = delta * delta - 4.0 * det_s
     if disc < -PT_DISCRIMINANT_TOL:

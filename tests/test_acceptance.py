@@ -38,7 +38,7 @@ from cvdistill.scenarios import (
     evaluate_point,
     optimize_t,
     run_strategy,
-    sweep_eta,
+    sweep,
 )
 from oracles import quadrature_fock_elements
 
@@ -78,8 +78,8 @@ def test_criterion_01_tmsv_negativity_closed_form(capsys):
 def test_criterion_02_separation_thresholds():
     crossings = {}
     for s, target in ((0.029, 0.780), (0.114, 0.495)):
-        cfg = scenario("noop", s, 1.0, 0.1, n_trunc=3)
-        recs = sweep_eta(cfg)
+        recs = sweep([scenario("noop", s, float(eta), 0.1, n_trunc=3)
+                      for eta in np.linspace(0.01, 1.0, 101)])
         dead = [r.eta for r in recs if r.e_n_gauss == 0.0]
         live = [r.eta for r in recs if r.e_n_gauss > 0.0]
         crossing = (max(dead) + min(live)) / 2.0
@@ -108,9 +108,13 @@ def test_criterion_03_subtraction_order_equivalence():
 
 
 def test_criterion_04_truncation_lower_bound():
+    # the cutoff-n matrix is the leading (n+1)^4 block of the cutoff-8 one, so
+    # each point builds one certified n_trunc 8 matrix and reads the lower
+    # cutoffs off it; fock_matrix at n_trunc 5 (every point) and at all six
+    # cutoffs (one coherent point) must agree with those blocks
     etas = np.round(np.arange(0.1, 1.01, 0.1), 10)
     truncs = (3, 4, 5, 6, 7, 8)
-    worst_step = worst_drift = 0.0
+    worst_step = worst_drift = worst_block = 0.0
     for strategy in Strategy:
         for eta in etas:
             cfg = scenario(strategy.value, eta=float(eta), **FIG2B)
@@ -119,15 +123,23 @@ def test_criterion_04_truncation_lower_bound():
             else:
                 t = 1.0
             state, _ = run_strategy(cfg, t=t if strategy.has_operation else None)
-            e = [log_negativity(fock_matrix(state, n))
-                 for n in truncs]
+            rho8 = fock_matrix(state, 8).reshape((9,) * 4)
+            blocks = [rho8[:n + 1, :n + 1, :n + 1, :n + 1]
+                      .reshape((n + 1) ** 2, (n + 1) ** 2) for n in truncs]
+            full_check = (strategy, eta) == (Strategy.COHERENT_AFTER, 0.5)
+            for n, block in zip(truncs, blocks):
+                if full_check or n == 5:
+                    worst_block = max(worst_block, float(np.max(np.abs(
+                        fock_matrix(state, n) - block))))
+            e = [log_negativity(block) for block in blocks]
             worst_step = max(worst_step,
                              max(a - b for a, b in zip(e, e[1:])))
             worst_drift = max(worst_drift, abs(e[5] - e[2]))
-    ok = worst_step <= 1e-12 and worst_drift < 1e-3
+    ok = worst_step <= 1e-12 and worst_drift < 1e-3 and worst_block <= 1e-13
     report(4, ok, "E_N nondecreasing in n_trunc on a 10-point eta subsample "
                   f"of all five strategies (worst dip {worst_step:.2e}); "
-                  f"5->8 change at most {worst_drift:.2e} (tol 1e-3)")
+                  f"5->8 change at most {worst_drift:.2e} (tol 1e-3); "
+                  f"cutoff blocks off by {worst_block:.2e} (tol 1e-13)")
     assert ok
 
 
@@ -203,8 +215,8 @@ def test_criterion_08_fidelity_anchors_and_no_crossover():
 
 
 def test_criterion_09_probability_flatness_and_occupation():
-    recs = sweep_eta(scenario("subtract_before", 0.114, 1.0, 0.1, n_trunc=3),
-                     eta_grid=np.linspace(0.1, 1.0, 11))
+    recs = sweep([scenario("subtract_before", 0.114, float(eta), 0.1, n_trunc=3)
+                  for eta in np.linspace(0.1, 1.0, 11)])
     spread = max(r.p_success for r in recs) - min(r.p_success for r in recs)
     n_opt = thermal_occupation(1064e-9, 300.0)
     rel = abs(n_opt - 2.61e-20) / 2.61e-20

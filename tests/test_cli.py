@@ -1,6 +1,8 @@
 """Command line behavior: output formats, config validation, exit codes."""
 
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +16,13 @@ from cvdistill.cli import (
     parse_temperature,
     parse_wavelength,
 )
+from cvdistill.scenarios import Strategy
 
 import oracles
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+STRATEGIES = ("noop", "subtract_before", "subtract_after", "coherent_before",
+              "coherent_after")
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -228,13 +235,15 @@ def test_sweep_missing_config_file(tmp_path, capsys):
     ("s = 0.1\ns = 0.2\n", "duplicate key"),
     ("strategies = noop, warp\n", "unknown strategy"),
     ("strategies =\n", "unknown strategy"),
-    ("eta_min = 0.0\n", "eta_min"),
+    ("eta_min = 0.0\n", "eta must lie in (0, 1]"),
+    ("eta_max = 1.5\n", "eta must lie in (0, 1]"),
     ("eta_points = 1\n", "single-point"),
+    ("n_trunc = -1\n", "n_trunc must be nonnegative"),
     ("objective = purity\n", "unknown objective"),
     ("t = 1.5\n", "t must lie"),
-    ("s = -1\n", "must be positive"),
-    ("s = nan\n", "s must be positive and finite"),
-    ("s = inf\n", "s must be positive and finite"),
+    ("s = -1\n", "s must be nonnegative and finite"),
+    ("s = nan\n", "s must be nonnegative and finite"),
+    ("s = inf\n", "s must be nonnegative and finite"),
     ("n_th = nan\n", "n_th must be nonnegative and finite"),
     ("n_th = inf\n", "n_th must be nonnegative and finite"),
 ])
@@ -270,14 +279,59 @@ def test_sweep_unwritable_output(tmp_path, capsys):
 
 
 def test_parse_run_config_defaults(tmp_path):
-    cfg = parse_run_config(write_config(
-        tmp_path, "strategies = noop\ns = 0.1\nn_th = 0.0\noutput = o.csv\n"))
-    assert cfg.eta_min == 0.01
-    assert cfg.eta_max == 1.0
-    assert cfg.eta_points == 101
-    assert cfg.n_trunc == 5
-    assert cfg.objective == "negativity"
-    assert cfg.t is None
+    configs, output = parse_run_config(write_config(
+        tmp_path, "strategies = noop, coherent_after\ns = 0.1\nn_th = 0.0\n"
+                  "output = o.csv\n"))
+    assert output == "o.csv"
+    assert len(configs) == 202
+    for strategy, rows in ((Strategy.NOOP, configs[:101]),
+                           (Strategy.COHERENT_AFTER, configs[101:])):
+        etas = [cfg.channel.eta for cfg in rows]
+        assert all(type(eta) is float for eta in etas)
+        assert etas == list(np.linspace(0.01, 1.0, 101))
+        assert etas[0] == 0.01 and etas[-1] == 1.0
+        for cfg in rows:
+            assert cfg.strategy is strategy
+            assert (cfg.s, cfg.channel.n_th) == (0.1, 0.0)
+            assert cfg.n_trunc == 5
+            assert cfg.objective == "negativity"
+            assert cfg.t_override is None
+
+
+def test_sweep_accepts_zero_squeezing(tmp_path, capsys):
+    # a sweep takes the same inputs as point: s = 0 is the vacuum, from which
+    # no photon can be subtracted, so those rows are flagged, not refused
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, (
+        f"strategies = {', '.join(STRATEGIES)}\n"
+        "s = 0\n"
+        "n_th = 0.1\n"
+        "eta_min = 0.2\n"
+        "eta_max = 1.0\n"
+        "eta_points = 3\n"
+        "n_trunc = 3\n"
+        f"output = {out}\n"))
+    assert main(["sweep", cfg]) == 0
+    assert f"wrote 15 rows to {out}" in capsys.readouterr().out
+    rows = [r.split(",") for r in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [r[0] for r in rows] == [name for name in STRATEGIES for _ in range(3)]
+    assert all(float(r[1]) == 0.0 for r in rows)
+    assert [r[9] for r in rows if r[0] == "subtract_before"] == ["zero_state"] * 3
+
+
+def test_readme_sweep_config_parses_to_documented_rows(tmp_path):
+    # the sweep config block in README.md is the documented default run
+    with open(README, encoding="utf-8") as fh:
+        block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+    configs, output = parse_run_config(write_config(tmp_path, block))
+    grid = [float(eta) for eta in np.linspace(0.01, 1.0, 101)]
+    assert output == "fig_sweep.csv"
+    assert len(configs) == 505
+    assert [(cfg.strategy.value, cfg.channel.eta) for cfg in configs] == [
+        (strategy, eta) for strategy in STRATEGIES for eta in grid]
+    assert {(cfg.s, cfg.channel.n_th, cfg.n_trunc, cfg.objective,
+             cfg.t_override) for cfg in configs} == {
+        (0.029, 0.1, 5, "negativity", None)}
 
 
 PINNED_SWEEP = """\

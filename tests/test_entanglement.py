@@ -12,13 +12,13 @@ from cvdistill.chi_core import (
     ZeroStateError,
     apply_coherent_op,
     apply_thermal_channel,
+    evaluate_chi,
     normalize,
     tmsv_chi,
 )
 from cvdistill.fock_recon import fock_matrix
 from cvdistill.scenarios import ScenarioConfig, Strategy, run_strategy
 from cvdistill.entanglement import (
-    CovarianceMatrix,
     InvalidCovarianceError,
     covariance_from_chi,
     gaussian_log_negativity,
@@ -140,7 +140,8 @@ def test_log_negativity_solvers_agree(strategy, n_trunc):
 
 def test_covariance_of_vacuum():
     cov = covariance_from_chi(tmsv_chi(0.0))
-    np.testing.assert_allclose(cov.mat, np.eye(4) / 2, atol=1e-14)
+    assert cov.shape == (4, 4) and not cov.flags.writeable
+    np.testing.assert_allclose(cov, np.eye(4) / 2, atol=1e-14)
 
 
 def test_covariance_of_tmsv():
@@ -148,9 +149,9 @@ def test_covariance_of_tmsv():
     cov = covariance_from_chi(tmsv_chi(s))
     a = math.cosh(2 * s) / 2
     c = math.sinh(2 * s) / 2
-    np.testing.assert_allclose(cov.block_a, a * np.eye(2), atol=1e-13)
-    np.testing.assert_allclose(cov.block_b, a * np.eye(2), atol=1e-13)
-    np.testing.assert_allclose(cov.block_c, np.diag([c, -c]), atol=1e-13)
+    np.testing.assert_allclose(cov[:2, :2], a * np.eye(2), atol=1e-13)
+    np.testing.assert_allclose(cov[2:, 2:], a * np.eye(2), atol=1e-13)
+    np.testing.assert_allclose(cov[:2, 2:], np.diag([c, -c]), atol=1e-13)
 
 
 def test_covariance_after_channel():
@@ -159,8 +160,8 @@ def test_covariance_after_channel():
     cov = covariance_from_chi(st)
     a = (eta * math.cosh(2 * s) + (1 - eta) * (2 * n_th + 1)) / 2
     c = eta * math.sinh(2 * s) / 2
-    np.testing.assert_allclose(cov.block_a, a * np.eye(2), atol=1e-13)
-    np.testing.assert_allclose(cov.block_c, np.diag([c, -c]), atol=1e-13)
+    np.testing.assert_allclose(cov[:2, :2], a * np.eye(2), atol=1e-13)
+    np.testing.assert_allclose(cov[:2, 2:], np.diag([c, -c]), atol=1e-13)
 
 
 def test_covariance_requires_normalized_state():
@@ -172,7 +173,13 @@ def test_covariance_requires_normalized_state():
 
 def test_symplectic_eigenvalues_of_tmsv():
     cov = covariance_from_chi(tmsv_chi(0.3))
-    lo, hi = cov.symplectic_eigenvalues()
+    # (nu_minus, nu_plus) from the invariants Delta = det A + det B + 2 det C
+    # and det sigma
+    delta = (np.linalg.det(cov[:2, :2]) + np.linalg.det(cov[2:, 2:])
+             + 2.0 * np.linalg.det(cov[:2, 2:]))
+    disc = max(delta * delta - 4.0 * np.linalg.det(cov), 0.0)
+    lo, hi = (math.sqrt(max((delta + sign * math.sqrt(disc)) / 2.0, 0.0))
+              for sign in (-1.0, 1.0))
     # pure state: both symplectic eigenvalues sit at the vacuum floor
     np.testing.assert_allclose([lo, hi], [0.5, 0.5], atol=1e-12)
 
@@ -201,9 +208,9 @@ def test_gaussian_log_negativity_rejects_unphysical_input():
                     [-0.032, 0.019, -0.623, -0.602],
                     [-1.110, 0.364, -0.602, -0.732]])
     with pytest.raises(InvalidCovarianceError):
-        gaussian_log_negativity(CovarianceMatrix(mat))
+        gaussian_log_negativity(mat)
     with pytest.raises(InvalidCovarianceError):
-        gaussian_log_negativity(CovarianceMatrix(np.zeros((4, 4))))
+        gaussian_log_negativity(np.zeros((4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +235,8 @@ def test_fidelity_against_numeric_quadrature():
     st = apply_thermal_channel(st, 1, ch)
     st = apply_thermal_channel(st, 2, ch)
     st, _ = normalize(st)
-    want = oracles.numeric_fidelity(st.evaluate)
+    want = oracles.numeric_fidelity(
+        lambda xi1, xi2: evaluate_chi(st, xi1, xi2))
     np.testing.assert_allclose(teleportation_fidelity(st), want.real,
                                atol=1e-9)
     assert abs(want.imag) < 1e-9

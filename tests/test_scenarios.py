@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cvdistill import scenarios
 from cvdistill.chi_core import (
     ChannelParams,
     CoherentOp,
@@ -18,6 +19,7 @@ from cvdistill.entanglement import (
     log_negativity,
     teleportation_fidelity,
 )
+from cvdistill.cli import parse_run_config
 from cvdistill.fock_recon import fock_matrix
 from cvdistill.scenarios import (
     OptimizeResult,
@@ -26,11 +28,10 @@ from cvdistill.scenarios import (
     SweepRecord,
     _PointEvaluator,
     _raw_terms,
-    default_eta_grid,
     evaluate_point,
     optimize_t,
     run_strategy,
-    sweep_eta,
+    sweep,
 )
 
 import oracles
@@ -253,8 +254,12 @@ def test_evaluate_point_respects_override():
     assert rec.t_opt == 0.95
 
 
-def test_default_eta_grid():
-    grid = default_eta_grid()
+def test_default_eta_grid(tmp_path):
+    # a sweep config without eta keys runs the 101-point grid 0.01..1.0
+    path = tmp_path / "run.cfg"
+    path.write_text("strategies = noop\ns = 0.1\nn_th = 0.0\noutput = o.csv\n",
+                    encoding="utf-8")
+    grid = [cfg.channel.eta for cfg in parse_run_config(str(path))[0]]
     assert len(grid) == 101
     assert grid[0] == pytest.approx(0.01)
     assert grid[-1] == pytest.approx(1.0)
@@ -262,8 +267,8 @@ def test_default_eta_grid():
 
 def test_sweep_eta_orders_records():
     grid = [0.3, 0.6, 0.9]
-    cfg = cfg_for("subtract_before", s=0.114, n_th=0.1)
-    recs = sweep_eta(cfg, eta_grid=grid)
+    recs = sweep([cfg_for("subtract_before", s=0.114, eta=eta, n_th=0.1)
+                  for eta in grid])
     assert [r.eta for r in recs] == grid
     assert all(r.strategy is Strategy.SUBTRACT_BEFORE for r in recs)
     assert all(r.s == 0.114 and r.n_th == 0.1 for r in recs)
@@ -273,9 +278,24 @@ def test_sweep_eta_orders_records():
 
 
 def test_sweep_eta_pins_override_everywhere():
-    cfg = cfg_for("coherent_after", s=0.114, n_th=0.05, t_override=0.9)
-    recs = sweep_eta(cfg, eta_grid=[0.5, 1.0])
+    recs = sweep([cfg_for("coherent_after", s=0.114, eta=eta, n_th=0.05,
+                          t_override=0.9) for eta in (0.5, 1.0)])
     assert [r.t_opt for r in recs] == [0.9, 0.9]
+
+
+def test_sweep_rows_go_through_the_module_evaluate_point(monkeypatch):
+    # wrappers installed as scenarios.evaluate_point see every sweep row
+    seen = []
+    original = scenarios.evaluate_point
+
+    def counted(cfg):
+        seen.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(scenarios, "evaluate_point", counted)
+    cfgs = [cfg_for("noop", eta=eta) for eta in (0.5, 1.0)]
+    assert [r.eta for r in sweep(cfgs)] == [0.5, 1.0]
+    assert seen == cfgs
 
 
 def test_sweep_record_and_result_shapes():
