@@ -39,7 +39,6 @@ from .scenarios import (
     SweepRecord,
     evaluate_point,
     optimize_t,
-    run_strategy,
     sweep,
 )
 

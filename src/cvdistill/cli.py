@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -113,23 +114,20 @@ def parse_run_config(path):
 
 
 def _fmt(x):
-    """12 significant digits; enough that equal physics gives equal bytes."""
-    return f"{x:.11e}"
+    """Numbers to 12 significant digits, enough that equal physics gives
+    equal bytes; text as is."""
+    return x if isinstance(x, str) else f"{x:.11e}"
+
+
+def _columns(rec):
+    """A record's output values, keyed by the CSV_HEADER names in order."""
+    return dict(zip(CSV_HEADER.split(","), [
+        rec.strategy.value, rec.s, rec.n_th, rec.eta, rec.t_opt, rec.e_n_fock,
+        rec.e_n_gauss, rec.fidelity, rec.p_success, rec.flags]))
 
 
 def _record_row(rec):
-    return ",".join([
-        rec.strategy.value,
-        _fmt(rec.s),
-        _fmt(rec.n_th),
-        _fmt(rec.eta),
-        _fmt(rec.t_opt),
-        _fmt(rec.e_n_fock),
-        _fmt(rec.e_n_gauss),
-        _fmt(rec.fidelity),
-        _fmt(rec.p_success),
-        rec.flags,
-    ])
+    return ",".join(_fmt(value) for value in _columns(rec).values())
 
 
 def write_sweep_csv(path, records):
@@ -179,27 +177,12 @@ def cmd_point(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    rec = evaluate_point(scen)
-    payload = {
-        "strategy": rec.strategy.value,
-        "s": rec.s,
-        "n_th": rec.n_th,
-        "eta": rec.eta,
-        "t_opt": rec.t_opt,
-        "E_N": rec.e_n_fock,
-        "E_N_gauss": rec.e_n_gauss,
-        "fidelity": rec.fidelity,
-        "p_success": rec.p_success,
-        "flags": rec.flags,
-    }
+    payload = _columns(evaluate_point(scen))
     if args.json:
         print(json.dumps(payload))
     else:
         for key, value in payload.items():
-            if isinstance(value, float):
-                print(f"{key} = {_fmt(value)}")
-            else:
-                print(f"{key} = {value}")
+            print(f"{key} = {_fmt(value)}")
     return 0
 
 
@@ -220,8 +203,8 @@ def parse_wavelength(text):
         raise ConfigError(f"unknown wavelength unit {unit!r}")
     scale = _WAVELENGTH_UNITS[unit] if unit else 1.0
     result = value * scale
-    if result <= 0:
-        raise ConfigError("wavelength must be positive")
+    if not 0 < result < math.inf:
+        raise ConfigError("wavelength must be positive and finite")
     return result
 
 
@@ -234,8 +217,8 @@ def parse_temperature(text):
         value = float(t)
     except ValueError as exc:
         raise ConfigError(f"cannot parse temperature {text!r}") from exc
-    if value < 0:
-        raise ConfigError("temperature must be nonnegative")
+    if not 0 <= value < math.inf:
+        raise ConfigError("temperature must be nonnegative and finite")
     return value
 
 

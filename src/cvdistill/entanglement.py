@@ -107,34 +107,45 @@ def gaussian_log_negativity(sigma):
     return max(0.0, -math.log2(2.0 * math.sqrt(inner)))
 
 
-def fidelity_integral(state):
-    """(1/pi) Int d^2xi chi(xi*, xi) exp(-|xi|^2) of any state, normalized or
-    not.
+def fidelity_integrals(kernel, polys):
+    """(1/pi) Int d^2xi chi(xi*, xi) exp(-|xi|^2) of the state
+    P(v) exp(-v^T K v / 2) for each polynomial P of polys over one kernel K,
+    normalized or not, as a complex array.
 
     The two-mode characteristic function on the diagonal against a Gaussian
     weight is again a polynomial-times-Gaussian moment problem, now in one
-    complex variable.  The integral is linear in chi, so the value of a
-    weighted sum of states is the weighted sum of their values.
+    complex variable.  One moment table covers the union of the reduced
+    supports; each value is its own sum over its own polynomial, so it is the
+    same, bit for bit, as a one-polynomial call.  The integral is linear in
+    chi, so the value of a weighted sum of states is the weighted sum of
+    their values.
     """
-    reduced = {}
-    for (a0, a1, a2, a3), coeff in state.poly.items():
-        key = (a1 + a2, a0 + a3)
-        reduced[key] = reduced.get(key, 0j) + coeff
+    reduced = []
+    for poly in polys:
+        red = {}
+        for (a0, a1, a2, a3), coeff in poly.items():
+            key = (a1 + a2, a0 + a3)
+            red[key] = red.get(key, 0j) + coeff
+        reduced.append(red)
     # substitution (xi1, xi1*, xi2, xi2*) = (xi*, xi, xi, xi*)
     r = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    kq = r.T @ state.kernel.quad @ r
+    kq = r.T @ kernel.quad @ r
     kq[0, 1] += 1.0
     kq[1, 0] += 1.0
-    return complex(MomentEngine(GaussianKernel(kq)).integrate(reduced))
+    engine = MomentEngine(GaussianKernel(kq))
+    table = engine.moment_table(
+        np.max([(0, 0), *(a for red in reduced for a in red)], axis=0) + 1)
+    return np.array([sum(c * table[a] for a, c in red.items())
+                     for red in reduced], dtype=complex)
 
 
 def teleportation_fidelity(state):
     """Average fidelity of coherent-state teleportation with the state as the
-    shared resource: the fidelity_integral of a normalized state, which must
+    shared resource: the fidelity integral of a normalized state, which must
     come out real.
     """
     check_normalized(state)
-    val = fidelity_integral(state)
+    val = fidelity_integrals(state.kernel, [state.poly])[0]
     if abs(val.imag) > 1e-9:
         raise ValueError(f"fidelity came out non-real: {val}")
     return float(val.real)
@@ -168,9 +179,12 @@ def separation_time(s, n_th, gamma=1.0):
 
 
 def thermal_occupation(wavelength, temperature):
-    """Planck occupation 1/(e^(hc/(lambda kB T)) - 1) of an optical mode.
+    """Planck occupation 1/(e^x - 1), x = hc/(lambda kB T), of an optical
+    mode, computed as e^(-x)/(1 - e^(-x)) so that a large x gives 0 rather
+    than an overflow.
 
     wavelength in meters, temperature in kelvin; T = 0 returns 0 exactly.
+    An occupation beyond the float range raises FloatingPointError.
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
@@ -179,4 +193,7 @@ def thermal_occupation(wavelength, temperature):
     if temperature == 0:
         return 0.0
     x = _PLANCK * _SPEED_OF_LIGHT / (wavelength * _BOLTZMANN * temperature)
-    return 1.0 / math.expm1(x)
+    n = math.exp(-x) / -math.expm1(-x) if x > 0 else math.inf
+    if n == math.inf:
+        raise FloatingPointError("thermal occupation overflows the float range")
+    return n

@@ -22,7 +22,6 @@ from .chi_core import (
     ZERO_TRACE_TOL,
     ChannelParams,
     CoherentOp,
-    ZeroStateError,
     apply_thermal_channel,
     coherent_op_terms,
     combine_terms,
@@ -32,10 +31,9 @@ from .chi_core import (
 )
 from .entanglement import (
     covariance_from_chi,
-    fidelity_integral,
+    fidelity_integrals,
     gaussian_log_negativity,
     log_negativity,
-    teleportation_fidelity,
 )
 from .fock_recon import certify, fock_matrices
 
@@ -127,38 +125,15 @@ def _raw_terms(cfg):
     return terms
 
 
-def run_strategy(cfg, t=None):
-    """Normalized output state and success probability of one pipeline.
-
-    t defaults to 1 for the subtraction strategies and to cfg.t_override for
-    the coherent ones; the unconditional baseline ignores it.  Raises
-    ZeroStateError when the preparation never succeeds (e.g. subtraction from
-    vacuum).
-    """
-    op = CoherentOp.from_t(_resolve_t(cfg, t))
-    return normalize(combine_terms(_raw_terms(cfg), op.t, op.r))
-
-
-def _resolve_t(cfg, t):
-    if not cfg.strategy.has_operation:
-        return 1.0
-    if t is None:
-        if cfg.strategy.optimizes_t:
-            if cfg.t_override is None:
-                raise ValueError("coherent strategies need a weight t")
-            return cfg.t_override
-        return 1.0
-    return t
-
-
 class _PointEvaluator:
     """Shared context for repeated evaluations at one channel setting.
 
     The pipeline runs once, as (t, r)-basis terms over one kernel; every
     per-weight trace, Fock matrix and fidelity integral is a weighted sum of
     per-term ones.  The per-term matrices and fidelities are built on first
-    use, so only the configured objective pays for its own, and a row's
-    Fock matrix is the one its objective scores.
+    use, so only the configured objective pays for its own.  A row reads its
+    E_N, fidelity and success probability from here, so it prints what the
+    objective scores.
     """
 
     def __init__(self, cfg):
@@ -173,8 +148,10 @@ class _PointEvaluator:
 
     @cached_property
     def fidelities(self):
-        return _real_parts([fidelity_integral(term) for term in self.terms],
-                           "fidelity")
+        return _real_parts(
+            fidelity_integrals(self.terms[0].kernel,
+                               [term.poly for term in self.terms]),
+            "fidelity")
 
     def _weights(self, t):
         op = CoherentOp.from_t(t)
@@ -192,14 +169,17 @@ class _PointEvaluator:
         w = self._weights(t)
         return np.tensordot(w / (w @ self.traces), self.matrices, axes=1)
 
+    def fidelity(self, t):
+        """Teleportation fidelity of the normalized state at weight t."""
+        w = self._weights(t)
+        return float(w @ self.fidelities / (w @ self.traces))
+
     def objective(self, t):
         """Objective value at weight t, or None when the state vanishes."""
-        w = self._weights(t)
-        tr = w @ self.traces
-        if tr < ZERO_TRACE_TOL:
+        if self.probability(t) < ZERO_TRACE_TOL:
             return None
         if self.cfg.objective == "fidelity":
-            return w @ self.fidelities / tr
+            return self.fidelity(t)
         return log_negativity(self.rho(t))
 
 
@@ -238,7 +218,7 @@ def _golden_max(f, lo, hi, tol):
     return best_t, best_v
 
 
-def optimize_t(cfg, evaluator=None):
+def optimize_t(ev):
     """Best coherent weight t in [0, 1] for the configured objective.
 
     Coarse scan at step 0.01, then golden-section refinement to 1e-4 around
@@ -247,7 +227,6 @@ def optimize_t(cfg, evaluator=None):
     objective vanishes everywhere the returned weight maximizes the success
     probability instead and the result is flagged "zero_objective".
     """
-    ev = evaluator if evaluator is not None else _PointEvaluator(cfg)
     grid = np.round(np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP), 10)
     values = [ev.objective(t) for t in grid]
     usable = [(t, v) for t, v in zip(grid, values) if v is not None]
@@ -273,27 +252,28 @@ def evaluate_point(cfg):
     """Full record for one strategy at one channel setting.
 
     Coherent strategies optimize t (unless pinned by t_override); subtraction
-    runs at t = 1; the baseline records t_opt = 1 by convention.  A
-    preparation that cannot succeed yields a zeroed row flagged
-    "zero_state" rather than an exception, so sweeps keep going.
+    runs at t = 1; the baseline records t_opt = 1 by convention.  E_N,
+    fidelity and p_success are the evaluator's values at that t.  A
+    preparation that cannot succeed (the objective's own vanishing-trace
+    rule) yields a zeroed row flagged "zero_state" rather than an exception,
+    so sweeps keep going.
     """
     ev = _PointEvaluator(cfg)
+    t = cfg.t_override if cfg.strategy.optimizes_t else 1.0
     flag = ""
-    if cfg.strategy.optimizes_t and cfg.t_override is None:
-        opt = optimize_t(cfg, evaluator=ev)
+    if t is None:
+        opt = optimize_t(ev)
         t, flag = opt.t_opt, opt.flag
-    else:
-        t = _resolve_t(cfg, None)
-    try:
-        state, p = ev.state(t)
-    except ZeroStateError:
+    p = ev.probability(t)
+    if p < ZERO_TRACE_TOL:
         return SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th,
                            cfg.channel.eta, t, 0.0, 0.0, 0.0, 0.0,
                            _join_flags(flag, "zero_state"))
+    state, _ = ev.state(t)
     return SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th, cfg.channel.eta,
                        t, log_negativity(certify(ev.rho(t))),
                        gaussian_log_negativity(covariance_from_chi(state)),
-                       teleportation_fidelity(state), p, flag)
+                       ev.fidelity(t), p, flag)
 
 
 def _join_flags(*flags):

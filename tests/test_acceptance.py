@@ -37,7 +37,6 @@ from cvdistill.scenarios import (
     _PointEvaluator,
     evaluate_point,
     optimize_t,
-    run_strategy,
     sweep,
 )
 from oracles import quadrature_fock_elements
@@ -96,8 +95,10 @@ def test_criterion_02_separation_thresholds():
 def test_criterion_03_subtraction_order_equivalence():
     worst = 0.0
     for s, eta in itertools.product((0.029, 0.403), (0.2, 0.5, 0.8)):
-        before, _ = run_strategy(scenario("subtract_before", s, eta, 0.0))
-        after, _ = run_strategy(scenario("subtract_after", s, eta, 0.0))
+        before, _ = _PointEvaluator(
+            scenario("subtract_before", s, eta, 0.0)).state(1.0)
+        after, _ = _PointEvaluator(
+            scenario("subtract_after", s, eta, 0.0)).state(1.0)
         diff = np.max(np.abs(fock_matrix(before, 5)
                              - fock_matrix(after, 5)))
         worst = max(worst, float(diff))
@@ -117,12 +118,10 @@ def test_criterion_04_truncation_lower_bound():
     worst_step = worst_drift = worst_block = 0.0
     for strategy in Strategy:
         for eta in etas:
-            cfg = scenario(strategy.value, eta=float(eta), **FIG2B)
-            if strategy.optimizes_t:
-                t = optimize_t(cfg).t_opt
-            else:
-                t = 1.0
-            state, _ = run_strategy(cfg, t=t if strategy.has_operation else None)
+            ev = _PointEvaluator(scenario(strategy.value, eta=float(eta),
+                                          **FIG2B))
+            t = optimize_t(ev).t_opt if strategy.optimizes_t else 1.0
+            state, _ = ev.state(t)
             rho8 = fock_matrix(state, 8).reshape((9,) * 4)
             blocks = [rho8[:n + 1, :n + 1, :n + 1, :n + 1]
                       .reshape((n + 1) ** 2, (n + 1) ** 2) for n in truncs]
@@ -145,7 +144,7 @@ def test_criterion_04_truncation_lower_bound():
 
 def test_criterion_05_quadrature_oracle_equivalence():
     cfg = scenario("coherent_after", 0.114, 0.5, 0.1)
-    state, _ = run_strategy(cfg, t=0.7)
+    state, _ = _PointEvaluator(cfg).state(0.7)
     indices = [idx for idx in itertools.product(range(9), repeat=4)
                if sum(idx) <= 8]
     grid_vals = quadrature_fock_elements(state, indices)

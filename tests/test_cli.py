@@ -1,6 +1,7 @@
 """Command line behavior: output formats, config validation, exit codes."""
 
 import json
+import math
 import os
 import re
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from cvdistill import scenarios
+from cvdistill.chi_core import ChannelParams
 from cvdistill.cli import (
     CSV_HEADER,
     ConfigError,
@@ -60,17 +62,43 @@ def test_env_rejects_negative_temperature(capsys):
     assert main(["env", "--wavelength", "1064nm", "--temperature=-5K"]) == 2
 
 
+def test_env_large_x_gives_zero_occupation(capsys):
+    # 1/(e^x - 1) overflows math.expm1 at x ~ 1.4e4; e^(-x)/(1 - e^(-x)) is 0
+    assert main(["env", "--wavelength", "1064nm", "--temperature", "1K"]) == 0
+    assert capsys.readouterr().out.strip() == "0.00000000000e+00"
+
+
+@pytest.mark.parametrize("wavelength,temperature,name", [
+    ("1e999", "300K", "wavelength"), ("1064nm", "inf", "temperature"),
+    ("1064nm", "nan", "temperature"), ("1064nm", "infK", "temperature")])
+def test_env_rejects_non_finite_inputs(capsys, wavelength, temperature, name):
+    code = main(["env", "--wavelength", wavelength,
+                 "--temperature", temperature])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must") \
+        and "finite" in captured.err
+
+
+def test_env_refuses_an_occupation_beyond_floats(capsys):
+    code = main(["env", "--wavelength", "1e300", "--temperature", "1e300"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: FloatingPointError")
+
+
 def test_wavelength_and_temperature_parsers():
     assert parse_wavelength("1064nm") == pytest.approx(1.064e-6)
     assert parse_wavelength("0.02mm") == pytest.approx(2e-5)
     assert parse_wavelength(" 2 m ") == 2.0
     assert parse_temperature("300K") == 300.0
     assert parse_temperature("0") == 0.0
-    for bad in ("nm", "-3um", "1.0pc"):
+    for bad in ("nm", "-3um", "1.0pc", "1e999", "1e306km"):
         with pytest.raises(ConfigError):
             parse_wavelength(bad)
-    with pytest.raises(ConfigError):
-        parse_temperature("cold")
+    for bad in ("cold", "inf", "-inf", "nan", "1e999K"):
+        with pytest.raises(ConfigError):
+            parse_temperature(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +120,31 @@ def test_point_json_noop_lossless(capsys):
     assert payload["fidelity"] == pytest.approx(
         oracles.tmsv_fidelity(0.403), rel=1e-12)
     assert payload["flags"] == ""
+
+
+def test_point_json_is_the_sweep_row(tmp_path, capsys):
+    # point and sweep print one set of columns: same names, same order, and
+    # for a pinned weight the same values
+    assert main(["point", "--strategy", "coherent_after", "--s", "0.114",
+                 "--eta", "0.7", "--n-th", "0.1", "--t", "0.8",
+                 "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    out = tmp_path / "row.csv"
+    cfg = write_config(tmp_path, "strategies = coherent_after\ns = 0.114\n"
+                       "n_th = 0.1\neta_min = 0.7\neta_max = 0.7\n"
+                       f"eta_points = 1\nt = 0.8\noutput = {out}\n")
+    assert main(["sweep", cfg]) == 0
+    header, row = out.read_text(encoding="utf-8").splitlines()
+    assert header == CSV_HEADER
+    assert list(payload) == CSV_HEADER.split(",")
+    assert [v if isinstance(v, str) else f"{v:.11e}"
+            for v in payload.values()] == row.split(",")
+    rec = scenarios.evaluate_point(scenarios.ScenarioConfig(
+        Strategy.COHERENT_AFTER, 0.114, ChannelParams(0.7, 0.1),
+        t_override=0.8))
+    assert payload["fidelity"] == rec.fidelity
+    assert payload["p_success"] == rec.p_success
+    assert payload["E_N"] == rec.e_n_fock
 
 
 def test_point_text_format_pins_weight(capsys):
@@ -332,6 +385,20 @@ def test_readme_sweep_config_parses_to_documented_rows(tmp_path):
     assert {(cfg.s, cfg.channel.n_th, cfg.n_trunc, cfg.objective,
              cfg.t_override) for cfg in configs} == {
         (0.029, 0.1, 5, "negativity", None)}
+
+
+def test_readme_python_api_example_runs(capsys):
+    # the README "Python API" block runs as printed against the public API
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"## Python API\n\n```python\n(.*?)```", text,
+                      re.S).group(1)
+    namespace = {"print": lambda *args, **kwargs: None}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out == ""
+    assert namespace["rho"].shape == (121, 121)
+    assert namespace["log_negativity"](namespace["rho"]) == pytest.approx(
+        2 * 0.403 * math.log2(math.e), abs=1e-3)
 
 
 PINNED_SWEEP = """\

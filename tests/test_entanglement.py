@@ -17,10 +17,11 @@ from cvdistill.chi_core import (
     tmsv_chi,
 )
 from cvdistill.fock_recon import fock_matrix
-from cvdistill.scenarios import ScenarioConfig, Strategy, run_strategy
+from cvdistill.scenarios import ScenarioConfig, Strategy, _PointEvaluator
 from cvdistill.entanglement import (
     InvalidCovarianceError,
     covariance_from_chi,
+    fidelity_integrals,
     gaussian_log_negativity,
     log_negativity,
     partial_transpose,
@@ -127,8 +128,9 @@ def test_log_negativity_solvers_agree(strategy, n_trunc):
     # matrices a sweep row measures
     cfg = ScenarioConfig(Strategy(strategy), 0.3, ChannelParams(0.7, 0.2),
                          n_trunc=n_trunc)
+    ev = _PointEvaluator(cfg)
     for t in (0.2, 0.6, 0.95):
-        st, _ = run_strategy(cfg, t)
+        st, _ = ev.state(t)
         rho = fock_matrix(st, n_trunc)
         w = jacobi_eigvalsh(partial_transpose(rho))
         want = max(0.0, math.log2(float(np.sum(np.abs(w)))))
@@ -242,6 +244,24 @@ def test_fidelity_against_numeric_quadrature():
     assert abs(want.imag) < 1e-9
 
 
+@pytest.mark.parametrize("strategy", ["coherent_before", "coherent_after"])
+def test_fidelity_integrals_match_one_polynomial_calls(strategy):
+    # one moment table over the union of the supports, one sum per polynomial
+    terms = _PointEvaluator(ScenarioConfig(Strategy(strategy), 0.114,
+                                           ChannelParams(0.7, 0.1))).terms
+    kernel, polys = terms[0].kernel, [term.poly for term in terms]
+    batch = fidelity_integrals(kernel, polys)
+    assert batch.shape == (5,) and batch.dtype == complex
+    for k, poly in enumerate(polys):
+        single = fidelity_integrals(kernel, [poly])[0]
+        assert batch[k].tobytes() == single.tobytes()
+
+
+def test_fidelity_integrals_of_empty_polynomials_vanish():
+    assert list(fidelity_integrals(tmsv_chi(0.3).kernel, [{}, {}])) == [0, 0]
+    assert fidelity_integrals(tmsv_chi(0.3).kernel, []).shape == (0,)
+
+
 def test_fidelity_requires_normalized_state():
     raw = apply_coherent_op(tmsv_chi(0.4), 1, CoherentOp(1.0, 0.0))
     with pytest.raises(ValueError):
@@ -311,6 +331,16 @@ def test_thermal_occupation_values():
     np.testing.assert_allclose(thermal_occupation(20e-6, 300.0),
                                9.999271942124188e-02, rtol=1e-9)
     assert thermal_occupation(1064e-9, 0.0) == 0.0
+    # e^(-x)/(1 - e^(-x)) underflows to 0 where 1/(e^x - 1) would overflow
+    assert thermal_occupation(1064e-9, 1.0) == 0.0
+    for wavelength, temperature in ((1064e-9, 300.0), (20e-6, 300.0),
+                                    (1064e-9, 20.0), (1.55e-6, 77.0)):
+        x = (6.62607015e-34 * 299792458.0
+             / (wavelength * 1.380649e-23 * temperature))
+        np.testing.assert_allclose(thermal_occupation(wavelength, temperature),
+                                   1.0 / math.expm1(x), rtol=1e-12)
+    with pytest.raises(FloatingPointError):
+        thermal_occupation(1e300, 1e300)
     with pytest.raises(ValueError):
         thermal_occupation(0.0, 300.0)
     with pytest.raises(ValueError):

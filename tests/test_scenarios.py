@@ -30,7 +30,6 @@ from cvdistill.scenarios import (
     _raw_terms,
     evaluate_point,
     optimize_t,
-    run_strategy,
     sweep,
 )
 
@@ -70,7 +69,8 @@ def test_config_validation():
 # pipelines
 
 def test_noop_through_perfect_channel_is_input():
-    state, p = run_strategy(cfg_for("noop", s=0.403, eta=1.0, n_th=0.0))
+    state, p = _PointEvaluator(cfg_for("noop", s=0.403, eta=1.0,
+                                       n_th=0.0)).state(1.0)
     ref = tmsv_chi(0.403)
     assert p == pytest.approx(1.0, abs=1e-14)
     assert state.poly == {(0, 0, 0, 0): pytest.approx(1.0)}
@@ -78,29 +78,28 @@ def test_noop_through_perfect_channel_is_input():
 
 
 def test_subtraction_needs_no_weight():
-    state, p = run_strategy(cfg_for("subtract_before", s=0.403, eta=1.0,
-                                    n_th=0.0))
+    state, p = _PointEvaluator(cfg_for("subtract_before", s=0.403, eta=1.0,
+                                       n_th=0.0)).state(1.0)
     assert 0 < p < 1
     assert state.trace == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherent_strategy_requires_weight():
-    cfg = cfg_for("coherent_before")
+    ev = _PointEvaluator(cfg_for("coherent_before"))
     with pytest.raises(ValueError):
-        run_strategy(cfg)
-    with pytest.raises(ValueError):
-        run_strategy(cfg, t=1.2)
-    state, _ = run_strategy(cfg, t=0.9)
+        ev.state(1.2)
+    state, _ = ev.state(0.9)
     assert state.trace == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weight_override_feeds_pipeline():
     cfg = cfg_for("coherent_after", t_override=0.8)
-    a, _ = run_strategy(cfg)
-    b, _ = run_strategy(cfg, t=0.8)
-    assert a.poly.keys() == b.poly.keys()
-    for key, val in a.poly.items():
-        assert val == pytest.approx(b.poly[key], rel=1e-13)
+    rec = evaluate_point(cfg)
+    ev = _PointEvaluator(cfg)
+    assert rec.t_opt == 0.8
+    assert rec.e_n_fock == log_negativity(ev.rho(0.8))
+    assert rec.fidelity == ev.fidelity(0.8)
+    assert rec.p_success == ev.probability(0.8)
 
 
 @pytest.mark.parametrize("strategy", [s.value for s in Strategy])
@@ -121,7 +120,8 @@ def test_term_basis_matches_sequential_pipeline(strategy):
 
 def test_subtraction_from_vacuum_raises():
     with pytest.raises(ZeroStateError):
-        run_strategy(cfg_for("subtract_before", s=0.0, eta=1.0, n_th=0.0))
+        _PointEvaluator(cfg_for("subtract_before", s=0.0, eta=1.0,
+                                n_th=0.0)).state(1.0)
 
 
 def test_before_strategy_probability_ignores_channel():
@@ -145,7 +145,7 @@ def test_after_strategy_probability_tracks_channel():
 def test_optimize_t_beats_fine_grid():
     cfg = cfg_for("coherent_before", s=0.029, eta=0.9, n_th=0.1)
     ev = _PointEvaluator(cfg)
-    opt = optimize_t(cfg, evaluator=ev)
+    opt = optimize_t(ev)
     assert opt.flag == ""
     lo = max(0.0, opt.t_opt - 0.01)
     hi = min(1.0, opt.t_opt + 0.01)
@@ -157,8 +157,8 @@ def test_optimize_t_beats_fine_grid():
 def test_optimize_t_is_deterministic():
     cfg = cfg_for("coherent_after", s=0.114, eta=0.85, n_th=0.1)
     ev = _PointEvaluator(cfg)
-    a = optimize_t(cfg, evaluator=ev)
-    b = optimize_t(cfg, evaluator=ev)
+    a = optimize_t(ev)
+    b = optimize_t(ev)
     assert (a.t_opt, a.value, a.flag) == (b.t_opt, b.value, b.flag)
 
 
@@ -167,7 +167,7 @@ def test_optimize_t_zero_objective_falls_back_to_probability():
     # state, so the optimizer reports the most probable preparation instead
     cfg = cfg_for("coherent_after", s=0.029, eta=0.3, n_th=0.1)
     ev = _PointEvaluator(cfg)
-    opt = optimize_t(cfg, evaluator=ev)
+    opt = optimize_t(ev)
     assert opt.flag == "zero_objective"
     assert opt.value == 0.0
     probs = [ev.probability(t) for t in np.linspace(0.0, 1.0, 11)]
@@ -179,7 +179,7 @@ def test_optimize_t_fidelity_objective():
         cfg = cfg_for(strategy, s=0.114, eta=0.6, n_th=0.01,
                       objective="fidelity")
         ev = _PointEvaluator(cfg)
-        opt = optimize_t(cfg, evaluator=ev)
+        opt = optimize_t(ev)
         state, _ = ev.state(opt.t_opt)
         assert teleportation_fidelity(state) == pytest.approx(opt.value,
                                                               abs=1e-12)
@@ -202,18 +202,32 @@ def test_row_negativity_is_the_objective_at_t_opt():
             assert rec.e_n_fock == _PointEvaluator(cfg).objective(rec.t_opt)
 
 
+def test_row_fidelity_and_probability_are_the_evaluator_at_t_opt():
+    # fidelity and p_success come from the same per-term sums and trace the
+    # fidelity objective scores, so a row prints the optimizer's values
+    for strategy in ("coherent_before", "coherent_after"):
+        for eta in np.round(np.arange(0.1, 1.01, 0.1), 10):
+            cfg = cfg_for(strategy, s=0.114, eta=float(eta), n_th=0.1,
+                          objective="fidelity")
+            rec = evaluate_point(cfg)
+            ev = _PointEvaluator(cfg)
+            assert rec.flags == ""
+            assert rec.fidelity == ev.objective(rec.t_opt)
+            assert rec.p_success == ev.probability(rec.t_opt)
+
+
 def test_optimal_weight_drifts_down_with_transmissivity():
     # more transmissive channels favor more addition in the superposition
     ts = []
     for eta in (0.4, 0.7, 1.0):
         cfg = cfg_for("coherent_after", s=0.029, eta=eta, n_th=1e-5)
-        ts.append(optimize_t(cfg).t_opt)
+        ts.append(optimize_t(_PointEvaluator(cfg)).t_opt)
     assert ts[0] > ts[1] > ts[2]
 
 
 def test_coherent_beats_plain_subtraction_without_loss():
     cfg_c = cfg_for("coherent_before", s=0.029, eta=1.0, n_th=0.0)
-    opt = optimize_t(cfg_c)
+    opt = optimize_t(_PointEvaluator(cfg_c))
     ev_s = _PointEvaluator(cfg_for("subtract_before", s=0.029, eta=1.0,
                                    n_th=0.0))
     assert opt.value > ev_s.objective(1.0) + 0.1
@@ -225,7 +239,7 @@ def test_coherent_beats_plain_subtraction_without_loss():
 def test_evaluate_point_noop_matches_direct_measures():
     cfg = cfg_for("noop", s=0.403, eta=0.8, n_th=0.1)
     rec = evaluate_point(cfg)
-    state, p = run_strategy(cfg)
+    state, p = _PointEvaluator(cfg).state(1.0)
     assert rec.strategy is Strategy.NOOP
     assert (rec.s, rec.n_th, rec.eta, rec.t_opt) == (0.403, 0.1, 0.8, 1.0)
     assert rec.e_n_fock == log_negativity(fock_matrix(state, cfg.n_trunc))
