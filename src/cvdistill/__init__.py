@@ -4,14 +4,14 @@ addition/subtraction under thermal loss."""
 from .chi_core import (
     ChannelParams,
     CoherentOp,
-    GaussianKernel,
-    MomentEngine,
     PolyGaussianChi,
     SingularKernelError,
     ZeroStateError,
     apply_coherent_op,
     apply_thermal_channel,
     evaluate_chi,
+    gaussian_kernel,
+    moment_table,
     normalize,
     tmsv_chi,
 )

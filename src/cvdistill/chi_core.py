@@ -97,14 +97,6 @@ def _complexification(n_modes):
     return t
 
 
-def _pair_swap(n_modes):
-    p = np.zeros((2 * n_modes, 2 * n_modes))
-    for m in range(n_modes):
-        p[2 * m, 2 * m + 1] = 1.0
-        p[2 * m + 1, 2 * m] = 1.0
-    return p
-
-
 # ---------------------------------------------------------------------------
 # parameter containers
 
@@ -141,42 +133,34 @@ class ChannelParams:
             raise ValueError("n_th must be nonnegative and finite")
 
 
-class GaussianKernel:
-    """Symmetric kernel matrix K of the factor exp(-0.5 v^T K v).
+def gaussian_kernel(quad):
+    """Symmetric kernel matrix K of the factor exp(-0.5 v^T K v), as a
+    read-only complex array.
 
     Rows/columns interleave each mode's (xi, xi*).  Physical kernels obey the
     swap-conjugation symmetry P K P = conj(K), with P the permutation that
     exchanges xi_i and xi_i* in every mode; this makes the quadratic form real
     whenever xi_i* is the complex conjugate of xi_i.
     """
+    quad = np.array(quad, dtype=complex)
+    if quad.ndim != 2 or quad.shape[0] != quad.shape[1] or quad.shape[0] % 2:
+        raise ValueError("kernel must be square over (xi, xi*) pairs")
+    if not np.allclose(quad, quad.T, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(quad)))):
+        raise ValueError("kernel must be symmetric")
+    quad = 0.5 * (quad + quad.T)
+    quad.flags.writeable = False
+    return quad
 
-    def __init__(self, quad):
-        quad = np.array(quad, dtype=complex)
-        if quad.ndim != 2 or quad.shape[0] != quad.shape[1] or quad.shape[0] % 2:
-            raise ValueError("kernel must be square over (xi, xi*) pairs")
-        if not np.allclose(quad, quad.T, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(quad)))):
-            raise ValueError("kernel must be symmetric")
-        quad = 0.5 * (quad + quad.T)
-        quad.flags.writeable = False
-        self.quad = quad
 
-    @property
-    def n_modes(self):
-        return self.quad.shape[0] // 2
-
-    def swap_conjugation_defect(self):
-        p = _pair_swap(self.n_modes)
-        return float(np.max(np.abs(p @ self.quad @ p - np.conj(self.quad))))
-
-    def real_form(self):
-        """Real matrix M with v^T K v = u^T M u over u = (x, y) per mode."""
-        t = _complexification(self.n_modes)
-        mc = t.T @ self.quad @ t
-        scale = max(1.0, float(np.max(np.abs(mc.real))))
-        if np.max(np.abs(mc.imag)) > 1e-10 * scale:
-            raise ValueError("kernel does not define a real quadratic form")
-        m = mc.real
-        return 0.5 * (m + m.T)
+def _real_form(kernel):
+    """Real matrix M with v^T K v = u^T M u over u = (x, y) per mode."""
+    t = _complexification(len(kernel) // 2)
+    mc = t.T @ kernel @ t
+    scale = max(1.0, float(np.max(np.abs(mc.real))))
+    if np.max(np.abs(mc.imag)) > 1e-10 * scale:
+        raise ValueError("kernel does not define a real quadratic form")
+    m = mc.real
+    return 0.5 * (m + m.T)
 
 
 class PolyGaussianChi:
@@ -188,7 +172,7 @@ class PolyGaussianChi:
     """
 
     def __init__(self, poly, kernel):
-        if kernel.n_modes != 2:
+        if kernel.shape != (4, 4):
             raise ValueError("states are two-mode; kernel must be 4x4")
         clean = {}
         for a, c in poly.items():
@@ -208,8 +192,11 @@ class PolyGaussianChi:
         return max((sum(a) for a in self.poly), default=0)
 
     def hermiticity_defect(self):
-        """Max deviation of chi from conj(chi(-v)), over coefficients and kernel."""
-        defect = self.kernel.swap_conjugation_defect()
+        """Max deviation of chi from conj(chi(-v)), over coefficients and
+        kernel; the kernel's part is its swap-conjugation defect."""
+        swap = _conj_swap(range(N_VARS))
+        k = self.kernel
+        defect = float(np.max(np.abs(k[np.ix_(swap, swap)] - np.conj(k))))
         keys = set(self.poly) | {_conj_swap(a) for a in self.poly}
         for a in keys:
             want = np.conj(self.poly.get(_conj_swap(a), 0j)) * (-1) ** sum(a)
@@ -245,7 +232,7 @@ def tmsv_chi(s):
     k[2, 3] = k[3, 2] = ch
     k[0, 2] = k[2, 0] = -sh
     k[1, 3] = k[3, 1] = -sh
-    return PolyGaussianChi({ZERO_INDEX: 1.0}, GaussianKernel(k))
+    return PolyGaussianChi({ZERO_INDEX: 1.0}, gaussian_kernel(k))
 
 
 def _first_order(poly, kq, j, c, m, h):
@@ -282,7 +269,7 @@ def coherent_op_terms(terms, mode):
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
-    kq = terms[0].kernel.quad
+    kq = terms[0].kernel
     right = ((p, 1.0, q, 0.5), (q, -1.0, p, 0.5))  # t: rho a^dag, r: rho a
     left = ((q, -1.0, p, -0.5), (p, 1.0, q, -0.5))  # t: a rho, r: a^dag rho
     out = [{} for _ in range(len(terms) + 2)]
@@ -328,13 +315,13 @@ def apply_thermal_channel(state, mode, channel):
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
     root = math.sqrt(channel.eta)
     poly = {a: c * root ** (a[p] + a[q]) for a, c in state.poly.items()}
-    k = np.array(state.kernel.quad)
+    k = np.array(state.kernel)
     k[[p, q], :] *= root
     k[:, [p, q]] *= root
     add = 0.5 * (2 * channel.n_th + 1) * (1 - channel.eta)
     k[p, q] += add
     k[q, p] += add
-    return PolyGaussianChi(poly, GaussianKernel(k))
+    return PolyGaussianChi(poly, gaussian_kernel(k))
 
 
 def evaluate_chi(state, xi1, xi2):
@@ -343,7 +330,7 @@ def evaluate_chi(state, xi1, xi2):
     val = 0j
     for a, c in state.poly.items():
         val += c * v[0] ** a[0] * v[1] ** a[1] * v[2] ** a[2] * v[3] ** a[3]
-    return val * np.exp(-0.5 * (v @ state.kernel.quad @ v))
+    return val * np.exp(-0.5 * (v @ state.kernel @ v))
 
 
 def normalize(state):
@@ -375,84 +362,71 @@ def check_normalized(state):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian moment engine
+# Gaussian moments
 
-class MomentEngine:
-    """Exact phase-space moments against one Gaussian kernel.
-
-        moment(alpha) = Int prod_i (d^2 xi_i / pi) v^alpha exp(-0.5 v^T K v)
+def _moment_covariance(kernel):
+    """Moment covariance C and normalization of the Gaussian of a kernel.
 
     The kernel is converted to its real quadratic form M over (x, y) pairs;
     the moment covariance of the real Gaussian is Sigma = M^{-1}, pulled back
-    to the complex variables as C = T Sigma T^T.  Moments then follow the
-    Wick/Stein recursion
+    to the complex variables as C = T Sigma T^T, and the Gaussian integrates
+    to 2^n / sqrt(det M) over n modes.
+    """
+    m = _real_form(kernel)
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularKernelError("kernel is not positive definite") from exc
+    det = float(np.prod(np.diag(chol))) ** 2
+    n_modes = len(kernel) // 2
+    t = _complexification(n_modes)
+    sigma = np.linalg.inv(m)
+    return t @ sigma @ t.T, 2.0 ** n_modes / math.sqrt(det)
+
+
+def moment_table(kernel, shape):
+    """Exact phase-space moments against one Gaussian kernel, as a dense
+    array over every alpha with alpha_i < shape_i:
+
+        table[alpha] = Int prod_i (d^2 xi_i / pi) v^alpha exp(-0.5 v^T K v)
+
+    Moments follow the Wick/Stein recursion
 
         E[v_j v^beta] = sum_k C_jk beta_k E[v^(beta - e_k)],
 
-    evaluated once, as a dense table (moment_table); moment() and integrate()
-    read their values from it.
+    with C from _moment_covariance, run vectorized over shells of equal total
+    degree, each alpha reduced along its first nonzero exponent; odd shells
+    vanish and are skipped.  An entry reads only entries below it, so it does
+    not depend on the table's shape.
     """
-
-    def __init__(self, kernel):
-        self.n_vars = 2 * kernel.n_modes
-        m = kernel.real_form()
-        try:
-            chol = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError as exc:
-            raise SingularKernelError("kernel is not positive definite") from exc
-        det = float(np.prod(np.diag(chol))) ** 2
-        t = _complexification(kernel.n_modes)
-        sigma = np.linalg.inv(m)
-        self._cov = t @ sigma @ t.T
-        self._norm = 2.0 ** kernel.n_modes / math.sqrt(det)
-
-    def moment(self, alpha):
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.n_vars or min(alpha) < 0:
-            raise ValueError(f"bad multi-index {alpha!r}")
-        return self.moment_table([a + 1 for a in alpha])[alpha]
-
-    def integrate(self, poly):
-        """Integrate a polynomial (coefficient map) against the kernel; the
-        empty polynomial integrates to 0."""
-        if not poly:
-            return 0
-        table = self.moment_table(np.max(list(poly), axis=0) + 1)
-        return sum(c * table[a] for a, c in poly.items())
-
-    def moment_table(self, shape):
-        """Dense array of moment(alpha) for every alpha with alpha_i < shape_i.
-
-        The recursion runs vectorized over shells of equal total degree, each
-        alpha reduced along its first nonzero exponent; odd shells vanish and
-        are skipped.
-        """
-        shape = tuple(int(s) for s in shape)
-        if len(shape) != self.n_vars:
-            raise ValueError("shape rank must match the number of variables")
-        table = np.zeros(shape, dtype=complex)
-        flat = table.reshape(-1)
-        flat[0] = 1.0
-        idx = np.indices(shape).reshape(self.n_vars, -1).T
-        totals = idx.sum(axis=1)
-        for d in range(2, int(totals.max()) + 1, 2):
-            shell = idx[totals == d]
-            first = (shell > 0).argmax(axis=1)
-            for j in range(self.n_vars):
-                sub = shell[first == j]
-                if not len(sub):
+    cov, norm = _moment_covariance(kernel)
+    n_vars = len(kernel)
+    shape = tuple(int(s) for s in shape)
+    if len(shape) != n_vars:
+        raise ValueError("shape rank must match the number of variables")
+    table = np.zeros(shape, dtype=complex)
+    flat = table.reshape(-1)
+    flat[0] = 1.0
+    idx = np.indices(shape).reshape(n_vars, -1).T
+    totals = idx.sum(axis=1)
+    for d in range(2, int(totals.max()) + 1, 2):
+        shell = idx[totals == d]
+        first = (shell > 0).argmax(axis=1)
+        for j in range(n_vars):
+            sub = shell[first == j]
+            if not len(sub):
+                continue
+            beta = sub.copy()
+            beta[:, j] -= 1
+            acc = np.zeros(len(sub), dtype=complex)
+            for k in range(n_vars):
+                cjk = cov[j, k]
+                bk = beta[:, k]
+                if cjk == 0.0 or not bk.any():
                     continue
-                beta = sub.copy()
-                beta[:, j] -= 1
-                acc = np.zeros(len(sub), dtype=complex)
-                for k in range(self.n_vars):
-                    cjk = self._cov[j, k]
-                    bk = beta[:, k]
-                    if cjk == 0.0 or not bk.any():
-                        continue
-                    gam = beta.copy()
-                    gam[:, k] -= 1
-                    np.clip(gam, 0, None, out=gam)  # rows with bk == 0 are zeroed by bk
-                    acc += cjk * bk * flat[np.ravel_multi_index(gam.T, shape)]
-                flat[np.ravel_multi_index(sub.T, shape)] = acc
-        return self._norm * table
+                gam = beta.copy()
+                gam[:, k] -= 1
+                np.clip(gam, 0, None, out=gam)  # rows with bk == 0 are zeroed by bk
+                acc += cjk * bk * flat[np.ravel_multi_index(gam.T, shape)]
+            flat[np.ravel_multi_index(sub.T, shape)] = acc
+    return norm * table

@@ -30,7 +30,7 @@ EXIT_COMPUTE = 3
 EXIT_IO = 4
 
 _COMPUTE_ERRORS = (ZeroStateError, SingularKernelError, np.linalg.LinAlgError,
-                   InvalidCovarianceError, PrecisionError, FloatingPointError)
+                   InvalidCovarianceError, PrecisionError, ArithmeticError)
 
 
 class ConfigError(ValueError):

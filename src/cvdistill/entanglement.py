@@ -13,14 +13,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.constants import c as _SPEED_OF_LIGHT
-from scipy.constants import h as _PLANCK
-from scipy.constants import k as _BOLTZMANN
 
-from .chi_core import GaussianKernel, MomentEngine, check_normalized
+from .chi_core import check_normalized, gaussian_kernel, moment_table
 
 PT_DISCRIMINANT_TOL = 1e-12
 COV_IMAG_TOL = 1e-10
+
+# SI defining constants, exact since 2019
+_PLANCK = 6.62607015e-34
+_SPEED_OF_LIGHT = 299792458.0
+_BOLTZMANN = 1.380649e-23
 
 
 class InvalidCovarianceError(ValueError):
@@ -35,15 +37,16 @@ def partial_transpose(rho):
 
 def log_negativity(rho):
     """Logarithmic negativity E = log2 ||rho^T1||_1 of a (d^2, d^2)
-    Fock-basis state, clamped at zero (a negative truncated trace-norm log is
-    noise, not physics).
+    Fock-basis state, clamped at zero: a truncated trace norm at most 1 (a
+    zero matrix included) is noise, not physics, and reads 0.
 
     The partial transpose is diagonalized by LAPACK (numpy.linalg.eigvalsh),
     which raises numpy.linalg.LinAlgError if it does not converge.  The tests
     check it against a self-contained cyclic Jacobi solver.
     """
     w = np.linalg.eigvalsh(partial_transpose(rho))
-    return max(0.0, math.log2(float(np.sum(np.abs(w)))))
+    norm = float(np.sum(np.abs(w)))
+    return math.log2(norm) if norm > 1.0 else 0.0
 
 
 # Quadratures x = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)) from the
@@ -62,7 +65,7 @@ def covariance_from_chi(state):
     """
     check_normalized(state)
     poly = state.poly
-    kq = state.kernel.quad
+    kq = state.kernel
     s = np.empty((4, 4), dtype=complex)
     for i in range(4):
         for j in range(4):
@@ -129,12 +132,11 @@ def fidelity_integrals(kernel, polys):
         reduced.append(red)
     # substitution (xi1, xi1*, xi2, xi2*) = (xi*, xi, xi, xi*)
     r = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    kq = r.T @ kernel.quad @ r
+    kq = r.T @ kernel @ r
     kq[0, 1] += 1.0
     kq[1, 0] += 1.0
-    engine = MomentEngine(GaussianKernel(kq))
-    table = engine.moment_table(
-        np.max([(0, 0), *(a for red in reduced for a in red)], axis=0) + 1)
+    shape = np.max([(0, 0), *(a for red in reduced for a in red)], axis=0) + 1
+    table = moment_table(gaussian_kernel(kq), shape)
     return np.array([sum(c * table[a] for a, c in red.items())
                      for red in reduced], dtype=complex)
 
@@ -183,16 +185,16 @@ def thermal_occupation(wavelength, temperature):
     mode, computed as e^(-x)/(1 - e^(-x)) so that a large x gives 0 rather
     than an overflow.
 
-    wavelength in meters, temperature in kelvin; T = 0 returns 0 exactly.
-    An occupation beyond the float range raises FloatingPointError.
+    wavelength in meters, temperature in kelvin; T = 0, or a product
+    lambda kB T that underflows to 0, returns 0 exactly.  An occupation beyond
+    the float range raises FloatingPointError.
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     if temperature < 0:
         raise ValueError("temperature must be nonnegative")
-    if temperature == 0:
-        return 0.0
-    x = _PLANCK * _SPEED_OF_LIGHT / (wavelength * _BOLTZMANN * temperature)
+    denom = wavelength * _BOLTZMANN * temperature
+    x = _PLANCK * _SPEED_OF_LIGHT / denom if denom else math.inf
     n = math.exp(-x) / -math.expm1(-x) if x > 0 else math.inf
     if n == math.inf:
         raise FloatingPointError("thermal occupation overflows the float range")

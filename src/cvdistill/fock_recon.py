@@ -8,7 +8,7 @@ A density matrix element on the truncated Fock space is the overlap integral
 and every displacement matrix element is a finite polynomial times the
 Gaussian exp(-|xi|^2/2).  For polynomial-times-Gaussian characteristic
 functions the whole integrand therefore lives in one augmented Gaussian
-kernel, and the exact moment engine evaluates it term by term.  A density
+kernel, and the exact moment table evaluates it term by term.  A density
 matrix is a plain (d^2, d^2) complex array, d = n_trunc + 1.
 
 Truncation note: dropping Fock components above n_trunc can only lower the
@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .chi_core import GaussianKernel, MomentEngine, check_normalized
+from .chi_core import check_normalized, gaussian_kernel, moment_table
 
 CERTIFY_TOL = 1e-6
 
@@ -86,11 +86,11 @@ def _dagger_poly(m, n):
 def _augmented_kernel(kernel):
     """State kernel plus the exp(-|xi_i|^2/2) factors of the displacement
     matrix elements."""
-    k = np.array(kernel.quad)
+    k = np.array(kernel)
     for p in (0, 2):
         k[p, p + 1] += 0.5
         k[p + 1, p] += 0.5
-    return GaussianKernel(k)
+    return gaussian_kernel(k)
 
 
 def fock_matrices(kernel, n_trunc, polys):
@@ -110,7 +110,6 @@ def fock_matrices(kernel, n_trunc, polys):
     if not support:
         raise ValueError("empty polynomial support")
     d = n_trunc + 1
-    engine = MomentEngine(_augmented_kernel(kernel))
 
     dag = {}
     for mm in range(d):
@@ -122,7 +121,7 @@ def fock_matrices(kernel, n_trunc, polys):
 
     amax = np.max(np.array(support), axis=0)
     shape = tuple(int(x) for x in amax + n_trunc + 1)
-    table = engine.moment_table(shape).reshape(-1)
+    table = moment_table(_augmented_kernel(kernel), shape).reshape(-1)
     strides = np.array([int(np.prod(shape[i + 1:])) for i in range(4)], dtype=np.intp)
 
     alpha_lin = np.array(support, dtype=np.intp) @ strides

@@ -7,11 +7,11 @@ Schmidt sums, a cyclic Jacobi eigensolver, exact rational Laguerre
 coefficients).  None of that touches the package's moment recursion or its
 polynomial algebra.  Three exceptions share low-level pieces with the
 package: RecursiveMoments evaluates moments one at a time by the memoized
-scalar Wick/Stein recursion, from the moment covariance and normalization of
-a MomentEngine, so it checks the vectorized moment table, not the
-covariance; fock_element shares the moment engine and the displacement
+scalar Wick/Stein recursion, from the moment covariance and normalization
+that moment_table uses, so it checks the vectorized moment table, not the
+covariance; fock_element shares the moment table and the displacement
 polynomials with fock_matrices, so it only checks that function's assembly
-(moment table, weight matrix, Hermitian fill), not the integrals; and
+(weight matrix, Hermitian fill), not the integrals; and
 sequential_pipeline shares the polynomial shift/derivative helpers, so it
 checks the (t, r) basis of the pipeline, not the ladder-operator
 correspondence.
@@ -27,14 +27,16 @@ from scipy.special import eval_genlaguerre, gammaln
 from cvdistill.chi_core import (
     N_VARS,
     CoherentOp,
-    MomentEngine,
     PolyGaussianChi,
+    _moment_covariance,
     _poly_add,
     _poly_diff,
     _poly_shift,
     _prune,
+    _real_form,
     apply_thermal_channel,
     check_normalized,
+    moment_table,
     tmsv_chi,
 )
 from cvdistill.fock_recon import _augmented_kernel, _dagger_poly
@@ -106,7 +108,7 @@ def apply_coherent_op_direct(state, mode, op):
     """(t a + r a^dag) rho (t a^dag + r a) on one mode with t and r mixed
     into the first-order operators themselves, not into a (t, r) basis."""
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
-    kq = state.kernel.quad
+    kq = state.kernel
     t, r = op.t, op.r
     inner = _first_order_direct(state.poly, kq, {p: t, q: -r}, {p: r / 2, q: t / 2})
     outer = _first_order_direct(inner, kq, {p: r, q: -t}, {p: -t / 2, q: -r / 2})
@@ -178,7 +180,7 @@ def separation_eta_closed(s, n_th):
 
 # --- brute-force quadrature ------------------------------------------------
 
-def numeric_gaussian_monomials(kernel_quads, alphas, half_width=7.0, points=48):
+def numeric_gaussian_monomials(kernels, alphas, half_width=7.0, points=48):
     """Int (d^2xi1/pi)(d^2xi2/pi) v^alpha exp(-v^T K v / 2) for each kernel K
     and each alpha, on a dense tensor Gauss-Legendre grid over the four real
     dimensions.  Returns one {alpha: value} dict per kernel.
@@ -197,12 +199,11 @@ def numeric_gaussian_monomials(kernel_quads, alphas, half_width=7.0, points=48):
     xi2 = xi[None, None, :, :]
     v = [xi1, np.conj(xi1), xi2, np.conj(xi2)]
     wg = w2[:, :, None, None] * w2[None, None, :, :]
-    bases = np.empty((len(kernel_quads), points ** 4), dtype=complex)
-    for base, kernel_quad in zip(bases, kernel_quads):
-        k = np.asarray(kernel_quad)
+    bases = np.empty((len(kernels), points ** 4), dtype=complex)
+    for base, k in zip(bases, kernels):
         quad = sum(k[i, j] * v[i] * v[j] for i in range(4) for j in range(4))
         base[:] = (wg * np.exp(-0.5 * quad)).reshape(-1)
-    out = [{} for _ in kernel_quads]
+    out = [{} for _ in kernels]
     for alpha in alphas:
         a = tuple(alpha)
         f1 = xi ** a[0] * np.conj(xi) ** a[1]
@@ -232,7 +233,7 @@ def numeric_fidelity(chi_callable, half_width=8.0, points=160):
 # --- moments one at a time --------------------------------------------------
 
 class RecursiveMoments:
-    """moment(alpha) of MomentEngine(kernel), memoized over multi-indices:
+    """moment_table(kernel, ...)[alpha], memoized over multi-indices:
 
         E[v_j v^beta] = sum_k C_jk beta_k E[v^(beta - e_k)],
 
@@ -240,10 +241,8 @@ class RecursiveMoments:
     """
 
     def __init__(self, kernel):
-        engine = MomentEngine(kernel)
-        self.n_vars = engine.n_vars
-        self._cov = engine._cov
-        self._norm = engine._norm
+        self.n_vars = len(kernel)
+        self._cov, self._norm = _moment_covariance(kernel)
         self._memo = {(0,) * self.n_vars: 1.0 + 0j}
 
     def moment(self, alpha):
@@ -333,8 +332,9 @@ def fock_element(state, i, j, k, l):
             for (a2, b2), c2 in d2.items():
                 key = (a[0] + a1, a[1] + b1, a[2] + a2, a[3] + b2)
                 merged[key] = merged.get(key, 0j) + c * c1 * c2
-    engine = MomentEngine(_augmented_kernel(state.kernel))
-    return engine.integrate(merged)
+    table = moment_table(_augmented_kernel(state.kernel),
+                         np.max(list(merged), axis=0) + 1)
+    return sum(c * table[a] for a, c in merged.items())
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,7 @@ class QuadratureGrid:
 
 
 def _auto_half_width(state, degree):
-    m = _augmented_kernel(state.kernel).real_form()
+    m = _real_form(_augmented_kernel(state.kernel))
     sigma_max = 1.0 / math.sqrt(float(np.min(np.linalg.eigvalsh(m))))
     return sigma_max * math.sqrt(36.0 + 3.2 * degree)
 
@@ -380,7 +380,7 @@ def quadrature_fock_elements(state, indices, grid=QuadratureGrid()):
     xi = (x[:, None] + 1j * x[None, :]).reshape(-1)
     w2 = np.outer(w, w).reshape(-1)
 
-    kq = state.kernel.quad
+    kq = state.kernel
     q1 = np.exp(-0.5 * (kq[0, 0] * xi ** 2 + 2 * kq[0, 1] * np.abs(xi) ** 2
                         + kq[1, 1] * np.conj(xi) ** 2))
     q2 = np.exp(-0.5 * (kq[2, 2] * xi ** 2 + 2 * kq[2, 3] * np.abs(xi) ** 2

@@ -1,4 +1,4 @@
-"""Core representation, pipeline operations, and the moment engine."""
+"""Core representation, pipeline operations, and the moment table."""
 
 import math
 
@@ -8,8 +8,6 @@ import pytest
 from cvdistill.chi_core import (
     ChannelParams,
     CoherentOp,
-    GaussianKernel,
-    MomentEngine,
     PolyGaussianChi,
     SingularKernelError,
     ZERO_INDEX,
@@ -18,9 +16,12 @@ from cvdistill.chi_core import (
     apply_thermal_channel,
     coherent_op_terms,
     evaluate_chi,
+    gaussian_kernel,
+    moment_table,
     normalize,
     tmsv_chi,
 )
+from cvdistill.fock_recon import _augmented_kernel
 
 import oracles
 
@@ -29,7 +30,7 @@ def vacuum_chi():
     k = np.zeros((4, 4))
     k[0, 1] = k[1, 0] = 0.5
     k[2, 3] = k[3, 2] = 0.5
-    return PolyGaussianChi({ZERO_INDEX: 1.0}, GaussianKernel(k))
+    return PolyGaussianChi({ZERO_INDEX: 1.0}, gaussian_kernel(k))
 
 
 def pair_kernel(p):
@@ -37,7 +38,7 @@ def pair_kernel(p):
     k = np.zeros((4, 4))
     k[0, 1] = k[1, 0] = p
     k[2, 3] = k[3, 2] = p
-    return GaussianKernel(k)
+    return gaussian_kernel(k)
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +53,14 @@ def test_tmsv_trace_is_one():
 
 def test_tmsv_zero_squeezing_is_vacuum():
     st = tmsv_chi(0.0)
-    np.testing.assert_allclose(st.kernel.quad, vacuum_chi().kernel.quad,
+    np.testing.assert_allclose(st.kernel, vacuum_chi().kernel,
                                atol=1e-15)
 
 
 def test_tmsv_kernel_entries():
     s = 0.403
     st = tmsv_chi(s)
-    k = st.kernel.quad
+    k = st.kernel
     assert k[0, 1] == pytest.approx(math.cosh(0.806) / 2, abs=1e-15)
     assert k[2, 3] == pytest.approx(math.cosh(0.806) / 2, abs=1e-15)
     assert abs(k[0, 2]) == pytest.approx(math.sinh(0.806) / 2, abs=1e-15)
@@ -125,10 +126,15 @@ def test_channel_params_validation():
 
 def test_kernel_validation():
     with pytest.raises(ValueError):
-        GaussianKernel(np.array([[0.0, 1.0], [0.5, 0.0]]))  # not symmetric
+        gaussian_kernel(np.array([[0.0, 1.0], [0.5, 0.0]]))  # not symmetric
     with pytest.raises(ValueError):
-        GaussianKernel(np.zeros((3, 3)))
-    assert tmsv_chi(0.5).kernel.swap_conjugation_defect() == 0.0
+        gaussian_kernel(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        PolyGaussianChi({ZERO_INDEX: 1.0}, gaussian_kernel(np.eye(2)))
+    # swap conjugation P K P = conj(K), P exchanging xi_i and xi_i*
+    k = tmsv_chi(0.5).kernel
+    swap = [1, 0, 3, 2]
+    assert np.max(np.abs(k[np.ix_(swap, swap)] - np.conj(k))) == 0.0
 
 
 def test_multi_index_validation():
@@ -199,7 +205,7 @@ def test_subtraction_probability_closed_form():
 def test_channel_is_identity_at_unit_transmissivity():
     st = apply_coherent_op(tmsv_chi(0.3), 1, CoherentOp.from_t(0.7))
     out = apply_thermal_channel(st, 1, ChannelParams(1.0, 5.0))
-    np.testing.assert_allclose(out.kernel.quad, st.kernel.quad, atol=1e-15)
+    np.testing.assert_allclose(out.kernel, st.kernel, atol=1e-15)
     assert set(out.poly) == set(st.poly)
     for a in st.poly:
         assert out.poly[a] == pytest.approx(st.poly[a], abs=1e-15)
@@ -217,7 +223,7 @@ def test_channel_full_loss_limit_is_thermal():
     # eta -> 0: the mode-1 factor approaches exp(-(2 n_th + 1) |xi1|^2 / 2)
     n_th = 0.35
     out = apply_thermal_channel(tmsv_chi(0.8), 1, ChannelParams(1e-14, n_th))
-    k = out.kernel.quad
+    k = out.kernel
     assert k[0, 1] == pytest.approx((2 * n_th + 1) / 2, abs=1e-9)
     assert abs(k[0, 2]) < 1e-6 and abs(k[1, 3]) < 1e-6
 
@@ -262,27 +268,27 @@ def test_normalize_rejects_complex_trace():
 
 
 # ---------------------------------------------------------------------------
-# moment engine
+# moment table
 
 def test_monomial_integral_normalizations():
     # exponent -(|xi1|^2 + |xi2|^2): each mode integrates to 1
-    assert MomentEngine(pair_kernel(1.0)).moment(ZERO_INDEX) \
+    assert moment_table(pair_kernel(1.0), (1, 1, 1, 1))[ZERO_INDEX] \
         == pytest.approx(1.0, abs=1e-14)
     # the bare vacuum characteristic function exp(-|xi|^2/2) gives 2 per mode
-    assert MomentEngine(pair_kernel(0.5)).moment(ZERO_INDEX) \
+    assert moment_table(pair_kernel(0.5), (1, 1, 1, 1))[ZERO_INDEX] \
         == pytest.approx(4.0, abs=1e-13)
 
 
 def test_monomial_integral_radial():
     # Int (d^2xi/pi) |xi|^2 e^(-|xi|^2) = 1
-    val = MomentEngine(pair_kernel(1.0)).moment((1, 1, 0, 0))
+    val = moment_table(pair_kernel(1.0), (2, 2, 1, 1))[1, 1, 0, 0]
     assert val == pytest.approx(1.0, abs=1e-13)
 
 
 def test_odd_moments_vanish():
-    k = tmsv_chi(0.5).kernel
+    table = moment_table(tmsv_chi(0.5).kernel, (4, 4, 4, 4))
     for alpha in ((1, 0, 0, 0), (0, 1, 2, 0), (1, 1, 1, 0), (3, 0, 1, 1)):
-        assert MomentEngine(k).moment(alpha) == 0.0
+        assert table[alpha] == 0.0
 
 
 def test_moment_engine_against_numeric_quadrature():
@@ -291,26 +297,25 @@ def test_moment_engine_against_numeric_quadrature():
     rng = np.random.default_rng(7)
     kernels = []
     for _ in range(3):
-        base = pair_kernel(1.0).quad.copy()
+        base = np.array(pair_kernel(1.0))
         z = rng.normal(scale=0.1, size=2) + 1j * rng.normal(scale=0.1, size=2)
         # cross-mode block entries respecting P K P = conj(K)
-        base = np.array(base)
         base[0, 2] = base[2, 0] = z[0]
         base[1, 3] = base[3, 1] = np.conj(z[0])
         base[0, 3] = base[3, 0] = z[1]
         base[1, 2] = base[2, 1] = np.conj(z[1])
-        kernels.append(GaussianKernel(base))
+        kernels.append(gaussian_kernel(base))
     alphas = [(a, b, c, d)
               for a in range(4) for b in range(4)
               for c in range(4) for d in range(4)
               if 0 < a + b + c + d <= 6]
     picks = alphas[::5] + [(1, 1, 1, 1), (2, 2, 1, 1), (3, 3, 0, 0)]
     all_refs = oracles.numeric_gaussian_monomials(
-        [kernel.quad for kernel in kernels], picks)
+        kernels, picks)
     for kernel, refs in zip(kernels, all_refs):
-        engine = MomentEngine(kernel)
+        table = moment_table(kernel, (4, 4, 4, 4))
         for alpha in picks:
-            exact = engine.moment(alpha)
+            exact = table[alpha]
             ref = refs[alpha]
             if abs(ref) < 1e-9:
                 assert abs(exact) < 1e-7
@@ -320,7 +325,7 @@ def test_moment_engine_against_numeric_quadrature():
 
 def test_moment_table_matches_scalar_route():
     st = apply_thermal_channel(tmsv_chi(0.6), 1, ChannelParams(0.7, 0.25))
-    table = MomentEngine(st.kernel).moment_table((4, 4, 4, 4))
+    table = moment_table(st.kernel, (4, 4, 4, 4))
     ref = oracles.RecursiveMoments(st.kernel)
     for a in ((0, 0, 0, 0), (1, 1, 0, 0), (2, 0, 1, 1), (3, 3, 2, 2),
               (1, 0, 0, 0), (2, 1, 0, 1)):
@@ -332,11 +337,11 @@ def test_moment_table_matches_scalar_route():
     st = apply_coherent_op(apply_coherent_op(tmsv_chi(0.114), 1, op), 2, op)
     st = apply_thermal_channel(apply_thermal_channel(st, 1, ch), 2, ch)
     r = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    kernel = GaussianKernel(r.T @ st.kernel.quad @ r + [[0.0, 1.0], [1.0, 0.0]])
+    kernel = gaussian_kernel(r.T @ st.kernel @ r + [[0.0, 1.0], [1.0, 0.0]])
     shape = (max(a[1] + a[2] for a in st.poly) + 1,
              max(a[0] + a[3] for a in st.poly) + 1)
     assert shape == (5, 5)
-    table = MomentEngine(kernel).moment_table(shape)
+    table = moment_table(kernel, shape)
     ref = oracles.RecursiveMoments(kernel)
     for a in np.ndindex(shape):
         np.testing.assert_allclose(table[a], ref.moment(a), atol=1e-12,
@@ -344,17 +349,30 @@ def test_moment_table_matches_scalar_route():
 
 
 def test_singular_kernel_rejected():
-    k = GaussianKernel(np.zeros((4, 4)))
     with pytest.raises(SingularKernelError):
-        MomentEngine(k).moment(ZERO_INDEX)
+        moment_table(gaussian_kernel(np.zeros((4, 4))), (1, 1, 1, 1))
     with pytest.raises(SingularKernelError):
-        MomentEngine(pair_kernel(-0.5))
+        moment_table(pair_kernel(-0.5), (1, 1, 1, 1))
 
 
 def test_integrate_polynomial():
-    engine = MomentEngine(pair_kernel(1.0))
+    table = moment_table(pair_kernel(1.0), (2, 2, 1, 1))
     # Int (1 + |xi1|^2) -> 1 + 1 = 2
-    val = engine.integrate({ZERO_INDEX: 1.0, (1, 1, 0, 0): 1.0})
+    poly = {ZERO_INDEX: 1.0, (1, 1, 0, 0): 1.0}
+    val = sum(c * table[a] for a, c in poly.items())
     assert val == pytest.approx(2.0, abs=1e-13)
-    # zero-state terms carry the empty polynomial
-    assert engine.integrate({}) == 0
+
+
+def test_moment_table_entry_ignores_table_shape():
+    # a coherent_before state's augmented Fock kernel and its fidelity kernel
+    op, ch = CoherentOp.from_t(0.7), ChannelParams(0.5, 0.1)
+    st = apply_coherent_op(apply_coherent_op(tmsv_chi(0.3), 1, op), 2, op)
+    st = apply_thermal_channel(apply_thermal_channel(st, 1, ch), 2, ch)
+    r = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    fidelity = gaussian_kernel(r.T @ st.kernel @ r + [[0.0, 1.0], [1.0, 0.0]])
+    for kernel, small, large in ((_augmented_kernel(st.kernel), (3, 4, 2, 5),
+                                  (6, 6, 7, 6)),
+                                 (fidelity, (4, 3), (9, 8))):
+        table = moment_table(kernel, small)
+        big = moment_table(kernel, large)[tuple(slice(n) for n in small)]
+        np.testing.assert_array_equal(table, big)

@@ -4,10 +4,13 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cvdistill
 from cvdistill import scenarios
 from cvdistill.chi_core import ChannelParams
 from cvdistill.cli import (
@@ -31,6 +34,17 @@ def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; the program must not import it
+    src = os.path.dirname(os.path.dirname(cvdistill.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, cvdistill.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +93,13 @@ def test_env_rejects_non_finite_inputs(capsys, wavelength, temperature, name):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {name} must") \
         and "finite" in captured.err
+
+
+def test_env_underflowing_product_reads_zero(capsys):
+    # lambda kB T underflows to 0, so x = hc/(lambda kB T) is infinite
+    code = main(["env", "--wavelength", "1e-320", "--temperature", "1e-300"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "0.00000000000e+00"
 
 
 def test_env_refuses_an_occupation_beyond_floats(capsys):
@@ -198,6 +219,22 @@ def test_point_eigensolver_failure_is_numerical_exit(monkeypatch, capsys):
     assert "LinAlgError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--strategy", "noop", "--s", "400", "--eta", "0.5", "--n-th", "0.1"],
+    ["--strategy", "noop", "--s", "0.3", "--eta", "0.5", "--n-th", "1e100"],
+    ["--strategy", "coherent_before", "--s", "0.3", "--eta", "0.5",
+     "--n-th", "1e300"],
+])
+def test_point_overflowing_inputs_are_numerical_exit(capsys, argv):
+    # cosh(2s) overflows above s ~ 356, the channel's (2 n_th + 1) terms
+    # overflow at huge n_th, and at n_th 1e300 the Fock matrix is all zero
+    with np.errstate(all="ignore"):
+        assert main(["point", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("n_trunc,code", [("14", 0), ("16", 3), ("20", 3)])
 def test_point_refuses_uncertified_fock_matrix(capsys, n_trunc, code):
     # float64 reconstruction of the s = 1 squeezed vacuum breaks down at
@@ -276,6 +313,15 @@ def test_sweep_leaves_no_temp_files(tmp_path):
     leftovers = [p.name for p in tmp_path.iterdir()
                  if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_sweep_overflowing_squeezing_is_numerical_exit(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, SMALL_SWEEP.format(out=out).replace(
+        "s = 0.114", "s = 400"))
+    assert main(["sweep", cfg]) == 3
+    assert capsys.readouterr().err.startswith("error: OverflowError")
+    assert not out.exists()
 
 
 def test_sweep_missing_config_file(tmp_path, capsys):

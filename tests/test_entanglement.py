@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import constants
 
+from cvdistill import entanglement
 from cvdistill.chi_core import (
     ChannelParams,
     CoherentOp,
@@ -112,6 +114,8 @@ def test_jacobi_convergence_error():
 def test_log_negativity_separable_is_zero():
     rho = np.diag([0.5, 0.2, 0.2, 0.1]).astype(complex)
     assert log_negativity(rho) == 0.0
+    # a trace norm of 0 clamps like any norm at most 1, with no log2(0)
+    assert log_negativity(np.zeros((4, 4), dtype=complex)) == 0.0
 
 
 def test_log_negativity_truncated_tmsv():
@@ -333,6 +337,8 @@ def test_thermal_occupation_values():
     assert thermal_occupation(1064e-9, 0.0) == 0.0
     # e^(-x)/(1 - e^(-x)) underflows to 0 where 1/(e^x - 1) would overflow
     assert thermal_occupation(1064e-9, 1.0) == 0.0
+    # lambda kB T underflows to 0: x is infinite, not a division by zero
+    assert thermal_occupation(1e-320, 1e-300) == 0.0
     for wavelength, temperature in ((1064e-9, 300.0), (20e-6, 300.0),
                                     (1064e-9, 20.0), (1.55e-6, 77.0)):
         x = (6.62607015e-34 * 299792458.0
@@ -345,6 +351,12 @@ def test_thermal_occupation_values():
         thermal_occupation(0.0, 300.0)
     with pytest.raises(ValueError):
         thermal_occupation(1064e-9, -1.0)
+
+
+def test_si_constants_match_scipy():
+    assert entanglement._PLANCK == constants.h
+    assert entanglement._SPEED_OF_LIGHT == constants.c
+    assert entanglement._BOLTZMANN == constants.k
 
 
 # ---------------------------------------------------------------------------
