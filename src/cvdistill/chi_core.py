@@ -6,10 +6,11 @@ characteristic function
     chi(xi1, xi2) = P(v) * exp(-0.5 * v^T K v),
     v = (xi1, xi1*, xi2, xi2*),
 
-with P a polynomial (multi-index -> coefficient map) and K a symmetric 4x4
-kernel matrix.  The representation is closed under the three operations the
-distillation pipelines need: preparation of a two-mode squeezed vacuum, the
-coherent superposition operation t*a + r*a^dag applied to one mode, and the
+with P a polynomial, stored as a dense coefficient cube (poly[alpha] is the
+coefficient of v^alpha), and K a symmetric 4x4 kernel matrix.  The
+representation is closed under the three operations the distillation
+pipelines need: preparation of a two-mode squeezed vacuum, the coherent
+superposition operation t*a + r*a^dag applied to one mode, and the
 beamsplitter model of a thermal-noise channel.  Phase-space integrals of
 monomials against the Gaussian factor are evaluated exactly by a Wick/Stein
 moment recursion; Fock-basis reconstruction and the teleportation-fidelity
@@ -29,6 +30,7 @@ import numpy as np
 
 N_VARS = 4
 ZERO_INDEX = (0, 0, 0, 0)
+_CONJ_SWAP = [1, 0, 3, 2]  # exchanges xi_i and xi_i* in every mode
 
 PRUNE_REL_TOL = 1e-16
 HERMITICITY_TOL = 1e-12
@@ -46,44 +48,14 @@ class SingularKernelError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (coefficient maps over exponent tuples)
+# polynomial helpers (stacks of coefficient cubes)
 
-def _prune(poly):
-    if not poly:
-        return {}
-    cap = PRUNE_REL_TOL * max(abs(c) for c in poly.values())
-    return {a: c for a, c in poly.items() if abs(c) > cap}
-
-
-def _poly_add(dst, src, scale):
-    for a, c in src.items():
-        dst[a] = dst.get(a, 0.0) + scale * c
-
-
-def _poly_shift(poly, var):
-    """Multiply the polynomial by the formal variable v_var."""
-    out = {}
-    for a, c in poly.items():
-        b = list(a)
-        b[var] += 1
-        out[tuple(b)] = c
-    return out
-
-
-def _poly_diff(poly, var):
-    out = {}
-    for a, c in poly.items():
-        k = a[var]
-        if k:
-            b = list(a)
-            b[var] -= 1
-            out[tuple(b)] = k * c
-    return out
-
-
-def _conj_swap(alpha):
-    """Exchange xi and xi* exponents in every mode."""
-    return (alpha[1], alpha[0], alpha[3], alpha[2])
+def _prune(stack):
+    """Zero, in each polynomial of a stack, the coefficients at most
+    PRUNE_REL_TOL times its largest."""
+    mag = np.abs(stack)
+    cap = PRUNE_REL_TOL * mag.max(axis=tuple(range(1, stack.ndim)), keepdims=True)
+    return np.where(mag > cap, stack, 0.0)
 
 
 def _complexification(n_modes):
@@ -166,45 +138,41 @@ def _real_form(kernel):
 class PolyGaussianChi:
     """Unnormalized two-mode state chi(v) = P(v) * exp(-0.5 v^T K v).
 
-    The trace of the underlying operator is chi(0, 0), i.e. the constant
-    coefficient of P.  Instances are treated as immutable; operations return
-    new objects.
+    poly is a read-only complex array of shape (D, D, D, D) with poly[alpha]
+    the coefficient of v^alpha, so each exponent runs below D.  The trace of
+    the underlying operator is chi(0, 0), i.e. the constant coefficient of P.
+    Instances are treated as immutable; operations return new objects.
     """
 
     def __init__(self, poly, kernel):
         if kernel.shape != (4, 4):
             raise ValueError("states are two-mode; kernel must be 4x4")
-        clean = {}
-        for a, c in poly.items():
-            a = tuple(int(k) for k in a)
-            if len(a) != N_VARS or min(a) < 0:
-                raise ValueError(f"bad multi-index {a!r}")
-            clean[a] = complex(c)
-        self.poly = clean
+        poly = np.asarray(poly)
+        if poly.ndim != N_VARS or len(set(poly.shape)) > 1 or not poly.size:
+            raise ValueError("polynomial must be a nonempty (D, D, D, D) cube")
+        self.poly = poly.astype(complex)
+        self.poly.flags.writeable = False
         self.kernel = kernel
 
     @property
     def trace(self):
-        return self.poly.get(ZERO_INDEX, 0j)
+        return complex(self.poly[ZERO_INDEX])
 
     @property
     def degree(self):
-        return max((sum(a) for a in self.poly), default=0)
+        return int(np.argwhere(self.poly).sum(axis=1).max(initial=0))
 
     def hermiticity_defect(self):
         """Max deviation of chi from conj(chi(-v)), over coefficients and
         kernel; the kernel's part is its swap-conjugation defect."""
-        swap = _conj_swap(range(N_VARS))
-        k = self.kernel
-        defect = float(np.max(np.abs(k[np.ix_(swap, swap)] - np.conj(k))))
-        keys = set(self.poly) | {_conj_swap(a) for a in self.poly}
-        for a in keys:
-            want = np.conj(self.poly.get(_conj_swap(a), 0j)) * (-1) ** sum(a)
-            defect = max(defect, abs(self.poly.get(a, 0j) - want))
-        return defect
+        k, p = self.kernel, self.poly
+        defect = np.max(np.abs(k[np.ix_(_CONJ_SWAP, _CONJ_SWAP)] - np.conj(k)))
+        sign = (-1.0) ** np.indices(p.shape).sum(axis=0)
+        want = sign * np.conj(p.transpose(_CONJ_SWAP))
+        return float(max(defect, np.max(np.abs(p - want))))
 
     def is_hermitian(self, tol=HERMITICITY_TOL):
-        scale = max([1.0] + [abs(c) for c in self.poly.values()])
+        scale = max(1.0, float(np.max(np.abs(self.poly))))
         return self.hermiticity_defect() <= tol * scale
 
 
@@ -232,22 +200,24 @@ def tmsv_chi(s):
     k[2, 3] = k[3, 2] = ch
     k[0, 2] = k[2, 0] = -sh
     k[1, 3] = k[3, 1] = -sh
-    return PolyGaussianChi({ZERO_INDEX: 1.0}, gaussian_kernel(k))
+    return PolyGaussianChi(np.ones((1,) * N_VARS), gaussian_kernel(k))
 
 
-def _first_order(poly, kq, j, c, m, h):
-    """Apply c d/dv_j + h v_m to P * exp(-0.5 v^T K v).
+def _first_order(stack, kq, j, c, m, h):
+    """Apply c d/dv_j + h v_m to P * exp(-0.5 v^T K v) for every cube P of a
+    stack (axis 0 runs over the cubes).
 
     Differentiating the Gaussian factor pulls down -(K v)_j, so the result
-    stays in the same kernel class and only the polynomial changes.
+    stays in the same kernel class and only the polynomial changes.  The
+    derivative is roll(k P, -1) along v_j; multiplying by v_k is roll(P, +1)
+    along v_k, which is exact while the top exponent of every axis is zero.
     """
-    out = {}
-    _poly_add(out, _poly_diff(poly, j), c)
-    for k in range(N_VARS):
-        if kq[j, k] != 0.0:
-            _poly_add(out, _poly_shift(poly, k), -c * kq[j, k])
-    _poly_add(out, _poly_shift(poly, m), h)
-    return out
+    k = np.arange(stack.shape[1]).reshape((-1,) + (1,) * (N_VARS - 1 - j))
+    out = c * np.roll(k * stack, -1, axis=1 + j)
+    for var in range(N_VARS):
+        if kq[j, var] != 0.0:
+            out += -c * kq[j, var] * np.roll(stack, 1, axis=1 + var)
+    return out + h * np.roll(stack, 1, axis=1 + m)
 
 
 def coherent_op_terms(terms, mode):
@@ -264,7 +234,9 @@ def coherent_op_terms(terms, mode):
     multiplication by t a + r a^dag: four fixed first-order operators mixed
     bilinearly by (t, r).  The kernel is untouched, the polynomial degree
     grows by at most two, and the weighted trace of the unnormalized output
-    carries the success probability of the operation.
+    carries the success probability of the operation.  The cubes grow by two
+    on every axis.  An overflow or invalid value in the arithmetic raises
+    FloatingPointError rather than leaving inf or NaN coefficients.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
@@ -272,13 +244,16 @@ def coherent_op_terms(terms, mode):
     kq = terms[0].kernel
     right = ((p, 1.0, q, 0.5), (q, -1.0, p, 0.5))  # t: rho a^dag, r: rho a
     left = ((q, -1.0, p, -0.5), (p, 1.0, q, -0.5))  # t: a rho, r: a^dag rho
-    out = [{} for _ in range(len(terms) + 2)]
-    for k, term in enumerate(terms):
+    n = len(terms)
+    with np.errstate(over="raise", invalid="raise"):
+        stack = np.pad([term.poly for term in terms], [(0, 0)] + [(0, 2)] * N_VARS)
+        out = np.zeros((n + 2,) + stack.shape[1:], dtype=complex)
         for i, op_right in enumerate(right):
-            inner = _first_order(term.poly, kq, *op_right)
+            inner = _first_order(stack, kq, *op_right)
             for j, op_left in enumerate(left):
-                _poly_add(out[k + i + j], _first_order(inner, kq, *op_left), 1.0)
-    return [PolyGaussianChi(_prune(poly), terms[0].kernel) for poly in out]
+                out[i + j:i + j + n] += _first_order(inner, kq, *op_left)
+        out = _prune(out)
+    return [PolyGaussianChi(poly, kq) for poly in out]
 
 
 def term_weights(n_terms, t, r):
@@ -288,10 +263,8 @@ def term_weights(n_terms, t, r):
 
 def combine_terms(terms, t, r):
     """The state sum_k t^(n-k) r^k terms[k] at one weight (t, r)."""
-    poly = {}
-    for w, term in zip(term_weights(len(terms), t, r), terms):
-        if w:
-            _poly_add(poly, term.poly, w)
+    weights = term_weights(len(terms), t, r)
+    poly = sum(w * term.poly for w, term in zip(weights, terms))
     return PolyGaussianChi(poly, terms[0].kernel)
 
 
@@ -314,7 +287,8 @@ def apply_thermal_channel(state, mode, channel):
         raise ValueError("mode must be 1 or 2")
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
     root = math.sqrt(channel.eta)
-    poly = {a: c * root ** (a[p] + a[q]) for a, c in state.poly.items()}
+    a = np.indices(state.poly.shape)
+    poly = state.poly * root ** (a[p] + a[q])
     k = np.array(state.kernel)
     k[[p, q], :] *= root
     k[:, [p, q]] *= root
@@ -327,9 +301,8 @@ def apply_thermal_channel(state, mode, channel):
 def evaluate_chi(state, xi1, xi2):
     """Evaluate chi at a phase-space point (xi_i* is the complex conjugate)."""
     v = np.array([xi1, np.conj(xi1), xi2, np.conj(xi2)], dtype=complex)
-    val = 0j
-    for a, c in state.poly.items():
-        val += c * v[0] ** a[0] * v[1] ** a[1] * v[2] ** a[2] * v[3] ** a[3]
+    powers = v[:, None] ** np.arange(len(state.poly))
+    val = np.einsum("abcd,a,b,c,d->", state.poly, *powers)
     return val * np.exp(-0.5 * (v @ state.kernel @ v))
 
 
@@ -350,8 +323,7 @@ def normalize(state):
     t = tr.real
     if t < ZERO_TRACE_TOL:
         raise ZeroStateError("state has vanishing trace")
-    poly = {a: c / t for a, c in state.poly.items()}
-    return PolyGaussianChi(poly, state.kernel), t
+    return PolyGaussianChi(state.poly / t, state.kernel), t
 
 
 def check_normalized(state):

@@ -64,18 +64,14 @@ def covariance_from_chi(state):
     first moments as m_i = d_i P(0); no numerical differentiation is involved.
     """
     check_normalized(state)
-    poly = state.poly
+    poly = np.pad(state.poly, [(0, max(0, 3 - len(state.poly)))] * 4)
     kq = state.kernel
+    e = np.eye(4, dtype=int)
     s = np.empty((4, 4), dtype=complex)
     for i in range(4):
         for j in range(4):
-            e = [0, 0, 0, 0]
-            e[i] += 1
-            e[j] += 1
-            coeff = poly.get(tuple(e), 0.0)
-            s[i, j] = (2.0 if i == j else 1.0) * coeff - kq[i, j]
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    m = np.array([poly.get(e, 0.0) for e in basis], dtype=complex)
+            s[i, j] = (2.0 if i == j else 1.0) * poly[tuple(e[i] + e[j])] - kq[i, j]
+    m = np.array([poly[tuple(row)] for row in e])
     l_full = np.zeros((4, 4), dtype=complex)
     l_full[:2, :2] = _L_MODE
     l_full[2:, 2:] = _L_MODE
@@ -113,32 +109,29 @@ def gaussian_log_negativity(sigma):
 def fidelity_integrals(kernel, polys):
     """(1/pi) Int d^2xi chi(xi*, xi) exp(-|xi|^2) of the state
     P(v) exp(-v^T K v / 2) for each polynomial P of polys over one kernel K,
-    normalized or not, as a complex array.
+    normalized or not, as a complex array.  polys is a stack of coefficient
+    cubes of one shape (see PolyGaussianChi).
 
     The two-mode characteristic function on the diagonal against a Gaussian
     weight is again a polynomial-times-Gaussian moment problem, now in one
     complex variable.  One moment table covers the union of the reduced
-    supports; each value is its own sum over its own polynomial, so it is the
-    same, bit for bit, as a one-polynomial call.  The integral is linear in
-    chi, so the value of a weighted sum of states is the weighted sum of
-    their values.
+    supports; each value is its own sum over its own polynomial's nonzero
+    monomials, so it is the same, bit for bit, as a one-polynomial call.  The
+    integral is linear in chi, so the value of a weighted sum of states is
+    the weighted sum of their values.
     """
-    reduced = []
-    for poly in polys:
-        red = {}
-        for (a0, a1, a2, a3), coeff in poly.items():
-            key = (a1 + a2, a0 + a3)
-            red[key] = red.get(key, 0j) + coeff
-        reduced.append(red)
+    polys = np.asarray(polys)
+    support = np.argwhere(np.any(polys != 0, axis=0))
     # substitution (xi1, xi1*, xi2, xi2*) = (xi*, xi, xi, xi*)
-    r = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
+    reduced = support @ r
     kq = r.T @ kernel @ r
     kq[0, 1] += 1.0
     kq[1, 0] += 1.0
-    shape = np.max([(0, 0), *(a for red in reduced for a in red)], axis=0) + 1
-    table = moment_table(gaussian_kernel(kq), shape)
-    return np.array([sum(c * table[a] for a, c in red.items())
-                     for red in reduced], dtype=complex)
+    table = moment_table(gaussian_kernel(kq), reduced.max(axis=0, initial=0) + 1)
+    values = table[tuple(reduced.T)]
+    return np.array([np.sum(c[c != 0] * values[c != 0])
+                     for c in polys[(slice(None), *support.T)]], dtype=complex)
 
 
 def teleportation_fidelity(state):

@@ -96,18 +96,20 @@ def _augmented_kernel(kernel):
 def fock_matrices(kernel, n_trunc, polys):
     """Truncated two-mode density matrices of polynomials over one kernel.
 
+    polys is a stack of coefficient cubes of one shape (see PolyGaussianChi).
     Returns a complex array of shape (len(polys), d^2, d^2), d = n_trunc + 1,
     with the row-major composite index i * d + j for |i, j>.  The moment
     table and the per-element weight matrix are built once over the union of
-    the polynomials' monomials; each matrix is its own coefficient vector
-    times the weights (upper triangle integrated, the rest by Hermitian
-    symmetry of a state).  The polynomials need not be normalized, so a
-    weighted sum of their matrices is the matrix of the weighted sum.
+    the polynomials' nonzero monomials; each matrix is its own coefficient
+    vector times the weights (upper triangle integrated, the rest by
+    Hermitian symmetry of a state).  The polynomials need not be normalized,
+    so a weighted sum of their matrices is the matrix of the weighted sum.
     """
     if n_trunc < 0:
         raise ValueError("n_trunc must be nonnegative")
-    support = sorted(set().union(*polys))
-    if not support:
+    polys = np.asarray(polys)
+    support = np.argwhere(np.any(polys != 0, axis=0))
+    if not len(support):
         raise ValueError("empty polynomial support")
     d = n_trunc + 1
 
@@ -119,12 +121,12 @@ def fock_matrices(kernel, n_trunc, polys):
             cofs = np.array([terms[t] for t in terms])
             dag[(mm, nn)] = (offs, cofs)
 
-    amax = np.max(np.array(support), axis=0)
+    amax = np.max(support, axis=0)
     shape = tuple(int(x) for x in amax + n_trunc + 1)
     table = moment_table(_augmented_kernel(kernel), shape).reshape(-1)
     strides = np.array([int(np.prod(shape[i + 1:])) for i in range(4)], dtype=np.intp)
 
-    alpha_lin = np.array(support, dtype=np.intp) @ strides
+    alpha_lin = support @ strides
     rows, cols = np.triu_indices(d * d)
     weights = np.empty((len(support), len(rows)), dtype=complex)
     for n, (row, col) in enumerate(zip(rows.tolist(), cols.tolist())):
@@ -139,13 +141,9 @@ def fock_matrices(kernel, n_trunc, polys):
         vals = table[lin.reshape(-1)].reshape(lin.shape)
         weights[:, n] = np.einsum("abc,b,c->a", vals, c1, c2)
 
-    index = {a: n for n, a in enumerate(support)}
     diag = rows == cols
     out = np.zeros((len(polys), d * d, d * d), dtype=complex)
-    for rho, poly in zip(out, polys):
-        coeff = np.zeros(len(support), dtype=complex)
-        for a, c in poly.items():
-            coeff[index[a]] = c
+    for rho, coeff in zip(out, polys[(slice(None), *support.T)]):
         upper = coeff @ weights
         rho[rows, cols] = upper
         rho[cols, rows] = np.conj(upper)

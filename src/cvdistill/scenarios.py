@@ -139,19 +139,17 @@ class _PointEvaluator:
     def __init__(self, cfg):
         self.cfg = cfg
         self.terms = _raw_terms(cfg)
+        self.kernel = self.terms[0].kernel
+        self.polys = np.stack([term.poly for term in self.terms])
         self.traces = _real_parts([term.trace for term in self.terms], "trace")
 
     @cached_property
     def matrices(self):
-        return fock_matrices(self.terms[0].kernel, self.cfg.n_trunc,
-                             [term.poly for term in self.terms])
+        return fock_matrices(self.kernel, self.cfg.n_trunc, self.polys)
 
     @cached_property
     def fidelities(self):
-        return _real_parts(
-            fidelity_integrals(self.terms[0].kernel,
-                               [term.poly for term in self.terms]),
-            "fidelity")
+        return _real_parts(fidelity_integrals(self.kernel, self.polys), "fidelity")
 
     def _weights(self, t):
         op = CoherentOp.from_t(t)

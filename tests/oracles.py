@@ -4,17 +4,15 @@ Almost everything here recomputes its target through a different
 mathematical path than the package (Fock-space series, scipy
 special-function evaluation, brute-force real-space quadrature, closed-form
 Schmidt sums, a cyclic Jacobi eigensolver, exact rational Laguerre
-coefficients).  None of that touches the package's moment recursion or its
-polynomial algebra.  Three exceptions share low-level pieces with the
-package: RecursiveMoments evaluates moments one at a time by the memoized
-scalar Wick/Stein recursion, from the moment covariance and normalization
-that moment_table uses, so it checks the vectorized moment table, not the
-covariance; fock_element shares the moment table and the displacement
+coefficients, first-order operators over {multi-index: coefficient} dicts).
+None of that touches the package's moment recursion or its polynomial
+algebra.  Two exceptions share low-level pieces with the package:
+RecursiveMoments evaluates moments one at a time by the memoized scalar
+Wick/Stein recursion, from the moment covariance and normalization that
+moment_table uses, so it checks the vectorized moment table, not the
+covariance; and fock_element shares the moment table and the displacement
 polynomials with fock_matrices, so it only checks that function's assembly
-(weight matrix, Hermitian fill), not the integrals; and
-sequential_pipeline shares the polynomial shift/derivative helpers, so it
-checks the (t, r) basis of the pipeline, not the ladder-operator
-correspondence.
+(weight matrix, Hermitian fill), not the integrals.
 """
 
 import math
@@ -25,14 +23,9 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from cvdistill.chi_core import (
-    N_VARS,
     CoherentOp,
     PolyGaussianChi,
     _moment_covariance,
-    _poly_add,
-    _poly_diff,
-    _poly_shift,
-    _prune,
     _real_form,
     apply_thermal_channel,
     check_normalized,
@@ -87,20 +80,37 @@ def laguerre_coeffs_recurrence(n, alpha):
 
 # --- the pipeline at one weight, operation by operation --------------------
 
+def cube_items(poly):
+    """{multi-index: coefficient} dict of the nonzero monomials of a cube."""
+    return {tuple(int(k) for k in a): poly[tuple(a)] for a in np.argwhere(poly)}
+
+
+def dict_to_cube(poly, side):
+    """Coefficient cube of the given side of a {multi-index: coefficient} dict."""
+    cube = np.zeros((side,) * 4, dtype=complex)
+    for a, c in poly.items():
+        cube[a] = c
+    return cube
+
+
 def _first_order_direct(poly, kq, dcoef, mcoef):
-    """Apply sum_j dcoef[j] d/dv_j + sum_j mcoef[j] v_j to P * exp(-0.5 v^T K v)."""
+    """Apply sum_j dcoef[j] d/dv_j + sum_j mcoef[j] v_j to P * exp(-0.5 v^T K v),
+    P a {multi-index: coefficient} dict: d/dv_j lowers a_j with the factor
+    a_j and pulls -(K v)_j down from the Gaussian, v_j raises a_j."""
     out = {}
-    for j, c in dcoef.items():
-        if c == 0.0:
-            continue
-        _poly_add(out, _poly_diff(poly, j), c)
-        for k in range(N_VARS):
-            kv = kq[j, k]
-            if kv != 0.0:
-                _poly_add(out, _poly_shift(poly, k), -c * kv)
-    for j, c in mcoef.items():
-        if c != 0.0:
-            _poly_add(out, _poly_shift(poly, j), c)
+
+    def add(alpha, var, step, c):
+        b = tuple(a + step * (i == var) for i, a in enumerate(alpha))
+        out[b] = out.get(b, 0j) + c
+
+    for a, c in poly.items():
+        for j, dc in dcoef.items():
+            if a[j]:
+                add(a, j, -1, dc * a[j] * c)
+            for k in range(len(a)):
+                add(a, k, 1, -dc * kq[j, k] * c)
+        for j, mc in mcoef.items():
+            add(a, j, 1, mc * c)
     return out
 
 
@@ -110,9 +120,10 @@ def apply_coherent_op_direct(state, mode, op):
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
     kq = state.kernel
     t, r = op.t, op.r
-    inner = _first_order_direct(state.poly, kq, {p: t, q: -r}, {p: r / 2, q: t / 2})
+    inner = _first_order_direct(cube_items(state.poly), kq,
+                                {p: t, q: -r}, {p: r / 2, q: t / 2})
     outer = _first_order_direct(inner, kq, {p: r, q: -t}, {p: -t / 2, q: -r / 2})
-    return PolyGaussianChi(_prune(outer), state.kernel)
+    return PolyGaussianChi(dict_to_cube(outer, len(state.poly) + 2), state.kernel)
 
 
 def sequential_pipeline(cfg, t):
@@ -327,7 +338,7 @@ def fock_element(state, i, j, k, l):
     merged = {}
     d1 = _dagger_poly(i, k)
     d2 = _dagger_poly(j, l)
-    for a, c in state.poly.items():
+    for a, c in cube_items(state.poly).items():
         for (a1, b1), c1 in d1.items():
             for (a2, b2), c2 in d2.items():
                 key = (a[0] + a1, a[1] + b1, a[2] + a2, a[3] + b2)
@@ -390,8 +401,9 @@ def quadrature_fock_elements(state, indices, grid=QuadratureGrid()):
 
     pairs1 = sorted({(i, k) for i, _, k, _ in indices})
     pairs2 = sorted({(j, l) for _, j, _, l in indices})
-    mono1 = sorted({(a[0], a[1]) for a in state.poly})
-    mono2 = sorted({(a[2], a[3]) for a in state.poly})
+    poly = cube_items(state.poly)
+    mono1 = sorted({(a[0], a[1]) for a in poly})
+    mono2 = sorted({(a[2], a[3]) for a in poly})
     p1_idx = {p: i for i, p in enumerate(pairs1)}
     p2_idx = {p: i for i, p in enumerate(pairs2)}
     m1_idx = {m: i for i, m in enumerate(mono1)}
@@ -421,7 +433,7 @@ def quadrature_fock_elements(state, indices, grid=QuadratureGrid()):
     out = {}
     for i, j, k, l in indices:
         val = 0j
-        for a, c in state.poly.items():
+        for a, c in poly.items():
             val += c * g[p1_idx[(i, k)], m1_idx[(a[0], a[1])],
                          p2_idx[(j, l)], m2_idx[(a[2], a[3])]]
         out[(i, j, k, l)] = val / math.pi ** 2

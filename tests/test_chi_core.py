@@ -30,7 +30,7 @@ def vacuum_chi():
     k = np.zeros((4, 4))
     k[0, 1] = k[1, 0] = 0.5
     k[2, 3] = k[3, 2] = 0.5
-    return PolyGaussianChi({ZERO_INDEX: 1.0}, gaussian_kernel(k))
+    return PolyGaussianChi(np.ones((1, 1, 1, 1)), gaussian_kernel(k))
 
 
 def pair_kernel(p):
@@ -130,19 +130,30 @@ def test_kernel_validation():
     with pytest.raises(ValueError):
         gaussian_kernel(np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        PolyGaussianChi({ZERO_INDEX: 1.0}, gaussian_kernel(np.eye(2)))
+        PolyGaussianChi(np.ones((1, 1, 1, 1)), gaussian_kernel(np.eye(2)))
     # swap conjugation P K P = conj(K), P exchanging xi_i and xi_i*
     k = tmsv_chi(0.5).kernel
     swap = [1, 0, 3, 2]
     assert np.max(np.abs(k[np.ix_(swap, swap)] - np.conj(k))) == 0.0
 
 
-def test_multi_index_validation():
+def test_polynomial_shape_validation():
     k = pair_kernel(0.5)
-    with pytest.raises(ValueError):
-        PolyGaussianChi({(1, 0, 0): 1.0}, k)
-    with pytest.raises(ValueError):
-        PolyGaussianChi({(-1, 0, 0, 0): 1.0}, k)
+    for poly in (np.ones((2, 2, 2)), np.ones((2, 2, 2, 3)), np.ones((0, 0, 0, 0)),
+                 {ZERO_INDEX: 1.0}):
+        with pytest.raises(ValueError):
+            PolyGaussianChi(poly, k)
+    st = PolyGaussianChi(np.ones((2, 2, 2, 2)), k)
+    assert not st.poly.flags.writeable
+
+
+def test_hermiticity_defect_of_a_lone_linear_term():
+    # P = v_1 = xi1 has no conjugate partner: conj(chi(-v)) carries -xi1*
+    poly = np.zeros((2, 2, 2, 2))
+    poly[1, 0, 0, 0] = 1.0
+    st = PolyGaussianChi(poly, pair_kernel(0.5))
+    assert st.hermiticity_defect() == 1.0
+    assert not st.is_hermitian()
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +217,8 @@ def test_channel_is_identity_at_unit_transmissivity():
     st = apply_coherent_op(tmsv_chi(0.3), 1, CoherentOp.from_t(0.7))
     out = apply_thermal_channel(st, 1, ChannelParams(1.0, 5.0))
     np.testing.assert_allclose(out.kernel, st.kernel, atol=1e-15)
-    assert set(out.poly) == set(st.poly)
-    for a in st.poly:
-        assert out.poly[a] == pytest.approx(st.poly[a], abs=1e-15)
+    np.testing.assert_array_equal(out.poly != 0, st.poly != 0)
+    np.testing.assert_allclose(out.poly, st.poly, rtol=0.0, atol=1e-15)
 
 
 def test_channel_preserves_trace():
@@ -232,9 +242,9 @@ def test_channel_scales_polynomial_by_mode_degree():
     st = apply_coherent_op(tmsv_chi(0.4), 1, CoherentOp.from_t(1.0))
     eta = 0.6
     out = apply_thermal_channel(st, 1, ChannelParams(eta, 0.2))
-    for a, c in st.poly.items():
+    for a in map(tuple, np.argwhere(st.poly)):
         scale = math.sqrt(eta) ** (a[0] + a[1])
-        assert out.poly[a] == pytest.approx(c * scale, rel=1e-14)
+        assert out.poly[a] == pytest.approx(st.poly[a] * scale, rel=1e-14)
 
 
 def test_channel_hermiticity_preserved():
@@ -262,7 +272,7 @@ def test_normalize_returns_success_probability():
 
 
 def test_normalize_rejects_complex_trace():
-    st = PolyGaussianChi({ZERO_INDEX: 1.0 + 0.1j}, pair_kernel(0.5))
+    st = PolyGaussianChi(np.full((1, 1, 1, 1), 1.0 + 0.1j), pair_kernel(0.5))
     with pytest.raises(ValueError):
         normalize(st)
 
@@ -338,8 +348,9 @@ def test_moment_table_matches_scalar_route():
     st = apply_thermal_channel(apply_thermal_channel(st, 1, ch), 2, ch)
     r = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     kernel = gaussian_kernel(r.T @ st.kernel @ r + [[0.0, 1.0], [1.0, 0.0]])
-    shape = (max(a[1] + a[2] for a in st.poly) + 1,
-             max(a[0] + a[3] for a in st.poly) + 1)
+    support = np.argwhere(st.poly)
+    shape = (max(a[1] + a[2] for a in support) + 1,
+             max(a[0] + a[3] for a in support) + 1)
     assert shape == (5, 5)
     table = moment_table(kernel, shape)
     ref = oracles.RecursiveMoments(kernel)

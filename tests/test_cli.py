@@ -224,10 +224,16 @@ def test_point_eigensolver_failure_is_numerical_exit(monkeypatch, capsys):
     ["--strategy", "noop", "--s", "0.3", "--eta", "0.5", "--n-th", "1e100"],
     ["--strategy", "coherent_before", "--s", "0.3", "--eta", "0.5",
      "--n-th", "1e300"],
+    ["--strategy", "coherent_after", "--s", "0.3", "--eta", "0.5",
+     "--n-th", "1e300"],
+    ["--strategy", "subtract_after", "--s", "0.3", "--eta", "0.5",
+     "--n-th", "1e300"],
 ])
 def test_point_overflowing_inputs_are_numerical_exit(capsys, argv):
     # cosh(2s) overflows above s ~ 356, the channel's (2 n_th + 1) terms
     # overflow at huge n_th, and at n_th 1e300 the Fock matrix is all zero
+    # (operation first) or the kernel entries of about 5e299 overflow the
+    # coefficients of the operation after the channel
     with np.errstate(all="ignore"):
         assert main(["point", *argv]) == 3
     captured = capsys.readouterr()
@@ -321,6 +327,16 @@ def test_sweep_overflowing_squeezing_is_numerical_exit(tmp_path, capsys):
         "s = 0.114", "s = 400"))
     assert main(["sweep", cfg]) == 3
     assert capsys.readouterr().err.startswith("error: OverflowError")
+    assert not out.exists()
+
+
+def test_sweep_overflowing_coefficients_are_numerical_exit(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, SMALL_SWEEP.format(out=out)
+                       .replace("noop, subtract_before", "coherent_after")
+                       .replace("n_th = 0.1", "n_th = 1e300"))
+    assert main(["sweep", cfg]) == 3
+    assert capsys.readouterr().err.startswith("error: FloatingPointError")
     assert not out.exists()
 
 

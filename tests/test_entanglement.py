@@ -262,8 +262,9 @@ def test_fidelity_integrals_match_one_polynomial_calls(strategy):
 
 
 def test_fidelity_integrals_of_empty_polynomials_vanish():
-    assert list(fidelity_integrals(tmsv_chi(0.3).kernel, [{}, {}])) == [0, 0]
-    assert fidelity_integrals(tmsv_chi(0.3).kernel, []).shape == (0,)
+    kernel = tmsv_chi(0.3).kernel
+    assert list(fidelity_integrals(kernel, np.zeros((2, 3, 3, 3, 3)))) == [0, 0]
+    assert fidelity_integrals(kernel, np.zeros((0, 1, 1, 1, 1))).shape == (0,)
 
 
 def test_fidelity_requires_normalized_state():
@@ -291,7 +292,7 @@ def test_success_probability_can_exceed_one():
 def test_success_probability_input_validation():
     kernel = tmsv_chi(0.0).kernel
     with pytest.raises(ZeroStateError):
-        normalize(PolyGaussianChi({(0, 0, 0, 0): -1.0}, kernel))
+        normalize(PolyGaussianChi(-np.ones((1, 1, 1, 1)), kernel))
 
 
 # ---------------------------------------------------------------------------

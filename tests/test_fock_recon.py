@@ -214,7 +214,7 @@ def test_builder_matches_elementwise_route():
 
 def test_fock_matrices_reject_empty_support():
     st = tmsv_chi(0.2)
-    for polys in ([], [{}], [{}, {}]):
+    for polys in ([], np.zeros((1, 1, 1, 1, 1)), np.zeros((2, 3, 3, 3, 3))):
         with pytest.raises(ValueError, match="empty polynomial support"):
             fock_matrices(st.kernel, 2, polys)
 

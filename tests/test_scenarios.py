@@ -73,7 +73,8 @@ def test_noop_through_perfect_channel_is_input():
                                        n_th=0.0)).state(1.0)
     ref = tmsv_chi(0.403)
     assert p == pytest.approx(1.0, abs=1e-14)
-    assert state.poly == {(0, 0, 0, 0): pytest.approx(1.0)}
+    assert state.poly.shape == (1, 1, 1, 1)
+    assert state.poly[0, 0, 0, 0] == pytest.approx(1.0)
     np.testing.assert_allclose(state.kernel, ref.kernel, atol=1e-14)
 
 
@@ -112,10 +113,21 @@ def test_term_basis_matches_sequential_pipeline(strategy):
         got = combine_terms(terms, op.t, op.r)
         want = oracles.sequential_pipeline(cfg, t)
         np.testing.assert_array_equal(got.kernel, want.kernel)
-        scale = max(abs(c) for c in want.poly.values())
-        for key in got.poly.keys() | want.poly.keys():
-            assert abs(got.poly.get(key, 0) - want.poly.get(key, 0)) \
-                <= 1e-13 * scale, (t, key)
+        assert got.poly.shape == want.poly.shape
+        scale = np.max(np.abs(want.poly))
+        assert np.max(np.abs(got.poly - want.poly)) <= 1e-13 * scale, t
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+def test_term_supports_are_pinned(strategy):
+    # the monomials the Fock and fidelity consumers integrate, per term
+    polys = _PointEvaluator(cfg_for(strategy)).polys
+    union = int(np.count_nonzero(np.any(polys != 0, axis=0)))
+    per_term = [int(np.count_nonzero(p)) for p in polys]
+    if strategy == "noop":
+        assert (union, per_term) == (1, [1])
+    else:
+        assert (union, per_term) == (46, [14, 22, 24, 22, 14])
 
 
 def test_subtraction_from_vacuum_raises():
