@@ -6,13 +6,9 @@ from .chi_core import (
     CoherentOp,
     PolyGaussianChi,
     SingularKernelError,
-    ZeroStateError,
-    apply_coherent_op,
     apply_thermal_channel,
-    evaluate_chi,
     gaussian_kernel,
     moment_table,
-    normalize,
     tmsv_chi,
 )
 from .entanglement import (
@@ -23,7 +19,6 @@ from .entanglement import (
     partial_transpose,
     separation_eta,
     separation_time,
-    teleportation_fidelity,
     thermal_occupation,
 )
 from .fock_recon import (

@@ -39,12 +39,8 @@ TRACE_ONE_TOL = 1e-6
 ZERO_TRACE_TOL = 1e-30
 
 
-class ZeroStateError(Exception):
-    """A state of vanishing trace cannot be normalized."""
-
-
 class SingularKernelError(Exception):
-    """Gaussian kernel is not positive definite; the integral diverges."""
+    """Kernel is not positive definite, or its determinant under- or overflows."""
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +136,9 @@ class PolyGaussianChi:
 
     poly is a read-only complex array of shape (D, D, D, D) with poly[alpha]
     the coefficient of v^alpha, so each exponent runs below D.  The trace of
-    the underlying operator is chi(0, 0), i.e. the constant coefficient of P.
-    Instances are treated as immutable; operations return new objects.
+    the underlying operator is chi(0, 0), i.e. the constant coefficient
+    poly[ZERO_INDEX].  The pipeline operations act on a kernel and a stack of
+    such cubes; a single state is what tmsv_chi returns and fock_matrix takes.
     """
 
     def __init__(self, poly, kernel):
@@ -153,10 +150,6 @@ class PolyGaussianChi:
         self.poly = poly.astype(complex)
         self.poly.flags.writeable = False
         self.kernel = kernel
-
-    @property
-    def trace(self):
-        return complex(self.poly[ZERO_INDEX])
 
     @property
     def degree(self):
@@ -203,29 +196,35 @@ def tmsv_chi(s):
     return PolyGaussianChi(np.ones((1,) * N_VARS), gaussian_kernel(k))
 
 
-def _first_order(stack, kq, j, c, m, h):
+def _shift(stack, var, step):
+    """Every cube of a stack shifted by step along v_var: a roll of the flat
+    stack by step strides of v_var, exact while what wraps in is zero."""
+    flat = np.roll(stack.reshape(-1), step * stack.shape[1] ** (N_VARS - 1 - var))
+    return flat.reshape(stack.shape)
+
+
+def _first_order(stack, raised, kq, j, c, m, h):
     """Apply c d/dv_j + h v_m to P * exp(-0.5 v^T K v) for every cube P of a
-    stack (axis 0 runs over the cubes).
+    stack (axis 0 runs over the cubes), given raised[var] = v_var P.
 
     Differentiating the Gaussian factor pulls down -(K v)_j, so the result
     stays in the same kernel class and only the polynomial changes.  The
-    derivative is roll(k P, -1) along v_j; multiplying by v_k is roll(P, +1)
-    along v_k, which is exact while the top exponent of every axis is zero.
+    derivative is k P shifted by -1 along v_j; what wraps in has k = 0.
     """
     k = np.arange(stack.shape[1]).reshape((-1,) + (1,) * (N_VARS - 1 - j))
-    out = c * np.roll(k * stack, -1, axis=1 + j)
+    out = c * _shift(k * stack, j, -1)
     for var in range(N_VARS):
         if kq[j, var] != 0.0:
-            out += -c * kq[j, var] * np.roll(stack, 1, axis=1 + var)
-    return out + h * np.roll(stack, 1, axis=1 + m)
+            out += -c * kq[j, var] * raised[var]
+    return out + h * raised[m]
 
 
-def coherent_op_terms(terms, mode):
+def coherent_op_terms(kernel, stack, mode):
     """Apply (t a + r a^dag) rho (t a^dag + r a) to one mode, for every (t, r).
 
-    terms[k] is the coefficient state of t^(n-k) r^k in a degree-n form in
-    (t, r); the result is the degree-(n+2) form, two terms longer.  Under the
-    characteristic-function correspondence
+    stack[k] is the coefficient cube of t^(n-k) r^k in a degree-n form in
+    (t, r) over the kernel; the result is the stack of the degree-(n+2)
+    form, two cubes longer.  Under the characteristic-function correspondence
 
         a rho     -> (-d/dxi* - xi/2) chi      rho a     -> (-d/dxi* + xi/2) chi
         a^dag rho -> ( d/dxi  - xi*/2) chi     rho a^dag -> ( d/dxi  + xi*/2) chi
@@ -235,25 +234,27 @@ def coherent_op_terms(terms, mode):
     bilinearly by (t, r).  The kernel is untouched, the polynomial degree
     grows by at most two, and the weighted trace of the unnormalized output
     carries the success probability of the operation.  The cubes grow by two
-    on every axis.  An overflow or invalid value in the arithmetic raises
-    FloatingPointError rather than leaving inf or NaN coefficients.
+    on every axis, so the shifts by v never wrap in a nonzero coefficient.
+    An overflow or invalid value in the arithmetic raises FloatingPointError
+    rather than leaving inf or NaN coefficients.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
-    kq = terms[0].kernel
     right = ((p, 1.0, q, 0.5), (q, -1.0, p, 0.5))  # t: rho a^dag, r: rho a
     left = ((q, -1.0, p, -0.5), (p, 1.0, q, -0.5))  # t: a rho, r: a^dag rho
-    n = len(terms)
+    n = len(stack)
     with np.errstate(over="raise", invalid="raise"):
-        stack = np.pad([term.poly for term in terms], [(0, 0)] + [(0, 2)] * N_VARS)
+        stack = np.pad(stack, [(0, 0)] + [(0, 2)] * N_VARS)
+        raised = [_shift(stack, var, 1) for var in range(N_VARS)]
         out = np.zeros((n + 2,) + stack.shape[1:], dtype=complex)
         for i, op_right in enumerate(right):
-            inner = _first_order(stack, kq, *op_right)
+            inner = _first_order(stack, raised, kernel, *op_right)
+            inner_raised = [_shift(inner, var, 1) for var in range(N_VARS)]
             for j, op_left in enumerate(left):
-                out[i + j:i + j + n] += _first_order(inner, kq, *op_left)
-        out = _prune(out)
-    return [PolyGaussianChi(poly, kq) for poly in out]
+                out[i + j:i + j + n] += _first_order(inner, inner_raised, kernel,
+                                                     *op_left)
+        return _prune(out)
 
 
 def term_weights(n_terms, t, r):
@@ -261,20 +262,9 @@ def term_weights(n_terms, t, r):
     return [t ** (n_terms - 1 - k) * r ** k for k in range(n_terms)]
 
 
-def combine_terms(terms, t, r):
-    """The state sum_k t^(n-k) r^k terms[k] at one weight (t, r)."""
-    weights = term_weights(len(terms), t, r)
-    poly = sum(w * term.poly for w, term in zip(weights, terms))
-    return PolyGaussianChi(poly, terms[0].kernel)
-
-
-def apply_coherent_op(state, mode, op):
-    """coherent_op_terms at the single weight op."""
-    return combine_terms(coherent_op_terms([state], mode), op.t, op.r)
-
-
-def apply_thermal_channel(state, mode, channel):
-    """Mix one mode with a thermal bath on a beamsplitter of transmissivity eta.
+def apply_thermal_channel(kernel, stack, mode, channel):
+    """Mix one mode of every cube of a stack over one kernel with a thermal
+    bath on a beamsplitter of transmissivity eta; returns (kernel, stack).
 
     chi'(..., xi_i, ...) = chi(..., sqrt(eta) xi_i, ...)
                            * exp(-0.5 (2 n_th + 1)(1 - eta) |xi_i|^2)
@@ -287,50 +277,22 @@ def apply_thermal_channel(state, mode, channel):
         raise ValueError("mode must be 1 or 2")
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
     root = math.sqrt(channel.eta)
-    a = np.indices(state.poly.shape)
-    poly = state.poly * root ** (a[p] + a[q])
-    k = np.array(state.kernel)
+    a = np.indices(stack.shape[1:])
+    stack = stack * root ** (a[p] + a[q])
+    k = np.array(kernel)
     k[[p, q], :] *= root
     k[:, [p, q]] *= root
     add = 0.5 * (2 * channel.n_th + 1) * (1 - channel.eta)
     k[p, q] += add
     k[q, p] += add
-    return PolyGaussianChi(poly, gaussian_kernel(k))
+    return gaussian_kernel(k), stack
 
 
-def evaluate_chi(state, xi1, xi2):
-    """Evaluate chi at a phase-space point (xi_i* is the complex conjugate)."""
-    v = np.array([xi1, np.conj(xi1), xi2, np.conj(xi2)], dtype=complex)
-    powers = v[:, None] ** np.arange(len(state.poly))
-    val = np.einsum("abcd,a,b,c,d->", state.poly, *powers)
-    return val * np.exp(-0.5 * (v @ state.kernel @ v))
-
-
-def normalize(state):
-    """Scale a state to unit trace.
-
-    Returns (normalized_state, trace); the trace of a pipeline output is the
-    heralding rate of the non-deterministic operations applied so far.  It is
-    not bounded by 1, because t a + r a^dag is not a trace-nonincreasing map:
-    the trace is a rate relative to an unstated gain and exceeds 1 where the
-    a^dag part dominates (coherent_before at s = 0.286, eta = 0.8911,
-    n_th = 0.1107, t = 0.0741 gives 1.256).  A trace below ZERO_TRACE_TOL,
-    negative float noise included, raises ZeroStateError.
-    """
-    tr = state.trace
-    if abs(tr.imag) > TRACE_IMAG_TOL * max(1.0, abs(tr.real)):
-        raise ValueError(f"trace has non-negligible imaginary part: {tr}")
-    t = tr.real
-    if t < ZERO_TRACE_TOL:
-        raise ZeroStateError("state has vanishing trace")
-    return PolyGaussianChi(state.poly / t, state.kernel), t
-
-
-def check_normalized(state):
-    """Raise ValueError unless the state's trace is 1 within TRACE_ONE_TOL."""
-    tr = state.trace
+def check_normalized(poly):
+    """Raise ValueError unless the trace poly[0, 0, 0, 0] is 1 to TRACE_ONE_TOL."""
+    tr = poly[ZERO_INDEX]
     if abs(tr - 1.0) > TRACE_ONE_TOL:
-        raise ValueError(f"state trace {tr} is not 1; normalize first")
+        raise ValueError(f"state trace {tr} is not 1")
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +304,18 @@ def _moment_covariance(kernel):
     The kernel is converted to its real quadratic form M over (x, y) pairs;
     the moment covariance of the real Gaussian is Sigma = M^{-1}, pulled back
     to the complex variables as C = T Sigma T^T, and the Gaussian integrates
-    to 2^n / sqrt(det M) over n modes.
+    to 2^n / sqrt(det M) over n modes.  A det M that leaves the float range
+    raises SingularKernelError rather than scaling every moment to 0 or inf.
     """
     m = _real_form(kernel)
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise SingularKernelError("kernel is not positive definite") from exc
-    det = float(np.prod(np.diag(chol))) ** 2
+    with np.errstate(over="ignore"):
+        det = float(np.prod(np.diag(chol)) ** 2)
+    if not 0.0 < det < math.inf:
+        raise SingularKernelError(f"kernel determinant {det} is out of range")
     n_modes = len(kernel) // 2
     t = _complexification(n_modes)
     sigma = np.linalg.inv(m)

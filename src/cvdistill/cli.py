@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from .chi_core import ChannelParams, SingularKernelError, ZeroStateError
+from .chi_core import ChannelParams, SingularKernelError
 from .entanglement import InvalidCovarianceError, thermal_occupation
 from .fock_recon import PrecisionError
 from .scenarios import ScenarioConfig, Strategy, evaluate_point, sweep
@@ -29,7 +29,7 @@ EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_IO = 4
 
-_COMPUTE_ERRORS = (ZeroStateError, SingularKernelError, np.linalg.LinAlgError,
+_COMPUTE_ERRORS = (SingularKernelError, np.linalg.LinAlgError,
                    InvalidCovarianceError, PrecisionError, ArithmeticError)
 
 

@@ -50,32 +50,28 @@ def log_negativity(rho):
 
 
 # Quadratures x = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)) from the
-# derivative variables w = (d/dxi_i acting as a^dag, -a):
-_L_MODE = np.array([[1.0, -1.0], [1j, 1j]]) / math.sqrt(2.0)
+# derivative variables w = (d/dxi_i acting as a^dag, -a), mode by mode:
+_L = np.zeros((4, 4), dtype=complex)
+_L[:2, :2] = _L[2:, 2:] = np.array([[1.0, -1.0], [1j, 1j]]) / math.sqrt(2.0)
 
 
-def covariance_from_chi(state):
-    """Quadrature covariance of a normalized state, from exact derivatives of
-    its characteristic function at the origin: a read-only (4, 4) array over
+def covariance_from_chi(kernel, poly):
+    """Quadrature covariance of the normalized state P(v) exp(-v^T K v / 2),
+    K the kernel and P the cube poly, from exact derivatives of its
+    characteristic function at the origin: a read-only (4, 4) array over
     (x1, p1, x2, p2), with vacuum covariance identity/2.
 
-    For chi = P(v) exp(-v^T K v / 2) with P(0) = 1 the symmetrized moments of
-    (a1^dag, -a1, a2^dag, -a2) read off as S_ij = d_i d_j P(0) - K_ij and the
-    first moments as m_i = d_i P(0); no numerical differentiation is involved.
+    With P(0) = 1 the symmetrized moments of (a1^dag, -a1, a2^dag, -a2) read
+    off as S_ij = d_i d_j P(0) - K_ij and the first moments as m_i = d_i P(0);
+    no numerical differentiation is involved.
     """
-    check_normalized(state)
-    poly = np.pad(state.poly, [(0, max(0, 3 - len(state.poly)))] * 4)
-    kq = state.kernel
+    check_normalized(poly)
+    poly = np.pad(poly, [(0, max(0, 3 - len(poly)))] * 4)
     e = np.eye(4, dtype=int)
-    s = np.empty((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            s[i, j] = (2.0 if i == j else 1.0) * poly[tuple(e[i] + e[j])] - kq[i, j]
-    m = np.array([poly[tuple(row)] for row in e])
-    l_full = np.zeros((4, 4), dtype=complex)
-    l_full[:2, :2] = _L_MODE
-    l_full[2:, 2:] = _L_MODE
-    sigma = l_full @ (s - np.outer(m, m)) @ l_full.T
+    second = poly[tuple(np.moveaxis(e[:, None] + e[None, :], -1, 0))]
+    s = (1.0 + np.eye(4)) * second - kernel
+    m = poly[tuple(e)]
+    sigma = _L @ (s - np.outer(m, m)) @ _L.T
     if float(np.max(np.abs(sigma.imag))) > COV_IMAG_TOL:
         raise InvalidCovarianceError("covariance has a non-real part")
     out = 0.5 * (sigma.real + sigma.real.T)
@@ -132,18 +128,6 @@ def fidelity_integrals(kernel, polys):
     values = table[tuple(reduced.T)]
     return np.array([np.sum(c[c != 0] * values[c != 0])
                      for c in polys[(slice(None), *support.T)]], dtype=complex)
-
-
-def teleportation_fidelity(state):
-    """Average fidelity of coherent-state teleportation with the state as the
-    shared resource: the fidelity integral of a normalized state, which must
-    come out real.
-    """
-    check_normalized(state)
-    val = fidelity_integrals(state.kernel, [state.poly])[0]
-    if abs(val.imag) > 1e-9:
-        raise ValueError(f"fidelity came out non-real: {val}")
-    return float(val.real)
 
 
 def separation_eta(s, n_th):

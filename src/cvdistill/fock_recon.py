@@ -166,5 +166,5 @@ def certify(rho):
 def fock_matrix(state, n_trunc):
     """Certified truncated density matrix of a normalized two-mode state,
     as a (d^2, d^2) array with d = n_trunc + 1."""
-    check_normalized(state)
+    check_normalized(state.poly)
     return certify(fock_matrices(state.kernel, n_trunc, [state.poly])[0])

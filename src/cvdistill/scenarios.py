@@ -24,8 +24,6 @@ from .chi_core import (
     CoherentOp,
     apply_thermal_channel,
     coherent_op_terms,
-    combine_terms,
-    normalize,
     term_weights,
     tmsv_chi,
 )
@@ -113,35 +111,35 @@ class OptimizeResult:
 
 
 def _raw_terms(cfg):
-    """Unnormalized pipeline output for every weight: terms[k] is the
-    coefficient state of t^(n-k) r^k (n = 4 with the operation, else 0)."""
-    terms = [tmsv_chi(cfg.s)]
+    """Unnormalized pipeline output for every weight, as (kernel, polys):
+    polys[k] is the coefficient cube of t^(n-k) r^k over the one kernel
+    (n = 4 with the operation, else 0)."""
+    tmsv = tmsv_chi(cfg.s)
+    kernel, polys = tmsv.kernel, tmsv.poly[None]
     if cfg.strategy.operation_first:
-        terms = coherent_op_terms(coherent_op_terms(terms, 1), 2)
-    terms = [apply_thermal_channel(apply_thermal_channel(term, 1, cfg.channel),
-                                   2, cfg.channel) for term in terms]
+        polys = coherent_op_terms(kernel, coherent_op_terms(kernel, polys, 1), 2)
+    for mode in (1, 2):
+        kernel, polys = apply_thermal_channel(kernel, polys, mode, cfg.channel)
     if cfg.strategy.has_operation and not cfg.strategy.operation_first:
-        terms = coherent_op_terms(coherent_op_terms(terms, 1), 2)
-    return terms
+        polys = coherent_op_terms(kernel, coherent_op_terms(kernel, polys, 1), 2)
+    return kernel, polys
 
 
 class _PointEvaluator:
     """Shared context for repeated evaluations at one channel setting.
 
-    The pipeline runs once, as (t, r)-basis terms over one kernel; every
-    per-weight trace, Fock matrix and fidelity integral is a weighted sum of
-    per-term ones.  The per-term matrices and fidelities are built on first
-    use, so only the configured objective pays for its own.  A row reads its
-    E_N, fidelity and success probability from here, so it prints what the
-    objective scores.
+    The pipeline runs once, as a stack of (t, r)-basis cubes over one
+    kernel; every per-weight trace, Fock matrix and fidelity integral is a
+    weighted sum of per-term ones, and the covariance is read off the
+    weighted sum of the cubes.  The per-term matrices and fidelities are
+    built on first use, so only the configured objective pays for its own.
+    A row reads all its columns from here, so it prints what it scores.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.terms = _raw_terms(cfg)
-        self.kernel = self.terms[0].kernel
-        self.polys = np.stack([term.poly for term in self.terms])
-        self.traces = _real_parts([term.trace for term in self.terms], "trace")
+        self.kernel, self.polys = _raw_terms(cfg)
+        self.traces = _real_parts(self.polys[:, 0, 0, 0, 0], "trace")
 
     @cached_property
     def matrices(self):
@@ -153,14 +151,10 @@ class _PointEvaluator:
 
     def _weights(self, t):
         op = CoherentOp.from_t(t)
-        return np.array(term_weights(len(self.terms), op.t, op.r))
+        return np.array(term_weights(len(self.polys), op.t, op.r))
 
     def probability(self, t):
         return max(float(self._weights(t) @ self.traces), 0.0)
-
-    def state(self, t):
-        op = CoherentOp.from_t(t)
-        return normalize(combine_terms(self.terms, op.t, op.r))
 
     def rho(self, t):
         """Fock matrix of the normalized state at weight t."""
@@ -171,6 +165,12 @@ class _PointEvaluator:
         """Teleportation fidelity of the normalized state at weight t."""
         w = self._weights(t)
         return float(w @ self.fidelities / (w @ self.traces))
+
+    def covariance(self, t):
+        """Quadrature covariance of the normalized state at weight t."""
+        w = self._weights(t)
+        poly = np.tensordot(w, self.polys, axes=1) / (w @ self.traces)
+        return covariance_from_chi(self.kernel, poly)
 
     def objective(self, t):
         """Objective value at weight t, or None when the state vanishes."""
@@ -251,7 +251,7 @@ def evaluate_point(cfg):
 
     Coherent strategies optimize t (unless pinned by t_override); subtraction
     runs at t = 1; the baseline records t_opt = 1 by convention.  E_N,
-    fidelity and p_success are the evaluator's values at that t.  A
+    E_N_gauss, fidelity and p_success are the evaluator's values at that t.  A
     preparation that cannot succeed (the objective's own vanishing-trace
     rule) yields a zeroed row flagged "zero_state" rather than an exception,
     so sweeps keep going.
@@ -267,10 +267,9 @@ def evaluate_point(cfg):
         return SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th,
                            cfg.channel.eta, t, 0.0, 0.0, 0.0, 0.0,
                            _join_flags(flag, "zero_state"))
-    state, _ = ev.state(t)
     return SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th, cfg.channel.eta,
                        t, log_negativity(certify(ev.rho(t))),
-                       gaussian_log_negativity(covariance_from_chi(state)),
+                       gaussian_log_negativity(ev.covariance(t)),
                        ev.fidelity(t), p, flag)
 
 

@@ -6,7 +6,11 @@ special-function evaluation, brute-force real-space quadrature, closed-form
 Schmidt sums, a cyclic Jacobi eigensolver, exact rational Laguerre
 coefficients, first-order operators over {multi-index: coefficient} dicts).
 None of that touches the package's moment recursion or its polynomial
-algebra.  Two exceptions share low-level pieces with the package:
+algebra.  The single-state helpers (channel_state, apply_coherent_op,
+combine_terms, normalize, evaluate_chi, teleportation_fidelity) are not
+references: they apply the package's own operations to one state at one
+weight, or evaluate one, for tests that follow a single state.  Two of the
+references share low-level pieces with the package:
 RecursiveMoments evaluates moments one at a time by the memoized scalar
 Wick/Stein recursion, from the moment covariance and normalization that
 moment_table uses, so it checks the vectorized moment table, not the
@@ -23,15 +27,21 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from cvdistill.chi_core import (
+    TRACE_IMAG_TOL,
+    ZERO_INDEX,
+    ZERO_TRACE_TOL,
     CoherentOp,
     PolyGaussianChi,
     _moment_covariance,
     _real_form,
     apply_thermal_channel,
     check_normalized,
+    coherent_op_terms,
     moment_table,
+    term_weights,
     tmsv_chi,
 )
+from cvdistill.entanglement import fidelity_integrals
 from cvdistill.fock_recon import _augmented_kernel, _dagger_poly
 
 
@@ -135,17 +145,82 @@ def sequential_pipeline(cfg, t):
         if cfg.strategy.operation_first:
             state = apply_coherent_op_direct(state, 1, op)
             state = apply_coherent_op_direct(state, 2, op)
-            state = apply_thermal_channel(state, 1, cfg.channel)
-            state = apply_thermal_channel(state, 2, cfg.channel)
+            state = channel_state(state, 1, cfg.channel)
+            state = channel_state(state, 2, cfg.channel)
         else:
-            state = apply_thermal_channel(state, 1, cfg.channel)
-            state = apply_thermal_channel(state, 2, cfg.channel)
+            state = channel_state(state, 1, cfg.channel)
+            state = channel_state(state, 2, cfg.channel)
             state = apply_coherent_op_direct(state, 1, op)
             state = apply_coherent_op_direct(state, 2, op)
     else:
-        state = apply_thermal_channel(state, 1, cfg.channel)
-        state = apply_thermal_channel(state, 2, cfg.channel)
+        state = channel_state(state, 1, cfg.channel)
+        state = channel_state(state, 2, cfg.channel)
     return state
+
+
+# --- single states through the package's operations ------------------------
+
+class ZeroStateError(Exception):
+    """A state of vanishing trace cannot be normalized."""
+
+
+def channel_state(state, mode, channel):
+    """The package's thermal channel on one mode of a single state."""
+    kernel, stack = apply_thermal_channel(state.kernel, state.poly[None], mode,
+                                          channel)
+    return PolyGaussianChi(stack[0], kernel)
+
+
+def combine_terms(kernel, polys, t, r):
+    """The state sum_k t^(n-k) r^k polys[k] over the kernel at one weight."""
+    weights = term_weights(len(polys), t, r)
+    return PolyGaussianChi(sum(w * poly for w, poly in zip(weights, polys)),
+                           kernel)
+
+
+def apply_coherent_op(state, mode, op):
+    """The package's coherent operation on one mode of a single state, at
+    the single weight op."""
+    terms = coherent_op_terms(state.kernel, state.poly[None], mode)
+    return combine_terms(state.kernel, terms, op.t, op.r)
+
+
+def normalize(state):
+    """Scale a state to unit trace.
+
+    Returns (normalized_state, trace); the trace of a pipeline output is the
+    heralding rate of the non-deterministic operations applied so far.  It is
+    not bounded by 1, because t a + r a^dag is not a trace-nonincreasing map.
+    A trace below ZERO_TRACE_TOL, negative float noise included, raises
+    ZeroStateError; a trace with a non-negligible imaginary part raises
+    ValueError.
+    """
+    tr = complex(state.poly[ZERO_INDEX])
+    if abs(tr.imag) > TRACE_IMAG_TOL * max(1.0, abs(tr.real)):
+        raise ValueError(f"trace has non-negligible imaginary part: {tr}")
+    t = tr.real
+    if t < ZERO_TRACE_TOL:
+        raise ZeroStateError("state has vanishing trace")
+    return PolyGaussianChi(state.poly / t, state.kernel), t
+
+
+def evaluate_chi(state, xi1, xi2):
+    """Evaluate chi at a phase-space point (xi_i* is the complex conjugate)."""
+    v = np.array([xi1, np.conj(xi1), xi2, np.conj(xi2)], dtype=complex)
+    powers = v[:, None] ** np.arange(len(state.poly))
+    val = np.einsum("abcd,a,b,c,d->", state.poly, *powers)
+    return val * np.exp(-0.5 * (v @ state.kernel @ v))
+
+
+def teleportation_fidelity(state):
+    """Average fidelity of coherent-state teleportation with a normalized
+    state as the shared resource: its fidelity integral, which must come out
+    real."""
+    check_normalized(state.poly)
+    val = fidelity_integrals(state.kernel, [state.poly])[0]
+    if abs(val.imag) > 1e-9:
+        raise ValueError(f"fidelity came out non-real: {val}")
+    return float(val.real)
 
 
 # --- closed forms for the two-mode squeezed vacuum -------------------------
@@ -334,7 +409,7 @@ def jacobi_eigvalsh(mat, tol=1e-12, max_sweeps=100):
 
 def fock_element(state, i, j, k, l):
     """Single density matrix element rho_{ij,kl} of a normalized state."""
-    check_normalized(state)
+    check_normalized(state.poly)
     merged = {}
     d1 = _dagger_poly(i, k)
     d2 = _dagger_poly(j, l)
@@ -376,7 +451,7 @@ def quadrature_fock_elements(state, indices, grid=QuadratureGrid()):
     displacement elements computed pointwise; shares nothing with the moment
     recursion.  Returns {(i, j, k, l): value}.
     """
-    check_normalized(state)
+    check_normalized(state.poly)
     indices = [tuple(int(x) for x in q) for q in indices]
     if not indices:
         return {}

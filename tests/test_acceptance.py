@@ -13,12 +13,10 @@ import math
 import numpy as np
 
 from cvdistill.chi_core import (
+    ZERO_INDEX,
     ChannelParams,
     CoherentOp,
-    apply_coherent_op,
-    apply_thermal_channel,
     moment_table,
-    normalize,
     tmsv_chi,
 )
 from cvdistill.cli import main
@@ -27,7 +25,6 @@ from cvdistill.entanglement import (
     gaussian_log_negativity,
     log_negativity,
     partial_transpose,
-    teleportation_fidelity,
     thermal_occupation,
 )
 from cvdistill.fock_recon import fock_matrix
@@ -39,7 +36,14 @@ from cvdistill.scenarios import (
     optimize_t,
     sweep,
 )
-from oracles import quadrature_fock_elements
+from oracles import (
+    apply_coherent_op,
+    channel_state,
+    normalize,
+    quadrature_fock_elements,
+    sequential_pipeline,
+    teleportation_fidelity,
+)
 
 FIG2B = dict(s=0.029, n_th=0.1)
 
@@ -95,12 +99,9 @@ def test_criterion_02_separation_thresholds():
 def test_criterion_03_subtraction_order_equivalence():
     worst = 0.0
     for s, eta in itertools.product((0.029, 0.403), (0.2, 0.5, 0.8)):
-        before, _ = _PointEvaluator(
-            scenario("subtract_before", s, eta, 0.0)).state(1.0)
-        after, _ = _PointEvaluator(
-            scenario("subtract_after", s, eta, 0.0)).state(1.0)
-        diff = np.max(np.abs(fock_matrix(before, 5)
-                             - fock_matrix(after, 5)))
+        before = _PointEvaluator(scenario("subtract_before", s, eta, 0.0))
+        after = _PointEvaluator(scenario("subtract_after", s, eta, 0.0))
+        diff = np.max(np.abs(before.rho(1.0) - after.rho(1.0)))
         worst = max(worst, float(diff))
     ok = worst < 1e-10
     report(3, ok, "subtract before/after at n_th=0 agree elementwise to "
@@ -118,10 +119,10 @@ def test_criterion_04_truncation_lower_bound():
     worst_step = worst_drift = worst_block = 0.0
     for strategy in Strategy:
         for eta in etas:
-            ev = _PointEvaluator(scenario(strategy.value, eta=float(eta),
-                                          **FIG2B))
-            t = optimize_t(ev).t_opt if strategy.optimizes_t else 1.0
-            state, _ = ev.state(t)
+            cfg = scenario(strategy.value, eta=float(eta), **FIG2B)
+            t = optimize_t(_PointEvaluator(cfg)).t_opt \
+                if strategy.optimizes_t else 1.0
+            state, _ = normalize(sequential_pipeline(cfg, t))
             rho8 = fock_matrix(state, 8).reshape((9,) * 4)
             blocks = [rho8[:n + 1, :n + 1, :n + 1, :n + 1]
                       .reshape((n + 1) ** 2, (n + 1) ** 2) for n in truncs]
@@ -144,7 +145,7 @@ def test_criterion_04_truncation_lower_bound():
 
 def test_criterion_05_quadrature_oracle_equivalence():
     cfg = scenario("coherent_after", 0.114, 0.5, 0.1)
-    state, _ = _PointEvaluator(cfg).state(0.7)
+    state, _ = normalize(sequential_pipeline(cfg, 0.7))
     indices = [idx for idx in itertools.product(range(9), repeat=4)
                if sum(idx) <= 8]
     grid_vals = quadrature_fock_elements(state, indices)
@@ -243,9 +244,10 @@ def test_criterion_10_property_suite():
         if strategy.has_operation and strategy.operation_first:
             op = CoherentOp.from_t(t)
             pre = apply_coherent_op(apply_coherent_op(pre, 1, op), 2, op)
-        mid = apply_thermal_channel(pre, 1, channel)
-        post = apply_thermal_channel(mid, 2, channel)
-        worst_trace = max(worst_trace, abs(post.trace - pre.trace))
+        mid = channel_state(pre, 1, channel)
+        post = channel_state(mid, 2, channel)
+        worst_trace = max(worst_trace,
+                          abs(post.poly[ZERO_INDEX] - pre.poly[ZERO_INDEX]))
         if strategy.has_operation and not strategy.operation_first:
             op = CoherentOp.from_t(t)
             post = apply_coherent_op(apply_coherent_op(post, 1, op), 2, op)
@@ -255,7 +257,7 @@ def test_criterion_10_property_suite():
         for odd in ((1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 0), (0, 3, 0, 0)):
             worst_odd = max(worst_odd, abs(table[odd]))
 
-        if post.trace != 0.0:
+        if post.poly[ZERO_INDEX] != 0.0:
             state, _ = normalize(post)
             rho = fock_matrix(state, 2)
             back = partial_transpose(partial_transpose(rho))
@@ -264,11 +266,11 @@ def test_criterion_10_property_suite():
 
         if draw % 10 == 9:
             noop_state, _ = normalize(
-                apply_thermal_channel(
-                    apply_thermal_channel(tmsv_chi(s), 1, channel),
-                    2, channel))
+                channel_state(channel_state(tmsv_chi(s), 1, channel),
+                              2, channel))
             e_f = log_negativity(fock_matrix(noop_state, 10))
-            e_g = gaussian_log_negativity(covariance_from_chi(noop_state))
+            e_g = gaussian_log_negativity(
+                covariance_from_chi(noop_state.kernel, noop_state.poly))
             worst_routes = max(worst_routes, abs(e_f - e_g))
 
     ok = (worst_herm <= 1e-12 and worst_trace <= 1e-14 and pt_exact

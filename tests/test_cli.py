@@ -26,6 +26,7 @@ from cvdistill.scenarios import Strategy
 import oracles
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 STRATEGIES = ("noop", "subtract_before", "subtract_after", "coherent_before",
               "coherent_after")
 
@@ -239,6 +240,17 @@ def test_point_overflowing_inputs_are_numerical_exit(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("strategy", ["coherent_before", "noop"])
+def test_point_overflowing_kernel_determinant_is_singular(capsys, strategy):
+    # at n_th 1e300 the kernel's determinant overflows; it is refused as a
+    # singular kernel before any moment reads 0, and no RuntimeWarning leaks
+    assert main(["point", "--strategy", strategy, "--s", "0.3", "--eta", "0.5",
+                 "--n-th", "1e300"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SingularKernelError: ")
 
 
 @pytest.mark.parametrize("n_trunc,code", [("14", 0), ("16", 3), ("20", 3)])
@@ -543,3 +555,38 @@ def test_sweep_matches_pinned_values(tmp_path, objective):
         assert (got[0], got[9]) == (strategy, flags)
         assert [float(x) for x in got[1:9]] == pytest.approx(
             [0.029, 0.1, eta, *values], rel=0, abs=1e-10)
+
+
+REGRESSION_SWEEP = """\
+strategies = noop, subtract_before, subtract_after, coherent_before, coherent_after
+s = 0.029
+n_th = 0.1
+eta_min = 0.01
+eta_max = 1.0
+eta_points = 11
+n_trunc = 5
+objective = {objective}
+output = {out}
+"""
+
+
+def test_sweep_matches_committed_regression_csvs(tmp_path):
+    # the README sweep on an 11-point eta grid under both objectives, against
+    # the committed CSVs in tests/data; fields compare as parsed numbers, so
+    # a change below 1e-10 in any printed value passes
+    for objective in ("negativity", "fidelity"):
+        out = tmp_path / f"{objective}.csv"
+        cfg = write_config(tmp_path, REGRESSION_SWEEP.format(
+            objective=objective, out=out))
+        assert main(["sweep", cfg]) == 0
+        got = out.read_text(encoding="utf-8").splitlines()
+        path = os.path.join(DATA, f"readme_eta11_{objective}.csv")
+        with open(path, encoding="utf-8") as fh:
+            want = fh.read().splitlines()
+        assert got[0] == want[0] == CSV_HEADER
+        assert len(got) == len(want) == 56
+        for row, ref in zip(got[1:], want[1:]):
+            row, ref = row.split(","), ref.split(",")
+            assert (row[0], row[9]) == (ref[0], ref[9])
+            assert [float(x) for x in row[1:9]] == pytest.approx(
+                [float(x) for x in ref[1:9]], rel=0, abs=1e-10), (objective, ref)

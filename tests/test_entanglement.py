@@ -7,17 +7,7 @@ import pytest
 from scipy import constants
 
 from cvdistill import entanglement
-from cvdistill.chi_core import (
-    ChannelParams,
-    CoherentOp,
-    PolyGaussianChi,
-    ZeroStateError,
-    apply_coherent_op,
-    apply_thermal_channel,
-    evaluate_chi,
-    normalize,
-    tmsv_chi,
-)
+from cvdistill.chi_core import ChannelParams, CoherentOp, PolyGaussianChi, tmsv_chi
 from cvdistill.fock_recon import fock_matrix
 from cvdistill.scenarios import ScenarioConfig, Strategy, _PointEvaluator
 from cvdistill.entanglement import (
@@ -29,18 +19,30 @@ from cvdistill.entanglement import (
     partial_transpose,
     separation_eta,
     separation_time,
-    teleportation_fidelity,
     thermal_occupation,
 )
 
 import oracles
-from oracles import EigenConvergenceError, jacobi_eigvalsh
+from oracles import (
+    EigenConvergenceError,
+    ZeroStateError,
+    apply_coherent_op,
+    channel_state,
+    evaluate_chi,
+    jacobi_eigvalsh,
+    normalize,
+    teleportation_fidelity,
+)
 
 
 def channelled_tmsv(s, eta, n_th):
     ch = ChannelParams(eta, n_th)
-    st = apply_thermal_channel(tmsv_chi(s), 1, ch)
-    return apply_thermal_channel(st, 2, ch)
+    st = channel_state(tmsv_chi(s), 1, ch)
+    return channel_state(st, 2, ch)
+
+
+def covariance(state):
+    return covariance_from_chi(state.kernel, state.poly)
 
 
 def random_density_matrix(rng, n_trunc):
@@ -134,8 +136,7 @@ def test_log_negativity_solvers_agree(strategy, n_trunc):
                          n_trunc=n_trunc)
     ev = _PointEvaluator(cfg)
     for t in (0.2, 0.6, 0.95):
-        st, _ = ev.state(t)
-        rho = fock_matrix(st, n_trunc)
+        rho = ev.rho(t)
         w = jacobi_eigvalsh(partial_transpose(rho))
         want = max(0.0, math.log2(float(np.sum(np.abs(w)))))
         np.testing.assert_allclose(log_negativity(rho), want, atol=1e-12)
@@ -145,14 +146,14 @@ def test_log_negativity_solvers_agree(strategy, n_trunc):
 # covariance route
 
 def test_covariance_of_vacuum():
-    cov = covariance_from_chi(tmsv_chi(0.0))
+    cov = covariance(tmsv_chi(0.0))
     assert cov.shape == (4, 4) and not cov.flags.writeable
     np.testing.assert_allclose(cov, np.eye(4) / 2, atol=1e-14)
 
 
 def test_covariance_of_tmsv():
     s = 0.403
-    cov = covariance_from_chi(tmsv_chi(s))
+    cov = covariance(tmsv_chi(s))
     a = math.cosh(2 * s) / 2
     c = math.sinh(2 * s) / 2
     np.testing.assert_allclose(cov[:2, :2], a * np.eye(2), atol=1e-13)
@@ -163,7 +164,7 @@ def test_covariance_of_tmsv():
 def test_covariance_after_channel():
     s, eta, n_th = 0.114, 0.6, 0.1
     st, _ = normalize(channelled_tmsv(s, eta, n_th))
-    cov = covariance_from_chi(st)
+    cov = covariance(st)
     a = (eta * math.cosh(2 * s) + (1 - eta) * (2 * n_th + 1)) / 2
     c = eta * math.sinh(2 * s) / 2
     np.testing.assert_allclose(cov[:2, :2], a * np.eye(2), atol=1e-13)
@@ -174,11 +175,11 @@ def test_covariance_requires_normalized_state():
     op = CoherentOp(1.0, 0.0)
     raw = apply_coherent_op(tmsv_chi(0.4), 1, op)
     with pytest.raises(ValueError):
-        covariance_from_chi(raw)
+        covariance(raw)
 
 
 def test_symplectic_eigenvalues_of_tmsv():
-    cov = covariance_from_chi(tmsv_chi(0.3))
+    cov = covariance(tmsv_chi(0.3))
     # (nu_minus, nu_plus) from the invariants Delta = det A + det B + 2 det C
     # and det sigma
     delta = (np.linalg.det(cov[:2, :2]) + np.linalg.det(cov[2:, 2:])
@@ -191,10 +192,10 @@ def test_symplectic_eigenvalues_of_tmsv():
 
 
 def test_gaussian_log_negativity_closed_forms():
-    assert gaussian_log_negativity(covariance_from_chi(tmsv_chi(0.0))) == \
+    assert gaussian_log_negativity(covariance(tmsv_chi(0.0))) == \
         pytest.approx(0.0, abs=1e-12)
     for s in (0.114, 0.403):
-        got = gaussian_log_negativity(covariance_from_chi(tmsv_chi(s)))
+        got = gaussian_log_negativity(covariance(tmsv_chi(s)))
         np.testing.assert_allclose(got, oracles.tmsv_log_negativity(s),
                                     rtol=1e-12)
 
@@ -204,7 +205,7 @@ def test_gaussian_negativity_vanishes_at_separation_threshold():
     eta_sep = separation_eta(s, n_th)
     for eta, positive in ((eta_sep - 1e-3, False), (eta_sep + 1e-3, True)):
         st, _ = normalize(channelled_tmsv(s, eta, n_th))
-        e = gaussian_log_negativity(covariance_from_chi(st))
+        e = gaussian_log_negativity(covariance(st))
         assert (e > 0) == positive
 
 
@@ -238,8 +239,8 @@ def test_fidelity_against_numeric_quadrature():
     st = apply_coherent_op(tmsv_chi(0.114), 1, op)
     st = apply_coherent_op(st, 2, op)
     ch = ChannelParams(0.7, 0.1)
-    st = apply_thermal_channel(st, 1, ch)
-    st = apply_thermal_channel(st, 2, ch)
+    st = channel_state(st, 1, ch)
+    st = channel_state(st, 2, ch)
     st, _ = normalize(st)
     want = oracles.numeric_fidelity(
         lambda xi1, xi2: evaluate_chi(st, xi1, xi2))
@@ -251,9 +252,9 @@ def test_fidelity_against_numeric_quadrature():
 @pytest.mark.parametrize("strategy", ["coherent_before", "coherent_after"])
 def test_fidelity_integrals_match_one_polynomial_calls(strategy):
     # one moment table over the union of the supports, one sum per polynomial
-    terms = _PointEvaluator(ScenarioConfig(Strategy(strategy), 0.114,
-                                           ChannelParams(0.7, 0.1))).terms
-    kernel, polys = terms[0].kernel, [term.poly for term in terms]
+    ev = _PointEvaluator(ScenarioConfig(Strategy(strategy), 0.114,
+                                        ChannelParams(0.7, 0.1)))
+    kernel, polys = ev.kernel, ev.polys
     batch = fidelity_integrals(kernel, polys)
     assert batch.shape == (5,) and batch.dtype == complex
     for k, poly in enumerate(polys):
@@ -367,7 +368,7 @@ def test_fock_and_gaussian_routes_agree_on_gaussian_states():
     for s in (0.114, 0.403):
         st, _ = normalize(channelled_tmsv(s, 0.7, 0.1))
         e_fock = log_negativity(fock_matrix(st, 10))
-        e_gauss = gaussian_log_negativity(covariance_from_chi(st))
+        e_gauss = gaussian_log_negativity(covariance(st))
         assert abs(e_fock - e_gauss) < 5e-3
 
 
@@ -375,4 +376,4 @@ def test_fidelity_above_half_implies_entanglement():
     for s in (0.114, 0.403):
         st = tmsv_chi(s)
         assert teleportation_fidelity(st) > 0.5
-        assert gaussian_log_negativity(covariance_from_chi(st)) > 0.0
+        assert gaussian_log_negativity(covariance(st)) > 0.0

@@ -5,14 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cvdistill.chi_core import (
-    ChannelParams,
-    CoherentOp,
-    apply_coherent_op,
-    apply_thermal_channel,
-    normalize,
-    tmsv_chi,
-)
+from cvdistill.chi_core import ChannelParams, CoherentOp, tmsv_chi
 from cvdistill.fock_recon import (
     PrecisionError,
     _laguerre_coeffs,
@@ -25,7 +18,10 @@ from cvdistill.fock_recon import (
 import oracles
 from oracles import (
     QuadratureGrid,
+    apply_coherent_op,
+    channel_state,
     fock_element,
+    normalize,
     quadrature_fock_element,
     quadrature_fock_elements,
 )
@@ -40,8 +36,8 @@ def subtracted_tmsv(s):
 
 def channelled_tmsv(s, eta, n_th):
     ch = ChannelParams(eta, n_th)
-    st = apply_thermal_channel(tmsv_chi(s), 1, ch)
-    return apply_thermal_channel(st, 2, ch)
+    st = channel_state(tmsv_chi(s), 1, ch)
+    return channel_state(st, 2, ch)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +198,8 @@ def test_builder_matches_elementwise_route():
     ch = ChannelParams(0.55, 0.15)
     st = apply_coherent_op(tmsv_chi(0.3), 1, CoherentOp.from_t(0.6))
     st = apply_coherent_op(st, 2, CoherentOp.from_t(0.6))
-    st = apply_thermal_channel(st, 1, ch)
-    st = apply_thermal_channel(st, 2, ch)
+    st = channel_state(st, 1, ch)
+    st = channel_state(st, 2, ch)
     st, _ = normalize(st)
     rho = fock_matrix(st, 3)
     d = 4
@@ -222,8 +218,8 @@ def test_fock_matrices_reject_empty_support():
 def test_fock_matrices_share_one_support_across_polynomials():
     # one call serves every t of the operated family on a fixed kernel
     ch = ChannelParams(0.8, 0.2)
-    base = apply_thermal_channel(
-        apply_thermal_channel(tmsv_chi(0.4), 1, ch), 2, ch)
+    base = channel_state(
+        channel_state(tmsv_chi(0.4), 1, ch), 2, ch)
     states = []
     for t in (0.3, 0.9):
         op = CoherentOp.from_t(t)

@@ -6,18 +6,11 @@ import numpy as np
 import pytest
 
 from cvdistill import scenarios
-from cvdistill.chi_core import (
-    ChannelParams,
-    CoherentOp,
-    ZeroStateError,
-    combine_terms,
-    tmsv_chi,
-)
+from cvdistill.chi_core import ZERO_INDEX, ChannelParams, CoherentOp, tmsv_chi
 from cvdistill.entanglement import (
     covariance_from_chi,
     gaussian_log_negativity,
     log_negativity,
-    teleportation_fidelity,
 )
 from cvdistill.cli import parse_run_config
 from cvdistill.fock_recon import fock_matrix
@@ -34,10 +27,17 @@ from cvdistill.scenarios import (
 )
 
 import oracles
+from oracles import ZeroStateError, teleportation_fidelity
 
 
 def cfg_for(strategy, s=0.114, eta=0.7, n_th=0.1, **kw):
     return ScenarioConfig(Strategy(strategy), s, ChannelParams(eta, n_th), **kw)
+
+
+def reference_state(cfg, t):
+    """Normalized state and trace at weight t, by the one-weight reference
+    path."""
+    return oracles.normalize(oracles.sequential_pipeline(cfg, t))
 
 
 # ---------------------------------------------------------------------------
@@ -69,28 +69,28 @@ def test_config_validation():
 # pipelines
 
 def test_noop_through_perfect_channel_is_input():
-    state, p = _PointEvaluator(cfg_for("noop", s=0.403, eta=1.0,
-                                       n_th=0.0)).state(1.0)
+    ev = _PointEvaluator(cfg_for("noop", s=0.403, eta=1.0, n_th=0.0))
     ref = tmsv_chi(0.403)
-    assert p == pytest.approx(1.0, abs=1e-14)
-    assert state.poly.shape == (1, 1, 1, 1)
-    assert state.poly[0, 0, 0, 0] == pytest.approx(1.0)
-    np.testing.assert_allclose(state.kernel, ref.kernel, atol=1e-14)
+    assert ev.probability(1.0) == pytest.approx(1.0, abs=1e-14)
+    assert ev.polys.shape == (1, 1, 1, 1, 1)
+    assert ev.polys[0, 0, 0, 0, 0] == pytest.approx(1.0)
+    np.testing.assert_allclose(ev.kernel, ref.kernel, atol=1e-14)
 
 
 def test_subtraction_needs_no_weight():
-    state, p = _PointEvaluator(cfg_for("subtract_before", s=0.403, eta=1.0,
-                                       n_th=0.0)).state(1.0)
+    cfg = cfg_for("subtract_before", s=0.403, eta=1.0, n_th=0.0)
+    state, p = reference_state(cfg, 1.0)
     assert 0 < p < 1
-    assert state.trace == pytest.approx(1.0, abs=1e-12)
+    assert state.poly[ZERO_INDEX] == pytest.approx(1.0, abs=1e-12)
+    assert _PointEvaluator(cfg).probability(1.0) == pytest.approx(p, rel=1e-12)
 
 
 def test_coherent_strategy_requires_weight():
-    ev = _PointEvaluator(cfg_for("coherent_before"))
+    cfg = cfg_for("coherent_before")
     with pytest.raises(ValueError):
-        ev.state(1.2)
-    state, _ = ev.state(0.9)
-    assert state.trace == pytest.approx(1.0, abs=1e-12)
+        _PointEvaluator(cfg).covariance(1.2)
+    state, _ = reference_state(cfg, 0.9)
+    assert state.poly[ZERO_INDEX] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weight_override_feeds_pipeline():
@@ -106,16 +106,21 @@ def test_weight_override_feeds_pipeline():
 @pytest.mark.parametrize("strategy", [s.value for s in Strategy])
 def test_term_basis_matches_sequential_pipeline(strategy):
     cfg = cfg_for(strategy, s=0.403, eta=0.7, n_th=0.1)
-    terms = _raw_terms(cfg)
-    assert len(terms) == (5 if cfg.strategy.has_operation else 1)
+    kernel, polys = _raw_terms(cfg)
+    assert len(polys) == (5 if cfg.strategy.has_operation else 1)
+    ev = _PointEvaluator(cfg)
     for t in (0.0, 0.3, 0.7, 1.0):
         op = CoherentOp.from_t(t)
-        got = combine_terms(terms, op.t, op.r)
+        got = oracles.combine_terms(kernel, polys, op.t, op.r)
         want = oracles.sequential_pipeline(cfg, t)
         np.testing.assert_array_equal(got.kernel, want.kernel)
         assert got.poly.shape == want.poly.shape
         scale = np.max(np.abs(want.poly))
         assert np.max(np.abs(got.poly - want.poly)) <= 1e-13 * scale, t
+        ref, _ = oracles.normalize(want)
+        np.testing.assert_allclose(ev.covariance(t),
+                                   covariance_from_chi(ref.kernel, ref.poly),
+                                   rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("strategy", [s.value for s in Strategy])
@@ -132,8 +137,8 @@ def test_term_supports_are_pinned(strategy):
 
 def test_subtraction_from_vacuum_raises():
     with pytest.raises(ZeroStateError):
-        _PointEvaluator(cfg_for("subtract_before", s=0.0, eta=1.0,
-                                n_th=0.0)).state(1.0)
+        reference_state(cfg_for("subtract_before", s=0.0, eta=1.0, n_th=0.0),
+                        1.0)
 
 
 def test_before_strategy_probability_ignores_channel():
@@ -192,15 +197,15 @@ def test_optimize_t_fidelity_objective():
                       objective="fidelity")
         ev = _PointEvaluator(cfg)
         opt = optimize_t(ev)
-        state, _ = ev.state(opt.t_opt)
+        state, _ = reference_state(cfg, opt.t_opt)
         assert teleportation_fidelity(state) == pytest.approx(opt.value,
                                                               abs=1e-12)
         for probe in (0.0, 0.5, 1.0):
             assert opt.value >= ev.objective(probe) - 1e-12
-        # the per-term objective against the combined, normalized state
+        # the per-term objective against the one-weight reference state
         for t in (0.0, 0.3, 0.7, 1.0):
             assert ev.objective(t) == pytest.approx(
-                teleportation_fidelity(ev.state(t)[0]), abs=1e-12)
+                teleportation_fidelity(reference_state(cfg, t)[0]), abs=1e-12)
 
 
 def test_row_negativity_is_the_objective_at_t_opt():
@@ -251,11 +256,12 @@ def test_coherent_beats_plain_subtraction_without_loss():
 def test_evaluate_point_noop_matches_direct_measures():
     cfg = cfg_for("noop", s=0.403, eta=0.8, n_th=0.1)
     rec = evaluate_point(cfg)
-    state, p = _PointEvaluator(cfg).state(1.0)
+    state, p = reference_state(cfg, 1.0)
     assert rec.strategy is Strategy.NOOP
     assert (rec.s, rec.n_th, rec.eta, rec.t_opt) == (0.403, 0.1, 0.8, 1.0)
     assert rec.e_n_fock == log_negativity(fock_matrix(state, cfg.n_trunc))
-    assert rec.e_n_gauss == gaussian_log_negativity(covariance_from_chi(state))
+    assert rec.e_n_gauss == gaussian_log_negativity(
+        covariance_from_chi(state.kernel, state.poly))
     assert rec.fidelity == teleportation_fidelity(state)
     assert rec.p_success == p
     assert rec.flags == ""
