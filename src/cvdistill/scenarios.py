@@ -182,8 +182,7 @@ class _PointEvaluator:
 
 
 def _real_parts(values, name):
-    """Real parts of per-term integrals whose imaginary parts must be noise."""
-    values = np.array(values)
+    """Real parts of per-term values whose imaginary parts must be noise."""
     if np.any(np.abs(values.imag)
               > TRACE_IMAG_TOL * np.maximum(1.0, np.abs(values.real))):
         raise ValueError(f"{name} has non-negligible imaginary part: {values}")
