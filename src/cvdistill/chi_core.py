@@ -30,10 +30,8 @@ import numpy as np
 
 N_VARS = 4
 ZERO_INDEX = (0, 0, 0, 0)
-_CONJ_SWAP = [1, 0, 3, 2]  # exchanges xi_i and xi_i* in every mode
 
 PRUNE_REL_TOL = 1e-16
-HERMITICITY_TOL = 1e-12
 TRACE_IMAG_TOL = 1e-10
 TRACE_ONE_TOL = 1e-6
 ZERO_TRACE_TOL = 1e-30
@@ -151,23 +149,6 @@ class PolyGaussianChi:
         self.poly.flags.writeable = False
         self.kernel = kernel
 
-    @property
-    def degree(self):
-        return int(np.argwhere(self.poly).sum(axis=1).max(initial=0))
-
-    def hermiticity_defect(self):
-        """Max deviation of chi from conj(chi(-v)), over coefficients and
-        kernel; the kernel's part is its swap-conjugation defect."""
-        k, p = self.kernel, self.poly
-        defect = np.max(np.abs(k[np.ix_(_CONJ_SWAP, _CONJ_SWAP)] - np.conj(k)))
-        sign = (-1.0) ** np.indices(p.shape).sum(axis=0)
-        want = sign * np.conj(p.transpose(_CONJ_SWAP))
-        return float(max(defect, np.max(np.abs(p - want))))
-
-    def is_hermitian(self, tol=HERMITICITY_TOL):
-        scale = max(1.0, float(np.max(np.abs(self.poly))))
-        return self.hermiticity_defect() <= tol * scale
-
 
 # ---------------------------------------------------------------------------
 # state preparation and pipeline operations
@@ -197,10 +178,17 @@ def tmsv_chi(s):
 
 
 def _shift(stack, var, step):
-    """Every cube of a stack shifted by step along v_var: a roll of the flat
-    stack by step strides of v_var, exact while what wraps in is zero."""
-    flat = np.roll(stack.reshape(-1), step * stack.shape[1] ** (N_VARS - 1 - var))
-    return flat.reshape(stack.shape)
+    """Every cube of a stack shifted by step = +-1 along v_var: the flat
+    stack copied step strides of v_var over into zeros, exact while what
+    crosses a cube's edge is zero."""
+    n = step * stack.shape[1] ** (N_VARS - 1 - var)
+    flat = stack.reshape(-1)
+    out = np.zeros_like(flat)
+    if n > 0:
+        out[n:] = flat[:-n]
+    else:
+        out[:n] = flat[-n:]
+    return out.reshape(stack.shape)
 
 
 def _first_order(stack, raised, kq, j, c, m, h):
@@ -209,7 +197,7 @@ def _first_order(stack, raised, kq, j, c, m, h):
 
     Differentiating the Gaussian factor pulls down -(K v)_j, so the result
     stays in the same kernel class and only the polynomial changes.  The
-    derivative is k P shifted by -1 along v_j; what wraps in has k = 0.
+    derivative is k P shifted by -1 along v_j; what crosses an edge has k = 0.
     """
     k = np.arange(stack.shape[1]).reshape((-1,) + (1,) * (N_VARS - 1 - j))
     out = c * _shift(k * stack, j, -1)
@@ -234,7 +222,7 @@ def coherent_op_terms(kernel, stack, mode):
     bilinearly by (t, r).  The kernel is untouched, the polynomial degree
     grows by at most two, and the weighted trace of the unnormalized output
     carries the success probability of the operation.  The cubes grow by two
-    on every axis, so the shifts by v never wrap in a nonzero coefficient.
+    on every axis, so no shift moves a nonzero coefficient across an edge.
     An overflow or invalid value in the arithmetic raises FloatingPointError
     rather than leaving inf or NaN coefficients.
     """

@@ -104,6 +104,18 @@ def fock_matrices(kernel, n_trunc, polys):
     vector times the weights (upper triangle integrated, the rest by
     Hermitian symmetry of a state).  The polynomials need not be normalized,
     so a weighted sum of their matrices is the matrix of the weighted sum.
+
+    The weight of rho_{ij,kl} at a support monomial sums the p * q products
+    of the p = min(i, k) + 1 terms of <i|D^dag|k> and the q = min(j, l) + 1
+    terms of <j|D^dag|l>.  Entries with the same (p, q) are handled together,
+    one (p * q, entries, support) array per class: each moment is scaled by
+    the mode-1 coefficient, then by the mode-2 coefficient, and the terms
+    are added one after another, mode-1 term major, starting from +0.  That
+    is the order of the per-entry einsum it replaced
+    (tests/oracles.fock_matrices_by_entry), kept bit for bit on purpose: the
+    n_trunc-8 benchmark references hold this route's own float64 error, and
+    a reordering of the same sums moves outputs past their 1e-10 gate
+    (ROADMAP item 1).
     """
     if n_trunc < 0:
         raise ValueError("n_trunc must be nonnegative")
@@ -113,33 +125,38 @@ def fock_matrices(kernel, n_trunc, polys):
         raise ValueError("empty polynomial support")
     d = n_trunc + 1
 
-    dag = {}
-    for mm in range(d):
-        for nn in range(d):
-            terms = _dagger_poly(mm, nn)
-            offs = np.array([t for t in terms], dtype=np.intp).reshape(-1, 2)
-            cofs = np.array([terms[t] for t in terms])
-            dag[(mm, nn)] = (offs, cofs)
-
     amax = np.max(support, axis=0)
     shape = tuple(int(x) for x in amax + n_trunc + 1)
     table = moment_table(_augmented_kernel(kernel), shape).reshape(-1)
     strides = np.array([int(np.prod(shape[i + 1:])) for i in range(4)], dtype=np.intp)
 
+    # the terms of <m|D^dag|n>, padded to d: their flat table offsets in the
+    # two axes of mode 1 (lin[0]) and of mode 2 (lin[1]), and coefficients
+    lin = np.zeros((2, d, d, d), dtype=np.intp)
+    cof = np.zeros((d, d, d))
+    for mm in range(d):
+        for nn in range(d):
+            terms = _dagger_poly(mm, nn)
+            offs = np.array(list(terms), dtype=np.intp)
+            lin[:, mm, nn, :len(terms)] = offs @ strides[:2], offs @ strides[2:]
+            cof[mm, nn, :len(terms)] = list(terms.values())
+
     alpha_lin = support @ strides
     rows, cols = np.triu_indices(d * d)
+    i, j = np.divmod(rows, d)
+    k, l = np.divmod(cols, d)
+    p_of, q_of = np.minimum(i, k) + 1, np.minimum(j, l) + 1
     weights = np.empty((len(support), len(rows)), dtype=complex)
-    for n, (row, col) in enumerate(zip(rows.tolist(), cols.tolist())):
-        i, j = divmod(row, d)
-        k, l = divmod(col, d)
-        o1, c1 = dag[(i, k)]
-        o2, c2 = dag[(j, l)]
-        lin1 = o1[:, 0] * strides[0] + o1[:, 1] * strides[1]
-        lin2 = o2[:, 0] * strides[2] + o2[:, 1] * strides[3]
-        lin = (alpha_lin[:, None, None] + lin1[None, :, None]
-               + lin2[None, None, :])
-        vals = table[lin.reshape(-1)].reshape(lin.shape)
-        weights[:, n] = np.einsum("abc,b,c->a", vals, c1, c2)
+    for p in range(1, d + 1):
+        for q in range(1, d + 1):
+            e = np.flatnonzero((p_of == p) & (q_of == q))
+            vals = table[lin[0, i[e], k[e], :p].T[:, None, :, None]
+                         + lin[1, j[e], l[e], :q].T[None, :, :, None] + alpha_lin]
+            vals *= cof[i[e], k[e], :p].T[:, None, :, None]
+            vals *= cof[j[e], l[e], :q].T[None, :, :, None]
+            vals = vals.reshape(p * q, len(e), -1)
+            # + 0.0 turns a sum of -0 terms into +0, as a sum from +0 does
+            weights[:, e] = (np.add.accumulate(vals, out=vals)[-1] + 0.0).T
 
     diag = rows == cols
     out = np.zeros((len(polys), d * d, d * d), dtype=complex)

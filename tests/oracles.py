@@ -9,14 +9,17 @@ None of that touches the package's moment recursion or its polynomial
 algebra.  The single-state helpers (channel_state, apply_coherent_op,
 combine_terms, normalize, evaluate_chi, teleportation_fidelity) are not
 references: they apply the package's own operations to one state at one
-weight, or evaluate one, for tests that follow a single state.  Two of the
+weight, or evaluate one, for tests that follow a single state; nor are the
+state checks degree, hermiticity_defect and is_hermitian.  Three of the
 references share low-level pieces with the package:
 RecursiveMoments evaluates moments one at a time by the memoized scalar
 Wick/Stein recursion, from the moment covariance and normalization that
 moment_table uses, so it checks the vectorized moment table, not the
-covariance; and fock_element shares the moment table and the displacement
+covariance; fock_element shares the moment table and the displacement
 polynomials with fock_matrices, so it only checks that function's assembly
-(weight matrix, Hermitian fill), not the integrals.
+(weight matrix, Hermitian fill), not the integrals; and
+fock_matrices_by_entry is fock_matrices with one einsum per matrix entry,
+so it pins that function's summation order bit for bit, not its accuracy.
 """
 
 import math
@@ -156,6 +159,32 @@ def sequential_pipeline(cfg, t):
         state = channel_state(state, 1, cfg.channel)
         state = channel_state(state, 2, cfg.channel)
     return state
+
+
+# --- properties of a state -------------------------------------------------
+
+HERMITICITY_TOL = 1e-12
+_CONJ_SWAP = [1, 0, 3, 2]  # exchanges xi_i and xi_i* in every mode
+
+
+def degree(state):
+    """Total degree of a state's polynomial."""
+    return int(np.argwhere(state.poly).sum(axis=1).max(initial=0))
+
+
+def hermiticity_defect(state):
+    """Max deviation of chi from conj(chi(-v)), over coefficients and
+    kernel; the kernel's part is its swap-conjugation defect."""
+    k, p = state.kernel, state.poly
+    defect = np.max(np.abs(k[np.ix_(_CONJ_SWAP, _CONJ_SWAP)] - np.conj(k)))
+    sign = (-1.0) ** np.indices(p.shape).sum(axis=0)
+    want = sign * np.conj(p.transpose(_CONJ_SWAP))
+    return float(max(defect, np.max(np.abs(p - want))))
+
+
+def is_hermitian(state, tol=HERMITICITY_TOL):
+    scale = max(1.0, float(np.max(np.abs(state.poly))))
+    return hermiticity_defect(state) <= tol * scale
 
 
 # --- single states through the package's operations ------------------------
@@ -423,6 +452,52 @@ def fock_element(state, i, j, k, l):
     return sum(c * table[a] for a, c in merged.items())
 
 
+def fock_matrices_by_entry(kernel, n_trunc, polys):
+    """fock_matrices with one einsum per upper-triangle entry: its weights
+    sum the entry's p * q displacement terms over every support monomial in
+    the order that fock_matrices keeps, so the two agree bit for bit."""
+    polys = np.asarray(polys)
+    support = np.argwhere(np.any(polys != 0, axis=0))
+    d = n_trunc + 1
+
+    dag = {}
+    for mm in range(d):
+        for nn in range(d):
+            terms = _dagger_poly(mm, nn)
+            offs = np.array([t for t in terms], dtype=np.intp).reshape(-1, 2)
+            cofs = np.array([terms[t] for t in terms])
+            dag[(mm, nn)] = (offs, cofs)
+
+    amax = np.max(support, axis=0)
+    shape = tuple(int(x) for x in amax + n_trunc + 1)
+    table = moment_table(_augmented_kernel(kernel), shape).reshape(-1)
+    strides = np.array([int(np.prod(shape[i + 1:])) for i in range(4)], dtype=np.intp)
+
+    alpha_lin = support @ strides
+    rows, cols = np.triu_indices(d * d)
+    weights = np.empty((len(support), len(rows)), dtype=complex)
+    for n, (row, col) in enumerate(zip(rows.tolist(), cols.tolist())):
+        i, j = divmod(row, d)
+        k, l = divmod(col, d)
+        o1, c1 = dag[(i, k)]
+        o2, c2 = dag[(j, l)]
+        lin1 = o1[:, 0] * strides[0] + o1[:, 1] * strides[1]
+        lin2 = o2[:, 0] * strides[2] + o2[:, 1] * strides[3]
+        lin = (alpha_lin[:, None, None] + lin1[None, :, None]
+               + lin2[None, None, :])
+        vals = table[lin.reshape(-1)].reshape(lin.shape)
+        weights[:, n] = np.einsum("abc,b,c->a", vals, c1, c2)
+
+    diag = rows == cols
+    out = np.zeros((len(polys), d * d, d * d), dtype=complex)
+    for rho, coeff in zip(out, polys[(slice(None), *support.T)]):
+        upper = coeff @ weights
+        rho[rows, cols] = upper
+        rho[cols, rows] = np.conj(upper)
+        rho[rows[diag], cols[diag]] = upper[diag].real
+    return out
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Tensor-product Gauss-Legendre grid for the reconstruction oracle.
@@ -455,7 +530,7 @@ def quadrature_fock_elements(state, indices, grid=QuadratureGrid()):
     indices = [tuple(int(x) for x in q) for q in indices]
     if not indices:
         return {}
-    dmax = state.degree + max(i + k for i, _, k, _ in indices) \
+    dmax = degree(state) + max(i + k for i, _, k, _ in indices) \
         + max(j + l for _, j, _, l in indices)
     half = grid.half_width if grid.half_width is not None \
         else _auto_half_width(state, dmax)

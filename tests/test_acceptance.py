@@ -39,6 +39,7 @@ from cvdistill.scenarios import (
 from oracles import (
     apply_coherent_op,
     channel_state,
+    hermiticity_defect,
     normalize,
     quadrature_fock_elements,
     sequential_pipeline,
@@ -251,7 +252,7 @@ def test_criterion_10_property_suite():
         if strategy.has_operation and not strategy.operation_first:
             op = CoherentOp.from_t(t)
             post = apply_coherent_op(apply_coherent_op(post, 1, op), 2, op)
-        worst_herm = max(worst_herm, post.hermiticity_defect())
+        worst_herm = max(worst_herm, hermiticity_defect(post))
 
         table = moment_table(post.kernel, (2, 4, 2, 2))
         for odd in ((1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 0), (0, 3, 0, 0)):
