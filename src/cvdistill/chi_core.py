@@ -310,6 +310,24 @@ def _moment_covariance(kernel):
     return t @ sigma @ t.T, 2.0 ** n_modes / math.sqrt(det)
 
 
+def phase_charges(cov):
+    """Charges q of the variables under xi1 -> e^{i phi} xi1,
+    xi2 -> e^{-i phi} xi2: +1 for xi1 and xi2*, -1 for xi1* and xi2, and
+    each further mode with the opposite signs of the one before it (one
+    mode: (+1, -1)).  They are returned only if every moment covariance
+    C_jk with q_j + q_k != 0 is exactly 0, so that the Gaussian conserves
+    the charge and every moment of v^alpha with q . alpha != 0 vanishes;
+    otherwise all zeros, which mark every moment as allowed.
+
+    A two-mode squeezed vacuum through phase-insensitive channels, and the
+    augmented and fidelity kernels built from it, conserve the charge.
+    """
+    q = np.array([(-1) ** m * s for m in range(len(cov) // 2) for s in (1, -1)])
+    if np.any(cov[q[:, None] + q[None, :] != 0]):
+        return np.zeros_like(q)
+    return q
+
+
 def moment_table(kernel, shape):
     """Exact phase-space moments against one Gaussian kernel, as a dense
     array over every alpha with alpha_i < shape_i:
@@ -324,6 +342,14 @@ def moment_table(kernel, shape):
     degree, each alpha reduced along its first nonzero exponent; odd shells
     vanish and are skipped.  An entry reads only entries below it, so it does
     not depend on the table's shape.
+
+    Only the alpha with q . alpha = 0, q = phase_charges(C), are computed;
+    the rest keep the +0 of np.zeros.  That is also what the recursion gives
+    them, bit for bit: a term with C_jk != 0 has q_j + q_k = 0, so it reads
+    an entry of the same nonzero charge, +0 by induction (or a finite one
+    multiplied by beta_k = 0), and a sum that starts from +0 and adds only
+    +-0 stays +0.  The computed entries read the same values in the same
+    order as without the skip, so they keep their bits too.
     """
     cov, norm = _moment_covariance(kernel)
     n_vars = len(kernel)
@@ -334,6 +360,7 @@ def moment_table(kernel, shape):
     flat = table.reshape(-1)
     flat[0] = 1.0
     idx = np.indices(shape).reshape(n_vars, -1).T
+    idx = idx[idx @ phase_charges(cov) == 0]
     totals = idx.sum(axis=1)
     for d in range(2, int(totals.max()) + 1, 2):
         shell = idx[totals == d]

@@ -9,7 +9,10 @@ and every displacement matrix element is a finite polynomial times the
 Gaussian exp(-|xi|^2/2).  For polynomial-times-Gaussian characteristic
 functions the whole integrand therefore lives in one augmented Gaussian
 kernel, and the exact moment table evaluates it term by term.  A density
-matrix is a plain (d^2, d^2) complex array, d = n_trunc + 1.
+matrix is a plain (d^2, d^2) complex array, d = n_trunc + 1.  When the
+kernel conserves the phase charge of chi_core.phase_charges, as every
+strategy's kernel does, only the moments and weights of charge zero are
+computed; the others are exactly +0 either way.
 
 Truncation note: dropping Fock components above n_trunc can only lower the
 measured entanglement (the truncation is a local projection), so in exact
@@ -28,11 +31,13 @@ route and a brute-force Gauss-Legendre integration) live in tests/oracles.py.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .chi_core import check_normalized, gaussian_kernel, moment_table
+from .chi_core import (_moment_covariance, check_normalized, gaussian_kernel,
+                       moment_table, phase_charges)
 
 CERTIFY_TOL = 1e-6
 
@@ -83,6 +88,22 @@ def _dagger_poly(m, n):
             for (a, b), c in displacement_fock_poly(m, n).items()}
 
 
+@functools.lru_cache(maxsize=None)
+def _dagger_table(d):
+    """The terms of every <m|D^dag|n>, m, n < d, padded to d: exponent
+    offsets (a, b) of (xi, xi*) as a read-only (d, d, d, 2) array and
+    coefficients as a read-only (d, d, d) array."""
+    offs = np.zeros((d, d, d, 2), dtype=np.intp)
+    cof = np.zeros((d, d, d))
+    for mm in range(d):
+        for nn in range(d):
+            terms = _dagger_poly(mm, nn)
+            offs[mm, nn, :len(terms)] = list(terms)
+            cof[mm, nn, :len(terms)] = list(terms.values())
+    offs.flags.writeable = cof.flags.writeable = False
+    return offs, cof
+
+
 def _augmented_kernel(kernel):
     """State kernel plus the exp(-|xi_i|^2/2) factors of the displacement
     matrix elements."""
@@ -108,14 +129,21 @@ def fock_matrices(kernel, n_trunc, polys):
     The weight of rho_{ij,kl} at a support monomial sums the p * q products
     of the p = min(i, k) + 1 terms of <i|D^dag|k> and the q = min(j, l) + 1
     terms of <j|D^dag|l>.  Entries with the same (p, q) are handled together,
-    one (p * q, entries, support) array per class: each moment is scaled by
-    the mode-1 coefficient, then by the mode-2 coefficient, and the terms
-    are added one after another, mode-1 term major, starting from +0.  That
-    is the order of the per-entry einsum it replaced
-    (tests/oracles.fock_matrices_by_entry), kept bit for bit on purpose: the
-    n_trunc-8 benchmark references hold this route's own float64 error, and
-    a reordering of the same sums moves outputs past their 1e-10 gate
-    (ROADMAP item 1).
+    one (p * q, pairs) array per class over its (entry, support) pairs: each
+    moment is scaled by the mode-1 coefficient, then by the mode-2
+    coefficient, and the terms are added one after another, mode-1 term
+    major, starting from +0.  That is the order of the per-entry einsum it
+    replaced (tests/oracles.fock_matrices_by_entry), kept bit for bit on
+    purpose: the n_trunc-8 benchmark references hold this route's own
+    float64 error, and a reordering of the same sums moves outputs past
+    their 1e-10 gate (ROADMAP item 1).
+
+    Only the pairs the phase symmetry allows are gathered.  Every term of
+    <i|D^dag|k> has a power of xi1 that exceeds the power of xi1* by i - k,
+    so with q = phase_charges of the augmented kernel every moment a pair
+    reads has the charge q_0 (i - k) + q_2 (j - l) + q . alpha.  Where that
+    is nonzero the moments are +0 (see moment_table), the products +-0, and
+    the sum plus 0.0 is +0, so those weights keep the +0 of np.zeros.
     """
     if n_trunc < 0:
         raise ValueError("n_trunc must be nonnegative")
@@ -127,36 +155,38 @@ def fock_matrices(kernel, n_trunc, polys):
 
     amax = np.max(support, axis=0)
     shape = tuple(int(x) for x in amax + n_trunc + 1)
-    table = moment_table(_augmented_kernel(kernel), shape).reshape(-1)
+    aug = _augmented_kernel(kernel)
+    charge = phase_charges(_moment_covariance(aug)[0])
+    table = moment_table(aug, shape).reshape(-1)
     strides = np.array([int(np.prod(shape[i + 1:])) for i in range(4)], dtype=np.intp)
 
-    # the terms of <m|D^dag|n>, padded to d: their flat table offsets in the
-    # two axes of mode 1 (lin[0]) and of mode 2 (lin[1]), and coefficients
-    lin = np.zeros((2, d, d, d), dtype=np.intp)
-    cof = np.zeros((d, d, d))
-    for mm in range(d):
-        for nn in range(d):
-            terms = _dagger_poly(mm, nn)
-            offs = np.array(list(terms), dtype=np.intp)
-            lin[:, mm, nn, :len(terms)] = offs @ strides[:2], offs @ strides[2:]
-            cof[mm, nn, :len(terms)] = list(terms.values())
+    # the terms of <m|D^dag|n>: their flat table offsets in the two axes of
+    # mode 1 (lin[0]) and of mode 2 (lin[1]), and coefficients
+    offs, cof = _dagger_table(d)
+    lin = offs @ strides[:2], offs @ strides[2:]
 
     alpha_lin = support @ strides
     rows, cols = np.triu_indices(d * d)
     i, j = np.divmod(rows, d)
     k, l = np.divmod(cols, d)
     p_of, q_of = np.minimum(i, k) + 1, np.minimum(j, l) + 1
-    weights = np.empty((len(support), len(rows)), dtype=complex)
+    # a pair of an entry and a support monomial reads moments of one charge:
+    # entry_charge + alpha_charge
+    entry_charge = charge[0] * (i - k) + charge[2] * (j - l)
+    alpha_charge = support @ charge
+    weights = np.zeros((len(support), len(rows)), dtype=complex)
     for p in range(1, d + 1):
         for q in range(1, d + 1):
             e = np.flatnonzero((p_of == p) & (q_of == q))
-            vals = table[lin[0, i[e], k[e], :p].T[:, None, :, None]
-                         + lin[1, j[e], l[e], :q].T[None, :, :, None] + alpha_lin]
-            vals *= cof[i[e], k[e], :p].T[:, None, :, None]
-            vals *= cof[j[e], l[e], :q].T[None, :, :, None]
-            vals = vals.reshape(p * q, len(e), -1)
+            a, n = np.nonzero(alpha_charge[:, None] + entry_charge[e] == 0)
+            e = e[n]
+            vals = table[lin[0][i[e], k[e], :p].T[:, None]
+                         + lin[1][j[e], l[e], :q].T[None] + alpha_lin[a]]
+            vals *= cof[i[e], k[e], :p].T[:, None]
+            vals *= cof[j[e], l[e], :q].T[None]
+            vals = vals.reshape(p * q, -1)
             # + 0.0 turns a sum of -0 terms into +0, as a sum from +0 does
-            weights[:, e] = (np.add.accumulate(vals, out=vals)[-1] + 0.0).T
+            weights[a, e] = np.add.accumulate(vals, out=vals)[-1] + 0.0
 
     diag = rows == cols
     out = np.zeros((len(polys), d * d, d * d), dtype=complex)

@@ -11,12 +11,15 @@ from cvdistill.chi_core import (
     PolyGaussianChi,
     SingularKernelError,
     ZERO_INDEX,
+    _moment_covariance,
     coherent_op_terms,
     gaussian_kernel,
     moment_table,
+    phase_charges,
     tmsv_chi,
 )
 from cvdistill.fock_recon import _augmented_kernel
+from cvdistill.scenarios import ScenarioConfig, Strategy, _raw_terms
 
 import oracles
 from oracles import (
@@ -307,9 +310,9 @@ def test_odd_moments_vanish():
         assert table[alpha] == 0.0
 
 
-def test_moment_engine_against_numeric_quadrature():
-    # random integrable kernels with the conjugation symmetry, all moments of
-    # total degree <= 6 against one dense 4-D grid
+def coupled_kernels():
+    """Random integrable kernels with the conjugation symmetry that couple
+    xi1 to xi2 and to xi2*."""
     rng = np.random.default_rng(7)
     kernels = []
     for _ in range(3):
@@ -321,6 +324,12 @@ def test_moment_engine_against_numeric_quadrature():
         base[0, 3] = base[3, 0] = z[1]
         base[1, 2] = base[2, 1] = np.conj(z[1])
         kernels.append(gaussian_kernel(base))
+    return kernels
+
+
+def test_moment_engine_against_numeric_quadrature():
+    # all moments of total degree <= 6 against one dense 4-D grid
+    kernels = coupled_kernels()
     alphas = [(a, b, c, d)
               for a in range(4) for b in range(4)
               for c in range(4) for d in range(4)
@@ -363,6 +372,27 @@ def test_moment_table_matches_scalar_route():
     for a in np.ndindex(shape):
         np.testing.assert_allclose(table[a], ref.moment(a), atol=1e-12,
                                    rtol=1e-12)
+
+
+def test_phase_charges():
+    r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
+    rng = np.random.default_rng(11)
+    for strategy in Strategy:
+        cfg = ScenarioConfig(strategy, float(rng.uniform(0.0, 1.0)),
+                             ChannelParams(float(rng.uniform(0.01, 1.0)),
+                                           float(rng.uniform(0.0, 1.0))), 3)
+        kernel, _ = _raw_terms(cfg)
+        for k in (kernel, _augmented_kernel(kernel)):
+            assert phase_charges(_moment_covariance(k)[0]).tolist() == [1, -1, -1, 1]
+        fidelity = gaussian_kernel(r.T @ kernel @ r + [[0.0, 1.0], [1.0, 0.0]])
+        assert phase_charges(_moment_covariance(fidelity)[0]).tolist() == [1, -1]
+    # a xi1 xi2* coupling, and a single-mode squeezing with C_00 != 0
+    squeezed = np.array(pair_kernel(1.0))
+    squeezed[0, 0], squeezed[1, 1] = 0.3 + 0.1j, 0.3 - 0.1j
+    squeezed_cov = _moment_covariance(gaussian_kernel(squeezed))[0]
+    assert squeezed_cov[0, 0] != 0
+    for cov in [_moment_covariance(k)[0] for k in coupled_kernels()] + [squeezed_cov]:
+        assert not phase_charges(cov).any()
 
 
 def test_singular_kernel_rejected():

@@ -6,9 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cvdistill.chi_core import ChannelParams, CoherentOp, tmsv_chi
+from cvdistill import chi_core, fock_recon
+from cvdistill.chi_core import (
+    ChannelParams,
+    CoherentOp,
+    gaussian_kernel,
+    moment_table,
+    tmsv_chi,
+)
 from cvdistill.fock_recon import (
     PrecisionError,
+    _augmented_kernel,
     _laguerre_coeffs,
     certify,
     displacement_fock_poly,
@@ -254,10 +262,45 @@ def test_fock_matrices_equal_the_per_entry_route_bit_for_bit(n_trunc):
         assert _same_bits(got, want), cfg
 
 
+@pytest.mark.parametrize("n_trunc", [0, 1, 3, 5, 8])
+def test_charge_rule_changes_no_bit(monkeypatch, n_trunc):
+    # phase_charges returning zeros makes moment_table and fock_matrices
+    # compute every entry, as the recursion and the sums did without the rule
+    rng = np.random.default_rng(100 + n_trunc)
+    r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
+    cases = []
+    for strategy in Strategy:
+        cfg = ScenarioConfig(strategy, float(rng.uniform(0.0, 1.0)),
+                             ChannelParams(float(rng.uniform(0.01, 1.0)),
+                                           float(rng.uniform(0.0, 1.0))),
+                             n_trunc)
+        cases.append(_raw_terms(cfg))
+
+    def run():
+        return [(moment_table(_augmented_kernel(kernel), (7, 6, 8, 5)),
+                 moment_table(gaussian_kernel(r.T @ kernel @ r
+                                              + [[0.0, 1.0], [1.0, 0.0]]), (9, 8)),
+                 fock_matrices(kernel, n_trunc, polys))
+                for kernel, polys in cases]
+
+    sparse = run()
+
+    def no_charges(cov):
+        return np.zeros(len(cov), dtype=int)
+    monkeypatch.setattr(chi_core, "phase_charges", no_charges)
+    monkeypatch.setattr(fock_recon, "phase_charges", no_charges)
+    full = run()
+    for got, want in zip(sparse, full):
+        for a, b in zip(got, want):
+            assert _same_bits(a, b)
+
+
 def test_fock_matrices_allocation_peak_at_cutoff_8():
     # measured with numpy 2.4: the per-entry route (fock_matrices_by_entry)
-    # peaks at 3.56 MiB here and the grouped sums at 4.78 MiB; a temporary
-    # that outgrows the bound raises the process's peak resident memory
+    # peaks at 3.56 MiB here, the grouped sums over every (entry, support)
+    # pair at 4.78 MiB and over the pairs of charge zero at 3.64 MiB; a
+    # temporary that outgrows the bound raises the process's peak resident
+    # memory
     cfg = ScenarioConfig(Strategy.COHERENT_AFTER, 0.5, ChannelParams(0.7, 0.1), 8)
     kernel, polys = _raw_terms(cfg)
     fock_matrices(kernel, 8, polys)
