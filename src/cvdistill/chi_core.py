@@ -260,20 +260,27 @@ def apply_thermal_channel(kernel, stack, mode, channel):
     Monomial coefficients pick up eta^(mode degree / 2); the kernel rows and
     columns of the mode are scaled by sqrt(eta) and the conjugate-pair entry
     gains the thermal term.  The trace chi(0, 0) is preserved exactly.
+
+    The input kernel must be exactly symmetric, as gaussian_kernel leaves
+    it; the scaling and the added entries keep it so, bit for bit, so the
+    output kernel (complex, read-only) is not checked again.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
+    k = np.array(kernel, dtype=complex)
+    if not np.array_equal(k, k.T):
+        raise ValueError("kernel must be symmetric")
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
     root = math.sqrt(channel.eta)
     a = np.indices(stack.shape[1:])
     stack = stack * root ** (a[p] + a[q])
-    k = np.array(kernel)
     k[[p, q], :] *= root
     k[:, [p, q]] *= root
     add = 0.5 * (2 * channel.n_th + 1) * (1 - channel.eta)
     k[p, q] += add
     k[q, p] += add
-    return gaussian_kernel(k), stack
+    k.flags.writeable = False
+    return k, stack
 
 
 def check_normalized(poly):

@@ -10,6 +10,7 @@ neither is ever expressed through the other.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,23 +31,77 @@ class InvalidCovarianceError(ValueError):
 
 
 def partial_transpose(rho):
-    """Partial transpose on the first mode: (rho^T1)_{ij,kl} = rho_{kj,il}."""
-    d = math.isqrt(len(rho))
-    return rho.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
+    """Partial transpose on the first mode, (rho^T1)_{ij,kl} = rho_{kj,il},
+    of a (d^2, d^2) matrix or of each matrix of a (..., d^2, d^2) stack."""
+    d = math.isqrt(rho.shape[-1])
+    return (rho.reshape(*rho.shape[:-2], d, d, d, d).swapaxes(-4, -2)
+            .reshape(rho.shape))
+
+
+def exact_real(a):
+    """The real part of the array a when every imaginary part is exactly 0,
+    else a itself.  Real arithmetic on such an array gives what complex
+    arithmetic gives up to rounding, in half the memory and less time."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and not np.any(a.imag):
+        return np.ascontiguousarray(a.real)
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_blocks(d):
+    """For one cutoff d = n_trunc + 1: index pairs (rows, cols) that gather
+    the blocks of rho^T1 of even and of odd total photon number i + j
+    straight from a (d^2, d^2) rho (no odd block at d = 1), and the mask of
+    the entries of rho that couple the two parities.  Such an entry is one
+    of rho^T1 too, since i + j + k + l is the same for both, so where the
+    mask selects only zeros, rho^T1 is the direct sum of the two blocks."""
+    i, j = np.divmod(np.arange(d * d), d)
+    parity = (i + j) % 2
+    blocks = []
+    for a in np.flatnonzero(parity == 0), np.flatnonzero(parity == 1):
+        if len(a):
+            # (rho^T1)_{ij,kl} = rho_{kj,il} for ij and kl in a
+            pair = (i[a][None, :] * d + j[a][:, None],
+                    i[a][:, None] * d + j[a][None, :])
+            for x in pair:
+                x.flags.writeable = False
+            blocks.append(pair)
+    mixed = parity[:, None] != parity[None, :]
+    mixed.flags.writeable = False
+    return blocks, mixed
 
 
 def log_negativity(rho):
     """Logarithmic negativity E = log2 ||rho^T1||_1 of a (d^2, d^2)
-    Fock-basis state, clamped at zero: a truncated trace norm at most 1 (a
-    zero matrix included) is noise, not physics, and reads 0.
+    Fock-basis state, or of each state of a (..., d^2, d^2) stack, clamped
+    at zero: a truncated trace norm at most 1 (a zero matrix included) is
+    noise, not physics, and reads 0.  One matrix gives a float, a stack an
+    array of its values.
 
-    The partial transpose is diagonalized by LAPACK (numpy.linalg.eigvalsh),
-    which raises numpy.linalg.LinAlgError if it does not converge.  The tests
-    check it against a self-contained cyclic Jacobi solver.
+    rho^T1 is diagonalized by LAPACK (numpy.linalg.eigvalsh), which raises
+    numpy.linalg.LinAlgError if it does not converge.  Two exact structures
+    are used when present, with no option to turn them off: when every
+    imaginary part is exactly 0 the solve is real, and when every entry
+    that couples even to odd total photon number is exactly 0 the two parity
+    blocks are gathered from rho by index arrays cached per cutoff and
+    solved one after the other; otherwise rho^T1 is solved whole.  The
+    states of every strategy have both.  A stack is solved by one rule for
+    all its states, so each value is, bit for bit, that of a call on its
+    state alone whenever the states share the structure.  The tests check
+    the solves against each other and against a self-contained cyclic
+    Jacobi solver.
     """
-    w = np.linalg.eigvalsh(partial_transpose(rho))
-    norm = float(np.sum(np.abs(w)))
-    return math.log2(norm) if norm > 1.0 else 0.0
+    rho = exact_real(rho)
+    blocks, mixed = _parity_blocks(math.isqrt(rho.shape[-1]))
+    if np.any(rho[..., mixed]):
+        parts = [partial_transpose(rho)]
+    else:
+        parts = [rho[..., rows, cols] for rows, cols in blocks]
+    w = np.concatenate([np.linalg.eigvalsh(p) for p in parts], axis=-1)
+    norms = np.sum(np.abs(w), axis=-1)
+    values = [math.log2(n) if n > 1.0 else 0.0 for n in norms.flat]
+    return values[0] if norms.ndim == 0 else np.reshape(values, norms.shape)
 
 
 # Quadratures x = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)) from the

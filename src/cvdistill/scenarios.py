@@ -21,7 +21,6 @@ from .chi_core import (
     TRACE_IMAG_TOL,
     ZERO_TRACE_TOL,
     ChannelParams,
-    CoherentOp,
     apply_thermal_channel,
     coherent_op_terms,
     term_weights,
@@ -29,6 +28,7 @@ from .chi_core import (
 )
 from .entanglement import (
     covariance_from_chi,
+    exact_real,
     fidelity_integrals,
     gaussian_log_negativity,
     log_negativity,
@@ -132,8 +132,17 @@ class _PointEvaluator:
     kernel; every per-weight trace, Fock matrix and fidelity integral is a
     weighted sum of per-term ones, and the covariance is read off the
     weighted sum of the cubes.  The per-term matrices and fidelities are
-    built on first use, so only the configured objective pays for its own.
-    A row reads all its columns from here, so it prints what it scores.
+    built on first use, so only the configured objective pays for its own;
+    the matrices are kept real when their imaginary parts are exactly 0, as
+    they are for every strategy.  A row reads all its columns from here, so
+    it prints what it scores.
+
+    objectives scores an array of weights at once: one weight matrix, one
+    stack of Fock matrices and one log_negativity call.  A weight's sums
+    are its own dot products and matrix-vector product, never a
+    matrix-matrix product, whose rounding depends on the stack, so it gets
+    the same bits in an array as alone (objective, rho, probability,
+    fidelity).
     """
 
     def __init__(self, cfg):
@@ -143,42 +152,73 @@ class _PointEvaluator:
 
     @cached_property
     def matrices(self):
-        return fock_matrices(self.kernel, self.cfg.n_trunc, self.polys)
+        return exact_real(fock_matrices(self.kernel, self.cfg.n_trunc, self.polys))
 
     @cached_property
     def fidelities(self):
         return _real_parts(fidelity_integrals(self.kernel, self.polys), "fidelity")
 
-    def _weights(self, t):
-        op = CoherentOp.from_t(t)
-        return np.array(term_weights(len(self.polys), op.t, op.r))
+    def _weights(self, ts):
+        """(len(ts), n_terms) weights t^(n-k) r^k, r = sqrt(1 - t^2).
+
+        Each row comes from term_weights in Python floats: numpy's
+        vectorized power need not round like the C library's pow, and a
+        last-bit change in a weight can move a printed p_success."""
+        ts = np.asarray(ts, dtype=float)
+        if not np.all((ts >= 0.0) & (ts <= 1.0)):
+            raise ValueError("t must lie in [0, 1]")
+        n = len(self.polys)
+        return np.array([term_weights(n, t, r) for t, r in
+                         zip(ts.tolist(), np.sqrt(1.0 - ts * ts).tolist())])
+
+    def probabilities(self, ts):
+        """Success probabilities at the weights ts, clamped at 0."""
+        return np.maximum(np.vecdot(self._weights(ts), self.traces), 0.0)
 
     def probability(self, t):
-        return max(float(self._weights(t) @ self.traces), 0.0)
+        return float(self.probabilities([t])[0])
+
+    def _rhos(self, w):
+        """Fock matrices of the normalized states of the weight rows w."""
+        c = w / np.vecdot(w, self.traces)[:, None]
+        m = self.matrices
+        return (c[:, None] @ m.reshape(len(m), -1)).reshape(len(w), *m.shape[1:])
 
     def rho(self, t):
         """Fock matrix of the normalized state at weight t."""
-        w = self._weights(t)
-        return np.tensordot(w / (w @ self.traces), self.matrices, axes=1)
+        return self._rhos(self._weights([t]))[0]
+
+    def _fidelities(self, w):
+        """Teleportation fidelities of the normalized states of the weight
+        rows w."""
+        return np.vecdot(w, self.fidelities) / np.vecdot(w, self.traces)
 
     def fidelity(self, t):
         """Teleportation fidelity of the normalized state at weight t."""
-        w = self._weights(t)
-        return float(w @ self.fidelities / (w @ self.traces))
+        return float(self._fidelities(self._weights([t]))[0])
 
     def covariance(self, t):
         """Quadrature covariance of the normalized state at weight t."""
-        w = self._weights(t)
+        w = self._weights([t])[0]
         poly = np.tensordot(w, self.polys, axes=1) / (w @ self.traces)
         return covariance_from_chi(self.kernel, poly)
 
+    def objectives(self, ts):
+        """Objective values at the weights ts, -inf where the state vanishes
+        (success probability below ZERO_TRACE_TOL)."""
+        w = self._weights(ts)
+        live = np.vecdot(w, self.traces) >= ZERO_TRACE_TOL
+        values = np.full(len(w), -math.inf)
+        if self.cfg.objective == "fidelity":
+            values[live] = self._fidelities(w[live])
+        elif live.any():
+            values[live] = log_negativity(self._rhos(w[live]))
+        return values
+
     def objective(self, t):
         """Objective value at weight t, or None when the state vanishes."""
-        if self.probability(t) < ZERO_TRACE_TOL:
-            return None
-        if self.cfg.objective == "fidelity":
-            return self.fidelity(t)
-        return log_negativity(self.rho(t))
+        value = float(self.objectives([t])[0])
+        return None if value == -math.inf else value
 
 
 def _real_parts(values, name):
@@ -219,19 +259,22 @@ def optimize_t(ev):
     """Best coherent weight t in [0, 1] for the configured objective.
 
     Coarse scan at step 0.01, then golden-section refinement to 1e-4 around
-    the best grid point; exact ties break toward smaller t.  Weights where
-    the preparation has zero success probability are skipped; if the
-    objective vanishes everywhere the returned weight maximizes the success
-    probability instead and the result is flagged "zero_objective".
+    the best grid point; exact ties break toward smaller t.  The 101 grid
+    weights are scored in one stacked call (ev.objectives), the golden
+    steps one at a time (ev.objective), each with the same bits as the
+    other would give.  Weights where the preparation has zero success
+    probability are skipped; if the objective vanishes everywhere the
+    returned weight maximizes the success probability over the grid instead
+    (one stacked call too) and the result is flagged "zero_objective".
     """
     grid = np.round(np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP), 10)
-    values = [ev.objective(t) for t in grid]
-    usable = [(t, v) for t, v in zip(grid, values) if v is not None]
-    if not usable or max(v for _, v in usable) <= 0.0:
-        probs = [(float(t), ev.probability(t)) for t in grid]
-        best_t, _ = max(probs, key=lambda tv: (tv[1], -tv[0]))
-        return OptimizeResult(best_t, 0.0, "zero_objective")
-    best_t, best_v = max(usable, key=lambda tv: (tv[1], -tv[0]))
+    values = ev.objectives(grid)
+    # argmax takes the first of equal values, so ties go to the smallest t
+    if values.max() <= 0.0:
+        best = int(np.argmax(ev.probabilities(grid)))
+        return OptimizeResult(float(grid[best]), 0.0, "zero_objective")
+    best = int(np.argmax(values))
+    best_t, best_v = float(grid[best]), float(values[best])
     lo = max(0.0, best_t - GRID_STEP)
     hi = min(1.0, best_t + GRID_STEP)
 

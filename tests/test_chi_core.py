@@ -12,6 +12,7 @@ from cvdistill.chi_core import (
     SingularKernelError,
     ZERO_INDEX,
     _moment_covariance,
+    apply_thermal_channel,
     coherent_op_terms,
     gaussian_kernel,
     moment_table,
@@ -260,6 +261,19 @@ def test_channel_hermiticity_preserved():
     st = apply_coherent_op(tmsv_chi(0.4), 2, CoherentOp.from_t(0.2))
     out = channel_state(st, 2, ChannelParams(0.45, 0.6))
     assert is_hermitian(out)
+
+
+def test_channel_checks_its_input_kernel_and_keeps_it_symmetric():
+    st = tmsv_chi(0.4)
+    ch = ChannelParams(0.37, 0.6)
+    kernel, _ = apply_thermal_channel(st.kernel, st.poly[None], 1, ch)
+    kernel, stack = apply_thermal_channel(kernel, st.poly[None], 2, ch)
+    assert np.array_equal(kernel, kernel.T)
+    assert kernel.dtype == complex and not kernel.flags.writeable
+    skew = np.array(st.kernel)
+    skew[0, 2] += 1e-15
+    with pytest.raises(ValueError, match="symmetric"):
+        apply_thermal_channel(skew, st.poly[None], 1, ch)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,106 @@ def test_log_negativity_solvers_agree(strategy, n_trunc):
         np.testing.assert_allclose(log_negativity(rho), want, atol=1e-12)
 
 
+def seeded_rhos(n_trunc, n_weights=3):
+    """(strategy, stack of normalized Fock matrices) at seeded settings and
+    weights, one pair per strategy."""
+    rng = np.random.default_rng(200 + n_trunc)
+    for strategy in Strategy:
+        cfg = ScenarioConfig(strategy, float(rng.uniform(0.01, 0.8)),
+                             ChannelParams(float(rng.uniform(0.05, 1.0)),
+                                           float(rng.uniform(0.0, 0.5))),
+                             n_trunc=n_trunc)
+        ev = _PointEvaluator(cfg)
+        yield strategy, np.stack([ev.rho(t) for t in rng.uniform(0.0, 1.0, n_weights)])
+
+
+def whole_complex_log_negativity(rho):
+    w = np.linalg.eigvalsh(partial_transpose(np.asarray(rho, dtype=complex)))
+    return max(0.0, math.log2(float(np.sum(np.abs(w)))))
+
+
+@pytest.fixture
+def eigvalsh_inputs(monkeypatch):
+    """The (shape, dtype) of every numpy.linalg.eigvalsh call."""
+    calls = []
+    solve = np.linalg.eigvalsh
+
+    def spy(a):
+        calls.append((a.shape, a.dtype))
+        return solve(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n_trunc", [0, 1, 3, 5, 8])
+def test_stacked_log_negativity_equals_one_matrix_calls(n_trunc):
+    for strategy, stack in seeded_rhos(n_trunc):
+        got = log_negativity(stack)
+        assert got.shape == (len(stack),), strategy
+        one = [log_negativity(rho) for rho in stack]
+        assert all(type(v) is float for v in one)
+        assert got.tolist() == one, strategy
+        assert log_negativity(stack.reshape(1, *stack.shape)).tolist() == [one]
+
+
+@pytest.mark.parametrize("n_trunc", [0, 1, 3, 5, 8])
+def test_parity_blocked_real_solve_against_whole_solves(n_trunc, eigvalsh_inputs):
+    # every strategy's rho^T1 is real and parity-blocked; the block solves
+    # agree with a whole complex solve and with the Jacobi oracle
+    d = n_trunc + 1
+    sizes = sorted({(d * d + 1) // 2, d * d // 2} - {0})
+    for strategy, stack in seeded_rhos(n_trunc):
+        assert not np.any(stack.imag)
+        del eigvalsh_inputs[:]
+        got = [log_negativity(rho) for rho in stack]
+        assert sorted({shape[-1] for shape, _ in eigvalsh_inputs}) == sizes
+        assert {dtype for _, dtype in eigvalsh_inputs} == {np.dtype(float)}
+        for rho, value in zip(stack, got):
+            assert value == pytest.approx(whole_complex_log_negativity(rho),
+                                          abs=1e-12)
+        w = jacobi_eigvalsh(partial_transpose(stack[0]))
+        want = max(0.0, math.log2(float(np.sum(np.abs(w)))))
+        assert got[0] == pytest.approx(want, abs=1e-12), strategy
+
+
+def test_log_negativity_without_the_structure_solves_whole(eigvalsh_inputs):
+    rng = np.random.default_rng(17)
+    # a dense Hermitian matrix couples the parities: one whole complex solve
+    dense = random_density_matrix(rng, 3)
+    want = whole_complex_log_negativity(dense)
+    del eigvalsh_inputs[:]
+    assert log_negativity(dense) == want
+    assert eigvalsh_inputs == [((16, 16), np.dtype(complex))]
+    # real but coupling the parities: one whole real solve
+    del eigvalsh_inputs[:]
+    real = dense.real.copy()
+    log_negativity(real)
+    assert eigvalsh_inputs == [((16, 16), np.dtype(float))]
+    # parity-blocked with nonzero imaginary parts: complex block solves
+    _, stack = next(seeded_rhos(3))
+    rho = stack[0].astype(complex)
+    i, j = np.divmod(np.arange(16), 4)
+    same = (i + j)[:, None] % 2 == (i + j)[None, :] % 2
+    phase = np.triu(rng.normal(size=(16, 16)) * 1e-3 * same, 1)
+    rho += 1j * (phase - phase.T)
+    want = whole_complex_log_negativity(rho)
+    assert want > 0.0
+    del eigvalsh_inputs[:]
+    assert log_negativity(rho) == pytest.approx(want, abs=1e-12)
+    assert eigvalsh_inputs == [((8, 8), np.dtype(complex))] * 2
+
+
+def test_exact_real():
+    real = np.ones((2, 2))
+    assert entanglement.exact_real(real) is real
+    z = np.array([[1.0 + 0.0j, -0.0j], [2.0, 3.0]])
+    got = entanglement.exact_real(z)
+    assert got.dtype == float and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, z.real)
+    z[1, 0] += 1e-300j
+    assert entanglement.exact_real(z) is z
+
+
 # ---------------------------------------------------------------------------
 # covariance route
 

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from cvdistill import scenarios
+from cvdistill import entanglement, scenarios
 from cvdistill.chi_core import ZERO_INDEX, ChannelParams, CoherentOp, tmsv_chi
 from cvdistill.entanglement import (
     covariance_from_chi,
     gaussian_log_negativity,
     log_negativity,
 )
-from cvdistill.cli import parse_run_config
+from cvdistill.cli import main, parse_run_config
 from cvdistill.fock_recon import fock_matrix
 from cvdistill.scenarios import (
     OptimizeResult,
@@ -189,6 +189,10 @@ def test_optimize_t_zero_objective_falls_back_to_probability():
     assert opt.value == 0.0
     probs = [ev.probability(t) for t in np.linspace(0.0, 1.0, 11)]
     assert ev.probability(opt.t_opt) >= max(probs) - 1e-9
+    # a separable state whose probability is the same at every weight: the
+    # tie breaks toward the smallest t
+    flat = optimize_t(_PointEvaluator(cfg_for("noop", eta=0.05, n_th=0.5)))
+    assert (flat.t_opt, flat.value, flat.flag) == (0.0, 0.0, "zero_objective")
 
 
 def test_optimize_t_fidelity_objective():
@@ -231,6 +235,65 @@ def test_row_fidelity_and_probability_are_the_evaluator_at_t_opt():
             assert rec.flags == ""
             assert rec.fidelity == ev.objective(rec.t_opt)
             assert rec.p_success == ev.probability(rec.t_opt)
+
+
+GRID = np.round(np.arange(0.0, 1.0 + scenarios.GRID_STEP / 2,
+                          scenarios.GRID_STEP), 10)
+
+
+@pytest.mark.parametrize("n_trunc", [0, 1, 3, 5, 8])
+def test_grid_values_are_the_objective_bit_for_bit(n_trunc):
+    # the optimizer scores the grid in one stacked call; each value is the
+    # one-weight objective's, and a vanishing state reads -inf for None
+    rng = np.random.default_rng(300 + n_trunc)
+    for strategy in Strategy:
+        for objective in ("negativity", "fidelity"):
+            cfg = cfg_for(strategy.value, s=float(rng.uniform(0.01, 0.8)),
+                          eta=float(rng.uniform(0.05, 1.0)),
+                          n_th=float(rng.uniform(0.0, 0.5)),
+                          n_trunc=n_trunc, objective=objective)
+            ev = _PointEvaluator(cfg)
+            want = [ev.objective(t) for t in GRID]
+            assert ev.objectives(GRID).tolist() == [
+                -math.inf if v is None else v for v in want], cfg
+            assert ev.probabilities(GRID).tolist() == [ev.probability(t)
+                                                       for t in GRID]
+        assert ev.matrices.dtype == float
+    ev = _PointEvaluator(cfg_for("coherent_before", s=0.0, n_trunc=n_trunc))
+    values = ev.objectives(GRID)
+    assert values[-1] == -math.inf and ev.objective(1.0) is None
+    assert values[:-1].tolist() == [ev.objective(t) for t in GRID[:-1]]
+
+
+def test_stacked_weights_keep_the_range_check():
+    ev = _PointEvaluator(cfg_for("coherent_after"))
+    for ts in ([0.5, 1.2], [-0.1], [0.2, math.nan]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ev.objectives(ts)
+        with pytest.raises(ValueError):
+            ev.probabilities(ts)
+
+
+def test_cutoff_zero_rows_are_unchanged(capsys):
+    # at n_trunc 0 rho^T1 is 1 x 1 and has no odd block; the objective is 0
+    # on the whole grid, so the coherent rows fall back to the most probable
+    # weight, as they printed before the blocked solve
+    for strategy in Strategy:
+        cfg = cfg_for(strategy.value, s=0.3, eta=0.7, n_th=0.1, n_trunc=0)
+        rec = evaluate_point(cfg)
+        rho = _PointEvaluator(cfg).rho(rec.t_opt)
+        w = np.linalg.eigvalsh(entanglement.partial_transpose(rho + 0j))
+        assert rec.e_n_fock == 0.0 and float(np.sum(np.abs(w))) <= 1.0
+    assert main(["point", "--strategy", "coherent_before", "--s", "0.3",
+                 "--eta", "0.7", "--n-th", "0.1", "--n-trunc", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[4:] == [
+        "t_opt = 0.00000000000e+00",
+        "E_N = 0.00000000000e+00",
+        "E_N_gauss = 0.00000000000e+00",
+        "fidelity = 4.59628623538e-01",
+        "p_success = 1.29539650095e+00",
+        "flags = zero_objective",
+    ]
 
 
 def test_optimal_weight_drifts_down_with_transmissivity():
