@@ -108,13 +108,19 @@ def gaussian_kernel(quad):
     exchanges xi_i and xi_i* in every mode; this makes the quadratic form real
     whenever xi_i* is the complex conjugate of xi_i.
     """
-    quad = np.array(quad, dtype=complex)
-    if quad.ndim != 2 or quad.shape[0] != quad.shape[1] or quad.shape[0] % 2:
-        raise ValueError("kernel must be square over (xi, xi*) pairs")
+    quad = _pair_square(quad)
     if not np.allclose(quad, quad.T, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(quad)))):
         raise ValueError("kernel must be symmetric")
     quad = 0.5 * (quad + quad.T)
     quad.flags.writeable = False
+    return quad
+
+
+def _pair_square(quad):
+    """quad as a complex array, checked to be square over (xi, xi*) pairs."""
+    quad = np.array(quad, dtype=complex)
+    if quad.ndim != 2 or quad.shape[0] != quad.shape[1] or quad.shape[0] % 2:
+        raise ValueError("kernel must be square over (xi, xi*) pairs")
     return quad
 
 
@@ -261,13 +267,15 @@ def apply_thermal_channel(kernel, stack, mode, channel):
     columns of the mode are scaled by sqrt(eta) and the conjugate-pair entry
     gains the thermal term.  The trace chi(0, 0) is preserved exactly.
 
-    The input kernel must be exactly symmetric, as gaussian_kernel leaves
-    it; the scaling and the added entries keep it so, bit for bit, so the
-    output kernel (complex, read-only) is not checked again.
+    The input kernel must be square over (xi, xi*) pairs and exactly
+    symmetric, as gaussian_kernel leaves it (a kernel symmetric only to
+    rounding is rejected, not symmetrized); the scaling and the added
+    entries keep it so, bit for bit, so the output kernel (complex,
+    read-only) is not checked again.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    k = np.array(kernel, dtype=complex)
+    k = _pair_square(kernel)
     if not np.array_equal(k, k.T):
         raise ValueError("kernel must be symmetric")
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1

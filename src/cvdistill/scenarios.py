@@ -21,6 +21,7 @@ from .chi_core import (
     TRACE_IMAG_TOL,
     ZERO_TRACE_TOL,
     ChannelParams,
+    CoherentOp,
     apply_thermal_channel,
     coherent_op_terms,
     term_weights,
@@ -159,28 +160,26 @@ class _PointEvaluator:
         return _real_parts(fidelity_integrals(self.kernel, self.polys), "fidelity")
 
     def _weights(self, ts):
-        """(len(ts), n_terms) weights t^(n-k) r^k, r = sqrt(1 - t^2).
+        """(len(ts), n_terms) weights t^(n-k) r^k of the operations
+        CoherentOp.from_t(t).
 
         Each row comes from term_weights in Python floats: numpy's
         vectorized power need not round like the C library's pow, and a
         last-bit change in a weight can move a printed p_success."""
-        ts = np.asarray(ts, dtype=float)
-        if not np.all((ts >= 0.0) & (ts <= 1.0)):
-            raise ValueError("t must lie in [0, 1]")
         n = len(self.polys)
-        return np.array([term_weights(n, t, r) for t, r in
-                         zip(ts.tolist(), np.sqrt(1.0 - ts * ts).tolist())])
+        return np.array([term_weights(n, op.t, op.r) for op in
+                         map(CoherentOp.from_t, np.asarray(ts, float).tolist())])
 
     def probabilities(self, ts):
         """Success probabilities at the weights ts, clamped at 0."""
-        return np.maximum(np.vecdot(self._weights(ts), self.traces), 0.0)
+        return np.maximum(_dots(self._weights(ts), self.traces), 0.0)
 
     def probability(self, t):
         return float(self.probabilities([t])[0])
 
     def _rhos(self, w):
         """Fock matrices of the normalized states of the weight rows w."""
-        c = w / np.vecdot(w, self.traces)[:, None]
+        c = w / _dots(w, self.traces)[:, None]
         m = self.matrices
         return (c[:, None] @ m.reshape(len(m), -1)).reshape(len(w), *m.shape[1:])
 
@@ -191,7 +190,7 @@ class _PointEvaluator:
     def _fidelities(self, w):
         """Teleportation fidelities of the normalized states of the weight
         rows w."""
-        return np.vecdot(w, self.fidelities) / np.vecdot(w, self.traces)
+        return _dots(w, self.fidelities) / _dots(w, self.traces)
 
     def fidelity(self, t):
         """Teleportation fidelity of the normalized state at weight t."""
@@ -207,7 +206,7 @@ class _PointEvaluator:
         """Objective values at the weights ts, -inf where the state vanishes
         (success probability below ZERO_TRACE_TOL)."""
         w = self._weights(ts)
-        live = np.vecdot(w, self.traces) >= ZERO_TRACE_TOL
+        live = _dots(w, self.traces) >= ZERO_TRACE_TOL
         values = np.full(len(w), -math.inf)
         if self.cfg.objective == "fidelity":
             values[live] = self._fidelities(w[live])
@@ -219,6 +218,12 @@ class _PointEvaluator:
         """Objective value at weight t, or None when the state vanishes."""
         value = float(self.objectives([t])[0])
         return None if value == -math.inf else value
+
+
+def _dots(w, x):
+    """Dot product of each row of w with the vector x.  matmul takes each
+    row as a vector-vector product, so a row gets the bits it gets alone."""
+    return (w[:, None] @ x)[:, 0]
 
 
 def _real_parts(values, name):

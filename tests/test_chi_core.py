@@ -274,6 +274,9 @@ def test_channel_checks_its_input_kernel_and_keeps_it_symmetric():
     skew[0, 2] += 1e-15
     with pytest.raises(ValueError, match="symmetric"):
         apply_thermal_channel(skew, st.poly[None], 1, ch)
+    for shape in (3, 3), (4, 2), (4,):
+        with pytest.raises(ValueError, match=r"square over \(xi, xi\*\) pairs"):
+            apply_thermal_channel(np.ones(shape), st.poly[None], 1, ch)
 
 
 # ---------------------------------------------------------------------------
