@@ -23,6 +23,7 @@ arguments are 1-based, and every phase-space integral carries one factor of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -343,6 +344,50 @@ def phase_charges(cov):
     return q
 
 
+def _read_only(a):
+    """a as a contiguous array that cannot be written to."""
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=16)
+def _moment_plan(shape, charges):
+    """The index bookkeeping of moment_table for one table shape and one
+    charge vector: per shell and first nonzero variable j, in the order the
+    recursion runs them, (j, target, terms) with target the flat indices of
+    the entries it computes and terms the (k, beta_k, source) of the k with
+    some beta_k != 0, source the flat indices of beta - e_k.  Tuples of
+    read-only arrays, since every caller shares them."""
+    n_vars = len(shape)
+    idx = np.indices(shape).reshape(n_vars, -1).T
+    idx = idx[idx @ np.array(charges) == 0]
+    totals = idx.sum(axis=1)
+    plan = []
+    for d in range(2, int(totals.max()) + 1, 2):
+        shell = idx[totals == d]
+        first = (shell > 0).argmax(axis=1)
+        for j in range(n_vars):
+            sub = shell[first == j]
+            if not len(sub):
+                continue
+            beta = sub.copy()
+            beta[:, j] -= 1
+            terms = []
+            for k in range(n_vars):
+                bk = beta[:, k]
+                if not bk.any():
+                    continue
+                gam = beta.copy()
+                gam[:, k] -= 1
+                np.clip(gam, 0, None, out=gam)  # rows with bk == 0 are zeroed by bk
+                terms.append((k, _read_only(bk),
+                              _read_only(np.ravel_multi_index(gam.T, shape))))
+            plan.append((j, _read_only(np.ravel_multi_index(sub.T, shape)),
+                         tuple(terms)))
+    return tuple(plan)
+
+
 def moment_table(kernel, shape):
     """Exact phase-space moments against one Gaussian kernel, as a dense
     array over every alpha with alpha_i < shape_i:
@@ -365,36 +410,26 @@ def moment_table(kernel, shape):
     multiplied by beta_k = 0), and a sum that starts from +0 and adds only
     +-0 stays +0.  The computed entries read the same values in the same
     order as without the skip, so they keep their bits too.
+
+    Which entries a shell computes and which ones each of its terms reads
+    depend only on the shape and on q, so that index bookkeeping is planned
+    once per (shape, q) and cached (_moment_plan); a call looks q up afresh
+    and runs only the arithmetic.  It adds the same products in the same
+    order, skipping a term where C_jk is exactly 0 as before, so no bit
+    moves.
     """
     cov, norm = _moment_covariance(kernel)
-    n_vars = len(kernel)
     shape = tuple(int(s) for s in shape)
-    if len(shape) != n_vars:
+    if len(shape) != len(kernel):
         raise ValueError("shape rank must match the number of variables")
     table = np.zeros(shape, dtype=complex)
     flat = table.reshape(-1)
     flat[0] = 1.0
-    idx = np.indices(shape).reshape(n_vars, -1).T
-    idx = idx[idx @ phase_charges(cov) == 0]
-    totals = idx.sum(axis=1)
-    for d in range(2, int(totals.max()) + 1, 2):
-        shell = idx[totals == d]
-        first = (shell > 0).argmax(axis=1)
-        for j in range(n_vars):
-            sub = shell[first == j]
-            if not len(sub):
-                continue
-            beta = sub.copy()
-            beta[:, j] -= 1
-            acc = np.zeros(len(sub), dtype=complex)
-            for k in range(n_vars):
-                cjk = cov[j, k]
-                bk = beta[:, k]
-                if cjk == 0.0 or not bk.any():
-                    continue
-                gam = beta.copy()
-                gam[:, k] -= 1
-                np.clip(gam, 0, None, out=gam)  # rows with bk == 0 are zeroed by bk
-                acc += cjk * bk * flat[np.ravel_multi_index(gam.T, shape)]
-            flat[np.ravel_multi_index(sub.T, shape)] = acc
+    for j, target, terms in _moment_plan(shape, tuple(phase_charges(cov).tolist())):
+        acc = np.zeros(len(target), dtype=complex)
+        for k, bk, source in terms:
+            cjk = cov[j, k]
+            if cjk != 0.0:
+                acc += cjk * bk * flat[source]
+        flat[target] = acc
     return norm * table

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cvdistill import chi_core
 from cvdistill.chi_core import (
     ChannelParams,
     CoherentOp,
@@ -440,3 +441,36 @@ def test_moment_table_entry_ignores_table_shape():
         table = moment_table(kernel, small)
         big = moment_table(kernel, large)[tuple(slice(n) for n in small)]
         np.testing.assert_array_equal(table, big)
+
+
+def test_moment_plan_is_shared_read_only_and_moves_no_bit():
+    # the plan is keyed by (shape, charges), not by the kernel: a table read
+    # through a plan built for another kernel has the bits of a cold call
+    r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
+    rng = np.random.default_rng(21)
+    cases = []
+    for strategy in Strategy:
+        for _ in range(2):
+            cfg = ScenarioConfig(strategy, float(rng.uniform(0.0, 1.0)),
+                                 ChannelParams(float(rng.uniform(0.01, 1.0)),
+                                               float(rng.uniform(0.0, 1.0))), 3)
+            kernel, _ = _raw_terms(cfg)
+            cases.append((_augmented_kernel(kernel), (6, 5, 7, 4)))
+            cases.append((gaussian_kernel(r.T @ kernel @ r + [[0.0, 1.0], [1.0, 0.0]]),
+                          (8, 7)))
+    cold = []
+    for kernel, shape in cases:
+        chi_core._moment_plan.cache_clear()
+        cold.append(moment_table(kernel, shape))
+    chi_core._moment_plan.cache_clear()
+    warm = [moment_table(kernel, shape) for kernel, shape in cases]
+    info = chi_core._moment_plan.cache_info()
+    assert (info.misses, info.hits) == (2, len(cases) - 2)
+    for a, b in zip(warm, cold):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    plan = chi_core._moment_plan((6, 5, 7, 4), (1, -1, -1, 1))
+    arrays = [x for _, target, terms in plan
+              for x in (target, *(a for _, bk, source in terms for a in (bk, source)))]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        arrays[0][0] = 0

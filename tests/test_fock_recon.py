@@ -262,12 +262,8 @@ def test_fock_matrices_equal_the_per_entry_route_bit_for_bit(n_trunc):
         assert _same_bits(got, want), cfg
 
 
-@pytest.mark.parametrize("n_trunc", [0, 1, 3, 5, 8])
-def test_charge_rule_changes_no_bit(monkeypatch, n_trunc):
-    # phase_charges returning zeros makes moment_table and fock_matrices
-    # compute every entry, as the recursion and the sums did without the rule
-    rng = np.random.default_rng(100 + n_trunc)
-    r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
+def _random_terms(rng, n_trunc):
+    """The raw terms of one random configuration of each strategy."""
     cases = []
     for strategy in Strategy:
         cfg = ScenarioConfig(strategy, float(rng.uniform(0.0, 1.0)),
@@ -275,6 +271,21 @@ def test_charge_rule_changes_no_bit(monkeypatch, n_trunc):
                                            float(rng.uniform(0.0, 1.0))),
                              n_trunc)
         cases.append(_raw_terms(cfg))
+    return cases
+
+
+def _plan_misses():
+    return (chi_core._moment_plan.cache_info().misses,
+            fock_recon._fock_plan.cache_info().misses)
+
+
+@pytest.mark.parametrize("n_trunc", [0, 1, 3, 5, 8])
+def test_charge_rule_changes_no_bit(monkeypatch, n_trunc):
+    # phase_charges returning zeros makes moment_table and fock_matrices
+    # compute every entry, as the recursion and the sums did without the rule
+    rng = np.random.default_rng(100 + n_trunc)
+    r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
+    cases = _random_terms(rng, n_trunc)
 
     def run():
         return [(moment_table(_augmented_kernel(kernel), (7, 6, 8, 5)),
@@ -283,22 +294,91 @@ def test_charge_rule_changes_no_bit(monkeypatch, n_trunc):
                  fock_matrices(kernel, n_trunc, polys))
                 for kernel, polys in cases]
 
+    chi_core._moment_plan.cache_clear()
+    fock_recon._fock_plan.cache_clear()
     sparse = run()
+    planned = _plan_misses()
 
     def no_charges(cov):
         return np.zeros(len(cov), dtype=int)
     monkeypatch.setattr(chi_core, "phase_charges", no_charges)
     monkeypatch.setattr(fock_recon, "phase_charges", no_charges)
     full = run()
+    # the charges are part of both plan keys, so the full run plans every
+    # table and matrix anew rather than reading the sparse plans
+    assert _plan_misses() == tuple(2 * m for m in planned)
     for got, want in zip(sparse, full):
         for a, b in zip(got, want):
             assert _same_bits(a, b)
 
 
+@pytest.mark.parametrize("n_trunc", [0, 1, 3, 5, 8])
+def test_cached_plan_moves_no_bit(n_trunc):
+    # a call that reads the plans another configuration built gives the
+    # bits of a cold call
+    rng = np.random.default_rng(300 + n_trunc)
+    for (kernel, polys), (other, other_polys) in zip(_random_terms(rng, n_trunc),
+                                                     _random_terms(rng, n_trunc)):
+        chi_core._moment_plan.cache_clear()
+        fock_recon._fock_plan.cache_clear()
+        cold = fock_matrices(kernel, n_trunc, polys)
+        chi_core._moment_plan.cache_clear()
+        fock_recon._fock_plan.cache_clear()
+        fock_matrices(other, n_trunc, other_polys)
+        warm = fock_matrices(kernel, n_trunc, polys)
+        assert fock_recon._fock_plan.cache_info().hits == 1
+        assert _same_bits(warm, cold)
+
+
+def test_each_support_gets_its_own_plan():
+    # noop's support is one monomial, coherent_after's 46
+    ch = ChannelParams(0.6, 0.2)
+    cases = [_raw_terms(ScenarioConfig(strategy, 0.3, ch, 3))
+             for strategy in (Strategy.NOOP, Strategy.COHERENT_AFTER, Strategy.NOOP)]
+    fock_recon._fock_plan.cache_clear()
+    got = [fock_matrices(kernel, 3, polys) for kernel, polys in cases]
+    info = fock_recon._fock_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    for (kernel, polys), rho in zip(cases, got):
+        assert _same_bits(rho, oracles.fock_matrices_by_entry(kernel, 3, polys))
+
+
+def test_cached_fock_plan_is_read_only():
+    kernel, polys = _raw_terms(ScenarioConfig(Strategy.COHERENT_BEFORE, 0.3,
+                                              ChannelParams(0.7, 0.1), 3))
+    fock_matrices(kernel, 3, polys)
+    support = tuple(map(tuple, np.argwhere(np.any(polys != 0, axis=0)).tolist()))
+    hits = fock_recon._fock_plan.cache_info().hits
+    _, rows, cols, classes = fock_recon._fock_plan(4, support, (1, -1, -1, 1))
+    assert fock_recon._fock_plan.cache_info().hits == hits + 1
+    arrays = [rows, cols, *(x for c in classes for x in c)]
+    assert len(arrays) > 2 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        classes[0][2][0, 0] = 0
+
+
+def test_augmented_kernel_wants_an_exactly_symmetric_kernel():
+    kernel = tmsv_chi(0.4).kernel
+    want = np.array(kernel)
+    for p in (0, 2):
+        want[p, p + 1] += 0.5
+        want[p + 1, p] += 0.5
+    aug = _augmented_kernel(kernel)
+    assert not aug.flags.writeable
+    assert aug.tobytes() == gaussian_kernel(want).tobytes()
+    skewed = np.array(kernel)
+    skewed[0, 2] += 1e-15
+    with pytest.raises(ValueError, match="symmetric"):
+        _augmented_kernel(skewed)
+    with pytest.raises(ValueError, match="pairs"):
+        _augmented_kernel(np.eye(3))
+
+
 def test_fock_matrices_allocation_peak_at_cutoff_8():
     # measured with numpy 2.4: the per-entry route (fock_matrices_by_entry)
     # peaks at 3.56 MiB here, the grouped sums over every (entry, support)
-    # pair at 4.78 MiB and over the pairs of charge zero at 3.64 MiB; a
+    # pair at 4.78 MiB and over the pairs of charge zero at 3.64 MiB, and
+    # with the cached plans (the measured call is warm) at 3.40 MiB; a
     # temporary that outgrows the bound raises the process's peak resident
     # memory
     cfg = ScenarioConfig(Strategy.COHERENT_AFTER, 0.5, ChannelParams(0.7, 0.1), 8)
