@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .chi_core import check_normalized, gaussian_kernel, moment_table
+from .chi_core import SingularKernelError, check_normalized, phase_charges
 
 PT_DISCRIMINANT_TOL = 1e-12
 COV_IMAG_TOL = 1e-10
@@ -163,25 +163,29 @@ def fidelity_integrals(kernel, polys):
     normalized or not, as a complex array.  polys is a stack of coefficient
     cubes of one shape (see PolyGaussianChi).
 
-    The two-mode characteristic function on the diagonal against a Gaussian
-    weight is again a polynomial-times-Gaussian moment problem, now in one
-    complex variable.  One moment table covers the union of the reduced
-    supports; each value is its own sum over its own polynomial's nonzero
-    monomials, so it is the same, bit for bit, as a one-polynomial call.  The
-    integral is linear in chi, so the value of a weighted sum of states is
-    the weighted sum of their values.
+    Under (xi1, xi1*, xi2, xi2*) = (xi*, xi, xi, xi*) every strategy's K
+    becomes a 2x2 kq over (xi, xi*) with a zero diagonal (it conserves the
+    phase charge), so the integrand's Gaussian is exp(-kappa |xi|^2),
+    kappa = kq[0, 1] + 1, and each value is the sum of c_(a,a) a!/kappa^(a+1)
+    over its own polynomial's nonzero monomials (the moment of xi^a xi*^b
+    is 0 for a != b): bit for bit a one-polynomial call.  A kq that is not
+    real (to 1e-10) or breaks the charge raises ValueError; a kappa <= 0, or
+    moments out of the float range, SingularKernelError.
     """
     polys = np.asarray(polys)
-    support = np.argwhere(np.any(polys != 0, axis=0))
-    # substitution (xi1, xi1*, xi2, xi2*) = (xi*, xi, xi, xi*)
-    r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
-    reduced = support @ r
+    r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])  # v = r (xi, xi*)
     kq = r.T @ kernel @ r
-    kq[0, 1] += 1.0
-    kq[1, 0] += 1.0
-    table = moment_table(gaussian_kernel(kq), reduced.max(axis=0, initial=0) + 1)
-    values = table[tuple(reduced.T)]
-    return np.array([np.sum(c[c != 0] * values[c != 0])
+    kappa = complex(kq[0, 1]) + 1.0
+    if not phase_charges(kq).any() or abs(kappa.imag) > 1e-10 * max(1.0, abs(kappa.real)):
+        raise ValueError("fidelity kernel is not real or breaks the phase charge")
+    support = np.argwhere(np.any(polys != 0, axis=0))
+    a, b = (support @ r).T
+    support, a = support[a == b], a[a == b]
+    with np.errstate(all="ignore"):
+        moments = np.array([math.factorial(n) for n in a], float) / kappa.real ** (a + 1)
+    if not (kappa.real > 0.0 and np.all((0.0 < moments) & (moments < math.inf))):
+        raise SingularKernelError(f"fidelity kappa {kappa.real} is out of range")
+    return np.array([np.sum(c[c != 0] * moments[c != 0])
                      for c in polys[(slice(None), *support.T)]], dtype=complex)
 
 

@@ -10,8 +10,8 @@ Gaussian exp(-|xi|^2/2).  For polynomial-times-Gaussian characteristic
 functions the whole integrand therefore lives in one augmented Gaussian
 kernel, and the exact moment table evaluates it term by term.  A density
 matrix is a plain (d^2, d^2) complex array, d = n_trunc + 1.  When the
-kernel conserves the phase charge of chi_core.phase_charges, as every
-strategy's kernel does, only the moments and weights of charge zero are
+kernel's entries conserve the phase charge of chi_core.phase_charges, as
+every strategy's do, only the moments and weights of charge zero are
 computed; the others are exactly +0 either way.
 
 Truncation note: dropping Fock components above n_trunc can only lower the
@@ -36,8 +36,8 @@ import math
 
 import numpy as np
 
-from .chi_core import (_moment_covariance, _pair_square, _read_only,
-                       check_normalized, moment_table, phase_charges)
+from .chi_core import (_pair_square, _read_only, check_normalized,
+                       moment_table, phase_charges)
 
 CERTIFY_TOL = 1e-6
 
@@ -212,7 +212,7 @@ def fock_matrices(kernel, n_trunc, polys):
     d = n_trunc + 1
 
     aug = _augmented_kernel(kernel)
-    charge = tuple(phase_charges(_moment_covariance(aug)[0]).tolist())
+    charge = tuple(phase_charges(aug).tolist())
     shape, rows, cols, classes = _fock_plan(d, tuple(map(tuple, support.tolist())), charge)
     table = moment_table(aug, shape).reshape(-1)
     weights = np.zeros((len(support), len(rows)), dtype=complex)

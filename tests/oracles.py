@@ -10,12 +10,15 @@ algebra.  The single-state helpers (channel_state, apply_coherent_op,
 combine_terms, normalize, evaluate_chi, teleportation_fidelity) are not
 references: they apply the package's own operations to one state at one
 weight, or evaluate one, for tests that follow a single state; nor are the
-state checks degree, hermiticity_defect and is_hermitian.  Three of the
+state checks degree, hermiticity_defect and is_hermitian.  Four of the
 references share low-level pieces with the package:
 RecursiveMoments evaluates moments one at a time by the memoized scalar
 Wick/Stein recursion, from the moment covariance and normalization that
 moment_table uses, so it checks the vectorized moment table, not the
-covariance; fock_element shares the moment table and the displacement
+covariance; fidelity_integrals_by_moments integrates the fidelity kernel
+with the package's moment table rather than in closed form, so it checks
+fidelity_integrals' closed moments, not the substitution they share;
+fock_element shares the moment table and the displacement
 polynomials with fock_matrices, so it only checks that function's assembly
 (weight matrix, Hermitian fill), not the integrals; and
 fock_matrices_by_entry is fock_matrices with one einsum per matrix entry,
@@ -40,6 +43,7 @@ from cvdistill.chi_core import (
     apply_thermal_channel,
     check_normalized,
     coherent_op_terms,
+    gaussian_kernel,
     moment_table,
     term_weights,
     tmsv_chi,
@@ -381,6 +385,25 @@ class RecursiveMoments:
                     beta[k] += 1
         self._memo[alpha] = acc
         return acc
+
+
+def fidelity_integrals_by_moments(kernel, polys):
+    """fidelity_integrals through the general moment table: the substituted
+    one-mode kernel kq (plus the weight's 1 off the diagonal) is integrated
+    by the Wick/Stein recursion over the union of the reduced supports, and
+    each value is its own sum over its own polynomial's nonzero monomials."""
+    polys = np.asarray(polys)
+    support = np.argwhere(np.any(polys != 0, axis=0))
+    # substitution (xi1, xi1*, xi2, xi2*) = (xi*, xi, xi, xi*)
+    r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
+    reduced = support @ r
+    kq = r.T @ kernel @ r
+    kq[0, 1] += 1.0
+    kq[1, 0] += 1.0
+    table = moment_table(gaussian_kernel(kq), reduced.max(axis=0, initial=0) + 1)
+    values = table[tuple(reduced.T)]
+    return np.array([np.sum(c[c != 0] * values[c != 0])
+                     for c in polys[(slice(None), *support.T)]], dtype=complex)
 
 
 # --- Hermitian eigenvalues without LAPACK ----------------------------------

@@ -393,24 +393,32 @@ def test_moment_table_matches_scalar_route():
 
 
 def test_phase_charges():
+    # the charges are read off the kernel's entries; the moment covariance
+    # of every kernel here gives the same decision
     r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
     rng = np.random.default_rng(11)
+    charged = []
     for strategy in Strategy:
         cfg = ScenarioConfig(strategy, float(rng.uniform(0.0, 1.0)),
                              ChannelParams(float(rng.uniform(0.01, 1.0)),
                                            float(rng.uniform(0.0, 1.0))), 3)
         kernel, _ = _raw_terms(cfg)
         for k in (kernel, _augmented_kernel(kernel)):
-            assert phase_charges(_moment_covariance(k)[0]).tolist() == [1, -1, -1, 1]
+            assert phase_charges(k).tolist() == [1, -1, -1, 1]
         fidelity = gaussian_kernel(r.T @ kernel @ r + [[0.0, 1.0], [1.0, 0.0]])
-        assert phase_charges(_moment_covariance(fidelity)[0]).tolist() == [1, -1]
+        assert phase_charges(fidelity).tolist() == [1, -1]
+        charged += [kernel, _augmented_kernel(kernel), fidelity]
     # a xi1 xi2* coupling, and a single-mode squeezing with C_00 != 0
     squeezed = np.array(pair_kernel(1.0))
     squeezed[0, 0], squeezed[1, 1] = 0.3 + 0.1j, 0.3 - 0.1j
-    squeezed_cov = _moment_covariance(gaussian_kernel(squeezed))[0]
-    assert squeezed_cov[0, 0] != 0
-    for cov in [_moment_covariance(k)[0] for k in coupled_kernels()] + [squeezed_cov]:
-        assert not phase_charges(cov).any()
+    squeezed = gaussian_kernel(squeezed)
+    assert _moment_covariance(squeezed)[0][0, 0] != 0
+    uncharged = coupled_kernels() + [squeezed]
+    for k in uncharged:
+        assert not phase_charges(k).any()
+    for k in charged + uncharged:
+        assert (phase_charges(k).tolist()
+                == phase_charges(_moment_covariance(k)[0]).tolist())
 
 
 def test_singular_kernel_rejected():

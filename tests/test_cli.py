@@ -242,11 +242,16 @@ def test_point_overflowing_inputs_are_numerical_exit(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("strategy", ["coherent_before", "noop"])
-def test_point_overflowing_kernel_determinant_is_singular(capsys, strategy):
-    # at n_th 1e300 the kernel's determinant overflows; it is refused as a
-    # singular kernel before any moment reads 0, and no RuntimeWarning leaks
-    assert main(["point", "--strategy", strategy, "--s", "0.3", "--eta", "0.5",
+@pytest.mark.parametrize("argv", [
+    ["--strategy", "coherent_before"],
+    ["--strategy", "noop"],
+    ["--strategy", "coherent_before", "--objective", "fidelity"],
+], ids=["coherent_before", "noop", "coherent_before-fidelity"])
+def test_point_overflowing_kernel_determinant_is_singular(capsys, argv):
+    # at n_th 1e300 the kernel's determinant overflows, and so do the powers
+    # of the fidelity integral's kappa; either is refused as a singular
+    # kernel before any moment reads 0, and no RuntimeWarning leaks
+    assert main(["point", *argv, "--s", "0.3", "--eta", "0.5",
                  "--n-th", "1e300"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -7,9 +7,10 @@ import pytest
 from scipy import constants
 
 from cvdistill import entanglement
-from cvdistill.chi_core import ChannelParams, CoherentOp, PolyGaussianChi, tmsv_chi
+from cvdistill.chi_core import (ChannelParams, CoherentOp, PolyGaussianChi,
+                                SingularKernelError, tmsv_chi)
 from cvdistill.fock_recon import fock_matrix
-from cvdistill.scenarios import ScenarioConfig, Strategy, _PointEvaluator
+from cvdistill.scenarios import ScenarioConfig, Strategy, _PointEvaluator, _raw_terms
 from cvdistill.entanglement import (
     InvalidCovarianceError,
     covariance_from_chi,
@@ -366,6 +367,52 @@ def test_fidelity_integrals_of_empty_polynomials_vanish():
     kernel = tmsv_chi(0.3).kernel
     assert list(fidelity_integrals(kernel, np.zeros((2, 3, 3, 3, 3)))) == [0, 0]
     assert fidelity_integrals(kernel, np.zeros((0, 1, 1, 1, 1))).shape == (0,)
+
+
+def test_fidelity_integrals_closed_form_against_moment_table():
+    # the closed moments a!/kappa^(a+1) against the Wick/Stein recursion
+    # over the same substituted kernel (measured worst: 4.7e-15)
+    rng = np.random.default_rng(2024)
+    strategies = list(Strategy)
+    for i in range(200):
+        cfg = ScenarioConfig(strategies[i % 5], float(rng.uniform(0.0, 1.5)),
+                             ChannelParams(float(rng.uniform(0.01, 1.0)),
+                                           float(rng.uniform(0.0, 2.0))))
+        kernel, polys = _raw_terms(cfg)
+        np.testing.assert_allclose(
+            fidelity_integrals(kernel, polys),
+            oracles.fidelity_integrals_by_moments(kernel, polys),
+            rtol=1e-13, atol=0.0)
+
+
+def pair_kernel(p):
+    """Writable kernel whose exponent is -p (|xi1|^2 + |xi2|^2)."""
+    k = np.zeros((4, 4), dtype=complex)
+    k[0, 1] = k[1, 0] = k[2, 3] = k[3, 2] = p
+    return k
+
+
+def test_fidelity_integrals_refuse_phase_sensitive_kernel():
+    # a single-mode squeezing of mode 1 lands on the diagonal of the
+    # substituted kernel
+    kernel = pair_kernel(1.0)
+    kernel[0, 0], kernel[1, 1] = 0.3 + 0.1j, 0.3 - 0.1j
+    with pytest.raises(ValueError, match="phase charge"):
+        fidelity_integrals(kernel, np.ones((1, 1, 1, 1, 1)))
+
+
+def test_fidelity_integrals_refuse_non_real_kappa():
+    kernel = pair_kernel(1.0)
+    kernel[0, 1] = kernel[1, 0] = 1.0 + 0.5j
+    with pytest.raises(ValueError, match="not real"):
+        fidelity_integrals(kernel, np.ones((1, 1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("p", [-0.5, -1.0])
+def test_fidelity_integrals_refuse_nonpositive_kappa(p):
+    # kappa = 2 p + 1: 0 and -1
+    with pytest.raises(SingularKernelError):
+        fidelity_integrals(pair_kernel(p), np.ones((1, 1, 1, 1, 1)))
 
 
 def test_fidelity_requires_normalized_state():

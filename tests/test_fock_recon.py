@@ -299,8 +299,8 @@ def test_charge_rule_changes_no_bit(monkeypatch, n_trunc):
     sparse = run()
     planned = _plan_misses()
 
-    def no_charges(cov):
-        return np.zeros(len(cov), dtype=int)
+    def no_charges(kernel):
+        return np.zeros(len(kernel), dtype=int)
     monkeypatch.setattr(chi_core, "phase_charges", no_charges)
     monkeypatch.setattr(fock_recon, "phase_charges", no_charges)
     full = run()
@@ -310,6 +310,23 @@ def test_charge_rule_changes_no_bit(monkeypatch, n_trunc):
     for got, want in zip(sparse, full):
         for a, b in zip(got, want):
             assert _same_bits(a, b)
+
+
+def test_fock_matrices_factor_the_kernel_once(monkeypatch):
+    # the charge rule reads the augmented kernel, so the moment table's
+    # covariance is the one factorization a call makes
+    factor = chi_core._moment_covariance
+    calls = []
+
+    def counted(kernel):
+        calls.append(kernel)
+        return factor(kernel)
+    # patched wherever a module may hold the function by name
+    for module in (chi_core, fock_recon):
+        monkeypatch.setattr(module, "_moment_covariance", counted, raising=False)
+    kernel, polys = _random_terms(np.random.default_rng(7), 3)[3]
+    fock_matrices(kernel, 3, polys)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n_trunc", [0, 1, 3, 5, 8])
