@@ -7,7 +7,8 @@ characteristic function
     v = (xi1, xi1*, xi2, xi2*),
 
 with P a polynomial, stored as a dense coefficient cube (poly[alpha] is the
-coefficient of v^alpha), and K a symmetric 4x4 kernel matrix.  The
+coefficient of v^alpha), and K a 4x4 kernel matrix of the structure
+gaussian_kernel requires of every kernel.  The
 representation is closed under the three operations the distillation
 pipelines need: preparation of a two-mode squeezed vacuum, the coherent
 superposition operation t*a + r*a^dag applied to one mode, and the
@@ -101,38 +102,56 @@ class ChannelParams:
 
 
 def gaussian_kernel(quad):
-    """Symmetric kernel matrix K of the factor exp(-0.5 v^T K v), as a
-    read-only complex array.
+    """quad as the kernel matrix K of the factor exp(-0.5 v^T K v): a
+    read-only complex copy, checked against the one kernel contract.
 
-    Rows/columns interleave each mode's (xi, xi*).  Physical kernels obey the
-    swap-conjugation symmetry P K P = conj(K), with P the permutation that
-    exchanges xi_i and xi_i* in every mode; this makes the quadratic form real
-    whenever xi_i* is the complex conjugate of xi_i.
+    Rows/columns interleave each mode's (xi, xi*).  K must be square over
+    those pairs, finite, exactly symmetric and exactly swap-conjugation
+    symmetric, P K P = conj(K) with P the permutation that exchanges xi_i
+    and xi_i* in every mode, so that the quadratic form is real whenever
+    xi_i* is the complex conjugate of xi_i.  It must also conserve the
+    phase charges q of _charges exactly: every K_jk with q_j + q_k != 0 is
+    0.  A two-mode squeezed vacuum through phase-insensitive channels, and
+    every kernel the pipelines build from it, has this structure bit for
+    bit.  Anything else raises ValueError; nothing is symmetrized.
     """
-    quad = _pair_square(quad)
-    if not np.allclose(quad, quad.T, rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(quad)))):
-        raise ValueError("kernel must be symmetric")
-    quad = 0.5 * (quad + quad.T)
-    quad.flags.writeable = False
-    return quad
-
-
-def _pair_square(quad):
-    """quad as a complex array, checked to be square over (xi, xi*) pairs."""
-    quad = np.array(quad, dtype=complex)
-    if quad.ndim != 2 or quad.shape[0] != quad.shape[1] or quad.shape[0] % 2:
+    k = np.array(quad, dtype=complex)
+    if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] % 2:
         raise ValueError("kernel must be square over (xi, xi*) pairs")
-    return quad
+    if not np.isfinite(k).all():
+        raise ValueError("kernel entries must be finite")
+    if not (k == k.T).all():
+        raise ValueError("kernel must be exactly symmetric")
+    m = len(k) // 2  # P K P: xi and xi* swapped in every row and column pair
+    if not (k.reshape(m, 2, m, 2)[:, ::-1, :, ::-1].reshape(k.shape) == k.conj()).all():
+        raise ValueError("kernel breaks the swap-conjugation symmetry P K P = conj(K)")
+    if k[_charge_breaking(len(k))].any():
+        raise ValueError("kernel breaks the phase charge")
+    k.flags.writeable = False
+    return k
+
+
+def _charges(n_vars):
+    """Charges q of the variables under xi1 -> e^{i phi} xi1,
+    xi2 -> e^{-i phi} xi2: +1 for xi1 and xi2*, -1 for xi1* and xi2, and
+    each further mode with the opposite signs of the one before it (one
+    mode: (+1, -1)).  Under gaussian_kernel's contract every moment of
+    v^alpha with q . alpha != 0 vanishes."""
+    return np.array([(-1) ** m * s for m in range(n_vars // 2) for s in (1, -1)])
+
+
+@functools.lru_cache(maxsize=None)
+def _charge_breaking(n_vars):
+    """Read-only mask of the kernel entries K_jk with q_j + q_k != 0."""
+    q = _charges(n_vars)
+    return _read_only(q[:, None] + q[None, :] != 0)
 
 
 def _real_form(kernel):
-    """Real matrix M with v^T K v = u^T M u over u = (x, y) per mode."""
+    """Real matrix M with v^T K v = u^T M u over u = (x, y) per mode; the
+    swap-conjugation symmetry of the kernel makes it real."""
     t = _complexification(len(kernel) // 2)
-    mc = t.T @ kernel @ t
-    scale = max(1.0, float(np.max(np.abs(mc.real))))
-    if np.max(np.abs(mc.imag)) > 1e-10 * scale:
-        raise ValueError("kernel does not define a real quadratic form")
-    m = mc.real
+    m = (t.T @ kernel @ t).real
     return 0.5 * (m + m.T)
 
 
@@ -170,10 +189,11 @@ def tmsv_chi(s):
                    + (xi1 xi2 + xi1* xi2*) sinh(2s)/2 ],
 
     so the kernel carries cosh(2s)/2 on the conjugate pairs of each mode and
-    -sinh(2s)/2 on the cross-mode entries.  s = 0 gives the two-mode vacuum.
+    -sinh(2s)/2 on the cross-mode entries.  s = 0 gives the two-mode vacuum;
+    s must be nonnegative and finite, as ScenarioConfig requires.
     """
-    if s < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
+    if not 0 <= s < math.inf:
+        raise ValueError("squeezing parameter must be nonnegative and finite")
     ch = math.cosh(2 * s) / 2
     sh = math.sinh(2 * s) / 2
     k = np.zeros((4, 4))
@@ -268,24 +288,24 @@ def apply_thermal_channel(kernel, stack, mode, channel):
     columns of the mode are scaled by sqrt(eta) and the conjugate-pair entry
     gains the thermal term.  The trace chi(0, 0) is preserved exactly.
 
-    The input kernel must be square over (xi, xi*) pairs and exactly
-    symmetric, as gaussian_kernel leaves it (a kernel symmetric only to
-    rounding is rejected, not symmetrized); the scaling and the added
-    entries keep it so, bit for bit, so the output kernel (complex,
-    read-only) is not checked again.
+    The input kernel must pass gaussian_kernel; the real scaling of a
+    conjugate pair and the real term added to both of its entries keep
+    that contract bit for bit, so the output kernel (complex, read-only) is
+    not checked again.  A thermal term beyond the float range raises
+    SingularKernelError.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    k = _pair_square(kernel)
-    if not np.array_equal(k, k.T):
-        raise ValueError("kernel must be symmetric")
+    add = 0.5 * (2 * channel.n_th + 1) * (1 - channel.eta)
+    if not math.isfinite(add):
+        raise SingularKernelError(f"channel thermal term {add} is out of range")
+    k = np.array(gaussian_kernel(kernel))
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
     root = math.sqrt(channel.eta)
     a = np.indices(stack.shape[1:])
     stack = stack * root ** (a[p] + a[q])
     k[[p, q], :] *= root
     k[:, [p, q]] *= root
-    add = 0.5 * (2 * channel.n_th + 1) * (1 - channel.eta)
     k[p, q] += add
     k[q, p] += add
     k.flags.writeable = False
@@ -326,24 +346,6 @@ def _moment_covariance(kernel):
     return t @ sigma @ t.T, 2.0 ** n_modes / math.sqrt(det)
 
 
-def phase_charges(kernel):
-    """Charges q of the variables under xi1 -> e^{i phi} xi1,
-    xi2 -> e^{-i phi} xi2: +1 for xi1 and xi2*, -1 for xi1* and xi2, and
-    each further mode with the opposite signs of the one before it (one
-    mode: (+1, -1)).  They are returned only if every kernel entry K_jk
-    with q_j + q_k != 0 is exactly 0, so that the Gaussian conserves the
-    charge and every moment of v^alpha with q . alpha != 0 vanishes;
-    otherwise all zeros, which mark every moment as allowed.
-
-    A two-mode squeezed vacuum through phase-insensitive channels, and the
-    augmented and fidelity kernels built from it, conserve the charge.
-    """
-    q = np.array([(-1) ** m * s for m in range(len(kernel) // 2) for s in (1, -1)])
-    if np.any(kernel[q[:, None] + q[None, :] != 0]):
-        return np.zeros_like(q)
-    return q
-
-
 def _read_only(a):
     """a as a contiguous array that cannot be written to."""
     a = np.ascontiguousarray(a)
@@ -352,16 +354,16 @@ def _read_only(a):
 
 
 @functools.lru_cache(maxsize=16)
-def _moment_plan(shape, charges):
-    """The index bookkeeping of moment_table for one table shape and one
-    charge vector: per shell and first nonzero variable j, in the order the
-    recursion runs them, (j, target, terms) with target the flat indices of
-    the entries it computes and terms the (k, beta_k, source) of the k with
+def _moment_plan(shape):
+    """The index bookkeeping of moment_table for one table shape: per shell
+    and first nonzero variable j, in the order the recursion runs them,
+    (j, target, terms) with target the flat indices of the entries of
+    charge zero it computes and terms the (k, beta_k, source) of the k with
     some beta_k != 0, source the flat indices of beta - e_k.  Tuples of
     read-only arrays, since every caller shares them."""
     n_vars = len(shape)
     idx = np.indices(shape).reshape(n_vars, -1).T
-    idx = idx[idx @ np.array(charges) == 0]
+    idx = idx[idx @ _charges(n_vars) == 0]
     totals = idx.sum(axis=1)
     plan = []
     for d in range(2, int(totals.max()) + 1, 2):
@@ -403,20 +405,23 @@ def moment_table(kernel, shape):
     vanish and are skipped.  An entry reads only entries below it, so it does
     not depend on the table's shape.
 
-    Only the alpha with q . alpha = 0, q = phase_charges(K), are computed;
-    the rest keep the +0 of np.zeros, which the recursion gives them too,
-    bit for bit, wherever C's charge-violating entries are exactly 0 (read
-    off C, q is the same on 3,505 augmented kernels: the README sweep and
-    3,000 random configurations): a term with C_jk != 0 has q_j + q_k = 0,
-    so it reads an entry of the same nonzero charge, +0 by induction (or a
-    finite one times beta_k = 0), and a sum from +0 of only +-0 stays +0.
+    The kernel must pass gaussian_kernel, so it conserves the phase charges
+    q of _charges.  Only the alpha with q . alpha = 0 are computed; the
+    rest keep the +0 of np.zeros, which the recursion gives them too, bit
+    for bit, wherever C's charge-violating entries are exactly 0 (they are
+    on the state, augmented and fidelity kernels of 1,500 random
+    configurations, and the tests compare against the recursion run on
+    every entry): a term with C_jk != 0 has q_j + q_k = 0, so it reads an
+    entry of the same nonzero charge, +0 by induction (or a finite one
+    times beta_k = 0), and a sum from +0 of only +-0 stays +0.
 
     Which entries a shell computes and which ones each of its terms reads
-    depend only on the shape and on q, so that index bookkeeping is planned
-    once per (shape, q) and cached (_moment_plan); a call looks q up afresh
-    and runs only the arithmetic: the products of the plain recursion, in
-    its order, skipping a term where C_jk is exactly 0, so no bit moves.
+    depend only on the shape, so that index bookkeeping is planned once per
+    shape and cached (_moment_plan); a call runs only the arithmetic: the
+    products of the plain recursion, in its order, skipping a term where
+    C_jk is exactly 0, so no bit moves.
     """
+    kernel = gaussian_kernel(kernel)
     cov, norm = _moment_covariance(kernel)
     shape = tuple(int(s) for s in shape)
     if len(shape) != len(kernel):
@@ -424,7 +429,7 @@ def moment_table(kernel, shape):
     table = np.zeros(shape, dtype=complex)
     flat = table.reshape(-1)
     flat[0] = 1.0
-    for j, target, terms in _moment_plan(shape, tuple(phase_charges(kernel).tolist())):
+    for j, target, terms in _moment_plan(shape):
         acc = np.zeros(len(target), dtype=complex)
         for k, bk, source in terms:
             cjk = cov[j, k]

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .chi_core import SingularKernelError, check_normalized, phase_charges
+from .chi_core import SingularKernelError, check_normalized, gaussian_kernel
 
 PT_DISCRIMINANT_TOL = 1e-12
 COV_IMAG_TOL = 1e-10
@@ -163,28 +163,28 @@ def fidelity_integrals(kernel, polys):
     normalized or not, as a complex array.  polys is a stack of coefficient
     cubes of one shape (see PolyGaussianChi).
 
-    Under (xi1, xi1*, xi2, xi2*) = (xi*, xi, xi, xi*) every strategy's K
-    becomes a 2x2 kq over (xi, xi*) with a zero diagonal (it conserves the
-    phase charge), so the integrand's Gaussian is exp(-kappa |xi|^2),
-    kappa = kq[0, 1] + 1, and each value is the sum of c_(a,a) a!/kappa^(a+1)
-    over its own polynomial's nonzero monomials (the moment of xi^a xi*^b
-    is 0 for a != b): bit for bit a one-polynomial call.  A kq that is not
-    real (to 1e-10) or breaks the charge raises ValueError; a kappa <= 0, or
-    moments out of the float range, SingularKernelError.
+    K must pass chi_core.gaussian_kernel (a ValueError otherwise).  Under
+    (xi1, xi1*, xi2, xi2*) = (xi*, xi, xi, xi*) K becomes a 2x2 kq over
+    (xi, xi*); K's phase charge makes kq's diagonal exactly 0 and its swap
+    conjugation makes kq[0, 1] exactly real.  So the integrand's Gaussian
+    is exp(-kappa |xi|^2), kappa = kq[0, 1] + 1, and each value is the sum
+    of c_(a,a) a!/kappa^(a+1) over its own polynomial's nonzero monomials
+    (the moment of xi^a xi*^b is 0 for a != b): bit for bit a
+    one-polynomial call.  A kappa <= 0, or moments out of the float range,
+    raise SingularKernelError.
     """
+    kernel = gaussian_kernel(kernel)
     polys = np.asarray(polys)
     r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])  # v = r (xi, xi*)
     kq = r.T @ kernel @ r
-    kappa = complex(kq[0, 1]) + 1.0
-    if not phase_charges(kq).any() or abs(kappa.imag) > 1e-10 * max(1.0, abs(kappa.real)):
-        raise ValueError("fidelity kernel is not real or breaks the phase charge")
+    kappa = float(kq[0, 1].real) + 1.0
     support = np.argwhere(np.any(polys != 0, axis=0))
     a, b = (support @ r).T
     support, a = support[a == b], a[a == b]
     with np.errstate(all="ignore"):
-        moments = np.array([math.factorial(n) for n in a], float) / kappa.real ** (a + 1)
-    if not (kappa.real > 0.0 and np.all((0.0 < moments) & (moments < math.inf))):
-        raise SingularKernelError(f"fidelity kappa {kappa.real} is out of range")
+        moments = np.array([math.factorial(n) for n in a], float) / kappa ** (a + 1)
+    if not (kappa > 0.0 and np.all((0.0 < moments) & (moments < math.inf))):
+        raise SingularKernelError(f"fidelity kappa {kappa} is out of range")
     return np.array([np.sum(c[c != 0] * moments[c != 0])
                      for c in polys[(slice(None), *support.T)]], dtype=complex)
 

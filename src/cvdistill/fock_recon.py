@@ -9,10 +9,10 @@ and every displacement matrix element is a finite polynomial times the
 Gaussian exp(-|xi|^2/2).  For polynomial-times-Gaussian characteristic
 functions the whole integrand therefore lives in one augmented Gaussian
 kernel, and the exact moment table evaluates it term by term.  A density
-matrix is a plain (d^2, d^2) complex array, d = n_trunc + 1.  When the
-kernel's entries conserve the phase charge of chi_core.phase_charges, as
-every strategy's do, only the moments and weights of charge zero are
-computed; the others are exactly +0 either way.
+matrix is a plain (d^2, d^2) complex array, d = n_trunc + 1.  Every
+kernel conserves the phase charge (chi_core.gaussian_kernel refuses any
+other), so only the moments and weights of charge zero are computed; the
+others are exactly +0.
 
 Truncation note: dropping Fock components above n_trunc can only lower the
 measured entanglement (the truncation is a local projection), so in exact
@@ -36,8 +36,8 @@ import math
 
 import numpy as np
 
-from .chi_core import (_pair_square, _read_only, check_normalized,
-                       moment_table, phase_charges)
+from .chi_core import (_charges, _read_only, check_normalized,
+                       gaussian_kernel, moment_table)
 
 CERTIFY_TOL = 1e-6
 
@@ -106,12 +106,10 @@ def _dagger_table(d):
 
 def _augmented_kernel(kernel):
     """State kernel plus the exp(-|xi_i|^2/2) factors of the displacement
-    matrix elements, as a read-only complex array.  The input must be
-    exactly symmetric, as gaussian_kernel leaves it; the 0.5 goes to both
-    entries of each pair, so the result is too and is not checked again."""
-    k = _pair_square(kernel)
-    if not np.array_equal(k, k.T):
-        raise ValueError("kernel must be symmetric")
+    matrix elements, as a read-only complex array.  The input must pass
+    gaussian_kernel; the real 0.5 goes to both entries of each conjugate
+    pair, so the result keeps that contract."""
+    k = np.array(gaussian_kernel(kernel))
     for p in (0, 2):
         k[p, p + 1] += 0.5
         k[p + 1, p] += 0.5
@@ -120,12 +118,11 @@ def _augmented_kernel(kernel):
 
 
 @functools.lru_cache(maxsize=8)
-def _fock_plan(d, support, charge):
-    """The index bookkeeping of fock_matrices for one cutoff d, one support
-    (a tuple of exponent 4-tuples) and one charge vector, as (shape, rows,
-    cols, classes): the moment table's shape, the upper triangle of a
-    (d^2, d^2) matrix, and per (p, q) class of entries that has pairs of
-    charge zero, (a, e, o1, o2, c1, c2) over those pairs: the support and
+def _fock_plan(d, support):
+    """The index bookkeeping of fock_matrices for one cutoff d and one
+    support (a tuple of exponent 4-tuples), as (shape, rows, cols,
+    classes): the moment table's shape, the upper triangle of a (d^2, d^2)
+    matrix, and per (p, q) class of entries that has pairs of charge zero, (a, e, o1, o2, c1, c2) over those pairs: the support and
     triangle index of each pair, the flat table offsets of its p mode-1
     terms plus its monomial, (p, pairs), and of its q mode-2 terms,
     (q, pairs), and the coefficients of those terms, in the same shapes.
@@ -149,8 +146,9 @@ def _fock_plan(d, support, charge):
     p_of, q_of = np.minimum(i, k) + 1, np.minimum(j, l) + 1
     # a pair of an entry and a support monomial reads moments of one charge:
     # entry_charge + alpha_charge
+    charge = _charges(4)
     entry_charge = charge[0] * (i - k) + charge[2] * (j - l)
-    alpha_charge = support @ np.array(charge, dtype=np.intp)
+    alpha_charge = support @ charge
     classes = []
     for p in range(1, d + 1):
         for q in range(1, d + 1):
@@ -190,18 +188,19 @@ def fock_matrices(kernel, n_trunc, polys):
     float64 error, and a reordering of the same sums moves outputs past
     their 1e-10 gate (ROADMAP item 1).
 
-    Only the pairs the phase symmetry allows are gathered.  Every term of
-    <i|D^dag|k> has a power of xi1 that exceeds the power of xi1* by i - k,
-    so with q = phase_charges of the augmented kernel every moment a pair
-    reads has the charge q_0 (i - k) + q_2 (j - l) + q . alpha.  Where that
-    is nonzero the moments are +0 (see moment_table), the products +-0, and
-    the sum plus 0.0 is +0, so those weights keep the +0 of np.zeros.
+    The kernel must pass chi_core.gaussian_kernel, and only the pairs its
+    phase symmetry allows are gathered.  Every term of <i|D^dag|k> has a
+    power of xi1 that exceeds the power of xi1* by i - k, so with q the
+    phase charges every moment a pair reads has the charge
+    q_0 (i - k) + q_2 (j - l) + q . alpha.  Where that is nonzero the
+    moments are +0 (see moment_table), the products +-0, and the sum plus
+    0.0 is +0, so those weights keep the +0 of np.zeros.
 
     Which pairs each class gathers, their table offsets and their term
-    coefficients depend only on d, the support and q, so they are planned
-    once per (d, support, q) and cached (_fock_plan); q is looked up afresh
-    on every call.  A call gathers the moments, scales and sums them in the
-    order above, so the plan moves no bit.
+    coefficients depend only on d and the support, so they are planned
+    once per (d, support) and cached (_fock_plan).  A call gathers the
+    moments, scales and sums them in the order above, so the plan moves no
+    bit.
     """
     if n_trunc < 0:
         raise ValueError("n_trunc must be nonnegative")
@@ -212,8 +211,7 @@ def fock_matrices(kernel, n_trunc, polys):
     d = n_trunc + 1
 
     aug = _augmented_kernel(kernel)
-    charge = tuple(phase_charges(aug).tolist())
-    shape, rows, cols, classes = _fock_plan(d, tuple(map(tuple, support.tolist())), charge)
+    shape, rows, cols, classes = _fock_plan(d, tuple(map(tuple, support.tolist())))
     table = moment_table(aug, shape).reshape(-1)
     weights = np.zeros((len(support), len(rows)), dtype=complex)
     for a, e, o1, o2, c1, c2 in classes:
@@ -237,10 +235,10 @@ def fock_matrices(kernel, n_trunc, polys):
 def certify(rho):
     """Return the (d^2, d^2) matrix rho if it is a state to within
     CERTIFY_TOL: trace at most 1 (truncation only loses weight) and no
-    eigenvalue below -CERTIFY_TOL."""
+    eigenvalue below -CERTIFY_TOL.  A NaN trace or eigenvalue is refused."""
     lam = float(np.linalg.eigvalsh(rho)[0])
     trace = float(np.trace(rho).real)
-    if trace > 1.0 + CERTIFY_TOL or lam < -CERTIFY_TOL:
+    if not (trace <= 1.0 + CERTIFY_TOL and lam >= -CERTIFY_TOL):
         raise PrecisionError(f"n_trunc = {math.isqrt(len(rho)) - 1} gives no "
                              f"state: trace {trace}, smallest eigenvalue {lam}")
     return rho

@@ -66,8 +66,9 @@ class ScenarioConfig:
 
     objective picks what the coherent-weight optimizer maximizes
     ("negativity" or "fidelity"); t_override pins t instead of optimizing.
-    With ChannelParams this is the one place that checks input ranges; the
-    point and sweep commands both build these.
+    With ChannelParams it checks every input range before any pipeline
+    runs; the point and sweep commands both build these.  tmsv_chi applies
+    the same rule to s for callers of the pipeline functions.
     """
 
     strategy: Strategy
@@ -215,9 +216,8 @@ class _PointEvaluator:
         return values
 
     def objective(self, t):
-        """Objective value at weight t, or None when the state vanishes."""
-        value = float(self.objectives([t])[0])
-        return None if value == -math.inf else value
+        """Objective value at weight t, -inf when the state vanishes."""
+        return float(self.objectives([t])[0])
 
 
 def _dots(w, x):
@@ -282,12 +282,7 @@ def optimize_t(ev):
     best_t, best_v = float(grid[best]), float(values[best])
     lo = max(0.0, best_t - GRID_STEP)
     hi = min(1.0, best_t + GRID_STEP)
-
-    def safe(t):
-        v = ev.objective(t)
-        return -math.inf if v is None else v
-
-    t_ref, v_ref = _golden_max(safe, lo, hi, REFINE_TOL)
+    t_ref, v_ref = _golden_max(ev.objective, lo, hi, REFINE_TOL)
     if v_ref > best_v or (v_ref == best_v and t_ref < best_t):
         best_t, best_v = t_ref, v_ref
     return OptimizeResult(float(best_t), float(best_v))

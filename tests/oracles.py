@@ -10,17 +10,21 @@ algebra.  The single-state helpers (channel_state, apply_coherent_op,
 combine_terms, normalize, evaluate_chi, teleportation_fidelity) are not
 references: they apply the package's own operations to one state at one
 weight, or evaluate one, for tests that follow a single state; nor are the
-state checks degree, hermiticity_defect and is_hermitian.  Four of the
-references share low-level pieces with the package:
-RecursiveMoments evaluates moments one at a time by the memoized scalar
-Wick/Stein recursion, from the moment covariance and normalization that
-moment_table uses, so it checks the vectorized moment table, not the
-covariance; fidelity_integrals_by_moments integrates the fidelity kernel
-with the package's moment table rather than in closed form, so it checks
-fidelity_integrals' closed moments, not the substitution they share;
-fock_element shares the moment table and the displacement
-polynomials with fock_matrices, so it only checks that function's assembly
-(weight matrix, Hermitian fill), not the integrals; and
+state checks degree, hermiticity_defect and is_hermitian, nor the bit
+comparison same_bits.  The package's functions take only kernels that pass
+gaussian_kernel's contract; RecursiveMoments and numeric_gaussian_monomials
+take any integrable kernel.  Four of the references share low-level pieces with the
+package: RecursiveMoments evaluates moments one at a time by the memoized
+scalar Wick/Stein recursion, from the moment covariance and normalization
+that moment_table uses, so it checks the vectorized moment table, not the
+covariance; it computes every entry, those of nonzero phase charge that
+moment_table leaves at +0 included, and takes the xi2*-coupled kernels
+that gaussian_kernel refuses; fidelity_integrals_by_moments integrates the
+fidelity kernel with the package's moment table rather than in closed
+form, so it checks fidelity_integrals' closed moments, not the
+substitution they share; fock_element shares the moment table and the
+displacement polynomials with fock_matrices, so it only checks that
+function's assembly (weight matrix, Hermitian fill), not the integrals; and
 fock_matrices_by_entry is fock_matrices with one einsum per matrix entry,
 so it pins that function's summation order bit for bit, not its accuracy.
 """
@@ -169,6 +173,13 @@ def sequential_pipeline(cfg, t):
 
 HERMITICITY_TOL = 1e-12
 _CONJ_SWAP = [1, 0, 3, 2]  # exchanges xi_i and xi_i* in every mode
+
+
+def same_bits(a, b):
+    """Equal values and equal sign bits, so -0.0 and +0.0 differ."""
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
 
 
 def degree(state):

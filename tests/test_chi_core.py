@@ -1,6 +1,7 @@
 """Core representation, pipeline operations, and the moment table."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from cvdistill.chi_core import (
     coherent_op_terms,
     gaussian_kernel,
     moment_table,
-    phase_charges,
     tmsv_chi,
 )
-from cvdistill.fock_recon import _augmented_kernel
+from cvdistill.entanglement import fidelity_integrals
+from cvdistill.fock_recon import _augmented_kernel, fock_matrices, fock_matrix
 from cvdistill.scenarios import ScenarioConfig, Strategy, _raw_terms
 
 import oracles
@@ -33,6 +34,7 @@ from oracles import (
     hermiticity_defect,
     is_hermitian,
     normalize,
+    same_bits,
 )
 
 
@@ -88,8 +90,12 @@ def test_tmsv_matches_fock_series():
 
 
 def test_tmsv_negative_squeezing_rejected():
-    with pytest.raises(ValueError):
-        tmsv_chi(-0.1)
+    # ScenarioConfig's rule, applied before any cosh or sinh is taken
+    for s in (-0.1, math.inf, math.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                tmsv_chi(s)
 
 
 def test_evaluate_chi_fixed_point():
@@ -135,12 +141,25 @@ def test_channel_params_validation():
 
 
 def test_kernel_validation():
-    with pytest.raises(ValueError):
-        gaussian_kernel(np.array([[0.0, 1.0], [0.5, 0.0]]))  # not symmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
+        gaussian_kernel(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match="pairs"):
         gaussian_kernel(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        PolyGaussianChi(np.ones((1, 1, 1, 1)), gaussian_kernel(np.eye(2)))
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_kernel(np.array([[0.0, math.inf], [math.inf, 0.0]]))
+    with pytest.raises(ValueError, match="4x4"):
+        PolyGaussianChi(np.ones((1, 1, 1, 1)),
+                        gaussian_kernel(np.array([[0.0, 0.5], [0.5, 0.0]])))
+    # the contract is exact: a kernel symmetric only to rounding is refused,
+    # not symmetrized, and an accepted one comes back as a read-only copy
+    k = np.array(tmsv_chi(0.5).kernel)
+    skew = k.copy()
+    skew[0, 2] = np.nextafter(skew[0, 2].real, 0.0)
+    with pytest.raises(ValueError, match="symmetric"):
+        gaussian_kernel(skew)
+    got = gaussian_kernel(k)
+    assert got is not k and not got.flags.writeable
+    assert got.tobytes() == k.tobytes()
     # swap conjugation P K P = conj(K), P exchanging xi_i and xi_i*
     k = tmsv_chi(0.5).kernel
     swap = [1, 0, 3, 2]
@@ -269,7 +288,7 @@ def test_channel_checks_its_input_kernel_and_keeps_it_symmetric():
     ch = ChannelParams(0.37, 0.6)
     kernel, _ = apply_thermal_channel(st.kernel, st.poly[None], 1, ch)
     kernel, stack = apply_thermal_channel(kernel, st.poly[None], 2, ch)
-    assert np.array_equal(kernel, kernel.T)
+    assert gaussian_kernel(kernel).tobytes() == kernel.tobytes()
     assert kernel.dtype == complex and not kernel.flags.writeable
     skew = np.array(st.kernel)
     skew[0, 2] += 1e-15
@@ -278,6 +297,17 @@ def test_channel_checks_its_input_kernel_and_keeps_it_symmetric():
     for shape in (3, 3), (4, 2), (4,):
         with pytest.raises(ValueError, match=r"square over \(xi, xi\*\) pairs"):
             apply_thermal_channel(np.ones(shape), st.poly[None], 1, ch)
+
+
+def test_channel_refuses_an_overflowing_thermal_term():
+    # 2 n_th + 1 overflows at n_th 1e308: no inf enters the kernel and no
+    # RuntimeWarning leaks
+    st = tmsv_chi(0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularKernelError, match="thermal term"):
+            apply_thermal_channel(st.kernel, st.poly[None], 1,
+                                  ChannelParams(0.5, 1e308))
 
 
 # ---------------------------------------------------------------------------
@@ -328,37 +358,50 @@ def test_odd_moments_vanish():
         assert table[alpha] == 0.0
 
 
-def coupled_kernels():
-    """Random integrable kernels with the conjugation symmetry that couple
-    xi1 to xi2 and to xi2*."""
+def coupled_kernels(n=3, xi2_star=True):
+    """n random integrable kernels with the swap-conjugation symmetry that
+    couple xi1 to xi2 and, with xi2_star, to xi2*.  That coupling breaks
+    the phase charge, so only kernels without it pass gaussian_kernel;
+    these are plain arrays."""
     rng = np.random.default_rng(7)
     kernels = []
-    for _ in range(3):
+    for _ in range(n):
         base = np.array(pair_kernel(1.0))
         z = rng.normal(scale=0.1, size=2) + 1j * rng.normal(scale=0.1, size=2)
         # cross-mode block entries respecting P K P = conj(K)
         base[0, 2] = base[2, 0] = z[0]
         base[1, 3] = base[3, 1] = np.conj(z[0])
-        base[0, 3] = base[3, 0] = z[1]
-        base[1, 2] = base[2, 1] = np.conj(z[1])
-        kernels.append(gaussian_kernel(base))
+        if xi2_star:
+            base[0, 3] = base[3, 0] = z[1]
+            base[1, 2] = base[2, 1] = np.conj(z[1])
+        kernels.append(base)
     return kernels
 
 
+def squeezed_kernel():
+    """A single-mode squeezing of mode 1: C_00 != 0, against the charge."""
+    k = np.array(pair_kernel(1.0))
+    k[0, 0], k[1, 1] = 0.3 + 0.1j, 0.3 - 0.1j
+    return k
+
+
 def test_moment_engine_against_numeric_quadrature():
-    # all moments of total degree <= 6 against one dense 4-D grid
-    kernels = coupled_kernels()
+    # all moments of total degree <= 6 against one dense 4-D grid: the
+    # scalar recursion on xi2*-coupled kernels, which moment_table refuses,
+    # and moment_table on kernels that conserve the phase charge
+    coupled = coupled_kernels()
+    charged = coupled_kernels(1, xi2_star=False)
     alphas = [(a, b, c, d)
               for a in range(4) for b in range(4)
               for c in range(4) for d in range(4)
               if 0 < a + b + c + d <= 6]
     picks = alphas[::5] + [(1, 1, 1, 1), (2, 2, 1, 1), (3, 3, 0, 0)]
-    all_refs = oracles.numeric_gaussian_monomials(
-        kernels, picks)
-    for kernel, refs in zip(kernels, all_refs):
-        table = moment_table(kernel, (4, 4, 4, 4))
+    all_refs = oracles.numeric_gaussian_monomials(coupled + charged, picks)
+    routes = ([oracles.RecursiveMoments(k).moment for k in coupled]
+              + [moment_table(k, (4, 4, 4, 4)).__getitem__ for k in charged])
+    for route, refs in zip(routes, all_refs):
         for alpha in picks:
-            exact = table[alpha]
+            exact = route(alpha)
             ref = refs[alpha]
             if abs(ref) < 1e-9:
                 assert abs(exact) < 1e-7
@@ -393,32 +436,71 @@ def test_moment_table_matches_scalar_route():
 
 
 def test_phase_charges():
-    # the charges are read off the kernel's entries; the moment covariance
-    # of every kernel here gives the same decision
+    # gaussian_kernel takes every strategy's state, augmented and fidelity
+    # kernels as they are, bit for bit, and refuses kernels that break the
+    # phase charge: a xi1 xi2* coupling, and a single-mode squeezing
     r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
     rng = np.random.default_rng(11)
-    charged = []
     for strategy in Strategy:
         cfg = ScenarioConfig(strategy, float(rng.uniform(0.0, 1.0)),
                              ChannelParams(float(rng.uniform(0.01, 1.0)),
                                            float(rng.uniform(0.0, 1.0))), 3)
         kernel, _ = _raw_terms(cfg)
-        for k in (kernel, _augmented_kernel(kernel)):
-            assert phase_charges(k).tolist() == [1, -1, -1, 1]
-        fidelity = gaussian_kernel(r.T @ kernel @ r + [[0.0, 1.0], [1.0, 0.0]])
-        assert phase_charges(fidelity).tolist() == [1, -1]
-        charged += [kernel, _augmented_kernel(kernel), fidelity]
-    # a xi1 xi2* coupling, and a single-mode squeezing with C_00 != 0
-    squeezed = np.array(pair_kernel(1.0))
-    squeezed[0, 0], squeezed[1, 1] = 0.3 + 0.1j, 0.3 - 0.1j
-    squeezed = gaussian_kernel(squeezed)
+        fidelity = r.T @ kernel @ r + [[0.0, 1.0], [1.0, 0.0]]
+        for k in (kernel, _augmented_kernel(kernel), fidelity):
+            assert gaussian_kernel(k).tobytes() == k.tobytes()
+    squeezed = squeezed_kernel()
     assert _moment_covariance(squeezed)[0][0, 0] != 0
-    uncharged = coupled_kernels() + [squeezed]
-    for k in uncharged:
-        assert not phase_charges(k).any()
-    for k in charged + uncharged:
-        assert (phase_charges(k).tolist()
-                == phase_charges(_moment_covariance(k)[0]).tolist())
+    for k in coupled_kernels() + [squeezed]:
+        with pytest.raises(ValueError, match="phase charge"):
+            gaussian_kernel(k)
+
+
+def contract_breaking_kernels():
+    """One kernel per way to break gaussian_kernel's contract: a xi1 xi2*
+    coupling, a single-mode squeezing, a symmetry only to rounding, and a
+    K_01 = K_10 that is not real (P K P != conj(K))."""
+    rounded = np.array(tmsv_chi(0.4).kernel)
+    rounded[0, 2] = np.nextafter(rounded[0, 2].real, 0.0)
+    unswapped = np.array(pair_kernel(0.5))
+    unswapped[0, 1] = unswapped[1, 0] = 0.5 + 0.1j
+    return [coupled_kernels(1)[0], squeezed_kernel(), rounded, unswapped]
+
+
+def test_public_functions_refuse_kernels_outside_the_contract():
+    poly = np.ones((1, 1, 1, 1))
+    ch = ChannelParams(0.7, 0.1)
+    calls = [lambda k: apply_thermal_channel(k, poly[None], 1, ch),
+             lambda k: moment_table(k, (2, 2, 2, 2)),
+             lambda k: fock_matrices(k, 2, poly[None]),
+             lambda k: fock_matrix(PolyGaussianChi(poly, k), 2),
+             lambda k: fidelity_integrals(k, poly[None])]
+    good = tmsv_chi(0.4).kernel
+    for call in calls:
+        call(good)
+        for kernel in contract_breaking_kernels():
+            with pytest.raises(ValueError, match="kernel"):
+                call(kernel)
+
+
+def test_moment_table_equals_the_scalar_recursion_bit_for_bit():
+    # the plan computes only the entries of charge zero; the recursion run
+    # on every entry gives the same bits, signs of zero included, on the
+    # five strategies' augmented and fidelity kernels
+    r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
+    rng = np.random.default_rng(100)
+    for strategy in Strategy:
+        for _ in range(4):
+            cfg = ScenarioConfig(strategy, float(rng.uniform(0.0, 1.0)),
+                                 ChannelParams(float(rng.uniform(0.01, 1.0)),
+                                               float(rng.uniform(0.0, 1.0))), 3)
+            kernel, _ = _raw_terms(cfg)
+            fidelity = gaussian_kernel(r.T @ kernel @ r + [[0.0, 1.0], [1.0, 0.0]])
+            for k, shape in ((_augmented_kernel(kernel), (7, 6, 8, 5)),
+                             (fidelity, (9, 8))):
+                ref = oracles.RecursiveMoments(k)
+                want = np.reshape([ref.moment(a) for a in np.ndindex(shape)], shape)
+                assert same_bits(moment_table(k, shape), want), cfg
 
 
 def test_singular_kernel_rejected():
@@ -452,7 +534,7 @@ def test_moment_table_entry_ignores_table_shape():
 
 
 def test_moment_plan_is_shared_read_only_and_moves_no_bit():
-    # the plan is keyed by (shape, charges), not by the kernel: a table read
+    # the plan is keyed by the shape, not by the kernel: a table read
     # through a plan built for another kernel has the bits of a cold call
     r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
     rng = np.random.default_rng(21)
@@ -476,7 +558,7 @@ def test_moment_plan_is_shared_read_only_and_moves_no_bit():
     assert (info.misses, info.hits) == (2, len(cases) - 2)
     for a, b in zip(warm, cold):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    plan = chi_core._moment_plan((6, 5, 7, 4), (1, -1, -1, 1))
+    plan = chi_core._moment_plan((6, 5, 7, 4))
     arrays = [x for _, target, terms in plan
               for x in (target, *(a for _, bk, source in terms for a in (bk, source)))]
     assert arrays and not any(a.flags.writeable for a in arrays)

@@ -250,12 +250,15 @@ def test_point_overflowing_inputs_are_numerical_exit(capsys, argv):
 def test_point_overflowing_kernel_determinant_is_singular(capsys, argv):
     # at n_th 1e300 the kernel's determinant overflows, and so do the powers
     # of the fidelity integral's kappa; either is refused as a singular
-    # kernel before any moment reads 0, and no RuntimeWarning leaks
-    assert main(["point", *argv, "--s", "0.3", "--eta", "0.5",
-                 "--n-th", "1e300"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: SingularKernelError: ")
+    # kernel before any moment reads 0.  At n_th 1e308 the channel's thermal
+    # term itself overflows and is refused before it enters the kernel.  No
+    # RuntimeWarning leaks
+    for s, n_th in (("0.3", "1e300"), ("0.3", "1e308"), ("0.1", "1e308")):
+        assert main(["point", *argv, "--s", s, "--eta", "0.5",
+                     "--n-th", n_th]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SingularKernelError: ")
 
 
 @pytest.mark.parametrize("n_trunc,code", [("14", 0), ("16", 3), ("20", 3)])

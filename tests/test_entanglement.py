@@ -402,9 +402,11 @@ def test_fidelity_integrals_refuse_phase_sensitive_kernel():
 
 
 def test_fidelity_integrals_refuse_non_real_kappa():
+    # a kq[0, 1] with an imaginary part needs a K_01 = K_10 that is not
+    # real, which breaks the swap conjugation P K P = conj(K)
     kernel = pair_kernel(1.0)
     kernel[0, 1] = kernel[1, 0] = 1.0 + 0.5j
-    with pytest.raises(ValueError, match="not real"):
+    with pytest.raises(ValueError, match="swap-conjugation"):
         fidelity_integrals(kernel, np.ones((1, 1, 1, 1, 1)))
 
 

@@ -244,7 +244,7 @@ GRID = np.round(np.arange(0.0, 1.0 + scenarios.GRID_STEP / 2,
 @pytest.mark.parametrize("n_trunc", [0, 1, 3, 5, 8])
 def test_grid_values_are_the_objective_bit_for_bit(n_trunc):
     # the optimizer scores the grid in one stacked call; each value is the
-    # one-weight objective's, and a vanishing state reads -inf for None
+    # one-weight objective's, -inf where the state vanishes
     rng = np.random.default_rng(300 + n_trunc)
     for strategy in Strategy:
         for objective in ("negativity", "fidelity"):
@@ -254,14 +254,13 @@ def test_grid_values_are_the_objective_bit_for_bit(n_trunc):
                           n_trunc=n_trunc, objective=objective)
             ev = _PointEvaluator(cfg)
             want = [ev.objective(t) for t in GRID]
-            assert ev.objectives(GRID).tolist() == [
-                -math.inf if v is None else v for v in want], cfg
+            assert ev.objectives(GRID).tolist() == want, cfg
             assert ev.probabilities(GRID).tolist() == [ev.probability(t)
                                                        for t in GRID]
         assert ev.matrices.dtype == float
     ev = _PointEvaluator(cfg_for("coherent_before", s=0.0, n_trunc=n_trunc))
     values = ev.objectives(GRID)
-    assert values[-1] == -math.inf and ev.objective(1.0) is None
+    assert values[-1] == -math.inf and ev.objective(1.0) == -math.inf
     assert values[:-1].tolist() == [ev.objective(t) for t in GRID[:-1]]
 
 
