@@ -4,11 +4,9 @@ addition/subtraction under thermal loss."""
 from .chi_core import (
     ChannelParams,
     CoherentOp,
-    PolyGaussianChi,
     SingularKernelError,
     apply_thermal_channel,
     gaussian_kernel,
-    moment_table,
     tmsv_chi,
 )
 from .entanglement import (
@@ -23,9 +21,8 @@ from .entanglement import (
 )
 from .fock_recon import (
     PrecisionError,
-    displacement_fock_poly,
+    certify,
     fock_matrices,
-    fock_matrix,
 )
 from .scenarios import (
     OptimizeResult,

@@ -8,7 +8,10 @@ characteristic function
 
 with P a polynomial, stored as a dense coefficient cube (poly[alpha] is the
 coefficient of v^alpha), and K a 4x4 kernel matrix of the structure
-gaussian_kernel requires of every kernel.  The
+gaussian_kernel requires of every kernel.  A state is one kernel and a stack
+of such cubes, (kernel, stack) with stack of shape (n, D, D, D, D): the
+polynomials over one kernel that a (t, r)-basis pipeline carries, or a
+single state's one cube (two_mode_stack checks the shapes).  The
 representation is closed under the three operations the distillation
 pipelines need: preparation of a two-mode squeezed vacuum, the coherent
 superposition operation t*a + r*a^dag applied to one mode, and the
@@ -131,6 +134,21 @@ def gaussian_kernel(quad):
     return k
 
 
+def two_mode_stack(kernel, polys):
+    """polys as an array, checked against the two-mode state format: a 4x4
+    kernel and a stack of nonempty (D, D, D, D) coefficient cubes, polys[n]
+    the cube of the n-th polynomial over that kernel.  Only the shapes are
+    checked here; the kernel's entries are gaussian_kernel's to check.
+    """
+    polys = np.asarray(polys)
+    if (np.shape(kernel) != (N_VARS, N_VARS) or polys.ndim != N_VARS + 1
+            or len(set(polys.shape[1:])) > 1 or not polys.shape[1]):
+        raise ValueError("a two-mode state is a 4x4 kernel and a stack of "
+                         "(D, D, D, D) cubes; got kernel shape "
+                         f"{np.shape(kernel)} and stack shape {polys.shape}")
+    return polys
+
+
 def _charges(n_vars):
     """Charges q of the variables under xi1 -> e^{i phi} xi1,
     xi2 -> e^{-i phi} xi2: +1 for xi1 and xi2*, -1 for xi1* and xi2, and
@@ -155,27 +173,6 @@ def _real_form(kernel):
     return 0.5 * (m + m.T)
 
 
-class PolyGaussianChi:
-    """Unnormalized two-mode state chi(v) = P(v) * exp(-0.5 v^T K v).
-
-    poly is a read-only complex array of shape (D, D, D, D) with poly[alpha]
-    the coefficient of v^alpha, so each exponent runs below D.  The trace of
-    the underlying operator is chi(0, 0), i.e. the constant coefficient
-    poly[ZERO_INDEX].  The pipeline operations act on a kernel and a stack of
-    such cubes; a single state is what tmsv_chi returns and fock_matrix takes.
-    """
-
-    def __init__(self, poly, kernel):
-        if kernel.shape != (4, 4):
-            raise ValueError("states are two-mode; kernel must be 4x4")
-        poly = np.asarray(poly)
-        if poly.ndim != N_VARS or len(set(poly.shape)) > 1 or not poly.size:
-            raise ValueError("polynomial must be a nonempty (D, D, D, D) cube")
-        self.poly = poly.astype(complex)
-        self.poly.flags.writeable = False
-        self.kernel = kernel
-
-
 # ---------------------------------------------------------------------------
 # state preparation and pipeline operations
 
@@ -190,7 +187,9 @@ def tmsv_chi(s):
 
     so the kernel carries cosh(2s)/2 on the conjugate pairs of each mode and
     -sinh(2s)/2 on the cross-mode entries.  s = 0 gives the two-mode vacuum;
-    s must be nonnegative and finite, as ScenarioConfig requires.
+    s must be nonnegative and finite, as ScenarioConfig requires.  Returns
+    (kernel, stack), the format of every pipeline operation: the stack is
+    one complex (1, 1, 1, 1) cube of ones, P = 1.
     """
     if not 0 <= s < math.inf:
         raise ValueError("squeezing parameter must be nonnegative and finite")
@@ -201,7 +200,7 @@ def tmsv_chi(s):
     k[2, 3] = k[3, 2] = ch
     k[0, 2] = k[2, 0] = -sh
     k[1, 3] = k[3, 1] = -sh
-    return PolyGaussianChi(np.ones((1,) * N_VARS), gaussian_kernel(k))
+    return gaussian_kernel(k), np.ones((1,) * (N_VARS + 1), dtype=complex)
 
 
 def _shift(stack, var, step):
@@ -310,13 +309,6 @@ def apply_thermal_channel(kernel, stack, mode, channel):
     k[q, p] += add
     k.flags.writeable = False
     return k, stack
-
-
-def check_normalized(poly):
-    """Raise ValueError unless the trace poly[0, 0, 0, 0] is 1 to TRACE_ONE_TOL."""
-    tr = poly[ZERO_INDEX]
-    if abs(tr - 1.0) > TRACE_ONE_TOL:
-        raise ValueError(f"state trace {tr} is not 1")
 
 
 # ---------------------------------------------------------------------------

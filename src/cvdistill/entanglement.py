@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .chi_core import SingularKernelError, check_normalized, gaussian_kernel
+from .chi_core import (TRACE_ONE_TOL, ZERO_INDEX, SingularKernelError,
+                       gaussian_kernel, two_mode_stack)
 
 PT_DISCRIMINANT_TOL = 1e-12
 COV_IMAG_TOL = 1e-10
@@ -118,9 +119,13 @@ def covariance_from_chi(kernel, poly):
 
     With P(0) = 1 the symmetrized moments of (a1^dag, -a1, a2^dag, -a2) read
     off as S_ij = d_i d_j P(0) - K_ij and the first moments as m_i = d_i P(0);
-    no numerical differentiation is involved.
+    no numerical differentiation is involved.  kernel and [poly] must have
+    the two-mode format of chi_core.two_mode_stack, and the trace
+    poly[0, 0, 0, 0] must be 1 to TRACE_ONE_TOL (ValueError otherwise).
     """
-    check_normalized(poly)
+    poly = two_mode_stack(kernel, [poly])[0]
+    if abs(poly[ZERO_INDEX] - 1.0) > TRACE_ONE_TOL:
+        raise ValueError(f"state trace {poly[ZERO_INDEX]} is not 1")
     poly = np.pad(poly, [(0, max(0, 3 - len(poly)))] * 4)
     e = np.eye(4, dtype=int)
     second = poly[tuple(np.moveaxis(e[:, None] + e[None, :], -1, 0))]
@@ -160,8 +165,9 @@ def gaussian_log_negativity(sigma):
 def fidelity_integrals(kernel, polys):
     """(1/pi) Int d^2xi chi(xi*, xi) exp(-|xi|^2) of the state
     P(v) exp(-v^T K v / 2) for each polynomial P of polys over one kernel K,
-    normalized or not, as a complex array.  polys is a stack of coefficient
-    cubes of one shape (see PolyGaussianChi).
+    normalized or not, as a complex array.  kernel and polys are a two-mode
+    state in the pipeline's format, a stack of coefficient cubes of one
+    shape over one kernel (see chi_core.two_mode_stack).
 
     K must pass chi_core.gaussian_kernel (a ValueError otherwise).  Under
     (xi1, xi1*, xi2, xi2*) = (xi*, xi, xi, xi*) K becomes a 2x2 kq over
@@ -174,7 +180,7 @@ def fidelity_integrals(kernel, polys):
     raise SingularKernelError.
     """
     kernel = gaussian_kernel(kernel)
-    polys = np.asarray(polys)
+    polys = two_mode_stack(kernel, polys)
     r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])  # v = r (xi, xi*)
     kq = r.T @ kernel @ r
     kappa = float(kq[0, 1].real) + 1.0

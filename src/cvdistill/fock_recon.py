@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
-from .chi_core import (_charges, _read_only, check_normalized,
-                       gaussian_kernel, moment_table)
+from .chi_core import (_charges, _read_only, gaussian_kernel, moment_table,
+                       two_mode_stack)
 
 CERTIFY_TOL = 1e-6
 
@@ -46,70 +47,44 @@ class PrecisionError(Exception):
     """A reconstructed Fock matrix is not a state to within CERTIFY_TOL."""
 
 
-def _laguerre_coeffs(n, alpha):
-    """Ascending coefficients of the generalized Laguerre polynomial
-    L_n^(alpha), (-1)^k C(n + alpha, n - k) / k!, each rounded once from
-    the exact integer ratio."""
-    return [(-1) ** k * math.comb(n + alpha, n - k) / math.factorial(k)
-            for k in range(n + 1)]
-
-
-def _sqrt_factorial_ratio(n, m):
-    """sqrt(n!/m!) for m >= n, accumulated as a ratio to avoid overflow."""
-    r = 1.0
-    for j in range(n + 1, m + 1):
-        r /= math.sqrt(j)
-    return r
-
-
-def displacement_fock_poly(m, n):
-    """Polynomial part of the displacement matrix element <m|D(xi)|n>.
-
-    <m|D(xi)|n> = P(xi, xi*) exp(-|xi|^2/2) with, for m >= n,
-    P = sqrt(n!/m!) xi^(m-n) L_n^(m-n)(xi xi*) expanded into min(m, n) + 1
-    monomials of total degree up to m + n; m < n follows from
-    <m|D(xi)|n> = conj(<n|D(-xi)|m>).  Returned as {(a, b): coeff} with a the
-    power of xi and b the power of xi*.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be nonnegative")
-    if m >= n:
-        lag = _laguerre_coeffs(n, m - n)
-        pref = _sqrt_factorial_ratio(n, m)
-        return {(m - n + k, k): pref * lag[k] for k in range(n + 1)}
-    lag = _laguerre_coeffs(m, n - m)
-    pref = _sqrt_factorial_ratio(m, n) * (-1.0) ** (n - m)
-    return {(k, n - m + k): pref * lag[k] for k in range(m + 1)}
-
-
-def _dagger_poly(m, n):
-    """Polynomial part of <m|D^dag(xi)|n> = <m|D(-xi)|n>."""
-    return {(a, b): c * (-1.0) ** (a + b)
-            for (a, b), c in displacement_fock_poly(m, n).items()}
-
-
 @functools.lru_cache(maxsize=None)
 def _dagger_table(d):
-    """The terms of every <m|D^dag|n>, m, n < d, padded to d: exponent
-    offsets (a, b) of (xi, xi*) as a read-only (d, d, d, 2) array and
-    coefficients as a read-only (d, d, d) array."""
+    """The terms of every <m|D^dag(xi)|n> = <m|D(-xi)|n>, m, n < d, padded
+    to d: exponent offsets (a, b) of (xi, xi*) as a read-only (d, d, d, 2)
+    array and coefficients as a read-only (d, d, d) array.
+
+    For m >= n, <m|D(xi)|n> = sqrt(n!/m!) xi^(m-n) L_n^(m-n)(xi xi*)
+    exp(-|xi|^2/2), and m < n follows from <m|D(xi)|n> = conj(<n|D(-xi)|m>).
+    With lo, hi = min(m, n), max(m, n), term k <= lo of <m|D^dag|n> is
+    xi^(m-lo+k) xi*^(n-lo+k) times (-1)^(m-lo+k) sqrt(lo!/hi!) C(hi, lo-k)/k!:
+    the Laguerre coefficient rounded once from the exact integer ratio, the
+    square-root ratio accumulated one factor at a time (no factorial
+    overflows), and the signs exact.  tests/oracles.py holds the same terms
+    as {(a, b): coeff} dicts, which this table equals bit for bit.
+    """
     offs = np.zeros((d, d, d, 2), dtype=np.intp)
     cof = np.zeros((d, d, d))
-    for mm in range(d):
-        for nn in range(d):
-            terms = _dagger_poly(mm, nn)
-            offs[mm, nn, :len(terms)] = list(terms)
-            cof[mm, nn, :len(terms)] = list(terms.values())
+    for m in range(d):
+        for n in range(d):
+            lo, hi = min(m, n), max(m, n)
+            ratio = 1.0
+            for j in range(lo + 1, hi + 1):
+                ratio /= math.sqrt(j)
+            for k in range(lo + 1):
+                offs[m, n, k] = m - lo + k, n - lo + k
+                cof[m, n, k] = (-1) ** (m - lo + k) * (
+                    ratio * (math.comb(hi, lo - k) / math.factorial(k)))
     offs.flags.writeable = cof.flags.writeable = False
     return offs, cof
 
 
 def _augmented_kernel(kernel):
     """State kernel plus the exp(-|xi_i|^2/2) factors of the displacement
-    matrix elements, as a read-only complex array.  The input must pass
-    gaussian_kernel; the real 0.5 goes to both entries of each conjugate
-    pair, so the result keeps that contract."""
-    k = np.array(gaussian_kernel(kernel))
+    matrix elements, as a read-only complex array.  The input is a kernel
+    that gaussian_kernel has already returned (it is not checked again);
+    the real 0.5 goes to both entries of each conjugate pair, so the result
+    keeps that contract."""
+    k = np.array(kernel)
     for p in (0, 2):
         k[p, p + 1] += 0.5
         k[p + 1, p] += 0.5
@@ -164,17 +139,33 @@ def _fock_plan(d, support):
     return shape, _read_only(rows), _read_only(cols), tuple(classes)
 
 
+def _cutoff(n_trunc):
+    """n_trunc as an int, or ValueError unless it is a nonnegative integer
+    (an int or numpy integer, not a float or a string)."""
+    try:
+        n = operator.index(n_trunc)
+    except TypeError:
+        raise ValueError(f"n_trunc must be an integer, got {n_trunc!r}") from None
+    if n < 0:
+        raise ValueError("n_trunc must be nonnegative")
+    return n
+
+
 def fock_matrices(kernel, n_trunc, polys):
     """Truncated two-mode density matrices of polynomials over one kernel.
 
-    polys is a stack of coefficient cubes of one shape (see PolyGaussianChi).
-    Returns a complex array of shape (len(polys), d^2, d^2), d = n_trunc + 1,
-    with the row-major composite index i * d + j for |i, j>.  The moment
-    table and the per-element weight matrix are built once over the union of
-    the polynomials' nonzero monomials; each matrix is its own coefficient
-    vector times the weights (upper triangle integrated, the rest by
-    Hermitian symmetry of a state).  The polynomials need not be normalized,
-    so a weighted sum of their matrices is the matrix of the weighted sum.
+    kernel and polys are a two-mode state in the pipeline's format, a
+    stack of coefficient cubes of one shape over one kernel (see
+    chi_core.two_mode_stack), and n_trunc is a nonnegative integer.
+    Returns a complex array of shape (len(polys), d^2, d^2),
+    d = n_trunc + 1, with the row-major composite index i * d + j for
+    |i, j>.  The moment table and the per-element weight matrix are built
+    once over the union of the polynomials' nonzero monomials; each matrix
+    is its own coefficient vector times the weights (upper triangle
+    integrated, the rest by Hermitian symmetry of a state).  The
+    polynomials need not be normalized, so a weighted sum of their matrices
+    is the matrix of the weighted sum; certify(fock_matrices(kernel, n,
+    stack)[0]) is the checked matrix of a normalized single state.
 
     The weight of rho_{ij,kl} at a support monomial sums the p * q products
     of the p = min(i, k) + 1 terms of <i|D^dag|k> and the q = min(j, l) + 1
@@ -202,9 +193,9 @@ def fock_matrices(kernel, n_trunc, polys):
     moments, scales and sums them in the order above, so the plan moves no
     bit.
     """
-    if n_trunc < 0:
-        raise ValueError("n_trunc must be nonnegative")
-    polys = np.asarray(polys)
+    n_trunc = _cutoff(n_trunc)
+    kernel = gaussian_kernel(kernel)
+    polys = two_mode_stack(kernel, polys)
     support = np.argwhere(np.any(polys != 0, axis=0))
     if not len(support):
         raise ValueError("empty polynomial support")
@@ -242,10 +233,3 @@ def certify(rho):
         raise PrecisionError(f"n_trunc = {math.isqrt(len(rho)) - 1} gives no "
                              f"state: trace {trace}, smallest eigenvalue {lam}")
     return rho
-
-
-def fock_matrix(state, n_trunc):
-    """Certified truncated density matrix of a normalized two-mode state,
-    as a (d^2, d^2) array with d = n_trunc + 1."""
-    check_normalized(state.poly)
-    return certify(fock_matrices(state.kernel, n_trunc, [state.poly])[0])

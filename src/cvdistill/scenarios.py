@@ -34,7 +34,7 @@ from .entanglement import (
     gaussian_log_negativity,
     log_negativity,
 )
-from .fock_recon import certify, fock_matrices
+from .fock_recon import _cutoff, certify, fock_matrices
 
 GRID_STEP = 0.01
 REFINE_TOL = 1e-4
@@ -68,7 +68,8 @@ class ScenarioConfig:
     ("negativity" or "fidelity"); t_override pins t instead of optimizing.
     With ChannelParams it checks every input range before any pipeline
     runs; the point and sweep commands both build these.  tmsv_chi applies
-    the same rule to s for callers of the pipeline functions.
+    the same rule to s, and fock_matrices the same rule to n_trunc (a
+    nonnegative integer), for callers of the pipeline functions.
     """
 
     strategy: Strategy
@@ -81,8 +82,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if not 0 <= self.s < math.inf:
             raise ValueError("s must be nonnegative and finite")
-        if self.n_trunc < 0:
-            raise ValueError("n_trunc must be nonnegative")
+        _cutoff(self.n_trunc)
         if self.objective not in ("negativity", "fidelity"):
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.t_override is not None and not 0.0 <= self.t_override <= 1.0:
@@ -116,8 +116,7 @@ def _raw_terms(cfg):
     """Unnormalized pipeline output for every weight, as (kernel, polys):
     polys[k] is the coefficient cube of t^(n-k) r^k over the one kernel
     (n = 4 with the operation, else 0)."""
-    tmsv = tmsv_chi(cfg.s)
-    kernel, polys = tmsv.kernel, tmsv.poly[None]
+    kernel, polys = tmsv_chi(cfg.s)
     if cfg.strategy.operation_first:
         polys = coherent_op_terms(kernel, coherent_op_terms(kernel, polys, 1), 2)
     for mode in (1, 2):

@@ -6,15 +6,20 @@ special-function evaluation, brute-force real-space quadrature, closed-form
 Schmidt sums, a cyclic Jacobi eigensolver, exact rational Laguerre
 coefficients, first-order operators over {multi-index: coefficient} dicts).
 None of that touches the package's moment recursion or its polynomial
-algebra.  The single-state helpers (channel_state, apply_coherent_op,
-combine_terms, normalize, evaluate_chi, teleportation_fidelity) are not
-references: they apply the package's own operations to one state at one
-weight, or evaluate one, for tests that follow a single state; nor are the
-state checks degree, hermiticity_defect and is_hermitian, nor the bit
-comparison same_bits.  The package's functions take only kernels that pass
-gaussian_kernel's contract; RecursiveMoments and numeric_gaussian_monomials
-take any integrable kernel.  Four of the references share low-level pieces with the
-package: RecursiveMoments evaluates moments one at a time by the memoized
+algebra.  The single-state helpers (the State record, tmsv_state,
+fock_matrix, channel_state, apply_coherent_op, combine_terms, normalize,
+evaluate_chi, teleportation_fidelity) are not references: they apply the
+package's own operations to one state at one weight, or evaluate one, for
+tests that follow a single state; nor are the state checks degree,
+hermiticity_defect and is_hermitian, nor the bit comparison same_bits.
+displacement_fock_poly and _dagger_poly give each displacement matrix
+element's polynomial as a {(a, b): coefficient} dict; dagger_table packs
+them into the arrays that fock_recon._dagger_table builds directly, with
+the same float operations, so it pins that table bit for bit, while
+displacement_element checks the values.  The package's functions take only
+kernels that pass gaussian_kernel's contract; RecursiveMoments and
+numeric_gaussian_monomials take any integrable kernel.  Four of the
+references share low-level pieces with the package: RecursiveMoments evaluates moments one at a time by the memoized
 scalar Wick/Stein recursion, from the moment covariance and normalization
 that moment_table uses, so it checks the vectorized moment table, not the
 covariance; it computes every entry, those of nonzero phase charge that
@@ -23,7 +28,7 @@ that gaussian_kernel refuses; fidelity_integrals_by_moments integrates the
 fidelity kernel with the package's moment table rather than in closed
 form, so it checks fidelity_integrals' closed moments, not the
 substitution they share; fock_element shares the moment table and the
-displacement polynomials with fock_matrices, so it only checks that
+displacement coefficients with fock_matrices, so it only checks that
 function's assembly (weight matrix, Hermitian fill), not the integrals; and
 fock_matrices_by_entry is fock_matrices with one einsum per matrix entry,
 so it pins that function's summation order bit for bit, not its accuracy.
@@ -38,14 +43,13 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from cvdistill.chi_core import (
     TRACE_IMAG_TOL,
+    TRACE_ONE_TOL,
     ZERO_INDEX,
     ZERO_TRACE_TOL,
     CoherentOp,
-    PolyGaussianChi,
     _moment_covariance,
     _real_form,
     apply_thermal_channel,
-    check_normalized,
     coherent_op_terms,
     gaussian_kernel,
     moment_table,
@@ -53,7 +57,7 @@ from cvdistill.chi_core import (
     tmsv_chi,
 )
 from cvdistill.entanglement import fidelity_integrals
-from cvdistill.fock_recon import _augmented_kernel, _dagger_poly
+from cvdistill.fock_recon import _augmented_kernel, certify, fock_matrices
 
 
 def displacement_element(m, n, alpha):
@@ -79,6 +83,61 @@ def tmsv_chi_series(s, xi1, xi2, n_max=70):
             total += lam ** (n + m) * displacement_element(n, m, xi1) \
                 * displacement_element(n, m, xi2)
     return total / math.cosh(s) ** 2
+
+
+def _laguerre_coeffs(n, alpha):
+    """Ascending coefficients of the generalized Laguerre polynomial
+    L_n^(alpha), (-1)^k C(n + alpha, n - k) / k!, each rounded once from
+    the exact integer ratio."""
+    return [(-1) ** k * math.comb(n + alpha, n - k) / math.factorial(k)
+            for k in range(n + 1)]
+
+
+def _sqrt_factorial_ratio(n, m):
+    """sqrt(n!/m!) for m >= n, accumulated as a ratio to avoid overflow."""
+    r = 1.0
+    for j in range(n + 1, m + 1):
+        r /= math.sqrt(j)
+    return r
+
+
+def displacement_fock_poly(m, n):
+    """Polynomial part of the displacement matrix element <m|D(xi)|n>.
+
+    <m|D(xi)|n> = P(xi, xi*) exp(-|xi|^2/2) with, for m >= n,
+    P = sqrt(n!/m!) xi^(m-n) L_n^(m-n)(xi xi*) expanded into min(m, n) + 1
+    monomials of total degree up to m + n; m < n follows from
+    <m|D(xi)|n> = conj(<n|D(-xi)|m>).  Returned as {(a, b): coeff} with a the
+    power of xi and b the power of xi*.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("Fock indices must be nonnegative")
+    if m >= n:
+        lag = _laguerre_coeffs(n, m - n)
+        pref = _sqrt_factorial_ratio(n, m)
+        return {(m - n + k, k): pref * lag[k] for k in range(n + 1)}
+    lag = _laguerre_coeffs(m, n - m)
+    pref = _sqrt_factorial_ratio(m, n) * (-1.0) ** (n - m)
+    return {(k, n - m + k): pref * lag[k] for k in range(m + 1)}
+
+
+def _dagger_poly(m, n):
+    """Polynomial part of <m|D^dag(xi)|n> = <m|D(-xi)|n>."""
+    return {(a, b): c * (-1.0) ** (a + b)
+            for (a, b), c in displacement_fock_poly(m, n).items()}
+
+
+def dagger_table(d):
+    """fock_recon._dagger_table(d) built from the dicts of _dagger_poly:
+    offsets (d, d, d, 2) and coefficients (d, d, d), padded with zeros."""
+    offs = np.zeros((d, d, d, 2), dtype=np.intp)
+    cof = np.zeros((d, d, d))
+    for mm in range(d):
+        for nn in range(d):
+            terms = _dagger_poly(mm, nn)
+            offs[mm, nn, :len(terms)] = list(terms)
+            cof[mm, nn, :len(terms)] = list(terms.values())
+    return offs, cof
 
 
 def laguerre_coeffs_recurrence(n, alpha):
@@ -144,13 +203,13 @@ def apply_coherent_op_direct(state, mode, op):
     inner = _first_order_direct(cube_items(state.poly), kq,
                                 {p: t, q: -r}, {p: r / 2, q: t / 2})
     outer = _first_order_direct(inner, kq, {p: r, q: -t}, {p: -t / 2, q: -r / 2})
-    return PolyGaussianChi(dict_to_cube(outer, len(state.poly) + 2), state.kernel)
+    return State(dict_to_cube(outer, len(state.poly) + 2), state.kernel)
 
 
 def sequential_pipeline(cfg, t):
     """Unnormalized output of one strategy at weight t, one operation after
     another."""
-    state = tmsv_chi(cfg.s)
+    state = tmsv_state(cfg.s)
     if cfg.strategy.has_operation:
         op = CoherentOp.from_t(t)
         if cfg.strategy.operation_first:
@@ -204,6 +263,41 @@ def is_hermitian(state, tol=HERMITICITY_TOL):
 
 # --- single states through the package's operations ------------------------
 
+@dataclass(frozen=True, eq=False)
+class State:
+    """One two-mode state chi = P(v) exp(-0.5 v^T K v) for tests that follow
+    a single state: the cube poly of P (kept as a read-only complex array)
+    over the kernel K.  In the package's format it is (kernel, poly[None])."""
+
+    poly: np.ndarray
+    kernel: np.ndarray
+
+    def __post_init__(self):
+        poly = np.array(self.poly, dtype=complex)
+        poly.flags.writeable = False
+        object.__setattr__(self, "poly", poly)
+
+
+def tmsv_state(s):
+    """The package's two-mode squeezed vacuum as a single State."""
+    kernel, stack = tmsv_chi(s)
+    return State(stack[0], kernel)
+
+
+def check_normalized(poly):
+    """Raise ValueError unless the trace poly[0, 0, 0, 0] is 1 to TRACE_ONE_TOL."""
+    tr = poly[ZERO_INDEX]
+    if abs(tr - 1.0) > TRACE_ONE_TOL:
+        raise ValueError(f"state trace {tr} is not 1")
+
+
+def fock_matrix(state, n_trunc):
+    """The package's certified truncated density matrix of a normalized
+    single state, as a (d^2, d^2) array with d = n_trunc + 1."""
+    check_normalized(state.poly)
+    return certify(fock_matrices(state.kernel, n_trunc, [state.poly])[0])
+
+
 class ZeroStateError(Exception):
     """A state of vanishing trace cannot be normalized."""
 
@@ -212,13 +306,13 @@ def channel_state(state, mode, channel):
     """The package's thermal channel on one mode of a single state."""
     kernel, stack = apply_thermal_channel(state.kernel, state.poly[None], mode,
                                           channel)
-    return PolyGaussianChi(stack[0], kernel)
+    return State(stack[0], kernel)
 
 
 def combine_terms(kernel, polys, t, r):
     """The state sum_k t^(n-k) r^k polys[k] over the kernel at one weight."""
     weights = term_weights(len(polys), t, r)
-    return PolyGaussianChi(sum(w * poly for w, poly in zip(weights, polys)),
+    return State(sum(w * poly for w, poly in zip(weights, polys)),
                            kernel)
 
 
@@ -245,7 +339,7 @@ def normalize(state):
     t = tr.real
     if t < ZERO_TRACE_TOL:
         raise ZeroStateError("state has vanishing trace")
-    return PolyGaussianChi(state.poly / t, state.kernel), t
+    return State(state.poly / t, state.kernel), t
 
 
 def evaluate_chi(state, xi1, xi2):

@@ -17,7 +17,6 @@ from cvdistill.chi_core import (
     ChannelParams,
     CoherentOp,
     moment_table,
-    tmsv_chi,
 )
 from cvdistill.cli import main
 from cvdistill.entanglement import (
@@ -27,7 +26,6 @@ from cvdistill.entanglement import (
     partial_transpose,
     thermal_occupation,
 )
-from cvdistill.fock_recon import fock_matrix
 from cvdistill.scenarios import (
     ScenarioConfig,
     Strategy,
@@ -39,11 +37,13 @@ from cvdistill.scenarios import (
 from oracles import (
     apply_coherent_op,
     channel_state,
+    fock_matrix,
     hermiticity_defect,
     normalize,
     quadrature_fock_elements,
     sequential_pipeline,
     teleportation_fidelity,
+    tmsv_state,
 )
 
 FIG2B = dict(s=0.029, n_th=0.1)
@@ -194,8 +194,8 @@ def test_criterion_07_non_gaussian_survival():
 
 
 def test_criterion_08_fidelity_anchors_and_no_crossover():
-    f_vac = teleportation_fidelity(tmsv_chi(0.0))
-    worst_tmsv = max(abs(teleportation_fidelity(tmsv_chi(s))
+    f_vac = teleportation_fidelity(tmsv_state(0.0))
+    worst_tmsv = max(abs(teleportation_fidelity(tmsv_state(s))
                          - 1.0 / (1.0 + math.exp(-2 * s)))
                      for s in (0.029, 0.114, 0.403))
     neg_diff, fid_diff = [], []
@@ -241,7 +241,7 @@ def test_criterion_10_property_suite():
         strategy = strategies[int(rng.integers(len(strategies)))]
         channel = ChannelParams(eta, n_th)
 
-        pre = tmsv_chi(s)
+        pre = tmsv_state(s)
         if strategy.has_operation and strategy.operation_first:
             op = CoherentOp.from_t(t)
             pre = apply_coherent_op(apply_coherent_op(pre, 1, op), 2, op)
@@ -267,7 +267,7 @@ def test_criterion_10_property_suite():
 
         if draw % 10 == 9:
             noop_state, _ = normalize(
-                channel_state(channel_state(tmsv_chi(s), 1, channel),
+                channel_state(channel_state(tmsv_state(s), 1, channel),
                               2, channel))
             e_f = log_negativity(fock_matrix(noop_state, 10))
             e_g = gaussian_log_negativity(

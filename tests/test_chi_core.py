@@ -10,7 +10,6 @@ from cvdistill import chi_core
 from cvdistill.chi_core import (
     ChannelParams,
     CoherentOp,
-    PolyGaussianChi,
     SingularKernelError,
     ZERO_INDEX,
     _moment_covariance,
@@ -19,13 +18,16 @@ from cvdistill.chi_core import (
     gaussian_kernel,
     moment_table,
     tmsv_chi,
+    two_mode_stack,
 )
 from cvdistill.entanglement import fidelity_integrals
-from cvdistill.fock_recon import _augmented_kernel, fock_matrices, fock_matrix
+from cvdistill.entanglement import covariance_from_chi
+from cvdistill.fock_recon import _augmented_kernel, fock_matrices
 from cvdistill.scenarios import ScenarioConfig, Strategy, _raw_terms
 
 import oracles
 from oracles import (
+    State,
     ZeroStateError,
     apply_coherent_op,
     channel_state,
@@ -35,6 +37,7 @@ from oracles import (
     is_hermitian,
     normalize,
     same_bits,
+    tmsv_state,
 )
 
 
@@ -42,7 +45,7 @@ def vacuum_chi():
     k = np.zeros((4, 4))
     k[0, 1] = k[1, 0] = 0.5
     k[2, 3] = k[3, 2] = 0.5
-    return PolyGaussianChi(np.ones((1, 1, 1, 1)), gaussian_kernel(k))
+    return State(np.ones((1, 1, 1, 1)), gaussian_kernel(k))
 
 
 def pair_kernel(p):
@@ -58,20 +61,22 @@ def pair_kernel(p):
 
 def test_tmsv_trace_is_one():
     for s in (0.0, 0.029, 0.114, 0.403, 1.2):
-        st = tmsv_chi(s)
-        assert st.poly[ZERO_INDEX] == 1.0
-        assert degree(st) == 0
+        kernel, stack = tmsv_chi(s)
+        assert stack.shape == (1, 1, 1, 1, 1) and stack.dtype == complex
+        assert stack[(0, *ZERO_INDEX)] == 1.0
+        assert kernel.shape == (4, 4) and not kernel.flags.writeable
+        assert degree(State(stack[0], kernel)) == 0
 
 
 def test_tmsv_zero_squeezing_is_vacuum():
-    st = tmsv_chi(0.0)
+    st = tmsv_state(0.0)
     np.testing.assert_allclose(st.kernel, vacuum_chi().kernel,
                                atol=1e-15)
 
 
 def test_tmsv_kernel_entries():
     s = 0.403
-    st = tmsv_chi(s)
+    st = tmsv_state(s)
     k = st.kernel
     assert k[0, 1] == pytest.approx(math.cosh(0.806) / 2, abs=1e-15)
     assert k[2, 3] == pytest.approx(math.cosh(0.806) / 2, abs=1e-15)
@@ -81,7 +86,7 @@ def test_tmsv_kernel_entries():
 
 def test_tmsv_matches_fock_series():
     for s in (0.114, 0.6):
-        st = tmsv_chi(s)
+        st = tmsv_state(s)
         for xi1, xi2 in ((0.3 + 0.2j, -0.1 + 0.4j), (1.0, 0.0),
                          (-0.5j, 0.25 - 0.75j)):
             ref = oracles.tmsv_chi_series(s, xi1, xi2)
@@ -100,14 +105,14 @@ def test_tmsv_negative_squeezing_rejected():
 
 def test_evaluate_chi_fixed_point():
     # chi(1, 0) of the s=0.114 squeezed vacuum, by hand
-    st = tmsv_chi(0.114)
+    st = tmsv_state(0.114)
     assert evaluate_chi(st, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
     val = evaluate_chi(st, 1.0, 0.0)
     assert val == pytest.approx(5.986654229206886e-01, abs=1e-12)
 
 
 def test_evaluate_chi_hermiticity_spot_check():
-    st = apply_coherent_op(tmsv_chi(0.3), 1, CoherentOp.from_t(0.8))
+    st = apply_coherent_op(tmsv_state(0.3), 1, CoherentOp.from_t(0.8))
     a = evaluate_chi(st, 0.4 - 0.1j, 0.2 + 0.5j)
     b = evaluate_chi(st, -0.4 + 0.1j, -0.2 - 0.5j)
     np.testing.assert_allclose(a, np.conj(b), atol=1e-14)
@@ -147,12 +152,13 @@ def test_kernel_validation():
         gaussian_kernel(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="finite"):
         gaussian_kernel(np.array([[0.0, math.inf], [math.inf, 0.0]]))
+    # a one-mode kernel passes the contract, not the two-mode state format
     with pytest.raises(ValueError, match="4x4"):
-        PolyGaussianChi(np.ones((1, 1, 1, 1)),
-                        gaussian_kernel(np.array([[0.0, 0.5], [0.5, 0.0]])))
+        two_mode_stack(gaussian_kernel(np.array([[0.0, 0.5], [0.5, 0.0]])),
+                       np.ones((1, 1, 1, 1, 1)))
     # the contract is exact: a kernel symmetric only to rounding is refused,
     # not symmetrized, and an accepted one comes back as a read-only copy
-    k = np.array(tmsv_chi(0.5).kernel)
+    k = np.array(tmsv_chi(0.5)[0])
     skew = k.copy()
     skew[0, 2] = np.nextafter(skew[0, 2].real, 0.0)
     with pytest.raises(ValueError, match="symmetric"):
@@ -161,26 +167,30 @@ def test_kernel_validation():
     assert got is not k and not got.flags.writeable
     assert got.tobytes() == k.tobytes()
     # swap conjugation P K P = conj(K), P exchanging xi_i and xi_i*
-    k = tmsv_chi(0.5).kernel
+    k = tmsv_chi(0.5)[0]
     swap = [1, 0, 3, 2]
     assert np.max(np.abs(k[np.ix_(swap, swap)] - np.conj(k))) == 0.0
 
 
 def test_polynomial_shape_validation():
+    # a stack holds (D, D, D, D) cubes: a lone cube, a cube of the wrong
+    # rank or of unequal sides, empty cubes and a dict are refused
     k = pair_kernel(0.5)
-    for poly in (np.ones((2, 2, 2)), np.ones((2, 2, 2, 3)), np.ones((0, 0, 0, 0)),
-                 {ZERO_INDEX: 1.0}):
-        with pytest.raises(ValueError):
-            PolyGaussianChi(poly, k)
-    st = PolyGaussianChi(np.ones((2, 2, 2, 2)), k)
-    assert not st.poly.flags.writeable
+    for polys in (np.ones((1, 2, 2, 2)), np.ones((1, 2, 2, 2, 3)),
+                  np.ones((1, 0, 0, 0, 0)), np.ones((2, 2, 2, 2)),
+                  {ZERO_INDEX: 1.0}):
+        with pytest.raises(ValueError, match=r"stack of \(D, D, D, D\) cubes"):
+            two_mode_stack(k, polys)
+    for polys in (np.ones((1, 2, 2, 2, 2)), np.zeros((0, 3, 3, 3, 3))):
+        assert two_mode_stack(k, polys).shape == polys.shape
+    assert two_mode_stack(k, [np.ones((2, 2, 2, 2))]).shape == (1, 2, 2, 2, 2)
 
 
 def test_hermiticity_defect_of_a_lone_linear_term():
     # P = v_1 = xi1 has no conjugate partner: conj(chi(-v)) carries -xi1*
     poly = np.zeros((2, 2, 2, 2))
     poly[1, 0, 0, 0] = 1.0
-    st = PolyGaussianChi(poly, pair_kernel(0.5))
+    st = State(poly, pair_kernel(0.5))
     assert hermiticity_defect(st) == 1.0
     assert not is_hermitian(st)
 
@@ -211,7 +221,7 @@ def test_coherent_op_trace_on_vacuum():
 
 
 def test_coherent_op_preserves_kernel_and_hermiticity():
-    st = tmsv_chi(0.4)
+    st = tmsv_state(0.4)
     out = apply_coherent_op(st, 1, CoherentOp.from_t(0.3))
     assert out.kernel is st.kernel
     assert degree(out) <= degree(st) + 2
@@ -222,7 +232,7 @@ def test_coherent_op_preserves_kernel_and_hermiticity():
 
 
 def test_coherent_op_terms_grow_by_two():
-    st = tmsv_chi(0.3)
+    st = tmsv_state(0.3)
     terms = coherent_op_terms(st.kernel, st.poly[None], 1)
     assert len(terms) == 3
     assert coherent_op_terms(st.kernel, terms, 2).shape == (5,) * 5
@@ -232,7 +242,7 @@ def test_coherent_op_terms_grow_by_two():
 
 def test_subtraction_probability_closed_form():
     for s in (0.029, 0.403):
-        st = tmsv_chi(s)
+        st = tmsv_state(s)
         op = CoherentOp(1.0, 0.0)
         out = apply_coherent_op(apply_coherent_op(st, 1, op), 2, op)
         np.testing.assert_allclose(out.poly[ZERO_INDEX],
@@ -244,7 +254,7 @@ def test_subtraction_probability_closed_form():
 # thermal channel
 
 def test_channel_is_identity_at_unit_transmissivity():
-    st = apply_coherent_op(tmsv_chi(0.3), 1, CoherentOp.from_t(0.7))
+    st = apply_coherent_op(tmsv_state(0.3), 1, CoherentOp.from_t(0.7))
     out = channel_state(st, 1, ChannelParams(1.0, 5.0))
     np.testing.assert_allclose(out.kernel, st.kernel, atol=1e-15)
     np.testing.assert_array_equal(out.poly != 0, st.poly != 0)
@@ -252,7 +262,7 @@ def test_channel_is_identity_at_unit_transmissivity():
 
 
 def test_channel_preserves_trace():
-    st = apply_coherent_op(tmsv_chi(0.5), 1, CoherentOp.from_t(0.4))
+    st = apply_coherent_op(tmsv_state(0.5), 1, CoherentOp.from_t(0.4))
     for eta, n_th in ((0.7, 0.0), (0.3, 0.8), (0.999, 2.0)):
         out = channel_state(st, 1, ChannelParams(eta, n_th))
         out = channel_state(out, 2, ChannelParams(eta, n_th))
@@ -262,14 +272,14 @@ def test_channel_preserves_trace():
 def test_channel_full_loss_limit_is_thermal():
     # eta -> 0: the mode-1 factor approaches exp(-(2 n_th + 1) |xi1|^2 / 2)
     n_th = 0.35
-    out = channel_state(tmsv_chi(0.8), 1, ChannelParams(1e-14, n_th))
+    out = channel_state(tmsv_state(0.8), 1, ChannelParams(1e-14, n_th))
     k = out.kernel
     assert k[0, 1] == pytest.approx((2 * n_th + 1) / 2, abs=1e-9)
     assert abs(k[0, 2]) < 1e-6 and abs(k[1, 3]) < 1e-6
 
 
 def test_channel_scales_polynomial_by_mode_degree():
-    st = apply_coherent_op(tmsv_chi(0.4), 1, CoherentOp.from_t(1.0))
+    st = apply_coherent_op(tmsv_state(0.4), 1, CoherentOp.from_t(1.0))
     eta = 0.6
     out = channel_state(st, 1, ChannelParams(eta, 0.2))
     for a in map(tuple, np.argwhere(st.poly)):
@@ -278,13 +288,13 @@ def test_channel_scales_polynomial_by_mode_degree():
 
 
 def test_channel_hermiticity_preserved():
-    st = apply_coherent_op(tmsv_chi(0.4), 2, CoherentOp.from_t(0.2))
+    st = apply_coherent_op(tmsv_state(0.4), 2, CoherentOp.from_t(0.2))
     out = channel_state(st, 2, ChannelParams(0.45, 0.6))
     assert is_hermitian(out)
 
 
 def test_channel_checks_its_input_kernel_and_keeps_it_symmetric():
-    st = tmsv_chi(0.4)
+    st = tmsv_state(0.4)
     ch = ChannelParams(0.37, 0.6)
     kernel, _ = apply_thermal_channel(st.kernel, st.poly[None], 1, ch)
     kernel, stack = apply_thermal_channel(kernel, st.poly[None], 2, ch)
@@ -302,7 +312,7 @@ def test_channel_checks_its_input_kernel_and_keeps_it_symmetric():
 def test_channel_refuses_an_overflowing_thermal_term():
     # 2 n_th + 1 overflows at n_th 1e308: no inf enters the kernel and no
     # RuntimeWarning leaks
-    st = tmsv_chi(0.1)
+    st = tmsv_state(0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularKernelError, match="thermal term"):
@@ -314,7 +324,7 @@ def test_channel_refuses_an_overflowing_thermal_term():
 # normalize
 
 def test_normalize_tmsv_is_identity():
-    st, tr = normalize(tmsv_chi(0.7))
+    st, tr = normalize(tmsv_state(0.7))
     assert tr == 1.0
     assert st.poly[ZERO_INDEX] == 1.0
 
@@ -322,14 +332,14 @@ def test_normalize_tmsv_is_identity():
 def test_normalize_returns_success_probability():
     s = 0.029
     op = CoherentOp(1.0, 0.0)
-    out = apply_coherent_op(apply_coherent_op(tmsv_chi(s), 1, op), 2, op)
+    out = apply_coherent_op(apply_coherent_op(tmsv_state(s), 1, op), 2, op)
     nrm, tr = normalize(out)
     np.testing.assert_allclose(tr, 8.426511420694035e-04, rtol=1e-12)
     assert nrm.poly[ZERO_INDEX] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_normalize_rejects_complex_trace():
-    st = PolyGaussianChi(np.full((1, 1, 1, 1), 1.0 + 0.1j), pair_kernel(0.5))
+    st = State(np.full((1, 1, 1, 1), 1.0 + 0.1j), pair_kernel(0.5))
     with pytest.raises(ValueError):
         normalize(st)
 
@@ -353,7 +363,7 @@ def test_monomial_integral_radial():
 
 
 def test_odd_moments_vanish():
-    table = moment_table(tmsv_chi(0.5).kernel, (4, 4, 4, 4))
+    table = moment_table(tmsv_chi(0.5)[0], (4, 4, 4, 4))
     for alpha in ((1, 0, 0, 0), (0, 1, 2, 0), (1, 1, 1, 0), (3, 0, 1, 1)):
         assert table[alpha] == 0.0
 
@@ -410,7 +420,7 @@ def test_moment_engine_against_numeric_quadrature():
 
 
 def test_moment_table_matches_scalar_route():
-    st = channel_state(tmsv_chi(0.6), 1, ChannelParams(0.7, 0.25))
+    st = channel_state(tmsv_state(0.6), 1, ChannelParams(0.7, 0.25))
     table = moment_table(st.kernel, (4, 4, 4, 4))
     ref = oracles.RecursiveMoments(st.kernel)
     for a in ((0, 0, 0, 0), (1, 1, 0, 0), (2, 0, 1, 1), (3, 3, 2, 2),
@@ -420,7 +430,7 @@ def test_moment_table_matches_scalar_route():
     # the one-mode fidelity kernel of a coherent_before state, on every
     # monomial its diagonal substitution (xi*, xi, xi, xi*) can produce
     op, ch = CoherentOp.from_t(0.7), ChannelParams(0.5, 0.1)
-    st = apply_coherent_op(apply_coherent_op(tmsv_chi(0.114), 1, op), 2, op)
+    st = apply_coherent_op(apply_coherent_op(tmsv_state(0.114), 1, op), 2, op)
     st = channel_state(channel_state(st, 1, ch), 2, ch)
     r = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     kernel = gaussian_kernel(r.T @ st.kernel @ r + [[0.0, 1.0], [1.0, 0.0]])
@@ -460,7 +470,7 @@ def contract_breaking_kernels():
     """One kernel per way to break gaussian_kernel's contract: a xi1 xi2*
     coupling, a single-mode squeezing, a symmetry only to rounding, and a
     K_01 = K_10 that is not real (P K P != conj(K))."""
-    rounded = np.array(tmsv_chi(0.4).kernel)
+    rounded = np.array(tmsv_chi(0.4)[0])
     rounded[0, 2] = np.nextafter(rounded[0, 2].real, 0.0)
     unswapped = np.array(pair_kernel(0.5))
     unswapped[0, 1] = unswapped[1, 0] = 0.5 + 0.1j
@@ -473,14 +483,24 @@ def test_public_functions_refuse_kernels_outside_the_contract():
     calls = [lambda k: apply_thermal_channel(k, poly[None], 1, ch),
              lambda k: moment_table(k, (2, 2, 2, 2)),
              lambda k: fock_matrices(k, 2, poly[None]),
-             lambda k: fock_matrix(PolyGaussianChi(poly, k), 2),
              lambda k: fidelity_integrals(k, poly[None])]
-    good = tmsv_chi(0.4).kernel
+    good = tmsv_chi(0.4)[0]
     for call in calls:
         call(good)
         for kernel in contract_breaking_kernels():
             with pytest.raises(ValueError, match="kernel"):
                 call(kernel)
+    # inputs outside the two-mode state format are refused by name: a
+    # one-mode kernel, which passes gaussian_kernel, and a lone cube where a
+    # stack belongs
+    one_mode = np.array([[0.0, 0.5], [0.5, 0.0]])
+    fmt = r"two-mode state is a 4x4 kernel and a stack of \(D, D, D, D\) cubes"
+    for call in (lambda: fock_matrices(one_mode, 2, poly[None]),
+                 lambda: fidelity_integrals(one_mode, poly[None]),
+                 lambda: fock_matrices(good, 2, np.ones((3, 3, 3, 3))),
+                 lambda: covariance_from_chi(one_mode, poly)):
+        with pytest.raises(ValueError, match=fmt):
+            call()
 
 
 def test_moment_table_equals_the_scalar_recursion_bit_for_bit():
@@ -521,7 +541,7 @@ def test_integrate_polynomial():
 def test_moment_table_entry_ignores_table_shape():
     # a coherent_before state's augmented Fock kernel and its fidelity kernel
     op, ch = CoherentOp.from_t(0.7), ChannelParams(0.5, 0.1)
-    st = apply_coherent_op(apply_coherent_op(tmsv_chi(0.3), 1, op), 2, op)
+    st = apply_coherent_op(apply_coherent_op(tmsv_state(0.3), 1, op), 2, op)
     st = channel_state(channel_state(st, 1, ch), 2, ch)
     r = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     fidelity = gaussian_kernel(r.T @ st.kernel @ r + [[0.0, 1.0], [1.0, 0.0]])

@@ -1,8 +1,12 @@
 """Command line behavior: output formats, config validation, exit codes."""
 
+import argparse
+import builtins
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,6 +20,7 @@ from cvdistill.chi_core import ChannelParams
 from cvdistill.cli import (
     CSV_HEADER,
     ConfigError,
+    build_parser,
     main,
     parse_run_config,
     parse_temperature,
@@ -481,6 +486,41 @@ def test_readme_python_api_example_runs(capsys):
     assert namespace["rho"].shape == (121, 121)
     assert namespace["log_negativity"](namespace["rho"]) == pytest.approx(
         2 * 0.403 * math.log2(math.e), abs=1e-3)
+
+
+def layout_names():
+    """(path, backticked identifiers) of each bullet of README's Layout."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    layout = text.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    bullets = []
+    for bullet in re.split(r"^- ", layout, flags=re.M)[1:]:
+        spans = re.findall(r"`([^`]+)`", bullet)
+        bullets.append((spans[0], [n for n in spans[1:]
+                                   if re.fullmatch(r"[A-Za-z_]\w*", n)]))
+    return bullets
+
+
+def test_readme_layout_names_resolve():
+    # every identifier the Layout names exists: in a cvdistill module (and,
+    # in the tests bullet, also in tests/oracles.py), as a builtin, or as a
+    # command line subcommand; a name left behind by a refactor fails here
+    package = [importlib.import_module(f"cvdistill.{m.name}")
+               for m in pkgutil.iter_modules(cvdistill.__path__)]
+    commands = next(a.choices for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    bullets = layout_names()
+    assert [path for path, _ in bullets] == [
+        "src/cvdistill/chi_core.py", "src/cvdistill/fock_recon.py",
+        "src/cvdistill/entanglement.py", "src/cvdistill/scenarios.py",
+        "src/cvdistill/cli.py", "tests/"]
+    for path, names in bullets:
+        scope = package + ([oracles] if path.startswith("tests/") else [])
+        missing = [n for n in names
+                   if not any(hasattr(m, n) for m in scope)
+                   and not hasattr(builtins, n) and n not in commands]
+        assert names and not missing, (path, missing)
+    assert len({n for _, names in bullets for n in names}) >= 25
 
 
 PINNED_SWEEP = """\

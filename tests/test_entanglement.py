@@ -7,9 +7,7 @@ import pytest
 from scipy import constants
 
 from cvdistill import entanglement
-from cvdistill.chi_core import (ChannelParams, CoherentOp, PolyGaussianChi,
-                                SingularKernelError, tmsv_chi)
-from cvdistill.fock_recon import fock_matrix
+from cvdistill.chi_core import ChannelParams, CoherentOp, SingularKernelError
 from cvdistill.scenarios import ScenarioConfig, Strategy, _PointEvaluator, _raw_terms
 from cvdistill.entanglement import (
     InvalidCovarianceError,
@@ -26,19 +24,22 @@ from cvdistill.entanglement import (
 import oracles
 from oracles import (
     EigenConvergenceError,
+    State,
     ZeroStateError,
     apply_coherent_op,
     channel_state,
     evaluate_chi,
+    fock_matrix,
     jacobi_eigvalsh,
     normalize,
     teleportation_fidelity,
+    tmsv_state,
 )
 
 
 def channelled_tmsv(s, eta, n_th):
     ch = ChannelParams(eta, n_th)
-    st = channel_state(tmsv_chi(s), 1, ch)
+    st = channel_state(tmsv_state(s), 1, ch)
     return channel_state(st, 2, ch)
 
 
@@ -123,7 +124,7 @@ def test_log_negativity_separable_is_zero():
 
 def test_log_negativity_truncated_tmsv():
     s = 0.403
-    rho = fock_matrix(tmsv_chi(s), 10)
+    rho = fock_matrix(tmsv_state(s), 10)
     want = oracles.truncated_tmsv_log_negativity(s, 10)
     np.testing.assert_allclose(log_negativity(rho), want, rtol=1e-9)
 
@@ -247,14 +248,14 @@ def test_exact_real():
 # covariance route
 
 def test_covariance_of_vacuum():
-    cov = covariance(tmsv_chi(0.0))
+    cov = covariance(tmsv_state(0.0))
     assert cov.shape == (4, 4) and not cov.flags.writeable
     np.testing.assert_allclose(cov, np.eye(4) / 2, atol=1e-14)
 
 
 def test_covariance_of_tmsv():
     s = 0.403
-    cov = covariance(tmsv_chi(s))
+    cov = covariance(tmsv_state(s))
     a = math.cosh(2 * s) / 2
     c = math.sinh(2 * s) / 2
     np.testing.assert_allclose(cov[:2, :2], a * np.eye(2), atol=1e-13)
@@ -274,13 +275,13 @@ def test_covariance_after_channel():
 
 def test_covariance_requires_normalized_state():
     op = CoherentOp(1.0, 0.0)
-    raw = apply_coherent_op(tmsv_chi(0.4), 1, op)
+    raw = apply_coherent_op(tmsv_state(0.4), 1, op)
     with pytest.raises(ValueError):
         covariance(raw)
 
 
 def test_symplectic_eigenvalues_of_tmsv():
-    cov = covariance(tmsv_chi(0.3))
+    cov = covariance(tmsv_state(0.3))
     # (nu_minus, nu_plus) from the invariants Delta = det A + det B + 2 det C
     # and det sigma
     delta = (np.linalg.det(cov[:2, :2]) + np.linalg.det(cov[2:, 2:])
@@ -293,10 +294,10 @@ def test_symplectic_eigenvalues_of_tmsv():
 
 
 def test_gaussian_log_negativity_closed_forms():
-    assert gaussian_log_negativity(covariance(tmsv_chi(0.0))) == \
+    assert gaussian_log_negativity(covariance(tmsv_state(0.0))) == \
         pytest.approx(0.0, abs=1e-12)
     for s in (0.114, 0.403):
-        got = gaussian_log_negativity(covariance(tmsv_chi(s)))
+        got = gaussian_log_negativity(covariance(tmsv_state(s)))
         np.testing.assert_allclose(got, oracles.tmsv_log_negativity(s),
                                     rtol=1e-12)
 
@@ -325,19 +326,19 @@ def test_gaussian_log_negativity_rejects_unphysical_input():
 # teleportation fidelity and success probability
 
 def test_fidelity_of_vacuum_resource():
-    np.testing.assert_allclose(teleportation_fidelity(tmsv_chi(0.0)), 0.5,
+    np.testing.assert_allclose(teleportation_fidelity(tmsv_state(0.0)), 0.5,
                                atol=1e-13)
 
 
 def test_fidelity_of_tmsv_closed_form():
     for s in (0.114, 0.403, 1.0):
-        got = teleportation_fidelity(tmsv_chi(s))
+        got = teleportation_fidelity(tmsv_state(s))
         np.testing.assert_allclose(got, oracles.tmsv_fidelity(s), rtol=1e-12)
 
 
 def test_fidelity_against_numeric_quadrature():
     op = CoherentOp.from_t(0.9)
-    st = apply_coherent_op(tmsv_chi(0.114), 1, op)
+    st = apply_coherent_op(tmsv_state(0.114), 1, op)
     st = apply_coherent_op(st, 2, op)
     ch = ChannelParams(0.7, 0.1)
     st = channel_state(st, 1, ch)
@@ -364,7 +365,7 @@ def test_fidelity_integrals_match_one_polynomial_calls(strategy):
 
 
 def test_fidelity_integrals_of_empty_polynomials_vanish():
-    kernel = tmsv_chi(0.3).kernel
+    kernel = tmsv_state(0.3).kernel
     assert list(fidelity_integrals(kernel, np.zeros((2, 3, 3, 3, 3)))) == [0, 0]
     assert fidelity_integrals(kernel, np.zeros((0, 1, 1, 1, 1))).shape == (0,)
 
@@ -418,7 +419,7 @@ def test_fidelity_integrals_refuse_nonpositive_kappa(p):
 
 
 def test_fidelity_requires_normalized_state():
-    raw = apply_coherent_op(tmsv_chi(0.4), 1, CoherentOp(1.0, 0.0))
+    raw = apply_coherent_op(tmsv_state(0.4), 1, CoherentOp(1.0, 0.0))
     with pytest.raises(ValueError):
         teleportation_fidelity(raw)
 
@@ -426,7 +427,7 @@ def test_fidelity_requires_normalized_state():
 def test_success_probability_of_double_subtraction():
     s = 0.403
     op = CoherentOp(1.0, 0.0)
-    raw = apply_coherent_op(apply_coherent_op(tmsv_chi(s), 1, op), 2, op)
+    raw = apply_coherent_op(apply_coherent_op(tmsv_state(s), 1, op), 2, op)
     np.testing.assert_allclose(normalize(raw)[1],
                                oracles.subtract_both_probability(s),
                                rtol=1e-12)
@@ -435,14 +436,14 @@ def test_success_probability_of_double_subtraction():
 def test_success_probability_can_exceed_one():
     # photon addition heralds on Tr[a^dag rho a] = 1 + <n>, which exceeds 1
     op = CoherentOp(0.0, 1.0)
-    raw = apply_coherent_op(apply_coherent_op(tmsv_chi(0.4), 1, op), 2, op)
+    raw = apply_coherent_op(apply_coherent_op(tmsv_state(0.4), 1, op), 2, op)
     assert normalize(raw)[1] > 1.0
 
 
 def test_success_probability_input_validation():
-    kernel = tmsv_chi(0.0).kernel
+    kernel = tmsv_state(0.0).kernel
     with pytest.raises(ZeroStateError):
-        normalize(PolyGaussianChi(-np.ones((1, 1, 1, 1)), kernel))
+        normalize(State(-np.ones((1, 1, 1, 1)), kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +524,6 @@ def test_fock_and_gaussian_routes_agree_on_gaussian_states():
 
 def test_fidelity_above_half_implies_entanglement():
     for s in (0.114, 0.403):
-        st = tmsv_chi(s)
+        st = tmsv_state(s)
         assert teleportation_fidelity(st) > 0.5
         assert gaussian_log_negativity(covariance(st)) > 0.0

@@ -19,38 +19,40 @@ from cvdistill.entanglement import fidelity_integrals
 from cvdistill.fock_recon import (
     PrecisionError,
     _augmented_kernel,
-    _laguerre_coeffs,
+    _dagger_table,
     certify,
-    displacement_fock_poly,
     fock_matrices,
-    fock_matrix,
 )
 from cvdistill.scenarios import ScenarioConfig, Strategy, _raw_terms
 
 import oracles
 from oracles import (
     QuadratureGrid,
+    _laguerre_coeffs,
     apply_coherent_op,
     channel_state,
     combine_terms,
+    displacement_fock_poly,
     fock_element,
+    fock_matrix,
     normalize,
     quadrature_fock_element,
     quadrature_fock_elements,
     same_bits,
+    tmsv_state,
 )
 
 
 def subtracted_tmsv(s):
     op = CoherentOp(1.0, 0.0)
-    st = apply_coherent_op(tmsv_chi(s), 1, op)
+    st = apply_coherent_op(tmsv_state(s), 1, op)
     st = apply_coherent_op(st, 2, op)
     return normalize(st)[0]
 
 
 def channelled_tmsv(s, eta, n_th):
     ch = ChannelParams(eta, n_th)
-    st = channel_state(tmsv_chi(s), 1, ch)
+    st = channel_state(tmsv_state(s), 1, ch)
     return channel_state(st, 2, ch)
 
 
@@ -100,11 +102,22 @@ def test_laguerre_coefficients_match_exact_recurrence():
             assert _laguerre_coeffs(n, alpha) == want
 
 
+def test_dagger_table_equals_the_oracle_dicts_bit_for_bit():
+    # the arrays built directly equal those packed from the dict route,
+    # offsets, coefficients, padding and signs of zero included
+    for d in range(1, 22):
+        got, want = _dagger_table(d), oracles.dagger_table(d)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), d
+        assert not any(a.flags.writeable for a in got)
+
+
 # ---------------------------------------------------------------------------
 # analytic elements
 
 def test_vacuum_density_matrix():
-    st = tmsv_chi(0.0)
+    st = tmsv_state(0.0)
     assert fock_element(st, 0, 0, 0, 0) == pytest.approx(1.0, abs=1e-13)
     assert abs(fock_element(st, 1, 0, 1, 0)) < 1e-13
     assert abs(fock_element(st, 0, 0, 1, 1)) < 1e-13
@@ -112,7 +125,7 @@ def test_vacuum_density_matrix():
 
 def test_tmsv_diagonal_closed_form():
     s = 0.403
-    st = tmsv_chi(s)
+    st = tmsv_state(s)
     for n in range(4):
         want = oracles.tmsv_fock_diag(s, n)
         got = fock_element(st, n, n, n, n)
@@ -121,7 +134,7 @@ def test_tmsv_diagonal_closed_form():
 
 def test_tmsv_schmidt_off_diagonal():
     s = 0.25
-    st = tmsv_chi(s)
+    st = tmsv_state(s)
     lam = math.tanh(s)
     got = fock_element(st, 0, 0, 2, 2)
     np.testing.assert_allclose(got, lam ** 2 / math.cosh(s) ** 2, rtol=1e-11)
@@ -132,7 +145,7 @@ def test_tmsv_schmidt_off_diagonal():
 
 def test_fock_element_requires_normalized_state():
     op = CoherentOp(1.0, 0.0)
-    raw = apply_coherent_op(tmsv_chi(0.4), 1, op)
+    raw = apply_coherent_op(tmsv_state(0.4), 1, op)
     with pytest.raises(ValueError):
         fock_element(raw, 0, 0, 0, 0)
 
@@ -176,7 +189,7 @@ def test_certify_passes_states_and_refuses_the_rest():
 
 def test_truncated_tmsv_trace_partial_sum():
     s = 0.403
-    rho = fock_matrix(tmsv_chi(s), 5)
+    rho = fock_matrix(tmsv_state(s), 5)
     want = sum(oracles.tmsv_fock_diag(s, n) for n in range(6))
     np.testing.assert_allclose(np.trace(rho).real, want, rtol=1e-11)
     assert np.trace(rho).real == pytest.approx(9.999901880869390e-01, abs=1e-11)
@@ -213,7 +226,7 @@ def test_partial_trace_is_single_mode_state():
 
 def test_builder_matches_elementwise_route():
     ch = ChannelParams(0.55, 0.15)
-    st = apply_coherent_op(tmsv_chi(0.3), 1, CoherentOp.from_t(0.6))
+    st = apply_coherent_op(tmsv_state(0.3), 1, CoherentOp.from_t(0.6))
     st = apply_coherent_op(st, 2, CoherentOp.from_t(0.6))
     st = channel_state(st, 1, ch)
     st = channel_state(st, 2, ch)
@@ -226,17 +239,32 @@ def test_builder_matches_elementwise_route():
 
 
 def test_fock_matrices_reject_empty_support():
-    st = tmsv_chi(0.2)
-    for polys in ([], np.zeros((1, 1, 1, 1, 1)), np.zeros((2, 3, 3, 3, 3))):
+    kernel = tmsv_chi(0.2)[0]
+    for polys in (np.zeros((0, 1, 1, 1, 1)), np.zeros((1, 1, 1, 1, 1)),
+                  np.zeros((2, 3, 3, 3, 3))):
         with pytest.raises(ValueError, match="empty polynomial support"):
-            fock_matrices(st.kernel, 2, polys)
+            fock_matrices(kernel, 2, polys)
+    # a list of no cubes has no stack shape: the format check refuses it
+    with pytest.raises(ValueError, match="two-mode state"):
+        fock_matrices(kernel, 2, [])
+
+
+def test_fock_matrices_want_an_integer_cutoff():
+    kernel, stack = tmsv_chi(0.2)
+    for n_trunc in (5.5, 5.0, "5", None):
+        with pytest.raises(ValueError, match="n_trunc must be an integer"):
+            fock_matrices(kernel, n_trunc, stack)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fock_matrices(kernel, -1, stack)
+    want = fock_matrices(kernel, 2, stack)
+    assert fock_matrices(kernel, np.int64(2), stack).tobytes() == want.tobytes()
 
 
 def test_fock_matrices_share_one_support_across_polynomials():
     # one call serves every t of the operated family on a fixed kernel
     ch = ChannelParams(0.8, 0.2)
     base = channel_state(
-        channel_state(tmsv_chi(0.4), 1, ch), 2, ch)
+        channel_state(tmsv_state(0.4), 1, ch), 2, ch)
     states = []
     for t in (0.3, 0.9):
         op = CoherentOp.from_t(t)
@@ -336,7 +364,7 @@ def test_cached_fock_plan_is_read_only():
 
 
 def test_augmented_kernel_wants_an_exactly_symmetric_kernel():
-    kernel = tmsv_chi(0.4).kernel
+    kernel, stack = tmsv_chi(0.4)
     want = np.array(kernel)
     for p in (0, 2):
         want[p, p + 1] += 0.5
@@ -344,12 +372,14 @@ def test_augmented_kernel_wants_an_exactly_symmetric_kernel():
     aug = _augmented_kernel(kernel)
     assert not aug.flags.writeable
     assert aug.tobytes() == gaussian_kernel(want).tobytes()
+    # _augmented_kernel takes a kernel already checked: fock_matrices checks
+    # it once, where it enters, before it is augmented
     skewed = np.array(kernel)
     skewed[0, 2] += 1e-15
     with pytest.raises(ValueError, match="symmetric"):
-        _augmented_kernel(skewed)
+        fock_matrices(skewed, 2, stack)
     with pytest.raises(ValueError, match="pairs"):
-        _augmented_kernel(np.eye(3))
+        fock_matrices(np.eye(3), 2, stack)
 
 
 def test_fock_matrices_allocation_peak_at_cutoff_8():
@@ -375,14 +405,14 @@ def test_fock_matrices_allocation_peak_at_cutoff_8():
 # quadrature oracle
 
 def test_quadrature_vacuum_element():
-    st = tmsv_chi(0.0)
+    st = tmsv_state(0.0)
     grid = QuadratureGrid(half_width=6.0, points=80)
     val = quadrature_fock_element(st, 0, 0, 0, 0, grid)
     np.testing.assert_allclose(val, 1.0, atol=1e-6)
 
 
 def test_quadrature_matches_analytic_on_tmsv():
-    st = tmsv_chi(0.029)
+    st = tmsv_state(0.029)
     for idx in ((0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 1, 1)):
         q = quadrature_fock_element(st, *idx)
         a = fock_element(st, *idx)
@@ -401,8 +431,7 @@ def public_api_terms(case):
     """Kernels and stacks the public pipeline functions build beyond the
     strategies' symmetric channels: the README's channel on mode 1, two
     different channels, and the coherent operation after those two."""
-    st = tmsv_chi(0.403)
-    kernel, stack = apply_thermal_channel(st.kernel, st.poly[None], 1,
+    kernel, stack = apply_thermal_channel(*tmsv_chi(0.403), 1,
                                           ChannelParams(0.8, 0.1))
     if case != "one_channel":
         kernel, stack = apply_thermal_channel(kernel, stack, 2,

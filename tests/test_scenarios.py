@@ -1,19 +1,19 @@
 """Strategy pipelines, weight optimization, and sweep bookkeeping."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from cvdistill import entanglement, scenarios
-from cvdistill.chi_core import ZERO_INDEX, ChannelParams, CoherentOp, tmsv_chi
+from cvdistill import chi_core, entanglement, scenarios
+from cvdistill.chi_core import ZERO_INDEX, ChannelParams, CoherentOp
 from cvdistill.entanglement import (
     covariance_from_chi,
     gaussian_log_negativity,
     log_negativity,
 )
 from cvdistill.cli import main, parse_run_config
-from cvdistill.fock_recon import fock_matrix
 from cvdistill.scenarios import (
     OptimizeResult,
     ScenarioConfig,
@@ -27,7 +27,8 @@ from cvdistill.scenarios import (
 )
 
 import oracles
-from oracles import ZeroStateError, teleportation_fidelity
+from oracles import (ZeroStateError, fock_matrix, teleportation_fidelity,
+                     tmsv_state)
 
 
 def cfg_for(strategy, s=0.114, eta=0.7, n_th=0.1, **kw):
@@ -63,6 +64,33 @@ def test_config_validation():
         cfg_for("coherent_before", t_override=1.5)
     with pytest.raises(ValueError):
         ScenarioConfig(Strategy.NOOP, 0.1, ChannelParams(0.5, 0.1), n_trunc=-1)
+    # a float or string cutoff is refused where the config is built, not
+    # deep inside evaluate_point
+    for n_trunc in (5.5, 5.0, "5"):
+        with pytest.raises(ValueError, match="n_trunc must be an integer"):
+            cfg_for("noop", n_trunc=n_trunc)
+
+
+def test_a_row_makes_six_kernel_checks():
+    # gaussian_kernel runs where a kernel enters: tmsv_chi, the two channels,
+    # fock_matrices, the moment table of the augmented kernel and
+    # fidelity_integrals; _augmented_kernel and covariance_from_chi do not
+    # check again
+    code = chi_core.gaussian_kernel.__code__
+    for strategy in Strategy:
+        for objective in ("negativity", "fidelity"):
+            calls = []
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code is code:
+                    calls.append(frame)
+            sys.setprofile(profile)
+            try:
+                evaluate_point(cfg_for(strategy.value, n_trunc=3,
+                                       objective=objective))
+            finally:
+                sys.setprofile(None)
+            assert len(calls) == 6, (strategy, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +98,7 @@ def test_config_validation():
 
 def test_noop_through_perfect_channel_is_input():
     ev = _PointEvaluator(cfg_for("noop", s=0.403, eta=1.0, n_th=0.0))
-    ref = tmsv_chi(0.403)
+    ref = tmsv_state(0.403)
     assert ev.probability(1.0) == pytest.approx(1.0, abs=1e-14)
     assert ev.polys.shape == (1, 1, 1, 1, 1)
     assert ev.polys[0, 0, 0, 0, 0] == pytest.approx(1.0)
