@@ -3,7 +3,6 @@ addition/subtraction under thermal loss."""
 
 from .chi_core import (
     ChannelParams,
-    CoherentOp,
     SingularKernelError,
     apply_thermal_channel,
     gaussian_kernel,

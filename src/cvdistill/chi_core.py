@@ -37,9 +37,6 @@ N_VARS = 4
 ZERO_INDEX = (0, 0, 0, 0)
 
 PRUNE_REL_TOL = 1e-16
-TRACE_IMAG_TOL = 1e-10
-TRACE_ONE_TOL = 1e-6
-ZERO_TRACE_TOL = 1e-30
 
 
 class SingularKernelError(Exception):
@@ -69,25 +66,7 @@ def _complexification(n_modes):
 
 
 # ---------------------------------------------------------------------------
-# parameter containers
-
-@dataclass(frozen=True)
-class CoherentOp:
-    """Weights of the superposition t*a + r*a^dag, real with t^2 + r^2 = 1."""
-
-    t: float
-    r: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.t <= 1.0 and 0.0 <= self.r <= 1.0):
-            raise ValueError("t and r must lie in [0, 1]")
-        if abs(self.t ** 2 + self.r ** 2 - 1.0) > 1e-12:
-            raise ValueError("t^2 + r^2 must equal 1")
-
-    @classmethod
-    def from_t(cls, t):
-        return cls(t, math.sqrt(max(0.0, 1.0 - t * t)))
-
+# channel parameters and the two-mode state format
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -269,11 +248,6 @@ def coherent_op_terms(kernel, stack, mode):
                 out[i + j:i + j + n] += _first_order(inner, inner_raised, kernel,
                                                      *op_left)
         return _prune(out)
-
-
-def term_weights(n_terms, t, r):
-    """Weights t^(n-k) r^k of the terms of a degree-n form, n = n_terms - 1."""
-    return [t ** (n_terms - 1 - k) * r ** k for k in range(n_terms)]
 
 
 def apply_thermal_channel(kernel, stack, mode, channel):

@@ -42,14 +42,35 @@ _CONFIG_KEYS = {"strategies", "s", "n_th", "eta_min", "eta_max", "eta_points",
 _REQUIRED_KEYS = ("strategies", "s", "n_th", "output")
 
 
+def scenario_configs(strategies, s, n_th, etas, n_trunc=5,
+                     objective="negativity", t=None):
+    """One ScenarioConfig per CSV row, strategy-major over etas, from
+    strategy names and the other inputs as numbers: the rows of a sweep, or
+    the one row of a point.  An unknown name, or any input that
+    ScenarioConfig or ChannelParams refuses, raises ConfigError with their
+    message."""
+    kinds = []
+    for name in strategies:
+        try:
+            kinds.append(Strategy(name))
+        except ValueError:
+            raise ConfigError(f"unknown strategy {name!r}") from None
+    try:
+        return [ScenarioConfig(strategy, s, ChannelParams(eta, n_th),
+                               n_trunc, objective, t)
+                for strategy in kinds for eta in etas]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_run_config(path):
     """Read a flat key = value sweep configuration into (configs, output).
 
     Blank lines and # comments are ignored; unknown keys are rejected rather
     than silently skipped so typos cannot turn into default values.  configs
-    holds one ScenarioConfig per CSV row, strategy-major over
-    linspace(eta_min, eta_max, eta_points); the ranges of s, n_th, eta,
-    n_trunc, objective and t are checked there, as for a single point.
+    holds scenario_configs' rows over linspace(eta_min, eta_max,
+    eta_points), which checks the strategies and the ranges of s, n_th,
+    eta, n_trunc, objective and t, as for a single point.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -83,13 +104,6 @@ def parse_run_config(path):
         except ValueError as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {raw[key]!r}") from exc
 
-    strategies = []
-    for name in raw["strategies"].split(","):
-        name = name.strip()
-        try:
-            strategies.append(Strategy(name))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: unknown strategy {name!r}") from exc
     eta_min = number("eta_min", float, 0.01)
     eta_max = number("eta_max", float, 1.0)
     eta_points = number("eta_points", int, 101)
@@ -103,12 +117,11 @@ def parse_run_config(path):
         etas = [float(eta) for eta in np.linspace(eta_min, eta_max, eta_points)]
     s, n_th, t = number("s", float), number("n_th", float), number("t", float)
     n_trunc = number("n_trunc", int, 5)
-    objective = raw.get("objective", "negativity")
+    names = [name.strip() for name in raw["strategies"].split(",")]
     try:
-        configs = [ScenarioConfig(strategy, s, ChannelParams(eta, n_th),
-                                  n_trunc, objective, t)
-                   for strategy in strategies for eta in etas]
-    except ValueError as exc:
+        configs = scenario_configs(names, s, n_th, etas, n_trunc,
+                                   raw.get("objective", "negativity"), t)
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return configs, raw["output"]
 
@@ -160,23 +173,8 @@ def cmd_sweep(args):
 
 
 def cmd_point(args):
-    try:
-        strategy = Strategy(args.strategy)
-    except ValueError:
-        print(f"error: unknown strategy {args.strategy!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        scen = ScenarioConfig(
-            strategy=strategy,
-            s=args.s,
-            channel=ChannelParams(eta=args.eta, n_th=args.n_th),
-            n_trunc=args.n_trunc,
-            objective=args.objective,
-            t_override=args.t,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    [scen] = scenario_configs([args.strategy], args.s, args.n_th, [args.eta],
+                              args.n_trunc, args.objective, args.t)
     payload = _columns(evaluate_point(scen))
     if args.json:
         print(json.dumps(payload))
@@ -249,7 +247,8 @@ def build_parser():
                          help="pin the coherent weight instead of optimizing")
     p_point.add_argument("--n-trunc", type=int, default=5)
     p_point.add_argument("--objective", default="negativity",
-                         choices=("negativity", "fidelity"))
+                         help="what the weight optimizer maximizes: "
+                              "negativity (default) or fidelity")
     p_point.add_argument("--json", action="store_true")
 
     p_env = sub.add_parser("env", help="thermal occupation of a mode")

@@ -15,11 +15,13 @@ import math
 
 import numpy as np
 
-from .chi_core import (TRACE_ONE_TOL, ZERO_INDEX, SingularKernelError,
-                       gaussian_kernel, two_mode_stack)
+from .chi_core import (ZERO_INDEX, SingularKernelError, gaussian_kernel,
+                       two_mode_stack)
+from .fock_recon import _fock_side
 
 PT_DISCRIMINANT_TOL = 1e-12
 COV_IMAG_TOL = 1e-10
+TRACE_ONE_TOL = 1e-6
 
 # SI defining constants, exact since 2019
 _PLANCK = 6.62607015e-34
@@ -33,8 +35,9 @@ class InvalidCovarianceError(ValueError):
 
 def partial_transpose(rho):
     """Partial transpose on the first mode, (rho^T1)_{ij,kl} = rho_{kj,il},
-    of a (d^2, d^2) matrix or of each matrix of a (..., d^2, d^2) stack."""
-    d = math.isqrt(rho.shape[-1])
+    of a (d^2, d^2) matrix or of each matrix of a (..., d^2, d^2) stack
+    (ValueError for any other shape)."""
+    d = _fock_side(rho)
     return (rho.reshape(*rho.shape[:-2], d, d, d, d).swapaxes(-4, -2)
             .reshape(rho.shape))
 
@@ -78,7 +81,7 @@ def log_negativity(rho):
     Fock-basis state, or of each state of a (..., d^2, d^2) stack, clamped
     at zero: a truncated trace norm at most 1 (a zero matrix included) is
     noise, not physics, and reads 0.  One matrix gives a float, a stack an
-    array of its values.
+    array of its values; any other shape raises ValueError.
 
     rho^T1 is diagonalized by LAPACK (numpy.linalg.eigvalsh), which raises
     numpy.linalg.LinAlgError if it does not converge.  Two exact structures
@@ -94,7 +97,7 @@ def log_negativity(rho):
     Jacobi solver.
     """
     rho = exact_real(rho)
-    blocks, mixed = _parity_blocks(math.isqrt(rho.shape[-1]))
+    blocks, mixed = _parity_blocks(_fock_side(rho))
     if np.any(rho[..., mixed]):
         parts = [partial_transpose(rho)]
     else:

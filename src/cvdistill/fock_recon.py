@@ -151,6 +151,18 @@ def _cutoff(n_trunc):
     return n
 
 
+def _fock_side(rho):
+    """d of a Fock matrix rho in the (..., d^2, d^2) format, d >= 1: one
+    two-mode density matrix over |i, j>, i, j < d, or a stack of them.
+    Any other shape raises ValueError."""
+    shape = np.shape(rho)
+    d = math.isqrt(shape[-1]) if len(shape) > 1 else 0
+    if not d or shape[-2:] != (d * d, d * d):
+        raise ValueError("a Fock matrix is a (..., d^2, d^2) array with "
+                         f"d >= 1; got shape {shape}")
+    return d
+
+
 def fock_matrices(kernel, n_trunc, polys):
     """Truncated two-mode density matrices of polynomials over one kernel.
 
@@ -226,10 +238,12 @@ def fock_matrices(kernel, n_trunc, polys):
 def certify(rho):
     """Return the (d^2, d^2) matrix rho if it is a state to within
     CERTIFY_TOL: trace at most 1 (truncation only loses weight) and no
-    eigenvalue below -CERTIFY_TOL.  A NaN trace or eigenvalue is refused."""
+    eigenvalue below -CERTIFY_TOL.  A NaN trace or eigenvalue is refused;
+    a matrix whose side is not a square d^2 raises ValueError."""
+    d = _fock_side(rho)
     lam = float(np.linalg.eigvalsh(rho)[0])
     trace = float(np.trace(rho).real)
     if not (trace <= 1.0 + CERTIFY_TOL and lam >= -CERTIFY_TOL):
-        raise PrecisionError(f"n_trunc = {math.isqrt(len(rho)) - 1} gives no "
+        raise PrecisionError(f"n_trunc = {d - 1} gives no "
                              f"state: trace {trace}, smallest eigenvalue {lam}")
     return rho

@@ -18,13 +18,9 @@ from functools import cached_property
 import numpy as np
 
 from .chi_core import (
-    TRACE_IMAG_TOL,
-    ZERO_TRACE_TOL,
     ChannelParams,
-    CoherentOp,
     apply_thermal_channel,
     coherent_op_terms,
-    term_weights,
     tmsv_chi,
 )
 from .entanglement import (
@@ -38,6 +34,8 @@ from .fock_recon import _cutoff, certify, fock_matrices
 
 GRID_STEP = 0.01
 REFINE_TOL = 1e-4
+TRACE_IMAG_TOL = 1e-10
+ZERO_TRACE_TOL = 1e-30
 
 
 class Strategy(Enum):
@@ -67,7 +65,8 @@ class ScenarioConfig:
     objective picks what the coherent-weight optimizer maximizes
     ("negativity" or "fidelity"); t_override pins t instead of optimizing.
     With ChannelParams it checks every input range before any pipeline
-    runs; the point and sweep commands both build these.  tmsv_chi applies
+    runs; cli.scenario_configs builds these for the point and sweep
+    commands alike.  tmsv_chi applies
     the same rule to s, and fock_matrices the same rule to n_trunc (a
     nonnegative integer), for callers of the pipeline functions.
     """
@@ -160,15 +159,21 @@ class _PointEvaluator:
         return _real_parts(fidelity_integrals(self.kernel, self.polys), "fidelity")
 
     def _weights(self, ts):
-        """(len(ts), n_terms) weights t^(n-k) r^k of the operations
-        CoherentOp.from_t(t).
+        """(len(ts), n + 1) weights t^(n-k) r^k of the operations
+        t a + r a^dag, r = sqrt(1 - t^2); a t outside [0, 1] raises
+        ValueError.
 
-        Each row comes from term_weights in Python floats: numpy's
-        vectorized power need not round like the C library's pow, and a
-        last-bit change in a weight can move a printed p_success."""
-        n = len(self.polys)
-        return np.array([term_weights(n, op.t, op.r) for op in
-                         map(CoherentOp.from_t, np.asarray(ts, float).tolist())])
+        Each row is computed in Python floats: numpy's vectorized power
+        need not round like the C library's pow, and a last-bit change in
+        a weight can move a printed p_success."""
+        n = len(self.polys) - 1
+        rows = []
+        for t in np.asarray(ts, float).tolist():
+            if not 0.0 <= t <= 1.0:
+                raise ValueError("t must lie in [0, 1]")
+            r = math.sqrt(max(0.0, 1.0 - t * t))
+            rows.append([t ** (n - k) * r ** k for k in range(n + 1)])
+        return np.array(rows)
 
     def probabilities(self, ts):
         """Success probabilities at the weights ts, clamped at 0."""

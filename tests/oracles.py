@@ -6,11 +6,14 @@ special-function evaluation, brute-force real-space quadrature, closed-form
 Schmidt sums, a cyclic Jacobi eigensolver, exact rational Laguerre
 coefficients, first-order operators over {multi-index: coefficient} dicts).
 None of that touches the package's moment recursion or its polynomial
-algebra.  The single-state helpers (the State record, tmsv_state,
-fock_matrix, channel_state, apply_coherent_op, combine_terms, normalize,
-evaluate_chi, teleportation_fidelity) are not references: they apply the
-package's own operations to one state at one weight, or evaluate one, for
-tests that follow a single state; nor are the state checks degree,
+algebra; kraus_rho builds the normalized Fock matrix of every strategy
+from Kraus operators on the Schmidt vector, with no characteristic
+function at all.  The single-state helpers (the State record, tmsv_state,
+fock_matrix, channel_state, the CoherentOp weights and their
+term_weights, apply_coherent_op, combine_terms, normalize, evaluate_chi,
+teleportation_fidelity) are not references: they apply the package's own
+operations to one state at one weight, or evaluate one, for tests that
+follow a single state; nor are the state checks degree,
 hermiticity_defect and is_hermitian, nor the bit comparison same_bits.
 displacement_fock_poly and _dagger_poly give each displacement matrix
 element's polynomial as a {(a, b): coefficient} dict; dagger_table packs
@@ -42,22 +45,18 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from cvdistill.chi_core import (
-    TRACE_IMAG_TOL,
-    TRACE_ONE_TOL,
     ZERO_INDEX,
-    ZERO_TRACE_TOL,
-    CoherentOp,
     _moment_covariance,
     _real_form,
     apply_thermal_channel,
     coherent_op_terms,
     gaussian_kernel,
     moment_table,
-    term_weights,
     tmsv_chi,
 )
-from cvdistill.entanglement import fidelity_integrals
+from cvdistill.entanglement import TRACE_ONE_TOL, fidelity_integrals
 from cvdistill.fock_recon import _augmented_kernel, certify, fock_matrices
+from cvdistill.scenarios import TRACE_IMAG_TOL, ZERO_TRACE_TOL, Strategy
 
 
 def displacement_element(m, n, alpha):
@@ -263,6 +262,29 @@ def is_hermitian(state, tol=HERMITICITY_TOL):
 
 # --- single states through the package's operations ------------------------
 
+@dataclass(frozen=True)
+class CoherentOp:
+    """Weights of the superposition t*a + r*a^dag, real with t^2 + r^2 = 1."""
+
+    t: float
+    r: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.t <= 1.0 and 0.0 <= self.r <= 1.0):
+            raise ValueError("t and r must lie in [0, 1]")
+        if abs(self.t ** 2 + self.r ** 2 - 1.0) > 1e-12:
+            raise ValueError("t^2 + r^2 must equal 1")
+
+    @classmethod
+    def from_t(cls, t):
+        return cls(t, math.sqrt(max(0.0, 1.0 - t * t)))
+
+
+def term_weights(n_terms, t, r):
+    """Weights t^(n-k) r^k of the terms of a degree-n form, n = n_terms - 1."""
+    return [t ** (n_terms - 1 - k) * r ** k for k in range(n_terms)]
+
+
 @dataclass(frozen=True, eq=False)
 class State:
     """One two-mode state chi = P(v) exp(-0.5 v^T K v) for tests that follow
@@ -400,6 +422,91 @@ def truncated_tmsv_log_negativity(s, n_trunc):
 
 def separation_eta_closed(s, n_th):
     return 2.0 * n_th / (2.0 * n_th + 1.0 - math.exp(-2.0 * s))
+
+
+# --- Fock space by Kraus operators -----------------------------------------
+
+def _thermal_kraus(eta, n_th, size, dtype):
+    """Kraus operators [k, out, in] on size levels of the thermal attenuator
+    (eta, n_th) as a pure loss of transmissivity tau = eta / G followed by a
+    quantum-limited amplifier of gain G = 1 + (1 - eta) n_th; the
+    covariances compose to eta V + (1 - eta)(n_th + 1/2).  Caruso,
+    Giovannetti & Holevo, New J. Phys. 8, 310 (2006); Ivan, Sabapathy &
+    Simon, PRA 84, 042311 (2011)."""
+    one = dtype(1)
+    gain = one + (one - dtype(eta)) * dtype(n_th)
+    tau = dtype(eta) / gain
+    binom = np.zeros((2 * size, size), dtype)  # C(n, k) by Pascal's rule
+    binom[:, 0] = one
+    for n in range(1, 2 * size):
+        binom[n, 1:] = binom[n - 1, 1:] + binom[n - 1, :-1]
+    loss = np.zeros((size, size, size), dtype)
+    amp = np.zeros((size, size, size), dtype)
+    for k in range(size):
+        m = np.arange(size - k)
+        root = np.sqrt(binom[m + k, k])
+        # <m|A_k|m+k> = sqrt(C(m+k, k)) tau^(m/2) (1 - tau)^(k/2)
+        loss[k, m, m + k] = root * np.sqrt(tau) ** m * np.sqrt(one - tau) ** k
+        # <m+k|B_k|m> = sqrt(C(m+k, k)) G^(-(m+1)/2) (1 - 1/G)^(k/2)
+        amp[k, m + k, m] = (root / np.sqrt(gain) ** (m + 1)
+                            * np.sqrt(one - one / gain) ** k)
+    return loss, amp
+
+
+def _kraus_on_mode(rho, kraus, mode):
+    """sum_k A_k rho A_k^dag on one mode of a two-mode rho[m1, m2, n1, n2].
+    A loss or an amplifier keeps the photon-number difference m_i - n_i,
+    so each diagonal of fixed difference maps onto itself by one small
+    matrix, t[a, b] = sum_k A_k[rows[a], rows[b]] A_k[cols[a], cols[b]]*."""
+    size = len(rho)
+    r = np.moveaxis(rho, (mode - 1, mode + 1), (0, 1))
+    out = np.zeros_like(r)
+    for diff in range(1 - size, size):
+        i = np.arange(size - abs(diff))
+        rows, cols = i + max(diff, 0), i + max(-diff, 0)
+        t = np.einsum("kab,kab->ab", kraus[:, rows[:, None], rows],
+                      kraus[:, cols[:, None], cols].conj())
+        out[rows, cols] = np.tensordot(t, r[rows, cols], axes=1)
+    return np.moveaxis(out, (0, 1), (mode - 1, mode + 1))
+
+
+def kraus_rho(strategy, s, eta, n_th, t, n_trunc, M, dtype=np.float64):
+    """The normalized (d^2, d^2) Fock matrix over |i, j>, d = n_trunc + 1,
+    of a strategy's state at weight t, by a route that shares nothing with
+    the chi picture.
+
+    The two-mode squeezed vacuum is its Schmidt vector cut at M levels a
+    mode; the operation t a + r a^dag, r = sqrt(1 - t^2), is an M x M
+    matrix, applied to the pure state before the channel or to both sides
+    of rho after it; each mode's thermal channel is the Kraus pair of
+    _thermal_kraus.  Every strategy with an operation takes it at weight
+    t, as _PointEvaluator.rho(t) does (subtraction is t = 1).  The state
+    is normalized by its trace over M levels, then cut to d.  Only the
+    input cut approximates: the amplifier raises photon numbers and the
+    loss lowers them, so the output below M reads only input below M, and
+    the error is the Schmidt tail, of weight about tanh(s)^(2M).  All the
+    arithmetic runs in dtype, so np.longdouble gives references beyond
+    float64.
+    """
+    strategy = Strategy(strategy)
+    s, t = dtype(s), dtype(t)
+    n = np.arange(M)
+    psi = np.diag(np.tanh(s) ** n / np.cosh(s))
+    op = np.zeros((M, M), dtype)
+    op[n[:-1], n[1:]] = t * np.sqrt(n[1:].astype(dtype))  # t a
+    op[n[1:], n[:-1]] = np.sqrt(1 - t * t) * np.sqrt(n[1:].astype(dtype))  # r a^dag
+    if strategy.has_operation and strategy.operation_first:
+        psi = op @ psi @ op.T
+    rho = np.einsum("ab,cd->abcd", psi, psi.conj())
+    for kraus in _thermal_kraus(eta, n_th, M, dtype):
+        for mode in (1, 2):
+            rho = _kraus_on_mode(rho, kraus, mode)
+    if strategy.has_operation and not strategy.operation_first:
+        for axis in range(4):
+            mat = op if axis < 2 else op.conj()
+            rho = np.moveaxis(np.tensordot(mat, rho, axes=(1, axis)), 0, axis)
+    d = n_trunc + 1
+    return (rho[:d, :d, :d, :d] / np.einsum("abab->", rho)).reshape(d * d, d * d)
 
 
 # --- brute-force quadrature ------------------------------------------------

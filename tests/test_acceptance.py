@@ -15,7 +15,6 @@ import numpy as np
 from cvdistill.chi_core import (
     ZERO_INDEX,
     ChannelParams,
-    CoherentOp,
     moment_table,
 )
 from cvdistill.cli import main
@@ -35,6 +34,7 @@ from cvdistill.scenarios import (
     sweep,
 )
 from oracles import (
+    CoherentOp,
     apply_coherent_op,
     channel_state,
     fock_matrix,

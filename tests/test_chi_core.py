@@ -9,7 +9,6 @@ import pytest
 from cvdistill import chi_core
 from cvdistill.chi_core import (
     ChannelParams,
-    CoherentOp,
     SingularKernelError,
     ZERO_INDEX,
     _moment_covariance,
@@ -27,6 +26,7 @@ from cvdistill.scenarios import ScenarioConfig, Strategy, _raw_terms
 
 import oracles
 from oracles import (
+    CoherentOp,
     State,
     ZeroStateError,
     apply_coherent_op,

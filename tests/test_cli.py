@@ -214,6 +214,32 @@ def test_point_rejects_non_finite_inputs(capsys, option, value):
     assert err.startswith("error: ") and "finite" in err
 
 
+POINT = {"strategy": "coherent_before", "s": "0.1", "eta": "0.5",
+         "n_th": "0.1", "n_trunc": "5", "objective": "negativity", "t": "0.5"}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("strategy", "warp"), ("s", "-1"), ("eta", "0"), ("n_th", "-1"),
+    ("n_trunc", "-1"), ("objective", "purity"), ("t", "1.5")])
+def test_point_and_one_row_sweep_refuse_alike(tmp_path, capsys, key, value):
+    # one rule per input: point refuses it with the sweep's message, less
+    # the config path
+    point = {**POINT, key: value}
+    assert main(["point"] + [f"--{k.replace('_', '-')}={v}"
+                             for k, v in point.items()]) == 2
+    point_out = capsys.readouterr()
+    sweep = {"strategies": point["strategy"], "eta_min": point["eta"],
+             "eta_max": point["eta"], "eta_points": "1",
+             **{k: v for k, v in point.items() if k not in ("strategy", "eta")}}
+    cfg = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in sweep.items())
+                       + f"output = {tmp_path / 'o.csv'}\n")
+    assert main(["sweep", cfg]) == 2
+    sweep_err = capsys.readouterr().err
+    assert point_out.out == ""
+    assert point_out.err == sweep_err.replace(f"{cfg}: ", "", 1)
+    assert point_out.err.startswith("error: ") and "usage" not in point_out.err
+
+
 def test_point_eigensolver_failure_is_numerical_exit(monkeypatch, capsys):
     def no_convergence(rho):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -7,7 +7,7 @@ import pytest
 from scipy import constants
 
 from cvdistill import entanglement
-from cvdistill.chi_core import ChannelParams, CoherentOp, SingularKernelError
+from cvdistill.chi_core import ChannelParams, SingularKernelError
 from cvdistill.scenarios import ScenarioConfig, Strategy, _PointEvaluator, _raw_terms
 from cvdistill.entanglement import (
     InvalidCovarianceError,
@@ -23,6 +23,7 @@ from cvdistill.entanglement import (
 
 import oracles
 from oracles import (
+    CoherentOp,
     EigenConvergenceError,
     State,
     ZeroStateError,

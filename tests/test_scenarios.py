@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvdistill import chi_core, entanglement, scenarios
-from cvdistill.chi_core import ZERO_INDEX, ChannelParams, CoherentOp
+from cvdistill.chi_core import ZERO_INDEX, ChannelParams
 from cvdistill.entanglement import (
     covariance_from_chi,
     gaussian_log_negativity,
@@ -27,8 +27,8 @@ from cvdistill.scenarios import (
 )
 
 import oracles
-from oracles import (ZeroStateError, fock_matrix, teleportation_fidelity,
-                     tmsv_state)
+from oracles import (CoherentOp, ZeroStateError, fock_matrix,
+                     teleportation_fidelity, tmsv_state)
 
 
 def cfg_for(strategy, s=0.114, eta=0.7, n_th=0.1, **kw):
