@@ -163,21 +163,26 @@ def _fock_side(rho):
     return d
 
 
-def fock_matrices(kernel, n_trunc, polys):
+def fock_matrices(kernel, n_trunc, polys, *more):
     """Truncated two-mode density matrices of polynomials over one kernel.
 
     kernel and polys are a two-mode state in the pipeline's format, a
     stack of coefficient cubes of one shape over one kernel (see
-    chi_core.two_mode_stack), and n_trunc is a nonnegative integer.
-    Returns a complex array of shape (len(polys), d^2, d^2),
-    d = n_trunc + 1, with the row-major composite index i * d + j for
+    chi_core.two_mode_stack), and n_trunc is a nonnegative integer; more
+    are further stacks over the same kernel.  Returns a complex array of
+    shape (total number of cubes, d^2, d^2), d = n_trunc + 1, the stacks'
+    matrices in order, with the row-major composite index i * d + j for
     |i, j>.  The moment table and the per-element weight matrix are built
-    once over the union of the polynomials' nonzero monomials; each matrix
-    is its own coefficient vector times the weights (upper triangle
-    integrated, the rest by Hermitian symmetry of a state).  The
-    polynomials need not be normalized, so a weighted sum of their matrices
-    is the matrix of the weighted sum; certify(fock_matrices(kernel, n,
-    stack)[0]) is the checked matrix of a normalized single state.
+    once over the union of the stacks' nonzero monomials; each matrix is
+    its own coefficient vector times the weight rows of its own stack's
+    monomials (upper triangle integrated, the rest by Hermitian symmetry
+    of a state).  So a stack gets the bits it gets alone: zeros for the
+    other stacks' monomials would move the rounding of the sums.  Only a
+    stack with fewer monomials than the union copies its rows.  The
+    polynomials need not be normalized, so a weighted sum of their
+    matrices is the matrix of the weighted sum; certify(fock_matrices(
+    kernel, n, stack)[0]) is the checked matrix of a normalized single
+    state.
 
     The weight of rho_{ij,kl} at a support monomial sums the p * q products
     of the p = min(i, k) + 1 terms of <i|D^dag|k> and the q = min(j, l) + 1
@@ -207,16 +212,18 @@ def fock_matrices(kernel, n_trunc, polys):
     """
     n_trunc = _cutoff(n_trunc)
     kernel = gaussian_kernel(kernel)
-    polys = two_mode_stack(kernel, polys)
-    support = np.argwhere(np.any(polys != 0, axis=0))
-    if not len(support):
+    stacks = [two_mode_stack(kernel, p) for p in (polys, *more)]
+    supports = [np.argwhere(np.any(p != 0, axis=0)) for p in stacks]
+    if not all(map(len, supports)):
         raise ValueError("empty polynomial support")
+    # the union in argwhere's (lexicographic) order
+    monomials = tuple(sorted({m for own in supports for m in map(tuple, own.tolist())}))
     d = n_trunc + 1
 
     aug = _augmented_kernel(kernel)
-    shape, rows, cols, classes = _fock_plan(d, tuple(map(tuple, support.tolist())))
+    shape, rows, cols, classes = _fock_plan(d, monomials)
     table = moment_table(aug, shape).reshape(-1)
-    weights = np.zeros((len(support), len(rows)), dtype=complex)
+    weights = np.zeros((len(monomials), len(rows)), dtype=complex)
     for a, e, o1, o2, c1, c2 in classes:
         vals = table[o1[:, None] + o2[None]]
         vals *= c1[:, None]
@@ -226,12 +233,18 @@ def fock_matrices(kernel, n_trunc, polys):
         weights[a, e] = np.add.accumulate(vals, out=vals)[-1] + 0.0
 
     diag = rows == cols
-    out = np.zeros((len(polys), d * d, d * d), dtype=complex)
-    for rho, coeff in zip(out, polys[(slice(None), *support.T)]):
-        upper = coeff @ weights
-        rho[rows, cols] = upper
-        rho[cols, rows] = np.conj(upper)
-        rho[rows[diag], cols[diag]] = upper[diag].real
+    row_of = {m: r for r, m in enumerate(monomials)}
+    out = np.zeros((sum(map(len, stacks)), d * d, d * d), dtype=complex)
+    blocks = np.split(out, np.cumsum([len(p) for p in stacks])[:-1])
+    for block, polys, own in zip(blocks, stacks, supports):
+        w = weights
+        if len(own) < len(monomials):
+            w = weights[[row_of[m] for m in map(tuple, own.tolist())]]
+        for rho, coeff in zip(block, polys[(slice(None), *own.T)]):
+            upper = coeff @ w
+            rho[rows, cols] = upper
+            rho[cols, rows] = np.conj(upper)
+            rho[rows[diag], cols[diag]] = upper[diag].real
     return out
 
 
@@ -239,8 +252,12 @@ def certify(rho):
     """Return the (d^2, d^2) matrix rho if it is a state to within
     CERTIFY_TOL: trace at most 1 (truncation only loses weight) and no
     eigenvalue below -CERTIFY_TOL.  A NaN trace or eigenvalue is refused;
-    a matrix whose side is not a square d^2 raises ValueError."""
+    anything but one matrix whose side is a square d^2 (a stack of them,
+    too) raises ValueError."""
     d = _fock_side(rho)
+    if np.ndim(rho) != 2:
+        raise ValueError("certify takes one Fock matrix, a (d^2, d^2) "
+                         f"array; got shape {np.shape(rho)}")
     lam = float(np.linalg.eigvalsh(rho)[0])
     trace = float(np.trace(rho).real)
     if not (trace <= 1.0 + CERTIFY_TOL and lam >= -CERTIFY_TOL):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -125,17 +124,77 @@ def _raw_terms(cfg):
     return kernel, polys
 
 
+def _pipeline_key(cfg):
+    """What a row's pipeline reads: s, with its sign (tmsv_chi(-0.0) and
+    tmsv_chi(0.0) differ in the sign of a zero), the channel, n_trunc and
+    where the operation goes.  Rows with equal keys run one pipeline; rows
+    whose keys agree in the first four entries are one channel setting."""
+    return (cfg.s, math.copysign(1.0, cfg.s), cfg.channel, cfg.n_trunc,
+            cfg.strategy.has_operation, cfg.strategy.operation_first)
+
+
+class _Setting:
+    """The pipelines of the rows cfgs of one channel setting (s, channel,
+    n_trunc) and their one Fock build.
+
+    Each distinct pipeline (no operation, the operation before or after
+    the channel) runs once, on first use; a subtraction row reads the
+    coherent pipeline of its side, at t = 1.  The first row that needs
+    Fock matrices builds every pipeline's in one fock_matrices call: the
+    coherent operation leaves the kernel alone, so the pipelines end on
+    one kernel, bit for bit.  Objectives and weights are each row's own
+    (_PointEvaluator).
+    """
+
+    def __init__(self, cfgs):
+        self._cfgs = {}
+        for cfg in cfgs:
+            self._cfgs.setdefault(_pipeline_key(cfg), cfg)
+        self._runs = {}
+        self._fidelities = {}
+        self._matrices = None
+
+    def terms(self, cfg):
+        """(kernel, polys, traces) of cfg's pipeline: _raw_terms and the
+        per-term traces."""
+        key = _pipeline_key(cfg)
+        if key not in self._runs:
+            kernel, polys = _raw_terms(self._cfgs[key])
+            self._runs[key] = kernel, polys, _real_parts(polys[:, 0, 0, 0, 0], "trace")
+        return self._runs[key]
+
+    def matrices(self, cfg):
+        """Per-term Fock matrices of cfg's pipeline, real when their
+        imaginary parts are exactly 0, as they are for every strategy."""
+        if self._matrices is None:
+            runs = [self.terms(c) for c in self._cfgs.values()]
+            stacks = [polys for _, polys, _ in runs]
+            out = fock_matrices(runs[0][0], cfg.n_trunc, *stacks)
+            blocks = np.split(out, np.cumsum(list(map(len, stacks)))[:-1])
+            self._matrices = {key: exact_real(m) for key, m in zip(self._cfgs, blocks)}
+        return self._matrices[_pipeline_key(cfg)]
+
+    def fidelities(self, cfg):
+        """Per-term fidelity integrals of cfg's pipeline."""
+        key = _pipeline_key(cfg)
+        if key not in self._fidelities:
+            kernel, polys, _ = self.terms(cfg)
+            self._fidelities[key] = _real_parts(fidelity_integrals(kernel, polys),
+                                                "fidelity")
+        return self._fidelities[key]
+
+
 class _PointEvaluator:
-    """Shared context for repeated evaluations at one channel setting.
+    """One row's view of its channel setting, for repeated evaluations.
 
     The pipeline runs once, as a stack of (t, r)-basis cubes over one
     kernel; every per-weight trace, Fock matrix and fidelity integral is a
     weighted sum of per-term ones, and the covariance is read off the
     weighted sum of the cubes.  The per-term matrices and fidelities are
-    built on first use, so only the configured objective pays for its own;
-    the matrices are kept real when their imaginary parts are exactly 0, as
-    they are for every strategy.  A row reads all its columns from here, so
-    it prints what it scores.
+    built on first use, so only the configured objective pays for its own.
+    They live in setting, a _Setting that the rows of one setting share
+    (a row of its own by default); the objective is always cfg's.  A row
+    reads all its columns from here, so it prints what it scores.
 
     objectives scores an array of weights at once: one weight matrix, one
     stack of Fock matrices and one log_negativity call.  A weight's sums
@@ -145,18 +204,18 @@ class _PointEvaluator:
     fidelity).
     """
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, setting=None):
         self.cfg = cfg
-        self.kernel, self.polys = _raw_terms(cfg)
-        self.traces = _real_parts(self.polys[:, 0, 0, 0, 0], "trace")
+        self._setting = _Setting([cfg]) if setting is None else setting
+        self.kernel, self.polys, self.traces = self._setting.terms(cfg)
 
-    @cached_property
+    @property
     def matrices(self):
-        return exact_real(fock_matrices(self.kernel, self.cfg.n_trunc, self.polys))
+        return self._setting.matrices(self.cfg)
 
-    @cached_property
+    @property
     def fidelities(self):
-        return _real_parts(fidelity_integrals(self.kernel, self.polys), "fidelity")
+        return self._setting.fidelities(self.cfg)
 
     def _weights(self, ts):
         """(len(ts), n + 1) weights t^(n-k) r^k of the operations
@@ -292,7 +351,7 @@ def optimize_t(ev):
     return OptimizeResult(float(best_t), float(best_v))
 
 
-def evaluate_point(cfg):
+def evaluate_point(cfg, setting=None):
     """Full record for one strategy at one channel setting.
 
     Coherent strategies optimize t (unless pinned by t_override); subtraction
@@ -300,9 +359,10 @@ def evaluate_point(cfg):
     E_N_gauss, fidelity and p_success are the evaluator's values at that t.  A
     preparation that cannot succeed (the objective's own vanishing-trace
     rule) yields a zeroed row flagged "zero_state" rather than an exception,
-    so sweeps keep going.
+    so sweeps keep going.  setting, a _Setting holding cfg, lets rows share
+    pipelines and a Fock build; the record's bits do not depend on it.
     """
-    ev = _PointEvaluator(cfg)
+    ev = _PointEvaluator(cfg, setting)
     t = cfg.t_override if cfg.strategy.optimizes_t else 1.0
     flag = ""
     if t is None:
@@ -326,10 +386,21 @@ def _join_flags(*flags):
 def sweep(configs):
     """Records for a list of settings, in order.
 
-    Each row is evaluated on its own, with the coherent weight re-optimized
-    and nothing carried over, so each row is independently reproducible.
-    The loop calls evaluate_point by its module-global name, so a wrapper
-    installed as scenarios.evaluate_point (the benchmark's row probes) sees
-    every row.
+    Rows sharing a setting (s, channel, n_trunc) share its pipelines and
+    Fock build (_Setting); each row is bit-identical to evaluate_point
+    alone, with its own objective and t_override.  The settings run in
+    order of their first rows, each freed when the next replaces it.  The
+    loop calls evaluate_point by its module-global name once per row, so a
+    wrapper installed as scenarios.evaluate_point (the benchmark's row
+    probes) sees every row.
     """
-    return [evaluate_point(cfg) for cfg in configs]
+    configs = list(configs)
+    settings = {}
+    for i, cfg in enumerate(configs):
+        settings.setdefault(_pipeline_key(cfg)[:4], []).append(i)
+    records = [None] * len(configs)
+    for rows in settings.values():
+        setting = _Setting([configs[i] for i in rows])
+        for i in rows:
+            records[i] = evaluate_point(configs[i], setting)
+    return records

@@ -189,6 +189,15 @@ def test_certify_passes_states_and_refuses_the_rest():
             certify(bad)
 
 
+def test_certify_takes_one_matrix():
+    # a stack passes the format check; before, certify then failed in
+    # float() with a TypeError
+    for stack in (np.stack([np.eye(4) / 4] * 2), np.eye(4)[None] / 4):
+        with pytest.raises(ValueError, match=r"certify takes one Fock matrix, "
+                                             r"a \(d\^2, d\^2\) array"):
+            certify(stack)
+
+
 # shapes outside the (..., d^2, d^2) format: sides that are not squares,
 # d = 0, a vector, a non-square matrix and a stack of 3 x 3 matrices
 NOT_FOCK = [np.eye(6) / 6, np.eye(3) / 3, np.zeros((0, 0)), np.ones(4),
@@ -300,6 +309,33 @@ def test_fock_matrices_share_one_support_across_polynomials():
     assert got.shape == (2, 16, 16)
     for rho, st in zip(got, states):
         np.testing.assert_allclose(rho, fock_matrix(st, 3), atol=1e-13)
+
+
+@pytest.mark.parametrize("n_trunc", [0, 3, 5, 8])
+def test_stacks_over_one_kernel_get_their_lone_bits(n_trunc):
+    # the three pipelines of one setting end on one kernel; one call over
+    # their stacks gives each stack the bits of a call of its own, whatever
+    # the order, though noop's support is a part of the others' union
+    rng = np.random.default_rng(40 + n_trunc)
+    # at s 0, n_th 0 and eta 0.3 or 0.9 coherent_after has 12 monomials
+    # and coherent_before 4
+    settings = [(0.0, 1.0, 0.0), (0.0, 0.3, 0.0), (0.0, 0.9, 0.0), (0.029, 1.0, 0.1)]
+    settings += [(float(rng.uniform(0.0, 0.6)), float(rng.uniform(0.01, 1.0)),
+                  float(rng.uniform(0.0, 1.0))) for _ in range(3)]
+    for s, eta, n_th in settings:
+        runs = [_raw_terms(ScenarioConfig(strategy, s, ChannelParams(eta, n_th),
+                                          n_trunc))
+                for strategy in (Strategy.NOOP, Strategy.COHERENT_BEFORE,
+                                 Strategy.COHERENT_AFTER)]
+        kernel = runs[0][0]
+        assert all(k.tobytes() == kernel.tobytes() for k, _ in runs)
+        alone = [fock_matrices(kernel, n_trunc, polys) for _, polys in runs]
+        for order in ([0, 1, 2], [2, 0, 1], [1, 2]):
+            got = fock_matrices(kernel, n_trunc, *(runs[i][1] for i in order))
+            assert same_bits(got, np.concatenate([alone[i] for i in order])), \
+                (s, eta, n_th, order)
+    with pytest.raises(ValueError, match="empty polynomial support"):
+        fock_matrices(kernel, n_trunc, runs[0][1], np.zeros((1, 1, 1, 1, 1)))
 
 
 @pytest.mark.parametrize("n_trunc", [0, 1, 3, 5, 8, 11])

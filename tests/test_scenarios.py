@@ -1,12 +1,17 @@
 """Strategy pipelines, weight optimization, and sweep bookkeeping."""
 
+import collections
+import dataclasses
+import gc
 import math
+import random
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from cvdistill import chi_core, entanglement, scenarios
+from cvdistill import chi_core, entanglement, fock_recon, scenarios
 from cvdistill.chi_core import ZERO_INDEX, ChannelParams
 from cvdistill.entanglement import (
     covariance_from_chi,
@@ -410,14 +415,125 @@ def test_sweep_rows_go_through_the_module_evaluate_point(monkeypatch):
     seen = []
     original = scenarios.evaluate_point
 
-    def counted(cfg):
+    def counted(cfg, *args):
         seen.append(cfg)
-        return original(cfg)
+        return original(cfg, *args)
 
     monkeypatch.setattr(scenarios, "evaluate_point", counted)
     cfgs = [cfg_for("noop", eta=eta) for eta in (0.5, 1.0)]
     assert [r.eta for r in sweep(cfgs)] == [0.5, 1.0]
     assert seen == cfgs
+
+
+def _record_bits(rec):
+    """A record's fields, each float as its exact hex form (signed zeros
+    differ)."""
+    return tuple(x.hex() if isinstance(x, float) else x
+                 for x in dataclasses.astuple(rec))
+
+
+def test_sweep_rows_are_evaluate_point_alone_bit_for_bit():
+    # rows of one setting share its pipelines and Fock build; each row must
+    # still be the record evaluate_point gives alone, with its own objective
+    # and pinned t, whatever the order of the rows; s = 0 with n_th = 0 is
+    # where a contraction over the union support moved E_N (coherent_before
+    # at eta 0.76, n_trunc 3: 1.1532e-14 -> 1.1853e-14)
+    settings = [(0.0, 0.3, 0.0, 5), (0.029, 1.0, 0.1, 3), (0.3, 0.5, 0.05, 8),
+                (0.0, 0.9, 0.0, 8), (0.029, 0.4, 0.1, 3), (0.0, 1.0, 0.0, 3),
+                (0.0, 0.76, 0.0, 3)]
+    cfgs = []
+    for i, (s, eta, n_th, n_trunc) in enumerate(settings):
+        for j, strategy in enumerate(Strategy):
+            cfgs.append(cfg_for(strategy.value, s=s, eta=eta, n_th=n_th,
+                                n_trunc=n_trunc,
+                                objective=("negativity", "fidelity")[(i + j) % 2]))
+        cfgs.append(cfg_for("coherent_before", s=s, eta=eta, n_th=n_th,
+                            n_trunc=n_trunc, t_override=0.4))
+        cfgs.append(cfg_for("coherent_after", s=s, eta=eta, n_th=n_th,
+                            n_trunc=n_trunc, objective=("fidelity", "negativity")[i % 2]))
+    random.Random(0).shuffle(cfgs)
+    alone = [_record_bits(evaluate_point(cfg)) for cfg in cfgs]
+    assert [_record_bits(rec) for rec in sweep(cfgs)] == alone
+    assert [rec[0] for rec in alone] == [cfg.strategy for cfg in cfgs]
+
+
+def _call_counts(fn):
+    """How often fn() calls tmsv_chi, moment_table and fock_matrices."""
+    names = {f.__code__: f.__name__ for f in (chi_core.tmsv_chi, chi_core.moment_table,
+                                              fock_recon.fock_matrices)}
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("objective", ["negativity", "fidelity"])
+def test_a_sweep_builds_each_setting_once(objective):
+    # k settings x 5 strategies: k Fock builds (one moment table each) and
+    # at most 3 pipelines a setting, however the rows are ordered
+    etas = (0.9, 0.3, 0.6, 1.0)
+    cfgs = [cfg_for(strategy.value, eta=eta, n_trunc=3, objective=objective)
+            for strategy in Strategy for eta in etas]
+    random.Random(1).shuffle(cfgs)
+    calls = _call_counts(lambda: sweep(cfgs))
+    assert calls["fock_matrices"] == calls["moment_table"] == len(etas)
+    assert 0 < calls["tmsv_chi"] <= 3 * len(etas)
+    # a point is one setting and one pipeline
+    for strategy in Strategy:
+        cfg = cfg_for(strategy.value, n_trunc=3, objective=objective)
+        calls = _call_counts(lambda: evaluate_point(cfg))
+        assert dict(calls) == {"tmsv_chi": 1, "moment_table": 1, "fock_matrices": 1}
+    calls = _call_counts(lambda: main(["point", "--strategy", "coherent_after",
+                                       "--s", "0.114", "--eta", "0.7", "--n-th", "0.1",
+                                       "--n-trunc", "3", "--objective", objective]))
+    assert dict(calls) == {"tmsv_chi": 1, "moment_table": 1, "fock_matrices": 1}
+
+
+def test_a_sweep_holds_one_setting_at_a_time(monkeypatch):
+    # each setting's pipelines and matrices go before the next setting's
+    # rows run, by reference counting alone (the collector is off), so a
+    # sweep's memory does not grow with its eta grid
+    live, made = collections.Counter(), collections.Counter()
+
+    def counted(cls):
+        class Counted(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                live[cls.__name__] += 1
+                made[cls.__name__] += 1
+                weakref.finalize(self, live.subtract, [cls.__name__])
+        return Counted
+
+    monkeypatch.setattr(scenarios, "_Setting", counted(scenarios._Setting))
+    monkeypatch.setattr(scenarios, "_PointEvaluator", counted(scenarios._PointEvaluator))
+    at_row = []
+    original = scenarios.evaluate_point
+
+    def probed(cfg, *args):
+        at_row.append((live["_Setting"], live["_PointEvaluator"]))
+        return original(cfg, *args)
+
+    monkeypatch.setattr(scenarios, "evaluate_point", probed)
+    etas = (0.2, 0.4, 0.6, 0.8, 1.0)
+    cfgs = [cfg_for(strategy.value, eta=eta, n_trunc=3)
+            for strategy in Strategy for eta in etas]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sweep(cfgs)
+    finally:
+        if enabled:
+            gc.enable()
+    assert at_row == [(1, 0)] * len(cfgs)
+    assert made == {"_Setting": len(etas), "_PointEvaluator": len(cfgs)}
+    assert +live == collections.Counter()
 
 
 def test_sweep_record_and_result_shapes():
