@@ -233,18 +233,18 @@ def fock_matrices(kernel, n_trunc, polys, *more):
         weights[a, e] = np.add.accumulate(vals, out=vals)[-1] + 0.0
 
     diag = rows == cols
-    row_of = {m: r for r, m in enumerate(monomials)}
     out = np.zeros((sum(map(len, stacks)), d * d, d * d), dtype=complex)
-    blocks = np.split(out, np.cumsum([len(p) for p in stacks])[:-1])
-    for block, polys, own in zip(blocks, stacks, supports):
+    first = 0
+    for polys, own in zip(stacks, supports):
         w = weights
         if len(own) < len(monomials):
-            w = weights[[row_of[m] for m in map(tuple, own.tolist())]]
-        for rho, coeff in zip(block, polys[(slice(None), *own.T)]):
+            w = weights[[monomials.index(m) for m in map(tuple, own.tolist())]]
+        for rho, coeff in zip(out[first:], polys[(slice(None), *own.T)]):
             upper = coeff @ w
             rho[rows, cols] = upper
             rho[cols, rows] = np.conj(upper)
             rho[rows[diag], cols[diag]] = upper[diag].real
+        first += len(polys)
     return out
 
 
