@@ -7,11 +7,15 @@ characteristic function
     v = (xi1, xi1*, xi2, xi2*),
 
 with P a polynomial, stored as a dense coefficient cube (poly[alpha] is the
-coefficient of v^alpha), and K a 4x4 kernel matrix of the structure
-gaussian_kernel requires of every kernel.  A state is one kernel and a stack
-of such cubes, (kernel, stack) with stack of shape (n, D, D, D, D): the
-polynomials over one kernel that a (t, r)-basis pipeline carries, or a
-single state's one cube (two_mode_stack checks the shapes).  The
+coefficient of v^alpha), and K a real 4x4 kernel matrix of the structure
+gaussian_kernel requires of every kernel.  Every kernel and cube a pipeline
+builds is float64: the squeezed vacuum, the real weights of the operation
+and a phase-insensitive channel keep every coefficient real, and each
+operation computes in the dtype of its inputs.  A state is one kernel and
+a stack of such cubes, (kernel, stack) with stack of shape
+(n, D, D, D, D): the polynomials over one kernel that a (t, r)-basis
+pipeline carries, or a single state's one cube (two_mode_stack checks the
+shapes).  The
 representation is closed under the three operations the distillation
 pipelines need: preparation of a two-mode squeezed vacuum, the coherent
 superposition operation t*a + r*a^dag applied to one mode, and the
@@ -36,33 +40,9 @@ import numpy as np
 N_VARS = 4
 ZERO_INDEX = (0, 0, 0, 0)
 
-PRUNE_REL_TOL = 1e-16
-
 
 class SingularKernelError(Exception):
     """Kernel not positive definite, or its determinant or moments out of float range."""
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers (stacks of coefficient cubes)
-
-def _prune(stack):
-    """Zero, in each polynomial of a stack, the coefficients at most
-    PRUNE_REL_TOL times its largest."""
-    mag = np.abs(stack)
-    cap = PRUNE_REL_TOL * mag.max(axis=tuple(range(1, stack.ndim)), keepdims=True)
-    return np.where(mag > cap, stack, 0.0)
-
-
-def _complexification(n_modes):
-    """Matrix T with v = T u, u = (x, y) per mode, xi = x + i y."""
-    t = np.zeros((2 * n_modes, 2 * n_modes), dtype=complex)
-    for m in range(n_modes):
-        t[2 * m, 2 * m] = 1.0
-        t[2 * m, 2 * m + 1] = 1j
-        t[2 * m + 1, 2 * m] = 1.0
-        t[2 * m + 1, 2 * m + 1] = -1j
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +65,17 @@ class ChannelParams:
 
 def gaussian_kernel(quad):
     """quad as the kernel matrix K of the factor exp(-0.5 v^T K v): a
-    read-only complex copy, checked against the one kernel contract.
+    read-only float64 copy, checked against the one kernel contract.
 
     Rows/columns interleave each mode's (xi, xi*).  K must be square over
-    those pairs, finite, exactly symmetric and exactly swap-conjugation
-    symmetric, P K P = conj(K) with P the permutation that exchanges xi_i
-    and xi_i* in every mode, so that the quadratic form is real whenever
-    xi_i* is the complex conjugate of xi_i.  It must also conserve the
-    phase charges q of _charges exactly: every K_jk with q_j + q_k != 0 is
-    0.  A two-mode squeezed vacuum through phase-insensitive channels, and
-    every kernel the pipelines build from it, has this structure bit for
-    bit.  Anything else raises ValueError; nothing is symmetrized.
+    those pairs, finite, exactly symmetric, and conserve the phase charges
+    q of _charges exactly: every K_jk with q_j + q_k != 0 is 0.  It must be
+    exactly swap symmetric, P K P = K with P the permutation that exchanges
+    xi_i and xi_i* in every mode, and real, so that the quadratic form is
+    real whenever xi_i* is the complex conjugate of xi_i.  A two-mode
+    squeezed vacuum through phase-insensitive channels, and every kernel
+    the pipelines build from it, has this structure bit for bit.  Anything
+    else raises ValueError; nothing is symmetrized.
     """
     k = np.array(quad, dtype=complex)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] % 2:
@@ -104,11 +84,14 @@ def gaussian_kernel(quad):
         raise ValueError("kernel entries must be finite")
     if not (k == k.T).all():
         raise ValueError("kernel must be exactly symmetric")
-    m = len(k) // 2  # P K P: xi and xi* swapped in every row and column pair
-    if not (k.reshape(m, 2, m, 2)[:, ::-1, :, ::-1].reshape(k.shape) == k.conj()).all():
-        raise ValueError("kernel breaks the swap-conjugation symmetry P K P = conj(K)")
     if k[_charge_breaking(len(k))].any():
         raise ValueError("kernel breaks the phase charge")
+    m = len(k) // 2  # P K P: xi and xi* swapped in every row and column pair
+    if not (k.reshape(m, 2, m, 2)[:, ::-1, :, ::-1].reshape(k.shape) == k).all():
+        raise ValueError("kernel breaks the swap symmetry P K P = K")
+    if k.imag.any():
+        raise ValueError("kernel must be real")
+    k = np.ascontiguousarray(k.real)
     k.flags.writeable = False
     return k
 
@@ -144,6 +127,17 @@ def _charge_breaking(n_vars):
     return _read_only(q[:, None] + q[None, :] != 0)
 
 
+def _complexification(n_modes):
+    """Matrix T with v = T u, u = (x, y) per mode, xi = x + i y."""
+    t = np.zeros((2 * n_modes, 2 * n_modes), dtype=complex)
+    for m in range(n_modes):
+        t[2 * m, 2 * m] = 1.0
+        t[2 * m, 2 * m + 1] = 1j
+        t[2 * m + 1, 2 * m] = 1.0
+        t[2 * m + 1, 2 * m + 1] = -1j
+    return t
+
+
 def _real_form(kernel):
     """Real matrix M with v^T K v = u^T M u over u = (x, y) per mode; the
     swap-conjugation symmetry of the kernel makes it real."""
@@ -168,7 +162,7 @@ def tmsv_chi(s):
     -sinh(2s)/2 on the cross-mode entries.  s = 0 gives the two-mode vacuum;
     s must be nonnegative and finite, as ScenarioConfig requires.  Returns
     (kernel, stack), the format of every pipeline operation: the stack is
-    one complex (1, 1, 1, 1) cube of ones, P = 1.
+    one float64 (1, 1, 1, 1) cube of ones, P = 1.
     """
     if not 0 <= s < math.inf:
         raise ValueError("squeezing parameter must be nonnegative and finite")
@@ -179,7 +173,7 @@ def tmsv_chi(s):
     k[2, 3] = k[3, 2] = ch
     k[0, 2] = k[2, 0] = -sh
     k[1, 3] = k[3, 1] = -sh
-    return gaussian_kernel(k), np.ones((1,) * (N_VARS + 1), dtype=complex)
+    return gaussian_kernel(k), np.ones((1,) * (N_VARS + 1))
 
 
 def _shift(stack, var, step):
@@ -228,6 +222,7 @@ def coherent_op_terms(kernel, stack, mode):
     grows by at most two, and the weighted trace of the unnormalized output
     carries the success probability of the operation.  The cubes grow by two
     on every axis, so no shift moves a nonzero coefficient across an edge.
+    The result has the dtype of the inputs, float64 for every pipeline.
     An overflow or invalid value in the arithmetic raises FloatingPointError
     rather than leaving inf or NaN coefficients.
     """
@@ -240,14 +235,14 @@ def coherent_op_terms(kernel, stack, mode):
     with np.errstate(over="raise", invalid="raise"):
         stack = np.pad(stack, [(0, 0)] + [(0, 2)] * N_VARS)
         raised = [_shift(stack, var, 1) for var in range(N_VARS)]
-        out = np.zeros((n + 2,) + stack.shape[1:], dtype=complex)
+        out = np.zeros((n + 2,) + stack.shape[1:], np.result_type(stack, kernel))
         for i, op_right in enumerate(right):
             inner = _first_order(stack, raised, kernel, *op_right)
             inner_raised = [_shift(inner, var, 1) for var in range(N_VARS)]
             for j, op_left in enumerate(left):
                 out[i + j:i + j + n] += _first_order(inner, inner_raised, kernel,
                                                      *op_left)
-        return _prune(out)
+        return out
 
 
 def apply_thermal_channel(kernel, stack, mode, channel):
@@ -263,7 +258,7 @@ def apply_thermal_channel(kernel, stack, mode, channel):
 
     The input kernel must pass gaussian_kernel; the real scaling of a
     conjugate pair and the real term added to both of its entries keep
-    that contract bit for bit, so the output kernel (complex, read-only) is
+    that contract bit for bit, so the output kernel (float64, read-only) is
     not checked again.  A thermal term beyond the float range raises
     SingularKernelError.
     """

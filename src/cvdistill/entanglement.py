@@ -122,9 +122,13 @@ def covariance_from_chi(kernel, poly):
 
     With P(0) = 1 the symmetrized moments of (a1^dag, -a1, a2^dag, -a2) read
     off as S_ij = d_i d_j P(0) - K_ij and the first moments as m_i = d_i P(0);
-    no numerical differentiation is involved.  kernel and [poly] must have
-    the two-mode format of chi_core.two_mode_stack, and the trace
-    poly[0, 0, 0, 0] must be 1 to TRACE_ONE_TOL (ValueError otherwise).
+    no numerical differentiation is involved.  The map to quadratures, _L,
+    is complex: its x-p entries are i times differences of coefficients
+    that a Hermitian state has equal, so their imaginary parts are rounding
+    noise, and one beyond COV_IMAG_TOL raises InvalidCovarianceError.
+    kernel and [poly] must have the two-mode format of
+    chi_core.two_mode_stack, and the trace poly[0, 0, 0, 0] must be 1 to
+    TRACE_ONE_TOL (ValueError otherwise).
     """
     poly = two_mode_stack(kernel, [poly])[0]
     if abs(poly[ZERO_INDEX] - 1.0) > TRACE_ONE_TOL:
@@ -149,7 +153,10 @@ def gaussian_log_negativity(sigma):
     Partial transposition flips the sign of det C, so with
     Dt = det A + det B - 2 det C the smallest symplectic eigenvalue of the
     transposed state is dt = sqrt((Dt - sqrt(Dt^2 - 4 det sigma))/2) and
-    E = max(0, -log2(2 dt)).
+    E = max(0, -log2(2 dt)).  Both terms of the discriminant grow as the
+    fourth power of sigma, so it is refused only below
+    -PT_DISCRIMINANT_TOL * max(1, Dt^2): a product state's exact 0 may round
+    to either sign.
     """
     det_a = float(np.linalg.det(sigma[:2, :2]))
     det_b = float(np.linalg.det(sigma[2:, 2:]))
@@ -157,7 +164,7 @@ def gaussian_log_negativity(sigma):
     det_s = float(np.linalg.det(sigma))
     delta = det_a + det_b - 2.0 * det_c
     disc = delta * delta - 4.0 * det_s
-    if disc < -PT_DISCRIMINANT_TOL:
+    if disc < -PT_DISCRIMINANT_TOL * max(1.0, delta * delta):
         raise InvalidCovarianceError(f"negative discriminant {disc}")
     inner = (delta - math.sqrt(max(disc, 0.0))) / 2.0
     if inner < PT_DISCRIMINANT_TOL ** 2:
@@ -168,25 +175,25 @@ def gaussian_log_negativity(sigma):
 def fidelity_integrals(kernel, polys):
     """(1/pi) Int d^2xi chi(xi*, xi) exp(-|xi|^2) of the state
     P(v) exp(-v^T K v / 2) for each polynomial P of polys over one kernel K,
-    normalized or not, as a complex array.  kernel and polys are a two-mode
-    state in the pipeline's format, a stack of coefficient cubes of one
-    shape over one kernel (see chi_core.two_mode_stack).
+    normalized or not, as a float64 array (complex only for a complex
+    stack; every pipeline's stack is float64).  kernel and polys are a
+    two-mode state in the pipeline's format, a stack of coefficient cubes
+    of one shape over one kernel (see chi_core.two_mode_stack).
 
     K must pass chi_core.gaussian_kernel (a ValueError otherwise).  Under
-    (xi1, xi1*, xi2, xi2*) = (xi*, xi, xi, xi*) K becomes a 2x2 kq over
-    (xi, xi*); K's phase charge makes kq's diagonal exactly 0 and its swap
-    conjugation makes kq[0, 1] exactly real.  So the integrand's Gaussian
-    is exp(-kappa |xi|^2), kappa = kq[0, 1] + 1, and each value is the sum
-    of c_(a,a) a!/kappa^(a+1) over its own polynomial's nonzero monomials
-    (the moment of xi^a xi*^b is 0 for a != b): bit for bit a
-    one-polynomial call.  A kappa <= 0, or moments out of the float range,
-    raise SingularKernelError.
+    (xi1, xi1*, xi2, xi2*) = (xi*, xi, xi, xi*) K becomes a real 2x2 kq
+    over (xi, xi*), and K's phase charge makes kq's diagonal exactly 0.
+    So the integrand's Gaussian is exp(-kappa |xi|^2), kappa = kq[0, 1] + 1,
+    and each value is the sum of c_(a,a) a!/kappa^(a+1) over its own
+    polynomial's nonzero monomials (the moment of xi^a xi*^b is 0 for
+    a != b): bit for bit a one-polynomial call.  A kappa <= 0, or moments
+    out of the float range, raise SingularKernelError.
     """
     kernel = gaussian_kernel(kernel)
     polys = two_mode_stack(kernel, polys)
     r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])  # v = r (xi, xi*)
     kq = r.T @ kernel @ r
-    kappa = float(kq[0, 1].real) + 1.0
+    kappa = float(kq[0, 1]) + 1.0
     support = np.argwhere(np.any(polys != 0, axis=0))
     a, b = (support @ r).T
     support, a = support[a == b], a[a == b]
@@ -195,7 +202,7 @@ def fidelity_integrals(kernel, polys):
     if not (kappa > 0.0 and np.all((0.0 < moments) & (moments < math.inf))):
         raise SingularKernelError(f"fidelity kappa {kappa} is out of range")
     return np.array([np.sum(c[c != 0] * moments[c != 0])
-                     for c in polys[(slice(None), *support.T)]], dtype=complex)
+                     for c in polys[(slice(None), *support.T)]])
 
 
 def separation_eta(s, n_th):

@@ -80,7 +80,7 @@ def _dagger_table(d):
 
 def _augmented_kernel(kernel):
     """State kernel plus the exp(-|xi_i|^2/2) factors of the displacement
-    matrix elements, as a read-only complex array.  The input is a kernel
+    matrix elements, as a read-only float64 array.  The input is a kernel
     that gaussian_kernel has already returned (it is not checked again);
     the real 0.5 goes to both entries of each conjugate pair, so the result
     keeps that contract."""

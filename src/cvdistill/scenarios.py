@@ -33,7 +33,6 @@ from .fock_recon import _cutoff, certify, fock_matrices
 
 GRID_STEP = 0.01
 REFINE_TOL = 1e-4
-TRACE_IMAG_TOL = 1e-10
 ZERO_TRACE_TOL = 1e-30
 
 
@@ -160,7 +159,7 @@ class _Setting:
         key = _pipeline_key(cfg)
         if key not in self._runs:
             kernel, polys = _raw_terms(self._cfgs[key])
-            self._runs[key] = kernel, polys, _real_parts(polys[:, 0, 0, 0, 0], "trace")
+            self._runs[key] = kernel, polys, polys[:, 0, 0, 0, 0]
         return self._runs[key]
 
     def matrices(self, cfg):
@@ -179,8 +178,7 @@ class _Setting:
         key = _pipeline_key(cfg)
         if key not in self._fidelities:
             kernel, polys, _ = self.terms(cfg)
-            self._fidelities[key] = _real_parts(fidelity_integrals(kernel, polys),
-                                                "fidelity")
+            self._fidelities[key] = fidelity_integrals(kernel, polys)
         return self._fidelities[key]
 
 
@@ -287,14 +285,6 @@ def _dots(w, x):
     """Dot product of each row of w with the vector x.  matmul takes each
     row as a vector-vector product, so a row gets the bits it gets alone."""
     return (w[:, None] @ x)[:, 0]
-
-
-def _real_parts(values, name):
-    """Real parts of per-term values whose imaginary parts must be noise."""
-    if np.any(np.abs(values.imag)
-              > TRACE_IMAG_TOL * np.maximum(1.0, np.abs(values.real))):
-        raise ValueError(f"{name} has non-negligible imaginary part: {values}")
-    return values.real
 
 
 def _golden_max(f, lo, hi, tol):

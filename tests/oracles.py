@@ -56,7 +56,7 @@ from cvdistill.chi_core import (
 )
 from cvdistill.entanglement import TRACE_ONE_TOL, fidelity_integrals
 from cvdistill.fock_recon import _augmented_kernel, certify, fock_matrices
-from cvdistill.scenarios import TRACE_IMAG_TOL, ZERO_TRACE_TOL, Strategy
+from cvdistill.scenarios import ZERO_TRACE_TOL, Strategy
 
 
 def displacement_element(m, n, alpha):
@@ -288,14 +288,15 @@ def term_weights(n_terms, t, r):
 @dataclass(frozen=True, eq=False)
 class State:
     """One two-mode state chi = P(v) exp(-0.5 v^T K v) for tests that follow
-    a single state: the cube poly of P (kept as a read-only complex array)
-    over the kernel K.  In the package's format it is (kernel, poly[None])."""
+    a single state: the cube poly of P (kept as a read-only array of its
+    input's dtype) over the kernel K.  In the package's format it is
+    (kernel, poly[None])."""
 
     poly: np.ndarray
     kernel: np.ndarray
 
     def __post_init__(self):
-        poly = np.array(self.poly, dtype=complex)
+        poly = np.array(self.poly)
         poly.flags.writeable = False
         object.__setattr__(self, "poly", poly)
 
@@ -318,6 +319,9 @@ def fock_matrix(state, n_trunc):
     single state, as a (d^2, d^2) array with d = n_trunc + 1."""
     check_normalized(state.poly)
     return certify(fock_matrices(state.kernel, n_trunc, [state.poly])[0])
+
+
+TRACE_IMAG_TOL = 1e-10
 
 
 class ZeroStateError(Exception):

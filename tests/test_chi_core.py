@@ -62,9 +62,10 @@ def pair_kernel(p):
 def test_tmsv_trace_is_one():
     for s in (0.0, 0.029, 0.114, 0.403, 1.2):
         kernel, stack = tmsv_chi(s)
-        assert stack.shape == (1, 1, 1, 1, 1) and stack.dtype == complex
+        assert stack.shape == (1, 1, 1, 1, 1) and stack.dtype == np.float64
         assert stack[(0, *ZERO_INDEX)] == 1.0
-        assert kernel.shape == (4, 4) and not kernel.flags.writeable
+        assert kernel.shape == (4, 4) and kernel.dtype == np.float64
+        assert not kernel.flags.writeable
         assert degree(State(stack[0], kernel)) == 0
 
 
@@ -165,11 +166,12 @@ def test_kernel_validation():
         gaussian_kernel(skew)
     got = gaussian_kernel(k)
     assert got is not k and not got.flags.writeable
-    assert got.tobytes() == k.tobytes()
-    # swap conjugation P K P = conj(K), P exchanging xi_i and xi_i*
-    k = tmsv_chi(0.5)[0]
+    assert got.dtype == np.float64 and got.tobytes() == k.tobytes()
+    # a complex array whose imaginary parts are all 0 comes back float64
+    assert gaussian_kernel(k.astype(complex)).tobytes() == k.tobytes()
+    # swap symmetry P K P = K, P exchanging xi_i and xi_i*
     swap = [1, 0, 3, 2]
-    assert np.max(np.abs(k[np.ix_(swap, swap)] - np.conj(k))) == 0.0
+    assert np.array_equal(k[np.ix_(swap, swap)], k)
 
 
 def test_polynomial_shape_validation():
@@ -299,7 +301,7 @@ def test_channel_checks_its_input_kernel_and_keeps_it_symmetric():
     kernel, _ = apply_thermal_channel(st.kernel, st.poly[None], 1, ch)
     kernel, stack = apply_thermal_channel(kernel, st.poly[None], 2, ch)
     assert gaussian_kernel(kernel).tobytes() == kernel.tobytes()
-    assert kernel.dtype == complex and not kernel.flags.writeable
+    assert kernel.dtype == np.float64 and not kernel.flags.writeable
     skew = np.array(st.kernel)
     skew[0, 2] += 1e-15
     with pytest.raises(ValueError, match="symmetric"):
@@ -369,14 +371,15 @@ def test_odd_moments_vanish():
 
 
 def coupled_kernels(n=3, xi2_star=True):
-    """n random integrable kernels with the swap-conjugation symmetry that
-    couple xi1 to xi2 and, with xi2_star, to xi2*.  That coupling breaks
-    the phase charge, so only kernels without it pass gaussian_kernel;
+    """n random integrable complex kernels with the swap-conjugation
+    symmetry P K P = conj(K) that couple xi1 to xi2 and, with xi2_star, to
+    xi2*.  That coupling breaks the phase charge (and the imaginary parts
+    the real contract), so only kernels without it pass gaussian_kernel;
     these are plain arrays."""
     rng = np.random.default_rng(7)
     kernels = []
     for _ in range(n):
-        base = np.array(pair_kernel(1.0))
+        base = np.array(pair_kernel(1.0), dtype=complex)
         z = rng.normal(scale=0.1, size=2) + 1j * rng.normal(scale=0.1, size=2)
         # cross-mode block entries respecting P K P = conj(K)
         base[0, 2] = base[2, 0] = z[0]
@@ -389,18 +392,20 @@ def coupled_kernels(n=3, xi2_star=True):
 
 
 def squeezed_kernel():
-    """A single-mode squeezing of mode 1: C_00 != 0, against the charge."""
-    k = np.array(pair_kernel(1.0))
+    """A complex single-mode squeezing of mode 1: C_00 != 0, against the
+    charge."""
+    k = np.array(pair_kernel(1.0), dtype=complex)
     k[0, 0], k[1, 1] = 0.3 + 0.1j, 0.3 - 0.1j
     return k
 
 
 def test_moment_engine_against_numeric_quadrature():
     # all moments of total degree <= 6 against one dense 4-D grid: the
-    # scalar recursion on xi2*-coupled kernels, which moment_table refuses,
-    # and moment_table on kernels that conserve the phase charge
+    # scalar recursion on complex xi2*-coupled kernels, which moment_table
+    # refuses, and moment_table on a real kernel that conserves the phase
+    # charge (the real part of a xi2-only coupling)
     coupled = coupled_kernels()
-    charged = coupled_kernels(1, xi2_star=False)
+    charged = [k.real for k in coupled_kernels(1, xi2_star=False)]
     alphas = [(a, b, c, d)
               for a in range(4) for b in range(4)
               for c in range(4) for d in range(4)
@@ -467,14 +472,19 @@ def test_phase_charges():
 
 
 def contract_breaking_kernels():
-    """One kernel per way to break gaussian_kernel's contract: a xi1 xi2*
-    coupling, a single-mode squeezing, a symmetry only to rounding, and a
-    K_01 = K_10 that is not real (P K P != conj(K))."""
+    """One kernel per way to break gaussian_kernel's contract, with the
+    words of its refusal: a xi1 xi2* coupling, a single-mode squeezing, a
+    symmetry only to rounding, a real K_02 != K_13 (P K P != K), and a
+    K_01 = K_10 with an imaginary part, which keeps every other rule."""
     rounded = np.array(tmsv_chi(0.4)[0])
-    rounded[0, 2] = np.nextafter(rounded[0, 2].real, 0.0)
-    unswapped = np.array(pair_kernel(0.5))
-    unswapped[0, 1] = unswapped[1, 0] = 0.5 + 0.1j
-    return [coupled_kernels(1)[0], squeezed_kernel(), rounded, unswapped]
+    rounded[0, 2] = np.nextafter(rounded[0, 2], 0.0)
+    unswapped = np.array(tmsv_chi(0.4)[0])
+    unswapped[0, 2] = unswapped[2, 0] = 2 * unswapped[0, 2]
+    imaginary = np.array(pair_kernel(0.5), dtype=complex)
+    imaginary[0, 1] = imaginary[1, 0] = 0.5 + 0.1j
+    return [(coupled_kernels(1)[0], "phase charge"),
+            (squeezed_kernel(), "phase charge"), (rounded, "symmetric"),
+            (unswapped, "swap symmetry"), (imaginary, "must be real")]
 
 
 def test_public_functions_refuse_kernels_outside_the_contract():
@@ -487,8 +497,8 @@ def test_public_functions_refuse_kernels_outside_the_contract():
     good = tmsv_chi(0.4)[0]
     for call in calls:
         call(good)
-        for kernel in contract_breaking_kernels():
-            with pytest.raises(ValueError, match="kernel"):
+        for kernel, reason in contract_breaking_kernels():
+            with pytest.raises(ValueError, match=reason):
                 call(kernel)
     # inputs outside the two-mode state format are refused by name: a
     # one-mode kernel, which passes gaussian_kernel, and a lone cube where a

@@ -302,6 +302,15 @@ def test_point_refuses_uncertified_fock_matrix(capsys, n_trunc, code):
     assert ("PrecisionError" in capsys.readouterr().err) == (code == 3)
 
 
+def test_point_prints_a_product_state_it_once_refused(capsys):
+    # at s 0 the covariance is the product state diag(11.49): its
+    # discriminant is exactly 0 and rounds to -1.5e-11, against a Delta^2
+    # of 7.0e4, so the relative test reads it as 0
+    assert main(["point", "--strategy", "coherent_after", "--s", "0",
+                 "--eta", "0.001", "--n-th", "5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["E_N_gauss"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -359,7 +359,7 @@ def test_fidelity_integrals_match_one_polynomial_calls(strategy):
                                         ChannelParams(0.7, 0.1)))
     kernel, polys = ev.kernel, ev.polys
     batch = fidelity_integrals(kernel, polys)
-    assert batch.shape == (5,) and batch.dtype == complex
+    assert batch.shape == (5,) and batch.dtype == np.float64
     for k, poly in enumerate(polys):
         single = fidelity_integrals(kernel, [poly])[0]
         assert batch[k].tobytes() == single.tobytes()
@@ -405,10 +405,10 @@ def test_fidelity_integrals_refuse_phase_sensitive_kernel():
 
 def test_fidelity_integrals_refuse_non_real_kappa():
     # a kq[0, 1] with an imaginary part needs a K_01 = K_10 that is not
-    # real, which breaks the swap conjugation P K P = conj(K)
+    # real, which the real kernel contract refuses
     kernel = pair_kernel(1.0)
     kernel[0, 1] = kernel[1, 0] = 1.0 + 0.5j
-    with pytest.raises(ValueError, match="swap-conjugation"):
+    with pytest.raises(ValueError, match="kernel must be real"):
         fidelity_integrals(kernel, np.ones((1, 1, 1, 1, 1)))
 
 
