@@ -221,6 +221,22 @@ def separation_eta(s, n_th):
     return 2.0 * n_th / (2.0 * n_th + 1.0 - math.exp(-2.0 * s))
 
 
+def breaking_eta(n_th):
+    """Transmissivity at and below which the thermal-loss channel of bath
+    occupation n_th is entanglement breaking: eta_eb = n_th / (n_th + 1).
+
+    Such a channel on one mode leaves every two-mode input separable.  In
+    shot-noise units it maps the quadratures by sqrt(eta) and adds noise
+    (1 - eta)(2 n_th + 1), and a phase-insensitive Gaussian channel is
+    entanglement breaking exactly when its noise is at least 1 + eta
+    (A. S. Holevo, Probl. Inf. Transm. 44, 171 (2008)).  For pure loss the
+    threshold is 0.  It lies below separation_eta(s, n_th) for every s.
+    """
+    if n_th < 0:
+        raise ValueError("thermal occupation must be nonnegative")
+    return n_th / (n_th + 1.0)
+
+
 def separation_time(s, n_th, gamma=1.0):
     """Interaction time at which eta(t) = e^(-gamma t) crosses the separation
     threshold; infinite for pure loss."""

@@ -10,6 +10,7 @@ subtraction is the fixed point t = 1 of the same pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,17 +24,22 @@ from .chi_core import (
     tmsv_chi,
 )
 from .entanglement import (
+    breaking_eta,
     covariance_from_chi,
     exact_real,
     fidelity_integrals,
     gaussian_log_negativity,
     log_negativity,
+    separation_eta,
 )
 from .fock_recon import _cutoff, certify, fock_matrices
 
 GRID_STEP = 0.01
 REFINE_TOL = 1e-4
 ZERO_TRACE_TOL = 1e-30
+# the optimizer's coarse weights 0, 0.01, ..., 1
+GRID = np.round(np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP), 10)
+GRID.flags.writeable = False
 
 
 class Strategy(Enum):
@@ -218,19 +224,10 @@ class _PointEvaluator:
     def _weights(self, ts):
         """(len(ts), n + 1) weights t^(n-k) r^k of the operations
         t a + r a^dag, r = sqrt(1 - t^2); a t outside [0, 1] raises
-        ValueError.
-
-        Each row is computed in Python floats: numpy's vectorized power
-        need not round like the C library's pow, and a last-bit change in
-        a weight can move a printed p_success."""
+        ValueError.  For GRID itself they are _grid_weights(n), built once
+        per degree n by the same rule."""
         n = len(self.polys) - 1
-        rows = []
-        for t in np.asarray(ts, float).tolist():
-            if not 0.0 <= t <= 1.0:
-                raise ValueError("t must lie in [0, 1]")
-            r = math.sqrt(max(0.0, 1.0 - t * t))
-            rows.append([t ** (n - k) * r ** k for k in range(n + 1)])
-        return np.array(rows)
+        return _grid_weights(n) if ts is GRID else _weight_rows(ts, n)
 
     def probabilities(self, ts):
         """Success probabilities at the weights ts, clamped at 0."""
@@ -281,6 +278,29 @@ class _PointEvaluator:
         return float(self.objectives([t])[0])
 
 
+def _weight_rows(ts, n):
+    """The weights of _PointEvaluator._weights, for degree n.
+
+    Each row is computed in Python floats: numpy's vectorized power
+    need not round like the C library's pow, and a last-bit change in
+    a weight can move a printed p_success."""
+    rows = []
+    for t in np.asarray(ts, float).tolist():
+        if not 0.0 <= t <= 1.0:
+            raise ValueError("t must lie in [0, 1]")
+        r = math.sqrt(max(0.0, 1.0 - t * t))
+        rows.append([t ** (n - k) * r ** k for k in range(n + 1)])
+    return np.array(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_weights(n):
+    """_weight_rows(GRID, n), read-only and cached per degree n."""
+    w = _weight_rows(GRID, n)
+    w.flags.writeable = False
+    return w
+
+
 def _dots(w, x):
     """Dot product of each row of w with the vector x.  matmul takes each
     row as a vector-vector product, so a row gets the bits it gets alone."""
@@ -313,26 +333,50 @@ def _golden_max(f, lo, hi, tol):
     return best_t, best_v
 
 
+def _separable(cfg):
+    """Whether cfg's state is separable at every weight t by a closed form,
+    so that its E_N is 0 at every t and at every cutoff: the operation and
+    the Fock truncation are local and create no entanglement.  It is, when
+
+    - s = 0: the squeezed vacuum is the vacuum, a product state;
+    - eta <= breaking_eta(n_th): the channel is entanglement breaking, on
+      either side of the operation;
+    - the operation follows the channel (or there is none) and
+      eta < separation_eta(s, n_th): it acts on a separable Gaussian state.
+
+    Pure loss (n_th = 0) at s > 0 meets none of them.
+    """
+    eta, n_th = cfg.channel.eta, cfg.channel.n_th
+    if cfg.s == 0.0 or eta <= breaking_eta(n_th):
+        return True
+    return not cfg.strategy.operation_first and eta < separation_eta(cfg.s, n_th)
+
+
 def optimize_t(ev):
     """Best coherent weight t in [0, 1] for the configured objective.
 
-    Coarse scan at step 0.01, then golden-section refinement to 1e-4 around
-    the best grid point; exact ties break toward smaller t.  The 101 grid
-    weights are scored in one stacked call (ev.objectives), the golden
-    steps one at a time (ev.objective), each with the same bits as the
-    other would give.  Weights where the preparation has zero success
-    probability are skipped; if the objective vanishes everywhere the
-    returned weight maximizes the success probability over the grid instead
-    (one stacked call too) and the result is flagged "zero_objective".
+    Coarse scan over GRID (step 0.01), then golden-section refinement to
+    1e-4 around the best grid point; exact ties break toward smaller t.
+    The 101 grid weights are scored in one stacked call (ev.objectives),
+    the golden steps one at a time (ev.objective), each with the same bits
+    as the other would give.  Weights where the preparation has zero
+    success probability are skipped; if the objective vanishes everywhere
+    the returned weight maximizes the success probability over the grid
+    instead (one stacked call too) and the result is flagged
+    "zero_objective".  A negativity objective on a state that _separable
+    finds separable is known to vanish everywhere, so it goes straight to
+    that result and scores no grid; the fidelity objective always scans.
     """
-    grid = np.round(np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP), 10)
-    values = ev.objectives(grid)
+    if ev.cfg.objective == "negativity" and _separable(ev.cfg):
+        values = np.zeros(len(GRID))
+    else:
+        values = ev.objectives(GRID)
     # argmax takes the first of equal values, so ties go to the smallest t
     if values.max() <= 0.0:
-        best = int(np.argmax(ev.probabilities(grid)))
-        return OptimizeResult(float(grid[best]), 0.0, "zero_objective")
+        best = int(np.argmax(ev.probabilities(GRID)))
+        return OptimizeResult(float(GRID[best]), 0.0, "zero_objective")
     best = int(np.argmax(values))
-    best_t, best_v = float(grid[best]), float(values[best])
+    best_t, best_v = float(GRID[best]), float(values[best])
     lo = max(0.0, best_t - GRID_STEP)
     hi = min(1.0, best_t + GRID_STEP)
     t_ref, v_ref = _golden_max(ev.objective, lo, hi, REFINE_TOL)

@@ -311,6 +311,21 @@ def test_point_prints_a_product_state_it_once_refused(capsys):
     assert json.loads(capsys.readouterr().out)["E_N_gauss"] == 0.0
 
 
+def test_point_below_separation_eta_reports_the_most_probable_weight(capsys):
+    # eta 0.7 is below separation_eta = 0.780, so the operation acts on a
+    # separable state and E_N is 0 at every weight; the grid's float noise
+    # once picked t_opt 0.00257 with E_N 4.1e-11 and no flag.  The printed
+    # E_N is still the Fock route's, whose float error at n_trunc 8 is
+    # about 4e-11.
+    assert main(["point", "--strategy", "coherent_after", "--s", "0.029",
+                 "--eta", "0.7", "--n-th", "0.1", "--n-trunc", "8",
+                 "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert (row["t_opt"], row["flags"]) == (0.0, "zero_objective")
+    assert row["E_N_gauss"] == 0.0 and 0.0 <= row["E_N"] < 1e-10
+    assert row["p_success"] == pytest.approx(1.06252596106, rel=0, abs=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -11,6 +11,7 @@ from cvdistill.chi_core import ChannelParams, SingularKernelError
 from cvdistill.scenarios import ScenarioConfig, Strategy, _PointEvaluator, _raw_terms
 from cvdistill.entanglement import (
     InvalidCovarianceError,
+    breaking_eta,
     covariance_from_chi,
     fidelity_integrals,
     gaussian_log_negativity,
@@ -468,6 +469,20 @@ def test_separation_eta_pure_loss_is_zero():
 def test_separation_eta_rejects_nonpositive_squeezing():
     with pytest.raises(ValueError):
         separation_eta(0.0, 0.1)
+
+
+def test_breaking_eta_is_holevos_threshold():
+    # at eta_eb the added noise (1 - eta)(2 n_th + 1), in shot-noise units,
+    # equals 1 + eta; the threshold lies below separation_eta at every s
+    for n_th in (0.01, 0.1, 1.0, 10.0):
+        eta = breaking_eta(n_th)
+        assert (1 - eta) * (2 * n_th + 1) == pytest.approx(1 + eta, rel=1e-14)
+        for s in (1e-3, 0.029, 1.0, 20.0):
+            assert eta < separation_eta(s, n_th)
+    assert breaking_eta(0.1) == 0.1 / 1.1
+    assert breaking_eta(0.0) == 0.0
+    with pytest.raises(ValueError):
+        breaking_eta(-0.1)
 
 
 def test_separation_time_values():

@@ -326,6 +326,105 @@ def test_stacked_weights_keep_the_range_check():
             ev.probabilities(ts)
 
 
+def test_grid_weights_are_built_once_with_the_weight_rule():
+    # the grid's weight rows are cached per degree, read-only, and carry
+    # the bits of the same weights computed afresh
+    assert not scenarios.GRID.flags.writeable
+    assert scenarios.GRID.tolist() == GRID.tolist()
+    for strategy in ("noop", "coherent_after"):
+        ev = _PointEvaluator(cfg_for(strategy))
+        w = ev._weights(scenarios.GRID)
+        assert w is _PointEvaluator(cfg_for(strategy, s=0.3))._weights(
+            scenarios.GRID)
+        assert not w.flags.writeable
+        assert w.shape == (101, len(ev.polys))
+        assert oracles.same_bits(w, ev._weights(scenarios.GRID.copy()))
+        assert oracles.same_bits(w, ev._weights(GRID.tolist()))
+
+
+def _separable_draws(rng, n):
+    """n configs of each rule that proves a row separable, as
+    (strategy, s, eta, n_th): after the channel below separation_eta, an
+    entanglement-breaking channel on either side, and s = 0."""
+    for _ in range(n):
+        s = float(rng.uniform(0.01, 0.5))
+        n_th = float(rng.uniform(0.02, 2.0))
+        eta_eb = entanglement.breaking_eta(n_th)
+        eta_sep = min(1.0, entanglement.separation_eta(s, n_th))
+        yield "coherent_after", s, float(rng.uniform(eta_eb, eta_sep)), n_th
+        for strategy in ("coherent_before", "coherent_after"):
+            yield strategy, s, float(rng.uniform(0.001, eta_eb)), n_th
+        # s = 0 at any channel, pure loss included
+        yield "coherent_before", 0.0, float(rng.uniform(0.001, 1.0)), 0.0
+        yield "coherent_after", 0.0, float(rng.uniform(0.001, 1.0)), n_th
+
+
+def test_separable_rows_are_ppt_by_the_kraus_oracle():
+    # the rule's physics, by a route that shares nothing with the chi
+    # picture: every weight of a covered row gives a truncated state whose
+    # partial transpose has no negative eigenvalue (lambda_min, not E_N:
+    # the oracle's own E_N of a near-vacuum state can round above 0)
+    rng = np.random.default_rng(22)
+    for strategy, s, eta, n_th in _separable_draws(rng, 1):
+        cfg = cfg_for(strategy, s=s, eta=eta, n_th=n_th, n_trunc=8)
+        assert scenarios._separable(cfg), cfg
+        ev = _PointEvaluator(cfg)
+        for t in (0.0, 0.5, 0.9, 1.0):
+            if ev.probability(t) < scenarios.ZERO_TRACE_TOL:
+                continue
+            rho = oracles.kraus_rho(strategy, s, eta, n_th, t, 8, 30)
+            # the n_trunc-5 state is the leading block of the n_trunc-8 one
+            rho5 = rho.reshape(9, 9, 9, 9)[:6, :6, :6, :6].reshape(36, 36)
+            for r in (rho, rho5):
+                lam = np.linalg.eigvalsh(entanglement.partial_transpose(r))
+                assert lam.min() > -1e-14, (cfg, t, lam.min())
+
+
+def test_separable_rows_score_no_grid(monkeypatch):
+    calls = []
+    objectives = _PointEvaluator.objectives
+
+    def counting(self, ts):
+        calls.append((self.cfg, len(ts)))
+        return objectives(self, ts)
+
+    monkeypatch.setattr(_PointEvaluator, "objectives", counting)
+    rng = np.random.default_rng(23)
+    for strategy, s, eta, n_th in _separable_draws(rng, 3):
+        cfg = cfg_for(strategy, s=s, eta=eta, n_th=n_th)
+        ev = _PointEvaluator(cfg)
+        opt = optimize_t(ev)
+        best = int(np.argmax(ev.probabilities(scenarios.GRID)))
+        assert opt == OptimizeResult(float(scenarios.GRID[best]), 0.0,
+                                     "zero_objective"), cfg
+    # on the threshold of entanglement breaking the channel still breaks it
+    optimize_t(_PointEvaluator(cfg_for(
+        "coherent_before", eta=entanglement.breaking_eta(0.25), n_th=0.25)))
+    assert calls == []
+    eta_sep = entanglement.separation_eta(0.029, 0.1)
+    scanned = [
+        # the after strategy at and above separation_eta
+        cfg_for("coherent_after", s=0.029, eta=eta_sep, n_th=0.1),
+        cfg_for("coherent_after", s=0.029, eta=0.9, n_th=0.1),
+        # the before strategy above breaking_eta, entangled or not after
+        # the channel
+        cfg_for("coherent_before", s=0.029, eta=0.2, n_th=0.1),
+        cfg_for("coherent_before", s=0.029, eta=0.9, n_th=0.1),
+        # pure loss at s > 0
+        cfg_for("coherent_after", s=0.029, eta=0.05, n_th=0.0),
+        cfg_for("coherent_before", s=0.029, eta=0.05, n_th=0.0),
+        # the fidelity objective, on rows the rule would cover
+        cfg_for("coherent_after", s=0.029, eta=0.3, n_th=0.1,
+                objective="fidelity"),
+        cfg_for("coherent_before", s=0.0, eta=0.05, n_th=0.1,
+                objective="fidelity"),
+    ]
+    for cfg in scanned:
+        optimize_t(_PointEvaluator(cfg))
+    # one grid each; the golden steps score one weight a call
+    assert [cfg for cfg, n in calls if n > 1] == scanned
+
+
 def test_cutoff_zero_rows_are_unchanged(capsys):
     # at n_trunc 0 rho^T1 is 1 x 1 and has no odd block; the objective is 0
     # on the whole grid, so the coherent rows fall back to the most probable
