@@ -42,16 +42,6 @@ def partial_transpose(rho):
             .reshape(rho.shape))
 
 
-def exact_real(a):
-    """The real part of the array a when every imaginary part is exactly 0,
-    else a itself.  Real arithmetic on such an array gives what complex
-    arithmetic gives up to rounding, in half the memory and less time."""
-    a = np.asarray(a)
-    if np.iscomplexobj(a) and not np.any(a.imag):
-        return np.ascontiguousarray(a.real)
-    return a
-
-
 @functools.lru_cache(maxsize=None)
 def _parity_blocks(d):
     """For one cutoff d = n_trunc + 1: index pairs (rows, cols) that gather
@@ -84,19 +74,19 @@ def log_negativity(rho):
     array of its values; any other shape raises ValueError.
 
     rho^T1 is diagonalized by LAPACK (numpy.linalg.eigvalsh), which raises
-    numpy.linalg.LinAlgError if it does not converge.  Two exact structures
-    are used when present, with no option to turn them off: when every
-    imaginary part is exactly 0 the solve is real, and when every entry
-    that couples even to odd total photon number is exactly 0 the two parity
-    blocks are gathered from rho by index arrays cached per cutoff and
-    solved one after the other; otherwise rho^T1 is solved whole.  The
-    states of every strategy have both.  A stack is solved by one rule for
-    all its states, so each value is, bit for bit, that of a call on its
-    state alone whenever the states share the structure.  The tests check
-    the solves against each other and against a self-contained cyclic
-    Jacobi solver.
+    numpy.linalg.LinAlgError if it does not converge.  The solve is in
+    rho's dtype: real for the float64 matrices of fock_matrices, complex
+    for a complex input.  When every entry that couples even to odd total
+    photon number is exactly 0, the two parity blocks are gathered from rho
+    by index arrays cached per cutoff and solved one after the other, with
+    no option to turn this off; otherwise rho^T1 is solved whole.  The
+    states of every strategy have that structure.  A stack is solved by one
+    rule for all its states, so each value is, bit for bit, that of a call
+    on its state alone whenever the states share the structure.  The tests
+    check the solves against each other and against a self-contained
+    cyclic Jacobi solver.
     """
-    rho = exact_real(rho)
+    rho = np.asarray(rho)
     blocks, mixed = _parity_blocks(_fock_side(rho))
     if np.any(rho[..., mixed]):
         parts = [partial_transpose(rho)]

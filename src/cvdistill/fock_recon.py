@@ -9,7 +9,7 @@ and every displacement matrix element is a finite polynomial times the
 Gaussian exp(-|xi|^2/2).  For polynomial-times-Gaussian characteristic
 functions the whole integrand therefore lives in one augmented Gaussian
 kernel, and the exact moment table evaluates it term by term.  A density
-matrix is a plain (d^2, d^2) complex array, d = n_trunc + 1.  Every
+matrix is a plain (d^2, d^2) float64 array, d = n_trunc + 1.  Every
 kernel conserves the phase charge (chi_core.gaussian_kernel refuses any
 other), so only the moments and weights of charge zero are computed; the
 others are exactly +0.
@@ -44,7 +44,8 @@ CERTIFY_TOL = 1e-6
 
 
 class PrecisionError(Exception):
-    """A reconstructed Fock matrix is not a state to within CERTIFY_TOL."""
+    """A reconstructed Fock matrix is not a state to within CERTIFY_TOL, or
+    the moment table it would be built from has a nonzero imaginary part."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,14 +98,14 @@ def _fock_plan(d, support):
     """The index bookkeeping of fock_matrices for one cutoff d and one
     support (a tuple of exponent 4-tuples), as (shape, rows, cols,
     classes): the moment table's shape, the upper triangle of a (d^2, d^2)
-    matrix, and per (p, q) class of entries that has pairs of charge zero, (a, e, o1, o2, c1, c2) over those pairs: the support and
-    triangle index of each pair, the flat table offsets of its p mode-1
-    terms plus its monomial, (p, pairs), and of its q mode-2 terms,
-    (q, pairs), and the coefficients of those terms, in the same shapes.
-    Tuples of read-only arrays, since every caller shares them.  The
-    offsets of the two modes are kept apart and summed to (p, q, pairs) on
-    each call, which keeps the plan at 1.5 MiB rather than 2.1 MiB at
-    n_trunc 8."""
+    matrix, and per (p, q) class of entries that has pairs of charge zero,
+    (a, e, o1, o2, c1, c2) over those pairs: the support and triangle index
+    of each pair, the flat table offsets of its p mode-1 terms plus its
+    monomial, (p, pairs), and of its q mode-2 terms, (q, pairs), and the
+    coefficients of those terms, in the same shapes.  Tuples of read-only
+    arrays, since every caller shares them.  The offsets of the two modes
+    are kept apart and summed to (p, q, pairs) on each call, which keeps
+    the plan at 1.5 MiB rather than 2.1 MiB at n_trunc 8."""
     support = np.array(support, dtype=np.intp).reshape(-1, 4)
     shape = tuple(int(x) for x in np.max(support, axis=0) + d)
     strides = np.array([int(np.prod(shape[i + 1:])) for i in range(4)], dtype=np.intp)
@@ -169,10 +170,13 @@ def fock_matrices(kernel, n_trunc, polys, *more):
     kernel and polys are a two-mode state in the pipeline's format, a
     stack of coefficient cubes of one shape over one kernel (see
     chi_core.two_mode_stack), and n_trunc is a nonnegative integer; more
-    are further stacks over the same kernel.  Returns a complex array of
-    shape (total number of cubes, d^2, d^2), d = n_trunc + 1, the stacks'
+    are further stacks over the same kernel.  Returns an array of shape
+    (total number of cubes, d^2, d^2), d = n_trunc + 1, the stacks'
     matrices in order, with the row-major composite index i * d + j for
-    |i, j>.  The moment table and the per-element weight matrix are built
+    |i, j>, in np.result_type of float64 and the stacks: float64, complex
+    only for a complex stack.  The moment table is taken real once (a
+    nonzero imaginary part raises PrecisionError), so the weights are
+    float64.  The table and the per-element weight matrix are built
     once over the union of the stacks' nonzero monomials; each matrix is
     its own coefficient vector times the weight rows of its own stack's
     monomials (upper triangle integrated, the rest by Hermitian symmetry
@@ -223,7 +227,10 @@ def fock_matrices(kernel, n_trunc, polys, *more):
     aug = _augmented_kernel(kernel)
     shape, rows, cols, classes = _fock_plan(d, monomials)
     table = moment_table(aug, shape).reshape(-1)
-    weights = np.zeros((len(monomials), len(rows)), dtype=complex)
+    if np.any(table.imag):
+        raise PrecisionError("the moment table has a nonzero imaginary part")
+    table = np.ascontiguousarray(table.real)
+    weights = np.zeros((len(monomials), len(rows)))
     for a, e, o1, o2, c1, c2 in classes:
         vals = table[o1[:, None] + o2[None]]
         vals *= c1[:, None]
@@ -233,7 +240,8 @@ def fock_matrices(kernel, n_trunc, polys, *more):
         weights[a, e] = np.add.accumulate(vals, out=vals)[-1] + 0.0
 
     diag = rows == cols
-    out = np.zeros((sum(map(len, stacks)), d * d, d * d), dtype=complex)
+    out = np.zeros((sum(map(len, stacks)), d * d, d * d),
+                   np.result_type(weights, *stacks))
     first = 0
     for polys, own in zip(stacks, supports):
         w = weights

@@ -26,7 +26,6 @@ from .chi_core import (
 from .entanglement import (
     breaking_eta,
     covariance_from_chi,
-    exact_real,
     fidelity_integrals,
     gaussian_log_negativity,
     log_negativity,
@@ -169,14 +168,13 @@ class _Setting:
         return self._runs[key]
 
     def matrices(self, cfg):
-        """Per-term Fock matrices of cfg's pipeline, real when their
-        imaginary parts are exactly 0, as they are for every strategy."""
+        """Per-term float64 Fock matrices of cfg's pipeline."""
         if self._matrices is None:
             runs = [self.terms(c) for c in self._cfgs.values()]
             stacks = [polys for _, polys, _ in runs]
             out = fock_matrices(runs[0][0], cfg.n_trunc, *stacks)
             blocks = np.split(out, np.cumsum(list(map(len, stacks)))[:-1])
-            self._matrices = {key: exact_real(m) for key, m in zip(self._cfgs, blocks)}
+            self._matrices = dict(zip(self._cfgs, blocks))
         return self._matrices[_pipeline_key(cfg)]
 
     def fidelities(self, cfg):

@@ -726,9 +726,12 @@ def fock_matrices_by_entry(kernel, n_trunc, polys):
                + lin2[None, None, :])
         vals = table[lin.reshape(-1)].reshape(lin.shape)
         weights[:, n] = np.einsum("abc,b,c->a", vals, c1, c2)
+    # contracted real, as fock_matrices does; matmul sums a strided view of
+    # the real parts in another order
+    weights = np.ascontiguousarray(weights.real)
 
     diag = rows == cols
-    out = np.zeros((len(polys), d * d, d * d), dtype=complex)
+    out = np.zeros((len(polys), d * d, d * d), np.result_type(weights, polys))
     for rho, coeff in zip(out, polys[(slice(None), *support.T)]):
         upper = coeff @ weights
         rho[rows, cols] = upper

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import cvdistill
-from cvdistill import scenarios
+from cvdistill import fock_recon, scenarios
 from cvdistill.chi_core import ChannelParams
 from cvdistill.cli import (
     CSV_HEADER,
@@ -249,6 +249,22 @@ def test_point_eigensolver_failure_is_numerical_exit(monkeypatch, capsys):
                  "--eta", "0.5", "--n-th", "0.1"])
     assert code == 3
     assert "LinAlgError" in capsys.readouterr().err
+
+
+def test_point_imaginary_moment_table_is_numerical_exit(monkeypatch, capsys):
+    table = fock_recon.moment_table
+
+    def complex_table(kernel, shape):
+        out = table(kernel, shape)
+        out.flat[-1] += 1e-300j
+        return out
+    monkeypatch.setattr(fock_recon, "moment_table", complex_table)
+    code = main(["point", "--strategy", "coherent_after", "--s", "0.114",
+                 "--eta", "0.5", "--n-th", "0.1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: PrecisionError: ")
 
 
 @pytest.mark.parametrize("argv", [

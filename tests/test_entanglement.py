@@ -235,15 +235,18 @@ def test_log_negativity_without_the_structure_solves_whole(eigvalsh_inputs):
     assert eigvalsh_inputs == [((8, 8), np.dtype(complex))] * 2
 
 
-def test_exact_real():
-    real = np.ones((2, 2))
-    assert entanglement.exact_real(real) is real
-    z = np.array([[1.0 + 0.0j, -0.0j], [2.0, 3.0]])
-    got = entanglement.exact_real(z)
-    assert got.dtype == float and got.flags.c_contiguous
-    np.testing.assert_array_equal(got, z.real)
-    z[1, 0] += 1e-300j
-    assert entanglement.exact_real(z) is z
+@pytest.mark.parametrize("n_trunc", [1, 3, 5])
+def test_a_complex_input_is_solved_complex(n_trunc, eigvalsh_inputs):
+    # a Hermitian rho with every imaginary part 0, given as complex, is
+    # solved in complex arithmetic and agrees with its real part
+    for strategy, stack in seeded_rhos(n_trunc):
+        z = stack.astype(complex)
+        del eigvalsh_inputs[:]
+        one = log_negativity(z[0])
+        assert {dtype for _, dtype in eigvalsh_inputs} == {np.dtype(complex)}
+        assert one == pytest.approx(log_negativity(stack[0]), abs=1e-14), strategy
+        np.testing.assert_allclose(log_negativity(z), log_negativity(stack),
+                                   rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -447,10 +447,11 @@ def test_augmented_kernel_wants_an_exactly_symmetric_kernel():
 def test_fock_matrices_allocation_peak_at_cutoff_8():
     # measured with numpy 2.4: the per-entry route (fock_matrices_by_entry)
     # peaks at 3.56 MiB here, the grouped sums over every (entry, support)
-    # pair at 4.78 MiB and over the pairs of charge zero at 3.64 MiB, and
-    # with the cached plans (the measured call is warm) at 3.40 MiB; a
-    # temporary that outgrows the bound raises the process's peak resident
-    # memory
+    # pair at 4.78 MiB and over the pairs of charge zero at 3.64 MiB, with
+    # the cached plans (the measured call is warm) at 3.40 MiB, and with
+    # float64 weights and matrices at 1.71 MiB; complex weights coming back,
+    # or a temporary that outgrows the bound, raise the process's peak
+    # resident memory
     cfg = ScenarioConfig(Strategy.COHERENT_AFTER, 0.5, ChannelParams(0.7, 0.1), 8)
     kernel, polys = _raw_terms(cfg)
     fock_matrices(kernel, 8, polys)
@@ -460,7 +461,37 @@ def test_fock_matrices_allocation_peak_at_cutoff_8():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.25 * 2 ** 20
+    assert peak < 2.75 * 2 ** 20
+
+
+@pytest.mark.parametrize("n_trunc", [0, 3, 5])
+def test_fock_matrices_take_the_dtype_of_their_stacks(n_trunc):
+    rng = np.random.default_rng(40 + n_trunc)
+    for kernel, polys in _random_terms(rng, n_trunc):
+        assert polys.dtype == np.float64
+        real = fock_matrices(kernel, n_trunc, polys)
+        assert real.dtype == np.float64
+        z = fock_matrices(kernel, n_trunc, polys.astype(complex))
+        assert z.dtype == np.complex128
+        np.testing.assert_allclose(z, real, rtol=0, atol=1e-15)
+        # mixed stacks: complex for all, the real stack's values kept
+        both = fock_matrices(kernel, n_trunc, polys, polys.astype(complex))
+        assert both.dtype == np.complex128
+        np.testing.assert_allclose(both[:len(polys)], real, rtol=0, atol=1e-15)
+
+
+def test_a_moment_table_with_an_imaginary_part_is_refused(monkeypatch):
+    table = fock_recon.moment_table
+
+    def complex_table(kernel, shape):
+        out = table(kernel, shape)
+        out.flat[-1] += 1e-300j
+        return out
+    monkeypatch.setattr(fock_recon, "moment_table", complex_table)
+    kernel, polys = _raw_terms(ScenarioConfig(
+        Strategy.COHERENT_AFTER, 0.3, ChannelParams(0.7, 0.1), 3))
+    with pytest.raises(PrecisionError, match="imaginary"):
+        fock_matrices(kernel, 3, polys)
 
 
 # ---------------------------------------------------------------------------

@@ -615,6 +615,16 @@ def test_a_sweep_builds_each_setting_once(objective):
     assert dict(calls) == {"tmsv_chi": 1, "moment_table": 1, "fock_matrices": 1}
 
 
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_setting_matrices_are_float64(s):
+    cfgs = [cfg_for(strategy.value, s=s, n_trunc=3) for strategy in Strategy]
+    setting = scenarios._Setting(cfgs)
+    for cfg in cfgs:
+        matrices = setting.matrices(cfg)
+        assert matrices.dtype == np.float64, cfg
+        assert len(matrices) == len(setting.terms(cfg)[1])
+
+
 def test_a_sweep_holds_one_setting_at_a_time(monkeypatch):
     # each setting's pipelines and matrices go before the next setting's
     # rows run, by reference counting alone (the collector is off), so a
