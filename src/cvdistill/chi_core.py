@@ -15,14 +15,13 @@ operation computes in the dtype of its inputs.  A state is one kernel and
 a stack of such cubes, (kernel, stack) with stack of shape
 (n, D, D, D, D): the polynomials over one kernel that a (t, r)-basis
 pipeline carries, or a single state's one cube (two_mode_stack checks the
-shapes).  The
-representation is closed under the three operations the distillation
-pipelines need: preparation of a two-mode squeezed vacuum, the coherent
-superposition operation t*a + r*a^dag applied to one mode, and the
-beamsplitter model of a thermal-noise channel.  Phase-space integrals of
-monomials against the Gaussian factor are evaluated exactly by a Wick/Stein
-moment recursion, the Fock-basis reconstruction's engine; the
-teleportation-fidelity integral has a closed form (entanglement).
+shapes).  The representation is closed under the three operations the
+distillation pipelines need: preparation of a two-mode squeezed vacuum,
+the coherent superposition operation t*a + r*a^dag applied to one mode,
+and the beamsplitter model of a thermal-noise channel.  Phase-space
+integrals of monomials against the Gaussian factor are evaluated exactly
+by a Wick/Stein moment recursion, the Fock-basis reconstruction's engine;
+the teleportation-fidelity integral has a closed form (entanglement).
 
 Conventions: the formal variables are ordered (xi1, xi1*, xi2, xi2*), mode
 arguments are 1-based, and every phase-space integral carries one factor of

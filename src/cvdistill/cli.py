@@ -73,7 +73,7 @@ def parse_run_config(path):
     eta, n_trunc, objective and t, as for a single point.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -143,14 +143,28 @@ def _record_row(rec):
     return ",".join(_fmt(value) for value in _columns(rec).values())
 
 
+def _open_mode(path):
+    """The mode open(path, "w") leaves path with: its own if it exists,
+    else 0o666 less the umask."""
+    try:
+        return os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_sweep_csv(path, records):
-    """Write rows atomically: a crashed run never leaves a half file."""
+    """Write rows atomically: a crashed run never leaves a half file.  The
+    file gets the mode a plain open(path, "w") would give it, not the
+    0600 of the temporary file it is written to."""
     directory = os.path.dirname(os.path.abspath(path))
     body = "\n".join([CSV_HEADER] + [_record_row(r) for r in records]) + "\n"
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(body)
+        os.chmod(tmp, _open_mode(path))
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -69,9 +69,9 @@ class ScenarioConfig:
     ("negativity" or "fidelity"); t_override pins t instead of optimizing.
     With ChannelParams it checks every input range before any pipeline
     runs; cli.scenario_configs builds these for the point and sweep
-    commands alike.  tmsv_chi applies
-    the same rule to s, and fock_matrices the same rule to n_trunc (a
-    nonnegative integer), for callers of the pipeline functions.
+    commands alike.  tmsv_chi applies the same rule to s, and fock_matrices
+    the same rule to n_trunc (a nonnegative integer), for callers of the
+    pipeline functions.
     """
 
     strategy: Strategy
@@ -137,66 +137,43 @@ def _pipeline_key(cfg):
             cfg.strategy.has_operation, cfg.strategy.operation_first)
 
 
-class _Setting:
-    """The pipelines of the rows cfgs of one channel setting (s, channel,
-    n_trunc) and their one Fock build.
+def _pipelines(cfgs):
+    """The arrays of the rows cfgs of one channel setting (s, channel,
+    n_trunc): {_pipeline_key: (kernel, polys, traces, matrices,
+    fidelities)}, one entry per distinct pipeline.
 
-    Each distinct pipeline (no operation, the operation before or after
-    the channel) runs once, on first use; a subtraction row reads the
-    coherent pipeline of its side, at t = 1.  The first row that needs
-    Fock matrices builds every pipeline's in one fock_matrices call: the
-    coherent operation leaves the kernel alone, so the pipelines end on
-    one kernel, bit for bit.  Objectives and weights are each row's own
-    (_PointEvaluator).
+    Each pipeline (no operation, the operation before or after the
+    channel) runs once; a subtraction row reads the coherent pipeline of
+    its side, at t = 1.  traces, matrices and fidelities are the per-term
+    traces, float64 Fock matrices and fidelity integrals.  One
+    fock_matrices call builds every pipeline's matrices: the coherent
+    operation leaves the kernel alone, so the pipelines end on one kernel,
+    bit for bit.  Every row prints both E_N and the fidelity, so both are
+    built here for each pipeline.
     """
-
-    def __init__(self, cfgs):
-        self._cfgs = {}
-        for cfg in cfgs:
-            self._cfgs.setdefault(_pipeline_key(cfg), cfg)
-        self._runs = {}
-        self._fidelities = {}
-        self._matrices = None
-
-    def terms(self, cfg):
-        """(kernel, polys, traces) of cfg's pipeline: _raw_terms and the
-        per-term traces."""
+    runs = {}
+    for cfg in cfgs:
         key = _pipeline_key(cfg)
-        if key not in self._runs:
-            kernel, polys = _raw_terms(self._cfgs[key])
-            self._runs[key] = kernel, polys, polys[:, 0, 0, 0, 0]
-        return self._runs[key]
-
-    def matrices(self, cfg):
-        """Per-term float64 Fock matrices of cfg's pipeline."""
-        if self._matrices is None:
-            runs = [self.terms(c) for c in self._cfgs.values()]
-            stacks = [polys for _, polys, _ in runs]
-            out = fock_matrices(runs[0][0], cfg.n_trunc, *stacks)
-            blocks = np.split(out, np.cumsum(list(map(len, stacks)))[:-1])
-            self._matrices = dict(zip(self._cfgs, blocks))
-        return self._matrices[_pipeline_key(cfg)]
-
-    def fidelities(self, cfg):
-        """Per-term fidelity integrals of cfg's pipeline."""
-        key = _pipeline_key(cfg)
-        if key not in self._fidelities:
-            kernel, polys, _ = self.terms(cfg)
-            self._fidelities[key] = fidelity_integrals(kernel, polys)
-        return self._fidelities[key]
+        if key not in runs:
+            runs[key] = _raw_terms(cfg)
+    kernels, stacks = zip(*runs.values())
+    matrices = fock_matrices(kernels[0], cfgs[0].n_trunc, *stacks)
+    blocks = np.split(matrices, np.cumsum(list(map(len, stacks)))[:-1])
+    return {key: (kernel, polys, polys[:, 0, 0, 0, 0], m,
+                  fidelity_integrals(kernel, polys))
+            for (key, (kernel, polys)), m in zip(runs.items(), blocks)}
 
 
 class _PointEvaluator:
-    """One row's view of its channel setting, for repeated evaluations.
+    """One row's view of its pipeline, for repeated evaluations.
 
-    The pipeline runs once, as a stack of (t, r)-basis cubes over one
-    kernel; every per-weight trace, Fock matrix and fidelity integral is a
-    weighted sum of per-term ones, and the covariance is read off the
-    weighted sum of the cubes.  The per-term matrices and fidelities are
-    built on first use, so only the configured objective pays for its own.
-    They live in setting, a _Setting that the rows of one setting share
-    (a row of its own by default); the objective is always cfg's.  A row
-    reads all its columns from here, so it prints what it scores.
+    The pipeline is a stack of (t, r)-basis cubes over one kernel, with
+    its per-term traces, Fock matrices and fidelity integrals: the entry
+    of _pipelines for cfg, which the rows of one setting share (built for
+    cfg alone by default).  Every per-weight trace, Fock matrix and
+    fidelity is a weighted sum of the per-term ones, and the covariance is
+    read off the weighted sum of the cubes; the objective is always cfg's.
+    A row reads all its columns from here, so it prints what it scores.
 
     objectives scores an array of weights at once: one weight matrix, one
     stack of Fock matrices and one log_negativity call.  A weight's sums
@@ -206,18 +183,11 @@ class _PointEvaluator:
     fidelity).
     """
 
-    def __init__(self, cfg, setting=None):
+    def __init__(self, cfg, pipeline=None):
         self.cfg = cfg
-        self._setting = _Setting([cfg]) if setting is None else setting
-        self.kernel, self.polys, self.traces = self._setting.terms(cfg)
-
-    @property
-    def matrices(self):
-        return self._setting.matrices(self.cfg)
-
-    @property
-    def fidelities(self):
-        return self._setting.fidelities(self.cfg)
+        if pipeline is None:
+            (pipeline,) = _pipelines([cfg]).values()
+        self.kernel, self.polys, self.traces, self.matrices, self.fidelities = pipeline
 
     def _weights(self, ts):
         """(len(ts), n + 1) weights t^(n-k) r^k of the operations
@@ -383,7 +353,7 @@ def optimize_t(ev):
     return OptimizeResult(float(best_t), float(best_v))
 
 
-def evaluate_point(cfg, setting=None):
+def evaluate_point(cfg, pipeline=None):
     """Full record for one strategy at one channel setting.
 
     Coherent strategies optimize t (unless pinned by t_override); subtraction
@@ -391,10 +361,10 @@ def evaluate_point(cfg, setting=None):
     E_N_gauss, fidelity and p_success are the evaluator's values at that t.  A
     preparation that cannot succeed (the objective's own vanishing-trace
     rule) yields a zeroed row flagged "zero_state" rather than an exception,
-    so sweeps keep going.  setting, a _Setting holding cfg, lets rows share
-    pipelines and a Fock build; the record's bits do not depend on it.
+    so sweeps keep going.  pipeline, cfg's entry of _pipelines, lets rows
+    share pipelines and a Fock build; the record's bits do not depend on it.
     """
-    ev = _PointEvaluator(cfg, setting)
+    ev = _PointEvaluator(cfg, pipeline)
     t = cfg.t_override if cfg.strategy.optimizes_t else 1.0
     flag = ""
     if t is None:
@@ -419,9 +389,9 @@ def sweep(configs):
     """Records for a list of settings, in order.
 
     Rows sharing a setting (s, channel, n_trunc) share its pipelines and
-    Fock build (_Setting); each row is bit-identical to evaluate_point
+    Fock build (_pipelines); each row is bit-identical to evaluate_point
     alone, with its own objective and t_override.  The settings run in
-    order of their first rows, each freed when the next replaces it.  The
+    order of their first rows, each freed before the next is built.  The
     loop calls evaluate_point by its module-global name once per row, so a
     wrapper installed as scenarios.evaluate_point (the benchmark's row
     probes) sees every row.
@@ -432,7 +402,8 @@ def sweep(configs):
         settings.setdefault(_pipeline_key(cfg)[:4], []).append(i)
     records = [None] * len(configs)
     for rows in settings.values():
-        setting = _Setting([configs[i] for i in rows])
+        pipelines = _pipelines([configs[i] for i in rows])
         for i in rows:
-            records[i] = evaluate_point(configs[i], setting)
+            records[i] = evaluate_point(configs[i], pipelines[_pipeline_key(configs[i])])
+        del pipelines
     return records

@@ -412,6 +412,39 @@ def test_sweep_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_sweep_csv_gets_the_mode_of_a_plain_write(tmp_path, umask):
+    # the atomic write goes through a 0600 temporary file; the CSV must get
+    # what open(path, "w") gives instead: 0o666 less the umask for a new
+    # file, and its own mode for one that exists
+    out = tmp_path / "rows.csv"
+    plain = tmp_path / "plain.csv"
+    cfg = write_config(tmp_path, SMALL_SWEEP.format(out=out))
+    old = os.umask(umask)
+    try:
+        assert main(["sweep", cfg]) == 0
+        plain.open("w").close()
+        assert out.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+        out.chmod(0o640)
+        assert main(["sweep", cfg]) == 0
+        assert out.stat().st_mode & 0o777 == 0o640
+    finally:
+        os.umask(old)
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
+
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # editors that save UTF-8 with a BOM must not turn the first key into
+    # an unknown one
+    for text in (SMALL_SWEEP, SMALL_SWEEP.split("\n", 1)[1]):
+        plain = write_config(tmp_path, text.format(out="o.csv"))
+        marked = tmp_path / "bom.cfg"
+        marked.write_text(text.format(out="o.csv"), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_run_config(str(marked)) == parse_run_config(plain)
+
+
 def test_sweep_overflowing_squeezing_is_numerical_exit(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     cfg = write_config(tmp_path, SMALL_SWEEP.format(out=out).replace(

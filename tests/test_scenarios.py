@@ -577,9 +577,11 @@ def test_sweep_rows_are_evaluate_point_alone_bit_for_bit():
 
 
 def _call_counts(fn):
-    """How often fn() calls tmsv_chi, moment_table and fock_matrices."""
+    """How often fn() calls tmsv_chi, moment_table, fock_matrices and
+    fidelity_integrals."""
     names = {f.__code__: f.__name__ for f in (chi_core.tmsv_chi, chi_core.moment_table,
-                                              fock_recon.fock_matrices)}
+                                              fock_recon.fock_matrices,
+                                              entanglement.fidelity_integrals)}
     calls = collections.Counter()
 
     def profile(frame, event, arg):
@@ -596,7 +598,9 @@ def _call_counts(fn):
 @pytest.mark.parametrize("objective", ["negativity", "fidelity"])
 def test_a_sweep_builds_each_setting_once(objective):
     # k settings x 5 strategies: k Fock builds (one moment table each) and
-    # at most 3 pipelines a setting, however the rows are ordered
+    # at most 3 pipelines a setting, each with one set of fidelity
+    # integrals, however the rows are ordered; building both eagerly costs
+    # no call the objective would not make anyway
     etas = (0.9, 0.3, 0.6, 1.0)
     cfgs = [cfg_for(strategy.value, eta=eta, n_trunc=3, objective=objective)
             for strategy in Strategy for eta in etas]
@@ -604,51 +608,70 @@ def test_a_sweep_builds_each_setting_once(objective):
     calls = _call_counts(lambda: sweep(cfgs))
     assert calls["fock_matrices"] == calls["moment_table"] == len(etas)
     assert 0 < calls["tmsv_chi"] <= 3 * len(etas)
+    assert 0 < calls["fidelity_integrals"] <= 3 * len(etas)
     # a point is one setting and one pipeline
+    once = {"tmsv_chi": 1, "moment_table": 1, "fock_matrices": 1,
+            "fidelity_integrals": 1}
     for strategy in Strategy:
         cfg = cfg_for(strategy.value, n_trunc=3, objective=objective)
-        calls = _call_counts(lambda: evaluate_point(cfg))
-        assert dict(calls) == {"tmsv_chi": 1, "moment_table": 1, "fock_matrices": 1}
+        assert dict(_call_counts(lambda: evaluate_point(cfg))) == once
     calls = _call_counts(lambda: main(["point", "--strategy", "coherent_after",
                                        "--s", "0.114", "--eta", "0.7", "--n-th", "0.1",
                                        "--n-trunc", "3", "--objective", objective]))
-    assert dict(calls) == {"tmsv_chi": 1, "moment_table": 1, "fock_matrices": 1}
+    assert dict(calls) == once
 
 
 @pytest.mark.parametrize("s", [0.0, 0.3])
 def test_setting_matrices_are_float64(s):
+    # the five strategies of a setting run three pipelines: no operation,
+    # the operation before and after the channel; one Fock matrix and one
+    # fidelity integral per cube, all float64
     cfgs = [cfg_for(strategy.value, s=s, n_trunc=3) for strategy in Strategy]
-    setting = scenarios._Setting(cfgs)
-    for cfg in cfgs:
-        matrices = setting.matrices(cfg)
-        assert matrices.dtype == np.float64, cfg
-        assert len(matrices) == len(setting.terms(cfg)[1])
+    pipelines = scenarios._pipelines(cfgs)
+    assert len(pipelines) == 3
+    assert {scenarios._pipeline_key(cfg) for cfg in cfgs} == set(pipelines)
+    for kernel, polys, traces, matrices, fidelities in pipelines.values():
+        assert matrices.dtype == fidelities.dtype == np.float64
+        assert len(matrices) == len(fidelities) == len(traces) == len(polys)
 
 
 def test_a_sweep_holds_one_setting_at_a_time(monkeypatch):
     # each setting's pipelines and matrices go before the next setting's
-    # rows run, by reference counting alone (the collector is off), so a
+    # are built, by reference counting alone (the collector is off), so a
     # sweep's memory does not grow with its eta grid
-    live, made = collections.Counter(), collections.Counter()
+    built, evaluators = [], collections.Counter()
+    original_fock = scenarios.fock_matrices
 
-    def counted(cls):
-        class Counted(cls):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                live[cls.__name__] += 1
-                made[cls.__name__] += 1
-                weakref.finalize(self, live.subtract, [cls.__name__])
-        return Counted
+    def tracked(*args):
+        out = original_fock(*args)
+        built.append(weakref.ref(out))
+        return out
 
-    monkeypatch.setattr(scenarios, "_Setting", counted(scenarios._Setting))
-    monkeypatch.setattr(scenarios, "_PointEvaluator", counted(scenarios._PointEvaluator))
-    at_row = []
-    original = scenarios.evaluate_point
+    def alive():
+        return sum(ref() is not None for ref in built)
+
+    class Counted(scenarios._PointEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            evaluators["live"] += 1
+            weakref.finalize(self, evaluators.subtract, ["live"])
+
+    at_build, at_row = [], []
+    original_pipelines = scenarios._pipelines
+
+    def pipelines(cfgs):
+        at_build.append(alive())
+        return original_pipelines(cfgs)
+
+    original_row = scenarios.evaluate_point
 
     def probed(cfg, *args):
-        at_row.append((live["_Setting"], live["_PointEvaluator"]))
-        return original(cfg, *args)
+        at_row.append((alive(), evaluators["live"]))
+        return original_row(cfg, *args)
 
+    monkeypatch.setattr(scenarios, "fock_matrices", tracked)
+    monkeypatch.setattr(scenarios, "_PointEvaluator", Counted)
+    monkeypatch.setattr(scenarios, "_pipelines", pipelines)
     monkeypatch.setattr(scenarios, "evaluate_point", probed)
     etas = (0.2, 0.4, 0.6, 0.8, 1.0)
     cfgs = [cfg_for(strategy.value, eta=eta, n_trunc=3)
@@ -660,9 +683,10 @@ def test_a_sweep_holds_one_setting_at_a_time(monkeypatch):
     finally:
         if enabled:
             gc.enable()
+    assert at_build == [0] * len(etas)
     assert at_row == [(1, 0)] * len(cfgs)
-    assert made == {"_Setting": len(etas), "_PointEvaluator": len(cfgs)}
-    assert +live == collections.Counter()
+    assert len(built) == len(etas)
+    assert alive() == 0 and +evaluators == collections.Counter()
 
 
 def test_sweep_record_and_result_shapes():
