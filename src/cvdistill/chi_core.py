@@ -7,21 +7,21 @@ characteristic function
     v = (xi1, xi1*, xi2, xi2*),
 
 with P a polynomial, stored as a dense coefficient cube (poly[alpha] is the
-coefficient of v^alpha), and K a real 4x4 kernel matrix of the structure
-gaussian_kernel requires of every kernel.  Every kernel and cube a pipeline
-builds is float64: the squeezed vacuum, the real weights of the operation
-and a phase-insensitive channel keep every coefficient real, and each
-operation computes in the dtype of its inputs.  A state is one kernel and
-a stack of such cubes, (kernel, stack) with stack of shape
-(n, D, D, D, D): the polynomials over one kernel that a (t, r)-basis
-pipeline carries, or a single state's one cube (two_mode_stack checks the
-shapes).  The representation is closed under the three operations the
+coefficient of v^alpha), and K a real 4x4 kernel that passes
+gaussian_kernel.  A state is one kernel and a stack of such cubes of shape
+(n, D, D, D, D) (two_mode_stack checks the shapes): the polynomials over
+one kernel that a (t, r)-basis pipeline carries, or a single state's one
+cube.  The representation is closed under the three operations the
 distillation pipelines need: preparation of a two-mode squeezed vacuum,
 the coherent superposition operation t*a + r*a^dag applied to one mode,
 and the beamsplitter model of a thermal-noise channel.  Phase-space
 integrals of monomials against the Gaussian factor are evaluated exactly
 by a Wick/Stein moment recursion, the Fock-basis reconstruction's engine;
 the teleportation-fidelity integral has a closed form (entanglement).
+Every kernel, cube and moment the pipelines build is float64: the
+squeezed vacuum, the real weights of the operation and a
+phase-insensitive channel keep every coefficient real, and each
+operation computes in the dtype of its inputs.
 
 Conventions: the formal variables are ordered (xi1, xi1*, xi2, xi2*), mode
 arguments are 1-based, and every phase-space integral carries one factor of
@@ -41,7 +41,8 @@ ZERO_INDEX = (0, 0, 0, 0)
 
 
 class SingularKernelError(Exception):
-    """Kernel not positive definite, or its determinant or moments out of float range."""
+    """Kernel not positive definite, a quantity derived from it out of float
+    range, or a moment covariance with an imaginary part."""
 
 
 # ---------------------------------------------------------------------------
@@ -64,19 +65,19 @@ class ChannelParams:
 
 def gaussian_kernel(quad):
     """quad as the kernel matrix K of the factor exp(-0.5 v^T K v): a
-    read-only float64 copy, checked against the one kernel contract.
+    read-only float64 copy, checked in quad's own dtype (a real input is
+    never copied to complex) against the one kernel contract.
 
     Rows/columns interleave each mode's (xi, xi*).  K must be square over
-    those pairs, finite, exactly symmetric, and conserve the phase charges
-    q of _charges exactly: every K_jk with q_j + q_k != 0 is 0.  It must be
-    exactly swap symmetric, P K P = K with P the permutation that exchanges
-    xi_i and xi_i* in every mode, and real, so that the quadratic form is
-    real whenever xi_i* is the complex conjugate of xi_i.  A two-mode
-    squeezed vacuum through phase-insensitive channels, and every kernel
-    the pipelines build from it, has this structure bit for bit.  Anything
-    else raises ValueError; nothing is symmetrized.
+    those pairs, finite, exactly symmetric, conserve the phase charges q of
+    _charges exactly (every K_jk with q_j + q_k != 0 is 0), be exactly
+    swap symmetric, P K P = K with P exchanging xi_i and xi_i* in every
+    mode, and be real.  A two-mode squeezed vacuum through
+    phase-insensitive channels, and every kernel the pipelines build from
+    it, has this structure bit for bit.  Anything else raises ValueError,
+    in that order of checks; nothing is symmetrized.
     """
-    k = np.array(quad, dtype=complex)
+    k = np.array(quad)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] % 2:
         raise ValueError("kernel must be square over (xi, xi*) pairs")
     if not np.isfinite(k).all():
@@ -90,9 +91,7 @@ def gaussian_kernel(quad):
         raise ValueError("kernel breaks the swap symmetry P K P = K")
     if k.imag.any():
         raise ValueError("kernel must be real")
-    k = np.ascontiguousarray(k.real)
-    k.flags.writeable = False
-    return k
+    return _read_only(k.real.astype(float, copy=False))
 
 
 def two_mode_stack(kernel, polys):
@@ -129,11 +128,8 @@ def _charge_breaking(n_vars):
 def _complexification(n_modes):
     """Matrix T with v = T u, u = (x, y) per mode, xi = x + i y."""
     t = np.zeros((2 * n_modes, 2 * n_modes), dtype=complex)
-    for m in range(n_modes):
-        t[2 * m, 2 * m] = 1.0
-        t[2 * m, 2 * m + 1] = 1j
-        t[2 * m + 1, 2 * m] = 1.0
-        t[2 * m + 1, 2 * m + 1] = -1j
+    for m in range(0, 2 * n_modes, 2):
+        t[m:m + 2, m:m + 2] = [[1.0, 1j], [1.0, -1j]]
     return t
 
 
@@ -208,25 +204,26 @@ def _first_order(stack, raised, kq, j, c, m, h):
 def coherent_op_terms(kernel, stack, mode):
     """Apply (t a + r a^dag) rho (t a^dag + r a) to one mode, for every (t, r).
 
-    stack[k] is the coefficient cube of t^(n-k) r^k in a degree-n form in
-    (t, r) over the kernel; the result is the stack of the degree-(n+2)
-    form, two cubes longer.  Under the characteristic-function correspondence
+    kernel and stack are a two-mode state (two_mode_stack checks the
+    shapes), stack[k] the cube of t^(n-k) r^k in a degree-n form in (t, r);
+    the result is the stack of the degree-(n+2) form, two cubes longer.
+    Under the characteristic-function correspondence
 
         a rho     -> (-d/dxi* - xi/2) chi      rho a     -> (-d/dxi* + xi/2) chi
         a^dag rho -> ( d/dxi  - xi*/2) chi     rho a^dag -> ( d/dxi  + xi*/2) chi
 
     the sandwich is right multiplication by t a^dag + r a, then left
     multiplication by t a + r a^dag: four fixed first-order operators mixed
-    bilinearly by (t, r).  The kernel is untouched, the polynomial degree
-    grows by at most two, and the weighted trace of the unnormalized output
-    carries the success probability of the operation.  The cubes grow by two
-    on every axis, so no shift moves a nonzero coefficient across an edge.
-    The result has the dtype of the inputs, float64 for every pipeline.
-    An overflow or invalid value in the arithmetic raises FloatingPointError
-    rather than leaving inf or NaN coefficients.
+    bilinearly by (t, r).  The kernel is untouched, the weighted trace of
+    the output carries the operation's success probability, and the cubes
+    grow by two on every axis, so no shift moves a nonzero coefficient
+    across an edge.  The result has the dtype of the inputs, float64 for
+    every pipeline.  An overflow or invalid value in the arithmetic raises
+    FloatingPointError rather than leaving inf or NaN coefficients.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
+    stack = two_mode_stack(kernel, stack)
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
     right = ((p, 1.0, q, 0.5), (q, -1.0, p, 0.5))  # t: rho a^dag, r: rho a
     left = ((q, -1.0, p, -0.5), (p, 1.0, q, -0.5))  # t: a rho, r: a^dag rho
@@ -255,11 +252,11 @@ def apply_thermal_channel(kernel, stack, mode, channel):
     columns of the mode are scaled by sqrt(eta) and the conjugate-pair entry
     gains the thermal term.  The trace chi(0, 0) is preserved exactly.
 
-    The input kernel must pass gaussian_kernel; the real scaling of a
-    conjugate pair and the real term added to both of its entries keep
-    that contract bit for bit, so the output kernel (float64, read-only) is
-    not checked again.  A thermal term beyond the float range raises
-    SingularKernelError.
+    The kernel must pass gaussian_kernel and the stack two_mode_stack; the
+    real scaling of a conjugate pair and the real term added to both its
+    entries keep the kernel contract bit for bit, so the output kernel
+    (float64, read-only) is not checked again.  A thermal term beyond the
+    float range raises SingularKernelError.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
@@ -267,6 +264,7 @@ def apply_thermal_channel(kernel, stack, mode, channel):
     if not math.isfinite(add):
         raise SingularKernelError(f"channel thermal term {add} is out of range")
     k = np.array(gaussian_kernel(kernel))
+    stack = two_mode_stack(k, stack)
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
     root = math.sqrt(channel.eta)
     a = np.indices(stack.shape[1:])
@@ -287,8 +285,9 @@ def _moment_covariance(kernel):
 
     The kernel is converted to its real quadratic form M over (x, y) pairs;
     the moment covariance of the real Gaussian is Sigma = M^{-1}, pulled back
-    to the complex variables as C = T Sigma T^T, and the Gaussian integrates
-    to 2^n / sqrt(det M) over n modes.  A det M that leaves the float range
+    to the complex variables as C = T Sigma T^T (complex, as T is; real for
+    every kernel gaussian_kernel accepts), and the Gaussian integrates to
+    2^n / sqrt(det M) over n modes.  A det M that leaves the float range
     raises SingularKernelError rather than scaling every moment to 0 or inf.
     """
     m = _real_form(kernel)
@@ -302,8 +301,7 @@ def _moment_covariance(kernel):
         raise SingularKernelError(f"kernel determinant {det} is out of range")
     n_modes = len(kernel) // 2
     t = _complexification(n_modes)
-    sigma = np.linalg.inv(m)
-    return t @ sigma @ t.T, 2.0 ** n_modes / math.sqrt(det)
+    return t @ np.linalg.inv(m) @ t.T, 2.0 ** n_modes / math.sqrt(det)
 
 
 def _read_only(a):
@@ -352,7 +350,7 @@ def _moment_plan(shape):
 
 def moment_table(kernel, shape):
     """Exact phase-space moments against one Gaussian kernel, as a dense
-    array over every alpha with alpha_i < shape_i:
+    float64 array over every alpha with alpha_i < shape_i:
 
         table[alpha] = Int prod_i (d^2 xi_i / pi) v^alpha exp(-0.5 v^T K v)
 
@@ -363,34 +361,36 @@ def moment_table(kernel, shape):
     with C from _moment_covariance, run vectorized over shells of equal total
     degree, each alpha reduced along its first nonzero exponent; odd shells
     vanish and are skipped.  An entry reads only entries below it, so it does
-    not depend on the table's shape.
+    not depend on the table's shape.  C is real for every kernel that
+    gaussian_kernel accepts, so the recursion runs on C.real in float64; a C
+    with a nonzero imaginary part raises SingularKernelError.
 
     The kernel must pass gaussian_kernel, so it conserves the phase charges
     q of _charges.  Only the alpha with q . alpha = 0 are computed; the
     rest keep the +0 of np.zeros, which the recursion gives them too, bit
-    for bit, wherever C's charge-violating entries are exactly 0 (they are
-    on the state, augmented and fidelity kernels of 1,500 random
-    configurations, and the tests compare against the recursion run on
-    every entry): a term with C_jk != 0 has q_j + q_k = 0, so it reads an
-    entry of the same nonzero charge, +0 by induction (or a finite one
-    times beta_k = 0), and a sum from +0 of only +-0 stays +0.
+    for bit, wherever C's charge-violating entries are exactly 0 (tested
+    on every strategy's kernels): a term with C_jk != 0 has q_j + q_k = 0,
+    so it reads an entry of the same nonzero charge, +0 by induction (or a
+    finite one times beta_k = 0), and a sum from +0 of +-0 stays +0.
 
     Which entries a shell computes and which ones each of its terms reads
     depend only on the shape, so that index bookkeeping is planned once per
-    shape and cached (_moment_plan); a call runs only the arithmetic: the
-    products of the plain recursion, in its order, skipping a term where
-    C_jk is exactly 0, so no bit moves.
+    shape and cached (_moment_plan); a call runs only the arithmetic, in
+    the plain recursion's order, skipping a term where C_jk is exactly 0.
     """
     kernel = gaussian_kernel(kernel)
     cov, norm = _moment_covariance(kernel)
+    if cov.imag.any():
+        raise SingularKernelError("moment covariance has an imaginary part")
+    cov = cov.real
     shape = tuple(int(s) for s in shape)
     if len(shape) != len(kernel):
         raise ValueError("shape rank must match the number of variables")
-    table = np.zeros(shape, dtype=complex)
+    table = np.zeros(shape)
     flat = table.reshape(-1)
     flat[0] = 1.0
     for j, target, terms in _moment_plan(shape):
-        acc = np.zeros(len(target), dtype=complex)
+        acc = np.zeros(len(target))
         for k, bk, source in terms:
             cjk = cov[j, k]
             if cjk != 0.0:

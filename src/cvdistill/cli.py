@@ -75,7 +75,7 @@ def parse_run_config(path):
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     raw = {}
     for lineno, line in enumerate(lines, start=1):
@@ -95,6 +95,8 @@ def parse_run_config(path):
     for key in _REQUIRED_KEYS:
         if key not in raw:
             raise ConfigError(f"{path}: missing required key {key!r}")
+    if not raw["output"]:
+        raise ConfigError(f"{path}: output must name a file")
 
     def number(key, conv, default=None):
         if key not in raw:
@@ -174,10 +176,21 @@ def write_sweep_csv(path, records):
         raise
 
 
+def _check_output(path):
+    """Raise the OSError that writing path would end with if its directory
+    is missing or path names a directory, before any row is computed."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"no such directory: {directory!r}")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"is a directory: {path!r}")
+
+
 def cmd_sweep(args):
     configs, output = parse_run_config(args.config)
-    records = sweep(configs)
-    try:
+    try:  # sweep does no I/O: every OSError here is the output's
+        _check_output(output)
+        records = sweep(configs)
         write_sweep_csv(output, records)
     except OSError as exc:
         print(f"error: cannot write {output}: {exc}", file=sys.stderr)
@@ -258,7 +271,8 @@ def build_parser():
     p_point.add_argument("--n-th", "--n_th", dest="n_th", type=float,
                          required=True)
     p_point.add_argument("--t", type=float, default=None,
-                         help="pin the coherent weight instead of optimizing")
+                         help="pin the weight of a coherent strategy instead "
+                              "of optimizing; other strategies ignore it")
     p_point.add_argument("--n-trunc", type=int, default=5)
     p_point.add_argument("--objective", default="negativity",
                          help="what the weight optimizer maximizes: "

@@ -77,14 +77,12 @@ def log_negativity(rho):
     numpy.linalg.LinAlgError if it does not converge.  The solve is in
     rho's dtype: real for the float64 matrices of fock_matrices, complex
     for a complex input.  When every entry that couples even to odd total
-    photon number is exactly 0, the two parity blocks are gathered from rho
-    by index arrays cached per cutoff and solved one after the other, with
-    no option to turn this off; otherwise rho^T1 is solved whole.  The
-    states of every strategy have that structure.  A stack is solved by one
-    rule for all its states, so each value is, bit for bit, that of a call
-    on its state alone whenever the states share the structure.  The tests
-    check the solves against each other and against a self-contained
-    cyclic Jacobi solver.
+    photon number is exactly 0, as in the states of every strategy, the two
+    parity blocks are gathered from rho by index arrays cached per cutoff
+    and solved one after the other; otherwise rho^T1 is solved whole.  A
+    stack is solved by one rule for all its states, so each value is, bit
+    for bit, that of a call on its state alone whenever the states share
+    the structure.
     """
     rho = np.asarray(rho)
     blocks, mixed = _parity_blocks(_fock_side(rho))

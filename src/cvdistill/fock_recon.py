@@ -6,13 +6,12 @@ A density matrix element on the truncated Fock space is the overlap integral
                   <i|D^dag(xi1)|k> <j|D^dag(xi2)|l> chi(xi1, xi2),
 
 and every displacement matrix element is a finite polynomial times the
-Gaussian exp(-|xi|^2/2).  For polynomial-times-Gaussian characteristic
-functions the whole integrand therefore lives in one augmented Gaussian
-kernel, and the exact moment table evaluates it term by term.  A density
+Gaussian exp(-|xi|^2/2), so for polynomial-times-Gaussian characteristic
+functions the whole integrand lives in one augmented Gaussian kernel and
+the exact float64 moment table evaluates it term by term.  A density
 matrix is a plain (d^2, d^2) float64 array, d = n_trunc + 1.  Every
-kernel conserves the phase charge (chi_core.gaussian_kernel refuses any
-other), so only the moments and weights of charge zero are computed; the
-others are exactly +0.
+kernel conserves the phase charge, so only the moments and weights of
+charge zero are computed; the others are exactly +0.
 
 Truncation note: dropping Fock components above n_trunc can only lower the
 measured entanglement (the truncation is a local projection), so in exact
@@ -44,8 +43,7 @@ CERTIFY_TOL = 1e-6
 
 
 class PrecisionError(Exception):
-    """A reconstructed Fock matrix is not a state to within CERTIFY_TOL, or
-    the moment table it would be built from has a nonzero imaginary part."""
+    """certify refused a Fock matrix: not a state to within CERTIFY_TOL."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,26 +165,21 @@ def _fock_side(rho):
 def fock_matrices(kernel, n_trunc, polys, *more):
     """Truncated two-mode density matrices of polynomials over one kernel.
 
-    kernel and polys are a two-mode state in the pipeline's format, a
-    stack of coefficient cubes of one shape over one kernel (see
-    chi_core.two_mode_stack), and n_trunc is a nonnegative integer; more
-    are further stacks over the same kernel.  Returns an array of shape
-    (total number of cubes, d^2, d^2), d = n_trunc + 1, the stacks'
-    matrices in order, with the row-major composite index i * d + j for
-    |i, j>, in np.result_type of float64 and the stacks: float64, complex
-    only for a complex stack.  The moment table is taken real once (a
-    nonzero imaginary part raises PrecisionError), so the weights are
-    float64.  The table and the per-element weight matrix are built
-    once over the union of the stacks' nonzero monomials; each matrix is
-    its own coefficient vector times the weight rows of its own stack's
-    monomials (upper triangle integrated, the rest by Hermitian symmetry
-    of a state).  So a stack gets the bits it gets alone: zeros for the
-    other stacks' monomials would move the rounding of the sums.  Only a
-    stack with fewer monomials than the union copies its rows.  The
-    polynomials need not be normalized, so a weighted sum of their
-    matrices is the matrix of the weighted sum; certify(fock_matrices(
-    kernel, n, stack)[0]) is the checked matrix of a normalized single
-    state.
+    kernel and polys are a two-mode state in the pipeline's format (see
+    chi_core.two_mode_stack), n_trunc a nonnegative integer and more
+    further stacks over the same kernel.  Returns the stacks' matrices in
+    order, shape (total number of cubes, d^2, d^2), d = n_trunc + 1, row
+    i * d + j for |i, j>, in np.result_type of float64 and the stacks
+    (complex only for a complex stack).  The moment table, float64 as
+    moment_table makes it, and the float64 weight matrix are built once
+    over the union of the stacks' nonzero monomials; each matrix is its
+    own coefficient vector times the weight rows of its own stack's
+    monomials (upper triangle integrated, the rest by Hermitian symmetry),
+    so a stack gets the bits it gets alone: zeros for the other stacks'
+    monomials would move the rounding.  The polynomials need not be
+    normalized, so a weighted sum of their matrices is the matrix of the
+    weighted sum; certify(fock_matrices(kernel, n, stack)[0]) is the
+    checked matrix of a normalized single state.
 
     The weight of rho_{ij,kl} at a support monomial sums the p * q products
     of the p = min(i, k) + 1 terms of <i|D^dag|k> and the q = min(j, l) + 1
@@ -205,14 +198,13 @@ def fock_matrices(kernel, n_trunc, polys, *more):
     power of xi1 that exceeds the power of xi1* by i - k, so with q the
     phase charges every moment a pair reads has the charge
     q_0 (i - k) + q_2 (j - l) + q . alpha.  Where that is nonzero the
-    moments are +0 (see moment_table), the products +-0, and the sum plus
-    0.0 is +0, so those weights keep the +0 of np.zeros.
+    moments are +0 (see moment_table), so those weights keep the +0 of
+    np.zeros, as the sum of their +-0 products plus 0.0 would be.
 
     Which pairs each class gathers, their table offsets and their term
     coefficients depend only on d and the support, so they are planned
-    once per (d, support) and cached (_fock_plan).  A call gathers the
-    moments, scales and sums them in the order above, so the plan moves no
-    bit.
+    once per (d, support) and cached (_fock_plan); a call only gathers,
+    scales and sums, in the order above.
     """
     n_trunc = _cutoff(n_trunc)
     kernel = gaussian_kernel(kernel)
@@ -224,12 +216,8 @@ def fock_matrices(kernel, n_trunc, polys, *more):
     monomials = tuple(sorted({m for own in supports for m in map(tuple, own.tolist())}))
     d = n_trunc + 1
 
-    aug = _augmented_kernel(kernel)
     shape, rows, cols, classes = _fock_plan(d, monomials)
-    table = moment_table(aug, shape).reshape(-1)
-    if np.any(table.imag):
-        raise PrecisionError("the moment table has a nonzero imaginary part")
-    table = np.ascontiguousarray(table.real)
+    table = moment_table(_augmented_kernel(kernel), shape).reshape(-1)
     weights = np.zeros((len(monomials), len(rows)))
     for a, e, o1, o2, c1, c2 in classes:
         vals = table[o1[:, None] + o2[None]]

@@ -66,12 +66,12 @@ class ScenarioConfig:
     """One strategy at one squeezing and channel setting.
 
     objective picks what the coherent-weight optimizer maximizes
-    ("negativity" or "fidelity"); t_override pins t instead of optimizing.
+    ("negativity" or "fidelity"); t_override pins the coherent strategies'
+    t instead of optimizing it (the others ignore it, see evaluate_point).
     With ChannelParams it checks every input range before any pipeline
-    runs; cli.scenario_configs builds these for the point and sweep
-    commands alike.  tmsv_chi applies the same rule to s, and fock_matrices
-    the same rule to n_trunc (a nonnegative integer), for callers of the
-    pipeline functions.
+    runs, for the point and sweep commands alike (cli.scenario_configs);
+    tmsv_chi and fock_matrices apply the same rules to s and to n_trunc (a
+    nonnegative integer) for callers of the pipeline functions.
     """
 
     strategy: Strategy

@@ -6,11 +6,13 @@ special-function evaluation, brute-force real-space quadrature, closed-form
 Schmidt sums, a cyclic Jacobi eigensolver, exact rational Laguerre
 coefficients, first-order operators over {multi-index: coefficient} dicts).
 None of that touches the package's moment recursion or its polynomial
-algebra; kraus_rho builds the normalized Fock matrix of every strategy
-from Kraus operators on the Schmidt vector, with no characteristic
-function at all.  The single-state helpers (the State record, tmsv_state,
-fock_matrix, channel_state, the CoherentOp weights and their
-term_weights, apply_coherent_op, combine_terms, normalize, evaluate_chi,
+algebra; kraus_state builds every strategy's unnormalized state from
+Kraus operators on the Schmidt vector, with no characteristic function at
+all, kraus_rho its normalized Fock matrix and kraus_columns its success
+probability, teleportation fidelity and Gaussian negativity.  The
+single-state helpers (the State record, tmsv_state, fock_matrix,
+channel_state, the CoherentOp weights and their term_weights,
+apply_coherent_op, combine_terms, normalize, evaluate_chi,
 teleportation_fidelity) are not references: they apply the package's own
 operations to one state at one weight, or evaluate one, for tests that
 follow a single state; nor are the state checks degree,
@@ -21,9 +23,11 @@ them into the arrays that fock_recon._dagger_table builds directly, with
 the same float operations, so it pins that table bit for bit, while
 displacement_element checks the values.  The package's functions take only
 kernels that pass gaussian_kernel's contract; RecursiveMoments and
-numeric_gaussian_monomials take any integrable kernel.  Four of the
-references share low-level pieces with the package: RecursiveMoments evaluates moments one at a time by the memoized
-scalar Wick/Stein recursion, from the moment covariance and normalization
+numeric_gaussian_monomials take any integrable kernel.  Five of the
+references share low-level pieces with the package: kraus_columns hands
+its Fock-space covariance to the package's gaussian_log_negativity, so it
+checks the covariance, not that formula; RecursiveMoments evaluates
+moments one at a time by the memoized scalar Wick/Stein recursion, from the moment covariance and normalization
 that moment_table uses, so it checks the vectorized moment table, not the
 covariance; it computes every entry, those of nonzero phase charge that
 moment_table leaves at +0 included, and takes the xi2*-coupled kernels
@@ -37,6 +41,7 @@ fock_matrices_by_entry is fock_matrices with one einsum per matrix entry,
 so it pins that function's summation order bit for bit, not its accuracy.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +59,8 @@ from cvdistill.chi_core import (
     moment_table,
     tmsv_chi,
 )
-from cvdistill.entanglement import TRACE_ONE_TOL, fidelity_integrals
+from cvdistill.entanglement import (TRACE_ONE_TOL, fidelity_integrals,
+                                    gaussian_log_negativity)
 from cvdistill.fock_recon import _augmented_kernel, certify, fock_matrices
 from cvdistill.scenarios import ZERO_TRACE_TOL, Strategy
 
@@ -474,23 +480,23 @@ def _kraus_on_mode(rho, kraus, mode):
     return np.moveaxis(out, (0, 1), (mode - 1, mode + 1))
 
 
-def kraus_rho(strategy, s, eta, n_th, t, n_trunc, M, dtype=np.float64):
-    """The normalized (d^2, d^2) Fock matrix over |i, j>, d = n_trunc + 1,
-    of a strategy's state at weight t, by a route that shares nothing with
-    the chi picture.
+def kraus_state(strategy, s, eta, n_th, t, M, dtype=np.float64):
+    """The unnormalized two-mode state rho[m1, m2, n1, n2] = <m1 m2|rho|n1 n2>
+    on M levels a mode of a strategy's pipeline at weight t, by a route
+    that shares nothing with the chi picture: its trace is the success
+    probability of the operation.
 
     The two-mode squeezed vacuum is its Schmidt vector cut at M levels a
     mode; the operation t a + r a^dag, r = sqrt(1 - t^2), is an M x M
     matrix, applied to the pure state before the channel or to both sides
     of rho after it; each mode's thermal channel is the Kraus pair of
     _thermal_kraus.  Every strategy with an operation takes it at weight
-    t, as _PointEvaluator.rho(t) does (subtraction is t = 1).  The state
-    is normalized by its trace over M levels, then cut to d.  Only the
+    t, as _PointEvaluator.rho(t) does (subtraction is t = 1).  Only the
     input cut approximates: the amplifier raises photon numbers and the
     loss lowers them, so the output below M reads only input below M, and
-    the error is the Schmidt tail, of weight about tanh(s)^(2M).  All the
-    arithmetic runs in dtype, so np.longdouble gives references beyond
-    float64.
+    the error is the Schmidt tail, of weight about tanh(s)^(2M), plus what
+    the amplifier and a^dag carry above M.  All the arithmetic runs in
+    dtype, so np.longdouble gives references beyond float64.
     """
     strategy = Strategy(strategy)
     s, t = dtype(s), dtype(t)
@@ -509,8 +515,68 @@ def kraus_rho(strategy, s, eta, n_th, t, n_trunc, M, dtype=np.float64):
         for axis in range(4):
             mat = op if axis < 2 else op.conj()
             rho = np.moveaxis(np.tensordot(mat, rho, axes=(1, axis)), 0, axis)
+    return rho
+
+
+def kraus_rho(strategy, s, eta, n_th, t, n_trunc, M, dtype=np.float64):
+    """The normalized (d^2, d^2) Fock matrix over |i, j>, d = n_trunc + 1,
+    of kraus_state: normalized by its trace over M levels, then cut to d."""
+    rho = kraus_state(strategy, s, eta, n_th, t, M, dtype)
     d = n_trunc + 1
     return (rho[:d, :d, :d, :d] / np.einsum("abab->", rho)).reshape(d * d, d * d)
+
+
+@functools.lru_cache(maxsize=2)
+def _displacement_grid(M, nodes):
+    """The Gauss-Hermite weights of a nodes x nodes rule over (Re xi, Im xi)
+    and the matrices <m|D(xi*)|n> and <m|D(xi)|n>, m, n < M, at its nodes,
+    as (M, M, nodes^2) arrays."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    xi = (x[:, None] + 1j * x[None, :]).ravel()
+    disp = [np.array([[displacement_element(m, n, alpha) for n in range(M)]
+                      for m in range(M)]) for alpha in (np.conj(xi), xi)]
+    return np.outer(w, w).ravel(), disp
+
+
+def kraus_columns(strategy, s, eta, n_th, t, M, nodes=60):
+    """(p_success, fidelity, E_N_gauss) of a row at weight t, from
+    kraus_state on M levels, with no characteristic function at all.
+
+    p_success is the state's trace.  The fidelity of coherent-state
+    teleportation, (1/pi) Int d^2xi tr[rho D(xi*) (x) D(xi)] exp(-|xi|^2),
+    takes a Gauss-Hermite rule of nodes x nodes points in Re xi and Im xi
+    and displacement_element at each node.  E_N_gauss is
+    gaussian_log_negativity of the quadrature covariance
+    <{q_i, q_j}>/2 - <q_i><q_j>, q = (x1, p1, x2, p2), x = (a + a^dag)/sqrt(2)
+    and p = (a - a^dag)/(i sqrt(2)): its products are taken on M levels and
+    read on the M - 1 levels where a a^dag is exact.
+    """
+    rho = kraus_state(strategy, s, eta, n_th, t, M)
+    p_success = float(np.einsum("abab->", rho))
+    rho = rho / p_success
+
+    weights, disp = _displacement_grid(M, nodes)
+    # tr[rho A (x) B] = sum rho[m1, m2, n1, n2] A[n1, m1] B[n2, m2]
+    values = np.einsum("abcd,cai,dbi->i", rho, *disp, optimize=True)
+    fidelity = float((weights @ values).real / math.pi)
+
+    a = np.diag(np.sqrt(np.arange(1.0, M)), 1)
+    one = np.eye(M)
+    quads = [((a + a.T) / math.sqrt(2.0), one),
+             ((a - a.T) / (1j * math.sqrt(2.0)), one)]
+    quads += [(b, q) for q, b in quads]
+    cut = rho[:M - 1, :M - 1, :M - 1, :M - 1]
+
+    def mean(op1, op2):
+        return np.einsum("abcd,ca,db->", cut, op1[:M - 1, :M - 1],
+                         op2[:M - 1, :M - 1]).real
+
+    first = [mean(*q) for q in quads]
+    sigma = np.array([[(mean(qi[0] @ qj[0], qi[1] @ qj[1])
+                        + mean(qj[0] @ qi[0], qj[1] @ qi[1])) / 2 - fi * fj
+                       for qj, fj in zip(quads, first)]
+                      for qi, fi in zip(quads, first)])
+    return p_success, fidelity, gaussian_log_negativity(sigma)
 
 
 # --- brute-force quadrature ------------------------------------------------
@@ -709,7 +775,9 @@ def fock_matrices_by_entry(kernel, n_trunc, polys):
 
     amax = np.max(support, axis=0)
     shape = tuple(int(x) for x in amax + n_trunc + 1)
-    table = moment_table(_augmented_kernel(kernel), shape).reshape(-1)
+    # the einsum below runs complex, as it did on the complex table, so
+    # its sums keep their order and bits
+    table = moment_table(_augmented_kernel(kernel), shape).reshape(-1).astype(complex)
     strides = np.array([int(np.prod(shape[i + 1:])) for i in range(4)], dtype=np.intp)
 
     alpha_lin = support @ strides

@@ -502,21 +502,25 @@ def test_public_functions_refuse_kernels_outside_the_contract():
                 call(kernel)
     # inputs outside the two-mode state format are refused by name: a
     # one-mode kernel, which passes gaussian_kernel, and a lone cube where a
-    # stack belongs
+    # stack belongs (which the pipeline operations would otherwise scale
+    # along the wrong axes, or meet with an IndexError or a broadcast error)
     one_mode = np.array([[0.0, 0.5], [0.5, 0.0]])
+    cube = np.ones((3, 3, 3, 3))
     fmt = r"two-mode state is a 4x4 kernel and a stack of \(D, D, D, D\) cubes"
     for call in (lambda: fock_matrices(one_mode, 2, poly[None]),
                  lambda: fidelity_integrals(one_mode, poly[None]),
-                 lambda: fock_matrices(good, 2, np.ones((3, 3, 3, 3))),
-                 lambda: covariance_from_chi(one_mode, poly)):
+                 lambda: fock_matrices(good, 2, cube),
+                 lambda: covariance_from_chi(one_mode, poly),
+                 *(lambda m=m: apply_thermal_channel(good, cube, m, ch) for m in (1, 2)),
+                 *(lambda m=m: coherent_op_terms(good, cube, m) for m in (1, 2))):
         with pytest.raises(ValueError, match=fmt):
             call()
 
 
 def test_moment_table_equals_the_scalar_recursion_bit_for_bit():
-    # the plan computes only the entries of charge zero; the recursion run
-    # on every entry gives the same bits, signs of zero included, on the
-    # five strategies' augmented and fidelity kernels
+    # the plan computes only the entries of charge zero, in float64; the
+    # complex recursion run on every entry gives the same bits, signs of
+    # zero included, on the five strategies' augmented and fidelity kernels
     r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
     rng = np.random.default_rng(100)
     for strategy in Strategy:
@@ -530,7 +534,8 @@ def test_moment_table_equals_the_scalar_recursion_bit_for_bit():
                              (fidelity, (9, 8))):
                 ref = oracles.RecursiveMoments(k)
                 want = np.reshape([ref.moment(a) for a in np.ndindex(shape)], shape)
-                assert same_bits(moment_table(k, shape), want), cfg
+                table = moment_table(k, shape)
+                assert table.dtype == np.float64 and same_bits(table, want), cfg
 
 
 def test_singular_kernel_rejected():
@@ -538,6 +543,26 @@ def test_singular_kernel_rejected():
         moment_table(gaussian_kernel(np.zeros((4, 4))), (1, 1, 1, 1))
     with pytest.raises(SingularKernelError):
         moment_table(pair_kernel(-0.5), (1, 1, 1, 1))
+
+
+def test_an_imaginary_moment_covariance_is_refused(monkeypatch):
+    # every kernel gaussian_kernel takes has a real C, and moment_table
+    # recurses on it in float64; a C with an imaginary part is refused
+    # there, and so in the Fock route, rather than dropped
+    covariance = chi_core._moment_covariance
+
+    def imaginary(kernel):
+        cov, norm = covariance(kernel)
+        cov[-1, -1] += 1e-300j
+        return cov, norm
+    monkeypatch.setattr(chi_core, "_moment_covariance", imaginary)
+    kernel, polys = _raw_terms(ScenarioConfig(
+        Strategy.COHERENT_AFTER, 0.3, ChannelParams(0.7, 0.1), 3))
+    for call in (lambda: moment_table(kernel, (2, 2, 2, 2)),
+                 lambda: fock_matrices(kernel, 3, polys)):
+        with pytest.raises(SingularKernelError,
+                           match="moment covariance has an imaginary part"):
+            call()
 
 
 def test_integrate_polynomial():

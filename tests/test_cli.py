@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import cvdistill
-from cvdistill import fock_recon, scenarios
+from cvdistill import chi_core, scenarios
 from cvdistill.chi_core import ChannelParams
 from cvdistill.cli import (
     CSV_HEADER,
@@ -251,20 +251,21 @@ def test_point_eigensolver_failure_is_numerical_exit(monkeypatch, capsys):
     assert "LinAlgError" in capsys.readouterr().err
 
 
-def test_point_imaginary_moment_table_is_numerical_exit(monkeypatch, capsys):
-    table = fock_recon.moment_table
+def test_point_imaginary_moment_covariance_is_numerical_exit(monkeypatch, capsys):
+    covariance = chi_core._moment_covariance
 
-    def complex_table(kernel, shape):
-        out = table(kernel, shape)
-        out.flat[-1] += 1e-300j
-        return out
-    monkeypatch.setattr(fock_recon, "moment_table", complex_table)
+    def imaginary(kernel):
+        cov, norm = covariance(kernel)
+        cov[-1, -1] += 1e-300j
+        return cov, norm
+    monkeypatch.setattr(chi_core, "_moment_covariance", imaginary)
     code = main(["point", "--strategy", "coherent_after", "--s", "0.114",
                  "--eta", "0.5", "--n-th", "0.1"])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: PrecisionError: ")
+    assert captured.err == ("error: SingularKernelError: moment covariance "
+                            "has an imaginary part\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -467,6 +468,35 @@ def test_sweep_overflowing_coefficients_are_numerical_exit(tmp_path, capsys):
 def test_sweep_missing_config_file(tmp_path, capsys):
     assert main(["sweep", str(tmp_path / "absent.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_sweep_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    out = tmp_path / "o.csv"
+    cfg.write_bytes(b"# temp\xe9rature\n" + SMALL_SWEEP.format(out=out).encode())
+    assert main(["sweep", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {cfg}: 'utf-8' codec")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("output,code,message", [
+    ("", 2, "output must name a file"),
+    ("{tmp}/no_such_dir/out.csv", 4, "no such directory: '{tmp}/no_such_dir'"),
+    ("{tmp}", 4, "is a directory: '{tmp}'"),
+])
+def test_sweep_refuses_a_bad_output_before_any_row(tmp_path, capsys, monkeypatch,
+                                                    output, code, message):
+    rows = []
+    monkeypatch.setattr(scenarios, "evaluate_point", lambda *a: rows.append(a))
+    output = output.format(tmp=tmp_path)
+    cfg = write_config(tmp_path, SMALL_SWEEP.format(out=output))
+    assert main(["sweep", cfg]) == code
+    err = capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in err
+    if code == 4:
+        assert err.startswith(f"error: cannot write {output}: ")
+    assert rows == [] and os.listdir(tmp_path) == ["run.cfg"]
 
 
 @pytest.mark.parametrize("mutation,message", [

@@ -480,20 +480,6 @@ def test_fock_matrices_take_the_dtype_of_their_stacks(n_trunc):
         np.testing.assert_allclose(both[:len(polys)], real, rtol=0, atol=1e-15)
 
 
-def test_a_moment_table_with_an_imaginary_part_is_refused(monkeypatch):
-    table = fock_recon.moment_table
-
-    def complex_table(kernel, shape):
-        out = table(kernel, shape)
-        out.flat[-1] += 1e-300j
-        return out
-    monkeypatch.setattr(fock_recon, "moment_table", complex_table)
-    kernel, polys = _raw_terms(ScenarioConfig(
-        Strategy.COHERENT_AFTER, 0.3, ChannelParams(0.7, 0.1), 3))
-    with pytest.raises(PrecisionError, match="imaginary"):
-        fock_matrices(kernel, 3, polys)
-
-
 # ---------------------------------------------------------------------------
 # quadrature oracle
 
