@@ -140,11 +140,11 @@ def _pipeline_key(cfg):
 def _pipelines(cfgs):
     """The arrays of the rows cfgs of one channel setting (s, channel,
     n_trunc): {_pipeline_key: (kernel, polys, traces, matrices,
-    fidelities)}, one entry per distinct pipeline.
+    fidelity_terms)}, one entry per distinct pipeline.
 
     Each pipeline (no operation, the operation before or after the
     channel) runs once; a subtraction row reads the coherent pipeline of
-    its side, at t = 1.  traces, matrices and fidelities are the per-term
+    its side, at t = 1.  traces, matrices and fidelity_terms are the per-term
     traces, float64 Fock matrices and fidelity integrals.  One
     fock_matrices call builds every pipeline's matrices: the coherent
     operation leaves the kernel alone, so the pipelines end on one kernel,
@@ -168,86 +168,73 @@ class _PointEvaluator:
     """One row's view of its pipeline, for repeated evaluations.
 
     The pipeline is a stack of (t, r)-basis cubes over one kernel, with
-    its per-term traces, Fock matrices and fidelity integrals: the entry
-    of _pipelines for cfg, which the rows of one setting share (built for
-    cfg alone by default).  Every per-weight trace, Fock matrix and
-    fidelity is a weighted sum of the per-term ones, and the covariance is
-    read off the weighted sum of the cubes; the objective is always cfg's.
-    A row reads all its columns from here, so it prints what it scores.
+    its per-term traces, Fock matrices and fidelity integrals
+    (fidelity_terms): the entry of _pipelines for cfg, which the rows of
+    one setting share (built for cfg alone by default).  Every method but
+    objective takes weight rows w, from weights(ts): each per-weight trace,
+    Fock matrix and fidelity is the weighted sum of the per-term ones, and
+    the covariance of one row is read off the weighted sum of the cubes;
+    the objective is always cfg's.  A row reads all its columns from its
+    one weight row, so it prints what it scores.
 
-    objectives scores an array of weights at once: one weight matrix, one
-    stack of Fock matrices and one log_negativity call.  A weight's sums
-    are its own dot products and matrix-vector product, never a
-    matrix-matrix product, whose rounding depends on the stack, so it gets
-    the same bits in an array as alone (objective, rho, probability,
-    fidelity).
+    A weight's sums are its own dot products and matrix-vector product,
+    never a matrix-matrix product, whose rounding depends on the stack, so
+    a weight row gets the same bits among many as alone: the optimizer's
+    grid is one objectives call (one stack of Fock matrices and one
+    log_negativity call), a golden step one objective call.
     """
 
     def __init__(self, cfg, pipeline=None):
         self.cfg = cfg
         if pipeline is None:
             (pipeline,) = _pipelines([cfg]).values()
-        self.kernel, self.polys, self.traces, self.matrices, self.fidelities = pipeline
+        self.kernel, self.polys, self.traces, self.matrices, self.fidelity_terms = pipeline
 
-    def _weights(self, ts):
-        """(len(ts), n + 1) weights t^(n-k) r^k of the operations
-        t a + r a^dag, r = sqrt(1 - t^2); a t outside [0, 1] raises
-        ValueError.  For GRID itself they are _grid_weights(n), built once
-        per degree n by the same rule."""
-        n = len(self.polys) - 1
-        return _grid_weights(n) if ts is GRID else _weight_rows(ts, n)
+    def weights(self, ts):
+        """(len(ts), n + 1) weight rows of the weights ts (_weight_rows)."""
+        return _weight_rows(ts, len(self.polys) - 1)
 
-    def probabilities(self, ts):
-        """Success probabilities at the weights ts, clamped at 0."""
-        return np.maximum(_dots(self._weights(ts), self.traces), 0.0)
+    def probabilities(self, w):
+        """Success probabilities of the weight rows w, clamped at 0."""
+        return np.maximum(_dots(w, self.traces), 0.0)
 
-    def probability(self, t):
-        return float(self.probabilities([t])[0])
-
-    def _rhos(self, w):
+    def rhos(self, w):
         """Fock matrices of the normalized states of the weight rows w."""
         c = w / _dots(w, self.traces)[:, None]
         m = self.matrices
         return (c[:, None] @ m.reshape(len(m), -1)).reshape(len(w), *m.shape[1:])
 
-    def rho(self, t):
-        """Fock matrix of the normalized state at weight t."""
-        return self._rhos(self._weights([t]))[0]
-
-    def _fidelities(self, w):
+    def fidelities(self, w):
         """Teleportation fidelities of the normalized states of the weight
         rows w."""
-        return _dots(w, self.fidelities) / _dots(w, self.traces)
+        return _dots(w, self.fidelity_terms) / _dots(w, self.traces)
 
-    def fidelity(self, t):
-        """Teleportation fidelity of the normalized state at weight t."""
-        return float(self._fidelities(self._weights([t]))[0])
-
-    def covariance(self, t):
-        """Quadrature covariance of the normalized state at weight t."""
-        w = self._weights([t])[0]
-        poly = np.tensordot(w, self.polys, axes=1) / (w @ self.traces)
+    def covariance(self, w_row):
+        """Quadrature covariance of the normalized state of one weight row."""
+        poly = np.tensordot(w_row, self.polys, axes=1) / (w_row @ self.traces)
         return covariance_from_chi(self.kernel, poly)
 
-    def objectives(self, ts):
-        """Objective values at the weights ts, -inf where the state vanishes
-        (success probability below ZERO_TRACE_TOL)."""
-        w = self._weights(ts)
+    def objectives(self, w):
+        """Objective values of the weight rows w, -inf where the state
+        vanishes (success probability below ZERO_TRACE_TOL)."""
         live = _dots(w, self.traces) >= ZERO_TRACE_TOL
         values = np.full(len(w), -math.inf)
         if self.cfg.objective == "fidelity":
-            values[live] = self._fidelities(w[live])
+            values[live] = self.fidelities(w[live])
         elif live.any():
-            values[live] = log_negativity(self._rhos(w[live]))
+            values[live] = log_negativity(self.rhos(w[live]))
         return values
 
     def objective(self, t):
-        """Objective value at weight t, -inf when the state vanishes."""
-        return float(self.objectives([t])[0])
+        """Objective value at weight t, -inf when the state vanishes: the
+        golden-section steps' scorer."""
+        return float(self.objectives(self.weights([t]))[0])
 
 
 def _weight_rows(ts, n):
-    """The weights of _PointEvaluator._weights, for degree n.
+    """(len(ts), n + 1) weights t^(n-k) r^k of the operations
+    t a + r a^dag, r = sqrt(1 - t^2), for degree n; a t outside [0, 1]
+    raises ValueError.
 
     Each row is computed in Python floats: numpy's vectorized power
     need not round like the C library's pow, and a last-bit change in
@@ -325,23 +312,25 @@ def optimize_t(ev):
 
     Coarse scan over GRID (step 0.01), then golden-section refinement to
     1e-4 around the best grid point; exact ties break toward smaller t.
-    The 101 grid weights are scored in one stacked call (ev.objectives),
-    the golden steps one at a time (ev.objective), each with the same bits
-    as the other would give.  Weights where the preparation has zero
-    success probability are skipped; if the objective vanishes everywhere
-    the returned weight maximizes the success probability over the grid
-    instead (one stacked call too) and the result is flagged
-    "zero_objective".  A negativity objective on a state that _separable
-    finds separable is known to vanish everywhere, so it goes straight to
-    that result and scores no grid; the fidelity objective always scans.
+    The 101 grid weights are scored in one stacked call on their cached
+    weight rows, _grid_weights (ev.objectives), the golden steps one at a
+    time (ev.objective), each with the same bits as the other would give.
+    Weights where the preparation has zero success probability are
+    skipped; if the objective vanishes everywhere the returned weight
+    maximizes the success probability over the grid instead (one stacked
+    call too) and the result is flagged "zero_objective".  A negativity
+    objective on a state that _separable finds separable is known to
+    vanish everywhere, so it goes straight to that result and scores no
+    grid; the fidelity objective always scans.
     """
+    w = _grid_weights(len(ev.polys) - 1)
     if ev.cfg.objective == "negativity" and _separable(ev.cfg):
         values = np.zeros(len(GRID))
     else:
-        values = ev.objectives(GRID)
+        values = ev.objectives(w)
     # argmax takes the first of equal values, so ties go to the smallest t
     if values.max() <= 0.0:
-        best = int(np.argmax(ev.probabilities(GRID)))
+        best = int(np.argmax(ev.probabilities(w)))
         return OptimizeResult(float(GRID[best]), 0.0, "zero_objective")
     best = int(np.argmax(values))
     best_t, best_v = float(GRID[best]), float(values[best])
@@ -358,11 +347,12 @@ def evaluate_point(cfg, pipeline=None):
 
     Coherent strategies optimize t (unless pinned by t_override); subtraction
     runs at t = 1; the baseline records t_opt = 1 by convention.  E_N,
-    E_N_gauss, fidelity and p_success are the evaluator's values at that t.  A
-    preparation that cannot succeed (the objective's own vanishing-trace
-    rule) yields a zeroed row flagged "zero_state" rather than an exception,
-    so sweeps keep going.  pipeline, cfg's entry of _pipelines, lets rows
-    share pipelines and a Fock build; the record's bits do not depend on it.
+    E_N_gauss, fidelity and p_success are the evaluator's values at the one
+    weight row of that t.  A preparation that cannot succeed (the
+    objective's own vanishing-trace rule) yields a zeroed row flagged
+    "zero_state" rather than an exception, so sweeps keep going.  pipeline,
+    cfg's entry of _pipelines, lets rows share pipelines and a Fock build;
+    the record's bits do not depend on it.
     """
     ev = _PointEvaluator(cfg, pipeline)
     t = cfg.t_override if cfg.strategy.optimizes_t else 1.0
@@ -370,15 +360,16 @@ def evaluate_point(cfg, pipeline=None):
     if t is None:
         opt = optimize_t(ev)
         t, flag = opt.t_opt, opt.flag
-    p = ev.probability(t)
+    w = ev.weights([t])
+    p = float(ev.probabilities(w)[0])
     if p < ZERO_TRACE_TOL:
         return SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th,
                            cfg.channel.eta, t, 0.0, 0.0, 0.0, 0.0,
                            _join_flags(flag, "zero_state"))
     return SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th, cfg.channel.eta,
-                       t, log_negativity(certify(ev.rho(t))),
-                       gaussian_log_negativity(ev.covariance(t)),
-                       ev.fidelity(t), p, flag)
+                       t, log_negativity(certify(ev.rhos(w)[0])),
+                       gaussian_log_negativity(ev.covariance(w[0])),
+                       float(ev.fidelities(w)[0]), p, flag)
 
 
 def _join_flags(*flags):

@@ -491,7 +491,7 @@ def kraus_state(strategy, s, eta, n_th, t, M, dtype=np.float64):
     matrix, applied to the pure state before the channel or to both sides
     of rho after it; each mode's thermal channel is the Kraus pair of
     _thermal_kraus.  Every strategy with an operation takes it at weight
-    t, as _PointEvaluator.rho(t) does (subtraction is t = 1).  Only the
+    t, as _PointEvaluator.rhos does (subtraction is t = 1).  Only the
     input cut approximates: the amplifier raises photon numbers and the
     loss lowers them, so the output below M reads only input below M, and
     the error is the Schmidt tail, of weight about tanh(s)^(2M), plus what

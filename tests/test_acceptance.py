@@ -102,7 +102,8 @@ def test_criterion_03_subtraction_order_equivalence():
     for s, eta in itertools.product((0.029, 0.403), (0.2, 0.5, 0.8)):
         before = _PointEvaluator(scenario("subtract_before", s, eta, 0.0))
         after = _PointEvaluator(scenario("subtract_after", s, eta, 0.0))
-        diff = np.max(np.abs(before.rho(1.0) - after.rho(1.0)))
+        w = before.weights([1.0])
+        diff = np.max(np.abs(before.rhos(w)[0] - after.rhos(w)[0]))
         worst = max(worst, float(diff))
     ok = worst < 1e-10
     report(3, ok, "subtract before/after at n_th=0 agree elementwise to "

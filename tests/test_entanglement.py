@@ -140,7 +140,7 @@ def test_log_negativity_solvers_agree(strategy, n_trunc):
                          n_trunc=n_trunc)
     ev = _PointEvaluator(cfg)
     for t in (0.2, 0.6, 0.95):
-        rho = ev.rho(t)
+        rho = ev.rhos(ev.weights([t]))[0]
         w = jacobi_eigvalsh(partial_transpose(rho))
         want = max(0.0, math.log2(float(np.sum(np.abs(w)))))
         np.testing.assert_allclose(log_negativity(rho), want, atol=1e-12)
@@ -156,7 +156,8 @@ def seeded_rhos(n_trunc, n_weights=3):
                                            float(rng.uniform(0.0, 0.5))),
                              n_trunc=n_trunc)
         ev = _PointEvaluator(cfg)
-        yield strategy, np.stack([ev.rho(t) for t in rng.uniform(0.0, 1.0, n_weights)])
+        yield strategy, np.stack([ev.rhos(ev.weights([t]))[0]
+                                  for t in rng.uniform(0.0, 1.0, n_weights)])
 
 
 def whole_complex_log_negativity(rho):

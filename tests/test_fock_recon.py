@@ -573,6 +573,7 @@ def test_evaluator_rho_matches_the_kraus_oracle(strategy, s, eta, n_th, t):
     # Schmidt vector; measured worst gap 1.92e-12 at n_trunc 5 (and
     # 4.70e-10 at n_trunc 8), the chi route's float64 error
     cfg = ScenarioConfig(Strategy(strategy), s, ChannelParams(eta, n_th), 5)
-    rho = _PointEvaluator(cfg).rho(t)
+    ev = _PointEvaluator(cfg)
+    rho = ev.rhos(ev.weights([t]))[0]
     want = oracles.kraus_rho(strategy, s, eta, n_th, t, 5, 30)
     assert np.max(np.abs(rho - want)) <= 1e-11

@@ -104,7 +104,7 @@ def test_a_row_makes_six_kernel_checks():
 def test_noop_through_perfect_channel_is_input():
     ev = _PointEvaluator(cfg_for("noop", s=0.403, eta=1.0, n_th=0.0))
     ref = tmsv_state(0.403)
-    assert ev.probability(1.0) == pytest.approx(1.0, abs=1e-14)
+    assert ev.probabilities(ev.weights([1.0]))[0] == pytest.approx(1.0, abs=1e-14)
     assert ev.polys.shape == (1, 1, 1, 1, 1)
     assert ev.polys[0, 0, 0, 0, 0] == pytest.approx(1.0)
     np.testing.assert_allclose(ev.kernel, ref.kernel, atol=1e-14)
@@ -115,13 +115,14 @@ def test_subtraction_needs_no_weight():
     state, p = reference_state(cfg, 1.0)
     assert 0 < p < 1
     assert state.poly[ZERO_INDEX] == pytest.approx(1.0, abs=1e-12)
-    assert _PointEvaluator(cfg).probability(1.0) == pytest.approx(p, rel=1e-12)
+    ev = _PointEvaluator(cfg)
+    assert ev.probabilities(ev.weights([1.0]))[0] == pytest.approx(p, rel=1e-12)
 
 
 def test_coherent_strategy_requires_weight():
     cfg = cfg_for("coherent_before")
     with pytest.raises(ValueError):
-        _PointEvaluator(cfg).covariance(1.2)
+        _PointEvaluator(cfg).weights([1.2])
     state, _ = reference_state(cfg, 0.9)
     assert state.poly[ZERO_INDEX] == pytest.approx(1.0, abs=1e-12)
 
@@ -130,10 +131,11 @@ def test_weight_override_feeds_pipeline():
     cfg = cfg_for("coherent_after", t_override=0.8)
     rec = evaluate_point(cfg)
     ev = _PointEvaluator(cfg)
+    w = ev.weights([0.8])
     assert rec.t_opt == 0.8
-    assert rec.e_n_fock == log_negativity(ev.rho(0.8))
-    assert rec.fidelity == ev.fidelity(0.8)
-    assert rec.p_success == ev.probability(0.8)
+    assert rec.e_n_fock == log_negativity(ev.rhos(w)[0])
+    assert rec.fidelity == ev.fidelities(w)[0]
+    assert rec.p_success == ev.probabilities(w)[0]
 
 
 @pytest.mark.parametrize("strategy", [s.value for s in Strategy])
@@ -144,7 +146,7 @@ def test_term_basis_matches_sequential_pipeline(strategy):
     ev = _PointEvaluator(cfg)
     # one real dtype from tmsv_chi to the row's per-term values
     assert kernel.dtype == polys.dtype == np.float64
-    assert ev.traces.dtype == ev.fidelities.dtype == np.float64
+    assert ev.traces.dtype == ev.fidelity_terms.dtype == np.float64
     for t in (0.0, 0.3, 0.7, 1.0):
         op = CoherentOp.from_t(t)
         got = oracles.combine_terms(kernel, polys, op.t, op.r)
@@ -154,7 +156,7 @@ def test_term_basis_matches_sequential_pipeline(strategy):
         scale = np.max(np.abs(want.poly))
         assert np.max(np.abs(got.poly - want.poly)) <= 1e-13 * scale, t
         ref, _ = oracles.normalize(want)
-        np.testing.assert_allclose(ev.covariance(t),
+        np.testing.assert_allclose(ev.covariance(ev.weights([t])[0]),
                                    covariance_from_chi(ref.kernel, ref.poly),
                                    rtol=0, atol=1e-13)
 
@@ -199,14 +201,16 @@ def test_before_strategy_probability_ignores_channel():
     ev_lo = _PointEvaluator(cfg_for("coherent_before", eta=0.3, n_th=0.3))
     ev_hi = _PointEvaluator(cfg_for("coherent_before", eta=0.9, n_th=0.3))
     for t in (0.2, 0.7, 1.0):
-        assert ev_lo.probability(t) == pytest.approx(ev_hi.probability(t),
-                                                     abs=1e-12)
+        w = ev_lo.weights([t])
+        assert ev_lo.probabilities(w)[0] == pytest.approx(ev_hi.probabilities(w)[0],
+                                                          abs=1e-12)
 
 
 def test_after_strategy_probability_tracks_channel():
     ev_lo = _PointEvaluator(cfg_for("subtract_after", eta=0.3, n_th=0.1))
     ev_hi = _PointEvaluator(cfg_for("subtract_after", eta=0.9, n_th=0.1))
-    assert abs(ev_lo.probability(1.0) - ev_hi.probability(1.0)) > 1e-3
+    w = ev_lo.weights([1.0])
+    assert abs(ev_lo.probabilities(w)[0] - ev_hi.probabilities(w)[0]) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +244,8 @@ def test_optimize_t_zero_objective_falls_back_to_probability():
     opt = optimize_t(ev)
     assert opt.flag == "zero_objective"
     assert opt.value == 0.0
-    probs = [ev.probability(t) for t in np.linspace(0.0, 1.0, 11)]
-    assert ev.probability(opt.t_opt) >= max(probs) - 1e-9
+    probs = ev.probabilities(ev.weights(np.linspace(0.0, 1.0, 11)))
+    assert ev.probabilities(ev.weights([opt.t_opt]))[0] >= max(probs) - 1e-9
     # a separable state whose probability is the same at every weight: the
     # tie breaks toward the smallest t
     flat = optimize_t(_PointEvaluator(cfg_for("noop", eta=0.05, n_th=0.5)))
@@ -287,7 +291,7 @@ def test_row_fidelity_and_probability_are_the_evaluator_at_t_opt():
             ev = _PointEvaluator(cfg)
             assert rec.flags == ""
             assert rec.fidelity == ev.objective(rec.t_opt)
-            assert rec.p_success == ev.probability(rec.t_opt)
+            assert rec.p_success == ev.probabilities(ev.weights([rec.t_opt]))[0]
 
 
 GRID = np.round(np.arange(0.0, 1.0 + scenarios.GRID_STEP / 2,
@@ -307,12 +311,12 @@ def test_grid_values_are_the_objective_bit_for_bit(n_trunc):
                           n_trunc=n_trunc, objective=objective)
             ev = _PointEvaluator(cfg)
             want = [ev.objective(t) for t in GRID]
-            assert ev.objectives(GRID).tolist() == want, cfg
-            assert ev.probabilities(GRID).tolist() == [ev.probability(t)
-                                                       for t in GRID]
+            assert ev.objectives(ev.weights(GRID)).tolist() == want, cfg
+            assert ev.probabilities(ev.weights(GRID)).tolist() == [
+                ev.probabilities(ev.weights([t]))[0] for t in GRID]
         assert ev.matrices.dtype == float
     ev = _PointEvaluator(cfg_for("coherent_before", s=0.0, n_trunc=n_trunc))
-    values = ev.objectives(GRID)
+    values = ev.objectives(ev.weights(GRID))
     assert values[-1] == -math.inf and ev.objective(1.0) == -math.inf
     assert values[:-1].tolist() == [ev.objective(t) for t in GRID[:-1]]
 
@@ -321,25 +325,58 @@ def test_stacked_weights_keep_the_range_check():
     ev = _PointEvaluator(cfg_for("coherent_after"))
     for ts in ([0.5, 1.2], [-0.1], [0.2, math.nan]):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ev.objectives(ts)
-        with pytest.raises(ValueError):
-            ev.probabilities(ts)
+            ev.weights(ts)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ev.objective(ts[-1])
 
 
-def test_grid_weights_are_built_once_with_the_weight_rule():
-    # the grid's weight rows are cached per degree, read-only, and carry
-    # the bits of the same weights computed afresh
+def test_grid_weights_are_built_once_with_the_weight_rule(monkeypatch):
+    # optimize_t scans the grid's cached weight rows themselves, one
+    # read-only object per degree with the bits of the same weights
+    # computed afresh
     assert not scenarios.GRID.flags.writeable
     assert scenarios.GRID.tolist() == GRID.tolist()
-    for strategy in ("noop", "coherent_after"):
-        ev = _PointEvaluator(cfg_for(strategy))
-        w = ev._weights(scenarios.GRID)
-        assert w is _PointEvaluator(cfg_for(strategy, s=0.3))._weights(
-            scenarios.GRID)
-        assert not w.flags.writeable
-        assert w.shape == (101, len(ev.polys))
-        assert oracles.same_bits(w, ev._weights(scenarios.GRID.copy()))
-        assert oracles.same_bits(w, ev._weights(GRID.tolist()))
+    scanned = []
+    objectives = _PointEvaluator.objectives
+
+    def recording(self, w):
+        scanned.append(w)
+        return objectives(self, w)
+
+    monkeypatch.setattr(_PointEvaluator, "objectives", recording)
+    for strategy in ("coherent_before", "coherent_after"):
+        for objective in ("negativity", "fidelity"):
+            ev = _PointEvaluator(cfg_for(strategy, objective=objective))
+            n = len(ev.polys) - 1
+            scanned.clear()
+            optimize_t(ev)
+            w = scenarios._grid_weights(n)
+            assert scanned[0] is w
+            assert w is scenarios._grid_weights(n)
+            assert not w.flags.writeable
+            assert w.shape == (101, len(ev.polys))
+            assert oracles.same_bits(w, scenarios._weight_rows(scenarios.GRID, n))
+            assert oracles.same_bits(w, scenarios._weight_rows(GRID.tolist(), n))
+            assert oracles.same_bits(w, ev.weights(GRID))
+
+
+def test_a_printed_row_forms_one_weight_row():
+    # p_success, rho, the covariance and the fidelity of a row are read off
+    # one weight row, formed once
+    code = scenarios._weight_rows.__code__
+    for strategy in ("coherent_before", "coherent_after"):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame)
+        sys.setprofile(profile)
+        try:
+            rec = evaluate_point(cfg_for(strategy, t_override=0.6))
+        finally:
+            sys.setprofile(None)
+        assert rec.t_opt == 0.6 and rec.flags == ""
+        assert len(calls) == 1, strategy
 
 
 def _separable_draws(rng, n):
@@ -370,7 +407,7 @@ def test_separable_rows_are_ppt_by_the_kraus_oracle():
         assert scenarios._separable(cfg), cfg
         ev = _PointEvaluator(cfg)
         for t in (0.0, 0.5, 0.9, 1.0):
-            if ev.probability(t) < scenarios.ZERO_TRACE_TOL:
+            if ev.probabilities(ev.weights([t]))[0] < scenarios.ZERO_TRACE_TOL:
                 continue
             rho = oracles.kraus_rho(strategy, s, eta, n_th, t, 8, 30)
             # the n_trunc-5 state is the leading block of the n_trunc-8 one
@@ -403,9 +440,9 @@ def test_separable_rows_score_no_grid(monkeypatch):
     calls = []
     objectives = _PointEvaluator.objectives
 
-    def counting(self, ts):
-        calls.append((self.cfg, len(ts)))
-        return objectives(self, ts)
+    def counting(self, w):
+        calls.append((self.cfg, len(w)))
+        return objectives(self, w)
 
     monkeypatch.setattr(_PointEvaluator, "objectives", counting)
     rng = np.random.default_rng(23)
@@ -413,7 +450,7 @@ def test_separable_rows_score_no_grid(monkeypatch):
         cfg = cfg_for(strategy, s=s, eta=eta, n_th=n_th)
         ev = _PointEvaluator(cfg)
         opt = optimize_t(ev)
-        best = int(np.argmax(ev.probabilities(scenarios.GRID)))
+        best = int(np.argmax(ev.probabilities(ev.weights(scenarios.GRID))))
         assert opt == OptimizeResult(float(scenarios.GRID[best]), 0.0,
                                      "zero_objective"), cfg
     # on the threshold of entanglement breaking the channel still breaks it
@@ -451,7 +488,8 @@ def test_cutoff_zero_rows_are_unchanged(capsys):
     for strategy in Strategy:
         cfg = cfg_for(strategy.value, s=0.3, eta=0.7, n_th=0.1, n_trunc=0)
         rec = evaluate_point(cfg)
-        rho = _PointEvaluator(cfg).rho(rec.t_opt)
+        ev = _PointEvaluator(cfg)
+        rho = ev.rhos(ev.weights([rec.t_opt]))[0]
         w = np.linalg.eigvalsh(entanglement.partial_transpose(rho + 0j))
         assert rec.e_n_fock == 0.0 and float(np.sum(np.abs(w))) <= 1.0
     assert main(["point", "--strategy", "coherent_before", "--s", "0.3",
