@@ -18,10 +18,10 @@ and the beamsplitter model of a thermal-noise channel.  Phase-space
 integrals of monomials against the Gaussian factor are evaluated exactly
 by a Wick/Stein moment recursion, the Fock-basis reconstruction's engine;
 the teleportation-fidelity integral has a closed form (entanglement).
-Every kernel, cube and moment the pipelines build is float64: the
-squeezed vacuum, the real weights of the operation and a
-phase-insensitive channel keep every coefficient real, and each
-operation computes in the dtype of its inputs.
+Every kernel, cube and moment is float64: the squeezed vacuum, the real
+weights of the operation and a phase-insensitive channel keep every
+coefficient real, and gaussian_kernel and two_mode_stack refuse an
+imaginary part.
 
 Conventions: the formal variables are ordered (xi1, xi1*, xi2, xi2*), mode
 arguments are 1-based, and every phase-space integral carries one factor of
@@ -95,10 +95,12 @@ def gaussian_kernel(quad):
 
 
 def two_mode_stack(kernel, polys):
-    """polys as an array, checked against the two-mode state format: a 4x4
-    kernel and a stack of nonempty (D, D, D, D) coefficient cubes, polys[n]
-    the cube of the n-th polynomial over that kernel.  Only the shapes are
-    checked here; the kernel's entries are gaussian_kernel's to check.
+    """polys as a float64 array, checked against the two-mode state format:
+    a 4x4 kernel and a stack of nonempty (D, D, D, D) coefficient cubes,
+    polys[n] the cube of the n-th polynomial over that kernel, real by
+    gaussian_kernel's rule (a complex stack gives its real part if every
+    imaginary part is 0; ValueError otherwise).  The kernel's entries are
+    gaussian_kernel's to check.
     """
     polys = np.asarray(polys)
     if (np.shape(kernel) != (N_VARS, N_VARS) or polys.ndim != N_VARS + 1
@@ -106,7 +108,9 @@ def two_mode_stack(kernel, polys):
         raise ValueError("a two-mode state is a 4x4 kernel and a stack of "
                          "(D, D, D, D) cubes; got kernel shape "
                          f"{np.shape(kernel)} and stack shape {polys.shape}")
-    return polys
+    if polys.imag.any():
+        raise ValueError("a stack must be real")
+    return polys.real.astype(float, copy=False)
 
 
 def _charges(n_vars):
@@ -217,8 +221,8 @@ def coherent_op_terms(kernel, stack, mode):
     bilinearly by (t, r).  The kernel is untouched, the weighted trace of
     the output carries the operation's success probability, and the cubes
     grow by two on every axis, so no shift moves a nonzero coefficient
-    across an edge.  The result has the dtype of the inputs, float64 for
-    every pipeline.  An overflow or invalid value in the arithmetic raises
+    across an edge.  The result is float64, as two_mode_stack makes the
+    stack.  An overflow or invalid value in the arithmetic raises
     FloatingPointError rather than leaving inf or NaN coefficients.
     """
     if mode not in (1, 2):
@@ -231,7 +235,7 @@ def coherent_op_terms(kernel, stack, mode):
     with np.errstate(over="raise", invalid="raise"):
         stack = np.pad(stack, [(0, 0)] + [(0, 2)] * N_VARS)
         raised = [_shift(stack, var, 1) for var in range(N_VARS)]
-        out = np.zeros((n + 2,) + stack.shape[1:], np.result_type(stack, kernel))
+        out = np.zeros((n + 2,) + stack.shape[1:])
         for i, op_right in enumerate(right):
             inner = _first_order(stack, raised, kernel, *op_right)
             inner_raised = [_shift(inner, var, 1) for var in range(N_VARS)]

@@ -9,12 +9,13 @@ Exit codes: 0 success, 2 bad configuration or arguments, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import re
+import shutil
 import sys
-import tempfile
 
 import numpy as np
 
@@ -145,34 +146,25 @@ def _record_row(rec):
     return ",".join(_fmt(value) for value in _columns(rec).values())
 
 
-def _open_mode(path):
-    """The mode open(path, "w") leaves path with: its own if it exists,
-    else 0o666 less the umask."""
-    try:
-        return os.stat(path).st_mode & 0o777
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        return 0o666 & ~umask
-
-
 def write_sweep_csv(path, records):
     """Write rows atomically: a crashed run never leaves a half file.  The
-    file gets the mode a plain open(path, "w") would give it, not the
-    0600 of the temporary file it is written to."""
+    rows go to a new .tmp file of random name, created with mode 0o666
+    less the umask as the OS applies it, given path's own mode if path
+    exists, and renamed over path: the mode a plain open(path, "w") gives,
+    with the process's umask left alone."""
     directory = os.path.dirname(os.path.abspath(path))
     body = "\n".join([CSV_HEADER] + [_record_row(r) for r in records]) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(body)
-        os.chmod(tmp, _open_mode(path))
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 

@@ -19,7 +19,6 @@ from .chi_core import (ZERO_INDEX, SingularKernelError, gaussian_kernel,
                        two_mode_stack)
 from .fock_recon import _fock_side
 
-PT_DISCRIMINANT_TOL = 1e-12
 COV_IMAG_TOL = 1e-10
 TRACE_ONE_TOL = 1e-6
 
@@ -100,6 +99,8 @@ def log_negativity(rho):
 # derivative variables w = (d/dxi_i acting as a^dag, -a), mode by mode:
 _L = np.zeros((4, 4), dtype=complex)
 _L[:2, :2] = _L[2:, 2:] = np.array([[1.0, -1.0], [1j, 1j]]) / math.sqrt(2.0)
+# the symplectic form over (x1, p1, x2, p2)
+_OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def covariance_from_chi(kernel, poly):
@@ -136,37 +137,34 @@ def covariance_from_chi(kernel, poly):
 
 def gaussian_log_negativity(sigma):
     """Logarithmic negativity of the Gaussian state with (4, 4) covariance
-    sigma = [[A, C], [C^T, B]].
+    sigma over (x1, p1, x2, p2): E = max(0, -log2(2 nu)), nu the smallest
+    symplectic eigenvalue of the partial transpose (p2 -> -p2) of sigma.
 
-    Partial transposition flips the sign of det C, so with
-    Dt = det A + det B - 2 det C the smallest symplectic eigenvalue of the
-    transposed state is dt = sqrt((Dt - sqrt(Dt^2 - 4 det sigma))/2) and
-    E = max(0, -log2(2 dt)).  Both terms of the discriminant grow as the
-    fourth power of sigma, so it is refused only below
-    -PT_DISCRIMINANT_TOL * max(1, Dt^2): a product state's exact 0 may round
-    to either sign.
+    With R the Cholesky factor of the transposed sigma, the symplectic
+    eigenvalues are the positive eigenvalues of the Hermitian matrix
+    i R^T Omega R, so nu is read off directly, with no cancellation
+    between invariants near 1/4 when the state is weakly entangled.  A
+    sigma that is not positive definite, or a nu <= 0, raises
+    InvalidCovarianceError.
     """
-    det_a = float(np.linalg.det(sigma[:2, :2]))
-    det_b = float(np.linalg.det(sigma[2:, 2:]))
-    det_c = float(np.linalg.det(sigma[:2, 2:]))
-    det_s = float(np.linalg.det(sigma))
-    delta = det_a + det_b - 2.0 * det_c
-    disc = delta * delta - 4.0 * det_s
-    if disc < -PT_DISCRIMINANT_TOL * max(1.0, delta * delta):
-        raise InvalidCovarianceError(f"negative discriminant {disc}")
-    inner = (delta - math.sqrt(max(disc, 0.0))) / 2.0
-    if inner < PT_DISCRIMINANT_TOL ** 2:
-        raise InvalidCovarianceError(f"degenerate symplectic eigenvalue ({inner})")
-    return max(0.0, -math.log2(2.0 * math.sqrt(inner)))
+    flip = np.array([1.0, 1.0, 1.0, -1.0])
+    try:
+        r = np.linalg.cholesky(flip[:, None] * sigma * flip)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidCovarianceError("covariance is not positive definite") from exc
+    nu = float(np.linalg.eigvalsh(1j * (r.T @ _OMEGA @ r))[2])
+    if not nu > 0.0:
+        raise InvalidCovarianceError(f"symplectic eigenvalue {nu} is not positive")
+    return max(0.0, -math.log2(2.0 * nu))
 
 
 def fidelity_integrals(kernel, polys):
     """(1/pi) Int d^2xi chi(xi*, xi) exp(-|xi|^2) of the state
     P(v) exp(-v^T K v / 2) for each polynomial P of polys over one kernel K,
-    normalized or not, as a float64 array (complex only for a complex
-    stack; every pipeline's stack is float64).  kernel and polys are a
-    two-mode state in the pipeline's format, a stack of coefficient cubes
-    of one shape over one kernel (see chi_core.two_mode_stack).
+    normalized or not, as a float64 array.  kernel and polys are a
+    two-mode state in the pipeline's format, a float64 stack of
+    coefficient cubes of one shape over one kernel (see
+    chi_core.two_mode_stack).
 
     K must pass chi_core.gaussian_kernel (a ValueError otherwise).  Under
     (xi1, xi1*, xi2, xi2*) = (xi*, xi, xi, xi*) K becomes a real 2x2 kq

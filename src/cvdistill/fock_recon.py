@@ -169,9 +169,8 @@ def fock_matrices(kernel, n_trunc, polys, *more):
     chi_core.two_mode_stack), n_trunc a nonnegative integer and more
     further stacks over the same kernel.  Returns the stacks' matrices in
     order, shape (total number of cubes, d^2, d^2), d = n_trunc + 1, row
-    i * d + j for |i, j>, in np.result_type of float64 and the stacks
-    (complex only for a complex stack).  The moment table, float64 as
-    moment_table makes it, and the float64 weight matrix are built once
+    i * d + j for |i, j>, float64 as the stacks and the moment table are.
+    The moment table and the weight matrix are built once
     over the union of the stacks' nonzero monomials; each matrix is its
     own coefficient vector times the weight rows of its own stack's
     monomials (upper triangle integrated, the rest by Hermitian symmetry),
@@ -227,9 +226,7 @@ def fock_matrices(kernel, n_trunc, polys, *more):
         # + 0.0 turns a sum of -0 terms into +0, as a sum from +0 does
         weights[a, e] = np.add.accumulate(vals, out=vals)[-1] + 0.0
 
-    diag = rows == cols
-    out = np.zeros((sum(map(len, stacks)), d * d, d * d),
-                   np.result_type(weights, *stacks))
+    out = np.zeros((sum(map(len, stacks)), d * d, d * d))
     first = 0
     for polys, own in zip(stacks, supports):
         w = weights
@@ -237,9 +234,7 @@ def fock_matrices(kernel, n_trunc, polys, *more):
             w = weights[[monomials.index(m) for m in map(tuple, own.tolist())]]
         for rho, coeff in zip(out[first:], polys[(slice(None), *own.T)]):
             upper = coeff @ w
-            rho[rows, cols] = upper
-            rho[cols, rows] = np.conj(upper)
-            rho[rows[diag], cols[diag]] = upper[diag].real
+            rho[rows, cols] = rho[cols, rows] = upper
         first += len(polys)
     return out
 

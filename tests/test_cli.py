@@ -435,6 +435,23 @@ def test_sweep_csv_gets_the_mode_of_a_plain_write(tmp_path, umask):
     assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
 
+def test_sweep_csv_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # setting the umask, even to read it, is process-wide: a file another
+    # thread creates meanwhile would get the temporary umask
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, SMALL_SWEEP.format(out=out))
+    umask = os.umask(0o022)
+    os.umask(umask)
+
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    assert main(["sweep", cfg]) == 0
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
+
 def test_config_with_a_byte_order_mark_reads_as_without(tmp_path):
     # editors that save UTF-8 with a BOM must not turn the first key into
     # an unknown one

@@ -8,7 +8,8 @@ from scipy import constants
 
 from cvdistill import entanglement
 from cvdistill.chi_core import ChannelParams, SingularKernelError
-from cvdistill.scenarios import ScenarioConfig, Strategy, _PointEvaluator, _raw_terms
+from cvdistill.scenarios import (ScenarioConfig, Strategy, _PointEvaluator, _raw_terms,
+                                 evaluate_point)
 from cvdistill.entanglement import (
     InvalidCovarianceError,
     breaking_eta,
@@ -315,6 +316,19 @@ def test_gaussian_negativity_vanishes_at_separation_threshold():
         st, _ = normalize(channelled_tmsv(s, eta, n_th))
         e = gaussian_log_negativity(covariance(st))
         assert (e > 0) == positive
+
+
+def test_gaussian_log_negativity_keeps_weak_entanglement():
+    # the lossy squeezed vacuum's row against its closed form
+    # max(0, -log2(eta e^(-2s) + (1 - eta)(2 n_th + 1))); invariants near
+    # 1/4 cancelled in the discriminant, and s 1e-8 printed 1.70e-8 for
+    # 1.4427e-8 (measured worst deviation here 4.7e-16)
+    for s, eta, n_th in ((1e-8, 0.5, 0.0), (1e-4, 0.5, 0.0), (0.029, 0.5, 0.0),
+                         (0.114, 0.9, 0.1)):
+        rec = evaluate_point(ScenarioConfig(Strategy.NOOP, s, ChannelParams(eta, n_th)))
+        x = -eta * -math.expm1(-2.0 * s) + 2.0 * n_th * (1.0 - eta)
+        want = max(0.0, -math.log1p(x) / math.log(2.0))
+        assert abs(rec.e_n_gauss - want) <= 1e-15, (s, eta, n_th, rec.e_n_gauss, want)
 
 
 def test_gaussian_log_negativity_rejects_unphysical_input():

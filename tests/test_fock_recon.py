@@ -14,8 +14,8 @@ from cvdistill.chi_core import (
     gaussian_kernel,
     tmsv_chi,
 )
-from cvdistill.entanglement import (fidelity_integrals, log_negativity,
-                                    partial_transpose)
+from cvdistill.entanglement import (covariance_from_chi, fidelity_integrals,
+                                    log_negativity, partial_transpose)
 from cvdistill.fock_recon import (
     PrecisionError,
     _augmented_kernel,
@@ -466,18 +466,33 @@ def test_fock_matrices_allocation_peak_at_cutoff_8():
 
 @pytest.mark.parametrize("n_trunc", [0, 3, 5])
 def test_fock_matrices_take_the_dtype_of_their_stacks(n_trunc):
+    # a stack is float64: a complex one whose imaginary parts are all 0 is
+    # its real part, alone and next to a real stack, bit for bit, and a
+    # nonzero imaginary part is refused wherever a stack goes in
     rng = np.random.default_rng(40 + n_trunc)
     for kernel, polys in _random_terms(rng, n_trunc):
         assert polys.dtype == np.float64
         real = fock_matrices(kernel, n_trunc, polys)
         assert real.dtype == np.float64
-        z = fock_matrices(kernel, n_trunc, polys.astype(complex))
-        assert z.dtype == np.complex128
-        np.testing.assert_allclose(z, real, rtol=0, atol=1e-15)
-        # mixed stacks: complex for all, the real stack's values kept
-        both = fock_matrices(kernel, n_trunc, polys, polys.astype(complex))
-        assert both.dtype == np.complex128
-        np.testing.assert_allclose(both[:len(polys)], real, rtol=0, atol=1e-15)
+        z = polys.astype(complex)
+        alone = fock_matrices(kernel, n_trunc, z)
+        both = fock_matrices(kernel, n_trunc, polys, z)
+        stack = chi_core.two_mode_stack(kernel, z)
+        assert alone.dtype == both.dtype == stack.dtype == np.float64
+        assert same_bits(alone, real)
+        assert same_bits(both, np.concatenate([real, real]))
+        assert same_bits(stack, polys)
+        z[-1].flat[0] += 1e-300j
+        channel = ChannelParams(0.7, 0.1)
+        for call in (lambda: chi_core.two_mode_stack(kernel, z),
+                     lambda: fock_matrices(kernel, n_trunc, z),
+                     lambda: fock_matrices(kernel, n_trunc, polys, z),
+                     lambda: coherent_op_terms(kernel, z, 1),
+                     lambda: apply_thermal_channel(kernel, z, 2, channel),
+                     lambda: fidelity_integrals(kernel, z),
+                     lambda: covariance_from_chi(kernel, z[-1])):
+            with pytest.raises(ValueError, match="real"):
+                call()
 
 
 # ---------------------------------------------------------------------------
