@@ -170,12 +170,13 @@ class _PointEvaluator:
     The pipeline is a stack of (t, r)-basis cubes over one kernel, with
     its per-term traces, Fock matrices and fidelity integrals
     (fidelity_terms): the entry of _pipelines for cfg, which the rows of
-    one setting share (built for cfg alone by default).  Every method but
-    objective takes weight rows w, from weights(ts): each per-weight trace,
-    Fock matrix and fidelity is the weighted sum of the per-term ones, and
-    the covariance of one row is read off the weighted sum of the cubes;
-    the objective is always cfg's.  A row reads all its columns from its
-    one weight row, so it prints what it scores.
+    one setting share (built for cfg alone by default).  weights(ts)
+    forms the weight rows w of the weights ts, and the other methods but
+    objective(t) take such rows: each per-weight trace, Fock matrix and
+    fidelity is the weighted sum of the per-term ones, and the covariance
+    of one row is read off the weighted sum of the cubes; the objective is
+    always cfg's.  A row reads all its columns from its one weight row, so
+    it prints what it scores.
 
     A weight's sums are its own dot products and matrix-vector product,
     never a matrix-matrix product, whose rounding depends on the stack, so
@@ -188,7 +189,8 @@ class _PointEvaluator:
         self.cfg = cfg
         if pipeline is None:
             (pipeline,) = _pipelines([cfg]).values()
-        self.kernel, self.polys, self.traces, self.matrices, self.fidelity_terms = pipeline
+        (self.kernel, self.polys, self.traces, self.matrices,
+         self.fidelity_terms) = pipeline
 
     def weights(self, ts):
         """(len(ts), n + 1) weight rows of the weights ts (_weight_rows)."""
@@ -312,16 +314,15 @@ def optimize_t(ev):
 
     Coarse scan over GRID (step 0.01), then golden-section refinement to
     1e-4 around the best grid point; exact ties break toward smaller t.
-    The 101 grid weights are scored in one stacked call on their cached
-    weight rows, _grid_weights (ev.objectives), the golden steps one at a
-    time (ev.objective), each with the same bits as the other would give.
-    Weights where the preparation has zero success probability are
-    skipped; if the objective vanishes everywhere the returned weight
-    maximizes the success probability over the grid instead (one stacked
-    call too) and the result is flagged "zero_objective".  A negativity
-    objective on a state that _separable finds separable is known to
-    vanish everywhere, so it goes straight to that result and scores no
-    grid; the fidelity objective always scans.
+    The grid is scored in one ev.objectives call on its cached weight rows
+    (_grid_weights), the golden steps one ev.objective call each, with the
+    same bits as the other would give.  Weights where the preparation has
+    zero success probability are skipped; if the objective vanishes
+    everywhere the returned weight maximizes the success probability over
+    the grid instead (one stacked call too) and the result is flagged
+    "zero_objective".  A negativity objective on a state that _separable
+    finds separable is known to vanish everywhere, so it goes straight to
+    that result and scores no grid; the fidelity objective always scans.
     """
     w = _grid_weights(len(ev.polys) - 1)
     if ev.cfg.objective == "negativity" and _separable(ev.cfg):

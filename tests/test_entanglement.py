@@ -320,9 +320,9 @@ def test_gaussian_negativity_vanishes_at_separation_threshold():
 
 def test_gaussian_log_negativity_keeps_weak_entanglement():
     # the lossy squeezed vacuum's row against its closed form
-    # max(0, -log2(eta e^(-2s) + (1 - eta)(2 n_th + 1))); invariants near
-    # 1/4 cancelled in the discriminant, and s 1e-8 printed 1.70e-8 for
-    # 1.4427e-8 (measured worst deviation here 4.7e-16)
+    # max(0, -log2(eta e^(-2s) + (1 - eta)(2 n_th + 1))), down to s 1e-8,
+    # where two invariants near 1/4 would cancel (measured worst
+    # deviation here 4.7e-16)
     for s, eta, n_th in ((1e-8, 0.5, 0.0), (1e-4, 0.5, 0.0), (0.029, 0.5, 0.0),
                          (0.114, 0.9, 0.1)):
         rec = evaluate_point(ScenarioConfig(Strategy.NOOP, s, ChannelParams(eta, n_th)))
