@@ -13,6 +13,7 @@ from .entanglement import (
     covariance_from_chi,
     gaussian_log_negativity,
     log_negativity,
+    origin_coefficients,
     partial_transpose,
     separation_eta,
     separation_time,

@@ -64,7 +64,8 @@ class ChannelParams:
 
 
 def gaussian_kernel(quad):
-    """quad as the kernel matrix K of the factor exp(-0.5 v^T K v): a
+    """quad as the kernel matrix K of the factor exp(-0.5 v^T K v), or as
+    a stack of kernels over leading axes (one per state of a chunk): a
     read-only float64 copy, checked in quad's own dtype (a real input is
     never copied to complex) against the one kernel contract.
 
@@ -75,19 +76,21 @@ def gaussian_kernel(quad):
     mode, and be real.  A two-mode squeezed vacuum through
     phase-insensitive channels, and every kernel the pipelines build from
     it, has this structure bit for bit.  Anything else raises ValueError,
-    in that order of checks; nothing is symmetrized.
+    in that order of checks, each over every kernel of a stack; nothing is
+    symmetrized.
     """
     k = np.array(quad)
-    if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] % 2:
+    if k.ndim < 2 or k.shape[-1] != k.shape[-2] or k.shape[-1] % 2:
         raise ValueError("kernel must be square over (xi, xi*) pairs")
     if not np.isfinite(k).all():
         raise ValueError("kernel entries must be finite")
-    if not (k == k.T).all():
+    if not (k == k.swapaxes(-1, -2)).all():
         raise ValueError("kernel must be exactly symmetric")
-    if k[_charge_breaking(len(k))].any():
+    if k[..., _charge_breaking(k.shape[-1])].any():
         raise ValueError("kernel breaks the phase charge")
-    m = len(k) // 2  # P K P: xi and xi* swapped in every row and column pair
-    if not (k.reshape(m, 2, m, 2)[:, ::-1, :, ::-1].reshape(k.shape) == k).all():
+    m = k.shape[-1] // 2  # P K P: xi and xi* swapped in every row and column pair
+    pairs = k.reshape(k.shape[:-2] + (m, 2, m, 2))
+    if not (pairs[..., ::-1, :, ::-1].reshape(k.shape) == k).all():
         raise ValueError("kernel breaks the swap symmetry P K P = K")
     if k.imag.any():
         raise ValueError("kernel must be real")
@@ -99,15 +102,21 @@ def two_mode_stack(kernel, polys):
     a 4x4 kernel and a stack of nonempty (D, D, D, D) coefficient cubes,
     polys[n] the cube of the n-th polynomial over that kernel, real by
     gaussian_kernel's rule (a complex stack gives its real part if every
-    imaginary part is 0; ValueError otherwise).  The kernel's entries are
-    gaussian_kernel's to check.
+    imaginary part is 0; ValueError otherwise).  A chunk of states has the
+    same leading axes on both, kernels (S, 4, 4) and stacks
+    (S, n, D, D, D, D).  The kernel's entries are gaussian_kernel's to
+    check.
     """
     polys = np.asarray(polys)
-    if (np.shape(kernel) != (N_VARS, N_VARS) or polys.ndim != N_VARS + 1
-            or len(set(polys.shape[1:])) > 1 or not polys.shape[1]):
+    lead = np.shape(kernel)[:-2]
+    if (np.shape(kernel)[-2:] != (N_VARS, N_VARS)
+            or polys.ndim != len(lead) + N_VARS + 1
+            or polys.shape[:len(lead)] != lead
+            or len(set(polys.shape[-N_VARS:])) > 1 or not polys.shape[-1]):
         raise ValueError("a two-mode state is a 4x4 kernel and a stack of "
-                         "(D, D, D, D) cubes; got kernel shape "
-                         f"{np.shape(kernel)} and stack shape {polys.shape}")
+                         "(D, D, D, D) cubes, with the same leading axes in a "
+                         f"chunk; got kernel shape {np.shape(kernel)} and "
+                         f"stack shape {polys.shape}")
     if polys.imag.any():
         raise ValueError("a stack must be real")
     return polys.real.astype(float, copy=False)
@@ -176,41 +185,55 @@ def tmsv_chi(s):
 
 
 def _shift(stack, var, step):
-    """Every cube of a stack shifted by step = +-1 along v_var: the flat
-    stack copied step strides of v_var over into zeros, exact while what
-    crosses a cube's edge is zero."""
-    n = step * stack.shape[1] ** (N_VARS - 1 - var)
-    flat = stack.reshape(-1)
-    out = np.zeros_like(flat)
-    if n > 0:
-        out[n:] = flat[:-n]
-    else:
-        out[:n] = flat[-n:]
-    return out.reshape(stack.shape)
+    """Every cube of a stack shifted by step = +-1 along v_var into zeros:
+    an axis slice, which drops what crosses a cube's edge."""
+    tail = (slice(None),) * (N_VARS - 1 - var)
+    src, dst = (slice(None, -1), slice(1, None))[::step]
+    out = np.zeros_like(stack)
+    out[(..., dst) + tail] = stack[(..., src) + tail]
+    return out
 
 
-def _first_order(stack, raised, kq, j, c, m, h):
+def _kernel_terms(kq):
+    """Per row j of the kernels kq, the (var, where) of each entry K_j,var
+    that is nonzero in some kernel: where is True if it is nonzero in all
+    of them, else the mask of those where it is, shaped to broadcast over
+    their stacks (the leading axes, then the cubes)."""
+    live = kq != 0.0
+    states = tuple(range(kq.ndim - 2))
+    axes = kq.shape[:-2] + (1,) * (N_VARS + 1)
+    every, some = live.all(axis=states).tolist(), live.any(axis=states).tolist()
+    return [[(var, every[j][var] or live[..., j, var].reshape(axes))
+             for var in range(N_VARS) if some[j][var]] for j in range(N_VARS)]
+
+
+def _first_order(stack, raised, kq, terms, j, c, m, h):
     """Apply c d/dv_j + h v_m to P * exp(-0.5 v^T K v) for every cube P of a
-    stack (axis 0 runs over the cubes), given raised[var] = v_var P.
+    stack over the kernels kq (the stack's leading axes are kq's, then the
+    cubes), given raised[var] = v_var P and terms = _kernel_terms(kq).
 
     Differentiating the Gaussian factor pulls down -(K v)_j, so the result
     stays in the same kernel class and only the polynomial changes.  The
     derivative is k P shifted by -1 along v_j; what crosses an edge has k = 0.
+    A kernel's term with K_j,var exactly 0 is skipped, so each state gets
+    the bits it gets alone.
     """
-    k = np.arange(stack.shape[1]).reshape((-1,) + (1,) * (N_VARS - 1 - j))
+    k = np.arange(stack.shape[-1]).reshape((-1,) + (1,) * (N_VARS - 1 - j))
     out = c * _shift(k * stack, j, -1)
-    for var in range(N_VARS):
-        if kq[j, var] != 0.0:
-            out += -c * kq[j, var] * raised[var]
+    axes = kq.shape[:-2] + (1,) * (N_VARS + 1)
+    for var, where in terms[j]:
+        np.add(out, (-c * kq[..., j, var]).reshape(axes) * raised[var], out=out,
+               where=where)
     return out + h * raised[m]
 
 
 def coherent_op_terms(kernel, stack, mode):
     """Apply (t a + r a^dag) rho (t a^dag + r a) to one mode, for every (t, r).
 
-    kernel and stack are a two-mode state (two_mode_stack checks the
-    shapes), stack[k] the cube of t^(n-k) r^k in a degree-n form in (t, r);
-    the result is the stack of the degree-(n+2) form, two cubes longer.
+    kernel and stack are a two-mode state, or a chunk of them with leading
+    axes (two_mode_stack checks the shapes), stack[..., k, :, :, :, :] the
+    cube of t^(n-k) r^k in a degree-n form in (t, r); the result is the
+    stack of the degree-(n+2) form, two cubes longer.
     Under the characteristic-function correspondence
 
         a rho     -> (-d/dxi* - xi/2) chi      rho a     -> (-d/dxi* + xi/2) chi
@@ -221,33 +244,40 @@ def coherent_op_terms(kernel, stack, mode):
     bilinearly by (t, r).  The kernel is untouched, the weighted trace of
     the output carries the operation's success probability, and the cubes
     grow by two on every axis, so no shift moves a nonzero coefficient
-    across an edge.  The result is float64, as two_mode_stack makes the
-    stack.  An overflow or invalid value in the arithmetic raises
-    FloatingPointError rather than leaving inf or NaN coefficients.
+    across an edge.  Every state of a chunk gets the bits it gets alone.
+    The result is float64, as two_mode_stack makes the stack.  An overflow
+    or invalid value in the arithmetic raises FloatingPointError rather
+    than leaving inf or NaN coefficients.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
+    kernel = np.asarray(kernel)
     stack = two_mode_stack(kernel, stack)
+    terms = _kernel_terms(kernel)
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
     right = ((p, 1.0, q, 0.5), (q, -1.0, p, 0.5))  # t: rho a^dag, r: rho a
     left = ((q, -1.0, p, -0.5), (p, 1.0, q, -0.5))  # t: a rho, r: a^dag rho
-    n = len(stack)
+    lead = stack.ndim - N_VARS - 1
+    n = stack.shape[lead]
     with np.errstate(over="raise", invalid="raise"):
-        stack = np.pad(stack, [(0, 0)] + [(0, 2)] * N_VARS)
+        stack = np.pad(stack, [(0, 0)] * (lead + 1) + [(0, 2)] * N_VARS)
         raised = [_shift(stack, var, 1) for var in range(N_VARS)]
-        out = np.zeros((n + 2,) + stack.shape[1:])
+        out = np.zeros(stack.shape[:lead] + (n + 2,) + stack.shape[lead + 1:])
         for i, op_right in enumerate(right):
-            inner = _first_order(stack, raised, kernel, *op_right)
+            inner = _first_order(stack, raised, kernel, terms, *op_right)
             inner_raised = [_shift(inner, var, 1) for var in range(N_VARS)]
             for j, op_left in enumerate(left):
-                out[i + j:i + j + n] += _first_order(inner, inner_raised, kernel,
-                                                     *op_left)
+                out[..., i + j:i + j + n, :, :, :, :] += _first_order(
+                    inner, inner_raised, kernel, terms, *op_left)
         return out
 
 
 def apply_thermal_channel(kernel, stack, mode, channel):
     """Mix one mode of every cube of a stack over one kernel with a thermal
     bath on a beamsplitter of transmissivity eta; returns (kernel, stack).
+    A chunk of states takes one ChannelParams per state: channel is then
+    an array-like of them in the kernels' leading shape (a list of S for
+    kernels (S, 4, 4)).
 
     chi'(..., xi_i, ...) = chi(..., sqrt(eta) xi_i, ...)
                            * exp(-0.5 (2 n_th + 1)(1 - eta) |xi_i|^2)
@@ -260,23 +290,31 @@ def apply_thermal_channel(kernel, stack, mode, channel):
     real scaling of a conjugate pair and the real term added to both its
     entries keep the kernel contract bit for bit, so the output kernel
     (float64, read-only) is not checked again.  A thermal term beyond the
-    float range raises SingularKernelError.
+    float range raises SingularKernelError.  sqrt(eta) and the thermal term
+    are each state's own Python floats, so a state gets the bits it gets
+    alone.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    add = 0.5 * (2 * channel.n_th + 1) * (1 - channel.eta)
-    if not math.isfinite(add):
-        raise SingularKernelError(f"channel thermal term {add} is out of range")
+    channels = np.array(channel, dtype=object)
+    root = np.reshape([math.sqrt(c.eta) for c in channels.flat], channels.shape)
+    add = np.reshape([0.5 * (2 * c.n_th + 1) * (1 - c.eta) for c in channels.flat],
+                     channels.shape)
+    if not np.isfinite(add).all():
+        raise SingularKernelError("channel thermal term "
+                                  f"{add[~np.isfinite(add)].flat[0]} is out of range")
     k = np.array(gaussian_kernel(kernel))
     stack = two_mode_stack(k, stack)
+    if channels.shape != k.shape[:-2]:
+        raise ValueError(f"one ChannelParams per state: {channels.shape} "
+                         f"channels for kernels of shape {k.shape}")
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
-    root = math.sqrt(channel.eta)
-    a = np.indices(stack.shape[1:])
-    stack = stack * root ** (a[p] + a[q])
-    k[[p, q], :] *= root
-    k[:, [p, q]] *= root
-    k[p, q] += add
-    k[q, p] += add
+    a = np.indices(stack.shape[-N_VARS:])
+    stack = stack * root.reshape(root.shape + (1,) * (N_VARS + 1)) ** (a[p] + a[q])
+    k[..., [p, q], :] *= root[..., None, None]
+    k[..., :, [p, q]] *= root[..., None, None]
+    k[..., p, q] += add
+    k[..., q, p] += add
     k.flags.writeable = False
     return k, stack
 
@@ -383,13 +421,13 @@ def moment_table(kernel, shape):
     the plain recursion's order, skipping a term where C_jk is exactly 0.
     """
     kernel = gaussian_kernel(kernel)
+    shape = tuple(int(s) for s in shape)
+    if kernel.shape != (len(shape),) * 2:
+        raise ValueError("shape rank must match the number of variables")
     cov, norm = _moment_covariance(kernel)
     if cov.imag.any():
         raise SingularKernelError("moment covariance has an imaginary part")
     cov = cov.real
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != len(kernel):
-        raise ValueError("shape rank must match the number of variables")
     table = np.zeros(shape)
     flat = table.reshape(-1)
     flat[0] = 1.0

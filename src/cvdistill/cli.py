@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -246,7 +247,10 @@ def cmd_env(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The command line parser, built once per process: parse_args leaves
+    it as it was, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="cvdistill",
         description="Entanglement distillation by coherent photon "

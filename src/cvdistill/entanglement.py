@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from .chi_core import (ZERO_INDEX, SingularKernelError, gaussian_kernel,
-                       two_mode_stack)
+from .chi_core import SingularKernelError, gaussian_kernel, two_mode_stack
 from .fock_recon import _fock_side
 
 COV_IMAG_TOL = 1e-10
@@ -96,38 +95,68 @@ def log_negativity(rho):
 
 
 # Quadratures x = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)) from the
-# derivative variables w = (d/dxi_i acting as a^dag, -a), mode by mode:
+# derivative variables w = (d/dxi_i acting as a^dag, -a), mode by mode, are
+# _L w / sqrt(2); _L's entries are +-1 and +-i, so it carries no rounding
 _L = np.zeros((4, 4), dtype=complex)
-_L[:2, :2] = _L[2:, 2:] = np.array([[1.0, -1.0], [1j, 1j]]) / math.sqrt(2.0)
+_L[:2, :2] = _L[2:, 2:] = np.array([[1.0, -1.0], [1j, 1j]])
 # the symplectic form over (x1, p1, x2, p2)
 _OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+# the exponents e_a + e_b of the origin coefficients, e_0 = 0 and e_1..e_4
+# the unit exponents, as index arrays over a cube's four axes
+_E = np.vstack([np.zeros(4, dtype=int), np.eye(4, dtype=int)])
+_ORIGIN = tuple(np.moveaxis(_E[:, None] + _E[None, :], -1, 0))
 
 
-def covariance_from_chi(kernel, poly):
+def origin_coefficients(polys):
+    """The coefficients of v^(e_a + e_b) of each cube of polys, a
+    (..., D, D, D, D) array, as a (..., 5, 5) array c, with e_0 = 0 and
+    e_1..e_4 the unit exponents: c[..., 0, 0] is the trace P(0),
+    c[..., 0, i] = d_i P(0) the first derivatives at the origin and
+    c[..., i, j] the second, d_i d_j P(0) = (1 + delta_ij) c[..., i, j]
+    (i, j >= 1).  A cube with D < 3 reads 0 where it has no entry.  They
+    are linear in P, so a weighted sum of per-term blocks is the block of
+    the weighted sum.  The result is C-contiguous whatever the leading
+    axes, so a weighted sum over it rounds alike for a state alone and in
+    a chunk."""
+    polys = np.asarray(polys)
+    pad = max(0, 3 - polys.shape[-1])
+    if pad:
+        polys = np.pad(polys, [(0, 0)] * (polys.ndim - 4) + [(0, pad)] * 4)
+    return np.ascontiguousarray(polys[(..., *_ORIGIN)])
+
+
+def covariance_from_chi(kernel, origin):
     """Quadrature covariance of the normalized state P(v) exp(-v^T K v / 2),
-    K the kernel and P the cube poly, from exact derivatives of its
-    characteristic function at the origin: a read-only (4, 4) array over
-    (x1, p1, x2, p2), with vacuum covariance identity/2.
+    K the kernel, from the exact derivatives of its characteristic function
+    at the origin: origin is the (5, 5) block origin_coefficients of P (or
+    a weighted sum of per-term blocks over their weighted trace).  Returns
+    a read-only (4, 4) array over (x1, p1, x2, p2), with vacuum covariance
+    identity/2.
 
     With P(0) = 1 the symmetrized moments of (a1^dag, -a1, a2^dag, -a2) read
     off as S_ij = d_i d_j P(0) - K_ij and the first moments as m_i = d_i P(0);
-    no numerical differentiation is involved.  The map to quadratures, _L,
-    is complex: its x-p entries are i times differences of coefficients
-    that a Hermitian state has equal, so their imaginary parts are rounding
-    noise, and one beyond COV_IMAG_TOL raises InvalidCovarianceError.
-    kernel and [poly] must have the two-mode format of
-    chi_core.two_mode_stack, and the trace poly[0, 0, 0, 0] must be 1 to
-    TRACE_ONE_TOL (ValueError otherwise).
+    no numerical differentiation is involved.  The map to quadratures,
+    _L / sqrt(2), is complex: sigma = _L (S - m m^T) _L^T / 2, with the 1/2
+    applied once, so the vacuum's sigma is identity/2 exactly.  Its x-p
+    entries are i times differences of coefficients that a Hermitian state
+    has equal, so their imaginary parts are rounding noise, and one beyond
+    COV_IMAG_TOL raises InvalidCovarianceError.  kernel must be 4x4, origin
+    a real 5x5 block and its trace origin[0, 0] 1 to TRACE_ONE_TOL
+    (ValueError otherwise).
     """
-    poly = two_mode_stack(kernel, [poly])[0]
-    if abs(poly[ZERO_INDEX] - 1.0) > TRACE_ONE_TOL:
-        raise ValueError(f"state trace {poly[ZERO_INDEX]} is not 1")
-    poly = np.pad(poly, [(0, max(0, 3 - len(poly)))] * 4)
-    e = np.eye(4, dtype=int)
-    second = poly[tuple(np.moveaxis(e[:, None] + e[None, :], -1, 0))]
-    s = (1.0 + np.eye(4)) * second - kernel
-    m = poly[tuple(e)]
-    sigma = _L @ (s - np.outer(m, m)) @ _L.T
+    origin = np.asarray(origin)
+    if np.shape(kernel) != (4, 4) or origin.shape != (5, 5):
+        raise ValueError("a two-mode covariance takes a 4x4 kernel and a 5x5 "
+                         f"block of origin coefficients; got kernel shape "
+                         f"{np.shape(kernel)} and block shape {origin.shape}")
+    if origin.imag.any():
+        raise ValueError("origin coefficients must be real")
+    origin = origin.real
+    if abs(origin[0, 0] - 1.0) > TRACE_ONE_TOL:
+        raise ValueError(f"state trace {origin[0, 0]} is not 1")
+    m = origin[0, 1:]
+    s = (1.0 + np.eye(4)) * origin[1:, 1:] - kernel
+    sigma = 0.5 * (_L @ (s - np.outer(m, m)) @ _L.T)
     if float(np.max(np.abs(sigma.imag))) > COV_IMAG_TOL:
         raise InvalidCovarianceError("covariance has a non-real part")
     out = 0.5 * (sigma.real + sigma.real.T)
@@ -163,32 +192,43 @@ def fidelity_integrals(kernel, polys):
     P(v) exp(-v^T K v / 2) for each polynomial P of polys over one kernel K,
     normalized or not, as a float64 array.  kernel and polys are a
     two-mode state in the pipeline's format, a float64 stack of
-    coefficient cubes of one shape over one kernel (see
-    chi_core.two_mode_stack).
+    coefficient cubes of one shape over one kernel, or a chunk of such
+    states with leading axes on both (see chi_core.two_mode_stack); the
+    result has the stack's shape less the cube axes.
 
     K must pass chi_core.gaussian_kernel (a ValueError otherwise).  Under
     (xi1, xi1*, xi2, xi2*) = (xi*, xi, xi, xi*) K becomes a real 2x2 kq
     over (xi, xi*), and K's phase charge makes kq's diagonal exactly 0.
-    So the integrand's Gaussian is exp(-kappa |xi|^2), kappa = kq[0, 1] + 1,
-    and each value is the sum of c_(a,a) a!/kappa^(a+1) over its own
-    polynomial's nonzero monomials (the moment of xi^a xi*^b is 0 for
-    a != b): bit for bit a one-polynomial call.  A kappa <= 0, or moments
-    out of the float range, raise SingularKernelError.
+    So the integrand's Gaussian is exp(-kappa |xi|^2), kappa = kq[0, 1] + 1
+    per kernel, and each value is the sum of c_(a,a) a!/kappa^(a+1) over
+    its own polynomial's nonzero monomials (the moment of xi^a xi*^b is 0
+    for a != b): bit for bit a one-polynomial, one-kernel call.  A
+    kappa <= 0, or moments of a state's own monomials out of the float
+    range, raise SingularKernelError.
     """
     kernel = gaussian_kernel(kernel)
     polys = two_mode_stack(kernel, polys)
     r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])  # v = r (xi, xi*)
-    kq = r.T @ kernel @ r
-    kappa = float(kq[0, 1]) + 1.0
-    support = np.argwhere(np.any(polys != 0, axis=0))
+    kappa = (r.T @ kernel @ r)[..., 0, 1] + 1.0
+    own = np.any(polys != 0, axis=kernel.ndim - 2)  # each state's monomials
+    support = np.argwhere(np.any(own, axis=tuple(range(kernel.ndim - 2))))
     a, b = (support @ r).T
     support, a = support[a == b], a[a == b]
     with np.errstate(all="ignore"):
-        moments = np.array([math.factorial(n) for n in a], float) / kappa ** (a + 1)
-    if not (kappa > 0.0 and np.all((0.0 < moments) & (moments < math.inf))):
-        raise SingularKernelError(f"fidelity kappa {kappa} is out of range")
-    return np.array([np.sum(c[c != 0] * moments[c != 0])
-                     for c in polys[(slice(None), *support.T)]])
+        moments = (np.array([math.factorial(n) for n in a], float)
+                   / kappa[..., None] ** (a + 1))
+    used = own[(..., *support.T)]
+    fine = (kappa > 0.0) & np.all(~used | ((0.0 < moments) & (moments < math.inf)),
+                                  axis=-1)
+    if not fine.all():
+        raise SingularKernelError(f"fidelity kappa {kappa[~fine].flat[0]} "
+                                  "is out of range")
+    coeffs = polys[(..., *support.T)]
+    rows = (math.prod(coeffs.shape[:-1]), len(a))
+    moments = np.broadcast_to(moments[..., None, :], coeffs.shape).reshape(rows)
+    sums = [np.sum(c[c != 0] * m[c != 0])
+            for c, m in zip(coeffs.reshape(rows), moments)]
+    return np.array(sums, float).reshape(coeffs.shape[:-1])
 
 
 def separation_eta(s, n_th):

@@ -29,6 +29,7 @@ from .entanglement import (
     fidelity_integrals,
     gaussian_log_negativity,
     log_negativity,
+    origin_coefficients,
     separation_eta,
 )
 from .fock_recon import _cutoff, certify, fock_matrices
@@ -36,6 +37,8 @@ from .fock_recon import _cutoff, certify, fock_matrices
 GRID_STEP = 0.01
 REFINE_TOL = 1e-4
 ZERO_TRACE_TOL = 1e-30
+# channel settings whose chi pipelines a sweep builds in one pass
+CHUNK_SETTINGS = 8
 # the optimizer's coarse weights 0, 0.01, ..., 1
 GRID = np.round(np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP), 10)
 GRID.flags.writeable = False
@@ -114,18 +117,44 @@ class OptimizeResult:
     flag: str = ""
 
 
-def _raw_terms(cfg):
-    """Unnormalized pipeline output for every weight, as (kernel, polys):
-    polys[k] is the coefficient cube of t^(n-k) r^k over the one kernel
-    (n = 4 with the operation, else 0)."""
-    kernel, polys = tmsv_chi(cfg.s)
-    if cfg.strategy.operation_first:
-        polys = coherent_op_terms(kernel, coherent_op_terms(kernel, polys, 1), 2)
+def _operation(kernel, polys):
+    """The coherent operation on both modes, in the (t, r) basis."""
+    return coherent_op_terms(kernel, coherent_op_terms(kernel, polys, 1), 2)
+
+
+def _channel(kernel, polys, channels):
+    """Both modes of one state through each of the channels: a chunk of
+    len(channels) states."""
+    lead = (len(channels),)
+    kernel = np.broadcast_to(kernel, lead + kernel.shape)
+    polys = np.broadcast_to(polys, lead + polys.shape)
     for mode in (1, 2):
-        kernel, polys = apply_thermal_channel(kernel, polys, mode, cfg.channel)
-    if cfg.strategy.has_operation and not cfg.strategy.operation_first:
-        polys = coherent_op_terms(kernel, coherent_op_terms(kernel, polys, 1), 2)
+        kernel, polys = apply_thermal_channel(kernel, polys, mode, channels)
     return kernel, polys
+
+
+def _raw_terms(s, channels, kinds):
+    """Unnormalized pipeline outputs at squeezing s for each channel, as
+    {kind: (kernels, stacks)} for each pipeline kind (has_operation,
+    operation_first) in kinds: kernels (S, 4, 4) and stacks
+    (S, n + 1, D, D, D, D) over the S channels, stacks[i, k] the
+    coefficient cube of t^(n-k) r^k at channels[i] (n = 4 with the
+    operation, else 0).
+
+    The squeezed vacuum is made once and the operation before the channel
+    runs once, on it; the pipeline without the operation is the input of
+    the one with the operation after the channel.  Every operation keeps
+    each state's bits as alone, so a setting's arrays do not depend on the
+    chunk it is built in."""
+    kernel, polys = tmsv_chi(s)
+    runs = {}
+    if (True, True) in kinds:
+        runs[True, True] = _channel(kernel, _operation(kernel, polys), channels)
+    if (False, False) in kinds or (True, False) in kinds:
+        runs[False, False] = kernels, stacks = _channel(kernel, polys, channels)
+        if (True, False) in kinds:
+            runs[True, False] = kernels, _operation(kernels, stacks)
+    return {kind: runs[kind] for kind in kinds}
 
 
 def _pipeline_key(cfg):
@@ -138,45 +167,55 @@ def _pipeline_key(cfg):
 
 
 def _pipelines(cfgs):
-    """The arrays of the rows cfgs of one channel setting (s, channel,
-    n_trunc): {_pipeline_key: (kernel, polys, traces, matrices,
-    fidelity_terms)}, one entry per distinct pipeline.
+    """The arrays of the rows cfgs, a chunk of channel settings that share
+    s (with its sign) and n_trunc: {_pipeline_key: (kernel, polys, traces,
+    matrices, fidelity_terms, origins)}, one entry per distinct pipeline.
 
-    Each pipeline (no operation, the operation before or after the
-    channel) runs once; a subtraction row reads the coherent pipeline of
-    its side, at t = 1.  traces, matrices and fidelity_terms are the per-term
-    traces, float64 Fock matrices and fidelity integrals.  One
-    fock_matrices call builds every pipeline's matrices: the coherent
-    operation leaves the kernel alone, so the pipelines end on one kernel,
-    bit for bit.  Every row prints both E_N and the fidelity, so both are
-    built here for each pipeline.
+    Each pipeline kind a row needs (no operation, the operation before or
+    after the channel) runs once over every channel of the chunk
+    (_raw_terms), with one fidelity_integrals call; a subtraction row
+    reads the coherent pipeline of its side, at t = 1.  traces, matrices,
+    fidelity_terms and origins are the per-term traces, float64 Fock
+    matrices, fidelity integrals and origin_coefficients (a row's
+    covariance is their weighted sum).  One fock_matrices call builds the
+    matrices of every pipeline of a setting: the coherent operation leaves
+    the kernel alone, so they end on one kernel, bit for bit.  Every row
+    prints both E_N and the fidelity, so both are built for each pipeline.
     """
-    runs = {}
-    for cfg in cfgs:
-        key = _pipeline_key(cfg)
-        if key not in runs:
-            runs[key] = _raw_terms(cfg)
-    kernels, stacks = zip(*runs.values())
-    matrices = fock_matrices(kernels[0], cfgs[0].n_trunc, *stacks)
-    blocks = np.split(matrices, np.cumsum(list(map(len, stacks)))[:-1])
-    return {key: (kernel, polys, polys[:, 0, 0, 0, 0], m,
-                  fidelity_integrals(kernel, polys))
-            for (key, (kernel, polys)), m in zip(runs.items(), blocks)}
+    keys = list(dict.fromkeys(map(_pipeline_key, cfgs)))
+    channels = list(dict.fromkeys(key[2] for key in keys))
+    kinds = list(dict.fromkeys(key[4:] for key in keys))
+    runs = _raw_terms(cfgs[0].s, channels, kinds)
+    per_term = {kind: (fidelity_integrals(kernels, stacks),
+                       origin_coefficients(stacks))
+                for kind, (kernels, stacks) in runs.items()}
+    out = {}
+    for i, channel in enumerate(channels):
+        own = [key for key in keys if key[2] == channel]
+        stacks = [runs[key[4:]][1][i] for key in own]
+        kernel = runs[own[0][4:]][0][i]
+        matrices = fock_matrices(kernel, own[0][3], *stacks)
+        blocks = np.split(matrices, np.cumsum(list(map(len, stacks)))[:-1])
+        for key, polys, m in zip(own, stacks, blocks):
+            fidelities, origins = per_term[key[4:]]
+            out[key] = (kernel, polys, polys[:, 0, 0, 0, 0], m, fidelities[i],
+                        origins[i])
+    return out
 
 
 class _PointEvaluator:
     """One row's view of its pipeline, for repeated evaluations.
 
     The pipeline is a stack of (t, r)-basis cubes over one kernel, with
-    its per-term traces, Fock matrices and fidelity integrals
-    (fidelity_terms): the entry of _pipelines for cfg, which the rows of
-    one setting share (built for cfg alone by default).  weights(ts)
-    forms the weight rows w of the weights ts, and the other methods but
-    objective(t) take such rows: each per-weight trace, Fock matrix and
-    fidelity is the weighted sum of the per-term ones, and the covariance
-    of one row is read off the weighted sum of the cubes; the objective is
-    always cfg's.  A row reads all its columns from its one weight row, so
-    it prints what it scores.
+    its per-term traces, Fock matrices, fidelity integrals
+    (fidelity_terms) and origin coefficients (origins): the entry of
+    _pipelines for cfg, which the rows of one chunk of settings share
+    (built for cfg alone by default).  weights(ts) forms the weight rows w
+    of the weights ts, and the other methods but objective(t) take such
+    rows: each per-weight trace, Fock matrix, fidelity and origin block is
+    the weighted sum of the per-term ones, and the covariance of one row is
+    read off its origin block; the objective is always cfg's.  A row reads
+    all its columns from its one weight row, so it prints what it scores.
 
     A weight's sums are its own dot products and matrix-vector product,
     never a matrix-matrix product, whose rounding depends on the stack, so
@@ -190,7 +229,7 @@ class _PointEvaluator:
         if pipeline is None:
             (pipeline,) = _pipelines([cfg]).values()
         (self.kernel, self.polys, self.traces, self.matrices,
-         self.fidelity_terms) = pipeline
+         self.fidelity_terms, self.origins) = pipeline
 
     def weights(self, ts):
         """(len(ts), n + 1) weight rows of the weights ts (_weight_rows)."""
@@ -212,9 +251,10 @@ class _PointEvaluator:
         return _dots(w, self.fidelity_terms) / _dots(w, self.traces)
 
     def covariance(self, w_row):
-        """Quadrature covariance of the normalized state of one weight row."""
-        poly = np.tensordot(w_row, self.polys, axes=1) / (w_row @ self.traces)
-        return covariance_from_chi(self.kernel, poly)
+        """Quadrature covariance of the normalized state of one weight row,
+        from the weighted sum of the per-term origin coefficients."""
+        origin = np.tensordot(w_row, self.origins, axes=1) / (w_row @ self.traces)
+        return covariance_from_chi(self.kernel, origin)
 
     def objectives(self, w):
         """Objective values of the weight rows w, -inf where the state
@@ -380,22 +420,30 @@ def _join_flags(*flags):
 def sweep(configs):
     """Records for a list of settings, in order.
 
-    Rows sharing a setting (s, channel, n_trunc) share its pipelines and
-    Fock build (_pipelines); each row is bit-identical to evaluate_point
-    alone, with its own objective and t_override.  The settings run in
-    order of their first rows, each freed before the next is built.  The
-    loop calls evaluate_point by its module-global name once per row, so a
+    The settings that share s (with its sign) and n_trunc are built in
+    chunks of up to CHUNK_SETTINGS, in order of their first rows: one
+    _pipelines call runs each pipeline kind once over a chunk's channels,
+    and its rows share those pipelines and each setting's Fock build.  A
+    chunk's arrays are freed before the next chunk is built, so a sweep's
+    memory does not grow with its eta grid.  Each row is bit-identical to
+    evaluate_point alone, with its own objective and t_override.  The loop
+    calls evaluate_point by its module-global name once per row, so a
     wrapper installed as scenarios.evaluate_point (the benchmark's row
     probes) sees every row.
     """
     configs = list(configs)
-    settings = {}
+    groups = {}
     for i, cfg in enumerate(configs):
-        settings.setdefault(_pipeline_key(cfg)[:4], []).append(i)
+        key = _pipeline_key(cfg)
+        groups.setdefault(key[:2] + key[3:4], {}).setdefault(key[2], []).append(i)
     records = [None] * len(configs)
-    for rows in settings.values():
-        pipelines = _pipelines([configs[i] for i in rows])
-        for i in rows:
-            records[i] = evaluate_point(configs[i], pipelines[_pipeline_key(configs[i])])
-        del pipelines
+    for settings in groups.values():
+        settings = list(settings.values())
+        for first in range(0, len(settings), CHUNK_SETTINGS):
+            rows = [i for own in settings[first:first + CHUNK_SETTINGS] for i in own]
+            pipelines = _pipelines([configs[i] for i in rows])
+            for i in rows:
+                records[i] = evaluate_point(configs[i],
+                                            pipelines[_pipeline_key(configs[i])])
+            del pipelines
     return records

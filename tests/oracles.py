@@ -62,7 +62,7 @@ from cvdistill.chi_core import (
 from cvdistill.entanglement import (TRACE_ONE_TOL, fidelity_integrals,
                                     gaussian_log_negativity)
 from cvdistill.fock_recon import _augmented_kernel, certify, fock_matrices
-from cvdistill.scenarios import ZERO_TRACE_TOL, Strategy
+from cvdistill.scenarios import ZERO_TRACE_TOL, Strategy, _raw_terms
 
 
 def displacement_element(m, n, alpha):
@@ -311,6 +311,14 @@ def tmsv_state(s):
     """The package's two-mode squeezed vacuum as a single State."""
     kernel, stack = tmsv_chi(s)
     return State(stack[0], kernel)
+
+
+def raw_terms(cfg):
+    """The unnormalized pipeline output (kernel, polys) of one row's
+    setting: scenarios._raw_terms on a chunk of one channel."""
+    kind = (cfg.strategy.has_operation, cfg.strategy.operation_first)
+    ((kernels, stacks),) = _raw_terms(cfg.s, [cfg.channel], [kind]).values()
+    return kernels[0], stacks[0]
 
 
 def check_normalized(poly):

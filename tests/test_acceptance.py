@@ -22,6 +22,7 @@ from cvdistill.entanglement import (
     covariance_from_chi,
     gaussian_log_negativity,
     log_negativity,
+    origin_coefficients,
     partial_transpose,
     thermal_occupation,
 )
@@ -272,7 +273,8 @@ def test_criterion_10_property_suite():
                               2, channel))
             e_f = log_negativity(fock_matrix(noop_state, 10))
             e_g = gaussian_log_negativity(
-                covariance_from_chi(noop_state.kernel, noop_state.poly))
+                covariance_from_chi(noop_state.kernel,
+                                    origin_coefficients(noop_state.poly)))
             worst_routes = max(worst_routes, abs(e_f - e_g))
 
     ok = (worst_herm <= 1e-12 and worst_trace <= 1e-14 and pt_exact

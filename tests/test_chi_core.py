@@ -20,9 +20,9 @@ from cvdistill.chi_core import (
     two_mode_stack,
 )
 from cvdistill.entanglement import fidelity_integrals
-from cvdistill.entanglement import covariance_from_chi
+from cvdistill.entanglement import covariance_from_chi, origin_coefficients
 from cvdistill.fock_recon import _augmented_kernel, fock_matrices
-from cvdistill.scenarios import ScenarioConfig, Strategy, _raw_terms
+from cvdistill.scenarios import ScenarioConfig, Strategy
 
 import oracles
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     hermiticity_defect,
     is_hermitian,
     normalize,
+    raw_terms,
     same_bits,
     tmsv_state,
 )
@@ -231,6 +232,33 @@ def test_coherent_op_preserves_kernel_and_hermiticity():
     out2 = apply_coherent_op(out, 2, CoherentOp.from_t(0.9))
     assert is_hermitian(out2)
     assert degree(out2) <= degree(st) + 4
+
+
+def test_a_chunk_of_states_keeps_each_state_alone():
+    # kernels (S, 4, 4) and stacks (S, n, D, D, D, D): every state of a
+    # chunk gets the bytes of its own call, also where a kernel entry is 0
+    # in one state and not in another (s = 0 next to s = 0.3, so the
+    # cross-mode terms are skipped for one state only); the channel takes
+    # one ChannelParams per state, and gaussian_kernel checks every kernel
+    states = [tmsv_state(0.0), tmsv_state(0.3)]
+    channels = [ChannelParams(0.4, 0.0), ChannelParams(1.0, 0.2)]
+    kernels = np.stack([st.kernel for st in states])
+    stacks = np.stack([st.poly[None] for st in states])
+    terms = coherent_op_terms(kernels, stacks, 1)
+    chunk = apply_thermal_channel(kernels, terms, 2, channels)
+    for i, (st, ch) in enumerate(zip(states, channels)):
+        alone = coherent_op_terms(st.kernel, st.poly[None], 1)
+        assert terms[i].tobytes() == alone.tobytes()
+        for got, want in zip(chunk, apply_thermal_channel(st.kernel, alone, 2, ch)):
+            assert got[i].tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="one ChannelParams per state"):
+        apply_thermal_channel(kernels, stacks, 1, channels[:1])
+    with pytest.raises(ValueError, match=r"\(D, D, D, D\) cubes"):
+        coherent_op_terms(kernels, stacks[0], 1)
+    skew = kernels.copy()
+    skew[1, 0, 2] = np.nextafter(skew[1, 0, 2], 0.0)
+    with pytest.raises(ValueError, match="symmetric"):
+        apply_thermal_channel(skew, stacks, 1, channels)
 
 
 def test_coherent_op_terms_grow_by_two():
@@ -460,7 +488,7 @@ def test_phase_charges():
         cfg = ScenarioConfig(strategy, float(rng.uniform(0.0, 1.0)),
                              ChannelParams(float(rng.uniform(0.01, 1.0)),
                                            float(rng.uniform(0.0, 1.0))), 3)
-        kernel, _ = _raw_terms(cfg)
+        kernel, _ = raw_terms(cfg)
         fidelity = r.T @ kernel @ r + [[0.0, 1.0], [1.0, 0.0]]
         for k in (kernel, _augmented_kernel(kernel), fidelity):
             assert gaussian_kernel(k).tobytes() == k.tobytes()
@@ -510,11 +538,13 @@ def test_public_functions_refuse_kernels_outside_the_contract():
     for call in (lambda: fock_matrices(one_mode, 2, poly[None]),
                  lambda: fidelity_integrals(one_mode, poly[None]),
                  lambda: fock_matrices(good, 2, cube),
-                 lambda: covariance_from_chi(one_mode, poly),
                  *(lambda m=m: apply_thermal_channel(good, cube, m, ch) for m in (1, 2)),
                  *(lambda m=m: coherent_op_terms(good, cube, m) for m in (1, 2))):
         with pytest.raises(ValueError, match=fmt):
             call()
+    # the covariance reads a 4x4 kernel and the 5x5 origin coefficients
+    with pytest.raises(ValueError, match="4x4 kernel and a 5x5 block"):
+        covariance_from_chi(one_mode, origin_coefficients(poly))
 
 
 def test_moment_table_equals_the_scalar_recursion_bit_for_bit():
@@ -528,7 +558,7 @@ def test_moment_table_equals_the_scalar_recursion_bit_for_bit():
             cfg = ScenarioConfig(strategy, float(rng.uniform(0.0, 1.0)),
                                  ChannelParams(float(rng.uniform(0.01, 1.0)),
                                                float(rng.uniform(0.0, 1.0))), 3)
-            kernel, _ = _raw_terms(cfg)
+            kernel, _ = raw_terms(cfg)
             fidelity = gaussian_kernel(r.T @ kernel @ r + [[0.0, 1.0], [1.0, 0.0]])
             for k, shape in ((_augmented_kernel(kernel), (7, 6, 8, 5)),
                              (fidelity, (9, 8))):
@@ -556,7 +586,7 @@ def test_an_imaginary_moment_covariance_is_refused(monkeypatch):
         cov[-1, -1] += 1e-300j
         return cov, norm
     monkeypatch.setattr(chi_core, "_moment_covariance", imaginary)
-    kernel, polys = _raw_terms(ScenarioConfig(
+    kernel, polys = raw_terms(ScenarioConfig(
         Strategy.COHERENT_AFTER, 0.3, ChannelParams(0.7, 0.1), 3))
     for call in (lambda: moment_table(kernel, (2, 2, 2, 2)),
                  lambda: fock_matrices(kernel, 3, polys)):
@@ -599,7 +629,7 @@ def test_moment_plan_is_shared_read_only_and_moves_no_bit():
             cfg = ScenarioConfig(strategy, float(rng.uniform(0.0, 1.0)),
                                  ChannelParams(float(rng.uniform(0.01, 1.0)),
                                                float(rng.uniform(0.0, 1.0))), 3)
-            kernel, _ = _raw_terms(cfg)
+            kernel, _ = raw_terms(cfg)
             cases.append((_augmented_kernel(kernel), (6, 5, 7, 4)))
             cases.append((gaussian_kernel(r.T @ kernel @ r + [[0.0, 1.0], [1.0, 0.0]]),
                           (8, 7)))

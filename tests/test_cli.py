@@ -61,6 +61,21 @@ def test_env_reports_planck_occupation(capsys):
     assert capsys.readouterr().out.strip() == "2.65710790868e-20"
 
 
+def test_main_parses_alike_with_its_one_parser(capsys):
+    # the parser is built once per process; a call after an argparse error
+    # parses, reports and exits as the first call did
+    env = ["env", "--wavelength", "1064nm", "--temperature", "300K"]
+    runs = []
+    for _ in range(2):
+        assert main(env) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["point", "--strategy", "noop", "--s", "x"])
+        runs.append((exc.value.code, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 2 and "invalid float value: 'x'" in runs[0][1].err
+    assert build_parser() is build_parser()
+
+
 def test_env_micron_wavelength(capsys):
     assert main(["env", "--wavelength", "20um", "--temperature", "300"]) == 0
     assert capsys.readouterr().out.strip() == "9.99927194212e-02"

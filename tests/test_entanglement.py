@@ -8,7 +8,7 @@ from scipy import constants
 
 from cvdistill import entanglement
 from cvdistill.chi_core import ChannelParams, SingularKernelError
-from cvdistill.scenarios import (ScenarioConfig, Strategy, _PointEvaluator, _raw_terms,
+from cvdistill.scenarios import (ScenarioConfig, Strategy, _PointEvaluator,
                                  evaluate_point)
 from cvdistill.entanglement import (
     InvalidCovarianceError,
@@ -17,6 +17,7 @@ from cvdistill.entanglement import (
     fidelity_integrals,
     gaussian_log_negativity,
     log_negativity,
+    origin_coefficients,
     partial_transpose,
     separation_eta,
     separation_time,
@@ -35,6 +36,7 @@ from oracles import (
     fock_matrix,
     jacobi_eigvalsh,
     normalize,
+    raw_terms,
     teleportation_fidelity,
     tmsv_state,
 )
@@ -47,7 +49,7 @@ def channelled_tmsv(s, eta, n_th):
 
 
 def covariance(state):
-    return covariance_from_chi(state.kernel, state.poly)
+    return covariance_from_chi(state.kernel, origin_coefficients(state.poly))
 
 
 def random_density_matrix(rng, n_trunc):
@@ -260,6 +262,18 @@ def test_covariance_of_vacuum():
     np.testing.assert_allclose(cov, np.eye(4) / 2, atol=1e-14)
 
 
+def test_vacuum_covariance_is_exactly_half_the_identity():
+    # the quadrature map carries no rounded 1/sqrt(2): sigma is scaled by
+    # 1/2 once, so the vacuum's diagonal is 1/2 exactly and a product state
+    # prints E_N_gauss 0, not 3.2e-16
+    assert np.array_equal(covariance(tmsv_state(0.0)), np.eye(4) / 2)
+    for s in (0.0, 1e-300):
+        for eta in (0.5, 1.0):
+            rec = evaluate_point(ScenarioConfig(Strategy.NOOP, s,
+                                                ChannelParams(eta, 0.0)))
+            assert rec.e_n_gauss == 0.0, (s, eta)
+
+
 def test_covariance_of_tmsv():
     s = 0.403
     cov = covariance(tmsv_state(s))
@@ -399,7 +413,7 @@ def test_fidelity_integrals_closed_form_against_moment_table():
         cfg = ScenarioConfig(strategies[i % 5], float(rng.uniform(0.0, 1.5)),
                              ChannelParams(float(rng.uniform(0.01, 1.0)),
                                            float(rng.uniform(0.0, 2.0))))
-        kernel, polys = _raw_terms(cfg)
+        kernel, polys = raw_terms(cfg)
         np.testing.assert_allclose(
             fidelity_integrals(kernel, polys),
             oracles.fidelity_integrals_by_moments(kernel, polys),

@@ -15,7 +15,8 @@ from cvdistill.chi_core import (
     tmsv_chi,
 )
 from cvdistill.entanglement import (covariance_from_chi, fidelity_integrals,
-                                    log_negativity, partial_transpose)
+                                    log_negativity, origin_coefficients,
+                                    partial_transpose)
 from cvdistill.fock_recon import (
     PrecisionError,
     _augmented_kernel,
@@ -23,8 +24,7 @@ from cvdistill.fock_recon import (
     certify,
     fock_matrices,
 )
-from cvdistill.scenarios import (ScenarioConfig, Strategy, _PointEvaluator,
-                                 _raw_terms)
+from cvdistill.scenarios import ScenarioConfig, Strategy, _PointEvaluator
 
 import oracles
 from oracles import (
@@ -40,6 +40,7 @@ from oracles import (
     normalize,
     quadrature_fock_element,
     quadrature_fock_elements,
+    raw_terms,
     same_bits,
     tmsv_state,
 )
@@ -323,8 +324,8 @@ def test_stacks_over_one_kernel_get_their_lone_bits(n_trunc):
     settings += [(float(rng.uniform(0.0, 0.6)), float(rng.uniform(0.01, 1.0)),
                   float(rng.uniform(0.0, 1.0))) for _ in range(3)]
     for s, eta, n_th in settings:
-        runs = [_raw_terms(ScenarioConfig(strategy, s, ChannelParams(eta, n_th),
-                                          n_trunc))
+        runs = [raw_terms(ScenarioConfig(strategy, s, ChannelParams(eta, n_th),
+                                         n_trunc))
                 for strategy in (Strategy.NOOP, Strategy.COHERENT_BEFORE,
                                  Strategy.COHERENT_AFTER)]
         kernel = runs[0][0]
@@ -346,7 +347,7 @@ def test_fock_matrices_equal_the_per_entry_route_bit_for_bit(n_trunc):
                              ChannelParams(float(rng.uniform(0.01, 1.0)),
                                            float(rng.uniform(0.0, 1.0))),
                              n_trunc)
-        kernel, polys = _raw_terms(cfg)
+        kernel, polys = raw_terms(cfg)
         got = fock_matrices(kernel, n_trunc, polys)
         want = oracles.fock_matrices_by_entry(kernel, n_trunc, polys)
         assert same_bits(got, want), cfg
@@ -360,7 +361,7 @@ def _random_terms(rng, n_trunc):
                              ChannelParams(float(rng.uniform(0.01, 1.0)),
                                            float(rng.uniform(0.0, 1.0))),
                              n_trunc)
-        cases.append(_raw_terms(cfg))
+        cases.append(raw_terms(cfg))
     return cases
 
 
@@ -401,7 +402,7 @@ def test_cached_plan_moves_no_bit(n_trunc):
 def test_each_support_gets_its_own_plan():
     # noop's support is one monomial, coherent_after's 46
     ch = ChannelParams(0.6, 0.2)
-    cases = [_raw_terms(ScenarioConfig(strategy, 0.3, ch, 3))
+    cases = [raw_terms(ScenarioConfig(strategy, 0.3, ch, 3))
              for strategy in (Strategy.NOOP, Strategy.COHERENT_AFTER, Strategy.NOOP)]
     fock_recon._fock_plan.cache_clear()
     got = [fock_matrices(kernel, 3, polys) for kernel, polys in cases]
@@ -412,8 +413,8 @@ def test_each_support_gets_its_own_plan():
 
 
 def test_cached_fock_plan_is_read_only():
-    kernel, polys = _raw_terms(ScenarioConfig(Strategy.COHERENT_BEFORE, 0.3,
-                                              ChannelParams(0.7, 0.1), 3))
+    kernel, polys = raw_terms(ScenarioConfig(Strategy.COHERENT_BEFORE, 0.3,
+                                             ChannelParams(0.7, 0.1), 3))
     fock_matrices(kernel, 3, polys)
     support = tuple(map(tuple, np.argwhere(np.any(polys != 0, axis=0)).tolist()))
     hits = fock_recon._fock_plan.cache_info().hits
@@ -453,7 +454,7 @@ def test_fock_matrices_allocation_peak_at_cutoff_8():
     # or a temporary that outgrows the bound, raise the process's peak
     # resident memory
     cfg = ScenarioConfig(Strategy.COHERENT_AFTER, 0.5, ChannelParams(0.7, 0.1), 8)
-    kernel, polys = _raw_terms(cfg)
+    kernel, polys = raw_terms(cfg)
     fock_matrices(kernel, 8, polys)
     tracemalloc.start()
     try:
@@ -490,7 +491,7 @@ def test_fock_matrices_take_the_dtype_of_their_stacks(n_trunc):
                      lambda: coherent_op_terms(kernel, z, 1),
                      lambda: apply_thermal_channel(kernel, z, 2, channel),
                      lambda: fidelity_integrals(kernel, z),
-                     lambda: covariance_from_chi(kernel, z[-1])):
+                     lambda: covariance_from_chi(kernel, origin_coefficients(z[-1]))):
             with pytest.raises(ValueError, match="real"):
                 call()
 

@@ -6,6 +6,7 @@ import gc
 import math
 import random
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from cvdistill.entanglement import (
     covariance_from_chi,
     gaussian_log_negativity,
     log_negativity,
+    origin_coefficients,
 )
 from cvdistill.cli import main, parse_run_config
 from cvdistill.scenarios import (
@@ -25,14 +27,13 @@ from cvdistill.scenarios import (
     Strategy,
     SweepRecord,
     _PointEvaluator,
-    _raw_terms,
     evaluate_point,
     optimize_t,
     sweep,
 )
 
 import oracles
-from oracles import (CoherentOp, ZeroStateError, fock_matrix,
+from oracles import (CoherentOp, ZeroStateError, fock_matrix, raw_terms,
                      teleportation_fidelity, tmsv_state)
 
 
@@ -141,7 +142,7 @@ def test_weight_override_feeds_pipeline():
 @pytest.mark.parametrize("strategy", [s.value for s in Strategy])
 def test_term_basis_matches_sequential_pipeline(strategy):
     cfg = cfg_for(strategy, s=0.403, eta=0.7, n_th=0.1)
-    kernel, polys = _raw_terms(cfg)
+    kernel, polys = raw_terms(cfg)
     assert len(polys) == (5 if cfg.strategy.has_operation else 1)
     ev = _PointEvaluator(cfg)
     # one real dtype from tmsv_chi to the row's per-term values
@@ -157,7 +158,8 @@ def test_term_basis_matches_sequential_pipeline(strategy):
         assert np.max(np.abs(got.poly - want.poly)) <= 1e-13 * scale, t
         ref, _ = oracles.normalize(want)
         np.testing.assert_allclose(ev.covariance(ev.weights([t])[0]),
-                                   covariance_from_chi(ref.kernel, ref.poly),
+                                   covariance_from_chi(ref.kernel,
+                                                       origin_coefficients(ref.poly)),
                                    rtol=0, atol=1e-13)
 
 
@@ -532,7 +534,7 @@ def test_evaluate_point_noop_matches_direct_measures():
     assert (rec.s, rec.n_th, rec.eta, rec.t_opt) == (0.403, 0.1, 0.8, 1.0)
     assert rec.e_n_fock == log_negativity(fock_matrix(state, cfg.n_trunc))
     assert rec.e_n_gauss == gaussian_log_negativity(
-        covariance_from_chi(state.kernel, state.poly))
+        covariance_from_chi(state.kernel, origin_coefficients(state.poly)))
     assert rec.fidelity == teleportation_fidelity(state)
     assert rec.p_success == p
     assert rec.flags == ""
@@ -654,18 +656,20 @@ def _call_counts(fn):
 
 @pytest.mark.parametrize("objective", ["negativity", "fidelity"])
 def test_a_sweep_builds_each_setting_once(objective):
-    # k settings x 5 strategies: k Fock builds (one moment table each) and
-    # at most 3 pipelines a setting, each with one set of fidelity
-    # integrals, however the rows are ordered; building both eagerly costs
-    # no call the objective would not make anyway
+    # k settings x 5 strategies: k Fock builds (one moment table each), and
+    # the settings' pipelines built in one chunk, however the rows are
+    # ordered; building both eagerly costs no call the objective would not
+    # make anyway
     etas = (0.9, 0.3, 0.6, 1.0)
     cfgs = [cfg_for(strategy.value, eta=eta, n_trunc=3, objective=objective)
             for strategy in Strategy for eta in etas]
     random.Random(1).shuffle(cfgs)
     calls = _call_counts(lambda: sweep(cfgs))
     assert calls["fock_matrices"] == calls["moment_table"] == len(etas)
-    assert 0 < calls["tmsv_chi"] <= 3 * len(etas)
-    assert 0 < calls["fidelity_integrals"] <= 3 * len(etas)
+    # the four settings are one chunk: one squeezed vacuum, and one set of
+    # fidelity integrals for each of its three pipeline kinds
+    assert calls["tmsv_chi"] == 1
+    assert calls["fidelity_integrals"] == 3
     # a point is one setting and one pipeline
     once = {"tmsv_chi": 1, "moment_table": 1, "fock_matrices": 1,
             "fidelity_integrals": 1}
@@ -682,20 +686,24 @@ def test_a_sweep_builds_each_setting_once(objective):
 def test_setting_matrices_are_float64(s):
     # the five strategies of a setting run three pipelines: no operation,
     # the operation before and after the channel; one Fock matrix and one
-    # fidelity integral per cube, all float64
+    # fidelity integral per cube, all float64, and one 5x5 block of origin
+    # coefficients per cube
     cfgs = [cfg_for(strategy.value, s=s, n_trunc=3) for strategy in Strategy]
     pipelines = scenarios._pipelines(cfgs)
     assert len(pipelines) == 3
     assert {scenarios._pipeline_key(cfg) for cfg in cfgs} == set(pipelines)
-    for kernel, polys, traces, matrices, fidelities in pipelines.values():
-        assert matrices.dtype == fidelities.dtype == np.float64
+    for kernel, polys, traces, matrices, fidelities, origins in pipelines.values():
+        assert matrices.dtype == fidelities.dtype == origins.dtype == np.float64
         assert len(matrices) == len(fidelities) == len(traces) == len(polys)
+        assert origins.shape == (len(polys), 5, 5)
 
 
-def test_a_sweep_holds_one_setting_at_a_time(monkeypatch):
-    # each setting's pipelines and matrices go before the next setting's
-    # are built, by reference counting alone (the collector is off), so a
-    # sweep's memory does not grow with its eta grid
+def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
+    # each chunk's pipelines and matrices go before the next chunk's are
+    # built, by reference counting alone (the collector is off), so a
+    # sweep's memory does not grow with its eta grid: five settings in
+    # chunks of two are built as 2, 2 and 1, and a row sees only the Fock
+    # builds of its own chunk's settings
     built, evaluators = [], collections.Counter()
     original_fock = scenarios.fock_matrices
 
@@ -713,11 +721,12 @@ def test_a_sweep_holds_one_setting_at_a_time(monkeypatch):
             evaluators["live"] += 1
             weakref.finalize(self, evaluators.subtract, ["live"])
 
-    at_build, at_row = [], []
+    at_build, chunks, at_row = [], [], []
     original_pipelines = scenarios._pipelines
 
     def pipelines(cfgs):
         at_build.append(alive())
+        chunks.append(len({cfg.channel for cfg in cfgs}))
         return original_pipelines(cfgs)
 
     original_row = scenarios.evaluate_point
@@ -726,6 +735,7 @@ def test_a_sweep_holds_one_setting_at_a_time(monkeypatch):
         at_row.append((alive(), evaluators["live"]))
         return original_row(cfg, *args)
 
+    monkeypatch.setattr(scenarios, "CHUNK_SETTINGS", 2)
     monkeypatch.setattr(scenarios, "fock_matrices", tracked)
     monkeypatch.setattr(scenarios, "_PointEvaluator", Counted)
     monkeypatch.setattr(scenarios, "_pipelines", pipelines)
@@ -740,10 +750,60 @@ def test_a_sweep_holds_one_setting_at_a_time(monkeypatch):
     finally:
         if enabled:
             gc.enable()
-    assert at_build == [0] * len(etas)
-    assert at_row == [(1, 0)] * len(cfgs)
+    assert at_build == [0, 0, 0] and chunks == [2, 2, 1]
+    assert at_row == [(2, 0)] * 20 + [(1, 0)] * 5
     assert len(built) == len(etas)
     assert alive() == 0 and +evaluators == collections.Counter()
+
+
+@pytest.mark.parametrize("n_trunc", [0, 3, 8])
+def test_a_chunk_builds_each_setting_as_alone_bit_for_bit(n_trunc):
+    # every array of every pipeline of a chunk (kernels and stacks, traces,
+    # Fock matrices, fidelity integrals and origin coefficients) has the
+    # bytes of the one-setting chunk, signed zeros included: s = 0, eta = 1
+    # and n_th = 0, and all three pipeline kinds
+    channels = [(1.0, 0.0), (0.3, 0.1), (0.7, 0.0), (1.0, 0.2), (0.05, 0.3)]
+    for s in (0.0, 0.3):
+        cfgs = [cfg_for(strategy.value, s=s, eta=eta, n_th=n_th, n_trunc=n_trunc)
+                for strategy in Strategy for eta, n_th in channels]
+        chunk = scenarios._pipelines(cfgs)
+        assert len(chunk) == 3 * len(channels)
+        for cfg in cfgs:
+            (alone,) = scenarios._pipelines([cfg]).values()
+            for got, want in zip(chunk[scenarios._pipeline_key(cfg)], alone):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def test_chunked_sweep_rows_are_evaluate_point_alone_bit_for_bit():
+    # a grid that is not a multiple of the chunk size: full chunks and a
+    # short last one, each row still the record evaluate_point gives alone
+    etas = np.linspace(0.05, 1.0, scenarios.CHUNK_SETTINGS + 3)
+    cfgs = [cfg_for(strategy, s=0.2, eta=float(eta), n_trunc=3, **kw)
+            for strategy, kw in (("subtract_after", {}),
+                                 ("coherent_before", {"t_override": 0.6}),
+                                 ("coherent_after", {"objective": "fidelity"}))
+            for eta in etas]
+    alone = [_record_bits(evaluate_point(cfg)) for cfg in cfgs]
+    assert [_record_bits(rec) for rec in sweep(cfgs)] == alone
+
+
+def test_readme_sweep_allocation_peak():
+    # measured with numpy 2.4: the 505-row README negativity sweep (101 eta
+    # in chunks of CHUNK_SETTINGS = 8) peaks at 3.5 MiB, against 2.5 MiB
+    # one setting at a time, 4.8 MiB in chunks of 16 and 25 MiB with all
+    # 101 settings in one chunk; a chunk that grows, or a chunk's arrays
+    # kept past the next build, raise the process's peak resident memory
+    cfgs = [cfg_for(strategy.value, s=0.029, eta=float(eta), n_th=0.1)
+            for strategy in Strategy for eta in np.linspace(0.01, 1.0, 101)]
+    sweep(cfgs[:5])
+    tracemalloc.start()
+    try:
+        sweep(cfgs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.25 * 2 ** 20
 
 
 def test_sweep_record_and_result_shapes():
