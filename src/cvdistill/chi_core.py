@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 N_VARS = 4
-ZERO_INDEX = (0, 0, 0, 0)
 
 
 class SingularKernelError(Exception):
@@ -194,36 +193,25 @@ def _shift(stack, var, step):
     return out
 
 
-def _kernel_terms(kq):
-    """Per row j of the kernels kq, the (var, where) of each entry K_j,var
-    that is nonzero in some kernel: where is True if it is nonzero in all
-    of them, else the mask of those where it is, shaped to broadcast over
-    their stacks (the leading axes, then the cubes)."""
-    live = kq != 0.0
-    states = tuple(range(kq.ndim - 2))
-    axes = kq.shape[:-2] + (1,) * (N_VARS + 1)
-    every, some = live.all(axis=states).tolist(), live.any(axis=states).tolist()
-    return [[(var, every[j][var] or live[..., j, var].reshape(axes))
-             for var in range(N_VARS) if some[j][var]] for j in range(N_VARS)]
-
-
-def _first_order(stack, raised, kq, terms, j, c, m, h):
+def _first_order(stack, raised, kq, j, c, m, h):
     """Apply c d/dv_j + h v_m to P * exp(-0.5 v^T K v) for every cube P of a
     stack over the kernels kq (the stack's leading axes are kq's, then the
-    cubes), given raised[var] = v_var P and terms = _kernel_terms(kq).
+    cubes), given raised[var] = v_var P.
 
     Differentiating the Gaussian factor pulls down -(K v)_j, so the result
     stays in the same kernel class and only the polynomial changes.  The
     derivative is k P shifted by -1 along v_j; what crosses an edge has k = 0.
-    A kernel's term with K_j,var exactly 0 is skipped, so each state gets
-    the bits it gets alone.
+    A term K_j,var that is exactly 0 in every kernel is skipped.  In a state
+    of a chunk whose own K_j,var is 0 the term adds +-0: that moves no
+    nonzero coefficient, only the sign of a zero, and coherent_op_terms sums
+    every result into +0, so the state keeps the bytes it gets alone.
     """
     k = np.arange(stack.shape[-1]).reshape((-1,) + (1,) * (N_VARS - 1 - j))
     out = c * _shift(k * stack, j, -1)
     axes = kq.shape[:-2] + (1,) * (N_VARS + 1)
-    for var, where in terms[j]:
-        np.add(out, (-c * kq[..., j, var]).reshape(axes) * raised[var], out=out,
-               where=where)
+    for var in range(N_VARS):
+        if kq[..., j, var].any():
+            out += (-c * kq[..., j, var]).reshape(axes) * raised[var]
     return out + h * raised[m]
 
 
@@ -244,7 +232,9 @@ def coherent_op_terms(kernel, stack, mode):
     bilinearly by (t, r).  The kernel is untouched, the weighted trace of
     the output carries the operation's success probability, and the cubes
     grow by two on every axis, so no shift moves a nonzero coefficient
-    across an edge.  Every state of a chunk gets the bits it gets alone.
+    across an edge.  Every state of a chunk gets the bits it gets alone
+    (_first_order): the output starts as +0 and takes every term by
+    addition, so it holds no -0.
     The result is float64, as two_mode_stack makes the stack.  An overflow
     or invalid value in the arithmetic raises FloatingPointError rather
     than leaving inf or NaN coefficients.
@@ -253,7 +243,6 @@ def coherent_op_terms(kernel, stack, mode):
         raise ValueError("mode must be 1 or 2")
     kernel = np.asarray(kernel)
     stack = two_mode_stack(kernel, stack)
-    terms = _kernel_terms(kernel)
     p, q = 2 * (mode - 1), 2 * (mode - 1) + 1
     right = ((p, 1.0, q, 0.5), (q, -1.0, p, 0.5))  # t: rho a^dag, r: rho a
     left = ((q, -1.0, p, -0.5), (p, 1.0, q, -0.5))  # t: a rho, r: a^dag rho
@@ -264,11 +253,11 @@ def coherent_op_terms(kernel, stack, mode):
         raised = [_shift(stack, var, 1) for var in range(N_VARS)]
         out = np.zeros(stack.shape[:lead] + (n + 2,) + stack.shape[lead + 1:])
         for i, op_right in enumerate(right):
-            inner = _first_order(stack, raised, kernel, terms, *op_right)
+            inner = _first_order(stack, raised, kernel, *op_right)
             inner_raised = [_shift(inner, var, 1) for var in range(N_VARS)]
             for j, op_left in enumerate(left):
                 out[..., i + j:i + j + n, :, :, :, :] += _first_order(
-                    inner, inner_raised, kernel, terms, *op_left)
+                    inner, inner_raised, kernel, *op_left)
         return out
 
 

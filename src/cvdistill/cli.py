@@ -44,13 +44,14 @@ _CONFIG_KEYS = {"strategies", "s", "n_th", "eta_min", "eta_max", "eta_points",
 _REQUIRED_KEYS = ("strategies", "s", "n_th", "output")
 
 
-def scenario_configs(strategies, s, n_th, etas, n_trunc=5,
-                     objective="negativity", t=None):
+def scenario_configs(strategies, s, n_th, etas, **options):
     """One ScenarioConfig per CSV row, strategy-major over etas, from
     strategy names and the other inputs as numbers: the rows of a sweep, or
-    the one row of a point.  An unknown name, or any input that
-    ScenarioConfig or ChannelParams refuses, raises ConfigError with their
-    message."""
+    the one row of a point.  options (n_trunc, objective, t_override) are
+    passed on where the user set them, not None: their defaults live only
+    in ScenarioConfig.  An unknown name, or any input that ScenarioConfig
+    or ChannelParams refuses, raises ConfigError with their message."""
+    options = {key: value for key, value in options.items() if value is not None}
     kinds = []
     for name in strategies:
         try:
@@ -58,8 +59,7 @@ def scenario_configs(strategies, s, n_th, etas, n_trunc=5,
         except ValueError:
             raise ConfigError(f"unknown strategy {name!r}") from None
     try:
-        return [ScenarioConfig(strategy, s, ChannelParams(eta, n_th),
-                               n_trunc, objective, t)
+        return [ScenarioConfig(strategy, s, ChannelParams(eta, n_th), **options)
                 for strategy in kinds for eta in etas]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -119,12 +119,12 @@ def parse_run_config(path):
         raise ConfigError(f"{path}: a single-point grid needs eta_min = eta_max")
     with np.errstate(invalid="ignore"):  # an infinite bound is refused below
         etas = [float(eta) for eta in np.linspace(eta_min, eta_max, eta_points)]
-    s, n_th, t = number("s", float), number("n_th", float), number("t", float)
-    n_trunc = number("n_trunc", int, 5)
     names = [name.strip() for name in raw["strategies"].split(",")]
     try:
-        configs = scenario_configs(names, s, n_th, etas, n_trunc,
-                                   raw.get("objective", "negativity"), t)
+        configs = scenario_configs(
+            names, number("s", float), number("n_th", float), etas,
+            t_override=number("t", float), n_trunc=number("n_trunc", int),
+            objective=raw.get("objective"))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return configs, raw["output"]
@@ -152,8 +152,10 @@ def write_sweep_csv(path, records):
     rows go to a new .tmp file of random name, created with mode 0o666
     less the umask as the OS applies it, given path's own mode if path
     exists, and renamed over path: the mode a plain open(path, "w") gives,
-    with the process's umask left alone."""
-    directory = os.path.dirname(os.path.abspath(path))
+    with the process's umask left alone.  As with that open, a symlink at
+    path stays a link, and its target gets the rows and keeps its mode."""
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     body = "\n".join([CSV_HEADER] + [_record_row(r) for r in records]) + "\n"
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -171,8 +173,9 @@ def write_sweep_csv(path, records):
 
 def _check_output(path):
     """Raise the OSError that writing path would end with if its directory
-    is missing or path names a directory, before any row is computed."""
-    directory = os.path.dirname(os.path.abspath(path))
+    (a symlink's target's, as write_sweep_csv resolves it) is missing or
+    path names a directory, before any row is computed."""
+    directory = os.path.dirname(os.path.realpath(path))
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"no such directory: {directory!r}")
     if os.path.isdir(path):
@@ -194,7 +197,8 @@ def cmd_sweep(args):
 
 def cmd_point(args):
     [scen] = scenario_configs([args.strategy], args.s, args.n_th, [args.eta],
-                              args.n_trunc, args.objective, args.t)
+                              n_trunc=args.n_trunc, objective=args.objective,
+                              t_override=args.t)
     payload = _columns(evaluate_point(scen))
     if args.json:
         print(json.dumps(payload))
@@ -266,11 +270,11 @@ def build_parser():
     p_point.add_argument("--eta", type=float, required=True)
     p_point.add_argument("--n-th", "--n_th", dest="n_th", type=float,
                          required=True)
-    p_point.add_argument("--t", type=float, default=None,
+    p_point.add_argument("--t", type=float,
                          help="pin the weight of a coherent strategy instead "
                               "of optimizing; other strategies ignore it")
-    p_point.add_argument("--n-trunc", type=int, default=5)
-    p_point.add_argument("--objective", default="negativity",
+    p_point.add_argument("--n-trunc", type=int)
+    p_point.add_argument("--objective",
                          help="what the weight optimizer maximizes: "
                               "negativity (default) or fidelity")
     p_point.add_argument("--json", action="store_true")

@@ -304,30 +304,29 @@ def _dots(w, x):
     return (w[:, None] @ x)[:, 0]
 
 
-def _golden_max(f, lo, hi, tol):
-    """Golden-section maximum of a unimodal f on [lo, hi]; ties and plateaus
-    resolve toward the left so optimal weights are reported with the smallest
-    t that attains them."""
+def _golden_max(f, lo, hi, tol, seed):
+    """Golden-section maximum of a unimodal f on [lo, hi]: of seed, a
+    (t, f(t)) scored before, and every point scored here, the (t, f(t))
+    with the largest key (value, -t), so ties and plateaus resolve toward
+    the smallest t that attains the best value."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    best_t, best_v = (c, fc) if fc >= fd else (d, fd)
+    scored = [seed, (c, fc), (d, fd)]
     while b - a > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = f(c)
-            if fc > best_v or (fc == best_v and c < best_t):
-                best_t, best_v = c, fc
+            scored.append((c, fc))
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-            if fd > best_v or (fd == best_v and d < best_t):
-                best_t, best_v = d, fd
-    return best_t, best_v
+            scored.append((d, fd))
+    return max(scored, key=lambda point: (point[1], -point[0]))
 
 
 def _separable(cfg):
@@ -353,7 +352,8 @@ def optimize_t(ev):
     """Best coherent weight t in [0, 1] for the configured objective.
 
     Coarse scan over GRID (step 0.01), then golden-section refinement to
-    1e-4 around the best grid point; exact ties break toward smaller t.
+    1e-4 around the best grid point, seeded with it; exact ties break
+    toward smaller t, by _golden_max's one key over every point scored.
     The grid is scored in one ev.objectives call on its cached weight rows
     (_grid_weights), the golden steps one ev.objective call each, with the
     same bits as the other would give.  Weights where the preparation has
@@ -374,13 +374,11 @@ def optimize_t(ev):
         best = int(np.argmax(ev.probabilities(w)))
         return OptimizeResult(float(GRID[best]), 0.0, "zero_objective")
     best = int(np.argmax(values))
-    best_t, best_v = float(GRID[best]), float(values[best])
-    lo = max(0.0, best_t - GRID_STEP)
-    hi = min(1.0, best_t + GRID_STEP)
-    t_ref, v_ref = _golden_max(ev.objective, lo, hi, REFINE_TOL)
-    if v_ref > best_v or (v_ref == best_v and t_ref < best_t):
-        best_t, best_v = t_ref, v_ref
-    return OptimizeResult(float(best_t), float(best_v))
+    best_t = float(GRID[best])
+    t, value = _golden_max(ev.objective, max(0.0, best_t - GRID_STEP),
+                           min(1.0, best_t + GRID_STEP), REFINE_TOL,
+                           (best_t, float(values[best])))
+    return OptimizeResult(float(t), float(value))
 
 
 def evaluate_point(cfg, pipeline=None):

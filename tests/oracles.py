@@ -50,7 +50,6 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from cvdistill.chi_core import (
-    ZERO_INDEX,
     _moment_covariance,
     _real_form,
     apply_thermal_channel,
@@ -63,6 +62,9 @@ from cvdistill.entanglement import (TRACE_ONE_TOL, fidelity_integrals,
                                     gaussian_log_negativity)
 from cvdistill.fock_recon import _augmented_kernel, certify, fock_matrices
 from cvdistill.scenarios import ZERO_TRACE_TOL, Strategy, _raw_terms
+
+# the multi-index of a cube's constant coefficient, the trace chi(0, 0)
+ZERO_INDEX = (0, 0, 0, 0)
 
 
 def displacement_element(m, n, alpha):

@@ -12,11 +12,7 @@ import math
 
 import numpy as np
 
-from cvdistill.chi_core import (
-    ZERO_INDEX,
-    ChannelParams,
-    moment_table,
-)
+from cvdistill.chi_core import ChannelParams, moment_table
 from cvdistill.cli import main
 from cvdistill.entanglement import (
     covariance_from_chi,
@@ -35,6 +31,7 @@ from cvdistill.scenarios import (
     sweep,
 )
 from oracles import (
+    ZERO_INDEX,
     CoherentOp,
     apply_coherent_op,
     channel_state,

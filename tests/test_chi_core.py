@@ -10,7 +10,6 @@ from cvdistill import chi_core
 from cvdistill.chi_core import (
     ChannelParams,
     SingularKernelError,
-    ZERO_INDEX,
     _moment_covariance,
     apply_thermal_channel,
     coherent_op_terms,
@@ -28,6 +27,7 @@ import oracles
 from oracles import (
     CoherentOp,
     State,
+    ZERO_INDEX,
     ZeroStateError,
     apply_coherent_op,
     channel_state,
@@ -245,6 +245,9 @@ def test_a_chunk_of_states_keeps_each_state_alone():
     kernels = np.stack([st.kernel for st in states])
     stacks = np.stack([st.poly[None] for st in states])
     terms = coherent_op_terms(kernels, stacks, 1)
+    # the output is a sum from +0, so it holds no -0 that a +-0 term of one
+    # state could flip
+    assert not np.signbit(terms[terms == 0.0]).any()
     chunk = apply_thermal_channel(kernels, terms, 2, channels)
     for i, (st, ch) in enumerate(zip(states, channels)):
         alone = coherent_op_terms(st.kernel, st.poly[None], 1)

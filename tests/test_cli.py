@@ -1,7 +1,9 @@
 """Command line behavior: output formats, config validation, exit codes."""
 
 import argparse
+import ast
 import builtins
+import collections
 import importlib
 import json
 import math
@@ -467,6 +469,36 @@ def test_sweep_csv_leaves_the_umask_alone(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
 
+def test_sweep_output_through_a_symlink_rewrites_its_target(tmp_path, capsys,
+                                                            monkeypatch):
+    # as with open(path, "w"), a link at the output path is written through:
+    # the target gets the rows and keeps its mode, and the link stays a link;
+    # a link into a missing directory is refused before any row
+    plain = tmp_path / "plain.csv"
+    assert main(["sweep", write_config(tmp_path, SMALL_SWEEP.format(out=plain))]) == 0
+    real = tmp_path / "real"
+    real.mkdir()
+    target = real / "target.csv"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["sweep", write_config(tmp_path, SMALL_SWEEP.format(out=link))]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == plain.read_bytes()
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in real.iterdir()) == ["target.csv"]
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+    dangling = tmp_path / "dangling.csv"
+    dangling.symlink_to(tmp_path / "no_such_dir" / "rows.csv")
+    rows = []
+    monkeypatch.setattr(scenarios, "evaluate_point", lambda *a: rows.append(a))
+    capsys.readouterr()
+    assert main(["sweep", write_config(tmp_path, SMALL_SWEEP.format(out=dangling))]) == 4
+    assert f"no such directory: '{tmp_path}/no_such_dir'" in capsys.readouterr().err
+    assert rows == []
+
+
 def test_config_with_a_byte_order_mark_reads_as_without(tmp_path):
     # editors that save UTF-8 with a BOM must not turn the first key into
     # an unknown one
@@ -682,6 +714,41 @@ def test_readme_layout_names_resolve():
                    and not hasattr(builtins, n) and n not in commands]
         assert names and not missing, (path, missing)
     assert len({n for _, names in bullets for n in names}) >= 25
+
+
+def test_every_module_level_name_in_src_is_used():
+    # no linter ships with the project, so dead names are caught here: each
+    # module-level function, class and constant of a cvdistill module is
+    # loaded somewhere in the package outside the statement that defines
+    # it, or exported by cvdistill/__init__.py; a name only the tests use
+    # belongs in the tests
+    src = os.path.dirname(cvdistill.__file__)
+    trees = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                trees[name] = ast.parse(fh.read())
+    exported = {alias.asname or alias.name for node in trees.pop("__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    loads = collections.defaultdict(set)  # name -> ids of the loading statements
+    for tree in trees.values():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loads[node.id].add(id(stmt))
+    dead = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}:{name}" for name in names
+                     if name not in exported and not loads[name] - {id(stmt)}]
+    assert dead == []
 
 
 PINNED_SWEEP = """\

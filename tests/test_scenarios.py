@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cvdistill import chi_core, entanglement, fock_recon, scenarios
-from cvdistill.chi_core import ZERO_INDEX, ChannelParams
+from cvdistill.chi_core import ChannelParams
 from cvdistill.entanglement import (
     covariance_from_chi,
     gaussian_log_negativity,
@@ -33,8 +33,8 @@ from cvdistill.scenarios import (
 )
 
 import oracles
-from oracles import (CoherentOp, ZeroStateError, fock_matrix, raw_terms,
-                     teleportation_fidelity, tmsv_state)
+from oracles import (ZERO_INDEX, CoherentOp, ZeroStateError, fock_matrix,
+                     raw_terms, teleportation_fidelity, tmsv_state)
 
 
 def cfg_for(strategy, s=0.114, eta=0.7, n_th=0.1, **kw):
@@ -252,6 +252,46 @@ def test_optimize_t_zero_objective_falls_back_to_probability():
     # tie breaks toward the smallest t
     flat = optimize_t(_PointEvaluator(cfg_for("noop", eta=0.05, n_th=0.5)))
     assert (flat.t_opt, flat.value, flat.flag) == (0.0, 0.0, "zero_objective")
+
+
+class _StubEvaluator:
+    """optimize_t's view of an evaluator whose objective is f(t), read off
+    degree-1 weight rows (t, r); scored logs every (t, value) it gives."""
+
+    def __init__(self, f):
+        self.cfg = cfg_for("coherent_before", objective="fidelity")
+        self.polys = np.zeros((2, 1, 1, 1, 1))
+        self.f = f
+        self.scored = []
+
+    def objective(self, t):
+        self.scored.append((t, self.f(t)))
+        return self.scored[-1][1]
+
+    def objectives(self, w):
+        return np.array([self.objective(t) for t in w[:, 0].tolist()])
+
+    def probabilities(self, w):
+        return np.ones(len(w))
+
+
+@pytest.mark.parametrize("f", [
+    # flat on the whole open refine bracket (0.49, 0.51) around the grid's
+    # best, 0.5: golden points left of it tie with it
+    lambda t: 1.0 if t > 0.49 else t,
+    # a plateau from 0.4963, inside the bracket, rising into it from below
+    lambda t: 1.0 if t >= 0.4963 else 1.0 - (0.4963 - t),
+], ids=["flat_bracket", "plateau_inside"])
+def test_optimize_t_ties_across_grid_and_golden_go_to_the_smallest_t(f):
+    # the grid's best and the golden steps are ranked by one key: of every
+    # t scored, the smallest one that attains the best value is reported
+    ev = _StubEvaluator(f)
+    opt = optimize_t(ev)
+    best = max(v for _, v in ev.scored)
+    assert (opt.value, opt.flag) == (best, "") == (1.0, "")
+    assert opt.t_opt == min(t for t, v in ev.scored if v == best)
+    assert 0.49 < opt.t_opt < 0.5
+    assert 0.5 in [t for t, _ in ev.scored]
 
 
 def test_optimize_t_fidelity_objective():
@@ -773,6 +813,37 @@ def test_a_chunk_builds_each_setting_as_alone_bit_for_bit(n_trunc):
             for got, want in zip(chunk[scenarios._pipeline_key(cfg)], alone):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+def _has_negative_zero(a):
+    return bool(np.signbit(a[a == 0.0]).any())
+
+
+@pytest.mark.parametrize("n_trunc", [3, 5])
+def test_a_kernel_term_zero_in_some_states_of_a_chunk_only(n_trunc):
+    # at s = 5e-324 the cross-mode kernel entries are -5e-324 before the
+    # channel; its two sqrt(eta) scalings keep them below eta = 0.25 and
+    # round them to -0 above, so the operation after the channel meets a
+    # term K_j,var that is 0 in some states of one chunk only.  Each state
+    # still gets the bytes it gets alone, and every row is evaluate_point's
+    # alone: the operation's output holds no -0 for such a +-0 term to flip
+    s, etas = 5e-324, (0.05, 0.2, 0.3, 0.9)
+    cfgs = [cfg_for(strategy.value, s=s, eta=eta, n_trunc=n_trunc)
+            for strategy in Strategy for eta in etas]
+    kernels, stacks = scenarios._raw_terms(
+        s, [cfg.channel for cfg in cfgs[:len(etas)]], [(False, False)])[False, False]
+    assert [k.hex() for k in kernels[:, 0, 2].tolist()] == [
+        (-0.0).hex(), (-0.0).hex(), (-5e-324).hex(), (-5e-324).hex()]
+    for mode in (1, 2):
+        assert not _has_negative_zero(chi_core.coherent_op_terms(kernels, stacks, mode))
+    chunk = scenarios._pipelines(cfgs)
+    for cfg in cfgs:
+        (alone,) = scenarios._pipelines([cfg]).values()
+        for got, want in zip(chunk[scenarios._pipeline_key(cfg)], alone):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    alone = [_record_bits(evaluate_point(cfg)) for cfg in cfgs]
+    assert [_record_bits(rec) for rec in sweep(cfgs)] == alone
 
 
 def test_chunked_sweep_rows_are_evaluate_point_alone_bit_for_bit():
