@@ -305,10 +305,9 @@ def _dots(w, x):
 
 
 def _golden_max(f, lo, hi, tol, seed):
-    """Golden-section maximum of a unimodal f on [lo, hi]: of seed, a
-    (t, f(t)) scored before, and every point scored here, the (t, f(t))
-    with the largest key (value, -t), so ties and plateaus resolve toward
-    the smallest t that attains the best value."""
+    """Golden-section maximum of a unimodal f on [lo, hi]: the (t, f(t))
+    of largest key (value, -t) among seed, a point scored before, and every
+    point scored here, so ties and plateaus resolve toward the smallest t."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
