@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .chi_core import SingularKernelError, gaussian_kernel, two_mode_stack
-from .fock_recon import _fock_side
+from .fock_recon import _fock_side, _mixes_parities, _parity_sets
 
 COV_IMAG_TOL = 1e-10
 TRACE_ONE_TOL = 1e-6
@@ -44,24 +44,20 @@ def partial_transpose(rho):
 def _parity_blocks(d):
     """For one cutoff d = n_trunc + 1: index pairs (rows, cols) that gather
     the blocks of rho^T1 of even and of odd total photon number i + j
-    straight from a (d^2, d^2) rho (no odd block at d = 1), and the mask of
-    the entries of rho that couple the two parities.  Such an entry is one
-    of rho^T1 too, since i + j + k + l is the same for both, so where the
-    mask selects only zeros, rho^T1 is the direct sum of the two blocks."""
+    straight from a (d^2, d^2) rho, one pair per set of _parity_sets.  An
+    entry that couples the two parities in rho^T1 is one of rho too, since
+    i + j + k + l is the same for both, so where rho has only zeros there
+    (_mixes_parities), rho^T1 is the direct sum of the two blocks."""
+    sets, _ = _parity_sets(d)
     i, j = np.divmod(np.arange(d * d), d)
-    parity = (i + j) % 2
     blocks = []
-    for a in np.flatnonzero(parity == 0), np.flatnonzero(parity == 1):
-        if len(a):
-            # (rho^T1)_{ij,kl} = rho_{kj,il} for ij and kl in a
-            pair = (i[a][None, :] * d + j[a][:, None],
-                    i[a][:, None] * d + j[a][None, :])
-            for x in pair:
-                x.flags.writeable = False
-            blocks.append(pair)
-    mixed = parity[:, None] != parity[None, :]
-    mixed.flags.writeable = False
-    return blocks, mixed
+    for a in sets:
+        # (rho^T1)_{ij,kl} = rho_{kj,il} for ij and kl in a
+        pair = (i[a][None, :] * d + j[a][:, None], i[a][:, None] * d + j[a][None, :])
+        for x in pair:
+            x.flags.writeable = False
+        blocks.append(pair)
+    return blocks
 
 
 def log_negativity(rho):
@@ -83,8 +79,9 @@ def log_negativity(rho):
     the structure.
     """
     rho = np.asarray(rho)
-    blocks, mixed = _parity_blocks(_fock_side(rho))
-    if np.any(rho[..., mixed]):
+    d = _fock_side(rho)
+    blocks = _parity_blocks(d)
+    if _mixes_parities(rho, d):
         parts = [partial_transpose(rho)]
     else:
         parts = [rho[..., rows, cols] for rows, cols in blocks]
@@ -131,7 +128,9 @@ def covariance_from_chi(kernel, origin):
     at the origin: origin is the (5, 5) block origin_coefficients of P (or
     a weighted sum of per-term blocks over their weighted trace).  Returns
     a read-only (4, 4) array over (x1, p1, x2, p2), with vacuum covariance
-    identity/2.
+    identity/2.  Kernels (..., 4, 4) and blocks (..., 5, 5) with the same
+    leading axes give the (..., 4, 4) covariances of each state, each with
+    the bits it gets alone.
 
     With P(0) = 1 the symmetrized moments of (a1^dag, -a1, a2^dag, -a2) read
     off as S_ij = d_i d_j P(0) - K_ij and the first moments as m_i = d_i P(0);
@@ -140,26 +139,34 @@ def covariance_from_chi(kernel, origin):
     applied once, so the vacuum's sigma is identity/2 exactly.  Its x-p
     entries are i times differences of coefficients that a Hermitian state
     has equal, so their imaginary parts are rounding noise, and one beyond
-    COV_IMAG_TOL raises InvalidCovarianceError.  kernel must be 4x4, origin
-    a real 5x5 block and its trace origin[0, 0] 1 to TRACE_ONE_TOL
-    (ValueError otherwise).
+    COV_IMAG_TOL raises InvalidCovarianceError.  Each kernel must be 4x4,
+    each origin a real 5x5 block and its trace origin[0, 0] 1 to
+    TRACE_ONE_TOL (ValueError otherwise).  The states are checked in
+    order, each as alone, so the first that fails raises its error.
     """
-    origin = np.asarray(origin)
-    if np.shape(kernel) != (4, 4) or origin.shape != (5, 5):
+    kernel, origin = np.asarray(kernel), np.asarray(origin)
+    if kernel.shape != origin.shape[:-2] + (4, 4) or origin.shape[-2:] != (5, 5):
         raise ValueError("a two-mode covariance takes a 4x4 kernel and a 5x5 "
-                         f"block of origin coefficients; got kernel shape "
-                         f"{np.shape(kernel)} and block shape {origin.shape}")
-    if origin.imag.any():
-        raise ValueError("origin coefficients must be real")
-    origin = origin.real
-    if abs(origin[0, 0] - 1.0) > TRACE_ONE_TOL:
-        raise ValueError(f"state trace {origin[0, 0]} is not 1")
-    m = origin[0, 1:]
-    s = (1.0 + np.eye(4)) * origin[1:, 1:] - kernel
-    sigma = 0.5 * (_L @ (s - np.outer(m, m)) @ _L.T)
-    if float(np.max(np.abs(sigma.imag))) > COV_IMAG_TOL:
+                         "block of origin coefficients, or stacks of them with "
+                         f"the same leading axes; got kernel shape "
+                         f"{kernel.shape} and block shape {origin.shape}")
+    origins = origin.reshape(-1, 5, 5)
+    complex_ = origins.imag.any(axis=(1, 2))
+    trace = origins.real[:, 0, 0]
+    refused = complex_ | (abs(trace - 1.0) > TRACE_ONE_TOL)
+    # the states before the first one refused here
+    n = int(np.argmax(refused)) if refused.any() else len(refused)
+    origins = origins[:n].real
+    m = origins[:, 0, 1:]
+    s = (1.0 + np.eye(4)) * origins[:, 1:, 1:] - kernel.reshape(-1, 4, 4)[:n]
+    sigma = 0.5 * (_L @ (s - m[:, :, None] * m[:, None, :]) @ _L.T)
+    if np.any(np.max(np.abs(sigma.imag), axis=(1, 2), initial=0.0) > COV_IMAG_TOL):
         raise InvalidCovarianceError("covariance has a non-real part")
-    out = 0.5 * (sigma.real + sigma.real.T)
+    if n < len(refused):
+        if complex_[n]:
+            raise ValueError("origin coefficients must be real")
+        raise ValueError(f"state trace {trace[n]} is not 1")
+    out = (0.5 * (sigma.real + sigma.real.swapaxes(1, 2))).reshape(kernel.shape)
     out.flags.writeable = False
     return out
 
@@ -168,23 +175,32 @@ def gaussian_log_negativity(sigma):
     """Logarithmic negativity of the Gaussian state with (4, 4) covariance
     sigma over (x1, p1, x2, p2): E = max(0, -log2(2 nu)), nu the smallest
     symplectic eigenvalue of the partial transpose (p2 -> -p2) of sigma.
+    A (..., 4, 4) stack gives an array of each state's value, bit for bit
+    the float of a call on that state alone.
 
     With R the Cholesky factor of the transposed sigma, the symplectic
     eigenvalues are the positive eigenvalues of the Hermitian matrix
     i R^T Omega R, so nu is read off directly, with no cancellation
     between invariants near 1/4 when the state is weakly entangled.  A
     sigma that is not positive definite, or a nu <= 0, raises
-    InvalidCovarianceError.
+    InvalidCovarianceError; on a stack the first state that fails raises.
     """
+    sigma = np.asarray(sigma)
     flip = np.array([1.0, 1.0, 1.0, -1.0])
     try:
         r = np.linalg.cholesky(flip[:, None] * sigma * flip)
     except np.linalg.LinAlgError as exc:
+        # each state alone, so that the first one that fails is refused
+        for one in sigma.reshape(-1, 4, 4)[:-1]:
+            gaussian_log_negativity(one)
         raise InvalidCovarianceError("covariance is not positive definite") from exc
-    nu = float(np.linalg.eigvalsh(1j * (r.T @ _OMEGA @ r))[2])
-    if not nu > 0.0:
-        raise InvalidCovarianceError(f"symplectic eigenvalue {nu} is not positive")
-    return max(0.0, -math.log2(2.0 * nu))
+    nu = np.linalg.eigvalsh(1j * (r.swapaxes(-1, -2) @ _OMEGA @ r))[..., 2]
+    values = []
+    for x in nu.reshape(-1).tolist():
+        if not x > 0.0:
+            raise InvalidCovarianceError(f"symplectic eigenvalue {x} is not positive")
+        values.append(max(0.0, -math.log2(2.0 * x)))
+    return values[0] if nu.ndim == 0 else np.reshape(values, nu.shape)
 
 
 def fidelity_integrals(kernel, polys):

@@ -239,19 +239,51 @@ def fock_matrices(kernel, n_trunc, polys, *more):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _parity_sets(d):
+    """For one cutoff d = n_trunc + 1: the read-only indices i * d + j of
+    the basis states |i, j> of even and of odd total photon number i + j
+    (no odd set at d = 1), and the read-only flat indices of the entries
+    of a (d^2, d^2) matrix that couple the two parities.  Every strategy's
+    state has exact zeros there: the kernel's phase charge allows only
+    entries with i - k = j - l, whose parities agree."""
+    i, j = np.divmod(np.arange(d * d), d)
+    parity = (i + j) % 2
+    sets = tuple(_read_only(a) for a in (np.flatnonzero(parity == 0),
+                                         np.flatnonzero(parity == 1)) if len(a))
+    return sets, _read_only(np.flatnonzero(parity[:, None] != parity[None, :]))
+
+
+def _mixes_parities(rho, d):
+    """Whether any matrix of rho, a (..., d^2, d^2) array, has a nonzero
+    (or NaN) entry that couples the two parities of _parity_sets(d)."""
+    flat = np.reshape(rho, rho.shape[:-2] + (-1,))
+    return bool(np.any(flat[..., _parity_sets(d)[1]]))
+
+
 def certify(rho):
-    """Return the (d^2, d^2) matrix rho if it is a state to within
-    CERTIFY_TOL: trace at most 1 (truncation only loses weight) and no
-    eigenvalue below -CERTIFY_TOL.  A NaN trace or eigenvalue is refused;
-    anything but one matrix whose side is a square d^2 (a stack of them,
-    too) raises ValueError."""
+    """Return rho, one (d^2, d^2) matrix or a (..., d^2, d^2) stack, if
+    each of its matrices is a state to within CERTIFY_TOL: trace at most 1
+    (truncation only loses weight) and no eigenvalue below -CERTIFY_TOL.
+    A NaN trace or eigenvalue is refused; on a stack the first matrix that
+    fails raises, and the message gives its index.  Any other shape raises
+    ValueError.
+
+    When every entry that couples even to odd total photon number is
+    exactly 0 in every matrix (_mixes_parities), rho is block diagonal and
+    its smallest eigenvalue is the smaller of its two blocks'; otherwise
+    each matrix is solved whole."""
     d = _fock_side(rho)
-    if np.ndim(rho) != 2:
-        raise ValueError("certify takes one Fock matrix, a (d^2, d^2) "
-                         f"array; got shape {np.shape(rho)}")
-    lam = float(np.linalg.eigvalsh(rho)[0])
-    trace = float(np.trace(rho).real)
-    if not (trace <= 1.0 + CERTIFY_TOL and lam >= -CERTIFY_TOL):
-        raise PrecisionError(f"n_trunc = {d - 1} gives no "
-                             f"state: trace {trace}, smallest eigenvalue {lam}")
+    m = np.asarray(rho)
+    parts = [m] if _mixes_parities(m, d) else [m[..., a[:, None], a]
+                                               for a in _parity_sets(d)[0]]
+    lam = functools.reduce(np.minimum, [np.linalg.eigvalsh(p)[..., 0] for p in parts])
+    trace = np.trace(m, axis1=-2, axis2=-1).real
+    fine = (trace <= 1.0 + CERTIFY_TOL) & (lam >= -CERTIFY_TOL)
+    if not fine.all():
+        bad = tuple(map(int, np.unravel_index(np.argmin(fine), fine.shape)))
+        where = f" at index {bad[0] if len(bad) == 1 else bad}" if bad else ""
+        raise PrecisionError(f"n_trunc = {d - 1} gives no state{where}: "
+                             f"trace {float(trace[bad])}, smallest eigenvalue "
+                             f"{float(lam[bad])}")
     return rho

@@ -211,17 +211,18 @@ class _PointEvaluator:
     (fidelity_terms) and origin coefficients (origins): the entry of
     _pipelines for cfg, which the rows of one chunk of settings share
     (built for cfg alone by default).  weights(ts) forms the weight rows w
-    of the weights ts, and the other methods but objective(t) take such
-    rows: each per-weight trace, Fock matrix, fidelity and origin block is
-    the weighted sum of the per-term ones, and the covariance of one row is
-    read off its origin block; the objective is always cfg's.  A row reads
-    all its columns from its one weight row, so it prints what it scores.
+    of the weights ts, and the other methods take such rows: each
+    per-weight trace, Fock matrix, fidelity and origin block is the
+    weighted sum of the per-term ones, and the covariance of a row is read
+    off its origin block; the objective is always cfg's.  A row reads all
+    its columns from its one weight row, so it prints what it scores.
 
     A weight's sums are its own dot products and matrix-vector product,
     never a matrix-matrix product, whose rounding depends on the stack, so
     a weight row gets the same bits among many as alone: the optimizer's
     grid is one objectives call (one stack of Fock matrices and one
-    log_negativity call), a golden step one objective call.
+    log_negativity call), and a golden step is one row of a round of
+    _objectives over the rows of a chunk.
     """
 
     def __init__(self, cfg, pipeline=None):
@@ -250,27 +251,39 @@ class _PointEvaluator:
         rows w."""
         return _dots(w, self.fidelity_terms) / _dots(w, self.traces)
 
-    def covariance(self, w_row):
-        """Quadrature covariance of the normalized state of one weight row,
-        from the weighted sum of the per-term origin coefficients."""
-        origin = np.tensordot(w_row, self.origins, axes=1) / (w_row @ self.traces)
-        return covariance_from_chi(self.kernel, origin)
+    def origin(self, w_row):
+        """The origin block (covariance_from_chi) of the normalized state
+        of one weight row: the weighted sum of the per-term blocks."""
+        return np.tensordot(w_row, self.origins, axes=1) / (w_row @ self.traces)
 
     def objectives(self, w):
-        """Objective values of the weight rows w, -inf where the state
-        vanishes (success probability below ZERO_TRACE_TOL)."""
-        live = _dots(w, self.traces) >= ZERO_TRACE_TOL
-        values = np.full(len(w), -math.inf)
-        if self.cfg.objective == "fidelity":
-            values[live] = self.fidelities(w[live])
-        elif live.any():
-            values[live] = log_negativity(self.rhos(w[live]))
-        return values
+        """Objective values of the weight rows w (_objectives)."""
+        return _objectives([self], [w])[0]
 
-    def objective(self, t):
-        """Objective value at weight t, -inf when the state vanishes: the
-        golden-section steps' scorer."""
-        return float(self.objectives(self.weights([t]))[0])
+
+def _objectives(evs, ws):
+    """Objective values of the weight rows ws[i] of each evaluator evs[i],
+    a list of arrays: -inf where the state vanishes (success probability
+    below ZERO_TRACE_TOL), else the fidelity or E_N of the evaluator's
+    objective.  Each fidelity is its evaluator's own; the Fock matrices of
+    every negativity row go through one log_negativity call, which gives
+    each the bits it gets alone (the states share the parity structure)."""
+    values = [np.full(len(w), -math.inf) for w in ws]
+    live = [ev.probabilities(w) >= ZERO_TRACE_TOL for ev, w in zip(evs, ws)]
+    negativity = []
+    for ev, w, v, on in zip(evs, ws, values, live):
+        if ev.cfg.objective == "fidelity":
+            v[on] = ev.fidelities(w[on])
+        elif on.any():
+            negativity.append((v, on, ev.rhos(w[on])))
+    if negativity:
+        # a grid's stack goes in as it is: a copy would double its peak
+        rhos = [rhos for _, _, rhos in negativity]
+        e_n = log_negativity(rhos[0] if len(rhos) == 1 else np.concatenate(rhos))
+        ends = np.cumsum([len(r) for r in rhos])
+        for (v, on, _), part in zip(negativity, np.split(e_n, ends[:-1])):
+            v[on] = part
+    return values
 
 
 def _weight_rows(ts, n):
@@ -300,30 +313,37 @@ def _grid_weights(n):
 
 def _dots(w, x):
     """Dot product of each row of w with the vector x.  matmul takes each
-    row as a vector-vector product, so a row gets the bits it gets alone."""
+    row as a vector-vector product, so a row gets the bits it gets alone
+    for the same memory layout of x: a strided x (a row's traces are a
+    view of its stack) can round otherwise than a contiguous copy of it,
+    so each row's sums read its own pipeline arrays, never a stack of
+    copies."""
     return (w[:, None] @ x)[:, 0]
 
 
-def _golden_max(f, lo, hi, tol, seed):
-    """Golden-section maximum of a unimodal f on [lo, hi]: the (t, f(t))
-    of largest key (value, -t) among seed, a point scored before, and every
-    point scored here, so ties and plateaus resolve toward the smallest t."""
+def _golden_max(lo, hi, tol, seed):
+    """Golden-section maximum of a unimodal objective on [lo, hi], as a
+    generator: it yields each t it wants scored and is sent that t's value.
+    It returns the (t, value) of largest key (value, -t) among seed, a
+    point scored before, and every point scored here, so ties and plateaus
+    resolve toward the smallest t."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc = yield c
+    fd = yield d
     scored = [seed, (c, fc), (d, fd)]
     while b - a > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(c)
+            fc = yield c
             scored.append((c, fc))
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(d)
+            fd = yield d
             scored.append((d, fd))
     return max(scored, key=lambda point: (point[1], -point[0]))
 
@@ -348,66 +368,114 @@ def _separable(cfg):
 
 
 def optimize_t(ev):
-    """Best coherent weight t in [0, 1] for the configured objective.
+    """Best coherent weight t in [0, 1] for ev's objective: _optimize of
+    the one evaluator ev."""
+    (result,) = _optimize([ev])
+    return result
+
+
+def _optimize(evs):
+    """The best coherent weight t in [0, 1] of each evaluator of evs for
+    its objective, as a list of OptimizeResult.
 
     Coarse scan over GRID (step 0.01), then golden-section refinement to
     1e-4 around the best grid point, seeded with it; exact ties break
     toward smaller t, by _golden_max's one key over every point scored.
-    The grid is scored in one ev.objectives call on its cached weight rows
-    (_grid_weights), the golden steps one ev.objective call each, with the
-    same bits as the other would give.  Weights where the preparation has
-    zero success probability are skipped; if the objective vanishes
-    everywhere the returned weight maximizes the success probability over
-    the grid instead (one stacked call too) and the result is flagged
-    "zero_objective".  A negativity objective on a state that _separable
-    finds separable is known to vanish everywhere, so it goes straight to
-    that result and scores no grid; the fidelity objective always scans.
+    Each row's grid is scored in one ev.objectives call on its cached
+    weight rows (_grid_weights).  The refinements run in lockstep: each
+    round scores the next t of every row still refining in one _objectives
+    call, and a row whose bracket is clipped at 0 or 1 finishes earlier.
+    Each row scores the t sequence, and gets the bits, it gets alone.
+    Weights where the preparation has zero success probability are
+    skipped; if the objective vanishes everywhere the returned weight
+    maximizes the success probability over the grid instead (one stacked
+    call too) and the result is flagged "zero_objective".  A negativity
+    objective on a state that _separable finds separable is known to
+    vanish everywhere, so it goes straight to that result and scores no
+    grid; the fidelity objective always scans.
     """
-    w = _grid_weights(len(ev.polys) - 1)
-    if ev.cfg.objective == "negativity" and _separable(ev.cfg):
-        values = np.zeros(len(GRID))
-    else:
-        values = ev.objectives(w)
-    # argmax takes the first of equal values, so ties go to the smallest t
-    if values.max() <= 0.0:
-        best = int(np.argmax(ev.probabilities(w)))
-        return OptimizeResult(float(GRID[best]), 0.0, "zero_objective")
-    best = int(np.argmax(values))
-    best_t = float(GRID[best])
-    t, value = _golden_max(ev.objective, max(0.0, best_t - GRID_STEP),
-                           min(1.0, best_t + GRID_STEP), REFINE_TOL,
-                           (best_t, float(values[best])))
-    return OptimizeResult(float(t), float(value))
+    results = [None] * len(evs)
+    searches = {}
+    for i, ev in enumerate(evs):
+        w = _grid_weights(len(ev.polys) - 1)
+        if ev.cfg.objective == "negativity" and _separable(ev.cfg):
+            values = np.zeros(len(GRID))
+        else:
+            values = ev.objectives(w)
+        # argmax takes the first of equal values, so ties go to the smallest t
+        if values.max() <= 0.0:
+            best = int(np.argmax(ev.probabilities(w)))
+            results[i] = OptimizeResult(float(GRID[best]), 0.0, "zero_objective")
+            continue
+        best = int(np.argmax(values))
+        best_t = float(GRID[best])
+        searches[i] = _golden_max(max(0.0, best_t - GRID_STEP),
+                                  min(1.0, best_t + GRID_STEP), REFINE_TOL,
+                                  (best_t, float(values[best])))
+    ts = {i: next(search) for i, search in searches.items()}
+    while ts:
+        rows = list(ts)
+        values = _objectives([evs[i] for i in rows],
+                             [evs[i].weights([ts[i]]) for i in rows])
+        for i, value in zip(rows, values):
+            try:
+                ts[i] = searches[i].send(float(value[0]))
+            except StopIteration as done:
+                t, value = done.value
+                results[i] = OptimizeResult(float(t), float(value))
+                del ts[i]
+    return results
 
 
 def evaluate_point(cfg, pipeline=None):
-    """Full record for one strategy at one channel setting.
+    """Full record for one strategy at one channel setting: evaluate_points
+    of the one row cfg.  pipeline, cfg's entry of _pipelines, lets rows
+    share pipelines and a Fock build (built for cfg alone by default); the
+    record's bits do not depend on it."""
+    pipelines = _pipelines([cfg]) if pipeline is None else {_pipeline_key(cfg): pipeline}
+    (record,) = evaluate_points([cfg], pipelines)
+    return record
 
-    Coherent strategies optimize t (unless pinned by t_override); subtraction
-    runs at t = 1; the baseline records t_opt = 1 by convention.  E_N,
-    E_N_gauss, fidelity and p_success are the evaluator's values at the one
-    weight row of that t.  A preparation that cannot succeed (the
-    objective's own vanishing-trace rule) yields a zeroed row flagged
-    "zero_state" rather than an exception, so sweeps keep going.  pipeline,
-    cfg's entry of _pipelines, lets rows share pipelines and a Fock build;
-    the record's bits do not depend on it.
+
+def evaluate_points(cfgs, pipelines):
+    """Full records for the rows cfgs, in order, from pipelines, which maps
+    each row's _pipeline_key to its entry of _pipelines.
+
+    Coherent strategies optimize t (unless pinned by t_override; _optimize
+    refines the free rows in lockstep); subtraction runs at t = 1; the
+    baseline records t_opt = 1 by convention.  E_N, E_N_gauss, fidelity
+    and p_success are each row's evaluator's values at the one weight row
+    of that t.  A preparation that cannot succeed (the objective's own
+    vanishing-trace rule) yields a zeroed row flagged "zero_state" rather
+    than an exception, so sweeps keep going.  The Fock matrices of the
+    other rows are certified and solved as one stack, and their
+    covariances and Gaussian negativities are read as one stack, each row
+    with the bits it gets alone; the first row that fails a check raises
+    (every row's certify before any row's covariance).  p_success, the
+    fidelity and the origin block are each row's own sums over its own
+    pipeline arrays (_dots: a copy of a strided array into a stack moves
+    their last bits).
     """
-    ev = _PointEvaluator(cfg, pipeline)
-    t = cfg.t_override if cfg.strategy.optimizes_t else 1.0
-    flag = ""
-    if t is None:
-        opt = optimize_t(ev)
-        t, flag = opt.t_opt, opt.flag
-    w = ev.weights([t])
-    p = float(ev.probabilities(w)[0])
-    if p < ZERO_TRACE_TOL:
-        return SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th,
-                           cfg.channel.eta, t, 0.0, 0.0, 0.0, 0.0,
-                           _join_flags(flag, "zero_state"))
-    return SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th, cfg.channel.eta,
-                       t, log_negativity(certify(ev.rhos(w)[0])),
-                       gaussian_log_negativity(ev.covariance(w[0])),
-                       float(ev.fidelities(w)[0]), p, flag)
+    evs = [_PointEvaluator(cfg, pipelines[_pipeline_key(cfg)]) for cfg in cfgs]
+    ts = [cfg.t_override if cfg.strategy.optimizes_t else 1.0 for cfg in cfgs]
+    flags = [""] * len(cfgs)
+    free = [i for i, t in enumerate(ts) if t is None]
+    for i, opt in zip(free, _optimize([evs[i] for i in free])):
+        ts[i], flags[i] = opt.t_opt, opt.flag
+    ws = [ev.weights([t]) for ev, t in zip(evs, ts)]
+    ps = [float(ev.probabilities(w)[0]) for ev, w in zip(evs, ws)]
+    live = [i for i, p in enumerate(ps) if p >= ZERO_TRACE_TOL]
+    columns = [(0.0, 0.0, 0.0, 0.0, _join_flags(flag, "zero_state")) for flag in flags]
+    if live:
+        e_n = log_negativity(certify(np.concatenate([evs[i].rhos(ws[i]) for i in live])))
+        sigma = covariance_from_chi(np.stack([evs[i].kernel for i in live]),
+                                    np.stack([evs[i].origin(ws[i][0]) for i in live]))
+        e_g = gaussian_log_negativity(sigma)
+        for k, i in enumerate(live):
+            columns[i] = (float(e_n[k]), float(e_g[k]),
+                          float(evs[i].fidelities(ws[i])[0]), ps[i], flags[i])
+    return [SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th, cfg.channel.eta, t, *row)
+            for cfg, t, row in zip(cfgs, ts, columns)]
 
 
 def _join_flags(*flags):
@@ -422,11 +490,11 @@ def sweep(configs):
     _pipelines call runs each pipeline kind once over a chunk's channels,
     and its rows share those pipelines and each setting's Fock build.  A
     chunk's arrays are freed before the next chunk is built, so a sweep's
-    memory does not grow with its eta grid.  Each row is bit-identical to
-    evaluate_point alone, with its own objective and t_override.  The loop
-    calls evaluate_point by its module-global name once per row, so a
-    wrapper installed as scenarios.evaluate_point (the benchmark's row
-    probes) sees every row.
+    memory does not grow with its eta grid.  The loop calls
+    evaluate_points by its module-global name once per chunk, on the
+    chunk's rows (so a wrapper installed as scenarios.evaluate_points sees
+    every row); each row is bit-identical to evaluate_point alone, with its
+    own objective and t_override.
     """
     configs = list(configs)
     groups = {}
@@ -438,9 +506,7 @@ def sweep(configs):
         settings = list(settings.values())
         for first in range(0, len(settings), CHUNK_SETTINGS):
             rows = [i for own in settings[first:first + CHUNK_SETTINGS] for i in own]
-            pipelines = _pipelines([configs[i] for i in rows])
-            for i in rows:
-                records[i] = evaluate_point(configs[i],
-                                            pipelines[_pipeline_key(configs[i])])
-            del pipelines
+            chunk = [configs[i] for i in rows]
+            for i, record in zip(rows, evaluate_points(chunk, _pipelines(chunk))):
+                records[i] = record
     return records

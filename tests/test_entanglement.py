@@ -356,6 +356,54 @@ def test_gaussian_log_negativity_rejects_unphysical_input():
         gaussian_log_negativity(np.zeros((4, 4)))
 
 
+def test_covariance_and_gaussian_negativity_take_stacks():
+    # kernels (..., 4, 4) and origin blocks (..., 5, 5) give each state's
+    # covariance and Gaussian E_N with the bits it gets alone, and the
+    # states are checked in order: the first one that fails raises
+    rng = np.random.default_rng(29)
+    kernels, origins = [], []
+    for strategy in Strategy:
+        for _ in range(3):
+            ev = _PointEvaluator(ScenarioConfig(
+                strategy, float(rng.uniform(0.0, 0.8)),
+                ChannelParams(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, 0.5)))))
+            kernels.append(ev.kernel)
+            origins.append(ev.origin(ev.weights([float(rng.uniform(0.1, 1.0))])[0]))
+    kernels, origins = np.stack(kernels), np.stack(origins)
+    sigma = covariance_from_chi(kernels, origins)
+    e_n = gaussian_log_negativity(sigma)
+    assert sigma.shape == (15, 4, 4) and not sigma.flags.writeable
+    assert e_n.shape == (15,) and e_n.dtype == np.float64 and e_n.max() > 0.0
+    for k, o, got, value in zip(kernels, origins, sigma, e_n.tolist()):
+        alone = covariance_from_chi(k, o)
+        assert alone.tobytes() == got.tobytes()
+        assert gaussian_log_negativity(alone).hex() == value.hex()
+    nested = covariance_from_chi(kernels.reshape(3, 5, 4, 4), origins.reshape(3, 5, 5, 5))
+    assert nested.tobytes() == sigma.tobytes()
+    assert gaussian_log_negativity(nested).tobytes() == e_n.reshape(3, 5).tobytes()
+    # one state's trace is 2, one state's block is complex, one state's x-p
+    # entries come out complex: the first of them in the stack raises
+    twice = origins.copy()
+    twice[7, 0, 0] = 2.0
+    imaginary = twice + 0j
+    imaginary[4, 2, 3] += 1e-300j
+    skewed = twice.copy()
+    skewed[4, 1, 1] += 1e-3
+    for origin, error, message in (
+            (twice, ValueError, r"state trace 2\.0 is not 1"),
+            (imaginary, ValueError, "origin coefficients must be real"),
+            (skewed, InvalidCovarianceError, "non-real part"),
+            (skewed[5:], ValueError, r"state trace 2\.0 is not 1")):
+        with pytest.raises(error, match=message):
+            covariance_from_chi(kernels[-len(origin):], origin)
+    with pytest.raises(ValueError, match="same leading axes"):
+        covariance_from_chi(kernels[:-1], origins)
+    unphysical = np.array(sigma)
+    unphysical[3] = np.zeros((4, 4))
+    with pytest.raises(InvalidCovarianceError, match="not positive definite"):
+        gaussian_log_negativity(unphysical)
+
+
 # ---------------------------------------------------------------------------
 # teleportation fidelity and success probability
 

@@ -177,6 +177,14 @@ def test_fock_matrix_trace_and_hermiticity():
     assert np.min(np.diag(rho).real) >= -1e-10
 
 
+def _coupled(weights):
+    """A diagonal d = 2 matrix with the weights whose |0, 0> (even i + j)
+    and |1, 0> (odd) are coupled by 0.1."""
+    rho = np.diag(weights)
+    rho[0, 2] = rho[2, 0] = 0.1
+    return rho
+
+
 def test_certify_passes_states_and_refuses_the_rest():
     rho = fock_matrix(channelled_tmsv(0.403, 0.7, 0.1), 3)
     assert certify(rho) is rho
@@ -185,17 +193,33 @@ def test_certify_passes_states_and_refuses_the_rest():
     # eigvalsh reads a NaN entry as a NaN eigenvalue, which no bound rejects
     nan = np.eye(4) / 4
     nan[0, 1] = nan[1, 0] = np.nan
-    for bad in (over, negative, nan):
-        with pytest.raises(PrecisionError):
+    # each parity block alone is a state, the whole matrix has an
+    # eigenvalue of -0.019
+    coupled = _coupled([0.5, 0.5, 0.0, 0.0])
+    for bad in (over, negative, nan, coupled):
+        with pytest.raises(PrecisionError, match="n_trunc = 1 gives no state: "):
             certify(bad)
+    coupled = _coupled([0.5, 0.45, 0.05, 0.0])
+    assert certify(coupled) is coupled
 
 
-def test_certify_takes_one_matrix():
-    # a stack passes the format check; before, certify then failed in
-    # float() with a TypeError
-    for stack in (np.stack([np.eye(4) / 4] * 2), np.eye(4)[None] / 4):
-        with pytest.raises(ValueError, match=r"certify takes one Fock matrix, "
-                                             r"a \(d\^2, d\^2\) array"):
+def test_certify_takes_a_stack():
+    # each matrix of a stack is certified, by its parity blocks where the
+    # coupling entries are exact zeros and whole where they are not, and
+    # the first one refused raises with its index
+    good = fock_matrix(channelled_tmsv(0.403, 0.7, 0.1), 1)
+    coupled = _coupled([0.5, 0.45, 0.05, 0.0])
+    for stack in (np.stack([np.eye(4) / 4] * 2), np.eye(4)[None] / 4,
+                  np.stack([good, coupled, good])):
+        assert certify(stack) is stack
+    over = np.diag([1.0 + 2e-6, 0.0, 0.0, 0.0])
+    negative = _coupled([0.5, 0.5, 0.0, 0.0])
+    for stack, index in ((np.stack([good, over, negative]), "1"),
+                         (np.stack([good, coupled, negative]), "2"),
+                         (np.stack([good, negative, over, good]).reshape(2, 2, 4, 4),
+                          r"\(0, 1\)")):
+        with pytest.raises(PrecisionError,
+                           match=f"n_trunc = 1 gives no state at index {index}: "):
             certify(stack)
 
 

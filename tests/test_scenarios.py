@@ -47,6 +47,12 @@ def reference_state(cfg, t):
     return oracles.normalize(oracles.sequential_pipeline(cfg, t))
 
 
+def objective_at(ev, t):
+    """ev's objective value at the one weight t, -inf where the state
+    vanishes: what a golden step scores."""
+    return float(ev.objectives(ev.weights([t]))[0])
+
+
 # ---------------------------------------------------------------------------
 # strategy enumeration and config validation
 
@@ -157,7 +163,8 @@ def test_term_basis_matches_sequential_pipeline(strategy):
         scale = np.max(np.abs(want.poly))
         assert np.max(np.abs(got.poly - want.poly)) <= 1e-13 * scale, t
         ref, _ = oracles.normalize(want)
-        np.testing.assert_allclose(ev.covariance(ev.weights([t])[0]),
+        np.testing.assert_allclose(covariance_from_chi(ev.kernel,
+                                                       ev.origin(ev.weights([t])[0])),
                                    covariance_from_chi(ref.kernel,
                                                        origin_coefficients(ref.poly)),
                                    rtol=0, atol=1e-13)
@@ -225,9 +232,9 @@ def test_optimize_t_beats_fine_grid():
     assert opt.flag == ""
     lo = max(0.0, opt.t_opt - 0.01)
     hi = min(1.0, opt.t_opt + 0.01)
-    fine = max(ev.objective(t) for t in np.linspace(lo, hi, 41))
+    fine = max(objective_at(ev, t) for t in np.linspace(lo, hi, 41))
     assert opt.value >= fine - 1e-6
-    assert ev.objective(opt.t_opt) == pytest.approx(opt.value, abs=1e-12)
+    assert objective_at(ev, opt.t_opt) == pytest.approx(opt.value, abs=1e-12)
 
 
 def test_optimize_t_is_deterministic():
@@ -255,8 +262,9 @@ def test_optimize_t_zero_objective_falls_back_to_probability():
 
 
 class _StubEvaluator:
-    """optimize_t's view of an evaluator whose objective is f(t), read off
-    degree-1 weight rows (t, r); scored logs every (t, value) it gives."""
+    """The optimizer's view of an evaluator whose fidelity objective is
+    f(t), read off degree-1 weight rows (t, r); scored logs every
+    (t, value) it gives, grid and golden steps alike."""
 
     def __init__(self, f):
         self.cfg = cfg_for("coherent_before", objective="fidelity")
@@ -264,15 +272,80 @@ class _StubEvaluator:
         self.f = f
         self.scored = []
 
-    def objective(self, t):
-        self.scored.append((t, self.f(t)))
-        return self.scored[-1][1]
+    def weights(self, ts):
+        return scenarios._weight_rows(ts, 1)
 
-    def objectives(self, w):
-        return np.array([self.objective(t) for t in w[:, 0].tolist()])
+    def fidelities(self, w):
+        values = [self.f(t) for t in w[:, 0].tolist()]
+        self.scored += zip(w[:, 0].tolist(), values)
+        return np.array(values)
 
     def probabilities(self, w):
         return np.ones(len(w))
+
+    objectives = _PointEvaluator.objectives
+
+
+def _golden_max_alone(f, lo, hi, tol, seed):
+    """The golden section as a plain loop that calls f for each point, the
+    form the lockstep generator replaced: every point it scores and its
+    (t, value) of largest key (value, -t)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    scored = [seed, (c, fc), (d, fd)]
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+            scored.append((c, fc))
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+            scored.append((d, fd))
+    return scored[1:], max(scored, key=lambda point: (point[1], -point[0]))
+
+
+LOCKSTEP_OBJECTIVES = {
+    # a peak inside the grid: the bracket is (0.43, 0.45) around 0.44
+    "interior": lambda t: 1.0 - (t - 0.4372) ** 2,
+    # falling from t = 0: the bracket is clipped at 0, to (0, 0.01)
+    "clipped_at_0": lambda t: 1.0 - t,
+    # rising to t = 1: the bracket is clipped at 1, to (0.99, 1)
+    "clipped_at_1": lambda t: 0.5 + t * t,
+    # a plateau from 0.4963, inside the bracket around the grid's 0.5
+    "plateau": lambda t: 1.0 if t >= 0.4963 else 1.0 - (0.4963 - t),
+}
+
+
+def test_lockstep_refinement_scores_each_row_as_alone():
+    # rows of one chunk refine together, one scored weight per row a round,
+    # and clipped brackets finish earlier; each row scores the t sequence
+    # of the golden section run alone and returns its (t, value)
+    fs = list(LOCKSTEP_OBJECTIVES.values())
+    chunk = [_StubEvaluator(f) for f in fs]
+    results = scenarios._optimize(chunk)
+    steps = []
+    for f, ev, got in zip(fs, chunk, results):
+        alone = _StubEvaluator(f)
+        assert optimize_t(alone) == got
+        assert ev.scored == alone.scored
+        grid = ev.scored[:len(GRID)]
+        assert [t for t, _ in grid] == GRID.tolist()
+        best_t, best = max(grid, key=lambda point: (point[1], -point[0]))
+        scored, (t, value) = _golden_max_alone(
+            f, max(0.0, best_t - scenarios.GRID_STEP),
+            min(1.0, best_t + scenarios.GRID_STEP), scenarios.REFINE_TOL, (best_t, best))
+        assert ev.scored[len(GRID):] == scored
+        assert got == OptimizeResult(t, value)
+        steps.append(len(scored))
+    # the clipped rows drop out of the lockstep before the others
+    assert steps[1] == steps[2] < steps[0] == steps[3]
+    assert results[1].t_opt < 0.01 and results[2].t_opt == 1.0
 
 
 @pytest.mark.parametrize("f", [
@@ -304,10 +377,10 @@ def test_optimize_t_fidelity_objective():
         assert teleportation_fidelity(state) == pytest.approx(opt.value,
                                                               abs=1e-12)
         for probe in (0.0, 0.5, 1.0):
-            assert opt.value >= ev.objective(probe) - 1e-12
+            assert opt.value >= objective_at(ev, probe) - 1e-12
         # the per-term objective against the one-weight reference state
         for t in (0.0, 0.3, 0.7, 1.0):
-            assert ev.objective(t) == pytest.approx(
+            assert objective_at(ev, t) == pytest.approx(
                 teleportation_fidelity(reference_state(cfg, t)[0]), abs=1e-12)
 
 
@@ -319,7 +392,7 @@ def test_row_negativity_is_the_objective_at_t_opt():
             cfg = cfg_for(strategy, s=0.114, eta=eta, n_th=0.1)
             rec = evaluate_point(cfg)
             assert rec.e_n_fock > 0.0
-            assert rec.e_n_fock == _PointEvaluator(cfg).objective(rec.t_opt)
+            assert rec.e_n_fock == objective_at(_PointEvaluator(cfg), rec.t_opt)
 
 
 def test_row_fidelity_and_probability_are_the_evaluator_at_t_opt():
@@ -332,7 +405,7 @@ def test_row_fidelity_and_probability_are_the_evaluator_at_t_opt():
             rec = evaluate_point(cfg)
             ev = _PointEvaluator(cfg)
             assert rec.flags == ""
-            assert rec.fidelity == ev.objective(rec.t_opt)
+            assert rec.fidelity == objective_at(ev, rec.t_opt)
             assert rec.p_success == ev.probabilities(ev.weights([rec.t_opt]))[0]
 
 
@@ -352,15 +425,15 @@ def test_grid_values_are_the_objective_bit_for_bit(n_trunc):
                           n_th=float(rng.uniform(0.0, 0.5)),
                           n_trunc=n_trunc, objective=objective)
             ev = _PointEvaluator(cfg)
-            want = [ev.objective(t) for t in GRID]
+            want = [objective_at(ev, t) for t in GRID]
             assert ev.objectives(ev.weights(GRID)).tolist() == want, cfg
             assert ev.probabilities(ev.weights(GRID)).tolist() == [
                 ev.probabilities(ev.weights([t]))[0] for t in GRID]
         assert ev.matrices.dtype == float
     ev = _PointEvaluator(cfg_for("coherent_before", s=0.0, n_trunc=n_trunc))
     values = ev.objectives(ev.weights(GRID))
-    assert values[-1] == -math.inf and ev.objective(1.0) == -math.inf
-    assert values[:-1].tolist() == [ev.objective(t) for t in GRID[:-1]]
+    assert values[-1] == -math.inf and objective_at(ev, 1.0) == -math.inf
+    assert values[:-1].tolist() == [objective_at(ev, t) for t in GRID[:-1]]
 
 
 def test_stacked_weights_keep_the_range_check():
@@ -369,7 +442,7 @@ def test_stacked_weights_keep_the_range_check():
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ev.weights(ts)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ev.objective(ts[-1])
+            objective_at(ev, ts[-1])
 
 
 def test_grid_weights_are_built_once_with_the_weight_rule(monkeypatch):
@@ -560,7 +633,7 @@ def test_coherent_beats_plain_subtraction_without_loss():
     opt = optimize_t(_PointEvaluator(cfg_c))
     ev_s = _PointEvaluator(cfg_for("subtract_before", s=0.029, eta=1.0,
                                    n_th=0.0))
-    assert opt.value > ev_s.objective(1.0) + 0.1
+    assert opt.value > objective_at(ev_s, 1.0) + 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -628,19 +701,23 @@ def test_sweep_eta_pins_override_everywhere():
     assert [r.t_opt for r in recs] == [0.9, 0.9]
 
 
-def test_sweep_rows_go_through_the_module_evaluate_point(monkeypatch):
-    # wrappers installed as scenarios.evaluate_point see every sweep row
+def test_sweep_calls_the_module_evaluate_points_once_per_chunk(monkeypatch):
+    # a wrapper installed as scenarios.evaluate_points sees every sweep
+    # row, in one call per chunk of settings
     seen = []
-    original = scenarios.evaluate_point
+    original = scenarios.evaluate_points
 
-    def counted(cfg, *args):
-        seen.append(cfg)
-        return original(cfg, *args)
+    def counted(cfgs, *args):
+        seen.append(list(cfgs))
+        return original(cfgs, *args)
 
-    monkeypatch.setattr(scenarios, "evaluate_point", counted)
-    cfgs = [cfg_for("noop", eta=eta) for eta in (0.5, 1.0)]
-    assert [r.eta for r in sweep(cfgs)] == [0.5, 1.0]
-    assert seen == cfgs
+    monkeypatch.setattr(scenarios, "evaluate_points", counted)
+    monkeypatch.setattr(scenarios, "CHUNK_SETTINGS", 2)
+    cfgs = [cfg_for("noop", eta=eta) for eta in (0.5, 1.0, 0.7)]
+    cfgs.append(cfg_for("noop", s=0.2, eta=0.5))
+    assert [(r.s, r.eta) for r in sweep(cfgs)] == [(0.114, 0.5), (0.114, 1.0),
+                                                  (0.114, 0.7), (0.2, 0.5)]
+    assert seen == [cfgs[:2], cfgs[2:3], cfgs[3:]]
 
 
 def _record_bits(rec):
@@ -673,6 +750,48 @@ def test_sweep_rows_are_evaluate_point_alone_bit_for_bit():
     alone = [_record_bits(evaluate_point(cfg)) for cfg in cfgs]
     assert [_record_bits(rec) for rec in sweep(cfgs)] == alone
     assert [rec[0] for rec in alone] == [cfg.strategy for cfg in cfgs]
+
+
+def test_a_chunk_of_every_row_kind_is_evaluate_point_alone_bit_for_bit():
+    # one chunk per s mixes refined rows (interior and clipped brackets),
+    # zero_objective, zero_state, pinned-t, subtraction and noop rows under
+    # both objectives; each row is still the record evaluate_point gives
+    # alone
+    cfgs = [cfg_for(strategy.value, s=s, eta=eta, n_th=0.1, n_trunc=3, **kw)
+            for s in (0.0, 0.029) for eta in (0.3, 0.9, 1.0) for strategy in Strategy
+            for kw in ({}, {"objective": "fidelity"}, {"t_override": 1.0},
+                       {"t_override": 0.6, "objective": "fidelity"})]
+    records = sweep(cfgs)
+    assert [_record_bits(rec) for rec in records] == [
+        _record_bits(evaluate_point(cfg)) for cfg in cfgs]
+    kinds = collections.Counter(
+        rec.flags or ("refined" if cfg.strategy.optimizes_t and cfg.t_override is None
+                      else "fixed")
+        for cfg, rec in zip(cfgs, records))
+    assert set(kinds) == {"refined", "fixed", "zero_objective", "zero_state"}, kinds
+    refined = [rec.t_opt for cfg, rec in zip(cfgs, records)
+               if cfg.strategy.optimizes_t and cfg.t_override is None and not rec.flags]
+    assert 1.0 in refined and any(0.0 < t < 1.0 and t not in GRID for t in refined)
+
+
+def test_row_sums_are_each_row_s_own_dot_products():
+    # p_success and the fidelity are each row's dot products over its own
+    # pipeline arrays; its traces are a strided view of its stack, and
+    # matmul can round a strided vector otherwise than a contiguous copy:
+    # copying the rows' traces into one stack moved 2 of these 35 rows
+    # (coherent_before and coherent_after at eta 1, by 4.3e-19 in p_success
+    # and 1.1e-16 in the fidelity, with OpenBLAS), which tests that compare
+    # a sweep with evaluate_point cannot see
+    cfgs = [cfg_for(strategy.value, s=0.038, eta=float(eta), n_th=0.0613)
+            for strategy in Strategy for eta in np.linspace(0.01, 1.0, 7)]
+    for cfg, rec in zip(cfgs, sweep(cfgs)):
+        (_, polys, traces, _, fidelity_terms, _), = scenarios._pipelines([cfg]).values()
+        assert traces.base is not None and traces.strides == (polys.strides[0],)
+        w = scenarios._weight_rows([rec.t_opt], len(polys) - 1)
+        trace = (w[:, None] @ traces)[0, 0]
+        assert rec.p_success.hex() == float(max(trace, 0.0)).hex(), cfg
+        assert rec.fidelity.hex() == float((w[:, None] @ fidelity_terms)[0, 0]
+                                           / trace).hex(), cfg
 
 
 def _call_counts(fn):
@@ -742,8 +861,8 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
     # each chunk's pipelines and matrices go before the next chunk's are
     # built, by reference counting alone (the collector is off), so a
     # sweep's memory does not grow with its eta grid: five settings in
-    # chunks of two are built as 2, 2 and 1, and a row sees only the Fock
-    # builds of its own chunk's settings
+    # chunks of two are built as 2, 2 and 1, and a chunk's rows see only the
+    # Fock builds of its own settings
     built, evaluators = [], collections.Counter()
     original_fock = scenarios.fock_matrices
 
@@ -761,7 +880,7 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
             evaluators["live"] += 1
             weakref.finalize(self, evaluators.subtract, ["live"])
 
-    at_build, chunks, at_row = [], [], []
+    at_build, chunks, at_chunk = [], [], []
     original_pipelines = scenarios._pipelines
 
     def pipelines(cfgs):
@@ -769,17 +888,17 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
         chunks.append(len({cfg.channel for cfg in cfgs}))
         return original_pipelines(cfgs)
 
-    original_row = scenarios.evaluate_point
+    original_chunk = scenarios.evaluate_points
 
-    def probed(cfg, *args):
-        at_row.append((alive(), evaluators["live"]))
-        return original_row(cfg, *args)
+    def probed(cfgs, *args):
+        at_chunk.append((len(cfgs), alive(), evaluators["live"]))
+        return original_chunk(cfgs, *args)
 
     monkeypatch.setattr(scenarios, "CHUNK_SETTINGS", 2)
     monkeypatch.setattr(scenarios, "fock_matrices", tracked)
     monkeypatch.setattr(scenarios, "_PointEvaluator", Counted)
     monkeypatch.setattr(scenarios, "_pipelines", pipelines)
-    monkeypatch.setattr(scenarios, "evaluate_point", probed)
+    monkeypatch.setattr(scenarios, "evaluate_points", probed)
     etas = (0.2, 0.4, 0.6, 0.8, 1.0)
     cfgs = [cfg_for(strategy.value, eta=eta, n_trunc=3)
             for strategy in Strategy for eta in etas]
@@ -791,7 +910,7 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
         if enabled:
             gc.enable()
     assert at_build == [0, 0, 0] and chunks == [2, 2, 1]
-    assert at_row == [(2, 0)] * 20 + [(1, 0)] * 5
+    assert at_chunk == [(10, 2, 0), (10, 2, 0), (5, 1, 0)]
     assert len(built) == len(etas)
     assert alive() == 0 and +evaluators == collections.Counter()
 
