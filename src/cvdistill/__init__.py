@@ -14,7 +14,6 @@ from .entanglement import (
     gaussian_log_negativity,
     log_negativity,
     origin_coefficients,
-    partial_transpose,
     separation_eta,
     separation_time,
     thermal_occupation,
@@ -23,6 +22,7 @@ from .fock_recon import (
     PrecisionError,
     certify,
     fock_matrices,
+    partial_transpose,
 )
 from .scenarios import (
     OptimizeResult,

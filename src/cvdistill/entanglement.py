@@ -5,18 +5,19 @@ separate: the Fock route diagonalizes the partially transposed truncated
 density matrix, the Gaussian route uses only the covariance matrix (exact for
 Gaussian states, an approximation once photon operations make the state
 non-Gaussian).  Their disagreement is itself a signal of non-Gaussianity, so
-neither is ever expressed through the other.
+neither is ever expressed through the other.  The Fock format, its partial
+transpose (re-exported here) and its parity-block eigensolve live in
+fock_recon.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .chi_core import SingularKernelError, gaussian_kernel, two_mode_stack
-from .fock_recon import _fock_side, _mixes_parities, _parity_sets
+from .fock_recon import _spectra, partial_transpose as partial_transpose
 
 COV_IMAG_TOL = 1e-10
 TRACE_ONE_TOL = 1e-6
@@ -31,35 +32,6 @@ class InvalidCovarianceError(ValueError):
     """Covariance matrix violates a physicality bound beyond tolerance."""
 
 
-def partial_transpose(rho):
-    """Partial transpose on the first mode, (rho^T1)_{ij,kl} = rho_{kj,il},
-    of a (d^2, d^2) matrix or of each matrix of a (..., d^2, d^2) stack
-    (ValueError for any other shape)."""
-    d = _fock_side(rho)
-    return (rho.reshape(*rho.shape[:-2], d, d, d, d).swapaxes(-4, -2)
-            .reshape(rho.shape))
-
-
-@functools.lru_cache(maxsize=None)
-def _parity_blocks(d):
-    """For one cutoff d = n_trunc + 1: index pairs (rows, cols) that gather
-    the blocks of rho^T1 of even and of odd total photon number i + j
-    straight from a (d^2, d^2) rho, one pair per set of _parity_sets.  An
-    entry that couples the two parities in rho^T1 is one of rho too, since
-    i + j + k + l is the same for both, so where rho has only zeros there
-    (_mixes_parities), rho^T1 is the direct sum of the two blocks."""
-    sets, _ = _parity_sets(d)
-    i, j = np.divmod(np.arange(d * d), d)
-    blocks = []
-    for a in sets:
-        # (rho^T1)_{ij,kl} = rho_{kj,il} for ij and kl in a
-        pair = (i[a][None, :] * d + j[a][:, None], i[a][:, None] * d + j[a][None, :])
-        for x in pair:
-            x.flags.writeable = False
-        blocks.append(pair)
-    return blocks
-
-
 def log_negativity(rho):
     """Logarithmic negativity E = log2 ||rho^T1||_1 of a (d^2, d^2)
     Fock-basis state, or of each state of a (..., d^2, d^2) stack, clamped
@@ -70,22 +42,13 @@ def log_negativity(rho):
     rho^T1 is diagonalized by LAPACK (numpy.linalg.eigvalsh), which raises
     numpy.linalg.LinAlgError if it does not converge.  The solve is in
     rho's dtype: real for the float64 matrices of fock_matrices, complex
-    for a complex input.  When every entry that couples even to odd total
-    photon number is exactly 0, as in the states of every strategy, the two
-    parity blocks are gathered from rho by index arrays cached per cutoff
-    and solved one after the other; otherwise rho^T1 is solved whole.  A
-    stack is solved by one rule for all its states, so each value is, bit
-    for bit, that of a call on its state alone whenever the states share
-    the structure.
+    for a complex input.  The eigenvalues are fock_recon._spectra's: per
+    photon-number-parity block of rho^T1, gathered straight from rho, when
+    no state of rho couples the parities, as no strategy's state does, and
+    whole otherwise; so each value of a stack is, bit for bit, that of a
+    call on its state alone whenever the states share the structure.
     """
-    rho = np.asarray(rho)
-    d = _fock_side(rho)
-    blocks = _parity_blocks(d)
-    if _mixes_parities(rho, d):
-        parts = [partial_transpose(rho)]
-    else:
-        parts = [rho[..., rows, cols] for rows, cols in blocks]
-    w = np.concatenate([np.linalg.eigvalsh(p) for p in parts], axis=-1)
+    w = np.concatenate(_spectra(np.asarray(rho), True), axis=-1)
     norms = np.sum(np.abs(w), axis=-1)
     values = [math.log2(n) if n > 1.0 else 0.0 for n in norms.flat]
     return values[0] if norms.ndim == 0 else np.reshape(values, norms.shape)

@@ -11,7 +11,10 @@ functions the whole integrand lives in one augmented Gaussian kernel and
 the exact float64 moment table evaluates it term by term.  A density
 matrix is a plain (d^2, d^2) float64 array, d = n_trunc + 1.  Every
 kernel conserves the phase charge, so only the moments and weights of
-charge zero are computed; the others are exactly +0.
+charge zero are computed; the others are exactly +0.  This module is the
+one home of that format: its shape check (_fock_side), its partial
+transpose and its photon-number-parity blocks, which the eigensolves of
+certify and of entanglement.log_negativity share (_spectra).
 
 Truncation note: dropping Fock components above n_trunc can only lower the
 measured entanglement (the truncation is a local projection), so in exact
@@ -239,26 +242,47 @@ def fock_matrices(kernel, n_trunc, polys, *more):
     return out
 
 
+def partial_transpose(rho):
+    """Partial transpose on the first mode, (rho^T1)_{ij,kl} = rho_{kj,il},
+    of a (d^2, d^2) matrix or of each matrix of a (..., d^2, d^2) stack
+    (ValueError for any other shape)."""
+    d = _fock_side(rho)
+    return (rho.reshape(*rho.shape[:-2], d, d, d, d).swapaxes(-4, -2)
+            .reshape(rho.shape))
+
+
 @functools.lru_cache(maxsize=None)
-def _parity_sets(d):
-    """For one cutoff d = n_trunc + 1: the read-only indices i * d + j of
-    the basis states |i, j> of even and of odd total photon number i + j
-    (no odd set at d = 1), and the read-only flat indices of the entries
-    of a (d^2, d^2) matrix that couple the two parities.  Every strategy's
-    state has exact zeros there: the kernel's phase charge allows only
-    entries with i - k = j - l, whose parities agree."""
+def _parity_gathers(d, transposed):
+    """For one cutoff d = n_trunc + 1: read-only flat indices into a
+    (d^2, d^2) matrix rho, (blocks, coupling).  blocks gather the blocks
+    of rho, or of rho^T1 when transposed (partial_transpose of the index
+    matrix), over the states |i, j> of even and of odd i + j (no odd block
+    at d = 1); coupling indexes the entries of rho that couple the two
+    parities, which are those of rho^T1 too (i + j + k + l is the same).
+    Every strategy's state is 0 there: its phase charge allows only
+    i - k = j - l."""
+    index = np.arange(d ** 4).reshape(d * d, d * d)
+    if transposed:
+        index = partial_transpose(index)
     i, j = np.divmod(np.arange(d * d), d)
     parity = (i + j) % 2
-    sets = tuple(_read_only(a) for a in (np.flatnonzero(parity == 0),
-                                         np.flatnonzero(parity == 1)) if len(a))
-    return sets, _read_only(np.flatnonzero(parity[:, None] != parity[None, :]))
+    blocks = tuple(_read_only(index[np.ix_(p, p)]) for p in (parity == 0, parity == 1)
+                   if p.any())
+    return blocks, _read_only(np.flatnonzero(parity[:, None] != parity[None, :]))
 
 
-def _mixes_parities(rho, d):
-    """Whether any matrix of rho, a (..., d^2, d^2) array, has a nonzero
-    (or NaN) entry that couples the two parities of _parity_sets(d)."""
-    flat = np.reshape(rho, rho.shape[:-2] + (-1,))
-    return bool(np.any(flat[..., _parity_sets(d)[1]]))
+def _spectra(rho, transposed):
+    """Eigenvalues of each matrix of rho, a (..., d^2, d^2) array, or of
+    its rho^T1 when transposed: one ascending (..., n) array per parity
+    block of _parity_gathers when no matrix couples the parities (a NaN
+    counts as coupling), else one of the whole matrices (ValueError for
+    any other shape).  One rule for the stack, so a matrix gets the bits
+    it gets alone whenever the stack shares its structure."""
+    blocks, coupling = _parity_gathers(_fock_side(rho), transposed)
+    flat = rho.reshape(rho.shape[:-2] + (-1,))
+    if np.any(flat[..., coupling]):
+        return [np.linalg.eigvalsh(partial_transpose(rho) if transposed else rho)]
+    return [np.linalg.eigvalsh(flat[..., b]) for b in blocks]
 
 
 def certify(rho):
@@ -269,21 +293,16 @@ def certify(rho):
     fails raises, and the message gives its index.  Any other shape raises
     ValueError.
 
-    When every entry that couples even to odd total photon number is
-    exactly 0 in every matrix (_mixes_parities), rho is block diagonal and
-    its smallest eigenvalue is the smaller of its two blocks'; otherwise
-    each matrix is solved whole."""
-    d = _fock_side(rho)
+    The eigenvalues are _spectra's: per photon-number-parity block when
+    no matrix couples the parities, otherwise of each whole matrix."""
     m = np.asarray(rho)
-    parts = [m] if _mixes_parities(m, d) else [m[..., a[:, None], a]
-                                               for a in _parity_sets(d)[0]]
-    lam = functools.reduce(np.minimum, [np.linalg.eigvalsh(p)[..., 0] for p in parts])
+    lam = functools.reduce(np.minimum, [w[..., 0] for w in _spectra(m, False)])
     trace = np.trace(m, axis1=-2, axis2=-1).real
     fine = (trace <= 1.0 + CERTIFY_TOL) & (lam >= -CERTIFY_TOL)
     if not fine.all():
         bad = tuple(map(int, np.unravel_index(np.argmin(fine), fine.shape)))
         where = f" at index {bad[0] if len(bad) == 1 else bad}" if bad else ""
-        raise PrecisionError(f"n_trunc = {d - 1} gives no state{where}: "
-                             f"trace {float(trace[bad])}, smallest eigenvalue "
-                             f"{float(lam[bad])}")
+        raise PrecisionError(f"n_trunc = {math.isqrt(m.shape[-1]) - 1} gives no "
+                             f"state{where}: trace {float(trace[bad])}, "
+                             f"smallest eigenvalue {float(lam[bad])}")
     return rho

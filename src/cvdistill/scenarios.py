@@ -427,19 +427,17 @@ def _optimize(evs):
     return results
 
 
-def evaluate_point(cfg, pipeline=None):
+def evaluate_point(cfg):
     """Full record for one strategy at one channel setting: evaluate_points
-    of the one row cfg.  pipeline, cfg's entry of _pipelines, lets rows
-    share pipelines and a Fock build (built for cfg alone by default); the
-    record's bits do not depend on it."""
-    pipelines = _pipelines([cfg]) if pipeline is None else {_pipeline_key(cfg): pipeline}
-    (record,) = evaluate_points([cfg], pipelines)
+    of the one row cfg."""
+    (record,) = evaluate_points([cfg])
     return record
 
 
-def evaluate_points(cfgs, pipelines):
-    """Full records for the rows cfgs, in order, from pipelines, which maps
-    each row's _pipeline_key to its entry of _pipelines.
+def evaluate_points(cfgs):
+    """Full records for the rows cfgs, in order; the rows share s (with its
+    sign) and n_trunc, as a sweep's chunk does, and one _pipelines call
+    over them builds the pipelines and Fock matrices they share.
 
     Coherent strategies optimize t (unless pinned by t_override; _optimize
     refines the free rows in lockstep); subtraction runs at t = 1; the
@@ -456,6 +454,7 @@ def evaluate_points(cfgs, pipelines):
     pipeline arrays (_dots: a copy of a strided array into a stack moves
     their last bits).
     """
+    pipelines = _pipelines(cfgs)
     evs = [_PointEvaluator(cfg, pipelines[_pipeline_key(cfg)]) for cfg in cfgs]
     ts = [cfg.t_override if cfg.strategy.optimizes_t else 1.0 for cfg in cfgs]
     flags = [""] * len(cfgs)
@@ -491,8 +490,8 @@ def sweep(configs):
     and its rows share those pipelines and each setting's Fock build.  A
     chunk's arrays are freed before the next chunk is built, so a sweep's
     memory does not grow with its eta grid.  The loop calls
-    evaluate_points by its module-global name once per chunk, on the
-    chunk's rows (so a wrapper installed as scenarios.evaluate_points sees
+    evaluate_points, which makes that call, by its module-global name once
+    per chunk, on the chunk's rows (so a wrapper installed as scenarios.evaluate_points sees
     every row); each row is bit-identical to evaluate_point alone, with its
     own objective and t_override.
     """
@@ -507,6 +506,6 @@ def sweep(configs):
         for first in range(0, len(settings), CHUNK_SETTINGS):
             rows = [i for own in settings[first:first + CHUNK_SETTINGS] for i in own]
             chunk = [configs[i] for i in rows]
-            for i, record in zip(rows, evaluate_points(chunk, _pipelines(chunk))):
+            for i, record in zip(rows, evaluate_points(chunk)):
                 records[i] = record
     return records

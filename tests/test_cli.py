@@ -751,6 +751,29 @@ def test_every_module_level_name_in_src_is_used():
     assert dead == []
 
 
+def test_every_name_a_src_module_imports_is_loaded_there():
+    # no linter ships with the project, so leftover imports are caught
+    # here: each name a cvdistill module imports is loaded in that module,
+    # unless the module re-exports it in the explicit "import x as x" form;
+    # __init__.py only re-exports, and a __future__ import is a directive
+    src = os.path.dirname(cvdistill.__file__)
+    unused = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [f"{name}:{alias.asname or alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in loaded
+                           and alias.asname != alias.name]
+    assert unused == []
+
+
 PINNED_SWEEP = """\
 strategies = noop, subtract_before, subtract_after, coherent_before, coherent_after
 s = 0.029

@@ -239,6 +239,24 @@ def test_log_negativity_without_the_structure_solves_whole(eigvalsh_inputs):
     assert eigvalsh_inputs == [((8, 8), np.dtype(complex))] * 2
 
 
+def test_log_negativity_of_a_stack_with_one_coupling_matrix(eigvalsh_inputs):
+    # one matrix of the stack couples the parities, so every matrix is
+    # solved whole, in one call, and each value is its own whole solve
+    # alone, bit for bit
+    _, stack = next(seeded_rhos(3))
+    coupled = random_density_matrix(np.random.default_rng(29), 3).real.copy()
+    mixed = np.stack([stack[0], coupled, stack[1]])
+    del eigvalsh_inputs[:]
+    got = log_negativity(mixed)
+    assert eigvalsh_inputs == [((3, 16, 16), np.dtype(float))]
+    for rho, value in zip(mixed, got.tolist()):
+        norm = float(np.sum(np.abs(np.linalg.eigvalsh(partial_transpose(rho)))))
+        assert value == (math.log2(norm) if norm > 1.0 else 0.0)
+    assert got[1] == log_negativity(coupled) > 0.0
+    for rho, value in zip(stack[:2], got[[0, 2]]):
+        assert value == pytest.approx(log_negativity(rho), abs=1e-12)
+
+
 @pytest.mark.parametrize("n_trunc", [1, 3, 5])
 def test_a_complex_input_is_solved_complex(n_trunc, eigvalsh_inputs):
     # a Hermitian rho with every imaginary part 0, given as complex, is

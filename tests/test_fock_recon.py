@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cvdistill import chi_core, fock_recon
+import cvdistill
+from cvdistill import chi_core, entanglement, fock_recon
 from cvdistill.chi_core import (
     ChannelParams,
     apply_thermal_channel,
@@ -245,6 +246,39 @@ def test_one_level_fock_matrix_is_in_the_format():
     assert certify(vacuum) is vacuum
     assert log_negativity(vacuum) == 0.0
     np.testing.assert_array_equal(partial_transpose(vacuum), vacuum)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_parity_gathers_are_slices_of_the_partial_transpose(transposed):
+    # each block gather reads, bit for bit, the slice of rho (or of
+    # partial_transpose(rho)) over one parity set, of one matrix and of each
+    # matrix of a stack; the coupling indices are exactly the entries whose
+    # two parities differ
+    rng = np.random.default_rng(30)
+    for d in range(1, 10):
+        i, j = np.divmod(np.arange(d * d), d)
+        parity = (i + j) % 2
+        sets = [a for a in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
+                if len(a)]
+        blocks, coupling = fock_recon._parity_gathers(d, transposed)
+        assert len(blocks) == len(sets) == min(d, 2)
+        assert not coupling.flags.writeable
+        assert coupling.tolist() == [r * d * d + c for r in range(d * d)
+                                     for c in range(d * d) if parity[r] != parity[c]]
+        for rho in (rng.normal(size=(d * d, d * d)), rng.normal(size=(2, 3, d * d, d * d))):
+            whole = partial_transpose(rho) if transposed else rho
+            flat = rho.reshape(*rho.shape[:-2], -1)
+            for a, b in zip(sets, blocks):
+                assert not b.flags.writeable
+                got, want = flat[..., b], whole[..., a[:, None], a]
+                if rho.ndim == 2:
+                    np.testing.assert_array_equal(want, whole[np.ix_(a, a)])
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_partial_transpose_has_one_home():
+    assert (cvdistill.partial_transpose is entanglement.partial_transpose
+            is fock_recon.partial_transpose)
 
 
 def test_truncated_tmsv_trace_partial_sum():

@@ -862,7 +862,8 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
     # built, by reference counting alone (the collector is off), so a
     # sweep's memory does not grow with its eta grid: five settings in
     # chunks of two are built as 2, 2 and 1, and a chunk's rows see only the
-    # Fock builds of its own settings
+    # Fock builds of its own settings (probed where evaluate_points' own
+    # _pipelines call returns)
     built, evaluators = [], collections.Counter()
     original_fock = scenarios.fock_matrices
 
@@ -886,19 +887,14 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
     def pipelines(cfgs):
         at_build.append(alive())
         chunks.append(len({cfg.channel for cfg in cfgs}))
-        return original_pipelines(cfgs)
-
-    original_chunk = scenarios.evaluate_points
-
-    def probed(cfgs, *args):
+        out = original_pipelines(cfgs)
         at_chunk.append((len(cfgs), alive(), evaluators["live"]))
-        return original_chunk(cfgs, *args)
+        return out
 
     monkeypatch.setattr(scenarios, "CHUNK_SETTINGS", 2)
     monkeypatch.setattr(scenarios, "fock_matrices", tracked)
     monkeypatch.setattr(scenarios, "_PointEvaluator", Counted)
     monkeypatch.setattr(scenarios, "_pipelines", pipelines)
-    monkeypatch.setattr(scenarios, "evaluate_points", probed)
     etas = (0.2, 0.4, 0.6, 0.8, 1.0)
     cfgs = [cfg_for(strategy.value, eta=eta, n_trunc=3)
             for strategy in Strategy for eta in etas]
