@@ -75,14 +75,12 @@ def origin_coefficients(polys):
     c[..., i, j] the second, d_i d_j P(0) = (1 + delta_ij) c[..., i, j]
     (i, j >= 1).  A cube with D < 3 reads 0 where it has no entry.  They
     are linear in P, so a weighted sum of per-term blocks is the block of
-    the weighted sum.  The result is C-contiguous whatever the leading
-    axes, so a weighted sum over it rounds alike for a state alone and in
-    a chunk."""
+    the weighted sum."""
     polys = np.asarray(polys)
     pad = max(0, 3 - polys.shape[-1])
     if pad:
         polys = np.pad(polys, [(0, 0)] * (polys.ndim - 4) + [(0, pad)] * 4)
-    return np.ascontiguousarray(polys[(..., *_ORIGIN)])
+    return polys[(..., *_ORIGIN)]
 
 
 def covariance_from_chi(kernel, origin):

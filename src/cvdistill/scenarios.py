@@ -168,121 +168,87 @@ def _pipeline_key(cfg):
 
 def _pipelines(cfgs):
     """The arrays of the rows cfgs, a chunk of channel settings that share
-    s (with its sign) and n_trunc: {_pipeline_key: (kernel, polys, traces,
-    matrices, fidelity_terms, origins)}, one entry per distinct pipeline.
+    s (with its sign) and n_trunc, as ({_pipeline_key: index}, (kernels,
+    traces, matrices, fidelity_terms, origins)), one index per distinct
+    pipeline.  Each array's shape is (pipelines, terms, ...): the
+    kernels (P, 4, 4) and, per term, the traces (P, K), float64 Fock
+    matrices (P, K, d^2, d^2), fidelity integrals (P, K) and
+    origin_coefficients (P, K, 5, 5) (a row's covariance is their weighted
+    sum), where K is the longest stack; a shorter stack (the no-operation
+    stack has 1 term) is padded with zero terms.  Rows that do not share s
+    and n_trunc raise ValueError.
 
     Each pipeline kind a row needs (no operation, the operation before or
     after the channel) runs once over every channel of the chunk
     (_raw_terms), with one fidelity_integrals call; a subtraction row
-    reads the coherent pipeline of its side, at t = 1.  traces, matrices,
-    fidelity_terms and origins are the per-term traces, float64 Fock
-    matrices, fidelity integrals and origin_coefficients (a row's
-    covariance is their weighted sum).  One fock_matrices call builds the
-    matrices of every pipeline of a setting: the coherent operation leaves
-    the kernel alone, so they end on one kernel, bit for bit.  Every row
-    prints both E_N and the fidelity, so both are built for each pipeline.
+    reads the coherent pipeline of its side, at t = 1.  One fock_matrices
+    call builds the matrices of every pipeline of a setting: the coherent
+    operation leaves the kernel alone, so they end on one kernel, bit for
+    bit.  Every row prints both E_N and the fidelity, so both are built
+    for each pipeline.
     """
     keys = list(dict.fromkeys(map(_pipeline_key, cfgs)))
+    if len({key[:2] + key[3:4] for key in keys}) > 1:
+        raise ValueError("the rows of one chunk must share s (with its sign) and n_trunc")
     channels = list(dict.fromkeys(key[2] for key in keys))
-    kinds = list(dict.fromkeys(key[4:] for key in keys))
-    runs = _raw_terms(cfgs[0].s, channels, kinds)
-    per_term = {kind: (fidelity_integrals(kernels, stacks),
-                       origin_coefficients(stacks))
-                for kind, (kernels, stacks) in runs.items()}
-    out = {}
+    runs = _raw_terms(keys[0][0], channels, list(dict.fromkeys(key[4:] for key in keys)))
+    shape = (len(keys), max(stacks.shape[1] for _, stacks in runs.values()))
+    kernels = np.empty((len(keys), 4, 4))
+    traces, fidelity_terms = np.zeros(shape), np.zeros(shape)
+    matrices = np.zeros(shape + ((keys[0][3] + 1) ** 2,) * 2)
+    origins = np.zeros(shape + (5, 5))
+    for kind, (ks, stacks) in runs.items():
+        own = [i for i, key in enumerate(keys) if key[4:] == kind]
+        at = [channels.index(keys[i][2]) for i in own]
+        n = stacks.shape[1]
+        kernels[own] = ks[at]
+        traces[own, :n] = stacks[at, :, 0, 0, 0, 0]
+        fidelity_terms[own, :n] = fidelity_integrals(ks, stacks)[at]
+        origins[own, :n] = origin_coefficients(stacks)[at]
     for i, channel in enumerate(channels):
-        own = [key for key in keys if key[2] == channel]
-        stacks = [runs[key[4:]][1][i] for key in own]
-        kernel = runs[own[0][4:]][0][i]
-        matrices = fock_matrices(kernel, own[0][3], *stacks)
-        blocks = np.split(matrices, np.cumsum(list(map(len, stacks)))[:-1])
-        for key, polys, m in zip(own, stacks, blocks):
-            fidelities, origins = per_term[key[4:]]
-            out[key] = (kernel, polys, polys[:, 0, 0, 0, 0], m, fidelities[i],
-                        origins[i])
-    return out
+        own = [j for j, key in enumerate(keys) if key[2] == channel]
+        stacks = [runs[keys[j][4:]][1][i] for j in own]
+        built = fock_matrices(kernels[own[0]], keys[0][3], *stacks)
+        for j, block in zip(own, np.split(built, np.cumsum(list(map(len, stacks)))[:-1])):
+            matrices[j, :len(block)] = block
+    return ({key: i for i, key in enumerate(keys)},
+            (kernels, traces, matrices, fidelity_terms, origins))
 
 
-class _PointEvaluator:
-    """One row's view of its pipeline, for repeated evaluations.
+def _fold(w, x, rows):
+    """The weighted sums w[i] @ x[rows][i] over the term axis of the
+    per-term arrays x (pipelines, terms, ...) of _pipelines, one per
+    weight row of w: rows is the pipeline index of each weight row, or one
+    index for all of them (an int, as for a grid: x[rows] is then
+    broadcast, not gathered).
 
-    The pipeline is a stack of (t, r)-basis cubes over one kernel, with
-    its per-term traces, Fock matrices, fidelity integrals
-    (fidelity_terms) and origin coefficients (origins): the entry of
-    _pipelines for cfg, which the rows of one chunk of settings share
-    (built for cfg alone by default).  weights(ts) forms the weight rows w
-    of the weights ts, and the other methods take such rows: each
-    per-weight trace, Fock matrix, fidelity and origin block is the
-    weighted sum of the per-term ones, and the covariance of a row is read
-    off its origin block; the objective is always cfg's.  A row reads all
-    its columns from its one weight row, so it prints what it scores.
-
-    A weight's sums are its own dot products and matrix-vector product,
-    never a matrix-matrix product, whose rounding depends on the stack, so
-    a weight row gets the same bits among many as alone: the optimizer's
-    grid is one objectives call (one stack of Fock matrices and one
-    log_negativity call), and a golden step is one row of a round of
-    _objectives over the rows of a chunk.
-    """
-
-    def __init__(self, cfg, pipeline=None):
-        self.cfg = cfg
-        if pipeline is None:
-            (pipeline,) = _pipelines([cfg]).values()
-        (self.kernel, self.polys, self.traces, self.matrices,
-         self.fidelity_terms, self.origins) = pipeline
-
-    def weights(self, ts):
-        """(len(ts), n + 1) weight rows of the weights ts (_weight_rows)."""
-        return _weight_rows(ts, len(self.polys) - 1)
-
-    def probabilities(self, w):
-        """Success probabilities of the weight rows w, clamped at 0."""
-        return np.maximum(_dots(w, self.traces), 0.0)
-
-    def rhos(self, w):
-        """Fock matrices of the normalized states of the weight rows w."""
-        c = w / _dots(w, self.traces)[:, None]
-        m = self.matrices
-        return (c[:, None] @ m.reshape(len(m), -1)).reshape(len(w), *m.shape[1:])
-
-    def fidelities(self, w):
-        """Teleportation fidelities of the normalized states of the weight
-        rows w."""
-        return _dots(w, self.fidelity_terms) / _dots(w, self.traces)
-
-    def origin(self, w_row):
-        """The origin block (covariance_from_chi) of the normalized state
-        of one weight row: the weighted sum of the per-term blocks."""
-        return np.tensordot(w_row, self.origins, axes=1) / (w_row @ self.traces)
-
-    def objectives(self, w):
-        """Objective values of the weight rows w (_objectives)."""
-        return _objectives([self], [w])[0]
+    Each weight row is one vector-matrix product over its pipeline's
+    contiguous (terms, ...) block, broadcast or gathered, and a padding
+    term adds an exact +0 to it, so a row gets the same bits among many as
+    alone: a row prints, and a golden step scores, what it would in a chunk
+    of its own."""
+    x = x[rows]
+    lead = x.shape[:np.ndim(rows) + 1]
+    out = w[:, None] @ x.reshape(lead + (-1,))
+    return out.reshape((len(w),) + x.shape[len(lead):])
 
 
-def _objectives(evs, ws):
-    """Objective values of the weight rows ws[i] of each evaluator evs[i],
-    a list of arrays: -inf where the state vanishes (success probability
-    below ZERO_TRACE_TOL), else the fidelity or E_N of the evaluator's
-    objective.  Each fidelity is its evaluator's own; the Fock matrices of
-    every negativity row go through one log_negativity call, which gives
-    each the bits it gets alone (the states share the parity structure)."""
-    values = [np.full(len(w), -math.inf) for w in ws]
-    live = [ev.probabilities(w) >= ZERO_TRACE_TOL for ev, w in zip(evs, ws)]
-    negativity = []
-    for ev, w, v, on in zip(evs, ws, values, live):
-        if ev.cfg.objective == "fidelity":
-            v[on] = ev.fidelities(w[on])
-        elif on.any():
-            negativity.append((v, on, ev.rhos(w[on])))
-    if negativity:
-        # a grid's stack goes in as it is: a copy would double its peak
-        rhos = [rhos for _, _, rhos in negativity]
-        e_n = log_negativity(rhos[0] if len(rhos) == 1 else np.concatenate(rhos))
-        ends = np.cumsum([len(r) for r in rhos])
-        for (v, on, _), part in zip(negativity, np.split(e_n, ends[:-1])):
-            v[on] = part
+def _objectives(arrays, w, rows, fidelity):
+    """Objective values of the weight rows w on the pipelines rows of the
+    chunk's arrays (_fold): -inf where the state vanishes (success
+    probability below ZERO_TRACE_TOL), else the fidelity where fidelity
+    (one bool, or one per weight row) holds, else E_N, with the Fock
+    matrices of all the negativity rows in one log_negativity call."""
+    _, traces, matrices, fidelity_terms, _ = arrays
+    p = _fold(w, traces, rows)
+    values = np.full(len(w), -math.inf)
+    live = p >= ZERO_TRACE_TOL
+    fid = live & fidelity
+    values[fid] = _fold(w, fidelity_terms, rows)[fid] / p[fid]
+    neg = live ^ fid
+    if neg.any():
+        at = rows[neg] if np.ndim(rows) else rows
+        values[neg] = log_negativity(_fold(w[neg] / p[neg, None], matrices, at))
     return values
 
 
@@ -309,16 +275,6 @@ def _grid_weights(n):
     w = _weight_rows(GRID, n)
     w.flags.writeable = False
     return w
-
-
-def _dots(w, x):
-    """Dot product of each row of w with the vector x.  matmul takes each
-    row as a vector-vector product, so a row gets the bits it gets alone
-    for the same memory layout of x: a strided x (a row's traces are a
-    view of its stack) can round otherwise than a contiguous copy of it,
-    so each row's sums read its own pipeline arrays, never a stack of
-    copies."""
-    return (w[:, None] @ x)[:, 0]
 
 
 def _golden_max(lo, hi, tol, seed):
@@ -367,44 +323,47 @@ def _separable(cfg):
     return not cfg.strategy.operation_first and eta < separation_eta(cfg.s, n_th)
 
 
-def optimize_t(ev):
-    """Best coherent weight t in [0, 1] for ev's objective: _optimize of
-    the one evaluator ev."""
-    (result,) = _optimize([ev])
+def optimize_t(cfg):
+    """Best coherent weight t in [0, 1] for cfg's objective: _optimize of
+    the one row cfg, on its own pipeline."""
+    _, arrays = _pipelines([cfg])
+    (result,) = _optimize([cfg], np.zeros(1, int), arrays)
     return result
 
 
-def _optimize(evs):
-    """The best coherent weight t in [0, 1] of each evaluator of evs for
-    its objective, as a list of OptimizeResult.
+def _optimize(cfgs, pipes, arrays):
+    """The best coherent weight t in [0, 1] of each row cfgs[i], on the
+    pipeline pipes[i] of the chunk's arrays (_pipelines), for its
+    objective, as a list of OptimizeResult.
 
     Coarse scan over GRID (step 0.01), then golden-section refinement to
     1e-4 around the best grid point, seeded with it; exact ties break
     toward smaller t, by _golden_max's one key over every point scored.
-    Each row's grid is scored in one ev.objectives call on its cached
+    Each row's grid is scored in one _objectives call on the cached
     weight rows (_grid_weights).  The refinements run in lockstep: each
     round scores the next t of every row still refining in one _objectives
     call, and a row whose bracket is clipped at 0 or 1 finishes earlier.
-    Each row scores the t sequence, and gets the bits, it gets alone.
     Weights where the preparation has zero success probability are
     skipped; if the objective vanishes everywhere the returned weight
-    maximizes the success probability over the grid instead (one stacked
-    call too) and the result is flagged "zero_objective".  A negativity
-    objective on a state that _separable finds separable is known to
-    vanish everywhere, so it goes straight to that result and scores no
-    grid; the fidelity objective always scans.
+    maximizes the success probability over the grid instead and the
+    result is flagged "zero_objective".  A negativity objective on a state
+    that _separable finds separable is known to vanish everywhere, so it
+    goes straight to that result and scores no grid; the fidelity
+    objective always scans.
     """
-    results = [None] * len(evs)
+    degree = arrays[1].shape[1] - 1
+    w = _grid_weights(degree)
+    fidelity = np.array([cfg.objective == "fidelity" for cfg in cfgs])
+    results = [None] * len(cfgs)
     searches = {}
-    for i, ev in enumerate(evs):
-        w = _grid_weights(len(ev.polys) - 1)
-        if ev.cfg.objective == "negativity" and _separable(ev.cfg):
+    for i, cfg in enumerate(cfgs):
+        if not fidelity[i] and _separable(cfg):
             values = np.zeros(len(GRID))
         else:
-            values = ev.objectives(w)
+            values = _objectives(arrays, w, pipes[i], fidelity[i])
         # argmax takes the first of equal values, so ties go to the smallest t
         if values.max() <= 0.0:
-            best = int(np.argmax(ev.probabilities(w)))
+            best = int(np.argmax(np.maximum(_fold(w, arrays[1], pipes[i]), 0.0)))
             results[i] = OptimizeResult(float(GRID[best]), 0.0, "zero_objective")
             continue
         best = int(np.argmax(values))
@@ -415,11 +374,11 @@ def _optimize(evs):
     ts = {i: next(search) for i, search in searches.items()}
     while ts:
         rows = list(ts)
-        values = _objectives([evs[i] for i in rows],
-                             [evs[i].weights([ts[i]]) for i in rows])
-        for i, value in zip(rows, values):
+        values = _objectives(arrays, _weight_rows([ts[i] for i in rows], degree),
+                             pipes[rows], fidelity[rows])
+        for i, value in zip(rows, values.tolist()):
             try:
-                ts[i] = searches[i].send(float(value[0]))
+                ts[i] = searches[i].send(value)
             except StopIteration as done:
                 t, value = done.value
                 results[i] = OptimizeResult(float(t), float(value))
@@ -436,45 +395,42 @@ def evaluate_point(cfg):
 
 def evaluate_points(cfgs):
     """Full records for the rows cfgs, in order; the rows share s (with its
-    sign) and n_trunc, as a sweep's chunk does, and one _pipelines call
-    over them builds the pipelines and Fock matrices they share.
+    sign) and n_trunc, as a sweep's chunk does (else ValueError), and one
+    _pipelines call over them builds the arrays they share.
 
     Coherent strategies optimize t (unless pinned by t_override; _optimize
     refines the free rows in lockstep); subtraction runs at t = 1; the
     baseline records t_opt = 1 by convention.  E_N, E_N_gauss, fidelity
-    and p_success are each row's evaluator's values at the one weight row
-    of that t.  A preparation that cannot succeed (the objective's own
-    vanishing-trace rule) yields a zeroed row flagged "zero_state" rather
-    than an exception, so sweeps keep going.  The Fock matrices of the
-    other rows are certified and solved as one stack, and their
-    covariances and Gaussian negativities are read as one stack, each row
-    with the bits it gets alone; the first row that fails a check raises
-    (every row's certify before any row's covariance).  p_success, the
-    fidelity and the origin block are each row's own sums over its own
-    pipeline arrays (_dots: a copy of a strided array into a stack moves
-    their last bits).
+    and p_success are each row's values at the one weight row of that t,
+    all rows' sums folded together (_fold).  A preparation that cannot
+    succeed (the objective's own vanishing-trace rule) yields a zeroed row
+    flagged "zero_state" rather than an exception, so sweeps keep going.
+    The Fock matrices of the other rows are certified and solved as one
+    stack, and their covariances and Gaussian negativities are read as
+    one stack; the first row that fails a check raises (every row's
+    certify before any row's covariance).
     """
-    pipelines = _pipelines(cfgs)
-    evs = [_PointEvaluator(cfg, pipelines[_pipeline_key(cfg)]) for cfg in cfgs]
+    index, arrays = _pipelines(cfgs)
+    kernels, traces, matrices, fidelity_terms, origins = arrays
+    pipes = np.array([index[_pipeline_key(cfg)] for cfg in cfgs])
     ts = [cfg.t_override if cfg.strategy.optimizes_t else 1.0 for cfg in cfgs]
     flags = [""] * len(cfgs)
     free = [i for i, t in enumerate(ts) if t is None]
-    for i, opt in zip(free, _optimize([evs[i] for i in free])):
+    for i, opt in zip(free, _optimize([cfgs[i] for i in free], pipes[free], arrays)):
         ts[i], flags[i] = opt.t_opt, opt.flag
-    ws = [ev.weights([t]) for ev, t in zip(evs, ts)]
-    ps = [float(ev.probabilities(w)[0]) for ev, w in zip(evs, ws)]
-    live = [i for i, p in enumerate(ps) if p >= ZERO_TRACE_TOL]
-    columns = [(0.0, 0.0, 0.0, 0.0, _join_flags(flag, "zero_state")) for flag in flags]
-    if live:
-        e_n = log_negativity(certify(np.concatenate([evs[i].rhos(ws[i]) for i in live])))
-        sigma = covariance_from_chi(np.stack([evs[i].kernel for i in live]),
-                                    np.stack([evs[i].origin(ws[i][0]) for i in live]))
-        e_g = gaussian_log_negativity(sigma)
-        for k, i in enumerate(live):
-            columns[i] = (float(e_n[k]), float(e_g[k]),
-                          float(evs[i].fidelities(ws[i])[0]), ps[i], flags[i])
-    return [SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th, cfg.channel.eta, t, *row)
-            for cfg, t, row in zip(cfgs, ts, columns)]
+    w = _weight_rows(ts, traces.shape[1] - 1)
+    p = _fold(w, traces, pipes)
+    live = p >= ZERO_TRACE_TOL
+    columns = np.zeros((len(cfgs), 4))
+    if live.any():
+        w, p, at = w[live], p[live], pipes[live]
+        e_n = log_negativity(certify(_fold(w / p[:, None], matrices, at)))
+        sigma = covariance_from_chi(kernels[at], _fold(w, origins, at) / p[:, None, None])
+        columns[live] = np.stack([e_n, gaussian_log_negativity(sigma),
+                                  _fold(w, fidelity_terms, at) / p, p], axis=1)
+    return [SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th, cfg.channel.eta, t,
+                        *row.tolist(), flag if on else _join_flags(flag, "zero_state"))
+            for cfg, t, row, flag, on in zip(cfgs, ts, columns, flags, live)]
 
 
 def _join_flags(*flags):
@@ -492,8 +448,8 @@ def sweep(configs):
     memory does not grow with its eta grid.  The loop calls
     evaluate_points, which makes that call, by its module-global name once
     per chunk, on the chunk's rows (so a wrapper installed as scenarios.evaluate_points sees
-    every row); each row is bit-identical to evaluate_point alone, with its
-    own objective and t_override.
+    every row); each row is evaluate_point's alone (_fold), with its own
+    objective and t_override.
     """
     configs = list(configs)
     groups = {}

@@ -13,9 +13,9 @@ probability, teleportation fidelity and Gaussian negativity.  The
 single-state helpers (the State record, tmsv_state, fock_matrix,
 channel_state, the CoherentOp weights and their term_weights,
 apply_coherent_op, combine_terms, normalize, evaluate_chi,
-teleportation_fidelity) are not references: they apply the package's own
-operations to one state at one weight, or evaluate one, for tests that
-follow a single state; nor are the state checks degree,
+teleportation_fidelity) and Row are not references: they apply the
+package's own operations to one state or row at one weight, or evaluate
+one, for tests that follow a single state; nor are the state checks degree,
 hermiticity_defect and is_hermitian, nor the bit comparison same_bits.
 displacement_fock_poly and _dagger_poly give each displacement matrix
 element's polynomial as a {(a, b): coefficient} dict; dagger_table packs
@@ -61,7 +61,8 @@ from cvdistill.chi_core import (
 from cvdistill.entanglement import (TRACE_ONE_TOL, fidelity_integrals,
                                     gaussian_log_negativity)
 from cvdistill.fock_recon import _augmented_kernel, certify, fock_matrices
-from cvdistill.scenarios import ZERO_TRACE_TOL, Strategy, _raw_terms
+from cvdistill.scenarios import (ZERO_TRACE_TOL, Strategy, _fold, _objectives,
+                                 _pipelines, _raw_terms, _weight_rows)
 
 # the multi-index of a cube's constant coefficient, the trace chi(0, 0)
 ZERO_INDEX = (0, 0, 0, 0)
@@ -323,6 +324,43 @@ def raw_terms(cfg):
     return kernels[0], stacks[0]
 
 
+class Row:
+    """One row's arrays at chosen weights, for tests that follow a row: the
+    one-pipeline chunk scenarios._pipelines([cfg]), its per-term arrays
+    (kernel, traces, matrices, fidelity_terms, origins) less the pipeline
+    axis, and what the package reads off weight rows w of it, each by
+    scenarios._fold over that one pipeline, as the optimizer's grid does."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        _, self.arrays = _pipelines([cfg])
+        (self.kernel, self.traces, self.matrices, self.fidelity_terms,
+         self.origins) = (a[0] for a in self.arrays)
+
+    def weights(self, ts):
+        return _weight_rows(ts, len(self.traces) - 1)
+
+    def probabilities(self, w):
+        """Success probabilities, clamped at 0."""
+        return np.maximum(_fold(w, self.arrays[1], 0), 0.0)
+
+    def rhos(self, w):
+        """Fock matrices of the normalized states."""
+        return _fold(w / _fold(w, self.arrays[1], 0)[:, None], self.arrays[2], 0)
+
+    def fidelities(self, w):
+        return _fold(w, self.arrays[3], 0) / _fold(w, self.arrays[1], 0)
+
+    def origin(self, w_row):
+        """The origin block (covariance_from_chi) of one weight row's
+        normalized state."""
+        w = w_row[None]
+        return (_fold(w, self.arrays[4], 0) / _fold(w, self.arrays[1], 0)[:, None, None])[0]
+
+    def objectives(self, w):
+        return _objectives(self.arrays, w, 0, self.cfg.objective == "fidelity")
+
+
 def check_normalized(poly):
     """Raise ValueError unless the trace poly[0, 0, 0, 0] is 1 to TRACE_ONE_TOL."""
     tr = poly[ZERO_INDEX]
@@ -501,7 +539,7 @@ def kraus_state(strategy, s, eta, n_th, t, M, dtype=np.float64):
     matrix, applied to the pure state before the channel or to both sides
     of rho after it; each mode's thermal channel is the Kraus pair of
     _thermal_kraus.  Every strategy with an operation takes it at weight
-    t, as _PointEvaluator.rhos does (subtraction is t = 1).  Only the
+    t, as a row's Fock matrices do (subtraction is t = 1).  Only the
     input cut approximates: the amplifier raises photon numbers and the
     loss lowers them, so the output below M reads only input below M, and
     the error is the Schmidt tail, of weight about tanh(s)^(2M), plus what

@@ -25,7 +25,6 @@ from cvdistill.entanglement import (
 from cvdistill.scenarios import (
     ScenarioConfig,
     Strategy,
-    _PointEvaluator,
     evaluate_point,
     optimize_t,
     sweep,
@@ -33,6 +32,7 @@ from cvdistill.scenarios import (
 from oracles import (
     ZERO_INDEX,
     CoherentOp,
+    Row,
     apply_coherent_op,
     channel_state,
     fock_matrix,
@@ -98,8 +98,8 @@ def test_criterion_02_separation_thresholds():
 def test_criterion_03_subtraction_order_equivalence():
     worst = 0.0
     for s, eta in itertools.product((0.029, 0.403), (0.2, 0.5, 0.8)):
-        before = _PointEvaluator(scenario("subtract_before", s, eta, 0.0))
-        after = _PointEvaluator(scenario("subtract_after", s, eta, 0.0))
+        before = Row(scenario("subtract_before", s, eta, 0.0))
+        after = Row(scenario("subtract_after", s, eta, 0.0))
         w = before.weights([1.0])
         diff = np.max(np.abs(before.rhos(w)[0] - after.rhos(w)[0]))
         worst = max(worst, float(diff))
@@ -120,7 +120,7 @@ def test_criterion_04_truncation_lower_bound():
     for strategy in Strategy:
         for eta in etas:
             cfg = scenario(strategy.value, eta=float(eta), **FIG2B)
-            t = optimize_t(_PointEvaluator(cfg)).t_opt \
+            t = optimize_t(cfg).t_opt \
                 if strategy.optimizes_t else 1.0
             state, _ = normalize(sequential_pipeline(cfg, t))
             rho8 = fock_matrix(state, 8).reshape((9,) * 4)

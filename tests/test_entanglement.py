@@ -8,8 +8,7 @@ from scipy import constants
 
 from cvdistill import entanglement
 from cvdistill.chi_core import ChannelParams, SingularKernelError
-from cvdistill.scenarios import (ScenarioConfig, Strategy, _PointEvaluator,
-                                 evaluate_point)
+from cvdistill.scenarios import ScenarioConfig, Strategy, evaluate_point
 from cvdistill.entanglement import (
     InvalidCovarianceError,
     breaking_eta,
@@ -141,7 +140,7 @@ def test_log_negativity_solvers_agree(strategy, n_trunc):
     # matrices a sweep row measures
     cfg = ScenarioConfig(Strategy(strategy), 0.3, ChannelParams(0.7, 0.2),
                          n_trunc=n_trunc)
-    ev = _PointEvaluator(cfg)
+    ev = oracles.Row(cfg)
     for t in (0.2, 0.6, 0.95):
         rho = ev.rhos(ev.weights([t]))[0]
         w = jacobi_eigvalsh(partial_transpose(rho))
@@ -158,7 +157,7 @@ def seeded_rhos(n_trunc, n_weights=3):
                              ChannelParams(float(rng.uniform(0.05, 1.0)),
                                            float(rng.uniform(0.0, 0.5))),
                              n_trunc=n_trunc)
-        ev = _PointEvaluator(cfg)
+        ev = oracles.Row(cfg)
         yield strategy, np.stack([ev.rhos(ev.weights([t]))[0]
                                   for t in rng.uniform(0.0, 1.0, n_weights)])
 
@@ -382,7 +381,7 @@ def test_covariance_and_gaussian_negativity_take_stacks():
     kernels, origins = [], []
     for strategy in Strategy:
         for _ in range(3):
-            ev = _PointEvaluator(ScenarioConfig(
+            ev = oracles.Row(ScenarioConfig(
                 strategy, float(rng.uniform(0.0, 0.8)),
                 ChannelParams(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, 0.5)))))
             kernels.append(ev.kernel)
@@ -454,9 +453,8 @@ def test_fidelity_against_numeric_quadrature():
 @pytest.mark.parametrize("strategy", ["coherent_before", "coherent_after"])
 def test_fidelity_integrals_match_one_polynomial_calls(strategy):
     # one moment table over the union of the supports, one sum per polynomial
-    ev = _PointEvaluator(ScenarioConfig(Strategy(strategy), 0.114,
-                                        ChannelParams(0.7, 0.1)))
-    kernel, polys = ev.kernel, ev.polys
+    kernel, polys = oracles.raw_terms(ScenarioConfig(Strategy(strategy), 0.114,
+                                                     ChannelParams(0.7, 0.1)))
     batch = fidelity_integrals(kernel, polys)
     assert batch.shape == (5,) and batch.dtype == np.float64
     for k, poly in enumerate(polys):

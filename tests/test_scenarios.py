@@ -26,14 +26,14 @@ from cvdistill.scenarios import (
     ScenarioConfig,
     Strategy,
     SweepRecord,
-    _PointEvaluator,
     evaluate_point,
+    evaluate_points,
     optimize_t,
     sweep,
 )
 
 import oracles
-from oracles import (ZERO_INDEX, CoherentOp, ZeroStateError, fock_matrix,
+from oracles import (ZERO_INDEX, CoherentOp, Row, ZeroStateError, fock_matrix,
                      raw_terms, teleportation_fidelity, tmsv_state)
 
 
@@ -109,11 +109,13 @@ def test_a_row_makes_six_kernel_checks():
 # pipelines
 
 def test_noop_through_perfect_channel_is_input():
-    ev = _PointEvaluator(cfg_for("noop", s=0.403, eta=1.0, n_th=0.0))
+    cfg = cfg_for("noop", s=0.403, eta=1.0, n_th=0.0)
+    ev = Row(cfg)
     ref = tmsv_state(0.403)
     assert ev.probabilities(ev.weights([1.0]))[0] == pytest.approx(1.0, abs=1e-14)
-    assert ev.polys.shape == (1, 1, 1, 1, 1)
-    assert ev.polys[0, 0, 0, 0, 0] == pytest.approx(1.0)
+    _, polys = raw_terms(cfg)
+    assert polys.shape == (1, 1, 1, 1, 1)
+    assert polys[0, 0, 0, 0, 0] == pytest.approx(1.0)
     np.testing.assert_allclose(ev.kernel, ref.kernel, atol=1e-14)
 
 
@@ -122,14 +124,14 @@ def test_subtraction_needs_no_weight():
     state, p = reference_state(cfg, 1.0)
     assert 0 < p < 1
     assert state.poly[ZERO_INDEX] == pytest.approx(1.0, abs=1e-12)
-    ev = _PointEvaluator(cfg)
+    ev = Row(cfg)
     assert ev.probabilities(ev.weights([1.0]))[0] == pytest.approx(p, rel=1e-12)
 
 
 def test_coherent_strategy_requires_weight():
     cfg = cfg_for("coherent_before")
     with pytest.raises(ValueError):
-        _PointEvaluator(cfg).weights([1.2])
+        Row(cfg).weights([1.2])
     state, _ = reference_state(cfg, 0.9)
     assert state.poly[ZERO_INDEX] == pytest.approx(1.0, abs=1e-12)
 
@@ -137,7 +139,7 @@ def test_coherent_strategy_requires_weight():
 def test_weight_override_feeds_pipeline():
     cfg = cfg_for("coherent_after", t_override=0.8)
     rec = evaluate_point(cfg)
-    ev = _PointEvaluator(cfg)
+    ev = Row(cfg)
     w = ev.weights([0.8])
     assert rec.t_opt == 0.8
     assert rec.e_n_fock == log_negativity(ev.rhos(w)[0])
@@ -150,7 +152,7 @@ def test_term_basis_matches_sequential_pipeline(strategy):
     cfg = cfg_for(strategy, s=0.403, eta=0.7, n_th=0.1)
     kernel, polys = raw_terms(cfg)
     assert len(polys) == (5 if cfg.strategy.has_operation else 1)
-    ev = _PointEvaluator(cfg)
+    ev = Row(cfg)
     # one real dtype from tmsv_chi to the row's per-term values
     assert kernel.dtype == polys.dtype == np.float64
     assert ev.traces.dtype == ev.fidelity_terms.dtype == np.float64
@@ -173,7 +175,7 @@ def test_term_basis_matches_sequential_pipeline(strategy):
 @pytest.mark.parametrize("strategy", [s.value for s in Strategy])
 def test_term_supports_are_pinned(strategy):
     # the monomials the Fock and fidelity consumers integrate, per term
-    polys = _PointEvaluator(cfg_for(strategy)).polys
+    _, polys = raw_terms(cfg_for(strategy))
     union = int(np.count_nonzero(np.any(polys != 0, axis=0)))
     per_term = [int(np.count_nonzero(p)) for p in polys]
     if strategy == "noop":
@@ -207,8 +209,8 @@ def test_subtraction_from_vacuum_raises():
 
 def test_before_strategy_probability_ignores_channel():
     # trace preservation of the channel: heralding happens upstream of it
-    ev_lo = _PointEvaluator(cfg_for("coherent_before", eta=0.3, n_th=0.3))
-    ev_hi = _PointEvaluator(cfg_for("coherent_before", eta=0.9, n_th=0.3))
+    ev_lo = Row(cfg_for("coherent_before", eta=0.3, n_th=0.3))
+    ev_hi = Row(cfg_for("coherent_before", eta=0.9, n_th=0.3))
     for t in (0.2, 0.7, 1.0):
         w = ev_lo.weights([t])
         assert ev_lo.probabilities(w)[0] == pytest.approx(ev_hi.probabilities(w)[0],
@@ -216,8 +218,8 @@ def test_before_strategy_probability_ignores_channel():
 
 
 def test_after_strategy_probability_tracks_channel():
-    ev_lo = _PointEvaluator(cfg_for("subtract_after", eta=0.3, n_th=0.1))
-    ev_hi = _PointEvaluator(cfg_for("subtract_after", eta=0.9, n_th=0.1))
+    ev_lo = Row(cfg_for("subtract_after", eta=0.3, n_th=0.1))
+    ev_hi = Row(cfg_for("subtract_after", eta=0.9, n_th=0.1))
     w = ev_lo.weights([1.0])
     assert abs(ev_lo.probabilities(w)[0] - ev_hi.probabilities(w)[0]) > 1e-3
 
@@ -227,8 +229,8 @@ def test_after_strategy_probability_tracks_channel():
 
 def test_optimize_t_beats_fine_grid():
     cfg = cfg_for("coherent_before", s=0.029, eta=0.9, n_th=0.1)
-    ev = _PointEvaluator(cfg)
-    opt = optimize_t(ev)
+    ev = Row(cfg)
+    opt = optimize_t(cfg)
     assert opt.flag == ""
     lo = max(0.0, opt.t_opt - 0.01)
     hi = min(1.0, opt.t_opt + 0.01)
@@ -239,9 +241,8 @@ def test_optimize_t_beats_fine_grid():
 
 def test_optimize_t_is_deterministic():
     cfg = cfg_for("coherent_after", s=0.114, eta=0.85, n_th=0.1)
-    ev = _PointEvaluator(cfg)
-    a = optimize_t(ev)
-    b = optimize_t(ev)
+    a = optimize_t(cfg)
+    b = optimize_t(cfg)
     assert (a.t_opt, a.value, a.flag) == (b.t_opt, b.value, b.flag)
 
 
@@ -249,41 +250,67 @@ def test_optimize_t_zero_objective_falls_back_to_probability():
     # far below the separation threshold nothing revives the after-channel
     # state, so the optimizer reports the most probable preparation instead
     cfg = cfg_for("coherent_after", s=0.029, eta=0.3, n_th=0.1)
-    ev = _PointEvaluator(cfg)
-    opt = optimize_t(ev)
+    ev = Row(cfg)
+    opt = optimize_t(cfg)
     assert opt.flag == "zero_objective"
     assert opt.value == 0.0
     probs = ev.probabilities(ev.weights(np.linspace(0.0, 1.0, 11)))
     assert ev.probabilities(ev.weights([opt.t_opt]))[0] >= max(probs) - 1e-9
     # a separable state whose probability is the same at every weight: the
     # tie breaks toward the smallest t
-    flat = optimize_t(_PointEvaluator(cfg_for("noop", eta=0.05, n_th=0.5)))
+    flat = optimize_t(cfg_for("noop", eta=0.05, n_th=0.5))
     assert (flat.t_opt, flat.value, flat.flag) == (0.0, 0.0, "zero_objective")
 
 
-class _StubEvaluator:
-    """The optimizer's view of an evaluator whose fidelity objective is
-    f(t), read off degree-1 weight rows (t, r); scored logs every
-    (t, value) it gives, grid and golden steps alike."""
+@pytest.mark.parametrize("objective", ["negativity", "fidelity"])
+def test_optimize_t_is_the_t_opt_of_evaluate_point(objective):
+    # optimize_t takes the row's config and optimizes it as evaluate_point
+    # does: refined, clipped and zero_objective rows, bit for bit
+    for strategy in ("coherent_before", "coherent_after"):
+        for s, eta in ((0.029, 0.3), (0.029, 0.9), (0.114, 0.6), (0.3, 1.0), (0.0, 0.5)):
+            cfg = cfg_for(strategy, s=s, eta=eta, n_trunc=3, objective=objective)
+            opt, rec = optimize_t(cfg), evaluate_point(cfg)
+            assert (opt.t_opt.hex(), opt.flag) == (rec.t_opt.hex(), rec.flags), cfg
 
-    def __init__(self, f):
-        self.cfg = cfg_for("coherent_before", objective="fidelity")
-        self.polys = np.zeros((2, 1, 1, 1, 1))
-        self.f = f
-        self.scored = []
 
-    def weights(self, ts):
-        return scenarios._weight_rows(ts, 1)
+def test_evaluate_points_refuses_rows_of_different_s_or_cutoff():
+    # one chunk builds one squeezed vacuum and one cutoff: rows that do not
+    # share them were computed at the first row's values (E_N 0.16006 for
+    # an s = 0.5 row that gives 0.89759 alone)
+    rule = r"share s \(with its sign\) and n_trunc"
+    for other in (cfg_for("noop", s=0.5, eta=0.8),
+                  cfg_for("noop", s=-0.0, eta=0.8),
+                  cfg_for("noop", s=0.1, eta=0.8, n_trunc=3)):
+        first = cfg_for("noop", s=0.0 if other.s == 0.0 else 0.1, eta=0.7)
+        with pytest.raises(ValueError, match=rule):
+            evaluate_points([first, other])
+    recs = evaluate_points([cfg_for("noop", s=0.1, eta=0.7),
+                            cfg_for("coherent_after", s=0.1, eta=0.8, n_trunc=5)])
+    assert recs[1] == evaluate_point(cfg_for("coherent_after", s=0.1, eta=0.8))
 
-    def fidelities(self, w):
-        values = [self.f(t) for t in w[:, 0].tolist()]
-        self.scored += zip(w[:, 0].tolist(), values)
+
+STUB_CFG = cfg_for("coherent_before", objective="fidelity")
+
+
+def _stubbed(monkeypatch, fs):
+    """Stub the optimizer's inputs: _pipelines gives one pipeline per
+    function of fs, of degree 1 and success probability 1, and _objectives
+    scores weight row (t, r) of pipeline i by fs[i](t).  Returns the
+    per-pipeline logs of every (t, value) scored, grid and golden steps
+    alike."""
+    logs = [[] for _ in fs]
+
+    def objectives(arrays, w, rows, fidelity):
+        values = []
+        for t, row in zip(w[:, 0].tolist(), np.broadcast_to(rows, len(w)).tolist()):
+            values.append(fs[row](t))
+            logs[row].append((t, values[-1]))
         return np.array(values)
 
-    def probabilities(self, w):
-        return np.ones(len(w))
-
-    objectives = _PointEvaluator.objectives
+    arrays = (None, np.ones((len(fs), 2)), None, None, None)
+    monkeypatch.setattr(scenarios, "_pipelines", lambda cfgs: ({}, arrays))
+    monkeypatch.setattr(scenarios, "_objectives", objectives)
+    return logs
 
 
 def _golden_max_alone(f, lo, hi, tol, seed):
@@ -322,25 +349,26 @@ LOCKSTEP_OBJECTIVES = {
 }
 
 
-def test_lockstep_refinement_scores_each_row_as_alone():
+def test_lockstep_refinement_scores_each_row_as_alone(monkeypatch):
     # rows of one chunk refine together, one scored weight per row a round,
     # and clipped brackets finish earlier; each row scores the t sequence
     # of the golden section run alone and returns its (t, value)
     fs = list(LOCKSTEP_OBJECTIVES.values())
-    chunk = [_StubEvaluator(f) for f in fs]
-    results = scenarios._optimize(chunk)
+    logs = _stubbed(monkeypatch, fs)
+    results = scenarios._optimize([STUB_CFG] * len(fs), np.arange(len(fs)),
+                                  scenarios._pipelines([])[1])
     steps = []
-    for f, ev, got in zip(fs, chunk, results):
-        alone = _StubEvaluator(f)
-        assert optimize_t(alone) == got
-        assert ev.scored == alone.scored
-        grid = ev.scored[:len(GRID)]
+    for f, log, got in zip(fs, logs, results):
+        (alone,) = _stubbed(monkeypatch, [f])
+        assert optimize_t(STUB_CFG) == got
+        assert log == alone
+        grid = log[:len(GRID)]
         assert [t for t, _ in grid] == GRID.tolist()
         best_t, best = max(grid, key=lambda point: (point[1], -point[0]))
         scored, (t, value) = _golden_max_alone(
             f, max(0.0, best_t - scenarios.GRID_STEP),
             min(1.0, best_t + scenarios.GRID_STEP), scenarios.REFINE_TOL, (best_t, best))
-        assert ev.scored[len(GRID):] == scored
+        assert log[len(GRID):] == scored
         assert got == OptimizeResult(t, value)
         steps.append(len(scored))
     # the clipped rows drop out of the lockstep before the others
@@ -355,24 +383,24 @@ def test_lockstep_refinement_scores_each_row_as_alone():
     # a plateau from 0.4963, inside the bracket, rising into it from below
     lambda t: 1.0 if t >= 0.4963 else 1.0 - (0.4963 - t),
 ], ids=["flat_bracket", "plateau_inside"])
-def test_optimize_t_ties_across_grid_and_golden_go_to_the_smallest_t(f):
+def test_optimize_t_ties_across_grid_and_golden_go_to_the_smallest_t(monkeypatch, f):
     # the grid's best and the golden steps are ranked by one key: of every
     # t scored, the smallest one that attains the best value is reported
-    ev = _StubEvaluator(f)
-    opt = optimize_t(ev)
-    best = max(v for _, v in ev.scored)
+    (scored,) = _stubbed(monkeypatch, [f])
+    opt = optimize_t(STUB_CFG)
+    best = max(v for _, v in scored)
     assert (opt.value, opt.flag) == (best, "") == (1.0, "")
-    assert opt.t_opt == min(t for t, v in ev.scored if v == best)
+    assert opt.t_opt == min(t for t, v in scored if v == best)
     assert 0.49 < opt.t_opt < 0.5
-    assert 0.5 in [t for t, _ in ev.scored]
+    assert 0.5 in [t for t, _ in scored]
 
 
 def test_optimize_t_fidelity_objective():
     for strategy in ("coherent_before", "coherent_after"):
         cfg = cfg_for(strategy, s=0.114, eta=0.6, n_th=0.01,
                       objective="fidelity")
-        ev = _PointEvaluator(cfg)
-        opt = optimize_t(ev)
+        ev = Row(cfg)
+        opt = optimize_t(cfg)
         state, _ = reference_state(cfg, opt.t_opt)
         assert teleportation_fidelity(state) == pytest.approx(opt.value,
                                                               abs=1e-12)
@@ -392,7 +420,7 @@ def test_row_negativity_is_the_objective_at_t_opt():
             cfg = cfg_for(strategy, s=0.114, eta=eta, n_th=0.1)
             rec = evaluate_point(cfg)
             assert rec.e_n_fock > 0.0
-            assert rec.e_n_fock == objective_at(_PointEvaluator(cfg), rec.t_opt)
+            assert rec.e_n_fock == objective_at(Row(cfg), rec.t_opt)
 
 
 def test_row_fidelity_and_probability_are_the_evaluator_at_t_opt():
@@ -403,7 +431,7 @@ def test_row_fidelity_and_probability_are_the_evaluator_at_t_opt():
             cfg = cfg_for(strategy, s=0.114, eta=float(eta), n_th=0.1,
                           objective="fidelity")
             rec = evaluate_point(cfg)
-            ev = _PointEvaluator(cfg)
+            ev = Row(cfg)
             assert rec.flags == ""
             assert rec.fidelity == objective_at(ev, rec.t_opt)
             assert rec.p_success == ev.probabilities(ev.weights([rec.t_opt]))[0]
@@ -424,20 +452,20 @@ def test_grid_values_are_the_objective_bit_for_bit(n_trunc):
                           eta=float(rng.uniform(0.05, 1.0)),
                           n_th=float(rng.uniform(0.0, 0.5)),
                           n_trunc=n_trunc, objective=objective)
-            ev = _PointEvaluator(cfg)
+            ev = Row(cfg)
             want = [objective_at(ev, t) for t in GRID]
             assert ev.objectives(ev.weights(GRID)).tolist() == want, cfg
             assert ev.probabilities(ev.weights(GRID)).tolist() == [
                 ev.probabilities(ev.weights([t]))[0] for t in GRID]
         assert ev.matrices.dtype == float
-    ev = _PointEvaluator(cfg_for("coherent_before", s=0.0, n_trunc=n_trunc))
+    ev = Row(cfg_for("coherent_before", s=0.0, n_trunc=n_trunc))
     values = ev.objectives(ev.weights(GRID))
     assert values[-1] == -math.inf and objective_at(ev, 1.0) == -math.inf
     assert values[:-1].tolist() == [objective_at(ev, t) for t in GRID[:-1]]
 
 
 def test_stacked_weights_keep_the_range_check():
-    ev = _PointEvaluator(cfg_for("coherent_after"))
+    ev = Row(cfg_for("coherent_after"))
     for ts in ([0.5, 1.2], [-0.1], [0.2, math.nan]):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ev.weights(ts)
@@ -452,24 +480,25 @@ def test_grid_weights_are_built_once_with_the_weight_rule(monkeypatch):
     assert not scenarios.GRID.flags.writeable
     assert scenarios.GRID.tolist() == GRID.tolist()
     scanned = []
-    objectives = _PointEvaluator.objectives
+    objectives = scenarios._objectives
 
-    def recording(self, w):
+    def recording(arrays, w, *args):
         scanned.append(w)
-        return objectives(self, w)
+        return objectives(arrays, w, *args)
 
-    monkeypatch.setattr(_PointEvaluator, "objectives", recording)
+    monkeypatch.setattr(scenarios, "_objectives", recording)
     for strategy in ("coherent_before", "coherent_after"):
         for objective in ("negativity", "fidelity"):
-            ev = _PointEvaluator(cfg_for(strategy, objective=objective))
-            n = len(ev.polys) - 1
+            cfg = cfg_for(strategy, objective=objective)
+            ev = Row(cfg)
+            n = len(raw_terms(cfg)[1]) - 1
             scanned.clear()
-            optimize_t(ev)
+            optimize_t(cfg)
             w = scenarios._grid_weights(n)
             assert scanned[0] is w
             assert w is scenarios._grid_weights(n)
             assert not w.flags.writeable
-            assert w.shape == (101, len(ev.polys))
+            assert w.shape == (101, n + 1)
             assert oracles.same_bits(w, scenarios._weight_rows(scenarios.GRID, n))
             assert oracles.same_bits(w, scenarios._weight_rows(GRID.tolist(), n))
             assert oracles.same_bits(w, ev.weights(GRID))
@@ -520,7 +549,7 @@ def test_separable_rows_are_ppt_by_the_kraus_oracle():
     for strategy, s, eta, n_th in _separable_draws(rng, 1):
         cfg = cfg_for(strategy, s=s, eta=eta, n_th=n_th, n_trunc=8)
         assert scenarios._separable(cfg), cfg
-        ev = _PointEvaluator(cfg)
+        ev = Row(cfg)
         for t in (0.0, 0.5, 0.9, 1.0):
             if ev.probabilities(ev.weights([t]))[0] < scenarios.ZERO_TRACE_TOL:
                 continue
@@ -553,24 +582,24 @@ def test_row_columns_match_the_kraus_oracle():
 
 def test_separable_rows_score_no_grid(monkeypatch):
     calls = []
-    objectives = _PointEvaluator.objectives
+    objectives = scenarios._objectives
 
-    def counting(self, w):
-        calls.append((self.cfg, len(w)))
-        return objectives(self, w)
+    def counting(arrays, w, *args):
+        calls.append((cfg, len(w)))
+        return objectives(arrays, w, *args)
 
-    monkeypatch.setattr(_PointEvaluator, "objectives", counting)
+    monkeypatch.setattr(scenarios, "_objectives", counting)
     rng = np.random.default_rng(23)
     for strategy, s, eta, n_th in _separable_draws(rng, 3):
         cfg = cfg_for(strategy, s=s, eta=eta, n_th=n_th)
-        ev = _PointEvaluator(cfg)
-        opt = optimize_t(ev)
+        ev = Row(cfg)
+        opt = optimize_t(cfg)
         best = int(np.argmax(ev.probabilities(ev.weights(scenarios.GRID))))
         assert opt == OptimizeResult(float(scenarios.GRID[best]), 0.0,
                                      "zero_objective"), cfg
     # on the threshold of entanglement breaking the channel still breaks it
-    optimize_t(_PointEvaluator(cfg_for(
-        "coherent_before", eta=entanglement.breaking_eta(0.25), n_th=0.25)))
+    cfg = cfg_for("coherent_before", eta=entanglement.breaking_eta(0.25), n_th=0.25)
+    optimize_t(cfg)
     assert calls == []
     eta_sep = entanglement.separation_eta(0.029, 0.1)
     scanned = [
@@ -591,7 +620,7 @@ def test_separable_rows_score_no_grid(monkeypatch):
                 objective="fidelity"),
     ]
     for cfg in scanned:
-        optimize_t(_PointEvaluator(cfg))
+        optimize_t(cfg)
     # one grid each; the golden steps score one weight a call
     assert [cfg for cfg, n in calls if n > 1] == scanned
 
@@ -603,7 +632,7 @@ def test_cutoff_zero_rows_are_unchanged(capsys):
     for strategy in Strategy:
         cfg = cfg_for(strategy.value, s=0.3, eta=0.7, n_th=0.1, n_trunc=0)
         rec = evaluate_point(cfg)
-        ev = _PointEvaluator(cfg)
+        ev = Row(cfg)
         rho = ev.rhos(ev.weights([rec.t_opt]))[0]
         w = np.linalg.eigvalsh(entanglement.partial_transpose(rho + 0j))
         assert rec.e_n_fock == 0.0 and float(np.sum(np.abs(w))) <= 1.0
@@ -624,15 +653,14 @@ def test_optimal_weight_drifts_down_with_transmissivity():
     ts = []
     for eta in (0.4, 0.7, 1.0):
         cfg = cfg_for("coherent_after", s=0.029, eta=eta, n_th=1e-5)
-        ts.append(optimize_t(_PointEvaluator(cfg)).t_opt)
+        ts.append(optimize_t(cfg).t_opt)
     assert ts[0] > ts[1] > ts[2]
 
 
 def test_coherent_beats_plain_subtraction_without_loss():
     cfg_c = cfg_for("coherent_before", s=0.029, eta=1.0, n_th=0.0)
-    opt = optimize_t(_PointEvaluator(cfg_c))
-    ev_s = _PointEvaluator(cfg_for("subtract_before", s=0.029, eta=1.0,
-                                   n_th=0.0))
+    opt = optimize_t(cfg_c)
+    ev_s = Row(cfg_for("subtract_before", s=0.029, eta=1.0, n_th=0.0))
     assert opt.value > objective_at(ev_s, 1.0) + 0.1
 
 
@@ -774,26 +802,6 @@ def test_a_chunk_of_every_row_kind_is_evaluate_point_alone_bit_for_bit():
     assert 1.0 in refined and any(0.0 < t < 1.0 and t not in GRID for t in refined)
 
 
-def test_row_sums_are_each_row_s_own_dot_products():
-    # p_success and the fidelity are each row's dot products over its own
-    # pipeline arrays; its traces are a strided view of its stack, and
-    # matmul can round a strided vector otherwise than a contiguous copy:
-    # copying the rows' traces into one stack moved 2 of these 35 rows
-    # (coherent_before and coherent_after at eta 1, by 4.3e-19 in p_success
-    # and 1.1e-16 in the fidelity, with OpenBLAS), which tests that compare
-    # a sweep with evaluate_point cannot see
-    cfgs = [cfg_for(strategy.value, s=0.038, eta=float(eta), n_th=0.0613)
-            for strategy in Strategy for eta in np.linspace(0.01, 1.0, 7)]
-    for cfg, rec in zip(cfgs, sweep(cfgs)):
-        (_, polys, traces, _, fidelity_terms, _), = scenarios._pipelines([cfg]).values()
-        assert traces.base is not None and traces.strides == (polys.strides[0],)
-        w = scenarios._weight_rows([rec.t_opt], len(polys) - 1)
-        trace = (w[:, None] @ traces)[0, 0]
-        assert rec.p_success.hex() == float(max(trace, 0.0)).hex(), cfg
-        assert rec.fidelity.hex() == float((w[:, None] @ fidelity_terms)[0, 0]
-                                           / trace).hex(), cfg
-
-
 def _call_counts(fn):
     """How often fn() calls tmsv_chi, moment_table, fock_matrices and
     fidelity_integrals."""
@@ -848,23 +856,29 @@ def test_setting_matrices_are_float64(s):
     # fidelity integral per cube, all float64, and one 5x5 block of origin
     # coefficients per cube
     cfgs = [cfg_for(strategy.value, s=s, n_trunc=3) for strategy in Strategy]
-    pipelines = scenarios._pipelines(cfgs)
-    assert len(pipelines) == 3
-    assert {scenarios._pipeline_key(cfg) for cfg in cfgs} == set(pipelines)
-    for kernel, polys, traces, matrices, fidelities, origins in pipelines.values():
-        assert matrices.dtype == fidelities.dtype == origins.dtype == np.float64
-        assert len(matrices) == len(fidelities) == len(traces) == len(polys)
-        assert origins.shape == (len(polys), 5, 5)
+    index, arrays = scenarios._pipelines(cfgs)
+    assert len(index) == 3 and sorted(index.values()) == [0, 1, 2]
+    assert {scenarios._pipeline_key(cfg) for cfg in cfgs} == set(index)
+    kernels, traces, matrices, fidelities, origins = arrays
+    assert all(a.dtype == np.float64 for a in arrays)
+    assert kernels.shape == (3, 4, 4)
+    assert traces.shape == fidelities.shape == (3, 5)
+    assert matrices.shape == (3, 5, 16, 16) and origins.shape == (3, 5, 5, 5)
+    # the no-operation stack's one term is padded with zero terms
+    noop = index[scenarios._pipeline_key(cfgs[0])]
+    for a in arrays[1:]:
+        assert oracles.same_bits(a[noop, 1:], np.zeros_like(a[noop, 1:]))
 
 
 def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
-    # each chunk's pipelines and matrices go before the next chunk's are
-    # built, by reference counting alone (the collector is off), so a
-    # sweep's memory does not grow with its eta grid: five settings in
-    # chunks of two are built as 2, 2 and 1, and a chunk's rows see only the
-    # Fock builds of its own settings (probed where evaluate_points' own
-    # _pipelines call returns)
-    built, evaluators = [], collections.Counter()
+    # each chunk's arrays go before the next chunk's are built, by
+    # reference counting alone (the collector is off), so a sweep's memory
+    # does not grow with its eta grid: five settings in chunks of two are
+    # built as 2, 2 and 1, each Fock build is freed once it is copied into
+    # its chunk's matrices, and no array of an earlier chunk is alive when
+    # a chunk is built (probed where evaluate_points' own _pipelines call
+    # is entered and returns)
+    built, arrays = [], []
     original_fock = scenarios.fock_matrices
 
     def tracked(*args):
@@ -872,28 +886,22 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
         built.append(weakref.ref(out))
         return out
 
-    def alive():
-        return sum(ref() is not None for ref in built)
-
-    class Counted(scenarios._PointEvaluator):
-        def __init__(self, *args):
-            super().__init__(*args)
-            evaluators["live"] += 1
-            weakref.finalize(self, evaluators.subtract, ["live"])
+    def alive(refs):
+        return sum(ref() is not None for ref in refs)
 
     at_build, chunks, at_chunk = [], [], []
     original_pipelines = scenarios._pipelines
 
     def pipelines(cfgs):
-        at_build.append(alive())
+        at_build.append((alive(built), alive(arrays)))
         chunks.append(len({cfg.channel for cfg in cfgs}))
-        out = original_pipelines(cfgs)
-        at_chunk.append((len(cfgs), alive(), evaluators["live"]))
-        return out
+        index, out = original_pipelines(cfgs)
+        arrays.extend(weakref.ref(a) for a in out)
+        at_chunk.append((len(cfgs), alive(built), len(index), out[2].shape[:2]))
+        return index, out
 
     monkeypatch.setattr(scenarios, "CHUNK_SETTINGS", 2)
     monkeypatch.setattr(scenarios, "fock_matrices", tracked)
-    monkeypatch.setattr(scenarios, "_PointEvaluator", Counted)
     monkeypatch.setattr(scenarios, "_pipelines", pipelines)
     etas = (0.2, 0.4, 0.6, 0.8, 1.0)
     cfgs = [cfg_for(strategy.value, eta=eta, n_trunc=3)
@@ -905,10 +913,10 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
     finally:
         if enabled:
             gc.enable()
-    assert at_build == [0, 0, 0] and chunks == [2, 2, 1]
-    assert at_chunk == [(10, 2, 0), (10, 2, 0), (5, 1, 0)]
-    assert len(built) == len(etas)
-    assert alive() == 0 and +evaluators == collections.Counter()
+    assert at_build == [(0, 0), (0, 0), (0, 0)] and chunks == [2, 2, 1]
+    assert at_chunk == [(10, 0, 6, (6, 5)), (10, 0, 6, (6, 5)), (5, 0, 3, (3, 5))]
+    assert len(built) == len(etas) and len(arrays) == 5 * len(chunks)
+    assert alive(built) == alive(arrays) == 0
 
 
 @pytest.mark.parametrize("n_trunc", [0, 3, 8])
@@ -921,13 +929,24 @@ def test_a_chunk_builds_each_setting_as_alone_bit_for_bit(n_trunc):
     for s in (0.0, 0.3):
         cfgs = [cfg_for(strategy.value, s=s, eta=eta, n_th=n_th, n_trunc=n_trunc)
                 for strategy in Strategy for eta, n_th in channels]
-        chunk = scenarios._pipelines(cfgs)
-        assert len(chunk) == 3 * len(channels)
-        for cfg in cfgs:
-            (alone,) = scenarios._pipelines([cfg]).values()
-            for got, want in zip(chunk[scenarios._pipeline_key(cfg)], alone):
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+        assert len(_assert_chunk_arrays_are_alone(cfgs)) == 3 * len(channels)
+
+
+def _assert_chunk_arrays_are_alone(cfgs):
+    """Assert that each pipeline's arrays in the chunk cfgs have the bytes of
+    its one-row chunk, its kernel and its leading terms; the terms it lacks
+    against the chunk's longest stack are +0.  Returns the chunk's index."""
+    index, chunk = scenarios._pipelines(cfgs)
+    for cfg in cfgs:
+        i = index[scenarios._pipeline_key(cfg)]
+        _, alone = scenarios._pipelines([cfg])
+        assert chunk[0][i].tobytes() == alone[0][0].tobytes()
+        for got, want in zip(chunk[1:], alone[1:]):
+            n = want.shape[1]
+            assert got.shape[2:] == want.shape[2:]
+            assert got[i, :n].tobytes() == want[0].tobytes()
+            assert oracles.same_bits(got[i, n:], np.zeros_like(got[i, n:]))
+    return index
 
 
 def _has_negative_zero(a):
@@ -951,12 +970,7 @@ def test_a_kernel_term_zero_in_some_states_of_a_chunk_only(n_trunc):
         (-0.0).hex(), (-0.0).hex(), (-5e-324).hex(), (-5e-324).hex()]
     for mode in (1, 2):
         assert not _has_negative_zero(chi_core.coherent_op_terms(kernels, stacks, mode))
-    chunk = scenarios._pipelines(cfgs)
-    for cfg in cfgs:
-        (alone,) = scenarios._pipelines([cfg]).values()
-        for got, want in zip(chunk[scenarios._pipeline_key(cfg)], alone):
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+    _assert_chunk_arrays_are_alone(cfgs)
     alone = [_record_bits(evaluate_point(cfg)) for cfg in cfgs]
     assert [_record_bits(rec) for rec in sweep(cfgs)] == alone
 
@@ -976,10 +990,12 @@ def test_chunked_sweep_rows_are_evaluate_point_alone_bit_for_bit():
 
 def test_readme_sweep_allocation_peak():
     # measured with numpy 2.4: the 505-row README negativity sweep (101 eta
-    # in chunks of CHUNK_SETTINGS = 8) peaks at 3.5 MiB, against 2.5 MiB
-    # one setting at a time, 4.8 MiB in chunks of 16 and 25 MiB with all
-    # 101 settings in one chunk; a chunk that grows, or a chunk's arrays
-    # kept past the next build, raise the process's peak resident memory
+    # in chunks of CHUNK_SETTINGS = 8) peaks at 4.22 MiB, against 2.4 MiB
+    # one setting at a time, 7.8 MiB in chunks of 16 and 46 MiB with all
+    # 101 settings in one chunk (most of a chunk's share is its final
+    # pass's gather of its rows' Fock matrices); a chunk that grows, or a
+    # chunk's arrays kept past the next build, raise the process's peak
+    # resident memory
     cfgs = [cfg_for(strategy.value, s=0.029, eta=float(eta), n_th=0.1)
             for strategy in Strategy for eta in np.linspace(0.01, 1.0, 101)]
     sweep(cfgs[:5])
