@@ -474,19 +474,20 @@ def test_stacked_weights_keep_the_range_check():
 
 
 def test_grid_weights_are_built_once_with_the_weight_rule(monkeypatch):
-    # optimize_t scans the grid's cached weight rows themselves, one
-    # read-only object per degree with the bits of the same weights
-    # computed afresh
+    # optimize_t scans one grid, on the grid's cached weight rows
+    # themselves, one read-only object per degree with the bits of the same
+    # weights computed afresh; _grid_max scores them (whole, or projected
+    # and climbed)
     assert not scenarios.GRID.flags.writeable
     assert scenarios.GRID.tolist() == GRID.tolist()
     scanned = []
-    objectives = scenarios._objectives
+    grid_max = scenarios._grid_max
 
     def recording(arrays, w, *args):
         scanned.append(w)
-        return objectives(arrays, w, *args)
+        return grid_max(arrays, w, *args)
 
-    monkeypatch.setattr(scenarios, "_objectives", recording)
+    monkeypatch.setattr(scenarios, "_grid_max", recording)
     for strategy in ("coherent_before", "coherent_after"):
         for objective in ("negativity", "fidelity"):
             cfg = cfg_for(strategy, objective=objective)
@@ -495,7 +496,7 @@ def test_grid_weights_are_built_once_with_the_weight_rule(monkeypatch):
             scanned.clear()
             optimize_t(cfg)
             w = scenarios._grid_weights(n)
-            assert scanned[0] is w
+            assert len(scanned) == 1 and scanned[0] is w
             assert w is scenarios._grid_weights(n)
             assert not w.flags.writeable
             assert w.shape == (101, n + 1)
@@ -581,14 +582,27 @@ def test_row_columns_match_the_kraus_oracle():
 
 
 def test_separable_rows_score_no_grid(monkeypatch):
+    # a grid is one _grid_max call (its whole-grid and climbing _objectives
+    # calls are its own); every other _objectives call is a golden step
     calls = []
-    objectives = scenarios._objectives
+    inside = []
+    objectives, grid_max = scenarios._objectives, scenarios._grid_max
+
+    def grid(arrays, w, *args):
+        calls.append((cfg, "grid" if w is scenarios._grid_weights(4) else "copy"))
+        inside.append(w)
+        try:
+            return grid_max(arrays, w, *args)
+        finally:
+            inside.pop()
 
     def counting(arrays, w, *args):
-        calls.append((cfg, len(w)))
+        if not inside:
+            calls.append((cfg, len(w)))
         return objectives(arrays, w, *args)
 
     monkeypatch.setattr(scenarios, "_objectives", counting)
+    monkeypatch.setattr(scenarios, "_grid_max", grid)
     rng = np.random.default_rng(23)
     for strategy, s, eta, n_th in _separable_draws(rng, 3):
         cfg = cfg_for(strategy, s=s, eta=eta, n_th=n_th)
@@ -621,8 +635,75 @@ def test_separable_rows_score_no_grid(monkeypatch):
     ]
     for cfg in scanned:
         optimize_t(cfg)
-    # one grid each; the golden steps score one weight a call
-    assert [cfg for cfg, n in calls if n > 1] == scanned
+    # one grid each, on the cached weight rows; the golden steps score one
+    # weight a call
+    assert [cfg for cfg, n in calls if n == "grid"] == scanned
+    assert {n for _, n in calls} == {"grid", 1}
+
+
+def _coherent_draws(rng, n, n_trunc):
+    """n negativity rows of the two coherent strategies, drawn wide, that
+    _separable does not cover."""
+    while n:
+        cfg = cfg_for(("coherent_before", "coherent_after")[n % 2],
+                      s=float(rng.uniform(0.01, 0.7)), eta=float(rng.uniform(0.2, 1.0)),
+                      n_th=float(rng.uniform(0.0, 0.4)), n_trunc=n_trunc)
+        if not scenarios._separable(cfg):
+            n -= 1
+            yield cfg
+
+
+@pytest.mark.parametrize("n_trunc, rows", [(3, 30), (5, 30), (8, 20)])
+def test_projected_grid_seeds_the_whole_grid_s_argmax(monkeypatch, n_trunc, rows):
+    # the projection and the exact climb seed the golden section with the
+    # whole grid's np.argmax and its value, bit for bit, and leave
+    # zero_objective to the rows whose whole grid is nowhere positive
+    seeds = []
+    golden = scenarios._golden_max
+
+    def recording(lo, hi, tol, seed):
+        seeds.append(seed)
+        return golden(lo, hi, tol, seed)
+
+    monkeypatch.setattr(scenarios, "_golden_max", recording)
+    w = scenarios._grid_weights(4)
+    climbed = 0
+    for cfg in _coherent_draws(np.random.default_rng(40 + n_trunc), rows, n_trunc):
+        _, arrays = scenarios._pipelines([cfg])
+        values = scenarios._objectives(arrays, w, 0, False)
+        ritz = scenarios._ritz_negativity(arrays, w, 0)
+        climbed += ritz is not None and ritz.max() > scenarios.RITZ_MARGIN
+        seeds.clear()
+        opt = optimize_t(cfg)
+        best = int(np.argmax(values))
+        if values[best] > 0.0:
+            want = (float(GRID[best]).hex(), float(values[best]).hex())
+            assert [(t.hex(), v.hex()) for t, v in seeds] == [want], cfg
+        else:
+            assert seeds == [] and opt.flag == "zero_objective", cfg
+    # most rows climb rather than score the whole grid
+    assert climbed >= rows * 3 // 4
+
+
+@pytest.mark.parametrize("n_trunc", [3, 5, 8])
+def test_projected_negativity_is_a_lower_bound(n_trunc):
+    # Cauchy interlacing: at every grid weight the projected E_N is at most
+    # the whole solve's, up to RITZ_MARGIN's allowance for rounding
+    w = scenarios._grid_weights(4)
+    for cfg in _coherent_draws(np.random.default_rng(60 + n_trunc), 20, n_trunc):
+        _, arrays = scenarios._pipelines([cfg])
+        ritz = scenarios._ritz_negativity(arrays, w, 0)
+        full = scenarios._objectives(arrays, w, 0, False)
+        assert ritz is not None and ritz.shape == full.shape
+        assert np.all(ritz <= full + scenarios.RITZ_MARGIN), cfg
+    # a per-term matrix that couples the parities is not projected
+    matrices = arrays[2].copy()
+    _, coupling = fock_recon._parity_gathers(n_trunc + 1, True)
+    matrices.reshape(matrices.shape[:2] + (-1,))[0, 0, coupling[0]] = 1e-3
+    assert scenarios._ritz_negativity(arrays[:2] + (matrices,) + arrays[3:], w, 0) is None
+    # nor is a grid where a weight's state vanishes (t = 1 at s = 0)
+    _, arrays = scenarios._pipelines([cfg_for("coherent_before", s=0.0, n_trunc=n_trunc)])
+    assert scenarios._ritz_negativity(arrays, w, 0) is None
 
 
 def test_cutoff_zero_rows_are_unchanged(capsys):
