@@ -146,11 +146,12 @@ def _complexification(n_modes):
 
 
 def _real_form(kernel):
-    """Real matrix M with v^T K v = u^T M u over u = (x, y) per mode; the
-    swap-conjugation symmetry of the kernel makes it real."""
-    t = _complexification(len(kernel) // 2)
+    """Real matrix M with v^T K v = u^T M u over u = (x, y) per mode, for a
+    kernel or each kernel of a stack (..., n, n); the swap-conjugation
+    symmetry of the kernel makes it real."""
+    t = _complexification(kernel.shape[-1] // 2)
     m = (t.T @ kernel @ t).real
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -312,27 +313,44 @@ def apply_thermal_channel(kernel, stack, mode, channel):
 # Gaussian moments
 
 def _moment_covariance(kernel):
-    """Moment covariance C and normalization of the Gaussian of a kernel.
+    """Moment covariance C and normalization of the Gaussian of a kernel,
+    or of each kernel of a stack (..., n, n): C (..., n, n) and the
+    normalizations (...) (a float for one kernel).
 
     The kernel is converted to its real quadratic form M over (x, y) pairs;
     the moment covariance of the real Gaussian is Sigma = M^{-1}, pulled back
     to the complex variables as C = T Sigma T^T (complex, as T is; real for
     every kernel gaussian_kernel accepts), and the Gaussian integrates to
-    2^n / sqrt(det M) over n modes.  A det M that leaves the float range
-    raises SingularKernelError rather than scaling every moment to 0 or inf.
+    2^n / sqrt(det M) over n modes.  A stack is factored by one stacked
+    cholesky and one stacked inv, which give each kernel the bits it gets
+    alone.  A kernel that is not positive definite, or whose det M leaves
+    the float range (rather than scaling every moment to 0 or inf), raises
+    SingularKernelError; in a stack the first such kernel raises its own
+    error, as it would alone.
     """
     m = _real_form(kernel)
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
+        _raise_first_singular(kernel)
         raise SingularKernelError("kernel is not positive definite") from exc
     with np.errstate(over="ignore"):
-        det = float(np.prod(np.diag(chol)) ** 2)
-    if not 0.0 < det < math.inf:
-        raise SingularKernelError(f"kernel determinant {det} is out of range")
-    n_modes = len(kernel) // 2
+        det = np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1) ** 2
+    if not ((0.0 < det) & (det < math.inf)).all():
+        _raise_first_singular(kernel)
+        raise SingularKernelError(f"kernel determinant {float(det)} is out of range")
+    n_modes = kernel.shape[-1] // 2
     t = _complexification(n_modes)
-    return t @ np.linalg.inv(m) @ t.T, 2.0 ** n_modes / math.sqrt(det)
+    norm = 2.0 ** n_modes / np.sqrt(det)
+    return t @ np.linalg.inv(m) @ t.T, norm if m.ndim > 2 else float(norm)
+
+
+def _raise_first_singular(kernel):
+    """For a stack of kernels, the error of its first kernel that
+    _moment_covariance refuses alone; nothing for one kernel."""
+    if kernel.ndim > 2:
+        for one in kernel.reshape((-1,) + kernel.shape[-2:]):
+            _moment_covariance(one)
 
 
 def _read_only(a):
@@ -379,11 +397,25 @@ def _moment_plan(shape):
     return tuple(plan)
 
 
+@functools.lru_cache(maxsize=16)
+def _stacked_plan(shape, n_kernels):
+    """_moment_plan(shape) for n_kernels tables laid end to end in one flat
+    array: every target and source gains the (n_kernels, 1) offsets of the
+    tables, so a step gathers the entries of every kernel at once."""
+    offsets = math.prod(shape) * np.arange(n_kernels)[:, None]
+    return tuple((j, _read_only(target + offsets),
+                  tuple((k, bk, _read_only(source + offsets)) for k, bk, source in terms))
+                 for j, target, terms in _moment_plan(shape))
+
+
 def moment_table(kernel, shape):
     """Exact phase-space moments against one Gaussian kernel, as a dense
     float64 array over every alpha with alpha_i < shape_i:
 
         table[alpha] = Int prod_i (d^2 xi_i / pi) v^alpha exp(-0.5 v^T K v)
+
+    or against each kernel of a stack (..., n, n), as an array of shape
+    (...) + shape whose table of each kernel has the bits it gets alone.
 
     Moments follow the Wick/Stein recursion
 
@@ -408,23 +440,40 @@ def moment_table(kernel, shape):
     depend only on the shape, so that index bookkeeping is planned once per
     shape and cached (_moment_plan); a call runs only the arithmetic, in
     the plain recursion's order, skipping a term where C_jk is exactly 0.
+    A stack of S kernels runs the recursion once, on one flat array of
+    the S tables end to end, through the plan with each table's offsets
+    added (_stacked_plan, cached per shape and S; one kernel reads
+    _moment_plan itself).  Each entry of each kernel is still
+    (C_jk beta_k) E[...], added from +0 in the plan's order, and a term
+    whose C_jk is 0 in some kernels is added to the others only: it is
+    never computed as 0 times an entry that may be inf.
     """
     kernel = gaussian_kernel(kernel)
     shape = tuple(int(s) for s in shape)
-    if kernel.shape != (len(shape),) * 2:
+    if kernel.shape[-2:] != (len(shape),) * 2:
         raise ValueError("shape rank must match the number of variables")
+    lead = kernel.shape[:-2]
     cov, norm = _moment_covariance(kernel)
     if cov.imag.any():
         raise SingularKernelError("moment covariance has an imaginary part")
-    cov = cov.real
-    table = np.zeros(shape)
-    flat = table.reshape(-1)
-    flat[0] = 1.0
-    for j, target, terms in _moment_plan(shape):
-        acc = np.zeros(len(target))
+    cov = cov.real.reshape((-1,) + kernel.shape[-2:])
+    n_kernels = len(cov)
+    if n_kernels == 1:
+        plan, columns = _moment_plan(shape), cov[0]
+    else:
+        plan, columns = _stacked_plan(shape, n_kernels), cov.transpose(1, 2, 0)[..., None]
+    nonzero = cov != 0.0
+    every, some = nonzero.all(axis=0).tolist(), nonzero.any(axis=0).tolist()
+    size = math.prod(shape)
+    flat = np.zeros(n_kernels * size)
+    flat[::size] = 1.0
+    for j, target, terms in plan:
+        acc = np.zeros(target.shape)
         for k, bk, source in terms:
-            cjk = cov[j, k]
-            if cjk != 0.0:
-                acc += cjk * bk * flat[source]
+            if every[j][k]:
+                acc += columns[j, k] * bk * flat[source]
+            elif some[j][k]:
+                on = nonzero[:, j, k]
+                acc[on] += columns[j, k][on] * bk * flat[source[on]]
         flat[target] = acc
-    return norm * table
+    return (flat.reshape(n_kernels, -1) * np.reshape(norm, (-1, 1))).reshape(lead + shape)

@@ -34,6 +34,7 @@ route and a brute-force Gauss-Legendre integration) live in tests/oracles.py.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 
@@ -81,15 +82,14 @@ def _dagger_table(d):
 
 
 def _augmented_kernel(kernel):
-    """State kernel plus the exp(-|xi_i|^2/2) factors of the displacement
-    matrix elements, as a read-only float64 array.  The input is a kernel
-    that gaussian_kernel has already returned (it is not checked again);
-    the real 0.5 goes to both entries of each conjugate pair, so the result
-    keeps that contract."""
+    """State kernel, or each kernel of a stack (..., 4, 4), plus the
+    exp(-|xi_i|^2/2) factors of the displacement matrix elements, as a
+    read-only float64 array.  The input is a kernel that gaussian_kernel
+    has already returned (it is not checked again); the real 0.5 goes to
+    both entries of each conjugate pair, so the result keeps that
+    contract."""
     k = np.array(kernel)
-    for p in (0, 2):
-        k[p, p + 1] += 0.5
-        k[p + 1, p] += 0.5
+    k[..., [0, 1, 2, 3], [1, 0, 3, 2]] += 0.5
     k.flags.writeable = False
     return k
 
@@ -165,20 +165,28 @@ def _fock_side(rho):
     return d
 
 
-def fock_matrices(kernel, n_trunc, polys, *more):
-    """Truncated two-mode density matrices of polynomials over one kernel.
+def fock_matrices(kernel, n_trunc, polys, *more, out=None):
+    """Truncated two-mode density matrices of polynomials over one kernel,
+    or over each kernel of a stack.
 
     kernel and polys are a two-mode state in the pipeline's format (see
-    chi_core.two_mode_stack), n_trunc a nonnegative integer and more
-    further stacks over the same kernel.  Returns the stacks' matrices in
-    order, shape (total number of cubes, d^2, d^2), d = n_trunc + 1, row
+    chi_core.two_mode_stack), or a chunk of them with leading axes, n_trunc
+    a nonnegative integer and more further stacks over the same kernels.
+    Returns the stacks' matrices in order along the term axis, shape
+    (..., total number of cubes, d^2, d^2), d = n_trunc + 1, row
     i * d + j for |i, j>, float64 as the stacks and the moment table are.
-    The moment table and the weight matrix are built once
-    over the union of the stacks' nonzero monomials; each matrix is its
-    own coefficient vector times the weight rows of its own stack's
+    With out, a sequence of one writable array per stack shaped like its
+    matrices, (..., n, d^2, d^2), each stack's matrices are written there
+    instead (every entry) and out is returned.
+
+    One moment table per kernel, all of them from one moment_table call
+    over the stack, and per kernel one weight matrix over the union of
+    every kernel's and stack's nonzero monomials: a weight reads only its
+    own monomial's moments, so it does not depend on the union.  Each
+    matrix is its own coefficient vector times the weight rows of its own
     monomials (upper triangle integrated, the rest by Hermitian symmetry),
-    so a stack gets the bits it gets alone: zeros for the other stacks'
-    monomials would move the rounding.  The polynomials need not be
+    so a stack over a kernel gets the bits it gets alone: zeros for the
+    other monomials would move the rounding.  The polynomials need not be
     normalized, so a weighted sum of their matrices is the matrix of the
     weighted sum; certify(fock_matrices(kernel, n, stack)[0]) is the
     checked matrix of a normalized single state.
@@ -193,7 +201,9 @@ def fock_matrices(kernel, n_trunc, polys, *more):
     replaced (tests/oracles.fock_matrices_by_entry), kept bit for bit on
     purpose: the n_trunc-8 benchmark references hold this route's own
     float64 error, and a reordering of the same sums moves outputs past
-    their 1e-10 gate (ROADMAP item 1).
+    their 1e-10 gate (ROADMAP item 1).  The classes run one kernel at a
+    time, and each kernel's weights are contracted before the next
+    kernel's are built, so a call holds one weight matrix.
 
     The kernel must pass chi_core.gaussian_kernel, and only the pairs its
     phase symmetry allows are gathered.  Every term of <i|D^dag|k> has a
@@ -211,35 +221,43 @@ def fock_matrices(kernel, n_trunc, polys, *more):
     n_trunc = _cutoff(n_trunc)
     kernel = gaussian_kernel(kernel)
     stacks = [two_mode_stack(kernel, p) for p in (polys, *more)]
-    supports = [np.argwhere(np.any(p != 0, axis=0)) for p in stacks]
-    if not all(map(len, supports)):
+    lead = kernel.shape[:-2]
+    d = n_trunc + 1
+    # one kernel axis: kernel k's cubes and supports; at is its index in lead
+    kernels = kernel.reshape(-1, 4, 4)
+    stacks = [p.reshape((len(kernels),) + p.shape[len(lead):]) for p in stacks]
+    supports = [[np.argwhere(np.any(p != 0, axis=0)) for p in stack] for stack in stacks]
+    if not all(len(own) for per_stack in supports for own in per_stack):
         raise ValueError("empty polynomial support")
     # the union in argwhere's (lexicographic) order
-    monomials = tuple(sorted({m for own in supports for m in map(tuple, own.tolist())}))
-    d = n_trunc + 1
+    monomials = tuple(sorted({m for per_stack in supports for own in per_stack
+                              for m in map(tuple, own.tolist())}))
 
     shape, rows, cols, classes = _fock_plan(d, monomials)
-    table = moment_table(_augmented_kernel(kernel), shape).reshape(-1)
-    weights = np.zeros((len(monomials), len(rows)))
-    for a, e, o1, o2, c1, c2 in classes:
-        vals = table[o1[:, None] + o2[None]]
-        vals *= c1[:, None]
-        vals *= c2[None]
-        vals = vals.reshape(-1, len(e))
-        # + 0.0 turns a sum of -0 terms into +0, as a sum from +0 does
-        weights[a, e] = np.add.accumulate(vals, out=vals)[-1] + 0.0
-
-    out = np.zeros((sum(map(len, stacks)), d * d, d * d))
-    first = 0
-    for polys, own in zip(stacks, supports):
-        w = weights
-        if len(own) < len(monomials):
-            w = weights[[monomials.index(m) for m in map(tuple, own.tolist())]]
-        for rho, coeff in zip(out[first:], polys[(slice(None), *own.T)]):
-            upper = coeff @ w
-            rho[rows, cols] = rho[cols, rows] = upper
-        first += len(polys)
-    return out
+    tables = moment_table(_augmented_kernel(kernels), shape).reshape(len(kernels), -1)
+    targets = out
+    for k, (at, table) in enumerate(zip(np.ndindex(lead), tables)):
+        weights = np.zeros((len(monomials), len(rows)))
+        for a, e, o1, o2, c1, c2 in classes:
+            vals = table[o1[:, None] + o2[None]]
+            vals *= c1[:, None]
+            vals *= c2[None]
+            vals = vals.reshape(-1, len(e))
+            # + 0.0 turns a sum of -0 terms into +0, as a sum from +0 does
+            weights[a, e] = np.add.accumulate(vals, out=vals)[-1] + 0.0
+        if targets is None:  # made after the first weights, past their temporaries
+            ends = [0, *itertools.accumulate(p.shape[1] for p in stacks)]
+            full = np.zeros(lead + (ends[-1], d * d, d * d))
+            targets = [full[..., a:b, :, :] for a, b in zip(ends, ends[1:])]
+        for stack, per_stack, target in zip(stacks, supports, targets):
+            own = per_stack[k]
+            w = weights
+            if len(own) < len(monomials):
+                w = weights[[monomials.index(m) for m in map(tuple, own.tolist())]]
+            for rho, coeff in zip(target[at], stack[k][(slice(None), *own.T)]):
+                upper = coeff @ w
+                rho[rows, cols] = rho[cols, rows] = upper
+    return full if out is None else out
 
 
 def partial_transpose(rho):

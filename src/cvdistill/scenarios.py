@@ -173,21 +173,23 @@ def _pipeline_key(cfg):
 def _pipelines(cfgs):
     """The arrays of the rows cfgs, a chunk of channel settings that share
     s (with its sign) and n_trunc, as ({_pipeline_key: index}, (kernels,
-    traces, matrices, fidelity_terms, origins)), one index per distinct
-    pipeline.  Each array's shape is (pipelines, terms, ...): the
-    kernels (P, 4, 4) and, per term, the traces (P, K), float64 Fock
-    matrices (P, K, d^2, d^2), fidelity integrals (P, K) and
-    origin_coefficients (P, K, 5, 5) (a row's covariance is their weighted
-    sum), where K is the longest stack; a shorter stack (the no-operation
-    stack has 1 term) is padded with zero terms.  Rows that do not share s
-    and n_trunc raise ValueError.
+    traces, matrices, fidelity_terms, origins)), one index per pipeline:
+    each pipeline kind a row needs (no operation, the operation before or
+    after the channel) at each channel of the chunk.  Each array's shape
+    is (pipelines, terms, ...): the kernels (P, 4, 4) and, per term, the
+    traces (P, K), float64 Fock matrices (P, K, d^2, d^2), fidelity
+    integrals (P, K) and origin_coefficients (P, K, 5, 5) (a row's
+    covariance is their weighted sum), where K is the longest stack; a
+    shorter stack (the no-operation stack has 1 term) is padded with zero
+    terms.  Rows that do not share s and n_trunc raise ValueError.
 
-    Each pipeline kind a row needs (no operation, the operation before or
-    after the channel) runs once over every channel of the chunk
+    Each pipeline kind runs once over every channel of the chunk
     (_raw_terms), with one fidelity_integrals call; a subtraction row
-    reads the coherent pipeline of its side, at t = 1.  One fock_matrices
-    call builds the matrices of every pipeline of a setting: the coherent
-    operation leaves the kernel alone, so they end on one kernel, bit for
+    reads the coherent pipeline of its side, at t = 1.  The pipelines are
+    kind-major, so a kind's matrices over the channels are one slice of
+    matrices, and one fock_matrices call over the chunk's kernels writes
+    every kind's matrices into its slice: the coherent operation leaves
+    the kernel alone, so the kinds of a channel end on one kernel, bit for
     bit.  Every row prints both E_N and the fidelity, so both are built
     for each pipeline.
     """
@@ -196,27 +198,24 @@ def _pipelines(cfgs):
         raise ValueError("the rows of one chunk must share s (with its sign) and n_trunc")
     channels = list(dict.fromkeys(key[2] for key in keys))
     runs = _raw_terms(keys[0][0], channels, list(dict.fromkeys(key[4:] for key in keys)))
-    shape = (len(keys), max(stacks.shape[1] for _, stacks in runs.values()))
-    kernels = np.empty((len(keys), 4, 4))
+    shape = (len(runs), len(channels), max(stacks.shape[1] for _, stacks in runs.values()))
+    kernels = np.empty(shape[:2] + (4, 4))
     traces, fidelity_terms = np.zeros(shape), np.zeros(shape)
     matrices = np.zeros(shape + ((keys[0][3] + 1) ** 2,) * 2)
     origins = np.zeros(shape + (5, 5))
-    for kind, (ks, stacks) in runs.items():
-        own = [i for i, key in enumerate(keys) if key[4:] == kind]
-        at = [channels.index(keys[i][2]) for i in own]
+    for i, (ks, stacks) in enumerate(runs.values()):
         n = stacks.shape[1]
-        kernels[own] = ks[at]
-        traces[own, :n] = stacks[at, :, 0, 0, 0, 0]
-        fidelity_terms[own, :n] = fidelity_integrals(ks, stacks)[at]
-        origins[own, :n] = origin_coefficients(stacks)[at]
-    for i, channel in enumerate(channels):
-        own = [j for j, key in enumerate(keys) if key[2] == channel]
-        stacks = [runs[keys[j][4:]][1][i] for j in own]
-        built = fock_matrices(kernels[own[0]], keys[0][3], *stacks)
-        for j, block in zip(own, np.split(built, np.cumsum(list(map(len, stacks)))[:-1])):
-            matrices[j, :len(block)] = block
-    return ({key: i for i, key in enumerate(keys)},
-            (kernels, traces, matrices, fidelity_terms, origins))
+        kernels[i] = ks
+        traces[i, :, :n] = stacks[:, :, 0, 0, 0, 0]
+        fidelity_terms[i, :, :n] = fidelity_integrals(ks, stacks)
+        origins[i, :, :n] = origin_coefficients(stacks)
+    fock_matrices(kernels[0], keys[0][3], *(stacks for _, stacks in runs.values()),
+                  out=[matrices[i, :, :stacks.shape[1]]
+                       for i, (_, stacks) in enumerate(runs.values())])
+    index = {keys[0][:2] + (channel,) + keys[0][3:4] + kind: i * len(channels) + c
+             for i, kind in enumerate(runs) for c, channel in enumerate(channels)}
+    return index, tuple(a.reshape((-1,) + a.shape[2:])
+                        for a in (kernels, traces, matrices, fidelity_terms, origins))
 
 
 def _fold(w, x, rows):
@@ -224,17 +223,21 @@ def _fold(w, x, rows):
     per-term arrays x (pipelines, terms, ...) of _pipelines, one per
     weight row of w: rows is the pipeline index of each weight row, or one
     index for all of them (an int, as for a grid: x[rows] is then
-    broadcast, not gathered).
+    broadcast).
 
     Each weight row is one vector-matrix product over its pipeline's
-    contiguous (terms, ...) block, broadcast or gathered, and a padding
-    term adds an exact +0 to it, so a row gets the same bits among many as
-    alone: a row prints, and a golden step scores, what it would in a chunk
-    of its own."""
-    x = x[rows]
-    lead = x.shape[:np.ndim(rows) + 1]
-    out = w[:, None] @ x.reshape(lead + (-1,))
-    return out.reshape((len(w),) + x.shape[len(lead):])
+    contiguous (terms, ...) block, read in place (x[rows] is not
+    gathered), and a padding term adds an exact +0 to it, so a row gets
+    the same bits among many as alone: a row prints, and a golden step
+    scores, what it would in a chunk of its own."""
+    if not np.ndim(rows):
+        x = x[rows]
+        return (w[:, None] @ x.reshape(len(x), -1)).reshape((len(w),) + x.shape[1:])
+    out = np.empty((len(w),) + x.shape[2:])
+    flat = out.reshape(len(w), -1)
+    for i, r in enumerate(rows.tolist()):
+        np.matmul(w[i], x[r].reshape(x.shape[1], -1), out=flat[i])
+    return out
 
 
 def _objectives(arrays, w, rows, fidelity):
@@ -483,7 +486,8 @@ def evaluate_points(cfgs):
     refines the free rows in lockstep); subtraction runs at t = 1; the
     baseline records t_opt = 1 by convention.  E_N, E_N_gauss, fidelity
     and p_success are each row's values at the one weight row of that t,
-    all rows' sums folded together (_fold).  A preparation that cannot
+    each row's sums read in place off its own pipeline's per-term arrays
+    (_fold).  A preparation that cannot
     succeed (the objective's own vanishing-trace rule) yields a zeroed row
     flagged "zero_state" rather than an exception, so sweeps keep going.
     The Fock matrices of the other rows are certified and solved as one
@@ -524,7 +528,7 @@ def sweep(configs):
     The settings that share s (with its sign) and n_trunc are built in
     chunks of up to CHUNK_SETTINGS, in order of their first rows: one
     _pipelines call runs each pipeline kind once over a chunk's channels,
-    and its rows share those pipelines and each setting's Fock build.  A
+    and its rows share those pipelines and the chunk's one Fock build.  A
     chunk's arrays are freed before the next chunk is built, so a sweep's
     memory does not grow with its eta grid.  The loop calls
     evaluate_points, which makes that call, by its module-global name once

@@ -50,6 +50,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from cvdistill.chi_core import (
+    ChannelParams,
     _moment_covariance,
     _real_form,
     apply_thermal_channel,
@@ -322,6 +323,25 @@ def raw_terms(cfg):
     kind = (cfg.strategy.has_operation, cfg.strategy.operation_first)
     ((kernels, stacks),) = _raw_terms(cfg.s, [cfg.channel], [kind]).values()
     return kernels[0], stacks[0]
+
+
+def mixed_chunk(rng, n_settings=5):
+    """Kernels (S, 4, 4) and the no-operation, operation-before and
+    operation-after stacks over them of S settings that mix s = 0, whose
+    kernels have no cross-mode entries, with s > 0, in a seeded order:
+    a kernel stack that no sweep chunk makes, as it shares s."""
+    kinds = [(False, False), (True, True), (True, False)]
+    kernels, stacks = [], []
+    for i in range(n_settings):
+        s = 0.0 if i % 2 == 0 else float(rng.uniform(0.01, 0.6))
+        channel = ChannelParams(float(rng.uniform(0.01, 1.0)),
+                                float(rng.choice([0.0, rng.uniform(0.0, 0.3)])))
+        runs = _raw_terms(s, [channel], kinds)
+        kernels.append(runs[kinds[0]][0][0])
+        stacks.append([runs[kind][1][0] for kind in kinds])
+    order = rng.permutation(n_settings)
+    return (np.stack([kernels[i] for i in order]),
+            [np.stack([stacks[i][k] for i in order]) for k in range(len(kinds))])
 
 
 class Row:

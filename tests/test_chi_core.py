@@ -598,6 +598,63 @@ def test_an_imaginary_moment_covariance_is_refused(monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("n_trunc", [0, 3, 5, 8])
+def test_moment_table_over_a_kernel_stack_is_per_kernel_bit_for_bit(n_trunc):
+    # one recursion over a stack of augmented kernels gives each kernel the
+    # bytes of its own call, signed zeros included, in the shape the Fock
+    # build reads at this cutoff; the s = 0 kernels' cross-mode C entries
+    # are 0 where the others' are not, so those terms go to some kernels of
+    # the stack only.  A one-kernel stack is the 2-D call
+    rng = np.random.default_rng(500 + n_trunc)
+    kernels, _ = oracles.mixed_chunk(rng)
+    aug = _augmented_kernel(kernels)
+    zero = _moment_covariance(aug)[0] == 0
+    assert (zero.any(axis=0) & ~zero.all(axis=0)).any()
+    shape = (n_trunc + 5,) * 4
+    table = moment_table(aug, shape)
+    assert table.shape == (len(kernels),) + shape and table.dtype == np.float64
+    for k, got in zip(aug, table):
+        want = moment_table(k, shape)
+        assert got.tobytes() == want.tobytes()
+        assert moment_table(k[None], shape)[0].tobytes() == want.tobytes()
+    # leading axes of any rank
+    assert moment_table(aug.reshape(1, -1, 4, 4), shape)[0].tobytes() == table.tobytes()
+
+
+def test_a_kernel_stack_raises_its_first_refused_kernel_s_error():
+    # a kernel that is not positive definite and kernels whose determinant
+    # leaves the float range (above and below) raise, in a stack, the
+    # exception and message of the first of them, as alone, in the moment
+    # table and in the Fock build (whose augmented kernel takes the
+    # 1e-200 one back into range); the good kernels around them do not
+    # matter
+    good = _augmented_kernel(raw_terms(ScenarioConfig(
+        Strategy.COHERENT_AFTER, 0.3, ChannelParams(0.7, 0.1), 3))[0])
+    bad = [pair_kernel(-1.0), pair_kernel(1e200), pair_kernel(1e-200)]
+    builds = {"table": lambda k: moment_table(k, (2, 2, 2, 2)),
+              "fock": lambda k: fock_matrices(k, 1, np.ones(k.shape[:-2] + (1,) * 5))}
+    alone = {}
+    for name, build in builds.items():
+        alone[name] = []
+        for k in bad:
+            try:
+                build(k)
+                alone[name].append(None)
+            except SingularKernelError as exc:
+                alone[name].append(str(exc))
+    assert alone["table"] == ["kernel is not positive definite",
+                              "kernel determinant inf is out of range",
+                              "kernel determinant 0.0 is out of range"]
+    assert alone["fock"] == alone["table"][:2] + [None]
+    for order in ([0, 1, 2], [1, 0, 2], [2, 1, 0], [2, 0, 1], [1, 2]):
+        stack = np.stack([good] + [bad[i] for i in order] + [good])
+        for name, build in builds.items():
+            want = next(m for m in (alone[name][i] for i in order) if m)
+            with pytest.raises(SingularKernelError) as got:
+                build(stack)
+            assert str(got.value) == want, (name, order)
+
+
 def test_integrate_polynomial():
     table = moment_table(pair_kernel(1.0), (2, 2, 1, 1))
     # Int (1 + |xi1|^2) -> 1 + 1 = 2

@@ -397,6 +397,36 @@ def test_stacks_over_one_kernel_get_their_lone_bits(n_trunc):
         fock_matrices(kernel, n_trunc, runs[0][1], np.zeros((1, 1, 1, 1, 1)))
 
 
+@pytest.mark.parametrize("n_trunc", [0, 3, 5, 8])
+def test_fock_matrices_over_a_kernel_stack_are_per_kernel_bit_for_bit(n_trunc):
+    # one call over a stack of kernels, s = 0 kernels (no cross-mode
+    # entries, smaller supports) mixed with s > 0 ones, and the three
+    # pipeline stacks over them: each kernel's matrices have the bytes of
+    # a call over that kernel alone, with the return and with out (views
+    # into a padded array, whose padding stays as it was); a one-kernel
+    # stack is the 2-D call
+    rng = np.random.default_rng(700 + n_trunc)
+    kernels, stacks = oracles.mixed_chunk(rng)
+    d2 = (n_trunc + 1) ** 2
+    got = fock_matrices(kernels, n_trunc, *stacks)
+    assert got.shape == (len(kernels), sum(p.shape[1] for p in stacks), d2, d2)
+    padded = np.full((len(stacks), len(kernels), 6, d2, d2), 7.0)
+    out = [padded[i, :, :p.shape[1]] for i, p in enumerate(stacks)]
+    assert fock_matrices(kernels, n_trunc, *stacks, out=out) is out
+    for k, kernel in enumerate(kernels):
+        want = fock_matrices(kernel, n_trunc, *(p[k] for p in stacks))
+        assert got[k].tobytes() == want.tobytes()
+        assert np.concatenate([o[k] for o in out]).tobytes() == want.tobytes()
+        one = fock_matrices(kernel[None], n_trunc, *(p[k:k + 1] for p in stacks))
+        assert one.tobytes() == want.tobytes()
+        for p in stacks:
+            assert fock_matrices(kernel, n_trunc, p[k]).tobytes() == \
+                fock_matrices(kernel[None], n_trunc, p[k:k + 1])[0].tobytes()
+    assert (padded[:, :, 5] == 7.0).all() and (padded[0, :, 1:] == 7.0).all()
+    with pytest.raises(ValueError, match="empty polynomial support"):
+        fock_matrices(kernels, n_trunc, np.zeros((len(kernels), 1, 1, 1, 1, 1)))
+
+
 @pytest.mark.parametrize("n_trunc", [0, 1, 3, 5, 8, 11])
 def test_fock_matrices_equal_the_per_entry_route_bit_for_bit(n_trunc):
     rng = np.random.default_rng(n_trunc)
@@ -507,8 +537,9 @@ def test_fock_matrices_allocation_peak_at_cutoff_8():
     # measured with numpy 2.4: the per-entry route (fock_matrices_by_entry)
     # peaks at 3.56 MiB here, the grouped sums over every (entry, support)
     # pair at 4.78 MiB and over the pairs of charge zero at 3.64 MiB, with
-    # the cached plans (the measured call is warm) at 3.40 MiB, and with
-    # float64 weights and matrices at 1.71 MiB; complex weights coming back,
+    # the cached plans (the measured call is warm) at 3.40 MiB, with
+    # float64 weights and matrices at 1.71 MiB, and with the leading kernel
+    # axis (one kernel here) at 1.70 MiB; complex weights coming back,
     # or a temporary that outgrows the bound, raise the process's peak
     # resident memory
     cfg = ScenarioConfig(Strategy.COHERENT_AFTER, 0.5, ChannelParams(0.7, 0.1), 8)

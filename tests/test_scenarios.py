@@ -904,20 +904,20 @@ def _call_counts(fn):
 
 @pytest.mark.parametrize("objective", ["negativity", "fidelity"])
 def test_a_sweep_builds_each_setting_once(objective):
-    # k settings x 5 strategies: k Fock builds (one moment table each), and
-    # the settings' pipelines built in one chunk, however the rows are
-    # ordered; building both eagerly costs no call the objective would not
-    # make anyway
+    # k settings x 5 strategies in one chunk: one Fock build with one
+    # moment table over the chunk's k kernels, and the settings' pipelines
+    # built once, however the rows are ordered; building both eagerly
+    # costs no call the objective would not make anyway
     etas = (0.9, 0.3, 0.6, 1.0)
     cfgs = [cfg_for(strategy.value, eta=eta, n_trunc=3, objective=objective)
             for strategy in Strategy for eta in etas]
     random.Random(1).shuffle(cfgs)
     calls = _call_counts(lambda: sweep(cfgs))
-    assert calls["fock_matrices"] == calls["moment_table"] == len(etas)
-    # the four settings are one chunk: one squeezed vacuum, and one set of
-    # fidelity integrals for each of its three pipeline kinds
-    assert calls["tmsv_chi"] == 1
-    assert calls["fidelity_integrals"] == 3
+    # the four settings are one chunk: one squeezed vacuum, one Fock build
+    # and one moment table, and one set of fidelity integrals for each of
+    # its three pipeline kinds
+    assert dict(calls) == {"tmsv_chi": 1, "moment_table": 1, "fock_matrices": 1,
+                           "fidelity_integrals": 3}
     # a point is one setting and one pipeline
     once = {"tmsv_chi": 1, "moment_table": 1, "fock_matrices": 1,
             "fidelity_integrals": 1}
@@ -955,17 +955,17 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
     # each chunk's arrays go before the next chunk's are built, by
     # reference counting alone (the collector is off), so a sweep's memory
     # does not grow with its eta grid: five settings in chunks of two are
-    # built as 2, 2 and 1, each Fock build is freed once it is copied into
-    # its chunk's matrices, and no array of an earlier chunk is alive when
-    # a chunk is built (probed where evaluate_points' own _pipelines call
-    # is entered and returns)
-    built, arrays = [], []
+    # built as 2, 2 and 1, each by one Fock build over its kernels that
+    # writes straight into the chunk's matrices (no copy of its own), and
+    # no array of an earlier chunk is alive when a chunk is built (probed
+    # where evaluate_points' own _pipelines call is entered and returns)
+    builds, arrays = [], []
     original_fock = scenarios.fock_matrices
 
-    def tracked(*args):
-        out = original_fock(*args)
-        built.append(weakref.ref(out))
-        return out
+    def tracked(kernel, n_trunc, *stacks, out=None):
+        got = original_fock(kernel, n_trunc, *stacks, out=out)
+        builds.append((np.shape(kernel), out, got))
+        return got
 
     def alive(refs):
         return sum(ref() is not None for ref in refs)
@@ -974,11 +974,17 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
     original_pipelines = scenarios._pipelines
 
     def pipelines(cfgs):
-        at_build.append((alive(built), alive(arrays)))
+        at_build.append((len(builds), alive(arrays)))
         chunks.append(len({cfg.channel for cfg in cfgs}))
         index, out = original_pipelines(cfgs)
         arrays.extend(weakref.ref(a) for a in out)
-        at_chunk.append((len(cfgs), alive(built), len(index), out[2].shape[:2]))
+        ((shape, views, got),) = builds
+        builds.clear()
+        matrices = out[2]
+        # the build returned its out: one view of matrices per pipeline kind
+        assert got is views and all(v.base is matrices.base for v in views)
+        at_chunk.append((len(cfgs), shape, [v.shape[:2] for v in views],
+                         len(index), matrices.shape[:2]))
         return index, out
 
     monkeypatch.setattr(scenarios, "CHUNK_SETTINGS", 2)
@@ -995,9 +1001,10 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
         if enabled:
             gc.enable()
     assert at_build == [(0, 0), (0, 0), (0, 0)] and chunks == [2, 2, 1]
-    assert at_chunk == [(10, 0, 6, (6, 5)), (10, 0, 6, (6, 5)), (5, 0, 3, (3, 5))]
-    assert len(built) == len(etas) and len(arrays) == 5 * len(chunks)
-    assert alive(built) == alive(arrays) == 0
+    assert at_chunk == [(10, (2, 4, 4), [(2, 1), (2, 5), (2, 5)], 6, (6, 5)),
+                        (10, (2, 4, 4), [(2, 1), (2, 5), (2, 5)], 6, (6, 5)),
+                        (5, (1, 4, 4), [(1, 1), (1, 5), (1, 5)], 3, (3, 5))]
+    assert len(arrays) == 5 * len(chunks) and alive(arrays) == 0
 
 
 @pytest.mark.parametrize("n_trunc", [0, 3, 8])
@@ -1071,12 +1078,12 @@ def test_chunked_sweep_rows_are_evaluate_point_alone_bit_for_bit():
 
 def test_readme_sweep_allocation_peak():
     # measured with numpy 2.4: the 505-row README negativity sweep (101 eta
-    # in chunks of CHUNK_SETTINGS = 8) peaks at 4.22 MiB, against 2.4 MiB
-    # one setting at a time, 7.8 MiB in chunks of 16 and 46 MiB with all
-    # 101 settings in one chunk (most of a chunk's share is its final
-    # pass's gather of its rows' Fock matrices); a chunk that grows, or a
-    # chunk's arrays kept past the next build, raise the process's peak
-    # resident memory
+    # in chunks of CHUNK_SETTINGS = 8) peaks at 3.27 MiB, against 2.2 MiB
+    # one setting at a time, 6.3 MiB in chunks of 16 and 39 MiB with all
+    # 101 settings in one chunk (3.78, 2.2, 7.4 and 46 MiB while the final
+    # pass gathered its rows' Fock matrices and each setting's build was
+    # copied into the chunk's); a chunk that grows, or a chunk's arrays
+    # kept past the next build, raise the process's peak resident memory
     cfgs = [cfg_for(strategy.value, s=0.029, eta=float(eta), n_th=0.1)
             for strategy in Strategy for eta in np.linspace(0.01, 1.0, 101)]
     sweep(cfgs[:5])
