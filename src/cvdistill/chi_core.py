@@ -313,9 +313,9 @@ def apply_thermal_channel(kernel, stack, mode, channel):
 # Gaussian moments
 
 def _moment_covariance(kernel):
-    """Moment covariance C and normalization of the Gaussian of a kernel,
-    or of each kernel of a stack (..., n, n): C (..., n, n) and the
-    normalizations (...) (a float for one kernel).
+    """Moment covariance C (..., n, n) and float64 normalizations (...) of
+    the Gaussian of each kernel of a stack (..., n, n), of any leading
+    shape (none for one kernel: C (n, n) and a 0-d normalization).
 
     The kernel is converted to its real quadratic form M over (x, y) pairs;
     the moment covariance of the real Gaussian is Sigma = M^{-1}, pulled back
@@ -341,8 +341,7 @@ def _moment_covariance(kernel):
         raise SingularKernelError(f"kernel determinant {float(det)} is out of range")
     n_modes = kernel.shape[-1] // 2
     t = _complexification(n_modes)
-    norm = 2.0 ** n_modes / np.sqrt(det)
-    return t @ np.linalg.inv(m) @ t.T, norm if m.ndim > 2 else float(norm)
+    return t @ np.linalg.inv(m) @ t.T, 2.0 ** n_modes / np.sqrt(det)
 
 
 def _raise_first_singular(kernel):
@@ -361,14 +360,16 @@ def _read_only(a):
 
 
 @functools.lru_cache(maxsize=16)
-def _moment_plan(shape):
-    """The index bookkeeping of moment_table for one table shape: per shell
-    and first nonzero variable j, in the order the recursion runs them,
-    (j, target, terms) with target the flat indices of the entries of
-    charge zero it computes and terms the (k, beta_k, source) of the k with
-    some beta_k != 0, source the flat indices of beta - e_k.  Tuples of
-    read-only arrays, since every caller shares them."""
+def _moment_plan(shape, n_kernels):
+    """The index bookkeeping of moment_table for n_kernels tables of one
+    shape, end to end in one flat array: per shell and first nonzero
+    variable j, in the order the recursion runs them, (j, target, terms)
+    with target the flat indices of the entries of charge zero it computes
+    and terms the (k, beta_k, source) of the k with some beta_k != 0,
+    source the flat indices of beta - e_k; row i of target and source is
+    table i's, offset by its start.  Read-only, as every caller shares it."""
     n_vars = len(shape)
+    offsets = math.prod(shape) * np.arange(n_kernels)[:, None]
     idx = np.indices(shape).reshape(n_vars, -1).T
     idx = idx[idx @ _charges(n_vars) == 0]
     totals = idx.sum(axis=1)
@@ -391,21 +392,10 @@ def _moment_plan(shape):
                 gam[:, k] -= 1
                 np.clip(gam, 0, None, out=gam)  # rows with bk == 0 are zeroed by bk
                 terms.append((k, _read_only(bk),
-                              _read_only(np.ravel_multi_index(gam.T, shape))))
-            plan.append((j, _read_only(np.ravel_multi_index(sub.T, shape)),
+                              _read_only(np.ravel_multi_index(gam.T, shape) + offsets)))
+            plan.append((j, _read_only(np.ravel_multi_index(sub.T, shape) + offsets),
                          tuple(terms)))
     return tuple(plan)
-
-
-@functools.lru_cache(maxsize=16)
-def _stacked_plan(shape, n_kernels):
-    """_moment_plan(shape) for n_kernels tables laid end to end in one flat
-    array: every target and source gains the (n_kernels, 1) offsets of the
-    tables, so a step gathers the entries of every kernel at once."""
-    offsets = math.prod(shape) * np.arange(n_kernels)[:, None]
-    return tuple((j, _read_only(target + offsets),
-                  tuple((k, bk, _read_only(source + offsets)) for k, bk, source in terms))
-                 for j, target, terms in _moment_plan(shape))
 
 
 def moment_table(kernel, shape):
@@ -437,16 +427,13 @@ def moment_table(kernel, shape):
     finite one times beta_k = 0), and a sum from +0 of +-0 stays +0.
 
     Which entries a shell computes and which ones each of its terms reads
-    depend only on the shape, so that index bookkeeping is planned once per
-    shape and cached (_moment_plan); a call runs only the arithmetic, in
-    the plain recursion's order, skipping a term where C_jk is exactly 0.
-    A stack of S kernels runs the recursion once, on one flat array of
-    the S tables end to end, through the plan with each table's offsets
-    added (_stacked_plan, cached per shape and S; one kernel reads
-    _moment_plan itself).  Each entry of each kernel is still
-    (C_jk beta_k) E[...], added from +0 in the plan's order, and a term
-    whose C_jk is 0 in some kernels is added to the others only: it is
-    never computed as 0 times an entry that may be inf.
+    depend only on the shape, so a call of S kernels (one included) runs
+    the recursion once, on one flat array of the S tables end to end,
+    through the cached plan of (shape, S) (_moment_plan), and only the
+    arithmetic, in the plain recursion's order: each entry of each kernel
+    is (C_jk beta_k) E[...], added from +0 in the plan's order, skipping a
+    term where C_jk is exactly 0.  A term that is 0 in some kernels only is
+    added to the others, never computed as 0 times an entry that may be inf.
     """
     kernel = gaussian_kernel(kernel)
     shape = tuple(int(s) for s in shape)
@@ -458,16 +445,13 @@ def moment_table(kernel, shape):
         raise SingularKernelError("moment covariance has an imaginary part")
     cov = cov.real.reshape((-1,) + kernel.shape[-2:])
     n_kernels = len(cov)
-    if n_kernels == 1:
-        plan, columns = _moment_plan(shape), cov[0]
-    else:
-        plan, columns = _stacked_plan(shape, n_kernels), cov.transpose(1, 2, 0)[..., None]
+    columns = cov.transpose(1, 2, 0)[..., None]
     nonzero = cov != 0.0
     every, some = nonzero.all(axis=0).tolist(), nonzero.any(axis=0).tolist()
     size = math.prod(shape)
     flat = np.zeros(n_kernels * size)
     flat[::size] = 1.0
-    for j, target, terms in plan:
+    for j, target, terms in _moment_plan(shape, n_kernels):
         acc = np.zeros(target.shape)
         for k, bk, source in terms:
             if every[j][k]:

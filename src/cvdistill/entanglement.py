@@ -36,8 +36,9 @@ def log_negativity(rho):
     """Logarithmic negativity E = log2 ||rho^T1||_1 of a (d^2, d^2)
     Fock-basis state, or of each state of a (..., d^2, d^2) stack, clamped
     at zero: a truncated trace norm at most 1 (a zero matrix included) is
-    noise, not physics, and reads 0.  One matrix gives a float, a stack an
-    array of its values; any other shape raises ValueError.
+    noise, not physics, and reads 0; a NaN norm (from a NaN entry) gives
+    NaN, so a broken state never reads as separable.  One matrix gives a
+    float, a stack an array of its values; any other shape raises ValueError.
 
     rho^T1 is diagonalized by LAPACK (numpy.linalg.eigvalsh), which raises
     numpy.linalg.LinAlgError if it does not converge.  The solve is in
@@ -50,7 +51,7 @@ def log_negativity(rho):
     """
     w = np.concatenate(_spectra(np.asarray(rho), True), axis=-1)
     norms = np.sum(np.abs(w), axis=-1)
-    values = [math.log2(n) if n > 1.0 else 0.0 for n in norms.flat]
+    values = [0.0 if n <= 1.0 else math.log2(n) for n in norms.flat]
     return values[0] if norms.ndim == 0 else np.reshape(values, norms.shape)
 
 

@@ -13,8 +13,8 @@ matrix is a plain (d^2, d^2) float64 array, d = n_trunc + 1.  Every
 kernel conserves the phase charge, so only the moments and weights of
 charge zero are computed; the others are exactly +0.  This module is the
 one home of that format: its shape check (_fock_side), its partial
-transpose and its photon-number-parity blocks, which the eigensolves of
-certify and of entanglement.log_negativity share (_spectra).
+transpose and its photon-number-parity blocks (_blocks), which the
+eigensolves of certify, entanglement.log_negativity and the optimizer share.
 
 Truncation note: dropping Fock components above n_trunc can only lower the
 measured entanglement (the truncation is a local projection), so in exact
@@ -216,7 +216,8 @@ def fock_matrices(kernel, n_trunc, polys, *more, out=None):
     Which pairs each class gathers, their table offsets and their term
     coefficients depend only on d and the support, so they are planned
     once per (d, support) and cached (_fock_plan); a call only gathers,
-    scales and sums, in the order above.
+    scales and sums, in the order above, into out or an array it allocates
+    before any weights.
     """
     n_trunc = _cutoff(n_trunc)
     kernel = gaussian_kernel(kernel)
@@ -235,7 +236,11 @@ def fock_matrices(kernel, n_trunc, polys, *more, out=None):
 
     shape, rows, cols, classes = _fock_plan(d, monomials)
     tables = moment_table(_augmented_kernel(kernels), shape).reshape(len(kernels), -1)
-    targets = out
+    full = None
+    if out is None:
+        ends = [0, *itertools.accumulate(p.shape[1] for p in stacks)]
+        full = np.zeros(lead + (ends[-1], d * d, d * d))
+        out = [full[..., a:b, :, :] for a, b in zip(ends, ends[1:])]
     for k, (at, table) in enumerate(zip(np.ndindex(lead), tables)):
         weights = np.zeros((len(monomials), len(rows)))
         for a, e, o1, o2, c1, c2 in classes:
@@ -245,11 +250,7 @@ def fock_matrices(kernel, n_trunc, polys, *more, out=None):
             vals = vals.reshape(-1, len(e))
             # + 0.0 turns a sum of -0 terms into +0, as a sum from +0 does
             weights[a, e] = np.add.accumulate(vals, out=vals)[-1] + 0.0
-        if targets is None:  # made after the first weights, past their temporaries
-            ends = [0, *itertools.accumulate(p.shape[1] for p in stacks)]
-            full = np.zeros(lead + (ends[-1], d * d, d * d))
-            targets = [full[..., a:b, :, :] for a, b in zip(ends, ends[1:])]
-        for stack, per_stack, target in zip(stacks, supports, targets):
+        for stack, per_stack, target in zip(stacks, supports, out):
             own = per_stack[k]
             w = weights
             if len(own) < len(monomials):
@@ -257,7 +258,7 @@ def fock_matrices(kernel, n_trunc, polys, *more, out=None):
             for rho, coeff in zip(target[at], stack[k][(slice(None), *own.T)]):
                 upper = coeff @ w
                 rho[rows, cols] = rho[cols, rows] = upper
-    return full if out is None else out
+    return out if full is None else full
 
 
 def partial_transpose(rho):
@@ -289,18 +290,28 @@ def _parity_gathers(d, transposed):
     return blocks, _read_only(np.flatnonzero(parity[:, None] != parity[None, :]))
 
 
-def _spectra(rho, transposed):
-    """Eigenvalues of each matrix of rho, a (..., d^2, d^2) array, or of
-    its rho^T1 when transposed: one ascending (..., n) array per parity
-    block of _parity_gathers when no matrix couples the parities (a NaN
-    counts as coupling), else one of the whole matrices (ValueError for
-    any other shape).  One rule for the stack, so a matrix gets the bits
-    it gets alone whenever the stack shares its structure."""
+def _blocks(rho, transposed):
+    """The parity blocks of each matrix of rho, a (..., d^2, d^2) array, or
+    of its rho^T1 when transposed, gathered straight from rho: one
+    (..., n, n) array per parity of _parity_gathers, or None when some
+    matrix couples the parities (a NaN counts as coupling), so the caller
+    solves whole matrices.  Any other shape raises ValueError."""
     blocks, coupling = _parity_gathers(_fock_side(rho), transposed)
     flat = rho.reshape(rho.shape[:-2] + (-1,))
     if np.any(flat[..., coupling]):
+        return None
+    return [flat[..., b] for b in blocks]
+
+
+def _spectra(rho, transposed):
+    """Eigenvalues of each matrix of rho, or of its rho^T1 when transposed:
+    one ascending (..., n) array per block of _blocks, or one of the whole
+    matrices.  One rule for the stack, so a matrix gets the bits it gets
+    alone whenever the stack shares its structure."""
+    blocks = _blocks(rho, transposed)
+    if blocks is None:
         return [np.linalg.eigvalsh(partial_transpose(rho) if transposed else rho)]
-    return [np.linalg.eigvalsh(flat[..., b]) for b in blocks]
+    return [np.linalg.eigvalsh(b) for b in blocks]
 
 
 def certify(rho):

@@ -32,7 +32,7 @@ from .entanglement import (
     origin_coefficients,
     separation_eta,
 )
-from .fock_recon import _cutoff, _fock_side, _parity_gathers, certify, fock_matrices
+from .fock_recon import _blocks, _cutoff, certify, fock_matrices
 
 GRID_STEP = 0.01
 REFINE_TOL = 1e-4
@@ -161,47 +161,44 @@ def _raw_terms(s, channels, kinds):
     return {kind: runs[kind] for kind in kinds}
 
 
-def _pipeline_key(cfg):
-    """What a row's pipeline reads: s, with its sign (tmsv_chi(-0.0) and
-    tmsv_chi(0.0) differ in the sign of a zero), the channel, n_trunc and
-    where the operation goes.  Rows with equal keys run one pipeline; rows
-    whose keys agree in the first four entries are one channel setting."""
-    return (cfg.s, math.copysign(1.0, cfg.s), cfg.channel, cfg.n_trunc,
-            cfg.strategy.has_operation, cfg.strategy.operation_first)
+def _chunk_key(cfg):
+    """What the rows of one chunk share: s, with its sign (tmsv_chi(-0.0)
+    and tmsv_chi(0.0) differ in the sign of a zero), and n_trunc."""
+    return cfg.s, math.copysign(1.0, cfg.s), cfg.n_trunc
 
 
 def _pipelines(cfgs):
-    """The arrays of the rows cfgs, a chunk of channel settings that share
-    s (with its sign) and n_trunc, as ({_pipeline_key: index}, (kernels,
-    traces, matrices, fidelity_terms, origins)), one index per pipeline:
-    each pipeline kind a row needs (no operation, the operation before or
-    after the channel) at each channel of the chunk.  Each array's shape
-    is (pipelines, terms, ...): the kernels (P, 4, 4) and, per term, the
-    traces (P, K), float64 Fock matrices (P, K, d^2, d^2), fidelity
-    integrals (P, K) and origin_coefficients (P, K, 5, 5) (a row's
-    covariance is their weighted sum), where K is the longest stack; a
-    shorter stack (the no-operation stack has 1 term) is padded with zero
-    terms.  Rows that do not share s and n_trunc raise ValueError.
+    """The pipelines of the rows cfgs, a chunk that shares _chunk_key (else
+    ValueError), as (pipes, (kernels, traces, matrices, fidelity_terms,
+    origins)): pipes[i] indexes row i's pipeline kind (no operation, the
+    operation before or after the channel) at its channel, kind-major,
+    kind * C + channel over the C channels, in order of first rows.  Each
+    array's shape is (pipelines, terms, ...): the kernels (P, 4, 4) and,
+    per term, the traces (P, K), float64 Fock matrices (P, K, d^2, d^2),
+    fidelity integrals (P, K) and origin_coefficients (P, K, 5, 5) (a
+    row's covariance is their weighted sum), where K is the longest stack;
+    a shorter stack (the no-operation stack has 1 term) is padded with
+    zero terms.
 
     Each pipeline kind runs once over every channel of the chunk
     (_raw_terms), with one fidelity_integrals call; a subtraction row
-    reads the coherent pipeline of its side, at t = 1.  The pipelines are
-    kind-major, so a kind's matrices over the channels are one slice of
-    matrices, and one fock_matrices call over the chunk's kernels writes
-    every kind's matrices into its slice: the coherent operation leaves
-    the kernel alone, so the kinds of a channel end on one kernel, bit for
-    bit.  Every row prints both E_N and the fidelity, so both are built
-    for each pipeline.
+    reads the coherent pipeline of its side, at t = 1.  Being kind-major,
+    a kind's matrices over the channels are one slice of matrices, and one
+    fock_matrices call over the chunk's kernels writes every kind's
+    matrices into its slice: the coherent operation leaves the kernel
+    alone, so the kinds of a channel end on one kernel, bit for bit.
+    Every row prints both E_N and the fidelity, so both are built for
+    each pipeline.
     """
-    keys = list(dict.fromkeys(map(_pipeline_key, cfgs)))
-    if len({key[:2] + key[3:4] for key in keys}) > 1:
+    if len(set(map(_chunk_key, cfgs))) > 1:
         raise ValueError("the rows of one chunk must share s (with its sign) and n_trunc")
-    channels = list(dict.fromkeys(key[2] for key in keys))
-    runs = _raw_terms(keys[0][0], channels, list(dict.fromkeys(key[4:] for key in keys)))
+    channels = list(dict.fromkeys(cfg.channel for cfg in cfgs))
+    kinds = [(cfg.strategy.has_operation, cfg.strategy.operation_first) for cfg in cfgs]
+    runs = _raw_terms(cfgs[0].s, channels, list(dict.fromkeys(kinds)))
     shape = (len(runs), len(channels), max(stacks.shape[1] for _, stacks in runs.values()))
     kernels = np.empty(shape[:2] + (4, 4))
     traces, fidelity_terms = np.zeros(shape), np.zeros(shape)
-    matrices = np.zeros(shape + ((keys[0][3] + 1) ** 2,) * 2)
+    matrices = np.zeros(shape + ((cfgs[0].n_trunc + 1) ** 2,) * 2)
     origins = np.zeros(shape + (5, 5))
     for i, (ks, stacks) in enumerate(runs.values()):
         n = stacks.shape[1]
@@ -209,12 +206,12 @@ def _pipelines(cfgs):
         traces[i, :, :n] = stacks[:, :, 0, 0, 0, 0]
         fidelity_terms[i, :, :n] = fidelity_integrals(ks, stacks)
         origins[i, :, :n] = origin_coefficients(stacks)
-    fock_matrices(kernels[0], keys[0][3], *(stacks for _, stacks in runs.values()),
+    fock_matrices(kernels[0], cfgs[0].n_trunc, *(stacks for _, stacks in runs.values()),
                   out=[matrices[i, :, :stacks.shape[1]]
                        for i, (_, stacks) in enumerate(runs.values())])
-    index = {keys[0][:2] + (channel,) + keys[0][3:4] + kind: i * len(channels) + c
-             for i, kind in enumerate(runs) for c, channel in enumerate(channels)}
-    return index, tuple(a.reshape((-1,) + a.shape[2:])
+    pipes = np.array([list(runs).index(kind) * len(channels) + channels.index(cfg.channel)
+                      for cfg, kind in zip(cfgs, kinds)])
+    return pipes, tuple(a.reshape((-1,) + a.shape[2:])
                         for a in (kernels, traces, matrices, fidelity_terms, origins))
 
 
@@ -265,7 +262,7 @@ def _ritz_negativity(arrays, w, row):
     where a weight's state vanishes (as _objectives rules) or a per-term
     matrix couples the parities.
 
-    Per parity block of rho^T1 (_parity_gathers), V is an orthonormal
+    Per parity block of rho^T1 (fock_recon._blocks), V is an orthonormal
     basis of the two lowest eigenvectors at each weight of RITZ_ANCHORS
     (at most 10 columns, singular values below 1e-8 of the largest cut);
     the per-term blocks B are projected once, to V^T B V, so the weights
@@ -279,15 +276,13 @@ def _ritz_negativity(arrays, w, row):
     rounding with room to spare."""
     _, traces, matrices, _, _ = arrays
     p = _fold(w, traces, row)
-    terms = matrices[row].reshape(traces.shape[1], -1)
-    blocks, coupling = _parity_gathers(_fock_side(matrices), True)
-    if not np.all(p >= ZERO_TRACE_TOL) or np.any(terms[:, coupling]):
+    blocks = _blocks(matrices[row], True)
+    if not np.all(p >= ZERO_TRACE_TOL) or blocks is None:
         return None
     c = w / p[:, None]
     norms = c @ np.trace(matrices[row], axis1=1, axis2=2)
-    anchors = _weight_rows(RITZ_ANCHORS, len(terms) - 1)
-    for b in blocks:
-        block = terms[:, b]
+    anchors = _weight_rows(RITZ_ANCHORS, traces.shape[1] - 1)
+    for block in blocks:
         lowest = np.linalg.eigh(np.tensordot(anchors, block, 1))[1][..., :2]
         u, sv, _ = np.linalg.svd(np.concatenate(lowest, axis=1), full_matrices=False)
         v = u[:, sv > 1e-8 * sv[0]]
@@ -407,8 +402,7 @@ def _separable(cfg):
 def optimize_t(cfg):
     """Best coherent weight t in [0, 1] for cfg's objective: _optimize of
     the one row cfg, on its own pipeline."""
-    _, arrays = _pipelines([cfg])
-    (result,) = _optimize([cfg], np.zeros(1, int), arrays)
+    (result,) = _optimize([cfg], *_pipelines([cfg]))
     return result
 
 
@@ -478,9 +472,9 @@ def evaluate_point(cfg):
 
 
 def evaluate_points(cfgs):
-    """Full records for the rows cfgs, in order; the rows share s (with its
-    sign) and n_trunc, as a sweep's chunk does (else ValueError), and one
-    _pipelines call over them builds the arrays they share.
+    """Full records for the rows cfgs, in order ([] for none); the rows
+    share s (with its sign) and n_trunc, as a sweep's chunk does (else
+    ValueError), and one _pipelines call builds their arrays and pipes.
 
     Coherent strategies optimize t (unless pinned by t_override; _optimize
     refines the free rows in lockstep); subtraction runs at t = 1; the
@@ -495,9 +489,10 @@ def evaluate_points(cfgs):
     one stack; the first row that fails a check raises (every row's
     certify before any row's covariance).
     """
-    index, arrays = _pipelines(cfgs)
+    if not cfgs:
+        return []
+    pipes, arrays = _pipelines(cfgs)
     kernels, traces, matrices, fidelity_terms, origins = arrays
-    pipes = np.array([index[_pipeline_key(cfg)] for cfg in cfgs])
     ts = [cfg.t_override if cfg.strategy.optimizes_t else 1.0 for cfg in cfgs]
     flags = [""] * len(cfgs)
     free = [i for i, t in enumerate(ts) if t is None]
@@ -525,10 +520,10 @@ def _join_flags(*flags):
 def sweep(configs):
     """Records for a list of settings, in order.
 
-    The settings that share s (with its sign) and n_trunc are built in
-    chunks of up to CHUNK_SETTINGS, in order of their first rows: one
-    _pipelines call runs each pipeline kind once over a chunk's channels,
-    and its rows share those pipelines and the chunk's one Fock build.  A
+    The settings that share _chunk_key are built in chunks of up to
+    CHUNK_SETTINGS channels, in order of their first rows: one _pipelines
+    call runs each pipeline kind once over a chunk's channels, and its rows
+    share those pipelines and the chunk's one Fock build.  A
     chunk's arrays are freed before the next chunk is built, so a sweep's
     memory does not grow with its eta grid.  The loop calls
     evaluate_points, which makes that call, by its module-global name once
@@ -539,8 +534,7 @@ def sweep(configs):
     configs = list(configs)
     groups = {}
     for i, cfg in enumerate(configs):
-        key = _pipeline_key(cfg)
-        groups.setdefault(key[:2] + key[3:4], {}).setdefault(key[2], []).append(i)
+        groups.setdefault(_chunk_key(cfg), {}).setdefault(cfg.channel, []).append(i)
     records = [None] * len(configs)
     for settings in groups.values():
         settings = list(settings.values())

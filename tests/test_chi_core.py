@@ -679,8 +679,11 @@ def test_moment_table_entry_ignores_table_shape():
 
 
 def test_moment_plan_is_shared_read_only_and_moves_no_bit():
-    # the plan is keyed by the shape, not by the kernel: a table read
-    # through a plan built for another kernel has the bits of a cold call
+    # the plan is keyed by the shape and the kernel count, not by the
+    # kernels: a table read through a plan built for other kernels has the
+    # bits of a cold call (one cache for every kernel count, so cold is
+    # cold), and the plan of S kernels is the one-kernel plan with each
+    # table's offset added
     r = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
     rng = np.random.default_rng(21)
     cases = []
@@ -693,6 +696,7 @@ def test_moment_plan_is_shared_read_only_and_moves_no_bit():
             cases.append((_augmented_kernel(kernel), (6, 5, 7, 4)))
             cases.append((gaussian_kernel(r.T @ kernel @ r + [[0.0, 1.0], [1.0, 0.0]]),
                           (8, 7)))
+    cases.append((np.stack([k for k, shape in cases if len(shape) == 4]), (6, 5, 7, 4)))
     cold = []
     for kernel, shape in cases:
         chi_core._moment_plan.cache_clear()
@@ -700,10 +704,19 @@ def test_moment_plan_is_shared_read_only_and_moves_no_bit():
     chi_core._moment_plan.cache_clear()
     warm = [moment_table(kernel, shape) for kernel, shape in cases]
     info = chi_core._moment_plan.cache_info()
-    assert (info.misses, info.hits) == (2, len(cases) - 2)
+    assert (info.misses, info.hits) == (3, len(cases) - 3)
     for a, b in zip(warm, cold):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    plan = chi_core._moment_plan((6, 5, 7, 4))
+    one = chi_core._moment_plan((6, 5, 7, 4), 1)
+    plan = chi_core._moment_plan((6, 5, 7, 4), 3)
+    offsets = 6 * 5 * 7 * 4 * np.arange(3)[:, None]
+    assert len(plan) == len(one)
+    for (j, target, terms), (j1, target1, terms1) in zip(plan, one):
+        assert j == j1 and len(terms) == len(terms1) and target1.shape[0] == 1
+        assert np.array_equal(target, target1 + offsets)
+        for (k, bk, source), (k1, bk1, source1) in zip(terms, terms1):
+            assert k == k1 and np.array_equal(bk, bk1)
+            assert np.array_equal(source, source1 + offsets)
     arrays = [x for _, target, terms in plan
               for x in (target, *(a for _, bk, source in terms for a in (bk, source)))]
     assert arrays and not any(a.flags.writeable for a in arrays)

@@ -8,6 +8,7 @@ from scipy import constants
 
 from cvdistill import entanglement
 from cvdistill.chi_core import ChannelParams, SingularKernelError
+from cvdistill.fock_recon import PrecisionError, certify
 from cvdistill.scenarios import ScenarioConfig, Strategy, evaluate_point
 from cvdistill.entanglement import (
     InvalidCovarianceError,
@@ -124,6 +125,20 @@ def test_log_negativity_separable_is_zero():
     assert log_negativity(rho) == 0.0
     # a trace norm of 0 clamps like any norm at most 1, with no log2(0)
     assert log_negativity(np.zeros((4, 4), dtype=complex)) == 0.0
+
+
+def test_log_negativity_of_a_nan_state_is_nan():
+    # a NaN entry gives a NaN trace norm, which is not at most 1: the state
+    # does not read as separable (0), alone or in a stack, and certify
+    # refuses it
+    rho = np.diag([0.5, 0.2, 0.2, 0.1])
+    broken = rho.copy()
+    broken[1, 2] = broken[2, 1] = np.nan
+    assert math.isnan(log_negativity(broken))
+    got = log_negativity(np.stack([rho, broken]))
+    assert got[0] == 0.0 and math.isnan(got[1])
+    with pytest.raises(PrecisionError):
+        certify(broken)
 
 
 def test_log_negativity_truncated_tmsv():

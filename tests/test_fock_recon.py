@@ -1,6 +1,8 @@
 """Fock-basis reconstruction against series oracles and brute quadrature."""
 
+import ast
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -253,7 +255,8 @@ def test_parity_gathers_are_slices_of_the_partial_transpose(transposed):
     # each block gather reads, bit for bit, the slice of rho (or of
     # partial_transpose(rho)) over one parity set, of one matrix and of each
     # matrix of a stack; the coupling indices are exactly the entries whose
-    # two parities differ
+    # two parities differ.  _blocks gives those slices of a stack that
+    # couples no parities, and None once one matrix couples them
     rng = np.random.default_rng(30)
     for d in range(1, 10):
         i, j = np.divmod(np.arange(d * d), d)
@@ -274,6 +277,37 @@ def test_parity_gathers_are_slices_of_the_partial_transpose(transposed):
                 if rho.ndim == 2:
                     np.testing.assert_array_equal(want, whole[np.ix_(a, a)])
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        rho = rng.normal(size=(3, d * d, d * d))
+        rho[:, parity[:, None] != parity[None, :]] = 0.0
+        got = fock_recon._blocks(rho, transposed)
+        assert len(got) == len(sets)
+        for a, block in zip(sets, got):
+            for one, b in zip(rho, block):
+                whole = partial_transpose(one) if transposed else one
+                want = whole[np.ix_(a, a)]
+                assert b.shape == want.shape and b.tobytes() == want.tobytes()
+        if d > 1:
+            rho[1].flat[coupling[-1]] = 1e-300
+            assert fock_recon._blocks(rho, transposed) is None
+
+
+def test_parity_rule_has_one_home():
+    # the parity rule (blocks or whole) and the format's shape check are
+    # fock_recon's: every other module reads the blocks through _blocks
+    src = os.path.dirname(cvdistill.__file__)
+    named = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "fock_recon.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            ids = ([node.id] if isinstance(node, ast.Name)
+                   else [node.attr] if isinstance(node, ast.Attribute)
+                   else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                   else [])
+            named += [f"{name}:{i}" for i in ids if i in ("_parity_gathers", "_fock_side")]
+    assert named == []
 
 
 def test_partial_transpose_has_one_home():
@@ -539,7 +573,8 @@ def test_fock_matrices_allocation_peak_at_cutoff_8():
     # pair at 4.78 MiB and over the pairs of charge zero at 3.64 MiB, with
     # the cached plans (the measured call is warm) at 3.40 MiB, with
     # float64 weights and matrices at 1.71 MiB, and with the leading kernel
-    # axis (one kernel here) at 1.70 MiB; complex weights coming back,
+    # axis (one kernel here) and the returned array allocated before the
+    # weights at 1.78 MiB; complex weights coming back,
     # or a temporary that outgrows the bound, raise the process's peak
     # resident memory
     cfg = ScenarioConfig(Strategy.COHERENT_AFTER, 0.5, ChannelParams(0.7, 0.1), 8)

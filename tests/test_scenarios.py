@@ -289,15 +289,21 @@ def test_evaluate_points_refuses_rows_of_different_s_or_cutoff():
     assert recs[1] == evaluate_point(cfg_for("coherent_after", s=0.1, eta=0.8))
 
 
+def test_no_rows_give_no_records():
+    # an empty chunk has no s or n_trunc to share: no rows, no records,
+    # from evaluate_points as from sweep
+    assert evaluate_points([]) == [] == sweep([])
+
+
 STUB_CFG = cfg_for("coherent_before", objective="fidelity")
 
 
 def _stubbed(monkeypatch, fs):
     """Stub the optimizer's inputs: _pipelines gives one pipeline per
-    function of fs, of degree 1 and success probability 1, and _objectives
-    scores weight row (t, r) of pipeline i by fs[i](t).  Returns the
-    per-pipeline logs of every (t, value) scored, grid and golden steps
-    alike."""
+    function of fs, of degree 1 and success probability 1, row i on
+    pipeline i, and _objectives scores weight row (t, r) of pipeline i by
+    fs[i](t).  Returns the per-pipeline logs of every (t, value) scored,
+    grid and golden steps alike."""
     logs = [[] for _ in fs]
 
     def objectives(arrays, w, rows, fidelity):
@@ -308,7 +314,8 @@ def _stubbed(monkeypatch, fs):
         return np.array(values)
 
     arrays = (None, np.ones((len(fs), 2)), None, None, None)
-    monkeypatch.setattr(scenarios, "_pipelines", lambda cfgs: ({}, arrays))
+    monkeypatch.setattr(scenarios, "_pipelines",
+                        lambda cfgs: (np.arange(len(cfgs)), arrays))
     monkeypatch.setattr(scenarios, "_objectives", objectives)
     return logs
 
@@ -937,16 +944,16 @@ def test_setting_matrices_are_float64(s):
     # fidelity integral per cube, all float64, and one 5x5 block of origin
     # coefficients per cube
     cfgs = [cfg_for(strategy.value, s=s, n_trunc=3) for strategy in Strategy]
-    index, arrays = scenarios._pipelines(cfgs)
-    assert len(index) == 3 and sorted(index.values()) == [0, 1, 2]
-    assert {scenarios._pipeline_key(cfg) for cfg in cfgs} == set(index)
+    # kind-major in order of first rows: no operation, before, after
+    pipes, arrays = scenarios._pipelines(cfgs)
+    assert pipes.tolist() == [0, 1, 2, 1, 2]
     kernels, traces, matrices, fidelities, origins = arrays
     assert all(a.dtype == np.float64 for a in arrays)
     assert kernels.shape == (3, 4, 4)
     assert traces.shape == fidelities.shape == (3, 5)
     assert matrices.shape == (3, 5, 16, 16) and origins.shape == (3, 5, 5, 5)
     # the no-operation stack's one term is padded with zero terms
-    noop = index[scenarios._pipeline_key(cfgs[0])]
+    noop = pipes[0]
     for a in arrays[1:]:
         assert oracles.same_bits(a[noop, 1:], np.zeros_like(a[noop, 1:]))
 
@@ -976,7 +983,7 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
     def pipelines(cfgs):
         at_build.append((len(builds), alive(arrays)))
         chunks.append(len({cfg.channel for cfg in cfgs}))
-        index, out = original_pipelines(cfgs)
+        pipes, out = original_pipelines(cfgs)
         arrays.extend(weakref.ref(a) for a in out)
         ((shape, views, got),) = builds
         builds.clear()
@@ -984,8 +991,8 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
         # the build returned its out: one view of matrices per pipeline kind
         assert got is views and all(v.base is matrices.base for v in views)
         at_chunk.append((len(cfgs), shape, [v.shape[:2] for v in views],
-                         len(index), matrices.shape[:2]))
-        return index, out
+                         len(out[0]), matrices.shape[:2]))
+        return pipes, out
 
     monkeypatch.setattr(scenarios, "CHUNK_SETTINGS", 2)
     monkeypatch.setattr(scenarios, "fock_matrices", tracked)
@@ -1017,24 +1024,26 @@ def test_a_chunk_builds_each_setting_as_alone_bit_for_bit(n_trunc):
     for s in (0.0, 0.3):
         cfgs = [cfg_for(strategy.value, s=s, eta=eta, n_th=n_th, n_trunc=n_trunc)
                 for strategy in Strategy for eta, n_th in channels]
-        assert len(_assert_chunk_arrays_are_alone(cfgs)) == 3 * len(channels)
+        assert _assert_chunk_arrays_are_alone(cfgs) == 3 * len(channels)
 
 
 def _assert_chunk_arrays_are_alone(cfgs):
-    """Assert that each pipeline's arrays in the chunk cfgs have the bytes of
-    its one-row chunk, its kernel and its leading terms; the terms it lacks
-    against the chunk's longest stack are +0.  Returns the chunk's index."""
-    index, chunk = scenarios._pipelines(cfgs)
-    for cfg in cfgs:
-        i = index[scenarios._pipeline_key(cfg)]
-        _, alone = scenarios._pipelines([cfg])
+    """Assert that each row's pipeline arrays in the chunk cfgs have the
+    bytes of its one-row chunk, its kernel and its leading terms; the terms
+    it lacks against the chunk's longest stack are +0, and every pipeline
+    is some row's.  Returns the chunk's pipeline count."""
+    pipes, chunk = scenarios._pipelines(cfgs)
+    assert sorted(set(pipes.tolist())) == list(range(len(chunk[0])))
+    for cfg, i in zip(cfgs, pipes):
+        alone_pipes, alone = scenarios._pipelines([cfg])
+        assert alone_pipes.tolist() == [0]
         assert chunk[0][i].tobytes() == alone[0][0].tobytes()
         for got, want in zip(chunk[1:], alone[1:]):
             n = want.shape[1]
             assert got.shape[2:] == want.shape[2:]
             assert got[i, :n].tobytes() == want[0].tobytes()
             assert oracles.same_bits(got[i, n:], np.zeros_like(got[i, n:]))
-    return index
+    return len(chunk[0])
 
 
 def _has_negative_zero(a):
