@@ -15,7 +15,6 @@ from .entanglement import (
     log_negativity,
     origin_coefficients,
     separation_eta,
-    separation_time,
     thermal_occupation,
 )
 from .fock_recon import (
@@ -25,12 +24,10 @@ from .fock_recon import (
     partial_transpose,
 )
 from .scenarios import (
-    OptimizeResult,
     ScenarioConfig,
     Strategy,
     SweepRecord,
     evaluate_point,
-    optimize_t,
     sweep,
 )
 

@@ -332,24 +332,29 @@ def _moment_covariance(kernel):
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
-        _raise_first_singular(kernel)
+        _first_alone(_moment_covariance, kernel.reshape((-1,) + kernel.shape[-2:]))
         raise SingularKernelError("kernel is not positive definite") from exc
     with np.errstate(over="ignore"):
         det = np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1) ** 2
     if not ((0.0 < det) & (det < math.inf)).all():
-        _raise_first_singular(kernel)
-        raise SingularKernelError(f"kernel determinant {float(det)} is out of range")
+        _first_alone(_moment_covariance, kernel.reshape((-1,) + kernel.shape[-2:]))
+        raise SingularKernelError(f"kernel determinant {det.flat[-1]} is out of range")
     n_modes = kernel.shape[-1] // 2
     t = _complexification(n_modes)
     return t @ np.linalg.inv(m) @ t.T, 2.0 ** n_modes / np.sqrt(det)
 
 
-def _raise_first_singular(kernel):
-    """For a stack of kernels, the error of its first kernel that
-    _moment_covariance refuses alone; nothing for one kernel."""
-    if kernel.ndim > 2:
-        for one in kernel.reshape((-1,) + kernel.shape[-2:]):
-            _moment_covariance(one)
+def _first_alone(check, *stacks):
+    """Where check refused a stack of states, so that the first refused
+    state raises its own error: run check on each state alone, in order,
+    state i being entry i of each stack (a leading axis), and return the
+    last state, not run.  When no state before it raises, the last one is
+    the refused one, and the caller raises its error; a stack of one
+    state runs nothing, so a check may call this on itself."""
+    *before, last = zip(*stacks)
+    for state in before:
+        check(*state)
+    return last
 
 
 def _read_only(a):

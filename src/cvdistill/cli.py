@@ -32,7 +32,7 @@ EXIT_COMPUTE = 3
 EXIT_IO = 4
 
 _COMPUTE_ERRORS = (SingularKernelError, np.linalg.LinAlgError,
-                   InvalidCovarianceError, PrecisionError, ArithmeticError)
+                   InvalidCovarianceError, PrecisionError, ArithmeticError, MemoryError)
 
 
 class ConfigError(ValueError):
@@ -117,8 +117,11 @@ def parse_run_config(path):
         raise ConfigError(f"{path}: eta_points must be at least 1")
     if eta_points == 1 and eta_min != eta_max:
         raise ConfigError(f"{path}: a single-point grid needs eta_min = eta_max")
-    with np.errstate(invalid="ignore"):  # an infinite bound is refused below
-        etas = [float(eta) for eta in np.linspace(eta_min, eta_max, eta_points)]
+    try:  # numpy refuses a grid it cannot allocate or index before allocating
+        with np.errstate(invalid="ignore"):  # an infinite bound is refused below
+            etas = [float(eta) for eta in np.linspace(eta_min, eta_max, eta_points)]
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"{path}: eta_points = {eta_points} is too many: {exc}") from None
     names = [name.strip() for name in raw["strategies"].split(",")]
     try:
         configs = scenario_configs(

@@ -6,8 +6,7 @@ density matrix, the Gaussian route uses only the covariance matrix (exact for
 Gaussian states, an approximation once photon operations make the state
 non-Gaussian).  Their disagreement is itself a signal of non-Gaussianity, so
 neither is ever expressed through the other.  The Fock format, its partial
-transpose (re-exported here) and its parity-block eigensolve live in
-fock_recon.
+transpose and its parity-block eigensolve live in fock_recon.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import math
 
 import numpy as np
 
-from .chi_core import SingularKernelError, gaussian_kernel, two_mode_stack
-from .fock_recon import _spectra, partial_transpose as partial_transpose
+from .chi_core import SingularKernelError, _first_alone, gaussian_kernel, two_mode_stack
+from .fock_recon import _spectra
 
 COV_IMAG_TOL = 1e-10
 TRACE_ONE_TOL = 1e-6
@@ -112,22 +111,19 @@ def covariance_from_chi(kernel, origin):
                          "block of origin coefficients, or stacks of them with "
                          f"the same leading axes; got kernel shape "
                          f"{kernel.shape} and block shape {origin.shape}")
-    origins = origin.reshape(-1, 5, 5)
-    complex_ = origins.imag.any(axis=(1, 2))
-    trace = origins.real[:, 0, 0]
-    refused = complex_ | (abs(trace - 1.0) > TRACE_ONE_TOL)
-    # the states before the first one refused here
-    n = int(np.argmax(refused)) if refused.any() else len(refused)
-    origins = origins[:n].real
-    m = origins[:, 0, 1:]
-    s = (1.0 + np.eye(4)) * origins[:, 1:, 1:] - kernel.reshape(-1, 4, 4)[:n]
-    sigma = 0.5 * (_L @ (s - m[:, :, None] * m[:, None, :]) @ _L.T)
-    if np.any(np.max(np.abs(sigma.imag), axis=(1, 2), initial=0.0) > COV_IMAG_TOL):
-        raise InvalidCovarianceError("covariance has a non-real part")
-    if n < len(refused):
-        if complex_[n]:
+    kernels, origins = kernel.reshape(-1, 4, 4), origin.reshape(-1, 5, 5)
+    if origins.imag.any() or np.any(abs(origins.real[:, 0, 0] - 1.0) > TRACE_ONE_TOL):
+        _, last = _first_alone(covariance_from_chi, kernels, origins)
+        if last.imag.any():
             raise ValueError("origin coefficients must be real")
-        raise ValueError(f"state trace {trace[n]} is not 1")
+        raise ValueError(f"state trace {last.real[0, 0]} is not 1")
+    origins = origins.real
+    m = origins[:, 0, 1:]
+    s = (1.0 + np.eye(4)) * origins[:, 1:, 1:] - kernels
+    sigma = 0.5 * (_L @ (s - m[:, :, None] * m[:, None, :]) @ _L.T)
+    if np.any(np.abs(sigma.imag) > COV_IMAG_TOL):
+        _first_alone(covariance_from_chi, kernels, origins)
+        raise InvalidCovarianceError("covariance has a non-real part")
     out = (0.5 * (sigma.real + sigma.real.swapaxes(1, 2))).reshape(kernel.shape)
     out.flags.writeable = False
     return out
@@ -152,9 +148,7 @@ def gaussian_log_negativity(sigma):
     try:
         r = np.linalg.cholesky(flip[:, None] * sigma * flip)
     except np.linalg.LinAlgError as exc:
-        # each state alone, so that the first one that fails is refused
-        for one in sigma.reshape(-1, 4, 4)[:-1]:
-            gaussian_log_negativity(one)
+        _first_alone(gaussian_log_negativity, sigma.reshape(-1, 4, 4))
         raise InvalidCovarianceError("covariance is not positive definite") from exc
     nu = np.linalg.eigvalsh(1j * (r.swapaxes(-1, -2) @ _OMEGA @ r))[..., 2]
     values = []
@@ -239,17 +233,6 @@ def breaking_eta(n_th):
     if n_th < 0:
         raise ValueError("thermal occupation must be nonnegative")
     return n_th / (n_th + 1.0)
-
-
-def separation_time(s, n_th, gamma=1.0):
-    """Interaction time at which eta(t) = e^(-gamma t) crosses the separation
-    threshold; infinite for pure loss."""
-    if gamma <= 0:
-        raise ValueError("decay rate must be positive")
-    eta = separation_eta(s, n_th)
-    if eta == 0.0:
-        return math.inf
-    return -math.log(eta) / gamma
 
 
 def thermal_occupation(wavelength, temperature):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .chi_core import (
     ChannelParams,
+    _first_alone,
     apply_thermal_channel,
     coherent_op_terms,
     tmsv_chi,
@@ -32,7 +33,7 @@ from .entanglement import (
     origin_coefficients,
     separation_eta,
 )
-from .fock_recon import _blocks, _cutoff, certify, fock_matrices
+from .fock_recon import PrecisionError, _blocks, _cutoff, certify, fock_matrices
 
 GRID_STEP = 0.01
 REFINE_TOL = 1e-4
@@ -114,13 +115,6 @@ class SweepRecord:
     flags: str = ""
 
 
-@dataclass(frozen=True)
-class OptimizeResult:
-    t_opt: float
-    value: float
-    flag: str = ""
-
-
 def _operation(kernel, polys):
     """The coherent operation on both modes, in the (t, r) basis."""
     return coherent_op_terms(kernel, coherent_op_terms(kernel, polys, 1), 2)
@@ -198,7 +192,10 @@ def _pipelines(cfgs):
     shape = (len(runs), len(channels), max(stacks.shape[1] for _, stacks in runs.values()))
     kernels = np.empty(shape[:2] + (4, 4))
     traces, fidelity_terms = np.zeros(shape), np.zeros(shape)
-    matrices = np.zeros(shape + ((cfgs[0].n_trunc + 1) ** 2,) * 2)
+    try:  # numpy refuses a size it cannot allocate or index before allocating
+        matrices = np.zeros(shape + ((cfgs[0].n_trunc + 1) ** 2,) * 2)
+    except (MemoryError, ValueError) as exc:
+        raise MemoryError(f"n_trunc = {cfgs[0].n_trunc}: {exc}") from None
     origins = np.zeros(shape + (5, 5))
     for i, (ks, stacks) in enumerate(runs.values()):
         n = stacks.shape[1]
@@ -399,17 +396,10 @@ def _separable(cfg):
     return not cfg.strategy.operation_first and eta < separation_eta(cfg.s, n_th)
 
 
-def optimize_t(cfg):
-    """Best coherent weight t in [0, 1] for cfg's objective: _optimize of
-    the one row cfg, on its own pipeline."""
-    (result,) = _optimize([cfg], *_pipelines([cfg]))
-    return result
-
-
 def _optimize(cfgs, pipes, arrays):
     """The best coherent weight t in [0, 1] of each row cfgs[i], on the
     pipeline pipes[i] of the chunk's arrays (_pipelines), for its
-    objective, as a list of OptimizeResult.
+    objective, as a list of (t, flag).
 
     Coarse scan over GRID (step 0.01), then golden-section refinement to
     1e-4 around the best grid point, seeded with it; exact ties break
@@ -443,7 +433,7 @@ def _optimize(cfgs, pipes, arrays):
         if value <= 0.0:
             # argmax takes the first of equal values, so ties go to the smallest t
             best = int(np.argmax(np.maximum(_fold(w, arrays[1], pipes[i]), 0.0)))
-            results[i] = OptimizeResult(float(GRID[best]), 0.0, "zero_objective")
+            results[i] = float(GRID[best]), "zero_objective"
             continue
         best_t = float(GRID[best])
         searches[i] = _golden_max(max(0.0, best_t - GRID_STEP),
@@ -458,8 +448,7 @@ def _optimize(cfgs, pipes, arrays):
             try:
                 ts[i] = searches[i].send(value)
             except StopIteration as done:
-                t, value = done.value
-                results[i] = OptimizeResult(float(t), float(value))
+                results[i] = float(done.value[0]), ""
                 del ts[i]
     return results
 
@@ -487,7 +476,8 @@ def evaluate_points(cfgs):
     The Fock matrices of the other rows are certified and solved as one
     stack, and their covariances and Gaussian negativities are read as
     one stack; the first row that fails a check raises (every row's
-    certify before any row's covariance).
+    certify before any row's covariance), and a refused Fock matrix names
+    its row (_certify_row).
     """
     if not cfgs:
         return []
@@ -497,20 +487,36 @@ def evaluate_points(cfgs):
     flags = [""] * len(cfgs)
     free = [i for i, t in enumerate(ts) if t is None]
     for i, opt in zip(free, _optimize([cfgs[i] for i in free], pipes[free], arrays)):
-        ts[i], flags[i] = opt.t_opt, opt.flag
+        ts[i], flags[i] = opt
     w = _weight_rows(ts, traces.shape[1] - 1)
     p = _fold(w, traces, pipes)
     live = p >= ZERO_TRACE_TOL
     columns = np.zeros((len(cfgs), 4))
     if live.any():
         w, p, at = w[live], p[live], pipes[live]
-        e_n = log_negativity(certify(_fold(w / p[:, None], matrices, at)))
+        rhos = _fold(w / p[:, None], matrices, at)
+        try:
+            certify(rhos)
+        except PrecisionError:
+            _certify_row(*_first_alone(_certify_row, np.array(cfgs, object)[live], rhos))
+            raise
+        e_n = log_negativity(rhos)
         sigma = covariance_from_chi(kernels[at], _fold(w, origins, at) / p[:, None, None])
         columns[live] = np.stack([e_n, gaussian_log_negativity(sigma),
                                   _fold(w, fidelity_terms, at) / p, p], axis=1)
     return [SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th, cfg.channel.eta, t,
                         *row.tolist(), flag if on else _join_flags(flag, "zero_state"))
             for cfg, t, row, flag, on in zip(cfgs, ts, columns, flags, live)]
+
+
+def _certify_row(cfg, rho):
+    """certify(rho), the Fock matrix of the row cfg, whose refusal names
+    the row by its strategy and eta rather than by its place in a chunk."""
+    try:
+        certify(rho)
+    except PrecisionError as exc:
+        name = f"{cfg.strategy.value} at eta = {cfg.channel.eta}"
+        raise PrecisionError(f"{name}: {exc}") from None
 
 
 def _join_flags(*flags):

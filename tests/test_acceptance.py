@@ -19,14 +19,13 @@ from cvdistill.entanglement import (
     gaussian_log_negativity,
     log_negativity,
     origin_coefficients,
-    partial_transpose,
     thermal_occupation,
 )
+from cvdistill.fock_recon import partial_transpose
 from cvdistill.scenarios import (
     ScenarioConfig,
     Strategy,
     evaluate_point,
-    optimize_t,
     sweep,
 )
 from oracles import (
@@ -120,8 +119,7 @@ def test_criterion_04_truncation_lower_bound():
     for strategy in Strategy:
         for eta in etas:
             cfg = scenario(strategy.value, eta=float(eta), **FIG2B)
-            t = optimize_t(cfg).t_opt \
-                if strategy.optimizes_t else 1.0
+            t = evaluate_point(cfg).t_opt
             state, _ = normalize(sequential_pipeline(cfg, t))
             rho8 = fock_matrix(state, 8).reshape((9,) * 4)
             blocks = [rho8[:n + 1, :n + 1, :n + 1, :n + 1]

@@ -327,13 +327,55 @@ def test_point_overflowing_kernel_determinant_is_singular(capsys, argv):
 
 
 @pytest.mark.parametrize("n_trunc,code", [("14", 0), ("16", 3), ("20", 3)])
-def test_point_refuses_uncertified_fock_matrix(capsys, n_trunc, code):
+def test_point_refuses_uncertified_fock_matrix(capsys, tmp_path, n_trunc, code):
     # float64 reconstruction of the s = 1 squeezed vacuum breaks down at
     # n_trunc 16 (trace 1.00017) and 20 (trace 1.397, E_N above the exact
-    # value); those cutoffs must not print a number
+    # value); those cutoffs must not print a number.  The one error line
+    # names the refused row by its strategy and eta, not by its place among
+    # a chunk's rows, so the row prints the same line in a sweep: alone, and
+    # at n_trunc 16 after a row of its chunk that certify passes (eta 0.05)
     assert main(["point", "--strategy", "noop", "--s", "1.0", "--eta", "1.0",
                  "--n-th", "0", "--n-trunc", n_trunc]) == code
-    assert ("PrecisionError" in capsys.readouterr().err) == (code == 3)
+    err = capsys.readouterr().err
+    assert ("PrecisionError" in err) == (code == 3)
+    if code == 3:
+        assert err.startswith("error: PrecisionError: noop at eta = 1.0: "
+                              f"n_trunc = {n_trunc} gives no state: trace ")
+        assert err.count("\n") == 1 and "index" not in err
+        for eta_min, points in [(1.0, 1)] + [(0.05, 2)] * (n_trunc == "16"):
+            cfg = write_config(tmp_path, (
+                f"strategies = noop\ns = 1.0\nn_th = 0\neta_min = {eta_min}\n"
+                f"eta_max = 1.0\neta_points = {points}\nn_trunc = {n_trunc}\n"
+                f"output = {tmp_path / 'o.csv'}\n"))
+            assert main(["sweep", cfg]) == 3
+            assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--strategy", "noop", "--s", "0.1", "--eta", "0.5", "--n-th", "0.1",
+     "--n-trunc", "2000"],
+    ["point", "--strategy", "noop", "--s", "0.1", "--eta", "0.5", "--n-th", "0.1",
+     "--n-trunc", "100000"],
+    ["sweep", "eta_points = 1000000000000000"],
+], ids=["n_trunc-2000", "n_trunc-100000", "eta_points-1e15"])
+def test_inputs_too_large_to_allocate_exit_with_one_error_line(capsys, tmp_path, argv):
+    # the Fock matrices of n_trunc 2000 would take 117 TiB, those of
+    # n_trunc 100000 more bytes than numpy can index, and the eta grid
+    # 7.1 PiB: numpy refuses each before allocating anything.  A cutoff too
+    # large is a numerical failure (exit 3), a grid too large a bad
+    # configuration (exit 2)
+    if argv[0] == "sweep":
+        argv = ["sweep", write_config(tmp_path, (
+            f"strategies = noop\ns = 0.1\nn_th = 0.1\n{argv[1]}\n"
+            f"output = {tmp_path / 'o.csv'}\n"))]
+    assert main(argv) == (2 if argv[0] == "sweep" else 3)
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    if argv[0] == "sweep":
+        assert "eta_points = 1000000000000000 is too many: " in captured.err
+        assert not (tmp_path / "o.csv").exists()
+    else:
+        assert captured.err.startswith(f"error: MemoryError: n_trunc = {argv[-1]}: ")
 
 
 def test_point_prints_a_product_state_it_once_refused(capsys):
@@ -720,16 +762,15 @@ def test_every_module_level_name_in_src_is_used():
     # no linter ships with the project, so dead names are caught here: each
     # module-level function, class and constant of a cvdistill module is
     # loaded somewhere in the package outside the statement that defines
-    # it, or exported by cvdistill/__init__.py; a name only the tests use
-    # belongs in the tests
+    # it; an export from cvdistill/__init__.py is not a use, since a name
+    # only the tests use belongs in the tests
     src = os.path.dirname(cvdistill.__file__)
     trees = {}
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 trees[name] = ast.parse(fh.read())
-    exported = {alias.asname or alias.name for node in trees.pop("__init__.py").body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    del trees["__init__.py"]
     loads = collections.defaultdict(set)  # name -> ids of the loading statements
     for tree in trees.values():
         for stmt in tree.body:
@@ -747,15 +788,15 @@ def test_every_module_level_name_in_src_is_used():
             else:
                 continue
             dead += [f"{module}:{name}" for name in names
-                     if name not in exported and not loads[name] - {id(stmt)}]
+                     if not loads[name] - {id(stmt)}]
     assert dead == []
 
 
 def test_every_name_a_src_module_imports_is_loaded_there():
     # no linter ships with the project, so leftover imports are caught
     # here: each name a cvdistill module imports is loaded in that module,
-    # unless the module re-exports it in the explicit "import x as x" form;
-    # __init__.py only re-exports, and a __future__ import is a directive
+    # with no exemption for the "import x as x" re-export form; __init__.py
+    # only re-exports, and a __future__ import is a directive
     src = os.path.dirname(cvdistill.__file__)
     unused = []
     for name in sorted(os.listdir(src)):
@@ -769,8 +810,7 @@ def test_every_name_a_src_module_imports_is_loaded_there():
             if (isinstance(node, (ast.Import, ast.ImportFrom))
                     and getattr(node, "module", None) != "__future__"):
                 unused += [f"{name}:{alias.asname or alias.name}" for alias in node.names
-                           if (alias.asname or alias.name.split(".")[0]) not in loaded
-                           and alias.asname != alias.name]
+                           if (alias.asname or alias.name.split(".")[0]) not in loaded]
     assert unused == []
 
 

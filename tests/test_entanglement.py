@@ -8,7 +8,7 @@ from scipy import constants
 
 from cvdistill import entanglement
 from cvdistill.chi_core import ChannelParams, SingularKernelError
-from cvdistill.fock_recon import PrecisionError, certify
+from cvdistill.fock_recon import PrecisionError, certify, partial_transpose
 from cvdistill.scenarios import ScenarioConfig, Strategy, evaluate_point
 from cvdistill.entanglement import (
     InvalidCovarianceError,
@@ -18,9 +18,7 @@ from cvdistill.entanglement import (
     gaussian_log_negativity,
     log_negativity,
     origin_coefficients,
-    partial_transpose,
     separation_eta,
-    separation_time,
     thermal_occupation,
 )
 
@@ -594,18 +592,6 @@ def test_breaking_eta_is_holevos_threshold():
     assert breaking_eta(0.0) == 0.0
     with pytest.raises(ValueError):
         breaking_eta(-0.1)
-
-
-def test_separation_time_values():
-    np.testing.assert_allclose(separation_time(0.029, 0.1),
-                               2.482265367263231e-01, rtol=1e-13)
-    np.testing.assert_allclose(separation_time(0.114, 0.1),
-                               7.027898902524424e-01, rtol=1e-13)
-    np.testing.assert_allclose(separation_time(0.114, 0.1, gamma=2.0),
-                               7.027898902524424e-01 / 2, rtol=1e-13)
-    assert separation_time(0.5, 0.0) == math.inf
-    with pytest.raises(ValueError):
-        separation_time(0.5, 0.1, gamma=0.0)
 
 
 def test_thermal_occupation_values():

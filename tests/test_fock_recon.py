@@ -18,14 +18,14 @@ from cvdistill.chi_core import (
     tmsv_chi,
 )
 from cvdistill.entanglement import (covariance_from_chi, fidelity_integrals,
-                                    log_negativity, origin_coefficients,
-                                    partial_transpose)
+                                    log_negativity, origin_coefficients)
 from cvdistill.fock_recon import (
     PrecisionError,
     _augmented_kernel,
     _dagger_table,
     certify,
     fock_matrices,
+    partial_transpose,
 )
 from cvdistill.scenarios import ScenarioConfig, Strategy
 
@@ -311,8 +311,8 @@ def test_parity_rule_has_one_home():
 
 
 def test_partial_transpose_has_one_home():
-    assert (cvdistill.partial_transpose is entanglement.partial_transpose
-            is fock_recon.partial_transpose)
+    assert cvdistill.partial_transpose is fock_recon.partial_transpose
+    assert not hasattr(entanglement, "partial_transpose")
 
 
 def test_truncated_tmsv_trace_partial_sum():

@@ -22,13 +22,11 @@ from cvdistill.entanglement import (
 )
 from cvdistill.cli import main, parse_run_config
 from cvdistill.scenarios import (
-    OptimizeResult,
     ScenarioConfig,
     Strategy,
     SweepRecord,
     evaluate_point,
     evaluate_points,
-    optimize_t,
     sweep,
 )
 
@@ -230,20 +228,18 @@ def test_after_strategy_probability_tracks_channel():
 def test_optimize_t_beats_fine_grid():
     cfg = cfg_for("coherent_before", s=0.029, eta=0.9, n_th=0.1)
     ev = Row(cfg)
-    opt = optimize_t(cfg)
-    assert opt.flag == ""
-    lo = max(0.0, opt.t_opt - 0.01)
-    hi = min(1.0, opt.t_opt + 0.01)
+    rec = evaluate_point(cfg)
+    assert rec.flags == ""
+    lo = max(0.0, rec.t_opt - 0.01)
+    hi = min(1.0, rec.t_opt + 0.01)
     fine = max(objective_at(ev, t) for t in np.linspace(lo, hi, 41))
-    assert opt.value >= fine - 1e-6
-    assert objective_at(ev, opt.t_opt) == pytest.approx(opt.value, abs=1e-12)
+    assert rec.e_n_fock >= fine - 1e-6
+    assert objective_at(ev, rec.t_opt) == pytest.approx(rec.e_n_fock, abs=1e-12)
 
 
 def test_optimize_t_is_deterministic():
     cfg = cfg_for("coherent_after", s=0.114, eta=0.85, n_th=0.1)
-    a = optimize_t(cfg)
-    b = optimize_t(cfg)
-    assert (a.t_opt, a.value, a.flag) == (b.t_opt, b.value, b.flag)
+    assert evaluate_point(cfg) == evaluate_point(cfg)
 
 
 def test_optimize_t_zero_objective_falls_back_to_probability():
@@ -251,26 +247,29 @@ def test_optimize_t_zero_objective_falls_back_to_probability():
     # state, so the optimizer reports the most probable preparation instead
     cfg = cfg_for("coherent_after", s=0.029, eta=0.3, n_th=0.1)
     ev = Row(cfg)
-    opt = optimize_t(cfg)
-    assert opt.flag == "zero_objective"
-    assert opt.value == 0.0
+    rec = evaluate_point(cfg)
+    assert rec.flags == "zero_objective"
+    assert rec.e_n_fock == 0.0
     probs = ev.probabilities(ev.weights(np.linspace(0.0, 1.0, 11)))
-    assert ev.probabilities(ev.weights([opt.t_opt]))[0] >= max(probs) - 1e-9
-    # a separable state whose probability is the same at every weight: the
-    # tie breaks toward the smallest t
-    flat = optimize_t(cfg_for("noop", eta=0.05, n_th=0.5))
-    assert (flat.t_opt, flat.value, flat.flag) == (0.0, 0.0, "zero_objective")
+    assert ev.probabilities(ev.weights([rec.t_opt]))[0] >= max(probs) - 1e-9
+    # a separable state whose probability is the same at every weight (the
+    # one weight row of the no-operation pipeline): the tie breaks toward
+    # the smallest t
+    flat = cfg_for("noop", eta=0.05, n_th=0.5)
+    assert scenarios._optimize([flat], *scenarios._pipelines([flat])) == [
+        (0.0, "zero_objective")]
 
 
 @pytest.mark.parametrize("objective", ["negativity", "fidelity"])
 def test_optimize_t_is_the_t_opt_of_evaluate_point(objective):
-    # optimize_t takes the row's config and optimizes it as evaluate_point
-    # does: refined, clipped and zero_objective rows, bit for bit
+    # a row prints the (t, flag) that _optimize returns for it: refined,
+    # clipped and zero_objective rows, bit for bit
     for strategy in ("coherent_before", "coherent_after"):
         for s, eta in ((0.029, 0.3), (0.029, 0.9), (0.114, 0.6), (0.3, 1.0), (0.0, 0.5)):
             cfg = cfg_for(strategy, s=s, eta=eta, n_trunc=3, objective=objective)
-            opt, rec = optimize_t(cfg), evaluate_point(cfg)
-            assert (opt.t_opt.hex(), opt.flag) == (rec.t_opt.hex(), rec.flags), cfg
+            [(t, flag)] = scenarios._optimize([cfg], *scenarios._pipelines([cfg]))
+            rec = evaluate_point(cfg)
+            assert (t.hex(), flag) == (rec.t_opt.hex(), rec.flags), cfg
 
 
 def test_evaluate_points_refuses_rows_of_different_s_or_cutoff():
@@ -367,7 +366,7 @@ def test_lockstep_refinement_scores_each_row_as_alone(monkeypatch):
     steps = []
     for f, log, got in zip(fs, logs, results):
         (alone,) = _stubbed(monkeypatch, [f])
-        assert optimize_t(STUB_CFG) == got
+        assert scenarios._optimize([STUB_CFG], *scenarios._pipelines([STUB_CFG])) == [got]
         assert log == alone
         grid = log[:len(GRID)]
         assert [t for t, _ in grid] == GRID.tolist()
@@ -376,11 +375,11 @@ def test_lockstep_refinement_scores_each_row_as_alone(monkeypatch):
             f, max(0.0, best_t - scenarios.GRID_STEP),
             min(1.0, best_t + scenarios.GRID_STEP), scenarios.REFINE_TOL, (best_t, best))
         assert log[len(GRID):] == scored
-        assert got == OptimizeResult(t, value)
+        assert got == (t, "")
         steps.append(len(scored))
     # the clipped rows drop out of the lockstep before the others
     assert steps[1] == steps[2] < steps[0] == steps[3]
-    assert results[1].t_opt < 0.01 and results[2].t_opt == 1.0
+    assert results[1][0] < 0.01 and results[2][0] == 1.0
 
 
 @pytest.mark.parametrize("f", [
@@ -394,11 +393,11 @@ def test_optimize_t_ties_across_grid_and_golden_go_to_the_smallest_t(monkeypatch
     # the grid's best and the golden steps are ranked by one key: of every
     # t scored, the smallest one that attains the best value is reported
     (scored,) = _stubbed(monkeypatch, [f])
-    opt = optimize_t(STUB_CFG)
+    [(t_opt, flag)] = scenarios._optimize([STUB_CFG], *scenarios._pipelines([STUB_CFG]))
     best = max(v for _, v in scored)
-    assert (opt.value, opt.flag) == (best, "") == (1.0, "")
-    assert opt.t_opt == min(t for t, v in scored if v == best)
-    assert 0.49 < opt.t_opt < 0.5
+    assert (f(t_opt), flag) == (best, "") == (1.0, "")
+    assert t_opt == min(t for t, v in scored if v == best)
+    assert 0.49 < t_opt < 0.5
     assert 0.5 in [t for t, _ in scored]
 
 
@@ -407,12 +406,12 @@ def test_optimize_t_fidelity_objective():
         cfg = cfg_for(strategy, s=0.114, eta=0.6, n_th=0.01,
                       objective="fidelity")
         ev = Row(cfg)
-        opt = optimize_t(cfg)
-        state, _ = reference_state(cfg, opt.t_opt)
-        assert teleportation_fidelity(state) == pytest.approx(opt.value,
+        rec = evaluate_point(cfg)
+        state, _ = reference_state(cfg, rec.t_opt)
+        assert teleportation_fidelity(state) == pytest.approx(rec.fidelity,
                                                               abs=1e-12)
         for probe in (0.0, 0.5, 1.0):
-            assert opt.value >= objective_at(ev, probe) - 1e-12
+            assert rec.fidelity >= objective_at(ev, probe) - 1e-12
         # the per-term objective against the one-weight reference state
         for t in (0.0, 0.3, 0.7, 1.0):
             assert objective_at(ev, t) == pytest.approx(
@@ -481,7 +480,7 @@ def test_stacked_weights_keep_the_range_check():
 
 
 def test_grid_weights_are_built_once_with_the_weight_rule(monkeypatch):
-    # optimize_t scans one grid, on the grid's cached weight rows
+    # the optimizer scans one grid, on the grid's cached weight rows
     # themselves, one read-only object per degree with the bits of the same
     # weights computed afresh; _grid_max scores them (whole, or projected
     # and climbed)
@@ -501,7 +500,7 @@ def test_grid_weights_are_built_once_with_the_weight_rule(monkeypatch):
             ev = Row(cfg)
             n = len(raw_terms(cfg)[1]) - 1
             scanned.clear()
-            optimize_t(cfg)
+            evaluate_point(cfg)
             w = scenarios._grid_weights(n)
             assert len(scanned) == 1 and scanned[0] is w
             assert w is scenarios._grid_weights(n)
@@ -565,7 +564,7 @@ def test_separable_rows_are_ppt_by_the_kraus_oracle():
             # the n_trunc-5 state is the leading block of the n_trunc-8 one
             rho5 = rho.reshape(9, 9, 9, 9)[:6, :6, :6, :6].reshape(36, 36)
             for r in (rho, rho5):
-                lam = np.linalg.eigvalsh(entanglement.partial_transpose(r))
+                lam = np.linalg.eigvalsh(fock_recon.partial_transpose(r))
                 assert lam.min() > -1e-14, (cfg, t, lam.min())
 
 
@@ -614,13 +613,13 @@ def test_separable_rows_score_no_grid(monkeypatch):
     for strategy, s, eta, n_th in _separable_draws(rng, 3):
         cfg = cfg_for(strategy, s=s, eta=eta, n_th=n_th)
         ev = Row(cfg)
-        opt = optimize_t(cfg)
+        rec = evaluate_point(cfg)
         best = int(np.argmax(ev.probabilities(ev.weights(scenarios.GRID))))
-        assert opt == OptimizeResult(float(scenarios.GRID[best]), 0.0,
-                                     "zero_objective"), cfg
+        assert (rec.t_opt, rec.flags) == (float(scenarios.GRID[best]),
+                                          "zero_objective"), cfg
     # on the threshold of entanglement breaking the channel still breaks it
     cfg = cfg_for("coherent_before", eta=entanglement.breaking_eta(0.25), n_th=0.25)
-    optimize_t(cfg)
+    evaluate_point(cfg)
     assert calls == []
     eta_sep = entanglement.separation_eta(0.029, 0.1)
     scanned = [
@@ -641,7 +640,7 @@ def test_separable_rows_score_no_grid(monkeypatch):
                 objective="fidelity"),
     ]
     for cfg in scanned:
-        optimize_t(cfg)
+        evaluate_point(cfg)
     # one grid each, on the cached weight rows; the golden steps score one
     # weight a call
     assert [cfg for cfg, n in calls if n == "grid"] == scanned
@@ -681,13 +680,13 @@ def test_projected_grid_seeds_the_whole_grid_s_argmax(monkeypatch, n_trunc, rows
         ritz = scenarios._ritz_negativity(arrays, w, 0)
         climbed += ritz is not None and ritz.max() > scenarios.RITZ_MARGIN
         seeds.clear()
-        opt = optimize_t(cfg)
+        rec = evaluate_point(cfg)
         best = int(np.argmax(values))
         if values[best] > 0.0:
             want = (float(GRID[best]).hex(), float(values[best]).hex())
             assert [(t.hex(), v.hex()) for t, v in seeds] == [want], cfg
         else:
-            assert seeds == [] and opt.flag == "zero_objective", cfg
+            assert seeds == [] and rec.flags == "zero_objective", cfg
     # most rows climb rather than score the whole grid
     assert climbed >= rows * 3 // 4
 
@@ -722,7 +721,7 @@ def test_cutoff_zero_rows_are_unchanged(capsys):
         rec = evaluate_point(cfg)
         ev = Row(cfg)
         rho = ev.rhos(ev.weights([rec.t_opt]))[0]
-        w = np.linalg.eigvalsh(entanglement.partial_transpose(rho + 0j))
+        w = np.linalg.eigvalsh(fock_recon.partial_transpose(rho + 0j))
         assert rec.e_n_fock == 0.0 and float(np.sum(np.abs(w))) <= 1.0
     assert main(["point", "--strategy", "coherent_before", "--s", "0.3",
                  "--eta", "0.7", "--n-th", "0.1", "--n-trunc", "0"]) == 0
@@ -741,15 +740,14 @@ def test_optimal_weight_drifts_down_with_transmissivity():
     ts = []
     for eta in (0.4, 0.7, 1.0):
         cfg = cfg_for("coherent_after", s=0.029, eta=eta, n_th=1e-5)
-        ts.append(optimize_t(cfg).t_opt)
+        ts.append(evaluate_point(cfg).t_opt)
     assert ts[0] > ts[1] > ts[2]
 
 
 def test_coherent_beats_plain_subtraction_without_loss():
-    cfg_c = cfg_for("coherent_before", s=0.029, eta=1.0, n_th=0.0)
-    opt = optimize_t(cfg_c)
+    rec = evaluate_point(cfg_for("coherent_before", s=0.029, eta=1.0, n_th=0.0))
     ev_s = Row(cfg_for("subtract_before", s=0.029, eta=1.0, n_th=0.0))
-    assert opt.value > objective_at(ev_s, 1.0) + 0.1
+    assert rec.e_n_fock > objective_at(ev_s, 1.0) + 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -1108,6 +1106,7 @@ def test_readme_sweep_allocation_peak():
 def test_sweep_record_and_result_shapes():
     rec = SweepRecord(Strategy.NOOP, 0.1, 0.0, 1.0, 1.0, 0.5, 0.5, 0.6, 1.0)
     assert rec.flags == ""
-    res = OptimizeResult(0.5, 1.25)
-    assert res.flag == ""
-    assert math.isclose(res.value, 1.25)
+    # the optimizer gives each row a (t, flag) pair
+    cfg = cfg_for("coherent_after", eta=0.85)
+    [(t, flag)] = scenarios._optimize([cfg], *scenarios._pipelines([cfg]))
+    assert (type(t), flag) == (float, "") and 0.0 <= t <= 1.0
