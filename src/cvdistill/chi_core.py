@@ -37,6 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 N_VARS = 4
+# the largest squeezing tmsv_chi takes: eps e^(4s) within the outputs'
+# 1e-10 gives s <= 3.26 (the lossless E_N_gauss is 2.7e-11 off at s = 3)
+TMSV_S_MAX = 3.0
 
 
 class SingularKernelError(Exception):
@@ -171,11 +174,17 @@ def tmsv_chi(s):
     s must be nonnegative and finite, as ScenarioConfig requires.  Returns
     (kernel, stack), the format of every pipeline operation: the stack is
     one float64 (1, 1, 1, 1) cube of ones, P = 1.
+    The state is in the entries' difference e^(-2s)/2, so their rounding
+    reaches the outputs as about eps e^(4s): an s above TMSV_S_MAX raises
+    SingularKernelError (above about 355 cosh(2s) overflows first).
     """
     if not 0 <= s < math.inf:
         raise ValueError("squeezing parameter must be nonnegative and finite")
     ch = math.cosh(2 * s) / 2
     sh = math.sinh(2 * s) / 2
+    if s > TMSV_S_MAX:
+        raise SingularKernelError(f"s = {s} is above {TMSV_S_MAX}: the kernel's "
+                                  "e^(-2s) is lost to rounding")
     k = np.zeros((4, 4))
     k[0, 1] = k[1, 0] = ch
     k[2, 3] = k[3, 2] = ch

@@ -34,7 +34,6 @@ route and a brute-force Gauss-Legendre integration) live in tests/oracles.py.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 
@@ -165,7 +164,7 @@ def _fock_side(rho):
     return d
 
 
-def fock_matrices(kernel, n_trunc, polys, *more, out=None):
+def fock_matrices(kernel, n_trunc, polys, *more):
     """Truncated two-mode density matrices of polynomials over one kernel,
     or over each kernel of a stack.
 
@@ -175,9 +174,8 @@ def fock_matrices(kernel, n_trunc, polys, *more, out=None):
     Returns the stacks' matrices in order along the term axis, shape
     (..., total number of cubes, d^2, d^2), d = n_trunc + 1, row
     i * d + j for |i, j>, float64 as the stacks and the moment table are.
-    With out, a sequence of one writable array per stack shaped like its
-    matrices, (..., n, d^2, d^2), each stack's matrices are written there
-    instead (every entry) and out is returned.
+    A cutoff whose matrices numpy cannot allocate or index raises
+    MemoryError("n_trunc = N: ...") before anything else is built.
 
     One moment table per kernel, all of them from one moment_table call
     over the stack, and per kernel one weight matrix over the union of
@@ -216,8 +214,7 @@ def fock_matrices(kernel, n_trunc, polys, *more, out=None):
     Which pairs each class gathers, their table offsets and their term
     coefficients depend only on d and the support, so they are planned
     once per (d, support) and cached (_fock_plan); a call only gathers,
-    scales and sums, in the order above, into out or an array it allocates
-    before any weights.
+    scales and sums, in the order above.
     """
     n_trunc = _cutoff(n_trunc)
     kernel = gaussian_kernel(kernel)
@@ -234,13 +231,12 @@ def fock_matrices(kernel, n_trunc, polys, *more, out=None):
     monomials = tuple(sorted({m for per_stack in supports for own in per_stack
                               for m in map(tuple, own.tolist())}))
 
+    try:  # numpy refuses a size it cannot allocate or index before allocating
+        out = np.zeros(lead + (sum(p.shape[1] for p in stacks), d * d, d * d))
+    except (MemoryError, ValueError) as exc:
+        raise MemoryError(f"n_trunc = {n_trunc}: {exc}") from None
     shape, rows, cols, classes = _fock_plan(d, monomials)
     tables = moment_table(_augmented_kernel(kernels), shape).reshape(len(kernels), -1)
-    full = None
-    if out is None:
-        ends = [0, *itertools.accumulate(p.shape[1] for p in stacks)]
-        full = np.zeros(lead + (ends[-1], d * d, d * d))
-        out = [full[..., a:b, :, :] for a, b in zip(ends, ends[1:])]
     for k, (at, table) in enumerate(zip(np.ndindex(lead), tables)):
         weights = np.zeros((len(monomials), len(rows)))
         for a, e, o1, o2, c1, c2 in classes:
@@ -250,15 +246,16 @@ def fock_matrices(kernel, n_trunc, polys, *more, out=None):
             vals = vals.reshape(-1, len(e))
             # + 0.0 turns a sum of -0 terms into +0, as a sum from +0 does
             weights[a, e] = np.add.accumulate(vals, out=vals)[-1] + 0.0
-        for stack, per_stack, target in zip(stacks, supports, out):
+        rhos = iter(out[at])  # the stacks' matrices in order along the term axis
+        for stack, per_stack in zip(stacks, supports):
             own = per_stack[k]
             w = weights
             if len(own) < len(monomials):
                 w = weights[[monomials.index(m) for m in map(tuple, own.tolist())]]
-            for rho, coeff in zip(target[at], stack[k][(slice(None), *own.T)]):
-                upper = coeff @ w
-                rho[rows, cols] = rho[cols, rows] = upper
-    return out if full is None else full
+            for coeff in stack[k][(slice(None), *own.T)]:
+                rho = next(rhos)
+                rho[rows, cols] = rho[cols, rows] = coeff @ w
+    return out
 
 
 def partial_transpose(rho):
@@ -278,8 +275,9 @@ def _parity_gathers(d, transposed):
     matrix), over the states |i, j> of even and of odd i + j (no odd block
     at d = 1); coupling indexes the entries of rho that couple the two
     parities, which are those of rho^T1 too (i + j + k + l is the same).
-    Every strategy's state is 0 there: its phase charge allows only
-    i - k = j - l."""
+    Every strategy's state is 0 there: its phase charge (i - k) - (j - l)
+    is 0 (no operation, subtraction) or 0, +-2 or +-4 (the coherent
+    operation), even in every case, and so is i + j + k + l."""
     index = np.arange(d ** 4).reshape(d * d, d * d)
     if transposed:
         index = partial_transpose(index)

@@ -11,6 +11,7 @@ subtraction is the fixed point t = 1 of the same pipeline.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -164,73 +165,62 @@ def _chunk_key(cfg):
 def _pipelines(cfgs):
     """The pipelines of the rows cfgs, a chunk that shares _chunk_key (else
     ValueError), as (pipes, (kernels, traces, matrices, fidelity_terms,
-    origins)): pipes[i] indexes row i's pipeline kind (no operation, the
-    operation before or after the channel) at its channel, kind-major,
-    kind * C + channel over the C channels, in order of first rows.  Each
-    array's shape is (pipelines, terms, ...): the kernels (P, 4, 4) and,
-    per term, the traces (P, K), float64 Fock matrices (P, K, d^2, d^2),
-    fidelity integrals (P, K) and origin_coefficients (P, K, 5, 5) (a
-    row's covariance is their weighted sum), where K is the longest stack;
-    a shorter stack (the no-operation stack has 1 term) is padded with
-    zero terms.
+    origins)), each array C-contiguous in the layout fock_matrices returns,
+    (C, T, ...) over the chunk's C channels and T terms: the kernels
+    (C, 4, 4), one per channel, and per term the traces (C, T), float64
+    Fock matrices (C, T, d^2, d^2), fidelity integrals (C, T) and
+    origin_coefficients (C, T, 5, 5) (a row's covariance is their weighted
+    sum).  The term axis holds the stacks of the pipeline kinds in use, in
+    order of first rows: no operation (1 term), the operation before or
+    after the channel (5 each).  pipes[i] is row i's pipeline, a span of
+    that axis: (channel, first term, term count).
 
     Each pipeline kind runs once over every channel of the chunk
-    (_raw_terms), with one fidelity_integrals call; a subtraction row
-    reads the coherent pipeline of its side, at t = 1.  Being kind-major,
-    a kind's matrices over the channels are one slice of matrices, and one
-    fock_matrices call over the chunk's kernels writes every kind's
-    matrices into its slice: the coherent operation leaves the kernel
-    alone, so the kinds of a channel end on one kernel, bit for bit.
-    Every row prints both E_N and the fidelity, so both are built for
-    each pipeline.
+    (_raw_terms); a subtraction row reads the coherent pipeline of its
+    side, at t = 1.  One fock_matrices call over the chunk's kernels
+    returns every kind's matrices: the coherent operation leaves the
+    kernel alone, so the kinds of a channel end on one kernel, bit for
+    bit, and fidelity_integrals reads it too.  Every row prints both E_N
+    and the fidelity, so both are built for each pipeline.
     """
     if len(set(map(_chunk_key, cfgs))) > 1:
         raise ValueError("the rows of one chunk must share s (with its sign) and n_trunc")
     channels = list(dict.fromkeys(cfg.channel for cfg in cfgs))
     kinds = [(cfg.strategy.has_operation, cfg.strategy.operation_first) for cfg in cfgs]
     runs = _raw_terms(cfgs[0].s, channels, list(dict.fromkeys(kinds)))
-    shape = (len(runs), len(channels), max(stacks.shape[1] for _, stacks in runs.values()))
-    kernels = np.empty(shape[:2] + (4, 4))
-    traces, fidelity_terms = np.zeros(shape), np.zeros(shape)
-    try:  # numpy refuses a size it cannot allocate or index before allocating
-        matrices = np.zeros(shape + ((cfgs[0].n_trunc + 1) ** 2,) * 2)
-    except (MemoryError, ValueError) as exc:
-        raise MemoryError(f"n_trunc = {cfgs[0].n_trunc}: {exc}") from None
-    origins = np.zeros(shape + (5, 5))
-    for i, (ks, stacks) in enumerate(runs.values()):
-        n = stacks.shape[1]
-        kernels[i] = ks
-        traces[i, :, :n] = stacks[:, :, 0, 0, 0, 0]
-        fidelity_terms[i, :, :n] = fidelity_integrals(ks, stacks)
-        origins[i, :, :n] = origin_coefficients(stacks)
-    fock_matrices(kernels[0], cfgs[0].n_trunc, *(stacks for _, stacks in runs.values()),
-                  out=[matrices[i, :, :stacks.shape[1]]
-                       for i, (_, stacks) in enumerate(runs.values())])
-    pipes = np.array([list(runs).index(kind) * len(channels) + channels.index(cfg.channel)
+    kernels = next(iter(runs.values()))[0]
+    stacks = [p for _, p in runs.values()]
+    matrices = fock_matrices(kernels, cfgs[0].n_trunc, *stacks)
+    parts = zip(*[(p[:, :, 0, 0, 0, 0], fidelity_integrals(kernels, p), origin_coefficients(p))
+                  for p in stacks])
+    # origin_coefficients' fancy index leaves its blocks in another order
+    traces, fidelity_terms, origins = (np.ascontiguousarray(np.concatenate(a, axis=1))
+                                       for a in parts)
+    firsts = dict(zip(runs, itertools.accumulate((p.shape[1] for p in stacks), initial=0)))
+    pipes = np.array([(channels.index(cfg.channel), firsts[kind], runs[kind][1].shape[1])
                       for cfg, kind in zip(cfgs, kinds)])
-    return pipes, tuple(a.reshape((-1,) + a.shape[2:])
-                        for a in (kernels, traces, matrices, fidelity_terms, origins))
+    return pipes, (kernels, traces, matrices, fidelity_terms, origins)
 
 
 def _fold(w, x, rows):
-    """The weighted sums w[i] @ x[rows][i] over the term axis of the
-    per-term arrays x (pipelines, terms, ...) of _pipelines, one per
-    weight row of w: rows is the pipeline index of each weight row, or one
-    index for all of them (an int, as for a grid: x[rows] is then
-    broadcast).
+    """The weighted sums over the term axis of the per-term arrays x of
+    _pipelines, one per weight row of w: rows is the pipeline (channel c,
+    first term a, term count n) of each weight row, a (len(w), 3) array, or
+    one pipeline for all of them (a length-3 row, as for a grid), whose sum
+    reads x[c, a:a + n] with the first n weights of its row.
 
     Each weight row is one vector-matrix product over its pipeline's
-    contiguous (terms, ...) block, read in place (x[rows] is not
-    gathered), and a padding term adds an exact +0 to it, so a row gets
+    contiguous (n, ...) block, read in place (not gathered), so a row gets
     the same bits among many as alone: a row prints, and a golden step
     scores, what it would in a chunk of its own."""
-    if not np.ndim(rows):
-        x = x[rows]
-        return (w[:, None] @ x.reshape(len(x), -1)).reshape((len(w),) + x.shape[1:])
+    if np.ndim(rows) == 1:
+        c, a, n = rows
+        x = x[c, a:a + n]
+        return (w[:, None, :n] @ x.reshape(n, -1)).reshape((len(w),) + x.shape[1:])
     out = np.empty((len(w),) + x.shape[2:])
     flat = out.reshape(len(w), -1)
-    for i, r in enumerate(rows.tolist()):
-        np.matmul(w[i], x[r].reshape(x.shape[1], -1), out=flat[i])
+    for i, (c, a, n) in enumerate(rows.tolist()):
+        np.matmul(w[i, :n], x[c, a:a + n].reshape(n, -1), out=flat[i])
     return out
 
 
@@ -248,16 +238,16 @@ def _objectives(arrays, w, rows, fidelity):
     values[fid] = _fold(w, fidelity_terms, rows)[fid] / p[fid]
     neg = live ^ fid
     if neg.any():
-        at = rows[neg] if np.ndim(rows) else rows
+        at = rows[neg] if np.ndim(rows) == 2 else rows
         values[neg] = log_negativity(_fold(w[neg] / p[neg, None], matrices, at))
     return values
 
 
 def _ritz_negativity(arrays, w, row):
     """Lower bounds on the E_N of the weight rows w on the pipeline row of
-    the chunk's arrays, from a Rayleigh-Ritz projection of rho^T1; None
-    where a weight's state vanishes (as _objectives rules) or a per-term
-    matrix couples the parities.
+    the chunk's arrays (_fold), from a Rayleigh-Ritz projection of rho^T1;
+    None where a weight's state vanishes (as _objectives rules) or a
+    per-term matrix couples the parities.
 
     Per parity block of rho^T1 (fock_recon._blocks), V is an orthonormal
     basis of the two lowest eigenvectors at each weight of RITZ_ANCHORS
@@ -272,13 +262,15 @@ def _ritz_negativity(arrays, w, row):
     coherent rows at n_trunc 5, 8 and 12; RITZ_MARGIN allows for that
     rounding with room to spare."""
     _, traces, matrices, _, _ = arrays
+    channel, first, n = row
+    terms, w = matrices[channel, first:first + n], w[:, :n]
     p = _fold(w, traces, row)
-    blocks = _blocks(matrices[row], True)
+    blocks = _blocks(terms, True)
     if not np.all(p >= ZERO_TRACE_TOL) or blocks is None:
         return None
     c = w / p[:, None]
-    norms = c @ np.trace(matrices[row], axis1=1, axis2=2)
-    anchors = _weight_rows(RITZ_ANCHORS, traces.shape[1] - 1)
+    norms = c @ np.trace(terms, axis1=1, axis2=2)
+    anchors = _weight_rows(RITZ_ANCHORS, n - 1)
     for block in blocks:
         lowest = np.linalg.eigh(np.tensordot(anchors, block, 1))[1][..., :2]
         u, sv, _ = np.linalg.svd(np.concatenate(lowest, axis=1), full_matrices=False)
@@ -383,15 +375,16 @@ def _separable(cfg):
     the Fock truncation are local and create no entanglement.  It is, when
 
     - s = 0: the squeezed vacuum is the vacuum, a product state;
-    - eta <= breaking_eta(n_th): the channel is entanglement breaking, on
-      either side of the operation;
+    - eta < 1 and eta <= breaking_eta(n_th): the channel is entanglement
+      breaking, on either side of the operation;
     - the operation follows the channel (or there is none) and
       eta < separation_eta(s, n_th): it acts on a separable Gaussian state.
 
-    Pure loss (n_th = 0) at s > 0 meets none of them.
+    Pure loss (n_th = 0) at s > 0 meets none of them, nor does eta = 1
+    (breaking_eta rounds to 1.0 from n_th of about 1e16 on).
     """
     eta, n_th = cfg.channel.eta, cfg.channel.n_th
-    if cfg.s == 0.0 or eta <= breaking_eta(n_th):
+    if cfg.s == 0.0 or eta < 1.0 and eta <= breaking_eta(n_th):
         return True
     return not cfg.strategy.operation_first and eta < separation_eta(cfg.s, n_th)
 
@@ -399,19 +392,18 @@ def _separable(cfg):
 def _optimize(cfgs, pipes, arrays):
     """The best coherent weight t in [0, 1] of each row cfgs[i], on the
     pipeline pipes[i] of the chunk's arrays (_pipelines), for its
-    objective, as a list of (t, flag).
+    objective, as a list of (t, flag), with weight rows of the degree of
+    the longest of pipes (_fold).
 
     Coarse scan over GRID (step 0.01), then golden-section refinement to
     1e-4 around the best grid point, seeded with it; exact ties break
     toward smaller t, by _golden_max's one key over every point scored.
     Each row's grid is one _grid_max call on the cached weight rows
-    (_grid_weights): a fidelity grid is scored whole in one _objectives
-    call, a negativity grid on a Rayleigh-Ritz projection, then climbed to
-    the grid's argmax on exact values, so the seed has the whole grid's
-    bits wherever the climb finds its argmax (1,801 of 1,801 seeded rows
-    at n_trunc 5 to 12).  The refinements run in lockstep: each
-    round scores the next t of every row still refining in one _objectives
-    call, and a row whose bracket is clipped at 0 or 1 finishes earlier.
+    (_grid_weights), whose seed has the whole grid's bits wherever a
+    negativity grid's climb finds its argmax (1,801 of 1,801 seeded rows
+    at n_trunc 5 to 12).  The refinements run in lockstep: each round
+    scores the next t of every row still refining in one _objectives call,
+    and a row whose bracket is clipped at 0 or 1 finishes earlier.
     Weights where the preparation has zero success probability are
     skipped; if the objective vanishes everywhere the returned weight
     maximizes the success probability over the grid instead and the
@@ -420,7 +412,7 @@ def _optimize(cfgs, pipes, arrays):
     goes straight to that result and scores no grid; the fidelity
     objective always scans.
     """
-    degree = arrays[1].shape[1] - 1
+    degree = max(pipes[:, 2].tolist(), default=1) - 1
     w = _grid_weights(degree)
     fidelity = np.array([cfg.objective == "fidelity" for cfg in cfgs])
     results = [None] * len(cfgs)
@@ -468,12 +460,12 @@ def evaluate_points(cfgs):
     Coherent strategies optimize t (unless pinned by t_override; _optimize
     refines the free rows in lockstep); subtraction runs at t = 1; the
     baseline records t_opt = 1 by convention.  E_N, E_N_gauss, fidelity
-    and p_success are each row's values at the one weight row of that t,
-    each row's sums read in place off its own pipeline's per-term arrays
-    (_fold).  A preparation that cannot
-    succeed (the objective's own vanishing-trace rule) yields a zeroed row
-    flagged "zero_state" rather than an exception, so sweeps keep going.
-    The Fock matrices of the other rows are certified and solved as one
+    and p_success are each row's values at the one weight row of that t (of
+    the degree of the chunk's longest pipeline), each row's sums read in
+    place off its own pipeline's per-term arrays (_fold).  A preparation
+    that cannot succeed (the objective's own vanishing-trace rule) yields a
+    zeroed row flagged "zero_state" rather than an exception, so sweeps
+    keep going.  The Fock matrices of the other rows are certified and solved as one
     stack, and their covariances and Gaussian negativities are read as
     one stack; the first row that fails a check raises (every row's
     certify before any row's covariance), and a refused Fock matrix names
@@ -488,7 +480,7 @@ def evaluate_points(cfgs):
     free = [i for i, t in enumerate(ts) if t is None]
     for i, opt in zip(free, _optimize([cfgs[i] for i in free], pipes[free], arrays)):
         ts[i], flags[i] = opt
-    w = _weight_rows(ts, traces.shape[1] - 1)
+    w = _weight_rows(ts, max(pipes[:, 2].tolist()) - 1)
     p = _fold(w, traces, pipes)
     live = p >= ZERO_TRACE_TOL
     columns = np.zeros((len(cfgs), 4))
@@ -501,7 +493,7 @@ def evaluate_points(cfgs):
             _certify_row(*_first_alone(_certify_row, np.array(cfgs, object)[live], rhos))
             raise
         e_n = log_negativity(rhos)
-        sigma = covariance_from_chi(kernels[at], _fold(w, origins, at) / p[:, None, None])
+        sigma = covariance_from_chi(kernels[at[:, 0]], _fold(w, origins, at) / p[:, None, None])
         columns[live] = np.stack([e_n, gaussian_log_negativity(sigma),
                                   _fold(w, fidelity_terms, at) / p, p], axis=1)
     return [SweepRecord(cfg.strategy, cfg.s, cfg.channel.n_th, cfg.channel.eta, t,
@@ -529,12 +521,12 @@ def sweep(configs):
     The settings that share _chunk_key are built in chunks of up to
     CHUNK_SETTINGS channels, in order of their first rows: one _pipelines
     call runs each pipeline kind once over a chunk's channels, and its rows
-    share those pipelines and the chunk's one Fock build.  A
-    chunk's arrays are freed before the next chunk is built, so a sweep's
-    memory does not grow with its eta grid.  The loop calls
-    evaluate_points, which makes that call, by its module-global name once
-    per chunk, on the chunk's rows (so a wrapper installed as scenarios.evaluate_points sees
-    every row); each row is evaluate_point's alone (_fold), with its own
+    share those pipelines and the chunk's one Fock build.  A chunk's arrays
+    are freed before the next chunk is built, so a sweep's memory does not
+    grow with its eta grid.  The loop calls evaluate_points, which makes
+    that call, by its module-global name once per chunk, on the chunk's
+    rows (so a wrapper installed as scenarios.evaluate_points sees every
+    row); each row is evaluate_point's alone (_fold), with its own
     objective and t_override.
     """
     configs = list(configs)

@@ -346,39 +346,45 @@ def mixed_chunk(rng, n_settings=5):
 
 class Row:
     """One row's arrays at chosen weights, for tests that follow a row: the
-    one-pipeline chunk scenarios._pipelines([cfg]), its per-term arrays
-    (kernel, traces, matrices, fidelity_terms, origins) less the pipeline
-    axis, and what the package reads off weight rows w of it, each by
-    scenarios._fold over that one pipeline, as the optimizer's grid does."""
+    one-row chunk scenarios._pipelines([cfg]), its pipeline (channel, first
+    term, term count), its kernel and the pipeline's span of each per-term
+    array (traces, matrices, fidelity_terms, origins), and what the package
+    reads off weight rows w of it, each by scenarios._fold over that one
+    pipeline, as the optimizer's grid does."""
 
     def __init__(self, cfg):
         self.cfg = cfg
-        _, self.arrays = _pipelines([cfg])
-        (self.kernel, self.traces, self.matrices, self.fidelity_terms,
-         self.origins) = (a[0] for a in self.arrays)
+        (self.pipe,), self.arrays = _pipelines([cfg])
+        channel, first, n = self.pipe
+        self.kernel = self.arrays[0][channel]
+        (self.traces, self.matrices, self.fidelity_terms,
+         self.origins) = (a[channel, first:first + n] for a in self.arrays[1:])
 
     def weights(self, ts):
         return _weight_rows(ts, len(self.traces) - 1)
 
+    def _fold(self, w, k):
+        return _fold(w, self.arrays[k], self.pipe)
+
     def probabilities(self, w):
         """Success probabilities, clamped at 0."""
-        return np.maximum(_fold(w, self.arrays[1], 0), 0.0)
+        return np.maximum(self._fold(w, 1), 0.0)
 
     def rhos(self, w):
         """Fock matrices of the normalized states."""
-        return _fold(w / _fold(w, self.arrays[1], 0)[:, None], self.arrays[2], 0)
+        return self._fold(w / self._fold(w, 1)[:, None], 2)
 
     def fidelities(self, w):
-        return _fold(w, self.arrays[3], 0) / _fold(w, self.arrays[1], 0)
+        return self._fold(w, 3) / self._fold(w, 1)
 
     def origin(self, w_row):
         """The origin block (covariance_from_chi) of one weight row's
         normalized state."""
         w = w_row[None]
-        return (_fold(w, self.arrays[4], 0) / _fold(w, self.arrays[1], 0)[:, None, None])[0]
+        return (self._fold(w, 4) / self._fold(w, 1)[:, None, None])[0]
 
     def objectives(self, w):
-        return _objectives(self.arrays, w, 0, self.cfg.objective == "fidelity")
+        return _objectives(self.arrays, w, self.pipe, self.cfg.objective == "fidelity")
 
 
 def check_normalized(poly):

@@ -307,6 +307,21 @@ def test_point_overflowing_inputs_are_numerical_exit(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("s", ["5", "20"])
+def test_point_refuses_squeezing_whose_kernel_rounds_away_the_state(capsys, s):
+    # the kernel holds cosh(2s)/2 and sinh(2s)/2 and the state is their
+    # difference, so above s = 3 its rounding passes the outputs' 1e-10:
+    # the row printed E_N_gauss 1e-7 off at s 5, and np.linalg.inv raised
+    # LinAlgError at s 20
+    code = main(["point", "--strategy", "noop", "--s", s, "--eta", "0.5",
+                 "--n-th", "0.1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: SingularKernelError: s = {float(s)} is above "
+                            "3.0: the kernel's e^(-2s) is lost to rounding\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["--strategy", "coherent_before"],
     ["--strategy", "noop"],

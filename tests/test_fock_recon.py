@@ -1,6 +1,7 @@
 """Fock-basis reconstruction against series oracles and brute quadrature."""
 
 import ast
+import inspect
 import math
 import os
 import tracemalloc
@@ -436,27 +437,20 @@ def test_fock_matrices_over_a_kernel_stack_are_per_kernel_bit_for_bit(n_trunc):
     # one call over a stack of kernels, s = 0 kernels (no cross-mode
     # entries, smaller supports) mixed with s > 0 ones, and the three
     # pipeline stacks over them: each kernel's matrices have the bytes of
-    # a call over that kernel alone, with the return and with out (views
-    # into a padded array, whose padding stays as it was); a one-kernel
-    # stack is the 2-D call
+    # a call over that kernel alone; a one-kernel stack is the 2-D call
     rng = np.random.default_rng(700 + n_trunc)
     kernels, stacks = oracles.mixed_chunk(rng)
     d2 = (n_trunc + 1) ** 2
     got = fock_matrices(kernels, n_trunc, *stacks)
     assert got.shape == (len(kernels), sum(p.shape[1] for p in stacks), d2, d2)
-    padded = np.full((len(stacks), len(kernels), 6, d2, d2), 7.0)
-    out = [padded[i, :, :p.shape[1]] for i, p in enumerate(stacks)]
-    assert fock_matrices(kernels, n_trunc, *stacks, out=out) is out
     for k, kernel in enumerate(kernels):
         want = fock_matrices(kernel, n_trunc, *(p[k] for p in stacks))
         assert got[k].tobytes() == want.tobytes()
-        assert np.concatenate([o[k] for o in out]).tobytes() == want.tobytes()
         one = fock_matrices(kernel[None], n_trunc, *(p[k:k + 1] for p in stacks))
         assert one.tobytes() == want.tobytes()
         for p in stacks:
             assert fock_matrices(kernel, n_trunc, p[k]).tobytes() == \
                 fock_matrices(kernel[None], n_trunc, p[k:k + 1])[0].tobytes()
-    assert (padded[:, :, 5] == 7.0).all() and (padded[0, :, 1:] == 7.0).all()
     with pytest.raises(ValueError, match="empty polynomial support"):
         fock_matrices(kernels, n_trunc, np.zeros((len(kernels), 1, 1, 1, 1, 1)))
 
@@ -567,6 +561,17 @@ def test_augmented_kernel_wants_an_exactly_symmetric_kernel():
         fock_matrices(np.eye(3), 2, stack)
 
 
+def test_fock_matrices_returns_one_new_array_and_refuses_an_unallocatable_cutoff():
+    # one output path: no out parameter, and the refusal of a cutoff whose
+    # matrices numpy cannot index (d^4 entries overflow its index at
+    # n_trunc 100000) comes before the plan or the moment table is built
+    assert list(inspect.signature(fock_matrices).parameters) == [
+        "kernel", "n_trunc", "polys", "more"]
+    kernel, polys = raw_terms(ScenarioConfig(Strategy.NOOP, 0.3, ChannelParams(0.7, 0.1)))
+    with pytest.raises(MemoryError, match=r"^n_trunc = 100000: "):
+        fock_matrices(kernel, 100000, polys)
+
+
 def test_fock_matrices_allocation_peak_at_cutoff_8():
     # measured with numpy 2.4: the per-entry route (fock_matrices_by_entry)
     # peaks at 3.56 MiB here, the grouped sums over every (entry, support)
@@ -574,7 +579,8 @@ def test_fock_matrices_allocation_peak_at_cutoff_8():
     # the cached plans (the measured call is warm) at 3.40 MiB, with
     # float64 weights and matrices at 1.71 MiB, and with the leading kernel
     # axis (one kernel here) and the returned array allocated before the
-    # weights at 1.78 MiB; complex weights coming back,
+    # weights at 1.78 MiB, the same with that array as its one output
+    # path (no out=); complex weights coming back,
     # or a temporary that outgrows the bound, raise the process's peak
     # resident memory
     cfg = ScenarioConfig(Strategy.COHERENT_AFTER, 0.5, ChannelParams(0.7, 0.1), 8)

@@ -300,21 +300,22 @@ STUB_CFG = cfg_for("coherent_before", objective="fidelity")
 def _stubbed(monkeypatch, fs):
     """Stub the optimizer's inputs: _pipelines gives one pipeline per
     function of fs, of degree 1 and success probability 1, row i on
-    pipeline i, and _objectives scores weight row (t, r) of pipeline i by
-    fs[i](t).  Returns the per-pipeline logs of every (t, value) scored,
-    grid and golden steps alike."""
+    pipeline (i, 0, 2), channel i's two terms, and _objectives scores
+    weight row (t, r) of pipeline i by fs[i](t).  Returns the per-pipeline
+    logs of every (t, value) scored, grid and golden steps alike."""
     logs = [[] for _ in fs]
 
     def objectives(arrays, w, rows, fidelity):
         values = []
-        for t, row in zip(w[:, 0].tolist(), np.broadcast_to(rows, len(w)).tolist()):
+        channels = np.broadcast_to(rows, (len(w), 3))[:, 0].tolist()
+        for t, row in zip(w[:, 0].tolist(), channels):
             values.append(fs[row](t))
             logs[row].append((t, values[-1]))
         return np.array(values)
 
     arrays = (None, np.ones((len(fs), 2)), None, None, None)
-    monkeypatch.setattr(scenarios, "_pipelines",
-                        lambda cfgs: (np.arange(len(cfgs)), arrays))
+    monkeypatch.setattr(scenarios, "_pipelines", lambda cfgs: (
+        np.array([(i, 0, 2) for i in range(len(cfgs))]).reshape(-1, 3), arrays))
     monkeypatch.setattr(scenarios, "_objectives", objectives)
     return logs
 
@@ -361,8 +362,8 @@ def test_lockstep_refinement_scores_each_row_as_alone(monkeypatch):
     # of the golden section run alone and returns its (t, value)
     fs = list(LOCKSTEP_OBJECTIVES.values())
     logs = _stubbed(monkeypatch, fs)
-    results = scenarios._optimize([STUB_CFG] * len(fs), np.arange(len(fs)),
-                                  scenarios._pipelines([])[1])
+    results = scenarios._optimize([STUB_CFG] * len(fs),
+                                  *scenarios._pipelines([STUB_CFG] * len(fs)))
     steps = []
     for f, log, got in zip(fs, logs, results):
         (alone,) = _stubbed(monkeypatch, [f])
@@ -647,6 +648,20 @@ def test_separable_rows_score_no_grid(monkeypatch):
     assert {n for _, n in calls} == {"grid", 1}
 
 
+@pytest.mark.parametrize("strategy", ["coherent_before", "coherent_after"])
+def test_the_identity_channel_is_not_entanglement_breaking(strategy):
+    # at eta = 1 the channel's thermal term (1 - eta)(2 n_th + 1)/2 is
+    # exactly 0, so a row is the n_th = 0 row in every column but n_th,
+    # though breaking_eta(n_th) rounds to 1.0 from n_th of about 1e16 on
+    lossless = evaluate_point(cfg_for(strategy, s=0.1, eta=1.0, n_th=0.0))
+    assert (lossless.t_opt, lossless.flags) == (0.9536141291243375, "")
+    assert lossless.e_n_fock == 1.0683201167391112
+    for n_th in (1e17, 1e300):
+        rec = evaluate_point(cfg_for(strategy, s=0.1, eta=1.0, n_th=n_th))
+        assert _record_bits(rec) == _record_bits(dataclasses.replace(lossless,
+                                                                     n_th=n_th))
+
+
 def _coherent_draws(rng, n, n_trunc):
     """n negativity rows of the two coherent strategies, drawn wide, that
     _separable does not cover."""
@@ -675,9 +690,9 @@ def test_projected_grid_seeds_the_whole_grid_s_argmax(monkeypatch, n_trunc, rows
     w = scenarios._grid_weights(4)
     climbed = 0
     for cfg in _coherent_draws(np.random.default_rng(40 + n_trunc), rows, n_trunc):
-        _, arrays = scenarios._pipelines([cfg])
-        values = scenarios._objectives(arrays, w, 0, False)
-        ritz = scenarios._ritz_negativity(arrays, w, 0)
+        (pipe,), arrays = scenarios._pipelines([cfg])
+        values = scenarios._objectives(arrays, w, pipe, False)
+        ritz = scenarios._ritz_negativity(arrays, w, pipe)
         climbed += ritz is not None and ritz.max() > scenarios.RITZ_MARGIN
         seeds.clear()
         rec = evaluate_point(cfg)
@@ -697,19 +712,20 @@ def test_projected_negativity_is_a_lower_bound(n_trunc):
     # the whole solve's, up to RITZ_MARGIN's allowance for rounding
     w = scenarios._grid_weights(4)
     for cfg in _coherent_draws(np.random.default_rng(60 + n_trunc), 20, n_trunc):
-        _, arrays = scenarios._pipelines([cfg])
-        ritz = scenarios._ritz_negativity(arrays, w, 0)
-        full = scenarios._objectives(arrays, w, 0, False)
+        (pipe,), arrays = scenarios._pipelines([cfg])
+        ritz = scenarios._ritz_negativity(arrays, w, pipe)
+        full = scenarios._objectives(arrays, w, pipe, False)
         assert ritz is not None and ritz.shape == full.shape
         assert np.all(ritz <= full + scenarios.RITZ_MARGIN), cfg
     # a per-term matrix that couples the parities is not projected
     matrices = arrays[2].copy()
     _, coupling = fock_recon._parity_gathers(n_trunc + 1, True)
     matrices.reshape(matrices.shape[:2] + (-1,))[0, 0, coupling[0]] = 1e-3
-    assert scenarios._ritz_negativity(arrays[:2] + (matrices,) + arrays[3:], w, 0) is None
+    assert scenarios._ritz_negativity(arrays[:2] + (matrices,) + arrays[3:], w, pipe) is None
     # nor is a grid where a weight's state vanishes (t = 1 at s = 0)
-    _, arrays = scenarios._pipelines([cfg_for("coherent_before", s=0.0, n_trunc=n_trunc)])
-    assert scenarios._ritz_negativity(arrays, w, 0) is None
+    (pipe,), arrays = scenarios._pipelines([cfg_for("coherent_before", s=0.0,
+                                                    n_trunc=n_trunc)])
+    assert scenarios._ritz_negativity(arrays, w, pipe) is None
 
 
 def test_cutoff_zero_rows_are_unchanged(capsys):
@@ -733,6 +749,21 @@ def test_cutoff_zero_rows_are_unchanged(capsys):
         "p_success = 1.29539650095e+00",
         "flags = zero_objective",
     ]
+
+
+def test_noop_rows_at_the_largest_squeezing_match_their_closed_forms():
+    # at s = TMSV_S_MAX the kernel's rounding still leaves E_N_gauss =
+    # -log2 x and the fidelity 1/(1 + x), x = eta e^(-2s) + (1 - eta)(2 n_th + 1),
+    # within the outputs' 1e-10 (2.7e-11 and 1.9e-14 at worst), eta = 1
+    # and n_th = 0 included
+    s = chi_core.TMSV_S_MAX
+    rng = np.random.default_rng(3)
+    for eta in (1.0, 0.5, *rng.uniform(0.05, 1.0, 4).tolist()):
+        for n_th in (0.0, 0.1, *rng.uniform(0.0, 0.5, 2).tolist()):
+            x = eta * math.exp(-2 * s) + (1 - eta) * (2 * n_th + 1)
+            rec = evaluate_point(cfg_for("noop", s=s, eta=eta, n_th=n_th, n_trunc=0))
+            assert rec.e_n_gauss == pytest.approx(max(0.0, -math.log2(x)), abs=1e-10)
+            assert rec.fidelity == pytest.approx(1 / (1 + x), abs=1e-10)
 
 
 def test_optimal_weight_drifts_down_with_transmissivity():
@@ -942,34 +973,56 @@ def test_setting_matrices_are_float64(s):
     # fidelity integral per cube, all float64, and one 5x5 block of origin
     # coefficients per cube
     cfgs = [cfg_for(strategy.value, s=s, n_trunc=3) for strategy in Strategy]
-    # kind-major in order of first rows: no operation, before, after
+    # (channel, first term, term count), the kinds' stacks in order of
+    # first rows along the term axis: no operation, before, after
     pipes, arrays = scenarios._pipelines(cfgs)
-    assert pipes.tolist() == [0, 1, 2, 1, 2]
+    assert pipes.tolist() == [[0, 0, 1], [0, 1, 5], [0, 6, 5], [0, 1, 5], [0, 6, 5]]
     kernels, traces, matrices, fidelities, origins = arrays
     assert all(a.dtype == np.float64 for a in arrays)
-    assert kernels.shape == (3, 4, 4)
-    assert traces.shape == fidelities.shape == (3, 5)
-    assert matrices.shape == (3, 5, 16, 16) and origins.shape == (3, 5, 5, 5)
-    # the no-operation stack's one term is padded with zero terms
-    noop = pipes[0]
-    for a in arrays[1:]:
-        assert oracles.same_bits(a[noop, 1:], np.zeros_like(a[noop, 1:]))
+    assert kernels.shape == (1, 4, 4)
+    assert traces.shape == fidelities.shape == (1, 11)
+    assert matrices.shape == (1, 11, 16, 16) and origins.shape == (1, 11, 5, 5)
+
+
+def test_a_chunk_is_the_fock_build_s_layout():
+    # a chunk's per-term arrays are (channels, terms, ...) as fock_matrices
+    # returns its matrices, C-contiguous, one kernel per channel: 1 + 5 + 5
+    # terms for the five strategies, and no term that is zero by
+    # construction: at s > 0 every term's Fock matrix and origin block is
+    # nonzero (the traces and fidelity integrals of the terms t^3 r and
+    # t r^3 are 0, as their phase charge requires)
+    etas = (0.3, 0.7, 1.0)
+    cfgs = [cfg_for(strategy.value, s=0.3, eta=eta, n_trunc=3)
+            for strategy in Strategy for eta in etas]
+    pipes, arrays = scenarios._pipelines(cfgs)
+    assert all(a.flags.c_contiguous for a in (pipes, *arrays))
+    kernels, traces, matrices, fidelities, origins = arrays
+    assert kernels.shape == (len(etas), 4, 4)
+    assert matrices.shape[:2] == traces.shape == fidelities.shape == (len(etas), 11)
+    for a in (matrices, origins):
+        assert np.all(np.any(a.reshape(a.shape[:2] + (-1,)) != 0.0, axis=-1))
+    # so is a chunk of one coherent row, and a chunk of one no-operation row
+    for strategy, terms in (("coherent_after", 5), ("noop", 1)):
+        pipes, arrays = scenarios._pipelines([cfg_for(strategy, s=0.3)])
+        assert pipes.tolist() == [[0, 0, terms]]
+        assert all(a.flags.c_contiguous for a in (pipes, *arrays))
+        assert arrays[2].shape[:2] == (1, terms)
 
 
 def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
     # each chunk's arrays go before the next chunk's are built, by
     # reference counting alone (the collector is off), so a sweep's memory
     # does not grow with its eta grid: five settings in chunks of two are
-    # built as 2, 2 and 1, each by one Fock build over its kernels that
-    # writes straight into the chunk's matrices (no copy of its own), and
-    # no array of an earlier chunk is alive when a chunk is built (probed
-    # where evaluate_points' own _pipelines call is entered and returns)
+    # built as 2, 2 and 1, each by one Fock build over its kernels whose
+    # return is the chunk's matrices (no copy of its own), and no array
+    # of an earlier chunk is alive when a chunk is built (probed where
+    # evaluate_points' own _pipelines call is entered and returns)
     builds, arrays = [], []
     original_fock = scenarios.fock_matrices
 
-    def tracked(kernel, n_trunc, *stacks, out=None):
-        got = original_fock(kernel, n_trunc, *stacks, out=out)
-        builds.append((np.shape(kernel), out, got))
+    def tracked(kernel, n_trunc, *stacks):
+        got = original_fock(kernel, n_trunc, *stacks)
+        builds.append((np.shape(kernel), got))
         return got
 
     def alive(refs):
@@ -983,13 +1036,11 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
         chunks.append(len({cfg.channel for cfg in cfgs}))
         pipes, out = original_pipelines(cfgs)
         arrays.extend(weakref.ref(a) for a in out)
-        ((shape, views, got),) = builds
+        ((shape, got),) = builds
         builds.clear()
-        matrices = out[2]
-        # the build returned its out: one view of matrices per pipeline kind
-        assert got is views and all(v.base is matrices.base for v in views)
-        at_chunk.append((len(cfgs), shape, [v.shape[:2] for v in views],
-                         len(out[0]), matrices.shape[:2]))
+        # the build's return is the chunk's matrices, not a copy or a view
+        assert out[2] is got and got.base is None
+        at_chunk.append((len(cfgs), shape, len(out[0]), got.shape[:2]))
         return pipes, out
 
     monkeypatch.setattr(scenarios, "CHUNK_SETTINGS", 2)
@@ -1006,9 +1057,8 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
         if enabled:
             gc.enable()
     assert at_build == [(0, 0), (0, 0), (0, 0)] and chunks == [2, 2, 1]
-    assert at_chunk == [(10, (2, 4, 4), [(2, 1), (2, 5), (2, 5)], 6, (6, 5)),
-                        (10, (2, 4, 4), [(2, 1), (2, 5), (2, 5)], 6, (6, 5)),
-                        (5, (1, 4, 4), [(1, 1), (1, 5), (1, 5)], 3, (3, 5))]
+    assert at_chunk == [(10, (2, 4, 4), 2, (2, 11)), (10, (2, 4, 4), 2, (2, 11)),
+                        (5, (1, 4, 4), 1, (1, 11))]
     assert len(arrays) == 5 * len(chunks) and alive(arrays) == 0
 
 
@@ -1027,21 +1077,20 @@ def test_a_chunk_builds_each_setting_as_alone_bit_for_bit(n_trunc):
 
 def _assert_chunk_arrays_are_alone(cfgs):
     """Assert that each row's pipeline arrays in the chunk cfgs have the
-    bytes of its one-row chunk, its kernel and its leading terms; the terms
-    it lacks against the chunk's longest stack are +0, and every pipeline
-    is some row's.  Returns the chunk's pipeline count."""
+    bytes of its one-row chunk: its kernel and its span of every per-term
+    array; the rows' spans cover every term of every channel.  Returns
+    the chunk's pipeline count."""
     pipes, chunk = scenarios._pipelines(cfgs)
-    assert sorted(set(pipes.tolist())) == list(range(len(chunk[0])))
-    for cfg, i in zip(cfgs, pipes):
-        alone_pipes, alone = scenarios._pipelines([cfg])
-        assert alone_pipes.tolist() == [0]
-        assert chunk[0][i].tobytes() == alone[0][0].tobytes()
+    covered = set()
+    for cfg, (c, a, n) in zip(cfgs, pipes.tolist()):
+        (alone_pipe,), alone = scenarios._pipelines([cfg])
+        assert alone_pipe.tolist() == [0, 0, n]
+        assert chunk[0][c].tobytes() == alone[0][0].tobytes()
         for got, want in zip(chunk[1:], alone[1:]):
-            n = want.shape[1]
-            assert got.shape[2:] == want.shape[2:]
-            assert got[i, :n].tobytes() == want[0].tobytes()
-            assert oracles.same_bits(got[i, n:], np.zeros_like(got[i, n:]))
-    return len(chunk[0])
+            assert got[c, a:a + n].tobytes() == want.tobytes()
+        covered.update((c, k) for k in range(a, a + n))
+    assert covered == set(np.ndindex(chunk[1].shape))
+    return len({tuple(p) for p in pipes.tolist()})
 
 
 def _has_negative_zero(a):
@@ -1089,8 +1138,12 @@ def test_readme_sweep_allocation_peak():
     # one setting at a time, 6.3 MiB in chunks of 16 and 39 MiB with all
     # 101 settings in one chunk (3.78, 2.2, 7.4 and 46 MiB while the final
     # pass gathered its rows' Fock matrices and each setting's build was
-    # copied into the chunk's); a chunk that grows, or a chunk's arrays
-    # kept past the next build, raise the process's peak resident memory
+    # copied into the chunk's); with a chunk's arrays in the Fock build's
+    # (channels, terms) layout, no zero-padded terms, it peaks at 3.30 MiB
+    # where the padded layout did at 3.65 MiB, in a fresh process after
+    # this warm-up (2.68 against 3.02 MiB after a whole warm-up sweep); a
+    # chunk that grows, or a chunk's arrays kept past the next build, raise
+    # the process's peak resident memory
     cfgs = [cfg_for(strategy.value, s=0.029, eta=float(eta), n_th=0.1)
             for strategy in Strategy for eta in np.linspace(0.01, 1.0, 101)]
     sweep(cfgs[:5])
