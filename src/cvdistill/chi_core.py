@@ -170,10 +170,10 @@ def tmsv_chi(s):
                    + (xi1 xi2 + xi1* xi2*) sinh(2s)/2 ],
 
     so the kernel carries cosh(2s)/2 on the conjugate pairs of each mode and
-    -sinh(2s)/2 on the cross-mode entries.  s = 0 gives the two-mode vacuum;
-    s must be nonnegative and finite, as ScenarioConfig requires.  Returns
-    (kernel, stack), the format of every pipeline operation: the stack is
-    one float64 (1, 1, 1, 1) cube of ones, P = 1.
+    -sinh(2s)/2 on the cross-mode entries.  s = 0 gives the two-mode vacuum
+    (s = -0.0 its bytes); s must be nonnegative and finite, as ScenarioConfig
+    requires.  Returns (kernel, stack), the format of every pipeline
+    operation: the stack is one float64 (1, 1, 1, 1) cube of ones, P = 1.
     The state is in the entries' difference e^(-2s)/2, so their rounding
     reaches the outputs as about eps e^(4s): an s above TMSV_S_MAX raises
     SingularKernelError (above about 355 cosh(2s) overflows first).
@@ -181,7 +181,7 @@ def tmsv_chi(s):
     if not 0 <= s < math.inf:
         raise ValueError("squeezing parameter must be nonnegative and finite")
     ch = math.cosh(2 * s) / 2
-    sh = math.sinh(2 * s) / 2
+    sh = math.sinh(2 * abs(s)) / 2
     if s > TMSV_S_MAX:
         raise SingularKernelError(f"s = {s} is above {TMSV_S_MAX}: the kernel's "
                                   "e^(-2s) is lost to rounding")

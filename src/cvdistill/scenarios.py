@@ -156,17 +156,11 @@ def _raw_terms(s, channels, kinds):
     return {kind: runs[kind] for kind in kinds}
 
 
-def _chunk_key(cfg):
-    """What the rows of one chunk share: s, with its sign (tmsv_chi(-0.0)
-    and tmsv_chi(0.0) differ in the sign of a zero), and n_trunc."""
-    return cfg.s, math.copysign(1.0, cfg.s), cfg.n_trunc
-
-
 def _pipelines(cfgs):
-    """The pipelines of the rows cfgs, a chunk that shares _chunk_key (else
-    ValueError), as (pipes, (kernels, traces, matrices, fidelity_terms,
-    origins)), each array C-contiguous in the layout fock_matrices returns,
-    (C, T, ...) over the chunk's C channels and T terms: the kernels
+    """The pipelines of the rows cfgs, a chunk that shares s and n_trunc,
+    as (pipes, (kernels, traces, matrices, fidelity_terms, origins)), each
+    array C-contiguous in the layout fock_matrices returns, (C, T, ...)
+    over the chunk's C channels and T terms: the kernels
     (C, 4, 4), one per channel, and per term the traces (C, T), float64
     Fock matrices (C, T, d^2, d^2), fidelity integrals (C, T) and
     origin_coefficients (C, T, 5, 5) (a row's covariance is their weighted
@@ -183,8 +177,6 @@ def _pipelines(cfgs):
     bit, and fidelity_integrals reads it too.  Every row prints both E_N
     and the fidelity, so both are built for each pipeline.
     """
-    if len(set(map(_chunk_key, cfgs))) > 1:
-        raise ValueError("the rows of one chunk must share s (with its sign) and n_trunc")
     channels = list(dict.fromkeys(cfg.channel for cfg in cfgs))
     kinds = [(cfg.strategy.has_operation, cfg.strategy.operation_first) for cfg in cfgs]
     runs = _raw_terms(cfgs[0].s, channels, list(dict.fromkeys(kinds)))
@@ -446,16 +438,15 @@ def _optimize(cfgs, pipes, arrays):
 
 
 def evaluate_point(cfg):
-    """Full record for one strategy at one channel setting: evaluate_points
-    of the one row cfg."""
-    (record,) = evaluate_points([cfg])
+    """Full record for one strategy at one channel setting: a sweep of the
+    one row cfg."""
+    (record,) = sweep([cfg])
     return record
 
 
-def evaluate_points(cfgs):
-    """Full records for the rows cfgs, in order ([] for none); the rows
-    share s (with its sign) and n_trunc, as a sweep's chunk does (else
-    ValueError), and one _pipelines call builds their arrays and pipes.
+def _evaluate_chunk(cfgs):
+    """Full records for the rows cfgs of one of sweep's chunks, in order;
+    one _pipelines call builds their arrays and pipes.
 
     Coherent strategies optimize t (unless pinned by t_override; _optimize
     refines the free rows in lockstep); subtraction runs at t = 1; the
@@ -465,14 +456,12 @@ def evaluate_points(cfgs):
     place off its own pipeline's per-term arrays (_fold).  A preparation
     that cannot succeed (the objective's own vanishing-trace rule) yields a
     zeroed row flagged "zero_state" rather than an exception, so sweeps
-    keep going.  The Fock matrices of the other rows are certified and solved as one
-    stack, and their covariances and Gaussian negativities are read as
-    one stack; the first row that fails a check raises (every row's
-    certify before any row's covariance), and a refused Fock matrix names
-    its row (_certify_row).
+    keep going.  The Fock matrices of the other rows are certified and
+    solved as one stack, and their covariances and Gaussian negativities
+    are read as one stack; the first row that fails a check raises (every
+    row's certify before any row's covariance), and a refused Fock matrix
+    names its row (_certify_row).
     """
-    if not cfgs:
-        return []
     pipes, arrays = _pipelines(cfgs)
     kernels, traces, matrices, fidelity_terms, origins = arrays
     ts = [cfg.t_override if cfg.strategy.optimizes_t else 1.0 for cfg in cfgs]
@@ -518,27 +507,27 @@ def _join_flags(*flags):
 def sweep(configs):
     """Records for a list of settings, in order.
 
-    The settings that share _chunk_key are built in chunks of up to
+    The settings that share s and n_trunc are built in chunks of up to
     CHUNK_SETTINGS channels, in order of their first rows: one _pipelines
     call runs each pipeline kind once over a chunk's channels, and its rows
     share those pipelines and the chunk's one Fock build.  A chunk's arrays
     are freed before the next chunk is built, so a sweep's memory does not
-    grow with its eta grid.  The loop calls evaluate_points, which makes
-    that call, by its module-global name once per chunk, on the chunk's
-    rows (so a wrapper installed as scenarios.evaluate_points sees every
-    row); each row is evaluate_point's alone (_fold), with its own
-    objective and t_override.
+    grow with its eta grid.  Each chunk is one _evaluate_chunk call, by its
+    module-global name, and each row is the record it gets alone (_fold),
+    with its own objective and t_override; s = -0.0 shares a chunk with
+    s = 0.0, whose squeezed vacuum it has bit for bit (tmsv_chi), and
+    keeps its own s in its record.
     """
     configs = list(configs)
     groups = {}
     for i, cfg in enumerate(configs):
-        groups.setdefault(_chunk_key(cfg), {}).setdefault(cfg.channel, []).append(i)
+        groups.setdefault((cfg.s, cfg.n_trunc), {}).setdefault(cfg.channel, []).append(i)
     records = [None] * len(configs)
     for settings in groups.values():
         settings = list(settings.values())
         for first in range(0, len(settings), CHUNK_SETTINGS):
             rows = [i for own in settings[first:first + CHUNK_SETTINGS] for i in own]
             chunk = [configs[i] for i in rows]
-            for i, record in zip(rows, evaluate_points(chunk)):
+            for i, record in zip(rows, _evaluate_chunk(chunk)):
                 records[i] = record
     return records

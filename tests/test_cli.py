@@ -549,7 +549,7 @@ def test_sweep_output_through_a_symlink_rewrites_its_target(tmp_path, capsys,
     dangling = tmp_path / "dangling.csv"
     dangling.symlink_to(tmp_path / "no_such_dir" / "rows.csv")
     rows = []
-    monkeypatch.setattr(scenarios, "evaluate_points", lambda *a: rows.append(a))
+    monkeypatch.setattr(scenarios, "_evaluate_chunk", lambda *a: rows.append(a))
     capsys.readouterr()
     assert main(["sweep", write_config(tmp_path, SMALL_SWEEP.format(out=dangling))]) == 4
     assert f"no such directory: '{tmp_path}/no_such_dir'" in capsys.readouterr().err
@@ -609,7 +609,7 @@ def test_sweep_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
 def test_sweep_refuses_a_bad_output_before_any_row(tmp_path, capsys, monkeypatch,
                                                     output, code, message):
     rows = []
-    monkeypatch.setattr(scenarios, "evaluate_points", lambda *a: rows.append(a))
+    monkeypatch.setattr(scenarios, "_evaluate_chunk", lambda *a: rows.append(a))
     output = output.format(tmp=tmp_path)
     cfg = write_config(tmp_path, SMALL_SWEEP.format(out=output))
     assert main(["sweep", cfg]) == code

@@ -26,7 +26,6 @@ from cvdistill.scenarios import (
     Strategy,
     SweepRecord,
     evaluate_point,
-    evaluate_points,
     sweep,
 )
 
@@ -272,26 +271,9 @@ def test_optimize_t_is_the_t_opt_of_evaluate_point(objective):
             assert (t.hex(), flag) == (rec.t_opt.hex(), rec.flags), cfg
 
 
-def test_evaluate_points_refuses_rows_of_different_s_or_cutoff():
-    # one chunk builds one squeezed vacuum and one cutoff: rows that do not
-    # share them were computed at the first row's values (E_N 0.16006 for
-    # an s = 0.5 row that gives 0.89759 alone)
-    rule = r"share s \(with its sign\) and n_trunc"
-    for other in (cfg_for("noop", s=0.5, eta=0.8),
-                  cfg_for("noop", s=-0.0, eta=0.8),
-                  cfg_for("noop", s=0.1, eta=0.8, n_trunc=3)):
-        first = cfg_for("noop", s=0.0 if other.s == 0.0 else 0.1, eta=0.7)
-        with pytest.raises(ValueError, match=rule):
-            evaluate_points([first, other])
-    recs = evaluate_points([cfg_for("noop", s=0.1, eta=0.7),
-                            cfg_for("coherent_after", s=0.1, eta=0.8, n_trunc=5)])
-    assert recs[1] == evaluate_point(cfg_for("coherent_after", s=0.1, eta=0.8))
-
-
 def test_no_rows_give_no_records():
-    # an empty chunk has no s or n_trunc to share: no rows, no records,
-    # from evaluate_points as from sweep
-    assert evaluate_points([]) == [] == sweep([])
+    # no rows, no chunks, no records
+    assert sweep([]) == []
 
 
 STUB_CFG = cfg_for("coherent_before", objective="fidelity")
@@ -846,17 +828,17 @@ def test_sweep_eta_pins_override_everywhere():
     assert [r.t_opt for r in recs] == [0.9, 0.9]
 
 
-def test_sweep_calls_the_module_evaluate_points_once_per_chunk(monkeypatch):
-    # a wrapper installed as scenarios.evaluate_points sees every sweep
+def test_sweep_calls_the_module_evaluate_chunk_once_per_chunk(monkeypatch):
+    # a wrapper installed as scenarios._evaluate_chunk sees every sweep
     # row, in one call per chunk of settings
     seen = []
-    original = scenarios.evaluate_points
+    original = scenarios._evaluate_chunk
 
     def counted(cfgs, *args):
         seen.append(list(cfgs))
         return original(cfgs, *args)
 
-    monkeypatch.setattr(scenarios, "evaluate_points", counted)
+    monkeypatch.setattr(scenarios, "_evaluate_chunk", counted)
     monkeypatch.setattr(scenarios, "CHUNK_SETTINGS", 2)
     cfgs = [cfg_for("noop", eta=eta) for eta in (0.5, 1.0, 0.7)]
     cfgs.append(cfg_for("noop", s=0.2, eta=0.5))
@@ -1016,7 +998,7 @@ def test_a_sweep_holds_one_chunk_at_a_time(monkeypatch):
     # built as 2, 2 and 1, each by one Fock build over its kernels whose
     # return is the chunk's matrices (no copy of its own), and no array
     # of an earlier chunk is alive when a chunk is built (probed where
-    # evaluate_points' own _pipelines call is entered and returns)
+    # _evaluate_chunk's own _pipelines call is entered and returns)
     builds, arrays = [], []
     original_fock = scenarios.fock_matrices
 
@@ -1130,6 +1112,21 @@ def test_chunked_sweep_rows_are_evaluate_point_alone_bit_for_bit():
             for eta in etas]
     alone = [_record_bits(evaluate_point(cfg)) for cfg in cfgs]
     assert [_record_bits(rec) for rec in sweep(cfgs)] == alone
+    # rows of s = -0.0, 0.0 and 0.5 at cutoffs 3 and 5 in one sweep: a
+    # chunk builds one squeezed vacuum at one cutoff, and a row put in a
+    # chunk of another s was computed at that chunk's (E_N 0.16006 for an
+    # s = 0.5 row that gives 0.89759 alone); s = -0.0 shares the chunk of
+    # 0.0 and keeps its own sign in its record
+    cfgs = [cfg_for(strategy, s=s, eta=eta, n_trunc=n_trunc)
+            for s in (-0.0, 0.0, 0.5) for n_trunc in (3, 5)
+            for strategy, eta in (("noop", 0.7), ("coherent_after", 0.8))]
+    random.Random(1).shuffle(cfgs)
+    alone = [_record_bits(evaluate_point(cfg)) for cfg in cfgs]
+    assert [_record_bits(rec) for rec in sweep(cfgs)] == alone
+    assert [rec[1] for rec in alone] == [cfg.s.hex() for cfg in cfgs]
+    # tmsv_chi(-0.0) is the squeezed vacuum of 0.0, byte for byte
+    assert all(a.tobytes() == b.tobytes() and a.dtype == b.dtype
+               for a, b in zip(chi_core.tmsv_chi(-0.0), chi_core.tmsv_chi(0.0)))
 
 
 def test_readme_sweep_allocation_peak():
