@@ -11,7 +11,9 @@ functions the whole integrand lives in one augmented Gaussian kernel and
 the exact float64 moment table evaluates it term by term.  A density
 matrix is a plain (d^2, d^2) float64 array, d = n_trunc + 1.  Every
 kernel conserves the phase charge, so only the moments and weights of
-charge zero are computed; the others are exactly +0.  This module is the
+charge zero are computed; the others are exactly +0.  The weights are
+summed term by term over every charge-zero (entry, monomial) pair and
+every kernel of a call at once, at most d^2 numpy passes.  This module is the
 one home of that format: its shape check (_fock_side), its partial
 transpose and its photon-number-parity blocks (_blocks), which the
 eigensolves of certify, entanglement.log_negativity and the optimizer share.
@@ -96,48 +98,56 @@ def _augmented_kernel(kernel):
 @functools.lru_cache(maxsize=8)
 def _fock_plan(d, support):
     """The index bookkeeping of fock_matrices for one cutoff d and one
-    support (a tuple of exponent 4-tuples), as (shape, rows, cols,
-    classes): the moment table's shape, the upper triangle of a (d^2, d^2)
-    matrix, and per (p, q) class of entries that has pairs of charge zero,
-    (a, e, o1, o2, c1, c2) over those pairs: the support and triangle index
-    of each pair, the flat table offsets of its p mode-1 terms plus its
-    monomial, (p, pairs), and of its q mode-2 terms, (q, pairs), and the
-    coefficients of those terms, in the same shapes.  Tuples of read-only
-    arrays, since every caller shares them.  The offsets of the two modes
-    are kept apart and summed to (p, q, pairs) on each call, which keeps
-    the plan at 1.5 MiB rather than 2.1 MiB at n_trunc 8."""
+    support (a tuple of exponent 4-tuples), as (shape, rows, cols, a, e,
+    terms): the moment table's shape, the upper triangle of a (d^2, d^2)
+    matrix, the support and triangle index of each (entry, support) pair
+    of charge zero, and per term index k the pairs' term k as (offsets,
+    c1, c2): its flat table offset, int32, and its mode-1 and mode-2
+    coefficients.  A pair has p * q terms (see fock_matrices), and term k
+    is (t1, t2) = divmod(k, q), mode-1 major.  The pairs are sorted by
+    p * q, longest first (a stable sort), so the pairs that have a term k
+    are a prefix of a and e, as long as term k's arrays.  Read-only
+    arrays, since every caller shares them.
+
+    Each product takes 20 bytes (a 4-byte offset and two coefficients), and
+    no padded (terms, pairs) array is ever built.  For the 46 monomials of
+    a coherent operation's support the whole plan holds 0.50 MiB at
+    n_trunc 5, 3.43 MiB at 8 and 20.1 MiB at 12 (23,415, 168,368 and
+    1,013,152 products).  An offset past int32 needs a table of 2^31
+    entries, so d > 200, whose plan would need terabytes first."""
     support = np.array(support, dtype=np.intp).reshape(-1, 4)
     shape = tuple(int(x) for x in np.max(support, axis=0) + d)
     strides = np.array([int(np.prod(shape[i + 1:])) for i in range(4)], dtype=np.intp)
 
-    # the terms of <m|D^dag|n>: their flat table offsets in the two axes of
-    # mode 1 (lin[0]) and of mode 2 (lin[1]), and coefficients
+    # the terms of <m|D^dag|n>, flat: their table offsets in the two axes of
+    # mode 1 (lin1) and of mode 2 (lin2), and coefficients
     offs, cof = _dagger_table(d)
-    lin = offs @ strides[:2], offs @ strides[2:]
+    lin1, lin2, cof = (offs @ strides[:2]).ravel(), (offs @ strides[2:]).ravel(), cof.ravel()
 
-    alpha_lin = support @ strides
     rows, cols = np.triu_indices(d * d)
     i, j = np.divmod(rows, d)
     k, l = np.divmod(cols, d)
-    p_of, q_of = np.minimum(i, k) + 1, np.minimum(j, l) + 1
     # a pair of an entry and a support monomial reads moments of one charge:
     # entry_charge + alpha_charge
     charge = _charges(4)
     entry_charge = charge[0] * (i - k) + charge[2] * (j - l)
-    alpha_charge = support @ charge
-    classes = []
-    for p in range(1, d + 1):
-        for q in range(1, d + 1):
-            e = np.flatnonzero((p_of == p) & (q_of == q))
-            a, n = np.nonzero(alpha_charge[:, None] + entry_charge[e] == 0)
-            if not len(a):
-                continue
-            e = e[n]
-            classes.append(tuple(_read_only(x) for x in (
-                a, e, lin[0][i[e], k[e], :p].T + alpha_lin[a],
-                lin[1][j[e], l[e], :q].T, cof[i[e], k[e], :p].T,
-                cof[j[e], l[e], :q].T)))
-    return shape, _read_only(rows), _read_only(cols), tuple(classes)
+    a, e = np.nonzero((support @ charge)[:, None] + entry_charge == 0)
+    p, q = np.minimum(i[e], k[e]) + 1, np.minimum(j[e], l[e]) + 1
+    order = np.argsort(-(p * q), kind="stable")
+    a, e, q, pq = a[order], e[order], q[order], (p * q)[order]
+    # each pair's term 0 of <i|D^dag|k> and of <j|D^dag|l> in the flat tables
+    m1, m2 = (i[e] * d + k[e]) * d, (j[e] * d + l[e]) * d
+    base = (support @ strides)[a]
+    terms = []
+    for t in range(pq.max(initial=0)):
+        n = np.count_nonzero(pq > t)
+        t1, t2 = np.divmod(t, q[:n])
+        t1 += m1[:n]
+        t2 += m2[:n]
+        terms.append(tuple(_read_only(x) for x in (
+            (lin1[t1] + base[:n] + lin2[t2]).astype(np.int32), cof[t1], cof[t2])))
+    return (shape, _read_only(rows), _read_only(cols), _read_only(a), _read_only(e),
+            tuple(terms))
 
 
 def _cutoff(n_trunc):
@@ -191,17 +201,19 @@ def fock_matrices(kernel, n_trunc, polys, *more):
 
     The weight of rho_{ij,kl} at a support monomial sums the p * q products
     of the p = min(i, k) + 1 terms of <i|D^dag|k> and the q = min(j, l) + 1
-    terms of <j|D^dag|l>.  Entries with the same (p, q) are handled together,
-    one (p * q, pairs) array per class over its (entry, support) pairs: each
-    moment is scaled by the mode-1 coefficient, then by the mode-2
-    coefficient, and the terms are added one after another, mode-1 term
-    major, starting from +0.  That is the order of the per-entry einsum it
-    replaced (tests/oracles.fock_matrices_by_entry), kept bit for bit on
-    purpose: the n_trunc-8 benchmark references hold this route's own
-    float64 error, and a reordering of the same sums moves outputs past
-    their 1e-10 gate (ROADMAP item 1).  The classes run one kernel at a
-    time, and each kernel's weights are contracted before the next
-    kernel's are built, so a call holds one weight matrix.
+    terms of <j|D^dag|l>: each moment is scaled by the mode-1 coefficient,
+    then by the mode-2 coefficient, and the terms are added one after
+    another, mode-1 term major, starting from +0.  That is the order of the
+    per-entry einsum this route replaced (tests/oracles.fock_matrices_by_entry),
+    kept bit for bit on purpose: the n_trunc-8 benchmark references hold
+    this route's own float64 error, and a reordering of the same sums moves
+    outputs past their 1e-10 gate (ROADMAP item 1).  The sums run term by
+    term over every (entry, support) pair and every kernel at once: pass k
+    gathers term k of each pair that has one (a prefix of the plan's
+    pairs), scales it and adds it to that pair's running sum, so a call
+    makes at most d^2 passes whatever its kernel count.  Each kernel's sums
+    are then scattered into one weight matrix, reused from kernel to
+    kernel, and contracted before the next kernel's are scattered.
 
     The kernel must pass chi_core.gaussian_kernel, and only the pairs its
     phase symmetry allows are gathered.  Every term of <i|D^dag|k> has a
@@ -209,12 +221,12 @@ def fock_matrices(kernel, n_trunc, polys, *more):
     phase charges every moment a pair reads has the charge
     q_0 (i - k) + q_2 (j - l) + q . alpha.  Where that is nonzero the
     moments are +0 (see moment_table), so those weights keep the +0 of
-    np.zeros, as the sum of their +-0 products plus 0.0 would be.
+    np.zeros, as a sum of their +-0 products from +0 would be.
 
-    Which pairs each class gathers, their table offsets and their term
-    coefficients depend only on d and the support, so they are planned
-    once per (d, support) and cached (_fock_plan); a call only gathers,
-    scales and sums, in the order above.
+    Which pairs there are, their table offsets and their term coefficients
+    depend only on d and the support, so they are planned once per
+    (d, support) and cached (_fock_plan); a call only gathers, scales and
+    sums, in the order above.
     """
     n_trunc = _cutoff(n_trunc)
     kernel = gaussian_kernel(kernel)
@@ -235,17 +247,17 @@ def fock_matrices(kernel, n_trunc, polys, *more):
         out = np.zeros(lead + (sum(p.shape[1] for p in stacks), d * d, d * d))
     except (MemoryError, ValueError) as exc:
         raise MemoryError(f"n_trunc = {n_trunc}: {exc}") from None
-    shape, rows, cols, classes = _fock_plan(d, monomials)
+    shape, rows, cols, a, e, terms = _fock_plan(d, monomials)
     tables = moment_table(_augmented_kernel(kernels), shape).reshape(len(kernels), -1)
-    for k, (at, table) in enumerate(zip(np.ndindex(lead), tables)):
-        weights = np.zeros((len(monomials), len(rows)))
-        for a, e, o1, o2, c1, c2 in classes:
-            vals = table[o1[:, None] + o2[None]]
-            vals *= c1[:, None]
-            vals *= c2[None]
-            vals = vals.reshape(-1, len(e))
-            # + 0.0 turns a sum of -0 terms into +0, as a sum from +0 does
-            weights[a, e] = np.add.accumulate(vals, out=vals)[-1] + 0.0
+    sums = np.zeros((len(kernels), len(a)))
+    for off, c1, c2 in terms:
+        vals = tables[:, off]
+        vals *= c1
+        vals *= c2
+        sums[:, :len(off)] += vals
+    weights = np.zeros((len(monomials), len(rows)))
+    for k, at in enumerate(np.ndindex(lead)):
+        weights[a, e] = sums[k]
         rhos = iter(out[at])  # the stacks' matrices in order along the term axis
         for stack, per_stack in zip(stacks, supports):
             own = per_stack[k]

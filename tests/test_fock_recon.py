@@ -534,12 +534,29 @@ def test_cached_fock_plan_is_read_only():
     fock_matrices(kernel, 3, polys)
     support = tuple(map(tuple, np.argwhere(np.any(polys != 0, axis=0)).tolist()))
     hits = fock_recon._fock_plan.cache_info().hits
-    _, rows, cols, classes = fock_recon._fock_plan(4, support)
+    _, rows, cols, a, e, terms = fock_recon._fock_plan(4, support)
     assert fock_recon._fock_plan.cache_info().hits == hits + 1
-    arrays = [rows, cols, *(x for c in classes for x in c)]
-    assert len(arrays) > 2 and not any(a.flags.writeable for a in arrays)
-    with pytest.raises(ValueError):
-        classes[0][2][0, 0] = 0
+    arrays = [rows, cols, a, e, *(x for term in terms for x in term)]
+    assert len(terms) == 16 and not any(x.flags.writeable for x in arrays)
+    for x in arrays:
+        with pytest.raises(ValueError):
+            x[0] = 0
+
+
+def test_fock_plan_bytes_at_cutoff_8():
+    # measured with numpy 2.4: for the 46 monomials of a coherent
+    # operation's support the term-major plan holds 3.43 MiB at n_trunc 8,
+    # 168,368 products at 20 bytes (int32 offsets and two float64
+    # coefficients) plus the pair and triangle indices; intp offsets would
+    # make it 4.07 MiB, and the per-(p, q)-class plan it replaced held
+    # 1.50 MiB; a padded or wider layout outgrows the bound
+    kernel, polys = raw_terms(ScenarioConfig(Strategy.COHERENT_AFTER, 0.5,
+                                             ChannelParams(0.7, 0.1), 8))
+    support = tuple(map(tuple, np.argwhere(np.any(polys != 0, axis=0)).tolist()))
+    _, rows, cols, a, e, terms = fock_recon._fock_plan(9, support)
+    assert len(support) == 46 and len(terms) == 81
+    arrays = [rows, cols, a, e, *(x for term in terms for x in term)]
+    assert sum(x.nbytes for x in arrays) < 3.5 * 2 ** 20
 
 
 def test_augmented_kernel_wants_an_exactly_symmetric_kernel():
@@ -580,9 +597,10 @@ def test_fock_matrices_allocation_peak_at_cutoff_8():
     # float64 weights and matrices at 1.71 MiB, and with the leading kernel
     # axis (one kernel here) and the returned array allocated before the
     # weights at 1.78 MiB, the same with that array as its one output
-    # path (no out=); complex weights coming back,
-    # or a temporary that outgrows the bound, raise the process's peak
-    # resident memory
+    # path (no out=); with the sums run term by term over every pair and
+    # kernel at once into one reused weight matrix at 1.76 MiB; complex
+    # weights coming back, or a temporary that outgrows the bound, raise
+    # the process's peak resident memory
     cfg = ScenarioConfig(Strategy.COHERENT_AFTER, 0.5, ChannelParams(0.7, 0.1), 8)
     kernel, polys = raw_terms(cfg)
     fock_matrices(kernel, 8, polys)

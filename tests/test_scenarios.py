@@ -1138,9 +1138,12 @@ def test_readme_sweep_allocation_peak():
     # copied into the chunk's); with a chunk's arrays in the Fock build's
     # (channels, terms) layout, no zero-padded terms, it peaks at 3.30 MiB
     # where the padded layout did at 3.65 MiB, in a fresh process after
-    # this warm-up (2.68 against 3.02 MiB after a whole warm-up sweep); a
-    # chunk that grows, or a chunk's arrays kept past the next build, raise
-    # the process's peak resident memory
+    # this warm-up (2.68 against 3.02 MiB after a whole warm-up sweep); with
+    # the term-major Fock plan it peaks at 3.48 MiB, as the coherent
+    # support's plan (0.50 MiB at n_trunc 5, against 0.31 MiB for the
+    # per-class plan) is first built inside the measured sweep; a chunk
+    # that grows, or a chunk's arrays kept past the next build, raise the
+    # process's peak resident memory
     cfgs = [cfg_for(strategy.value, s=0.029, eta=float(eta), n_th=0.1)
             for strategy in Strategy for eta in np.linspace(0.01, 1.0, 101)]
     sweep(cfgs[:5])

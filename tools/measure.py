@@ -6,8 +6,11 @@ For each module of src/cvdistill: its line count (as wc -l gives it) and
 its count of code lines, that is without docstrings, comment-only lines
 and blank lines.  Then the sha256 of the CSVs of the README's sweep (the
 config under "Command line") and of the same sweep with objective =
-fidelity, each run in process through cli.main.  It uses the standard
-library and the package only, and takes no options.
+fidelity, each run in process through cli.main.  Last, for three fixed
+fock_matrices calls (n_trunc 8 over one kernel, n_trunc 5 over a chunk of
+7 kernels, n_trunc 12 over one kernel), the median time of a warm call and
+the bytes of the cached plan it reads.  It uses the standard library and
+the package only, and takes no options.
 """
 
 import ast
@@ -15,8 +18,10 @@ import contextlib
 import hashlib
 import io
 import pathlib
+import statistics
 import sys
 import tempfile
+import time
 import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -70,6 +75,47 @@ def sweep_sha256(objective):
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def fock_inputs():
+    """The three fixed fock_matrices calls, as (label, kernels, n_trunc,
+    stacks): the coherent operation before the channel at s 0.3, eta 0.7,
+    n_th 0.1, and a chunk of every pipeline kind over 7 channels at the
+    README sweep's s and n_th."""
+    from cvdistill.chi_core import ChannelParams
+    from cvdistill.scenarios import _raw_terms
+
+    ((one, before),) = _raw_terms(0.3, [ChannelParams(0.7, 0.1)], [(True, True)]).values()
+    channels = [ChannelParams(0.3 + 0.1 * k, 0.1) for k in range(7)]
+    runs = _raw_terms(0.029, channels, [(False, False), (True, True), (True, False)])
+    chunk = next(iter(runs.values()))[0]
+    return [("n_trunc 8, 1 kernel", one[0], 8, [before[0]]),
+            ("n_trunc 5, 7 kernels", chunk, 5, [p for _, p in runs.values()]),
+            ("n_trunc 12, 1 kernel", one[0], 12, [before[0]])]
+
+
+def nbytes(x):
+    """The bytes of every array in x, a tuple that nests arrays."""
+    if isinstance(x, tuple):
+        return sum(nbytes(y) for y in x)
+    return getattr(x, "nbytes", 0)
+
+
+def fock_layer(kernels, n_trunc, stacks, calls=40):
+    """Median ms of a warm fock_matrices call, and the bytes of its plan."""
+    import numpy as np
+    from cvdistill import fock_recon
+
+    fock_recon.fock_matrices(kernels, n_trunc, *stacks)
+    times = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        fock_recon.fock_matrices(kernels, n_trunc, *stacks)
+        times.append(time.perf_counter() - start)
+    # the support fock_matrices plans over: every nonzero monomial of a stack
+    support = sorted({tuple(m) for p in stacks for m in
+                      np.argwhere(np.any(p != 0, axis=tuple(range(p.ndim - 4)))).tolist()})
+    return 1e3 * statistics.median(times), nbytes(fock_recon._fock_plan(n_trunc + 1, tuple(support)))
+
+
 def main():
     total = code_total = 0
     for path in sorted(SRC.glob("*.py")):
@@ -80,6 +126,9 @@ def main():
     print(f"{total:6d} {code_total:6d}  total (wc -l, code lines)")
     for objective in ("negativity", "fidelity"):
         print(f"README {objective} sweep sha256 {sweep_sha256(objective)}")
+    for label, kernels, n_trunc, stacks in fock_inputs():
+        ms, size = fock_layer(kernels, n_trunc, stacks)
+        print(f"fock_matrices {label}: median {ms:.2f} ms, plan {size / 2 ** 20:.2f} MiB")
 
 
 if __name__ == "__main__":
