@@ -211,10 +211,10 @@ def _first_order(stack, raised, kq, j, c, m, h):
     Differentiating the Gaussian factor pulls down -(K v)_j, so the result
     stays in the same kernel class and only the polynomial changes.  The
     derivative is k P shifted by -1 along v_j; what crosses an edge has k = 0.
-    A term K_j,var that is exactly 0 in every kernel is skipped.  In a state
-    of a chunk whose own K_j,var is 0 the term adds +-0: that moves no
-    nonzero coefficient, only the sign of a zero, and coherent_op_terms sums
-    every result into +0, so the state keeps the bytes it gets alone.
+    Zero terms follow moment_table's one rule: a term is skipped only where
+    K_j,var is 0 in every kernel.  Here the +-0 it adds to a state whose own
+    K_j,var is 0 may flip the sign of a zero of out, but coherent_op_terms
+    sums every result into +0, so the state keeps the bytes it gets alone.
     """
     k = np.arange(stack.shape[-1]).reshape((-1,) + (1,) * (N_VARS - 1 - j))
     out = c * _shift(k * stack, j, -1)
@@ -419,7 +419,7 @@ def moment_table(kernel, shape):
         table[alpha] = Int prod_i (d^2 xi_i / pi) v^alpha exp(-0.5 v^T K v)
 
     or against each kernel of a stack (..., n, n), as an array of shape
-    (...) + shape whose table of each kernel has the bits it gets alone.
+    (...) + shape in which each finite table has the bits it gets alone.
 
     Moments follow the Wick/Stein recursion
 
@@ -445,9 +445,13 @@ def moment_table(kernel, shape):
     the recursion once, on one flat array of the S tables end to end,
     through the cached plan of (shape, S) (_moment_plan), and only the
     arithmetic, in the plain recursion's order: each entry of each kernel
-    is (C_jk beta_k) E[...], added from +0 in the plan's order, skipping a
-    term where C_jk is exactly 0.  A term that is 0 in some kernels only is
-    added to the others, never computed as 0 times an entry that may be inf.
+    is (C_jk beta_k) E[...], added from +0 in the plan's order.  One zero
+    rule serves every call, _first_order's too: a term is skipped only
+    where C_jk is exactly 0 in every kernel of the call.  In a kernel whose
+    own C_jk is 0 it adds 0 times a finite entry, +-0, to a sum that began
+    at +0 and so is never -0: no bit moves, so each finite table has the
+    bits of its own call (an inf entry would give NaN; the Fock build's
+    tables first overflow at n_trunc 85-100).
     """
     kernel = gaussian_kernel(kernel)
     shape = tuple(int(s) for s in shape)
@@ -460,18 +464,14 @@ def moment_table(kernel, shape):
     cov = cov.real.reshape((-1,) + kernel.shape[-2:])
     n_kernels = len(cov)
     columns = cov.transpose(1, 2, 0)[..., None]
-    nonzero = cov != 0.0
-    every, some = nonzero.all(axis=0).tolist(), nonzero.any(axis=0).tolist()
+    some = (cov != 0.0).any(axis=0).tolist()
     size = math.prod(shape)
     flat = np.zeros(n_kernels * size)
     flat[::size] = 1.0
     for j, target, terms in _moment_plan(shape, n_kernels):
         acc = np.zeros(target.shape)
         for k, bk, source in terms:
-            if every[j][k]:
+            if some[j][k]:
                 acc += columns[j, k] * bk * flat[source]
-            elif some[j][k]:
-                on = nonzero[:, j, k]
-                acc[on] += columns[j, k][on] * bk * flat[source[on]]
         flat[target] = acc
     return (flat.reshape(n_kernels, -1) * np.reshape(norm, (-1, 1))).reshape(lead + shape)

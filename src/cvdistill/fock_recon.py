@@ -51,7 +51,6 @@ class PrecisionError(Exception):
     """certify refused a Fock matrix: not a state to within CERTIFY_TOL."""
 
 
-@functools.lru_cache(maxsize=None)
 def _dagger_table(d):
     """The terms of every <m|D^dag(xi)|n> = <m|D(-xi)|n>, m, n < d, padded
     to d: exponent offsets (a, b) of (xi, xi*) as a read-only (d, d, d, 2)

@@ -76,7 +76,7 @@ class ScenarioConfig:
 
     objective picks what the coherent-weight optimizer maximizes
     ("negativity" or "fidelity"); t_override pins the coherent strategies'
-    t instead of optimizing it (the others ignore it, see evaluate_point).
+    t instead of optimizing it (the others ignore it, see _evaluate_chunk).
     With ChannelParams it checks every input range before any pipeline
     runs, for the point and sweep commands alike (cli.scenario_configs);
     tmsv_chi and fock_matrices apply the same rules to s and to n_trunc (a

@@ -598,13 +598,14 @@ def test_an_imaginary_moment_covariance_is_refused(monkeypatch):
             call()
 
 
-@pytest.mark.parametrize("n_trunc", [0, 3, 5, 8])
+@pytest.mark.parametrize("n_trunc", [0, 3, 5, 8, 12])
 def test_moment_table_over_a_kernel_stack_is_per_kernel_bit_for_bit(n_trunc):
     # one recursion over a stack of augmented kernels gives each kernel the
     # bytes of its own call, signed zeros included, in the shape the Fock
     # build reads at this cutoff; the s = 0 kernels' cross-mode C entries
-    # are 0 where the others' are not, so those terms go to some kernels of
-    # the stack only.  A one-kernel stack is the 2-D call
+    # are 0 where the others' are not, so those terms add +-0 to them, which
+    # moves no bit while every table is finite.  A one-kernel stack is the
+    # 2-D call
     rng = np.random.default_rng(500 + n_trunc)
     kernels, _ = oracles.mixed_chunk(rng)
     aug = _augmented_kernel(kernels)
@@ -613,6 +614,7 @@ def test_moment_table_over_a_kernel_stack_is_per_kernel_bit_for_bit(n_trunc):
     shape = (n_trunc + 5,) * 4
     table = moment_table(aug, shape)
     assert table.shape == (len(kernels),) + shape and table.dtype == np.float64
+    assert np.isfinite(table).all()
     for k, got in zip(aug, table):
         want = moment_table(k, shape)
         assert got.tobytes() == want.tobytes()

@@ -432,16 +432,28 @@ def test_stacks_over_one_kernel_get_their_lone_bits(n_trunc):
         fock_matrices(kernel, n_trunc, runs[0][1], np.zeros((1, 1, 1, 1, 1)))
 
 
-@pytest.mark.parametrize("n_trunc", [0, 3, 5, 8])
-def test_fock_matrices_over_a_kernel_stack_are_per_kernel_bit_for_bit(n_trunc):
+@pytest.mark.parametrize("n_trunc", [0, 3, 5, 8, 12])
+def test_fock_matrices_over_a_kernel_stack_are_per_kernel_bit_for_bit(
+        n_trunc, monkeypatch):
     # one call over a stack of kernels, s = 0 kernels (no cross-mode
     # entries, smaller supports) mixed with s > 0 ones, and the three
     # pipeline stacks over them: each kernel's matrices have the bytes of
-    # a call over that kernel alone; a one-kernel stack is the 2-D call
+    # a call over that kernel alone; a one-kernel stack is the 2-D call.
+    # The chunk's moment tables are finite, which moment_table's one zero
+    # rule needs for that
     rng = np.random.default_rng(700 + n_trunc)
     kernels, stacks = oracles.mixed_chunk(rng)
     d2 = (n_trunc + 1) ** 2
+    tables = []
+
+    def recorded(kernel, shape):
+        tables.append(chi_core.moment_table(kernel, shape))
+        return tables[-1]
+    monkeypatch.setattr(fock_recon, "moment_table", recorded)
     got = fock_matrices(kernels, n_trunc, *stacks)
+    monkeypatch.undo()
+    assert len(tables) == 1 and tables[0].shape[0] == len(kernels)
+    assert np.isfinite(tables[0]).all()
     assert got.shape == (len(kernels), sum(p.shape[1] for p in stacks), d2, d2)
     for k, kernel in enumerate(kernels):
         want = fock_matrices(kernel, n_trunc, *(p[k] for p in stacks))

@@ -6,16 +6,20 @@ For each module of src/cvdistill: its line count (as wc -l gives it) and
 its count of code lines, that is without docstrings, comment-only lines
 and blank lines.  Then the sha256 of the CSVs of the README's sweep (the
 config under "Command line") and of the same sweep with objective =
-fidelity, each run in process through cli.main.  Last, for three fixed
-fock_matrices calls (n_trunc 8 over one kernel, n_trunc 5 over a chunk of
-7 kernels, n_trunc 12 over one kernel), the median time of a warm call and
-the bytes of the cached plan it reads.  It uses the standard library and
-the package only, and takes no options.
+fidelity, each run in process through cli.main, and the hits and misses
+of every functools.lru_cache of the package after those two sweeps.  Then,
+for three fixed fock_matrices calls (n_trunc 8 over one kernel, n_trunc 5
+over a chunk of 7 kernels, n_trunc 12 over one kernel), the median time of
+a warm call and the bytes of the cached plan it reads.  Last, the cold
+build time of the plan of a coherent operation's support at n_trunc 8 and
+12: the best of five builds, each after _fock_plan.cache_clear().  It uses
+the standard library and the package only, and takes no options.
 """
 
 import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import pathlib
 import statistics
@@ -75,6 +79,18 @@ def sweep_sha256(objective):
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def package_caches():
+    """(name, cache_info()) of every functools.lru_cache that a module of
+    the package defines, in module and name order."""
+    caches = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"cvdistill.{path.stem}")
+        for name, obj in sorted(vars(module).items()):
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                caches.append((f"{path.stem}.{name}", obj.cache_info()))
+    return caches
+
+
 def fock_inputs():
     """The three fixed fock_matrices calls, as (label, kernels, n_trunc,
     stacks): the coherent operation before the channel at s 0.3, eta 0.7,
@@ -99,9 +115,17 @@ def nbytes(x):
     return getattr(x, "nbytes", 0)
 
 
+def support(stacks):
+    """The support fock_matrices plans over: every nonzero monomial of a
+    stack, as a sorted tuple of exponent 4-tuples."""
+    import numpy as np
+
+    return tuple(sorted({tuple(m) for p in stacks for m in
+                         np.argwhere(np.any(p != 0, axis=tuple(range(p.ndim - 4)))).tolist()}))
+
+
 def fock_layer(kernels, n_trunc, stacks, calls=40):
     """Median ms of a warm fock_matrices call, and the bytes of its plan."""
-    import numpy as np
     from cvdistill import fock_recon
 
     fock_recon.fock_matrices(kernels, n_trunc, *stacks)
@@ -110,10 +134,20 @@ def fock_layer(kernels, n_trunc, stacks, calls=40):
         start = time.perf_counter()
         fock_recon.fock_matrices(kernels, n_trunc, *stacks)
         times.append(time.perf_counter() - start)
-    # the support fock_matrices plans over: every nonzero monomial of a stack
-    support = sorted({tuple(m) for p in stacks for m in
-                      np.argwhere(np.any(p != 0, axis=tuple(range(p.ndim - 4)))).tolist()})
-    return 1e3 * statistics.median(times), nbytes(fock_recon._fock_plan(n_trunc + 1, tuple(support)))
+    return 1e3 * statistics.median(times), nbytes(fock_recon._fock_plan(n_trunc + 1, support(stacks)))
+
+
+def cold_plan_ms(n_trunc, stacks, builds=5):
+    """Best ms of builds cold _fock_plan builds for the support of stacks."""
+    from cvdistill import fock_recon
+
+    monomials, times = support(stacks), []
+    for _ in range(builds):
+        fock_recon._fock_plan.cache_clear()
+        start = time.perf_counter()
+        fock_recon._fock_plan(n_trunc + 1, monomials)
+        times.append(time.perf_counter() - start)
+    return 1e3 * min(times)
 
 
 def main():
@@ -126,9 +160,14 @@ def main():
     print(f"{total:6d} {code_total:6d}  total (wc -l, code lines)")
     for objective in ("negativity", "fidelity"):
         print(f"README {objective} sweep sha256 {sweep_sha256(objective)}")
-    for label, kernels, n_trunc, stacks in fock_inputs():
+    for name, info in package_caches():
+        print(f"cache {name} after both sweeps: {info.hits} hits, {info.misses} misses")
+    inputs = fock_inputs()
+    for label, kernels, n_trunc, stacks in inputs:
         ms, size = fock_layer(kernels, n_trunc, stacks)
         print(f"fock_matrices {label}: median {ms:.2f} ms, plan {size / 2 ** 20:.2f} MiB")
+    for label, kernels, n_trunc, stacks in inputs[::2]:
+        print(f"_fock_plan cold, {label}'s support: best {cold_plan_ms(n_trunc, stacks):.2f} ms")
 
 
 if __name__ == "__main__":
